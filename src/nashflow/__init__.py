@@ -11,11 +11,9 @@ from .instance import (
     BargainingInstance,
     InstanceError,
     PreprocessReport,
-    dump_instance,
     format_rational,
     gen_l1_adversarial,
     gen_random,
-    load_instance,
     make_instance,
     parse_instance,
     parse_rational,
@@ -30,7 +28,6 @@ from .flownet import (
     is_small,
     max_flow,
     maxflow_call_count,
-    residual_reachable,
 )
 from .balanced import BalanceError, balanced_flow, scale_flow, surpluses, verify_property1
 from .fisher import FisherError, fisher_equilibrium, measure_l1_vs_l2
@@ -61,7 +58,6 @@ from .solver import (
     solution_to_json,
     solve,
     stage1,
-    stage1_event_x,
     stage2,
 )
 
@@ -87,7 +83,6 @@ __all__ = [
     "check_equilibrium",
     "check_feasibility_witness",
     "check_kkt",
-    "dump_instance",
     "feasibility_lp",
     "fisher_equilibrium",
     "format_rational",
@@ -96,7 +91,6 @@ __all__ = [
     "initialize",
     "is_small",
     "limit_algorithm",
-    "load_instance",
     "lp_dual_for_zero_row",
     "make_instance",
     "max_flow",
@@ -109,12 +103,10 @@ __all__ = [
     "preprocess",
     "recover_prices_from_support",
     "relaxed_kkt_gap",
-    "residual_reachable",
     "scale_flow",
     "solution_to_json",
     "solve",
     "stage1",
-    "stage1_event_x",
     "stage2",
     "surpluses",
     "verify_convex_dual",

@@ -12,9 +12,10 @@ level ``delta = (total money - max-flow) / #buyers`` with one max-flow at
 clamped sink capacities; if it is not achievable, the maximal min cut of that
 test run splits the buyers into a low-surplus side (inside the cut, together
 with its goods) and a high-surplus side, which are solved independently —
-cross edges carry no flow in any balanced flow.  Each level of recursion
-peels at least one buyer, so the whole computation costs at most ``2n + 1``
-max-flows.  The final reassembly is checked: the flow must saturate every
+cross edges carry no flow in any balanced flow.  Every split leaves both
+sides nonempty, so the recursion has at most ``2n - 1`` nodes; each costs at
+most two max-flows and the reassembly one more, at most ``4n - 1`` in all.
+The final reassembly is checked: the flow must saturate every
 clamped sink capacity, match the unconstrained max-flow value, and pass the
 residual-reachability characterization above, which together *prove* the
 output is the balanced flow.
@@ -114,7 +115,7 @@ def scale_flow(net: MarketNetwork, flow: FlowResult, x, buyers=None, goods=None)
     pair_flow = {
         (i, j): (f * x if i in buyers else f) for (i, j), f in flow.pair_flow.items()
     }
-    scaled_net = MarketNetwork(p, m, net.edges, net.gamma)
+    scaled_net = MarketNetwork(p, m, net.edges)
     good_flow = [flow.good_flow[j] * x if j in goods else flow.good_flow[j] for j in range(net.g)]
     buyer_flow = [flow.buyer_flow[i] * x if i in buyers else flow.buyer_flow[i] for i in range(net.n)]
     scaled = FlowResult(

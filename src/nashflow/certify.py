@@ -115,7 +115,7 @@ def check_feasibility_witness(inst: BargainingInstance, p) -> tuple[bool, str]:
     pk = [p[j] for j in keep]
     gamma, edges = bang_per_buck(u, pk)
     m = tuple(1 + inst.c[i] / gamma[i] for i in range(inst.n))
-    net = MarketNetwork(tuple(pk), m, frozenset(edges), gamma=tuple(gamma))
+    net = MarketNetwork(tuple(pk), m, frozenset(edges))
     flow = max_flow(net)
     if flow.value != sum(pk, Fraction(0)):
         return False, "some good cannot sell at these prices"

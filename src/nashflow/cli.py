@@ -122,18 +122,40 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise InstanceError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a list")
+    return value
+
+
+def _rationals(value, what):
+    return [parse_rational(v) for v in _list(value, what)]
+
+
+def _index(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{what} must be an integer index, got {value!r}")
+    return value
+
+
 def _check_claim(inst, claim):
-    verdict = claim.get("verdict")
+    verdict = _object(claim, "solution").get("verdict")
     if verdict == "feasible":
         if claim.get("p") is None or claim.get("x") is None:
             return False, "feasible claim lacks prices or allocation"
-        p = [parse_rational(v) for v in claim["p"]]
-        x = [[parse_rational(v) for v in row] for row in claim["x"]]
+        p = _rationals(claim["p"], "p")
+        x = [_rationals(row, "x row") for row in _list(claim["x"], "x")]
         ok, why = check_kkt(inst, p, x)
         if not ok:
             return False, why
         if claim.get("v") is not None:
-            v = [parse_rational(s) for s in claim["v"]]
+            v = _rationals(claim["v"], "v")
             actual = [
                 sum((inst.u[i][j] * x[i][j] for j in range(inst.g)), Fraction(0))
                 for i in range(inst.n)
@@ -141,32 +163,34 @@ def _check_claim(inst, claim):
             if v != actual:
                 return False, "claimed utilities do not match the allocation"
         if claim.get("feasible_prices") is not None:
-            w = [parse_rational(s) for s in claim["feasible_prices"]]
+            w = _rationals(claim["feasible_prices"], "feasible_prices")
             ok, why = check_feasibility_witness(inst, w)
             if not ok:
                 return False, f"witness prices rejected: {why}"
         return True, "ok"
     if verdict == "infeasible":
-        cert = claim.get("certificate") or {}
+        cert = _object(claim.get("certificate") or {}, "certificate")
         seen = False
         if "lp_dual" in cert:
             seen = True
-            y = [parse_rational(v) for v in cert["lp_dual"]["y"]]
-            z = [parse_rational(v) for v in cert["lp_dual"]["z"]]
+            lp = _object(cert["lp_dual"], "lp_dual")
+            y = _rationals(lp["y"], "lp_dual.y")
+            z = _rationals(lp["z"], "lp_dual.z")
             if not verify_lp_dual(inst, y, z):
                 return False, "dual certificate rejected"
         if "convex_dual" in cert:
             seen = True
-            cx = cert["convex_dual"]
+            cx = _object(cert["convex_dual"], "convex_dual")
             if cx.get("zero_row") is not None:
-                if not verify_convex_dual(inst, zero_row=int(cx["zero_row"])):
+                row = _index(cx["zero_row"], "zero_row")
+                if not verify_convex_dual(inst, zero_row=row):
                     return False, "zero-row certificate rejected"
             else:
-                p = [parse_rational(v) for v in cx["p"]]
+                p = _rationals(cx["p"], "convex_dual.p")
                 if not verify_convex_dual(
                     inst,
-                    buyers=[int(b) for b in cx["buyers"]],
-                    goods=[int(gd) for gd in cx["goods"]],
+                    buyers=[_index(b, "buyer") for b in _list(cx["buyers"], "buyers")],
+                    goods=[_index(j, "good") for j in _list(cx["goods"], "goods")],
                     p=p,
                 ):
                     return False, "partition certificate rejected"

@@ -1,36 +1,47 @@
-"""Equilibrium pricing for markets with fixed budgets.
+"""Price phases, and equilibrium pricing for markets with fixed budgets.
 
-Buyers bring fixed money, each good has one unit of supply, and an
-equilibrium is a positive price vector whose best-ratio money flow both
-sells every good and exhausts every budget.  Prices start provably small
-(every good priced at its best column utility times a common factor small
-enough that any single buyer could afford everything) and rise in phases:
+Buyers bring money, each good has one unit of supply, and an equilibrium is
+a positive price vector whose best-ratio money flow both sells every good
+and exhausts every budget.  Every price move in the package is one kernel,
+``_price_phase``: it scales the prices of one block of buyers' goods
+uniformly and stops at the first of two events:
 
-* a phase targets the buyers with the current maximum surplus and the goods
-  they are interested in, cutting those goods' edges to everyone else;
-* prices in the target set rise uniformly until either a new utility/price
-  ratio ties a best ratio (an edge event: the attaining edges join the
-  network, the balanced flow is recomputed, and buyers that can reach the
-  target set through the residual graph are absorbed into it), or some set
-  of goods becomes exactly as expensive as all the money its buyers hold
-  (a tight event, located by a short descending search over min cuts, which
-  ends the phase).
+* an edge event: a utility/price ratio outside the block ties a best ratio;
+  the attaining edges join the network, the balanced flow is recomputed
+  under the market's budgets, and buyers that the residual graph connects to
+  the block are absorbed into it;
+* the caller's stop event, which ends the phase.
 
-Surpluses never increase, the maximum surplus drops geometrically, and the
-run ends when every budget is exactly spent.
+The kernel runs in two directions and under two kinds of budget:
+
+* rising, fixed budgets (this module): the block is the buyers with the
+  maximum surplus and every good they want; the phase stops when some set
+  of goods becomes exactly as expensive as all the money its buyers hold (a
+  tight event, located by a short descending search over min cuts);
+* rising, flexible budgets ``m_i = 1 + c_i/gamma_i`` (Stage II in
+  ``solver``): the phase stops when a block deficit would reach zero;
+* falling, flexible budgets (Stage I in ``solver``): the block is the
+  buyers with the most negative deficit and the goods only they want; the
+  phase stops when no outside buyer can tie or a deficit reaches zero.
+
+A fixed-budget run starts from provably small prices (every good priced at
+its best column utility times a common factor small enough that any single
+buyer could afford everything) and runs rising phases.  Surpluses never
+increase, the maximum surplus drops geometrically, and the run ends when
+every budget is exactly spent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .balanced import balanced_flow, surpluses
+from .balanced import balanced_flow
 from .flownet import MarketNetwork, bang_per_buck, max_flow
 from .instance import gen_l1_adversarial
 
 
 class FisherError(AssertionError):
-    """Internal defect: a fixed-budget run left its invariants."""
+    """Internal defect: a price phase or a fixed-budget run left its invariants."""
 
 
 def initial_prices(u, money):
@@ -66,12 +77,6 @@ def _l1(theta):
 
 def _l2(theta):
     return sum((t * t for t in theta), Fraction(0))
-
-
-def _rebalance(u, money, p, edges, gamma):
-    net = MarketNetwork(tuple(p), tuple(money), frozenset(edges), tuple(gamma))
-    flow, theta = balanced_flow(net)
-    return net, flow, theta
 
 
 def _first_tight(p, money, edges, target):
@@ -117,98 +122,178 @@ def _first_tight(p, money, edges, target):
     raise FisherError("tight-factor descent did not converge")
 
 
-def _run_phase(u, money, p, gamma, edges, flow, theta, phase_no, trace):
-    """One price phase; mutates ``p``, ``gamma``, ``edges``.  Returns iteration count."""
-    n, g = len(u), len(u[0])
-    peak = max(theta)
-    target_buyers = {i for i in range(n) if theta[i] == peak}
-    target_goods = {j for (i, j) in edges if i in target_buyers}
-    pruned = {(i, j) for (i, j) in edges if j in target_goods and i not in target_buyers}
-    if any(flow.pair_flow.get(e, 0) > 0 for e in pruned):
-        raise FisherError("an edge cut from the target set still carries flow")
-    edges -= pruned
+def _scale(market, block, goods, x):
+    """Multiply the block's prices by ``x`` and its buyers' best ratios by ``1/x``."""
+    for j in goods:
+        market.p[j] *= x
+    for i in block:
+        market.gamma[i] /= x
 
-    iterations = 0
+
+def _block_goods(market, block, ascending):
+    """The block's goods; drops the edges that cross the block's boundary.
+
+    Rising, the block owns every good its buyers want, and outside buyers
+    lose their edges into those goods.  Falling, it owns only the goods no
+    outside buyer wants, and its buyers lose their edges to shared goods.  A
+    dropped edge never carries flow (checked).
+    """
+    edges = market.edges
+    goods = {j for (i, j) in edges if i in block}
+    if ascending:
+        crossing = {(i, j) for (i, j) in edges if j in goods and i not in block}
+    else:
+        goods -= {j for (i, j) in edges if i not in block}
+        crossing = {(i, j) for (i, j) in edges if i in block and j not in goods}
+    if any(market.flow.pair_flow.get(e, 0) > 0 for e in crossing):
+        raise FisherError("an edge cut from the block still carries flow")
+    edges -= crossing
+    return goods
+
+
+def _next_tie(market, block, goods, ascending):
+    """Price factor of the block's next edge event and every pair tying there.
+
+    The event is the nearest ``r = min gamma_i * p_j / u_ij`` with
+    ``u_ij > 0``: over block buyers and outside goods when prices rise
+    (factor ``r``), over outside buyers and block goods when they fall
+    (factor ``1/r``).  Returns ``(None, [])`` when no such pair exists.
+    """
+    if ascending:
+        buyers, targets = block, market.active_goods - goods
+    else:
+        buyers, targets = market.active_buyers - block, goods
+    u, p, gamma = market.u, market.p, market.gamma
+    targets = sorted(targets)
+    best, pairs = None, []
+    for i in sorted(buyers):
+        for j in targets:
+            if u[i][j] > 0:
+                r = gamma[i] * p[j] / u[i][j]
+                if best is None or r < best:
+                    best, pairs = r, [(i, j)]
+                elif r == best:
+                    pairs.append((i, j))
+    if best is None or ascending:
+        return best, pairs
+    return 1 / best, pairs
+
+
+def _price_phase(market, block, ascending, stop):
+    """Move one block's prices up or down until ``stop`` ends the phase.
+
+    ``market`` holds prices ``p``, best ratios ``gamma``, ``edges``, the
+    balanced ``flow`` and the ``active_buyers``/``active_goods``; its
+    ``rebalance`` recomputes the flow under its own budgets and ``log``
+    records events.  ``block`` is the phase's buyer set and grows in place.
+    Each turn finds the next edge event and asks ``stop(x, block, goods,
+    iteration)``, which may end the phase with an event of its own (``x`` is
+    ``None`` when no edge can tie).  Otherwise the block's prices move by
+    ``x``, the tied edges join, the flow is rebalanced, and the block absorbs
+    every buyer the residual graph connects to it: buyers that reach it when
+    rising, buyers it reaches when falling.  Returns ``(goods, iterations)``,
+    counting turns when rising (the stop turn included) and edge events when
+    falling.
+    """
+    n, g = len(market.u), len(market.u[0])
+    cap = 4 * g + 4 if ascending else 4 * n * g + 4
+    goods = _block_goods(market, block, ascending)
+    iteration = 0
     while True:
-        iterations += 1
-        if iterations > 4 * (g + 1):
-            raise FisherError("phase exceeded its iteration budget")
-        x_edge = None
-        edge_pairs = []
-        for i in sorted(target_buyers):
-            for j in range(g):
-                if j not in target_goods and u[i][j] > 0:
-                    cand = gamma[i] * p[j] / u[i][j]
-                    if x_edge is None or cand < x_edge:
-                        x_edge, edge_pairs = cand, [(i, j)]
-                    elif cand == x_edge:
-                        edge_pairs.append((i, j))
-        x_tight, tight_buyers, tight_goods = _first_tight(p, money, edges, target_goods)
+        iteration += 1
+        x, pairs = _next_tie(market, block, goods, ascending)
+        if x is not None and not (x > 1 if ascending else 0 < x < 1):
+            raise FisherError("an edge event must move prices the phase's way")
+        if stop(x, block, goods, iteration):
+            return goods, iteration if ascending else iteration - 1
+        if iteration > cap:
+            raise FisherError("price phase exceeded its iteration budget")
+        _scale(market, block, goods, x)
+        market.edges |= set(pairs)
+        market.rebalance()
+        block |= market.flow.residual_reach(block, reverse=ascending)
+        goods = _block_goods(market, block, ascending)
+        market.log("edge", iteration, x=x, pairs=pairs)
+
+
+def _rebuild(market):
+    """Best ratios and best-ratio edges of the active block, then a rebalance.
+
+    Goods outside the active block count as unpriced, so its buyers' ratios
+    and edges stay inside it.
+    """
+    buyers = sorted(market.active_buyers)
+    p = [x if j in market.active_goods else 0 for j, x in enumerate(market.p)]
+    try:
+        gamma, pairs = bang_per_buck([market.u[i] for i in buyers], p)
+    except ValueError as exc:
+        raise FisherError("an active buyer values no active good") from exc
+    for i, best in zip(buyers, gamma):
+        market.gamma[i] = best
+    market.edges = {(buyers[k], j) for (k, j) in pairs}
+    market.rebalance()
+
+
+class _FixedBudgets:
+    """Fixed-budget market over all buyers and goods, run by ``_price_phase``."""
+
+    def __init__(self, u, money, p, trace):
+        self.u, self.money, self.p, self.trace = u, money, p, trace
+        self.active_buyers = set(range(len(u)))
+        self.active_goods = set(range(len(p)))
+        self.gamma = [None] * len(u)
+        self.edges = set()
+        self.flow = self.theta = None
+        self.phase = 0
+
+    def rebalance(self):
+        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
+        self.flow, self.theta = balanced_flow(net)
+
+    def log(self, event, iteration, **fields):
+        entry = {"kind": "event", "phase": self.phase, "iteration": iteration,
+                 "type": event, **fields}
+        if event == "edge":
+            entry.update(l1=_l1(self.theta), l2=_l2(self.theta))
+        self.trace.append(entry)
+
+    def stop_at_tight(self, x_edge, block, goods, iteration):
+        """End the phase when some set of goods goes tight before the next edge."""
+        x_tight, tight_buyers, tight_goods = _first_tight(self.p, self.money, self.edges, goods)
         if x_tight <= 1:
             raise FisherError("tight factor must exceed 1 while surpluses remain")
-
-        if x_edge is None or x_tight <= x_edge:
-            for j in target_goods:
-                p[j] *= x_tight
-            for i in target_buyers:
-                gamma[i] /= x_tight
-            trace.append(
-                {
-                    "kind": "event", "phase": phase_no, "iteration": iterations,
-                    "type": "tight", "x": x_tight,
-                    "tight_goods": sorted(tight_goods), "tight_buyers": sorted(tight_buyers),
-                }
-            )
-            return iterations
-
-        for j in target_goods:
-            p[j] *= x_edge
-        for i in target_buyers:
-            gamma[i] /= x_edge
-        edges |= set(edge_pairs)
-        net, flow, theta = _rebalance(u, money, p, edges, gamma)
-        absorbed = flow.residual_reach(target_buyers, reverse=True)
-        target_buyers |= absorbed
-        target_goods = {j for (i, j) in edges if i in target_buyers}
-        pruned = {(i, j) for (i, j) in edges if j in target_goods and i not in target_buyers}
-        if any(flow.pair_flow.get(e, 0) > 0 for e in pruned):
-            raise FisherError("an edge cut from the target set still carries flow")
-        edges -= pruned
-        trace.append(
-            {
-                "kind": "event", "phase": phase_no, "iteration": iterations,
-                "type": "edge", "x": x_edge, "pairs": sorted(edge_pairs),
-                "l1": _l1(theta), "l2": _l2(theta),
-            }
-        )
+        if x_edge is not None and x_edge < x_tight:
+            return False
+        _scale(self, block, goods, x_tight)
+        self.log("tight", iteration, x=x_tight,
+                 tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
+        return True
 
 
 def _run(u, money, start_prices=None, max_phases=None, trace=None):
     money = tuple(Fraction(x) for x in money)
     p = [Fraction(x) for x in (start_prices if start_prices is not None else initial_prices(u, money))]
-    trace = trace if trace is not None else []
+    market = _FixedBudgets(u, money, p, trace if trace is not None else [])
     cap = _phase_cap(u, money)
-    phase_no = 0
     while True:
-        gamma, edge_list = bang_per_buck(u, p)
-        net, flow, theta = _rebalance(u, money, p, set(edge_list), gamma)
-        trace.append(
+        _rebuild(market)
+        theta = market.theta
+        market.trace.append(
             {
-                "kind": "state", "phase": phase_no, "p": tuple(p),
-                "theta": tuple(theta), "l1": _l1(theta), "l2": _l2(theta),
+                "kind": "state", "phase": market.phase, "p": tuple(p),
+                "theta": theta, "l1": _l1(theta), "l2": _l2(theta),
             }
         )
         if all(t == 0 for t in theta):
-            break
-        if max_phases is not None and phase_no >= max_phases:
-            break
-        phase_no += 1
-        if phase_no > cap:
+            return market
+        if max_phases is not None and market.phase >= max_phases:
+            return market
+        market.phase += 1
+        if market.phase > cap:
             raise FisherError("phase count exceeded the safety cap")
-        # The phase works on its own copies of the ratio list and edge set;
-        # the next loop turn rebuilds both from the (shared, mutated) prices.
-        _run_phase(u, money, p, list(gamma), set(edge_list), flow, theta, phase_no, trace)
-    return tuple(p), net, flow, theta, trace, phase_no
+        peak = max(theta)
+        block = {i for i, t in enumerate(theta) if t == peak}
+        _price_phase(market, block, True, market.stop_at_tight)
 
 
 def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
@@ -219,7 +304,8 @@ def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
     good ``j`` sold to buyer ``i``, and the phase/event trace (empty list
     unless ``collect_trace``).
     """
-    p, net, flow, theta, trace, _ = _run(u, money, start_prices=start_prices)
+    market = _run(u, money, start_prices=start_prices)
+    p, flow = tuple(market.p), market.flow
     x = [
         [
             (flow.pair_flow.get((i, j), Fraction(0)) / p[j]) if p[j] > 0 else Fraction(0)
@@ -227,7 +313,7 @@ def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
         ]
         for i in range(len(u))
     ]
-    return p, x, (trace if collect_trace else [])
+    return p, x, (market.trace if collect_trace else [])
 
 
 def measure_l1_vs_l2(n, delta=Fraction(1), big=None):

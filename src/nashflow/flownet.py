@@ -61,7 +61,6 @@ class MarketNetwork:
     p: tuple
     m: tuple
     edges: frozenset
-    gamma: tuple | None = None
 
     @property
     def g(self) -> int:
@@ -71,43 +70,25 @@ class MarketNetwork:
     def n(self) -> int:
         return len(self.m)
 
-    def with_money(self, money) -> "MarketNetwork":
-        return MarketNetwork(self.p, tuple(Fraction(x) for x in money), self.edges, self.gamma)
-
     def sub(self, buyers, goods) -> "MarketNetwork":
         """Restriction to subsets: outside caps zeroed, edges filtered."""
         buyers, goods = set(buyers), set(goods)
         p = tuple(self.p[j] if j in goods else Fraction(0) for j in range(self.g))
         m = tuple(self.m[i] if i in buyers else Fraction(0) for i in range(self.n))
         edges = frozenset((i, j) for (i, j) in self.edges if i in buyers and j in goods)
-        return MarketNetwork(p, m, edges, self.gamma)
-
-    def goods_with(self, buyers) -> set:
-        """Neighborhood: goods sharing an edge with any of the given buyers."""
-        buyers = set(buyers)
-        return {j for (i, j) in self.edges if i in buyers}
-
-    def buyers_with(self, goods) -> set:
-        goods = set(goods)
-        return {i for (i, j) in self.edges if j in goods}
+        return MarketNetwork(p, m, edges)
 
 
-def build_network(inst, p, money=None, edges=None) -> MarketNetwork:
-    """Network at the given prices.
+def build_network(inst, p) -> MarketNetwork:
+    """Best-ratio network at the given prices under flexible budgets.
 
-    With ``money`` omitted, budgets are flexible: buyer ``i`` carries
-    ``1 + c_i / gamma_i`` where ``gamma_i`` is their best utility-per-price
-    ratio, and edges default to the best-ratio pairs.  With ``money`` given
-    (fixed-budget market), ``gamma`` is still computed for callers but money
-    is taken as-is.
+    Buyer ``i`` carries ``1 + c_i / gamma_i`` where ``gamma_i`` is their best
+    utility-per-price ratio, and the edges are the best-ratio pairs.
     """
     p = tuple(Fraction(x) for x in p)
-    gamma, bpb_edges = bang_per_buck(inst.u, p)
-    if edges is None:
-        edges = bpb_edges
-    if money is None:
-        money = [1 + inst.c[i] / gamma[i] for i in range(inst.n)]
-    return MarketNetwork(p, tuple(Fraction(x) for x in money), frozenset(edges), tuple(gamma))
+    gamma, edges = bang_per_buck(inst.u, p)
+    money = tuple(1 + inst.c[i] / gamma[i] for i in range(inst.n))
+    return MarketNetwork(p, money, frozenset(edges))
 
 
 @dataclass
@@ -169,41 +150,6 @@ class FlowResult:
                         seen_b.add(i)
                         queue.append(("b", i))
         return seen_b
-
-
-def residual_reachable(net: MarketNetwork, flow: FlowResult, start):
-    """Nodes reachable from ``start`` in the residual graph, source/sink excluded.
-
-    Nodes are tagged pairs ``("buyer", i)`` or ``("good", j)``; ``start`` is
-    any iterable of them.  Interior residual arcs: good -> buyer is open along
-    every interest edge (the pair capacity is never met), buyer -> good is
-    open exactly where the pair currently carries flow.  The result includes
-    the start nodes themselves.
-    """
-    good_to_buyers = {}
-    buyer_to_goods = {}
-    for (i, j) in net.edges:
-        good_to_buyers.setdefault(j, []).append(i)
-        if flow.pair_flow.get((i, j), 0) > 0:
-            buyer_to_goods.setdefault(i, []).append(j)
-    seen = set()
-    queue = deque()
-    for node in start:
-        kind, idx = node
-        if kind not in ("buyer", "good"):
-            raise ValueError(f"unknown node kind {kind!r}")
-        if (kind, idx) not in seen:
-            seen.add((kind, idx))
-            queue.append((kind, idx))
-    while queue:
-        kind, idx = queue.popleft()
-        step = buyer_to_goods if kind == "buyer" else good_to_buyers
-        out_kind = "good" if kind == "buyer" else "buyer"
-        for nxt in step.get(idx, ()):
-            if (out_kind, nxt) not in seen:
-                seen.add((out_kind, nxt))
-                queue.append((out_kind, nxt))
-    return seen
 
 
 def max_flow(net: MarketNetwork, money=None) -> FlowResult:
@@ -320,7 +266,7 @@ def max_flow(net: MarketNetwork, money=None) -> FlowResult:
         buyer_flow=buyer_flow,
         source_side=source_side,
         far_side=far_side,
-        net=MarketNetwork(net.p, m, net.edges, net.gamma),
+        net=MarketNetwork(net.p, m, net.edges),
     )
 
 

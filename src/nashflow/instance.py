@@ -16,7 +16,6 @@ All indices in reports and JSON are 0-based.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,9 +79,6 @@ class BargainingInstance:
     def c_max(self) -> Fraction:
         return max(self.c)
 
-    def has_integral_c(self) -> bool:
-        return all(ci.denominator == 1 for ci in self.c)
-
     def to_json_dict(self) -> dict:
         return {
             "u": [list(row) for row in self.u],
@@ -100,7 +96,8 @@ def make_instance(u, c) -> BargainingInstance:
         integers, or any ``c_i`` is negative / not rational.  Error messages
         name the offending index.
     """
-    if not u or not all(isinstance(row, (list, tuple)) for row in u):
+    rows_ok = isinstance(u, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in u)
+    if not u or not rows_ok:
         raise InstanceError("utility matrix must be a nonempty list of rows")
     width = len(u[0])
     if width == 0:
@@ -115,6 +112,8 @@ def make_instance(u, c) -> BargainingInstance:
             if entry < 0:
                 raise InstanceError(f"utility entry ({i},{j}) is negative: {entry}")
         rows.append(tuple(row))
+    if not isinstance(c, (list, tuple)):
+        raise InstanceError("disagreement payoffs must be a list")
     if len(c) != len(rows):
         raise InstanceError(f"expected {len(rows)} disagreement payoffs, got {len(c)}")
     payoffs = []
@@ -138,19 +137,6 @@ def parse_instance(data) -> BargainingInstance:
     return make_instance(data["u"], data["c"])
 
 
-def load_instance(path) -> BargainingInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_instance(data)
-
-
-def dump_instance(inst: BargainingInstance) -> str:
-    return json.dumps(inst.to_json_dict())
-
-
 # ---------------------------------------------------------------------------
 # Preprocessing
 
@@ -170,6 +156,13 @@ class PreprocessReport:
     zero_buyers: list = field(default_factory=list)
     kept_goods: list = field(default_factory=list)
     verdict: str | None = None
+
+    def expand(self, values, fill=Fraction(0)):
+        """Lift values over the kept goods to all goods, ``fill`` at removed ones."""
+        out = [fill] * (len(self.kept_goods) + len(self.removed_goods))
+        for pos, j in enumerate(self.kept_goods):
+            out[j] = values[pos]
+        return out
 
 
 def preprocess(inst: BargainingInstance):

@@ -106,10 +106,8 @@ def oracle_solve(inst: BargainingInstance, max_pairs: int = 12) -> OracleResult:
             if result is not None:
                 q, x = result
                 p_red = [1 / q[j] for j in range(g)]
-                x_full = [
-                    _expand(row, report.kept_goods, inst.g) for row in x
-                ]
-                p_full = _expand(p_red, report.kept_goods, inst.g)
+                x_full = [report.expand(row) for row in x]
+                p_full = report.expand(p_red)
                 v = [
                     sum(
                         (inst.u[i][j] * x_full[i][j] for j in range(inst.g)),
@@ -119,13 +117,6 @@ def oracle_solve(inst: BargainingInstance, max_pairs: int = 12) -> OracleResult:
                 ]
                 return OracleResult(verdict="feasible", p=p_full, x=x_full, v=v)
     return OracleResult(verdict="infeasible")
-
-
-def _expand(values, kept, g):
-    out = [Fraction(0)] * g
-    for pos, j in enumerate(kept):
-        out[j] = values[pos]
-    return out
 
 
 def _try_support(inst, support):
@@ -248,7 +239,7 @@ def limit_algorithm(
         iterations += 1
         p, _x, _tr = fisher_equilibrium(reduced.u, money)
         gamma, _ = bang_per_buck(reduced.u, p)
-        p_full = _expand(list(p), report.kept_goods, inst.g)
+        p_full = report.expand(p)
         if collect_history:
             history.append((list(p_full), list(money)))
         nxt = [1 + reduced.c[i] / gamma[i] for i in range(n)]

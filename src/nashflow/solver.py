@@ -35,8 +35,10 @@ outside ratio (new edges, block grows) or some subset of goods becomes
 exactly affordable (surplus hits zero there) and the phase ends.  When every
 surplus is zero the prices are the equilibrium.
 
-Both stages assert their structural invariants as they go; violations raise
-``SolverError`` (a defect, never a property of the input).
+Both stages move prices with the price-phase kernel of ``fisher``, falling
+in Stage I and rising in Stage II, and assert their structural invariants as
+they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
+a property of the input).
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
+from .fisher import _price_phase, _rebuild, _scale, initial_prices
 from .fisher import _run as _fisher_run
-from .fisher import initial_prices
 from .flownet import MarketNetwork, maxflow_call_count
 from .instance import BargainingInstance, preprocess
 
@@ -89,17 +91,19 @@ class FrozenBatch:
     prices: dict
     gamma: dict
     theta: dict
-    sigma: Fraction = Fraction(1)
 
 
 @dataclass
 class SolverState:
-    """Mutable solver state over the preprocessed instance."""
+    """Mutable solver state over the preprocessed instance.
+
+    Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  ``u``, ``rebalance``
+    and ``log`` are what the price-phase kernel of ``fisher`` runs on.
+    """
 
     inst: BargainingInstance
     p: list
     gamma: list
-    alpha: list
     edges: set
     flow: object = None
     theta: list = field(default_factory=list)
@@ -110,61 +114,38 @@ class SolverState:
     feasible_prices: tuple | None = None
     stats: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
+    stage: int = field(default=0, init=False)
+
+    @property
+    def u(self):
+        return self.inst.u
 
     @property
     def money(self):
-        return tuple(1 + a for a in self.alpha)
+        return tuple(1 + c / gamma for c, gamma in zip(self.inst.c, self.gamma))
 
     def beta(self, i):
         return self.theta[i] - 1
+
+    def rebalance(self):
+        """Balanced flow of the active sub-market under flexible budgets."""
+        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
+        self.flow, theta = balanced_flow(net.sub(self.active_buyers, self.active_goods))
+        for i in self.active_buyers:
+            self.theta[i] = theta[i]
+        supply = sum((self.p[j] for j in self.active_goods), Fraction(0))
+        if self.flow.value != supply:
+            raise SolverError("active goods can no longer fully sell")
+        if _debug():
+            _check_effective_edges(self)
+
+    def log(self, event, iteration, **fields):
+        _trace(self, stage=self.stage, type=event, **fields, iteration=iteration)
 
 
 def _trace(state, **entry):
     entry.setdefault("p", tuple(state.p))
     state.trace.append(entry)
-
-
-def _rebuild(state):
-    """Refresh ratios, best-ratio edges, budgets, and the balanced flow.
-
-    Operates on the active sub-market; frozen groups keep their recorded
-    state.  Every active buyer's positive utilities lie inside the active
-    goods (frozen groups were only declared when outside interest was zero),
-    so ratios are well defined.
-    """
-    inst = state.inst
-    edges = set()
-    for i in sorted(state.active_buyers):
-        best = None
-        for j in sorted(state.active_goods):
-            if inst.u[i][j] > 0:
-                ratio = Fraction(inst.u[i][j]) / state.p[j]
-                best = ratio if best is None or ratio > best else best
-        if best is None:
-            raise SolverError(f"active buyer {i} values no active good")
-        state.gamma[i] = best
-        state.alpha[i] = inst.c[i] / best
-        for j in sorted(state.active_goods):
-            if inst.u[i][j] > 0 and Fraction(inst.u[i][j]) / state.p[j] == best:
-                edges.add((i, j))
-    state.edges = edges
-    _rebalance(state)
-
-
-def _rebalance(state):
-    net = MarketNetwork(
-        tuple(state.p), tuple(1 + a for a in state.alpha), frozenset(state.edges)
-    )
-    sub = net.sub(state.active_buyers, state.active_goods)
-    flow, theta = balanced_flow(sub)
-    state.flow = flow
-    for i in state.active_buyers:
-        state.theta[i] = theta[i]
-    supply = sum((state.p[j] for j in state.active_goods), Fraction(0))
-    if flow.value != supply:
-        raise SolverError("active goods can no longer fully sell")
-    if _debug():
-        _check_effective_edges(state)
 
 
 def _check_effective_edges(state):
@@ -186,14 +167,11 @@ def initialize(inst: BargainingInstance) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets."""
     n, g = inst.n, inst.g
     start = initial_prices(inst.u, [Fraction(1)] * n)
-    p, _net, _flow, _theta, _tr, fisher_phases = _fisher_run(
-        inst.u, [Fraction(1)] * n, start_prices=start
-    )
+    fisher = _fisher_run(inst.u, [Fraction(1)] * n, start_prices=start)
     state = SolverState(
         inst=inst,
-        p=list(p),
+        p=list(fisher.p),
         gamma=[Fraction(1)] * n,
-        alpha=[Fraction(0)] * n,
         edges=set(),
         theta=[Fraction(0)] * n,
         active_buyers=set(range(n)),
@@ -202,7 +180,7 @@ def initialize(inst: BargainingInstance) -> SolverState:
     lowest = min(start)
     state.mu = -(-lowest.denominator // lowest.numerator)
     state.stats = {
-        "fisher_phases": fisher_phases,
+        "fisher_phases": fisher.phase,
         "stage1_phases": [],
         "stage2_phases": [],
         "end_reasons": [],
@@ -226,6 +204,7 @@ def stage1(state: SolverState) -> str:
     certificate extraction.
     """
     n, g = state.inst.n, state.inst.g
+    state.stage = 1
     guard = 0
     while True:
         active = state.active_buyers
@@ -246,97 +225,19 @@ def stage1(state: SolverState) -> str:
     return verdict
 
 
-def _stage1_sets(state, target):
-    """(J, prune) for the target set: goods only the target is interested in."""
-    rest = state.active_buyers - target
-    rest_goods = {j for (i, j) in state.edges if i in rest}
-    target_goods = {j for (i, j) in state.edges if i in target} - rest_goods
-    stale = {
-        (i, j) for (i, j) in state.edges if i in target and j not in target_goods
-    }
-    for (i, j) in stale:
-        if state.flow.pair_flow.get((i, j), 0) > 0:
-            raise SolverError("pruned edge still carries flow")
-    state.edges -= stale
-    return target_goods
-
-
-def stage1_event_x(state, target=None, target_goods=None):
-    """Largest factor ``x < 1`` at which shrinking target prices adds an edge.
-
-    The descending stage multiplies the target goods' prices by ``x`` (raising
-    the target buyers' best ratios by ``1/x``) until some outside buyer's
-    interest in a target good catches up with that buyer's best ratio:
-    ``x = max u_ij / (p_j * gamma_i)`` over outside buyers ``i`` and target
-    goods ``j`` with ``u_ij > 0``.  Returns ``(x, pairs)`` with every pair
-    attaining the maximum (the event adds them all at once), or ``(None, ())``
-    when no outside buyer values a target good.
-
-    Without explicit sets, the deepest-deficit group and its private goods are
-    derived from the state (a phase opening); mid-phase the solver passes the
-    sets it tracks.
-    """
-    inst = state.inst
-    active = state.active_buyers
-    if target is None:
-        low = min(state.beta(i) for i in active)
-        target = {i for i in active if state.beta(i) == low}
-    if target_goods is None:
-        rest_goods = {j for (i, j) in state.edges if i in active - target}
-        target_goods = {j for (i, j) in state.edges if i in target} - rest_goods
-    best = None
-    for i in sorted(active - target):
-        for j in sorted(target_goods):
-            if inst.u[i][j] > 0:
-                cand = Fraction(inst.u[i][j]) / (state.p[j] * state.gamma[i])
-                if best is None or cand > best:
-                    best = cand
-    if best is None:
-        return None, ()
-    pairs = tuple(
-        (i, j)
-        for i in sorted(active - target)
-        for j in sorted(target_goods)
-        if inst.u[i][j] > 0
-        and Fraction(inst.u[i][j]) / (state.p[j] * state.gamma[i]) == best
-    )
-    return best, pairs
-
-
 def _stage1_phase(state):
     inst = state.inst
-    n, g = inst.n, inst.g
     active = state.active_buyers
     low = min(state.beta(i) for i in active)
     if low >= 0:
         raise SolverError("stage I phase started without a deficit buyer")
     target = {i for i in active if state.beta(i) == low}
-    target_goods = _stage1_sets(state, target)
     phi_start = _phi1(state)
-    iterations = 0
 
-    while True:
-        x, attaining = stage1_event_x(state, target=target, target_goods=target_goods)
-        if x is None or any(state.beta(i) >= 0 for i in target):
-            break
-        iterations += 1
-        if iterations > 4 * n * g + 4:
-            raise SolverError("stage I phase exceeded its iteration budget")
-        if not 0 < x < 1:
-            raise SolverError("stage I price factor must lie strictly in (0, 1)")
-        for j in target_goods:
-            state.p[j] *= x
-        for i in target:
-            state.alpha[i] *= x
-            state.gamma[i] /= x
-        state.edges |= set(attaining)
-        _rebalance(state)
-        target |= state.flow.residual_reach(target) & active
-        target_goods = _stage1_sets(state, target)
-        _trace(
-            state, stage=1, type="edge", x=x, pairs=sorted(attaining),
-            iteration=iterations,
-        )
+    def deficit_cleared(x, block, goods, iteration):
+        return x is None or any(state.beta(i) >= 0 for i in block)
+
+    target_goods, iterations = _price_phase(state, target, False, deficit_cleared)
 
     adaptable = all(state.beta(i) < 0 for i in target) and not any(
         inst.u[i][j] > 0 for i in active - target for j in target_goods
@@ -377,7 +278,21 @@ def _phi1(state):
 
 
 def _restore(state):
-    """Bring frozen groups back at safely scaled prices; verify the witness.
+    """Bring frozen groups back at safely scaled prices; verify the witness."""
+    inst = state.inst
+    _scale_frozen(state, state.p)
+    state.active_buyers = set(range(inst.n))
+    state.active_goods = set(range(inst.g))
+    _rebuild(state)
+    for i in range(inst.n):
+        if state.beta(i) >= 0:
+            raise SolverError("restored prices left a nonnegative deficit")
+    state.feasible_prices = tuple(state.p)
+    _trace(state, stage=1, type="restore")
+
+
+def _scale_frozen(state, p):
+    """Scale each frozen group's prices in ``p`` so its buyers keep to its goods.
 
     Groups are processed newest first.  A group's buyers may value goods
     priced *after* its freeze (later groups or the final active goods) more
@@ -395,22 +310,13 @@ def _restore(state):
             cross = Fraction(0)
             for j in range(inst.g):
                 if j not in batch.goods and inst.u[i][j] > 0:
-                    cross = max(cross, Fraction(inst.u[i][j]) / state.p[j])
+                    cross = max(cross, Fraction(inst.u[i][j]) / p[j])
             if cross > 0:
                 need = batch.gamma[i] / cross
                 worst = need if worst is None or need < worst else worst
         sigma = Fraction(1) if worst is None or worst > 1 else worst / 2
-        batch.sigma = sigma
         for j in batch.goods:
-            state.p[j] = batch.prices[j] * sigma
-    state.active_buyers = set(range(inst.n))
-    state.active_goods = set(range(inst.g))
-    _rebuild(state)
-    for i in range(inst.n):
-        if state.beta(i) >= 0:
-            raise SolverError("restored prices left a nonnegative deficit")
-    state.feasible_prices = tuple(state.p)
-    _trace(state, stage=1, type="restore")
+            p[j] = batch.prices[j] * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +330,7 @@ def stage2(state: SolverState):
     """
     inst = state.inst
     n, g = inst.n, inst.g
+    state.stage = 2
     guard = 0
     while True:
         _rebuild(state)
@@ -452,100 +359,37 @@ def stage2(state: SolverState):
     return tuple(state.p), x, v
 
 
-def _stage2_sets(state, target):
-    target_goods = {j for (i, j) in state.edges if i in target}
-    stale = {
-        (i, j) for (i, j) in state.edges if j in target_goods and i not in target
-    }
-    for (i, j) in stale:
-        if state.flow.pair_flow.get((i, j), 0) > 0:
-            raise SolverError("pruned edge still carries flow")
-    state.edges -= stale
-    return target_goods
-
-
 def _stage2_phase(state):
-    inst = state.inst
-    n, g = inst.n, inst.g
+    n = state.inst.n
     phi_start = sum((t * t for t in state.theta), Fraction(0))
     peak = max(state.theta)
     target = {i for i in range(n) if state.theta[i] == peak}
-    target_goods = _stage2_sets(state, target)
-    iterations = 0
 
-    while True:
-        iterations += 1
-        if iterations > 4 * g + 4:
-            raise SolverError("stage II phase exceeded its iteration budget")
-        stretch = min(Fraction(-1) / state.beta(i) for i in target)
+    def stretched(x_edge, block, goods, iteration):
+        stretch = min(Fraction(-1) / state.beta(i) for i in block)
         if stretch <= 1:
             raise SolverError("stage II stretch factor must exceed 1")
-        x_edge = None
-        for i in sorted(target):
-            for j in range(g):
-                if j not in target_goods and inst.u[i][j] > 0:
-                    cand = state.gamma[i] * state.p[j] / inst.u[i][j]
-                    if cand <= 1:
-                        raise SolverError("an outside ratio already ties the block")
-                    if x_edge is None or cand < x_edge:
-                        x_edge = cand
+        if x_edge is not None and x_edge < stretch:
+            return False
+        tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
+        tight_goods = {
+            j for j in goods
+            if any(state.flow.pair_flow.get((i, j), 0) > 0 for i in tight_buyers)
+        }
+        net = MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
+        _, state.flow, theta = scale_flow(net, state.flow, stretch, buyers=block, goods=goods)
+        _scale(state, block, goods, stretch)
+        state.theta = list(theta)
+        for i in tight_buyers:
+            if state.theta[i] != 0:
+                raise SolverError("tight buyers must end with zero surplus")
+        denom = max(state.p[j].denominator for j in tight_goods) if tight_goods else 1
+        state.stats["tight_denominators"].append(denom)
+        state.log("tight", iteration, x=stretch,
+                  tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
+        return True
 
-        if x_edge is None or stretch <= x_edge:
-            tight_buyers = {i for i in target if Fraction(-1) / state.beta(i) == stretch}
-            tight_goods = {
-                j
-                for j in target_goods
-                if any(
-                    state.flow.pair_flow.get((i, j), 0) > 0 for i in tight_buyers
-                )
-            }
-            net = MarketNetwork(
-                tuple(state.p), state.money, frozenset(state.edges)
-            )
-            net2, flow2, theta2 = scale_flow(
-                net, state.flow, stretch, buyers=target, goods=target_goods
-            )
-            state.p = list(net2.p)
-            for i in target:
-                state.alpha[i] *= stretch
-                state.gamma[i] /= stretch
-            state.flow = flow2
-            for i in range(n):
-                state.theta[i] = theta2[i]
-            for i in tight_buyers:
-                if state.theta[i] != 0:
-                    raise SolverError("tight buyers must end with zero surplus")
-            denom = max(state.p[j].denominator for j in tight_goods) if tight_goods else 1
-            state.stats["tight_denominators"].append(denom)
-            _trace(
-                state, stage=2, type="tight", x=stretch,
-                tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers),
-                iteration=iterations,
-            )
-            break
-
-        for j in target_goods:
-            state.p[j] *= x_edge
-        for i in target:
-            state.alpha[i] *= x_edge
-            state.gamma[i] /= x_edge
-        attaining = [
-            (i, j)
-            for i in sorted(target)
-            for j in range(g)
-            if j not in target_goods
-            and inst.u[i][j] > 0
-            and state.gamma[i] * state.p[j] == inst.u[i][j]
-        ]
-        state.edges |= set(attaining)
-        _rebalance(state)
-        target |= state.flow.residual_reach(target, reverse=True)
-        target_goods = _stage2_sets(state, target)
-        _trace(
-            state, stage=2, type="edge", x=x_edge, pairs=sorted(attaining),
-            iteration=iterations,
-        )
-
+    _, iterations = _price_phase(state, target, True, stretched)
     phi_end = sum((t * t for t in state.theta), Fraction(0))
     state.stats["stage2_phases"].append(
         {"iterations": iterations, "phi_start": phi_start, "phi_end": phi_end}
@@ -585,26 +429,11 @@ def _convex_dual_certificate(state):
     side keeps its terminal prices, where the deficits sum to a nonnegative
     value.
     """
-    inst = state.inst
     p = list(state.p)
-    split_buyers = set()
-    split_goods = set()
-    for batch in reversed(state.frozen):
-        worst = None
-        for i in sorted(batch.buyers):
-            cross = Fraction(0)
-            for j in range(inst.g):
-                if j not in batch.goods and inst.u[i][j] > 0:
-                    cross = max(cross, Fraction(inst.u[i][j]) / p[j])
-            if cross > 0:
-                need = batch.gamma[i] / cross
-                worst = need if worst is None or need < worst else worst
-        sigma = Fraction(1) if worst is None or worst > 1 else worst / 2
-        for j in batch.goods:
-            p[j] = batch.prices[j] * sigma
-        split_buyers |= batch.buyers
-        split_goods |= batch.goods
-    return {"buyers": sorted(split_buyers), "goods": sorted(split_goods), "p": p}
+    _scale_frozen(state, p)
+    buyers = sorted(i for batch in state.frozen for i in batch.buyers)
+    goods = sorted(j for batch in state.frozen for j in batch.goods)
+    return {"buyers": buyers, "goods": goods, "p": p}
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +453,6 @@ class Solution:
     trace: list = field(default_factory=list)
 
 
-def _expand_goods(values, kept, g, fill):
-    out = [fill] * g
-    for pos, j in enumerate(kept):
-        out[j] = values[pos]
-    return out
-
-
 def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     """Decide the game and compute the exact solution or certificates.
 
@@ -640,7 +462,6 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     """
     flows0 = maxflow_call_count()
     reduced, report = preprocess(inst)
-    zero = Fraction(0)
 
     if report.verdict == "infeasible":
         i0 = report.zero_buyers[0]
@@ -657,7 +478,6 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
 
     state = initialize(reduced)
     verdict = stage1(state)
-    kept = report.kept_goods
 
     stats = state.stats
     stage1_iters = sum(ph["iterations"] for ph in stats["stage1_phases"])
@@ -669,14 +489,14 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
         lp = _lp_dual_certificate(state)
         cx = _convex_dual_certificate(state)
         cert = {
-            "lp_dual": {"y": lp["y"], "z": _expand_goods(lp["z"], kept, inst.g, zero)},
+            "lp_dual": {"y": lp["y"], "z": report.expand(lp["z"])},
             "convex_dual": {
                 "buyers": cx["buyers"],
                 "goods": sorted(
-                    {kept[j] for j in cx["goods"]}
+                    {report.kept_goods[j] for j in cx["goods"]}
                     | set(report.removed_goods)
                 ),
-                "p": _expand_goods(cx["p"], kept, inst.g, Fraction(1)),
+                "p": report.expand(cx["p"], fill=Fraction(1)),
                 "zero_row": None,
             },
         }
@@ -692,9 +512,9 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
 
     p_red, x_red, v = stage2(state)
     stage2_iters = sum(ph["iterations"] for ph in stats["stage2_phases"])
-    p = tuple(_expand_goods(list(p_red), kept, inst.g, zero))
-    x = [_expand_goods(row, kept, inst.g, zero) for row in x_red]
-    witness = tuple(_expand_goods(list(state.feasible_prices), kept, inst.g, zero))
+    p = tuple(report.expand(p_red))
+    x = [report.expand(row) for row in x_red]
+    witness = tuple(report.expand(state.feasible_prices))
 
     ok, why = check_kkt(inst, p, x)
     if not ok:

@@ -232,6 +232,33 @@ def test_invalid_instance_exits_one(run, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, instance, solution",
+    [
+        (["check"], '{"u":[[1]],"c":["1"]}', "[]"),
+        (
+            ["check"],
+            '{"u":[[1]],"c":["1"]}',
+            '{"verdict":"infeasible","certificate":{"lp_dual":{"y":null}}}',
+        ),
+        (["solve"], '{"u":[[1,2]],"c":5}', None),
+        (["solve"], '{"u":5,"c":[1]}', None),
+    ],
+)
+def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instance, solution):
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(instance)
+    argv = argv + [str(inst_path)]
+    if solution is not None:
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(solution)
+        argv.append(str(sol_path))
+    code, _, err = run(argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unparseable_json_exits_one(run, tmp_path):
     path = tmp_path / "notjson.json"
     path.write_text("not json")

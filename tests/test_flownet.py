@@ -14,7 +14,6 @@ from nashflow import (
     make_instance,
     max_flow,
     maxflow_call_count,
-    residual_reachable,
 )
 from conftest import (
     random_network,
@@ -54,21 +53,21 @@ def test_build_network_unit():
     net = build_network(unit_game(), [Fraction(1)])
     assert net.p == (Fraction(1),)
     assert net.m == (Fraction(1),)
-    assert net.gamma == (Fraction(1),)
+    assert bang_per_buck(unit_game().u, net.p)[0] == [Fraction(1)]
     assert set(net.edges) == {(0, 0)}
 
 
 def test_build_network_adds_disagreement_money():
     net = build_network(scalar_feasible(), [Fraction(2)])
     # gamma = 2/2 = 1, so the buyer carries 1 + c/gamma = 2.
-    assert net.gamma == (Fraction(1),)
+    assert bang_per_buck(scalar_feasible().u, net.p)[0] == [Fraction(1)]
     assert net.m == (Fraction(2),)
 
 
 def test_build_network_symmetric_pair():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     assert net.m == (Fraction(1), Fraction(1))
-    assert net.gamma == (Fraction(2), Fraction(2))
+    assert bang_per_buck(symmetric_pair().u, net.p)[0] == [Fraction(2), Fraction(2)]
     assert set(net.edges) == {(0, 0), (1, 1)}
 
 
@@ -177,8 +176,7 @@ def test_residual_reachable_balanced_buyers_are_separated():
 
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow, _ = balanced_flow(net)
-    reach = residual_reachable(net, flow, [("buyer", 0)])
-    assert reach == {("buyer", 0), ("good", 0)}
+    assert flow.residual_reach({0}) == {0}
 
 
 def test_residual_reachable_zero_flow_follows_interest_edges_only():
@@ -192,13 +190,5 @@ def test_residual_reachable_zero_flow_follows_interest_edges_only():
         far_side=(frozenset(), frozenset()),
         net=net,
     )
-    # good -> buyer arcs stay open; a buyer pushing no flow reaches nothing.
-    assert residual_reachable(net, zero, [("good", 0)]) == {("good", 0), ("buyer", 0)}
-    assert residual_reachable(net, zero, [("buyer", 0)]) == {("buyer", 0)}
-
-
-def test_residual_reachable_rejects_unknown_node_kind():
-    net = build_network(unit_game(), [Fraction(1)])
-    flow = max_flow(net)
-    with pytest.raises(ValueError):
-        residual_reachable(net, flow, [("source", 0)])
+    # A buyer receiving no flow has no residual arc back into any good.
+    assert zero.residual_reach({0}) == {0}

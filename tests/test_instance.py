@@ -10,7 +10,6 @@ from nashflow import (
     MarketNetwork,
     balanced_flow,
     bang_per_buck,
-    dump_instance,
     format_rational,
     gen_l1_adversarial,
     gen_random,
@@ -95,7 +94,7 @@ def test_dump_then_parse_round_trips_exactly():
     inst = make_instance([[2, 0], [1, 3]], [Fraction(1, 2), Fraction(2)])
     import json
 
-    assert parse_instance(json.loads(dump_instance(inst))) == inst
+    assert parse_instance(json.loads(json.dumps(inst.to_json_dict()))) == inst
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ from nashflow import (
     solution_to_json,
     solve,
     stage1,
-    stage1_event_x,
     stage2,
     verify_convex_dual,
     verify_lp_dual,
 )
+from nashflow.fisher import _block_goods, _next_tie
 from conftest import (
     scalar_feasible,
     scalar_infeasible,
@@ -97,31 +97,37 @@ def test_stage1_verdict_matches_the_margin_program_sign():
 # Price-drop event solving
 
 
-def test_stage1_event_x_pins_first_outside_interest():
+def _deepest_deficit_block(state):
+    low = min(state.beta(i) for i in state.active_buyers)
+    block = {i for i in state.active_buyers if state.beta(i) == low}
+    return block, _block_goods(state, block, ascending=False)
+
+
+def test_falling_tie_pins_first_outside_interest():
     # The outside buyer's ratio catches the falling target price at x = 1/2.
     state = initialize(make_instance([[2, 1], [0, 1]], [2, 0]))
-    x, pairs = stage1_event_x(state)
+    x, pairs = _next_tie(state, *_deepest_deficit_block(state), ascending=False)
     assert x == Fraction(1, 2)
-    assert pairs == ((0, 1),)
+    assert pairs == [(0, 1)]
 
 
-def test_stage1_event_x_no_outside_interest():
+def test_falling_tie_no_outside_interest():
     state = initialize(split_infeasible())
-    assert stage1_event_x(state) == (None, ())
+    assert _next_tie(state, *_deepest_deficit_block(state), ascending=False) == (None, [])
 
 
-def test_stage1_event_x_accepts_explicit_blocks():
+def test_falling_tie_accepts_explicit_blocks():
     state = initialize(make_instance([[2, 1], [0, 1]], [2, 0]))
-    x, pairs = stage1_event_x(state, target={1}, target_goods={1})
+    x, pairs = _next_tie(state, {1}, {1}, ascending=False)
     assert x == Fraction(1, 2)
-    assert pairs == ((0, 1),)
+    assert pairs == [(0, 1)]
 
 
-def test_stage1_event_x_reports_all_tied_pairs():
+def test_falling_tie_reports_all_tied_pairs():
     state = initialize(make_instance([[2, 1, 1], [0, 1, 0], [0, 0, 1]], [2, 0, 0]))
-    x, pairs = stage1_event_x(state, target={1, 2}, target_goods={1, 2})
+    x, pairs = _next_tie(state, {1, 2}, {1, 2}, ascending=False)
     assert x == Fraction(1, 2)
-    assert pairs == ((0, 1), (0, 2))
+    assert pairs == [(0, 1), (0, 2)]
 
 
 # ---------------------------------------------------------------------------
