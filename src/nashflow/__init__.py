@@ -25,7 +25,6 @@ from .flownet import (
     MarketNetwork,
     bang_per_buck,
     build_network,
-    is_small,
     max_flow,
     maxflow_call_count,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "gen_l1_adversarial",
     "gen_random",
     "initialize",
-    "is_small",
     "limit_algorithm",
     "lp_dual_for_zero_row",
     "make_instance",

@@ -5,7 +5,10 @@ Euclidean norm of the surplus vector ``theta_i = m_i - (money i receives)``.
 The surplus vector it induces is unique, and a max-flow is balanced exactly
 when no buyer with strictly smaller surplus can reach a buyer with larger
 surplus in the residual graph restricted to goods and buyers (shifting spend
-along such a path would even the two surpluses out).
+along such a path would even the two surpluses out).  Every such path
+alternates a buyer, a good paying that buyer and a buyer interested in the
+good, so the condition is checked one good at a time: each buyer a good pays
+has at least the largest surplus among the good's interested buyers.
 
 The computation is divide and conquer on the buyer set: try the flat surplus
 level ``delta = (total money - max-flow) / #buyers`` with one max-flow at
@@ -23,6 +26,7 @@ output is the balanced flow.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .flownet import FlowResult, MarketNetwork, max_flow
@@ -41,13 +45,17 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
 
     True iff for every buyer ``i``, every buyer reachable from ``i`` in the
     residual graph (source and sink excluded) has surplus <= ``theta_i``.
+    One residual hop leads from a buyer through a good that pays them to any
+    buyer interested in that good.  Reachability is the transitive closure
+    of these hops and ``<=`` is transitive, so it suffices that every buyer
+    a good pays has at least the largest surplus ``top[j]`` among the good's
+    interested buyers.
     """
     theta = surpluses(net, flow)
-    for i in range(net.n):
-        for k in flow.residual_reach({i}):
-            if theta[k] > theta[i]:
-                return False
-    return True
+    top = {}
+    for (i, j) in net.edges:
+        top[j] = max(top.get(j, theta[i]), theta[i])
+    return all(theta[i] >= top[j] for (i, j) in net.edges if flow.pair_flow.get((i, j), 0) > 0)
 
 
 def balanced_flow(net: MarketNetwork):
@@ -56,7 +64,7 @@ def balanced_flow(net: MarketNetwork):
     theta = [None] * n
     root_value = _solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)
     caps = [net.m[i] - theta[i] for i in range(n)]
-    flow = max_flow(net, money=caps)
+    flow = max_flow(replace(net, m=tuple(caps)))
     if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
         raise BalanceError("reassembled flow does not saturate the computed surplus levels")
     if not verify_property1(net, flow):
@@ -76,7 +84,7 @@ def _solve(buyers, goods, net, theta):
             theta[i] = Fraction(0)
         return value
     caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
-    trial = max_flow(sub, money=caps)
+    trial = max_flow(replace(sub, m=tuple(caps)))
     if trial.value == value and all(net.m[i] >= delta for i in buyers):
         for i in buyers:
             theta[i] = delta
@@ -123,7 +131,6 @@ def scale_flow(net: MarketNetwork, flow: FlowResult, x, buyers=None, goods=None)
         good_flow=good_flow,
         pair_flow=pair_flow,
         buyer_flow=buyer_flow,
-        source_side=flow.source_side,
         far_side=flow.far_side,
         net=scaled_net,
     )

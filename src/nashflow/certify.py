@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balanced import balanced_flow
-from .flownet import MarketNetwork, bang_per_buck, build_network, max_flow
-from .instance import BargainingInstance
+from .flownet import build_network, max_flow
+from .instance import BargainingInstance, preprocess
 
 
 def check_equilibrium(inst: BargainingInstance, p):
@@ -99,28 +99,20 @@ def check_feasibility_witness(inst: BargainingInstance, p) -> tuple[bool, str]:
     p = [Fraction(v) for v in p]
     if len(p) != inst.g:
         return False, "price vector has the wrong length"
-    keep = []
+    reduced, report = preprocess(inst)
     for j in range(inst.g):
-        valueless = all(inst.u[i][j] == 0 for i in range(inst.n))
-        if valueless:
+        if j in report.removed_goods:
             if p[j] != 0:
                 return False, f"valueless good {j} must be priced 0"
-        else:
-            if p[j] <= 0:
-                return False, f"good {j} must be priced positively"
-            keep.append(j)
-    if any(all(v == 0 for v in row) for row in inst.u):
+        elif p[j] <= 0:
+            return False, f"good {j} must be priced positively"
+    if reduced is None:
         return False, "a buyer with no valued good can never improve"
-    u = [[row[j] for j in keep] for row in inst.u]
-    pk = [p[j] for j in keep]
-    gamma, edges = bang_per_buck(u, pk)
-    m = tuple(1 + inst.c[i] / gamma[i] for i in range(inst.n))
-    net = MarketNetwork(tuple(pk), m, frozenset(edges))
-    flow = max_flow(net)
+    pk = [p[j] for j in report.kept_goods]
+    flow, theta = balanced_flow(build_network(reduced, pk))
     if flow.value != sum(pk, Fraction(0)):
         return False, "some good cannot sell at these prices"
-    _, theta = balanced_flow(net)
-    if any(theta[i] >= 1 for i in range(inst.n)):
+    if any(t >= 1 for t in theta):
         return False, "a buyer's surplus reaches its full unit of money"
     return True, "ok"
 

@@ -3,8 +3,8 @@
 The recurring object is a bipartite flow network: source -> good j with
 capacity ``p[j]`` (the good's price), good -> buyer along "interest" edges
 with unbounded capacity, buyer i -> sink with capacity ``m[i]`` (the buyer's
-money).  A max-flow routes money from goods to buyers; the two canonical
-minimum cuts tell us which side binds.
+money).  A max-flow routes money from goods to buyers; its maximal minimum
+cut tells us which goods and buyers bind.
 
 All capacities are rationals.  Max-flow clears denominators up front and runs
 integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
@@ -39,18 +39,12 @@ def bang_per_buck(u, p):
     gamma = []
     edges = []
     for i in range(n):
-        best = None
-        for j in range(g):
-            if p[j] > 0 and u[i][j] > 0:
-                ratio = Fraction(u[i][j], 1) / p[j]
-                if best is None or ratio > best:
-                    best = ratio
-        if best is None:
+        ratios = {j: Fraction(u[i][j], 1) / p[j] for j in range(g) if p[j] > 0 and u[i][j] > 0}
+        if not ratios:
             raise ValueError(f"buyer {i} values no positively priced good")
+        best = max(ratios.values())
         gamma.append(best)
-        for j in range(g):
-            if p[j] > 0 and u[i][j] > 0 and Fraction(u[i][j], 1) / p[j] == best:
-                edges.append((i, j))
+        edges.extend((i, j) for j, ratio in ratios.items() if ratio == best)
     return gamma, edges
 
 
@@ -93,19 +87,17 @@ def build_network(inst, p) -> MarketNetwork:
 
 @dataclass
 class FlowResult:
-    """An exact max-flow plus both canonical minimum cuts.
+    """An exact max-flow of ``net`` plus its maximal minimum cut.
 
-    ``source_side`` is the minimal min cut (nodes reachable from the source
-    in the residual graph); ``far_side`` is the complement of the nodes that
-    reach the sink, i.e. the maximal min cut.  Each is given as a pair
-    ``(buyers, goods)`` of frozensets, source/sink excluded.
+    ``far_side`` is the complement of the nodes that reach the sink in the
+    residual graph, given as a pair ``(buyers, goods)`` of frozensets,
+    source/sink excluded.
     """
 
     value: Fraction
     good_flow: list
     pair_flow: dict
     buyer_flow: list
-    source_side: tuple
     far_side: tuple
     net: MarketNetwork
 
@@ -119,47 +111,38 @@ class FlowResult:
         arcs are flipped, giving the set of buyers that can reach
         ``start_buyers``.
         """
-        fwd_good_to_buyers = {}
-        fwd_buyer_to_goods = {}
+        good_to_buyers, buyer_to_goods = {}, {}
         for (i, j) in self.net.edges:
-            fwd_good_to_buyers.setdefault(j, []).append(i)
-            if self.pair_flow.get((i, j), 0) > 0:
-                fwd_buyer_to_goods.setdefault(i, []).append(j)
-        if reverse:
-            g2b, b2g = {}, {}
-            for j, buyers in fwd_good_to_buyers.items():
-                for i in buyers:
-                    b2g.setdefault(i, []).append(j)
-            for i, goods in fwd_buyer_to_goods.items():
-                for j in goods:
-                    g2b.setdefault(j, []).append(i)
-            fwd_good_to_buyers, fwd_buyer_to_goods = g2b, b2g
+            paid = self.pair_flow.get((i, j), 0) > 0
+            if reverse or paid:
+                buyer_to_goods.setdefault(i, []).append(j)
+            if not reverse or paid:
+                good_to_buyers.setdefault(j, []).append(i)
         seen_b = set(start_buyers)
         seen_g = set()
         queue = deque(("b", i) for i in sorted(seen_b))
         while queue:
             kind, node = queue.popleft()
             if kind == "b":
-                for j in fwd_buyer_to_goods.get(node, ()):
+                for j in buyer_to_goods.get(node, ()):
                     if j not in seen_g:
                         seen_g.add(j)
                         queue.append(("g", j))
             else:
-                for i in fwd_good_to_buyers.get(node, ()):
+                for i in good_to_buyers.get(node, ()):
                     if i not in seen_b:
                         seen_b.add(i)
                         queue.append(("b", i))
         return seen_b
 
 
-def max_flow(net: MarketNetwork, money=None) -> FlowResult:
-    """Exact max-flow of the network (optionally with overridden sink caps)."""
+def max_flow(net: MarketNetwork) -> FlowResult:
+    """Exact max-flow of the network."""
     global _MAXFLOW_CALLS
     _MAXFLOW_CALLS += 1
 
     n, g = net.n, net.g
-    m = net.m if money is None else tuple(Fraction(x) for x in money)
-    denoms = [x.denominator for x in net.p] + [x.denominator for x in m]
+    denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
     scale = lcm(*denoms) if denoms else 1
 
     # Node ids: source, goods, buyers, sink.
@@ -190,7 +173,7 @@ def max_flow(net: MarketNetwork, money=None) -> FlowResult:
             pair_ids[(i, j)] = len(to)
             add_arc(gnode(j), bnode(i), unbounded)
     for i in range(n):
-        ci = int(m[i] * scale)
+        ci = int(net.m[i] * scale)
         if ci > 0:
             add_arc(bnode(i), sink, ci)
 
@@ -236,48 +219,25 @@ def max_flow(net: MarketNetwork, money=None) -> FlowResult:
     good_flow = [sum((pair_flow.get((i, j), Fraction(0)) for i in range(n)), Fraction(0)) for j in range(g)]
     buyer_flow = [sum((pair_flow.get((i, j), Fraction(0)) for j in range(g)), Fraction(0)) for i in range(n)]
 
-    def reach(from_source):
-        seen = {source if from_source else sink}
-        queue = deque(seen)
-        while queue:
-            node = queue.popleft()
-            for arc in head[node]:
-                use = cap[arc] if from_source else cap[arc ^ 1]
-                nxt = to[arc]
-                if use > 0 and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    src_reach = reach(True)
-    sink_reach = reach(False)
-    source_side = (
-        frozenset(i for i in range(n) if bnode(i) in src_reach),
-        frozenset(j for j in range(g) if gnode(j) in src_reach),
-    )
+    # Nodes that still reach the sink; the rest form the maximal min cut.
+    to_sink = {sink}
+    queue = deque(to_sink)
+    while queue:
+        node = queue.popleft()
+        for arc in head[node]:
+            nxt = to[arc]
+            if cap[arc ^ 1] > 0 and nxt not in to_sink:
+                to_sink.add(nxt)
+                queue.append(nxt)
     far_side = (
-        frozenset(i for i in range(n) if bnode(i) not in sink_reach),
-        frozenset(j for j in range(g) if gnode(j) not in sink_reach),
+        frozenset(i for i in range(n) if bnode(i) not in to_sink),
+        frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
     return FlowResult(
         value=Fraction(value, scale),
         good_flow=good_flow,
         pair_flow=pair_flow,
         buyer_flow=buyer_flow,
-        source_side=source_side,
         far_side=far_side,
-        net=MarketNetwork(net.p, m, net.edges),
+        net=net,
     )
-
-
-def is_small(inst, p) -> bool:
-    """Whether prices are positive and every good can fully sell.
-
-    Builds the flexible-budget network at ``p`` and checks the source-side
-    cut is minimum, i.e. the max-flow equals the total price mass.
-    """
-    p = [Fraction(x) for x in p]
-    if any(x <= 0 for x in p):
-        return False
-    net = build_network(inst, p)
-    return max_flow(net).value == sum(p, Fraction(0))

@@ -43,7 +43,6 @@ a property of the input).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,10 +62,6 @@ from .instance import BargainingInstance, preprocess
 
 class SolverError(AssertionError):
     """Internal defect: a solver invariant failed."""
-
-
-def _debug() -> bool:
-    return os.environ.get("NASHFLOW_DEBUG", "") not in ("", "0")
 
 
 def _clog2(v: int) -> int:
@@ -136,8 +131,6 @@ class SolverState:
         supply = sum((self.p[j] for j in self.active_goods), Fraction(0))
         if self.flow.value != supply:
             raise SolverError("active goods can no longer fully sell")
-        if _debug():
-            _check_effective_edges(self)
 
     def log(self, event, iteration, **fields):
         _trace(self, stage=self.stage, type=event, **fields, iteration=iteration)
@@ -146,21 +139,6 @@ class SolverState:
 def _trace(state, **entry):
     entry.setdefault("p", tuple(state.p))
     state.trace.append(entry)
-
-
-def _check_effective_edges(state):
-    inst = state.inst
-    for (i, j) in state.edges:
-        if Fraction(inst.u[i][j]) / state.p[j] != state.gamma[i]:
-            raise SolverError(f"effective edge ({i},{j}) is not tight")
-    for i in state.active_buyers:
-        true_best = max(
-            Fraction(inst.u[i][j]) / state.p[j]
-            for j in state.active_goods
-            if inst.u[i][j] > 0
-        )
-        if true_best != state.gamma[i]:
-            raise SolverError(f"buyer {i} ratio is stale")
 
 
 def initialize(inst: BargainingInstance) -> SolverState:

@@ -10,9 +10,22 @@ agreement is evidence, not circularity.  Everything is exact rationals.
 from __future__ import annotations
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import configuration, settings
 
 from nashflow import MarketNetwork, make_instance
+
+# Property tests draw the same examples on every run and keep no example
+# database.  Hypothesis still caches what it reads from the source tree in its
+# home directory, so that lives outside the working tree.
+settings.register_profile(
+    "nashflow", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("nashflow")
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nashflow-hypothesis")
 
 # ---------------------------------------------------------------------------
 # Small fixed games pinned across the suite.

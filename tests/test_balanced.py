@@ -1,6 +1,7 @@
 """Balanced flows: l2-minimal surpluses, their characterization, scaling."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ def _unbalanced_shared_good():
         good_flow=[Fraction(1)],
         pair_flow={(1, 0): Fraction(1)},
         buyer_flow=[Fraction(0), Fraction(1)],
-        source_side=(frozenset(), frozenset()),
         far_side=(frozenset(), frozenset()),
         net=net,
     )
@@ -90,6 +90,41 @@ def test_verify_property1_rejects_lopsided_split():
     # Buyer 1 (no surplus) can reach buyer 0 (full surplus) in the residual
     # graph, so money could be rebalanced: the flow is not balanced.
     assert verify_property1(net, flow) is False
+
+
+def test_verify_property1_matches_residual_search():
+    # Edmonds-Karp flows are rarely balanced and balanced flows always are,
+    # so both verdicts occur; sub-networks, zero prices and clamped budgets
+    # are the shapes the balanced-flow recursion feeds the check.
+    rng = random.Random(4)
+    verdicts = []
+    for _ in range(2400):
+        net = random_network(rng, max_buyers=5, max_goods=4)
+        if rng.random() < 0.3:
+            net = replace(net, p=tuple(x if rng.random() < 0.7 else Fraction(0) for x in net.p))
+        if rng.random() < 0.3:
+            kept_b = {i for i in range(net.n) if rng.random() < 0.7}
+            kept_g = {j for j in range(net.g) if rng.random() < 0.7}
+            net = net.sub(kept_b, kept_g)
+        if rng.random() < 0.3:
+            delta = Fraction(rng.randint(0, 8), rng.randint(1, 4))
+            clamped = replace(net, m=tuple(max(x - delta, Fraction(0)) for x in net.m))
+            flow = max_flow(clamped)
+        elif rng.random() < 0.2:
+            flow, _ = balanced_flow(net)
+        else:
+            flow = max_flow(net)
+        # The characterization read literally: a residual search from every
+        # buyer, which the reverse search must mirror.
+        theta = surpluses(net, flow)
+        buyers = range(net.n)
+        reach = [flow.residual_reach({i}) for i in buyers]
+        reached_by = [flow.residual_reach({k}, reverse=True) for k in buyers]
+        assert all((k in reach[i]) == (i in reached_by[k]) for i in buyers for k in buyers)
+        verdict = verify_property1(net, flow)
+        assert verdict == all(theta[k] <= theta[i] for i in buyers for k in reach[i])
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200
 
 
 def test_surpluses_are_money_minus_spending():

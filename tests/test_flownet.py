@@ -1,6 +1,7 @@
 """Market sale network: construction, exact max flow, cuts, reachability."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,18 +11,11 @@ from nashflow import (
     MarketNetwork,
     bang_per_buck,
     build_network,
-    is_small,
     make_instance,
     max_flow,
     maxflow_call_count,
 )
-from conftest import (
-    random_network,
-    scalar_feasible,
-    scalar_infeasible,
-    symmetric_pair,
-    unit_game,
-)
+from conftest import random_network, scalar_feasible, symmetric_pair, unit_game
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +66,7 @@ def test_build_network_symmetric_pair():
 
 
 # ---------------------------------------------------------------------------
-# Exact max flow and both canonical cuts
+# Exact max flow and its maximal min cut
 
 
 def test_max_flow_saturates_single_edge():
@@ -81,15 +75,13 @@ def test_max_flow_saturates_single_edge():
     assert flow.good_flow == [Fraction(1)]
     assert flow.buyer_flow == [Fraction(1)]
     assert flow.pair_flow == {(0, 0): Fraction(1)}
-    # Minimal cut is the bare source; the maximal one absorbs both nodes.
-    assert flow.source_side == (frozenset(), frozenset())
+    # The maximal cut absorbs both nodes.
     assert flow.far_side == (frozenset({0}), frozenset({0}))
 
 
 def test_max_flow_money_short_cuts_agree():
     flow = max_flow(MarketNetwork((Fraction(1),), (Fraction(1, 2),), frozenset({(0, 0)})))
     assert flow.value == Fraction(1, 2)
-    assert flow.source_side == (frozenset({0}), frozenset({0}))
     assert flow.far_side == (frozenset({0}), frozenset({0}))
 
 
@@ -100,7 +92,7 @@ def test_max_flow_symmetric_pair_moves_all_money():
 
 def test_max_flow_respects_custom_money_caps():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
-    flow = max_flow(net, money=(Fraction(1, 4), Fraction(1)))
+    flow = max_flow(replace(net, m=(Fraction(1, 4), Fraction(1))))
     assert flow.value == Fraction(5, 4)
     assert flow.buyer_flow == [Fraction(1, 4), Fraction(1)]
 
@@ -138,33 +130,18 @@ def test_max_flow_conservation_and_caps_random():
             )
         assert all((i, j) in net.edges for (i, j) in flow.pair_flow)
         assert flow.value == sum(flow.good_flow, Fraction(0))
-        # Cut capacities certify maximality.
-        for buyers, goods in (flow.source_side, flow.far_side):
-            cap = sum(
-                (net.p[j] for j in range(net.g) if j not in goods), Fraction(0)
-            ) + sum((net.m[i] for i in buyers), Fraction(0))
-            assert cap == flow.value
+        # The cut's capacity certifies maximality.
+        buyers, goods = flow.far_side
+        cap = sum(
+            (net.p[j] for j in range(net.g) if j not in goods), Fraction(0)
+        ) + sum((net.m[i] for i in buyers), Fraction(0))
+        assert cap == flow.value
 
 
 def test_maxflow_call_count_increases():
     before = maxflow_call_count()
     max_flow(MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)})))
     assert maxflow_call_count() == before + 1
-
-
-# ---------------------------------------------------------------------------
-# Saturating ("small") price test
-
-
-def test_is_small_trio():
-    assert is_small(unit_game(), [Fraction(1, 2)]) is True
-    assert is_small(unit_game(), [Fraction(2)]) is False
-    # Disagreement money keeps the buyer rich enough at p=1.
-    assert is_small(scalar_infeasible(), [Fraction(1)]) is True
-
-
-def test_is_small_rejects_nonpositive_prices():
-    assert is_small(unit_game(), [Fraction(0)]) is False
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +163,6 @@ def test_residual_reachable_zero_flow_follows_interest_edges_only():
         good_flow=[Fraction(0), Fraction(0)],
         pair_flow={},
         buyer_flow=[Fraction(0), Fraction(0)],
-        source_side=(frozenset(), frozenset()),
         far_side=(frozenset(), frozenset()),
         net=net,
     )

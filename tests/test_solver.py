@@ -15,6 +15,7 @@ from nashflow import (
     relaxed_kkt_gap,
     solution_to_json,
     solve,
+    SolverState,
     stage1,
     stage2,
     verify_convex_dual,
@@ -325,6 +326,30 @@ def test_solve_stays_within_the_max_flow_budget():
         assert sol.stats["budget"] == maxflow_budget(
             inst.n, inst.g, inst.u_max, inst.c_max, sol.stats["mu"]
         )
+
+
+def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
+    # After every rebalance each network edge attains its buyer's recorded
+    # best ratio, and each active buyer's recorded ratio is still their best
+    # over the active goods.
+    rebalance = SolverState.rebalance
+    calls = []
+
+    def checked(state):
+        rebalance(state)
+        u, p, gamma = state.u, state.p, state.gamma
+        for (i, j) in state.edges:
+            assert Fraction(u[i][j]) / p[j] == gamma[i], f"effective edge ({i},{j}) is not tight"
+        for i in state.active_buyers:
+            best = max(Fraction(u[i][j]) / p[j] for j in state.active_goods if u[i][j] > 0)
+            assert best == gamma[i], f"buyer {i} ratio is stale"
+        calls.append(state)
+
+    monkeypatch.setattr(SolverState, "rebalance", checked)
+    for seed in range(525):
+        solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+    solve(gen_random(12, 12, 1000, 1500, 0))
+    assert len(calls) > 1000
 
 
 def test_solution_to_json_round_trips_rationals_as_strings():
