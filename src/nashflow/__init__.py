@@ -18,6 +18,7 @@ from .instance import (
     parse_instance,
     parse_rational,
     preprocess,
+    to_json,
     wireless_adapter,
 )
 from .flownet import (
@@ -35,7 +36,6 @@ from .certify import (
     check_feasibility_witness,
     check_kkt,
     lp_dual_for_zero_row,
-    recover_prices_from_support,
     verify_convex_dual,
     verify_lp_dual,
 )
@@ -53,7 +53,6 @@ from .solver import (
     SolverState,
     initialize,
     maxflow_budget,
-    relaxed_kkt_gap,
     solution_to_json,
     solve,
     stage1,
@@ -99,14 +98,13 @@ __all__ = [
     "parse_instance",
     "parse_rational",
     "preprocess",
-    "recover_prices_from_support",
-    "relaxed_kkt_gap",
     "scale_flow",
     "solution_to_json",
     "solve",
     "stage1",
     "stage2",
     "surpluses",
+    "to_json",
     "verify_convex_dual",
     "verify_lp_dual",
     "verify_property1",

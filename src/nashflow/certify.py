@@ -160,7 +160,9 @@ def verify_convex_dual(
        surpluses of the non-split buyers sum to at least their count,
     4. at least one buyer lies outside the split.
 
-    Under (1)-(4) any allocation with all-positive gains would force the
+    (1) and (2) together say no best-ratio edge crosses the split, so every
+    max-flow sells the same non-split goods and (3) reads them off the one
+    balanced flow.  Under (1)-(4) any allocation with all-positive gains would force the
     non-split buyers' money, ``sum(c_i / gamma_i)`` plus their unit budgets,
     to exceed the non-split price mass — contradicting (3).  Formally the
     conditions exhibit a ray on which the smooth dual of the underlying
@@ -186,26 +188,15 @@ def verify_convex_dual(
         for j in split_g:
             if inst.u[i][j] != 0:
                 return False
-    for i in split_b:
-        inside = max(
-            (Fraction(inst.u[i][j]) / p[j] for j in split_g if inst.u[i][j] > 0),
-            default=Fraction(0),
-        )
-        if inside <= 0:
-            return False
-        for j in range(inst.g):
-            if j not in split_g and inst.u[i][j] > 0:
-                if Fraction(inst.u[i][j]) / p[j] >= inside:
-                    return False
     try:
         net = build_network(inst, p)
     except ValueError:
         return False
-    flow = max_flow(net)
-    for j in range(inst.g):
-        if j not in split_g and flow.good_flow[j] != p[j]:
-            return False
-    _, theta = balanced_flow(net)
+    if any((i in split_b) != (j in split_g) for (i, j) in net.edges):
+        return False
+    flow, theta = balanced_flow(net)
+    if any(flow.good_flow[j] != p[j] for j in range(inst.g) if j not in split_g):
+        return False
     rest_sum = sum((theta[i] - 1 for i in rest_b), Fraction(0))
     return rest_sum >= 0
 
@@ -217,77 +208,3 @@ def lp_dual_for_zero_row(inst: BargainingInstance, i) -> dict:
     y = [Fraction(0)] * inst.n
     y[i] = Fraction(1)
     return {"y": y, "z": [Fraction(0)] * inst.g}
-
-
-def recover_prices_from_support(inst: BargainingInstance, support) -> list:
-    """Recover the unique candidate equilibrium prices from a support.
-
-    ``support`` is the set of pairs ``(i, j)`` claimed to carry allocation.
-    Within each connected component of the support graph all prices are a
-    single unknown scale times fixed ratios (tight pairs share each buyer's
-    best ratio), and the component's money-equals-price-mass equation is
-    linear in that scale.  Raises ``ValueError`` if the support is
-    structurally inconsistent or forces a nonpositive price.
-    """
-    support = {(int(i), int(j)) for (i, j) in support}
-    for (i, j) in support:
-        if not (0 <= i < inst.n and 0 <= j < inst.g):
-            raise ValueError(f"support pair ({i},{j}) out of range")
-        if inst.u[i][j] == 0:
-            raise ValueError(f"support pair ({i},{j}) has zero utility")
-    touched_goods = {j for (_, j) in support}
-    touched_buyers = {i for (i, _) in support}
-    p = [None] * inst.g
-
-    seen_g: set = set()
-    for root in sorted(touched_goods):
-        if root in seen_g:
-            continue
-        ratio = {root: Fraction(1)}
-        comp_buyers: dict = {}
-        frontier = [("g", root)]
-        while frontier:
-            kind, node = frontier.pop()
-            if kind == "g":
-                for (i, j) in support:
-                    if j != node:
-                        continue
-                    r = ratio[node] / inst.u[i][j]
-                    if i in comp_buyers:
-                        if comp_buyers[i] != r:
-                            raise ValueError(
-                                "support forces two ratios on one buyer"
-                            )
-                    else:
-                        comp_buyers[i] = r
-                        frontier.append(("b", i))
-            else:
-                for (i, j) in support:
-                    if i != node:
-                        continue
-                    r = comp_buyers[i] * inst.u[i][j]
-                    if j in ratio:
-                        if ratio[j] != r:
-                            raise ValueError(
-                                "support forces two prices on one good"
-                            )
-                    else:
-                        ratio[j] = r
-                        frontier.append(("g", j))
-        seen_g |= set(ratio)
-        mass = sum(ratio.values(), Fraction(0))
-        spend = sum((inst.c[i] * r for i, r in comp_buyers.items()), Fraction(0))
-        if mass <= spend:
-            raise ValueError("support admits no positive price scale")
-        tau = Fraction(len(comp_buyers)) / (mass - spend)
-        for j, r in ratio.items():
-            p[j] = r * tau
-
-    for j in range(inst.g):
-        if p[j] is None:
-            if any(inst.u[i][j] > 0 for i in range(inst.n)):
-                raise ValueError(f"good {j} is valued but unsupported")
-            p[j] = Fraction(0)
-    if touched_buyers != {i for i in range(inst.n) if any(v > 0 for v in inst.u[i])}:
-        raise ValueError("every buyer with a valued good needs a support pair")
-    return p

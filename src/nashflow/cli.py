@@ -10,9 +10,10 @@ Verbs:
 - ``bench``      batch-solve random instances and print CSV statistics
 
 ``solve`` exits 0 on feasible, 2 on infeasible, 1 on errors; ``check``
-exits 0 when the solution validates and 1 otherwise.  Output is
-deterministic for a given input: rationals are printed exactly, never as
-floats.
+exits 0 when the solution validates and 1 otherwise.  Every verb exits 3
+when an internal invariant of the solver fails, a defect rather than a
+property of the input.  Output is deterministic for a given input:
+rationals are printed exactly, never as floats.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .balanced import BalanceError
 from .certify import (
     check_feasibility_witness,
     check_kkt,
@@ -35,10 +37,12 @@ from .instance import (
     gen_random,
     parse_instance,
     parse_rational,
+    to_json,
     wireless_adapter,
 )
+from .fisher import FisherError
 from .oracle import OracleCapError, feasibility_lp, limit_algorithm, oracle_solve
-from .solver import solution_to_json, solve
+from .solver import SolverError, solution_to_json, solve
 
 
 def _read_json(path):
@@ -49,24 +53,12 @@ def _read_json(path):
 
 
 def _emit(obj, out=None):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(to_json(obj), indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _jsonify(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonify(v) for v in value)
-    return value
 
 
 def _cmd_solve(args) -> int:
@@ -75,7 +67,7 @@ def _cmd_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for entry in sol.trace:
-                fh.write(json.dumps(_jsonify(entry)) + "\n")
+                fh.write(json.dumps(to_json(entry)) + "\n")
     if args.cross_check:
         code = _cross_check(inst, sol)
         if code:
@@ -205,8 +197,7 @@ def _cmd_oracle(args) -> int:
     result = oracle_solve(inst, max_pairs=args.cap)
     out = {"verdict": result.verdict}
     if result.verdict == "feasible":
-        out["p"] = [format_rational(v) for v in result.p]
-        out["v"] = [format_rational(v) for v in result.v]
+        out.update(p=result.p, v=result.v)
     _emit(out, args.output)
     return 0 if result.verdict == "feasible" else 2
 
@@ -220,14 +211,7 @@ def _cmd_gen(args) -> int:
         u, money, prices = gen_l1_adversarial(
             args.n, delta=parse_rational(args.delta), big=args.big
         )
-        _emit(
-            {
-                "u": [list(row) for row in u],
-                "money": [format_rational(v) for v in money],
-                "prices": [format_rational(v) for v in prices],
-            },
-            args.output,
-        )
+        _emit({"u": u, "money": money, "prices": prices}, args.output)
         return 0
     payload = _read_json(args.input)
     pi = [parse_rational(v) for v in payload["pi"]]
@@ -246,8 +230,8 @@ def _cmd_limit(args) -> int:
     )
     _emit(
         {
-            "p": [format_rational(v) for v in result.p],
-            "m": [format_rational(v) for v in result.m],
+            "p": result.p,
+            "m": result.m,
             "iterations": result.iterations,
             "converged": result.converged,
             "reason": result.reason,
@@ -345,6 +329,11 @@ def main(argv=None) -> int:
     except (InstanceError, OracleCapError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (SolverError, BalanceError, FisherError) as exc:
+        source = getattr(args, "instance", None)
+        where = f" (instance: {source})" if source else ""
+        print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

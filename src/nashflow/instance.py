@@ -11,6 +11,7 @@ disagreement payoff.
 
 Rationals are ``fractions.Fraction`` end to end.  On the wire (JSON) they are
 strings like ``"3/4"`` or ``"2"`` — never floats, so nothing is ever rounded.
+``to_json`` writes this form for every artifact the package emits.
 All indices in reports and JSON are 0-based.
 """
 
@@ -48,6 +49,23 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def to_json(value):
+    """The wire form of a value: rationals as strings, tuples as lists.
+
+    Dict keys become strings and sets become sorted lists; everything else
+    (ints, bools, strings, ``None``) passes through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(to_json(v) for v in value)
+    return value
+
+
 @dataclass(frozen=True)
 class BargainingInstance:
     """A validated bargaining-game instance.
@@ -80,10 +98,7 @@ class BargainingInstance:
         return max(self.c)
 
     def to_json_dict(self) -> dict:
-        return {
-            "u": [list(row) for row in self.u],
-            "c": [format_rational(ci) for ci in self.c],
-        }
+        return to_json({"u": self.u, "c": self.c})
 
 
 def make_instance(u, c) -> BargainingInstance:

@@ -57,7 +57,7 @@ from .certify import (
 from .fisher import _price_phase, _rebuild, _scale, initial_prices
 from .fisher import _run as _fisher_run
 from .flownet import MarketNetwork, maxflow_call_count
-from .instance import BargainingInstance, preprocess
+from .instance import BargainingInstance, preprocess, to_json
 
 
 class SolverError(AssertionError):
@@ -85,7 +85,6 @@ class FrozenBatch:
     goods: frozenset
     prices: dict
     gamma: dict
-    theta: dict
 
 
 @dataclass
@@ -230,7 +229,6 @@ def _stage1_phase(state):
             goods=frozenset(target_goods),
             prices={j: state.p[j] for j in target_goods},
             gamma={i: state.gamma[i] for i in target},
-            theta={i: state.theta[i] for i in target},
         )
         state.frozen.append(batch)
         state.active_buyers -= target
@@ -539,86 +537,9 @@ def _verify_infeasible(inst, sol: Solution):
 
 def solution_to_json(sol: Solution) -> dict:
     """Canonical JSON form of a solution (rationals as "num/den" strings)."""
-    from .instance import format_rational as fr
-
-    def seq(values):
-        return None if values is None else [fr(v) for v in values]
-
-    cert = None
-    if sol.certificate is not None:
-        cert = {}
-        if "lp_dual" in sol.certificate:
-            lp = sol.certificate["lp_dual"]
-            cert["lp_dual"] = {"y": seq(lp["y"]), "z": seq(lp["z"])}
-        if "convex_dual" in sol.certificate:
-            cx = sol.certificate["convex_dual"]
-            if cx.get("zero_row") is not None:
-                cert["convex_dual"] = {"zero_row": cx["zero_row"]}
-            else:
-                cert["convex_dual"] = {
-                    "buyers": list(cx["buyers"]),
-                    "goods": list(cx["goods"]),
-                    "p": seq(cx["p"]),
-                    "zero_row": None,
-                }
-    return {
-        "verdict": sol.verdict,
-        "p": seq(sol.p),
-        "x": None if sol.x is None else [seq(row) for row in sol.x],
-        "v": seq(sol.v),
-        "certificate": cert,
-        "feasible_prices": seq(sol.feasible_prices),
-        "stats": {
-            "phases": sol.stats.get("phases", 0),
-            "iterations": sol.stats.get("iterations", 0),
-            "maxflows": sol.stats.get("maxflows", 0),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Relaxed optimality report for mid-run states
-
-
-def relaxed_kkt_gap(state: SolverState):
-    """Per-buyer report of the relaxed optimality conditions mid-run.
-
-    While deficits are negative, the state encodes a solution of a relaxed
-    system: buyer ``i``'s implied utility is ``v_i = gamma_i * (money
-    received)`` and the price bound holds with ``p_j / (-beta_i)`` in place
-    of ``p_j``, with equality on every edge carrying flow.  The deficit
-    ``-beta_i`` rises toward 1 as the run approaches the equilibrium.  For
-    buyers with nonnegative deficit the relaxation is meaningless and the
-    entry is flagged.
-    """
-    inst = state.inst
-    out = []
-    for i in sorted(state.active_buyers):
-        beta = state.beta(i)
-        if beta >= 0:
-            out.append({"buyer": i, "beta": beta, "meaningless": True})
-            continue
-        received = state.flow.buyer_flow[i]
-        v = state.gamma[i] * received
-        gain = v - inst.c[i]
-        worst = None
-        tight = True
-        for j in sorted(state.active_goods):
-            if inst.u[i][j] == 0:
-                continue
-            lhs = state.p[j] / (-beta)
-            rhs = Fraction(inst.u[i][j]) / gain if gain > 0 else None
-            if rhs is None:
-                continue
-            slack = lhs - rhs
-            if slack < 0:
-                tight = False
-            worst = slack if worst is None or slack < worst else worst
-        out.append(
-            {
-                "buyer": i, "beta": beta, "v": v, "gain": gain,
-                "worst_slack": worst, "holds": tight and gain > 0,
-                "meaningless": False,
-            }
-        )
-    return out
+    stats = {key: sol.stats.get(key, 0) for key in ("phases", "iterations", "maxflows")}
+    return to_json({
+        "verdict": sol.verdict, "p": sol.p, "x": sol.x, "v": sol.v,
+        "certificate": sol.certificate, "feasible_prices": sol.feasible_prices,
+        "stats": stats,
+    })

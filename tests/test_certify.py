@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from nashflow import (
+    balanced_flow,
+    build_network,
     check_equilibrium,
     check_feasibility_witness,
     check_kkt,
     gen_random,
     lp_dual_for_zero_row,
     make_instance,
-    oracle_solve,
-    recover_prices_from_support,
+    max_flow,
+    solve,
     verify_convex_dual,
     verify_lp_dual,
 )
@@ -132,38 +134,80 @@ def test_lp_dual_for_zero_row_is_verifiable():
 
 
 # ---------------------------------------------------------------------------
-# Price recovery from an allocation support
+# Partition certificate against a transcription of its definition
 
 
-def test_recover_prices_from_support_pins():
-    assert recover_prices_from_support(unit_game(), {(0, 0)}) == [Fraction(1)]
-    # Flexible budgets make this a linear fixpoint: p = 1 + c*p/u.
-    assert recover_prices_from_support(scalar_feasible(), {(0, 0)}) == [Fraction(2)]
-    assert recover_prices_from_support(symmetric_pair(), {(0, 0), (1, 1)}) == [
-        Fraction(1),
-        Fraction(1),
-    ]
+def _partition_by_definition(inst, buyers, goods, p):
+    """Conditions (1)-(4) of ``verify_convex_dual``, each derived on its own."""
+    split_b, split_g = set(buyers), set(goods)
+    p = [Fraction(v) for v in p]
+    if len(p) != inst.g or any(v <= 0 for v in p):
+        return False
+    if not (split_b <= set(range(inst.n)) and split_g <= set(range(inst.g))):
+        return False
+    rest_b = [i for i in range(inst.n) if i not in split_b]
+    if not rest_b:
+        return False
+    for i in rest_b:
+        for j in split_g:
+            if inst.u[i][j] != 0:
+                return False
+    for i in split_b:
+        inside = max(
+            (Fraction(inst.u[i][j]) / p[j] for j in split_g if inst.u[i][j] > 0),
+            default=Fraction(0),
+        )
+        if inside <= 0:
+            return False
+        for j in range(inst.g):
+            if j not in split_g and inst.u[i][j] > 0:
+                if Fraction(inst.u[i][j]) / p[j] >= inside:
+                    return False
+    try:
+        net = build_network(inst, p)
+    except ValueError:
+        return False
+    flow = max_flow(net)
+    for j in range(inst.g):
+        if j not in split_g and flow.good_flow[j] != p[j]:
+            return False
+    _, theta = balanced_flow(net)
+    return sum((theta[i] - 1 for i in rest_b), Fraction(0)) >= 0
 
 
-def test_recover_prices_rejects_supports_without_full_coverage():
-    with pytest.raises(ValueError):
-        recover_prices_from_support(symmetric_pair(), {(0, 0)})
+def _partition_claims(rng, count):
+    """Random instance/partition/price triples, many of them near a certificate."""
+    while count > 0:
+        n, g = rng.randint(1, 4), rng.randint(1, 4)
+        u = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(g)] for _ in range(n)]
+        c = [Fraction(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(n)]
+        inst = make_instance(u, c)
+        sol = solve(inst) if all(any(row) for row in u) else None
+        cert = sol.certificate["convex_dual"] if sol and sol.verdict == "infeasible" else None
+        for _ in range(8):
+            if cert is not None and rng.random() < 0.75:
+                buyers, goods, p = set(cert["buyers"]), set(cert["goods"]), list(cert["p"])
+                move = rng.randrange(4)
+                if move == 1:
+                    buyers ^= {rng.randrange(n)}
+                elif move == 2:
+                    goods ^= {rng.randrange(g)}
+                elif move == 3:
+                    p[rng.randrange(g)] *= Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            else:
+                buyers = {i for i in range(n) if rng.random() < 0.4}
+                goods = {j for j in range(g) if rng.random() < 0.4}
+                p = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(g)]
+            yield inst, sorted(buyers), sorted(goods), p
+            count -= 1
 
 
-def test_recovered_prices_reproduce_oracle_solutions():
-    rng = random.Random(31)
-    hits = 0
-    for _ in range(40):
-        inst = gen_random(rng.randint(1, 3), rng.randint(1, 3), 3, 1, rng.randint(0, 10**6))
-        ref = oracle_solve(inst)
-        if ref.verdict != "feasible":
-            continue
-        hits += 1
-        support = {
-            (i, j)
-            for i in range(inst.n)
-            for j in range(inst.g)
-            if ref.x[i][j] > 0
-        }
-        assert recover_prices_from_support(inst, support) == ref.p
-    assert hits >= 10
+def test_verify_convex_dual_matches_its_definition():
+    verdicts = []
+    for inst, buyers, goods, p in _partition_claims(random.Random(5), 3200):
+        ok = verify_convex_dual(inst, buyers=buyers, goods=goods, p=p)
+        assert ok == _partition_by_definition(inst, buyers, goods, p), (inst, buyers, goods, p)
+        verdicts.append(ok)
+    assert len(verdicts) >= 3000
+    assert verdicts.count(True) >= 300
+    assert verdicts.count(False) >= 300

@@ -1,11 +1,25 @@
 """Command-line interface: verbs, exit codes, JSON I/O, determinism."""
 
+import hashlib
 import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nashflow import (
+    BalanceError,
+    FisherError,
+    SolverError,
+    parse_instance,
+    solution_to_json,
+    solve,
+)
 from nashflow.cli import main
 
 
@@ -85,6 +99,40 @@ def test_solve_writes_trace_file(run, feasible_file, tmp_path):
     assert entries[0]["type"] == "initialized"
     assert any(e["type"] == "tight" for e in entries)
     assert entries[-1]["type"] == "equilibrium"
+
+
+# Feasible; partition-infeasible with a valueless good; a buyer who values
+# nothing.
+PINNED_INSTANCES = (
+    '{"u": [[3, 1, 0], [1, 2, 2], [0, 1, 4]], "c": ["1/2", "0", "1"]}',
+    '{"u": [[1, 0, 0], [0, 1, 0]], "c": ["2", "0"]}',
+    '{"u": [[0, 0], [1, 2]], "c": ["0", "1"]}',
+)
+CLI_BYTES_SHA256 = "8f400db894c13be878393b1d13d66c00db37fe116bb37a2fe67553fe6737fe9a"
+
+
+def test_cli_output_bytes_are_pinned(run, tmp_path):
+    """Exact stdout and exit codes, key order included, of the JSON verbs."""
+    h = hashlib.sha256()
+    for k, text in enumerate(PINNED_INSTANCES):
+        inst = tmp_path / f"instance{k}.json"
+        inst.write_text(text)
+        trace = tmp_path / f"trace{k}.jsonl"
+        code, out, _ = run(["solve", str(inst), "--trace", str(trace)])
+        sol = tmp_path / f"solution{k}.json"
+        sol.write_text(out)
+        h.update(f"{code}\n{out}".encode())
+        h.update(trace.read_bytes())
+        for argv in (
+            ["check", str(inst), str(sol)],
+            ["oracle", str(inst)],
+            ["limit", str(inst), "--max-iter", "30"],
+        ):
+            code, out, _ = run(argv)
+            h.update(f"{code}\n{out}".encode())
+    code, out, _ = run(["gen", "l1adv", "--n", "5"])
+    h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == CLI_BYTES_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +312,91 @@ def test_unparseable_json_exits_one(run, tmp_path):
     path.write_text("not json")
     code, _, _ = run(["solve", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("error", [SolverError, BalanceError, FisherError])
+def test_internal_invariant_failure_exits_three(run, monkeypatch, feasible_file, error):
+    def broken(state):
+        raise error("stage I lost its deficit buyer")
+
+    monkeypatch.setattr("nashflow.solver.stage1", broken)
+    code, out, err = run(["solve", feasible_file])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"internal error: {error.__name__}: stage I lost its deficit buyer "
+        f"(instance: {feasible_file})\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary with generated instance and solution files
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-1/3", "2/0", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, node):
+    """``node`` with one part replaced by generated JSON, or deleted."""
+    keys = []
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    actions = ["replace", "descend", "descend", "delete"]
+    action = draw(st.sampled_from(actions)) if keys else "replace"
+    if action == "replace":
+        return draw(_json)
+    key = draw(st.sampled_from(keys))
+    node = node.copy()
+    if action == "delete":
+        del node[key]
+    else:
+        node[key] = _mutate(draw, node[key])
+    return node
+
+
+@st.composite
+def _files(draw):
+    """An instance and a solution file: the solver's own, then damaged."""
+    n, g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 4), min_size=g, max_size=g)
+    payoff = st.integers(0, 3) | st.sampled_from(["0", "1/2", "5/3"])
+    instance = {
+        "u": draw(st.lists(row, min_size=n, max_size=n)),
+        "c": draw(st.lists(payoff, min_size=n, max_size=n)),
+    }
+    solution = solution_to_json(solve(parse_instance(instance)))
+    for _ in range(draw(st.integers(0, 2))):
+        solution = _mutate(draw, solution)
+    if draw(st.integers(0, 3)) == 0:
+        instance = _mutate(draw, instance)
+    return instance, solution
+
+
+@settings(max_examples=250)
+@given(_files())
+def test_generated_files_never_raise(files):
+    instance, solution = files
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, sol = Path(tmp) / "instance.json", Path(tmp) / "solution.json"
+        inst.write_text(json.dumps(instance))
+        sol.write_text(json.dumps(solution))
+        for argv in (
+            ["check", str(inst), str(sol)],
+            ["solve", str(inst)],
+            ["oracle", str(inst)],
+            ["limit", str(inst), "--max-iter", "3"],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

@@ -18,8 +18,8 @@ from nashflow import (
     preprocess,
     solution_to_json,
     solve,
+    to_json,
 )
-from nashflow.cli import _jsonify
 
 GOLDEN_SHA256 = "47535746026af005fed703d408b1311d84370f29758e9c1208cd03e56fdb5fca"
 
@@ -48,8 +48,8 @@ def test_golden_output_digest():
         sol = solve(inst, collect_trace=True)
         h.update(json.dumps(solution_to_json(sol), sort_keys=True).encode())
         for entry in sol.trace:
-            h.update(json.dumps(_jsonify(entry)).encode())
+            h.update(json.dumps(to_json(entry)).encode())
         h.update(str(sol.stats["maxflows"]).encode())
     for p, x, trace in _fisher_runs():
-        h.update(json.dumps(_jsonify([p, x, trace])).encode())
+        h.update(json.dumps(to_json([p, x, trace])).encode())
     assert h.hexdigest() == GOLDEN_SHA256

@@ -1,25 +1,29 @@
 """Property-based invariants of ``solve``, all checked for exact equality.
 
-Each property compares the solution of a generated instance with the
-solution of a transformed copy: relabelled buyers and goods, one buyer's
-utilities and payoff scaled by an integer, an appended good nobody values,
-and lowered disagreement payoffs.
+Each of the first four properties compares the solution of a generated
+instance with the solution of a transformed copy: relabelled buyers and
+goods, one buyer's utilities and payoff scaled by an integer, an appended
+good nobody values, and lowered disagreement payoffs.  The last one sends
+every output through its JSON form to the checker of ``nashflow check``.
 """
 
-from hypothesis import given
+import json
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashflow import make_instance, solve
+from nashflow import make_instance, solution_to_json, solve
+from nashflow.cli import _check_claim
 
 
 @st.composite
-def instances(draw, max_n=4, max_g=4, u_max=9):
+def instances(draw, max_n=4, max_g=4, u_max=9, c_max=4):
     """Small games in which every buyer values some good; goods may be valueless."""
     n = draw(st.integers(1, max_n))
     g = draw(st.integers(1, max_g))
     row = st.lists(st.integers(0, u_max), min_size=g, max_size=g).filter(any)
     u = draw(st.lists(row, min_size=n, max_size=n))
-    payoff = st.fractions(min_value=0, max_value=4, max_denominator=4)
+    payoff = st.fractions(min_value=0, max_value=c_max, max_denominator=4)
     c = draw(st.lists(payoff, min_size=n, max_size=n))
     return make_instance(u, c)
 
@@ -75,3 +79,10 @@ def test_lowering_disagreement_payoffs_keeps_feasibility(inst, data):
     lowered = solve(make_instance(inst.u, [c * t for c, t in zip(inst.c, factors)]))
     if sol.verdict == "feasible":
         assert lowered.verdict == "feasible"
+
+
+@settings(max_examples=60)
+@given(instances(max_n=6, max_g=6, u_max=1000, c_max=1500))
+def test_every_output_passes_its_checker(inst):
+    doc = json.loads(json.dumps(solution_to_json(solve(inst))))
+    assert _check_claim(inst, doc) == (True, "ok")

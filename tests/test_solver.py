@@ -12,7 +12,6 @@ from nashflow import (
     initialize,
     make_instance,
     maxflow_budget,
-    relaxed_kkt_gap,
     solution_to_json,
     solve,
     SolverState,
@@ -154,32 +153,6 @@ def test_stage2_emits_the_tight_event_in_the_trace():
     assert tight[0]["tight_goods"] == [0]
     assert tight[0]["tight_buyers"] == [0]
     assert tight[0]["iteration"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Relaxed optimality report
-
-
-def test_relaxed_conditions_hold_midway():
-    state = initialize(scalar_feasible())
-    report = relaxed_kkt_gap(state)
-    assert report == [
-        {
-            "buyer": 0,
-            "beta": Fraction(-1, 2),
-            "v": Fraction(2),
-            "gain": Fraction(1),
-            "worst_slack": Fraction(0),
-            "holds": True,
-            "meaningless": False,
-        }
-    ]
-
-
-def test_relaxed_conditions_flag_nonnegative_deficit():
-    state = initialize(scalar_infeasible())
-    report = relaxed_kkt_gap(state)
-    assert report == [{"buyer": 0, "beta": Fraction(0), "meaningless": True}]
 
 
 # ---------------------------------------------------------------------------
