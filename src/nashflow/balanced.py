@@ -37,7 +37,10 @@ class BalanceError(AssertionError):
 
 
 def surpluses(net: MarketNetwork, flow: FlowResult):
-    return tuple(net.m[i] - flow.buyer_flow[i] for i in range(net.n))
+    theta = list(net.m)
+    for (i, _), f in flow.pair_flow.items():
+        theta[i] -= f
+    return tuple(theta)
 
 
 def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
@@ -100,39 +103,22 @@ def _solve(buyers, goods, net, theta):
     return value
 
 
-def scale_flow(net: MarketNetwork, flow: FlowResult, x, buyers=None, goods=None):
-    """Scale a self-contained block's prices, budgets, and flow by ``x``.
+def scale_flow(edges, theta, x, buyers, goods):
+    """Surpluses after a closed block's prices and budgets scale by ``x``.
 
-    Buyer budgets here are flexible, of the form ``m_i = 1 + alpha_i``; the
-    scaled budget is ``1 + x*alpha_i``, prices of the block's goods multiply
-    by ``x``, and the block's flow multiplies by ``x``.  The scaled flow is
-    again a max-flow of the scaled network and balancedness is preserved:
-    each block surplus moves as ``theta_i(x) = 1 + x*(theta_i - 1)``.  The
-    block must be closed: no interest edge may cross its boundary (checked).
+    Buyer budgets here are flexible, of the form ``m_i = 1 + alpha_i``.
+    Multiplying the block's prices by ``x`` turns each block budget into
+    ``1 + x*alpha_i`` and the block's balanced flow, scaled by ``x``, is
+    again a balanced max-flow of the scaled network, so each block surplus
+    moves to ``1 + x*(theta_i - 1)`` and every other surplus stays.  The
+    block must be closed: no interest edge may cross its boundary
+    (checked).  This is Stage II's surplus update at a tight event; it keeps
+    its name because ``perfbench/tracing.py`` wraps ``scale_flow`` where
+    ``solver`` binds it and the benchmark reports it as a layer.
 
-    Returns ``(net', flow', theta')``.
+    Returns the new surplus tuple.
     """
-    x = Fraction(x)
-    buyers = set(range(net.n)) if buyers is None else set(buyers)
-    goods = set(range(net.g)) if goods is None else set(goods)
-    for (i, j) in net.edges:
+    for (i, j) in edges:
         if (i in buyers) != (j in goods):
             raise ValueError(f"edge ({i},{j}) crosses the scaled block")
-    p = tuple(net.p[j] * x if j in goods else net.p[j] for j in range(net.g))
-    m = tuple(1 + x * (net.m[i] - 1) if i in buyers else net.m[i] for i in range(net.n))
-    pair_flow = {
-        (i, j): (f * x if i in buyers else f) for (i, j), f in flow.pair_flow.items()
-    }
-    scaled_net = MarketNetwork(p, m, net.edges)
-    good_flow = [flow.good_flow[j] * x if j in goods else flow.good_flow[j] for j in range(net.g)]
-    buyer_flow = [flow.buyer_flow[i] * x if i in buyers else flow.buyer_flow[i] for i in range(net.n)]
-    scaled = FlowResult(
-        value=sum(good_flow, Fraction(0)),
-        good_flow=good_flow,
-        pair_flow=pair_flow,
-        buyer_flow=buyer_flow,
-        far_side=flow.far_side,
-        net=scaled_net,
-    )
-    theta = surpluses(scaled_net, scaled)
-    return scaled_net, scaled, theta
+    return tuple(1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta))

@@ -195,7 +195,10 @@ def verify_convex_dual(
     if any((i in split_b) != (j in split_g) for (i, j) in net.edges):
         return False
     flow, theta = balanced_flow(net)
-    if any(flow.good_flow[j] != p[j] for j in range(inst.g) if j not in split_g):
+    # Each good's flow is capped by its price, so the rest sells out exactly
+    # when its flow reaches its price mass.
+    rest_flow = sum((f for (_, j), f in flow.pair_flow.items() if j not in split_g), Fraction(0))
+    if rest_flow != sum((p[j] for j in range(inst.g) if j not in split_g), Fraction(0)):
         return False
     rest_sum = sum((theta[i] - 1 for i in rest_b), Fraction(0))
     return rest_sum >= 0

@@ -4,7 +4,9 @@ The recurring object is a bipartite flow network: source -> good j with
 capacity ``p[j]`` (the good's price), good -> buyer along "interest" edges
 with unbounded capacity, buyer i -> sink with capacity ``m[i]`` (the buyer's
 money).  A max-flow routes money from goods to buyers; its maximal minimum
-cut tells us which goods and buyers bind.
+cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
+sales and a buyer's spending are sums over them, and callers that need one
+sum it themselves.
 
 All capacities are rationals.  Max-flow clears denominators up front and runs
 integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
@@ -89,15 +91,16 @@ def build_network(inst, p) -> MarketNetwork:
 class FlowResult:
     """An exact max-flow of ``net`` plus its maximal minimum cut.
 
-    ``far_side`` is the complement of the nodes that reach the sink in the
-    residual graph, given as a pair ``(buyers, goods)`` of frozensets,
-    source/sink excluded.
+    ``pair_flow`` maps each interest edge ``(i, j)`` that carries money to
+    the amount good ``j`` sells to buyer ``i``; edges without flow are
+    absent.  ``far_side`` is the complement of the nodes that reach the sink
+    in the residual graph, given as a pair ``(buyers, goods)`` of
+    frozensets, source/sink excluded.  Only ``max_flow`` makes one, so the
+    cut always belongs to the flow.
     """
 
     value: Fraction
-    good_flow: list
     pair_flow: dict
-    buyer_flow: list
     far_side: tuple
     net: MarketNetwork
 
@@ -216,8 +219,6 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         f = cap[arc ^ 1]  # reverse residual equals flow shipped
         if f:
             pair_flow[(i, j)] = Fraction(f, scale)
-    good_flow = [sum((pair_flow.get((i, j), Fraction(0)) for i in range(n)), Fraction(0)) for j in range(g)]
-    buyer_flow = [sum((pair_flow.get((i, j), Fraction(0)) for j in range(g)), Fraction(0)) for i in range(n)]
 
     # Nodes that still reach the sink; the rest form the maximal min cut.
     to_sink = {sink}
@@ -233,11 +234,4 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         frozenset(i for i in range(n) if bnode(i) not in to_sink),
         frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
-    return FlowResult(
-        value=Fraction(value, scale),
-        good_flow=good_flow,
-        pair_flow=pair_flow,
-        buyer_flow=buyer_flow,
-        far_side=far_side,
-        net=net,
-    )
+    return FlowResult(value=Fraction(value, scale), pair_flow=pair_flow, far_side=far_side, net=net)

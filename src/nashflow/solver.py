@@ -352,10 +352,8 @@ def _stage2_phase(state):
             j for j in goods
             if any(state.flow.pair_flow.get((i, j), 0) > 0 for i in tight_buyers)
         }
-        net = MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
-        _, state.flow, theta = scale_flow(net, state.flow, stretch, buyers=block, goods=goods)
+        state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
         _scale(state, block, goods, stretch)
-        state.theta = list(theta)
         for i in tight_buyers:
             if state.theta[i] != 0:
                 raise SolverError("tight buyers must end with zero surplus")

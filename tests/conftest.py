@@ -112,6 +112,18 @@ def reference_surpluses(net: MarketNetwork) -> tuple:
     return tuple(theta)
 
 
+def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
+    """``net`` with a block's prices times ``x`` and its budgets ``1 + x*(m - 1)``.
+
+    This is the flexible-budget network after Stage II raises the block's
+    prices by ``x``: each budget ``1 + c_i/gamma_i`` becomes
+    ``1 + x*c_i/gamma_i`` as the best ratio ``gamma_i`` divides by ``x``.
+    """
+    p = tuple(q * x if j in goods else q for j, q in enumerate(net.p))
+    m = tuple(1 + x * (q - 1) if i in buyers else q for i, q in enumerate(net.m))
+    return MarketNetwork(p, m, net.edges)
+
+
 # ---------------------------------------------------------------------------
 # Random generators (callers seed their own ``random.Random``).
 

@@ -16,7 +16,13 @@ from nashflow import (
     surpluses,
     verify_property1,
 )
-from conftest import random_network, reference_surpluses, scalar_feasible, symmetric_pair
+from conftest import (
+    random_network,
+    reference_surpluses,
+    scalar_feasible,
+    scaled_network,
+    symmetric_pair,
+)
 
 
 def _unbalanced_shared_good():
@@ -26,9 +32,7 @@ def _unbalanced_shared_good():
     )
     flow = FlowResult(
         value=Fraction(1),
-        good_flow=[Fraction(1)],
         pair_flow={(1, 0): Fraction(1)},
-        buyer_flow=[Fraction(0), Fraction(1)],
         far_side=(frozenset(), frozenset()),
         net=net,
     )
@@ -169,31 +173,31 @@ def test_surplus_vector_is_order_independent():
 
 def test_scale_flow_up_reaches_the_equilibrium():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    flow, theta = balanced_flow(net)
+    _, theta = balanced_flow(net)
     assert theta == (Fraction(1, 2),)
-    snet, sflow, stheta = scale_flow(net, flow, Fraction(2))
-    assert snet.p == (Fraction(2),)
-    assert snet.m == (Fraction(2),)
+    stheta = scale_flow(net.edges, theta, Fraction(2), {0}, {0})
     assert stheta == (Fraction(0),)
-    assert sflow.value == Fraction(2)
-    assert verify_property1(snet, sflow) is True
+    # The scaled network is the market at the doubled price: p = 2, m = 2.
+    scaled = scaled_network(net, Fraction(2), {0}, {0})
+    assert scaled == build_network(scalar_feasible(), [Fraction(2)])
+    assert scaled.m == (Fraction(2),)
+    assert balanced_flow(scaled)[1] == stheta
 
 
 def test_scale_flow_down_grows_the_surplus():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    flow, _ = balanced_flow(net)
-    snet, sflow, stheta = scale_flow(net, flow, Fraction(1, 2))
-    assert snet.p == (Fraction(1, 2),)
-    assert snet.m == (Fraction(5, 4),)
+    _, theta = balanced_flow(net)
+    stheta = scale_flow(net.edges, theta, Fraction(1, 2), {0}, {0})
     assert stheta == (Fraction(3, 4),)
+    assert scaled_network(net, Fraction(1, 2), {0}, {0}).m == (Fraction(5, 4),)
 
 
 def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    flow, _ = balanced_flow(net)
+    _, theta = balanced_flow(net)
     for x in (Fraction(3, 2), Fraction(2), Fraction(1, 3)):
-        snet, sflow, stheta = scale_flow(net, flow, x)
-        _, direct = balanced_flow(snet)
+        stheta = scale_flow(net.edges, theta, x, {0}, {0})
+        _, direct = balanced_flow(scaled_network(net, x, {0}, {0}))
         assert stheta == direct
 
 
@@ -204,6 +208,6 @@ def test_scale_flow_rejects_edges_crossing_the_block():
         (Fraction(1), Fraction(1)),
         frozenset({(0, 0), (0, 1), (1, 1)}),
     )
-    flow, _ = balanced_flow(net)
+    _, theta = balanced_flow(net)
     with pytest.raises(ValueError):
-        scale_flow(net, flow, Fraction(2), buyers={0}, goods={0})
+        scale_flow(net.edges, theta, Fraction(2), {0}, {0})

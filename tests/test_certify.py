@@ -169,7 +169,8 @@ def _partition_by_definition(inst, buyers, goods, p):
         return False
     flow = max_flow(net)
     for j in range(inst.g):
-        if j not in split_g and flow.good_flow[j] != p[j]:
+        sold = sum((f for (_, jj), f in flow.pair_flow.items() if jj == j), Fraction(0))
+        if j not in split_g and sold != p[j]:
             return False
     _, theta = balanced_flow(net)
     return sum((theta[i] - 1 for i in rest_b), Fraction(0)) >= 0

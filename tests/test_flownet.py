@@ -72,8 +72,6 @@ def test_build_network_symmetric_pair():
 def test_max_flow_saturates_single_edge():
     flow = max_flow(MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)})))
     assert flow.value == Fraction(1)
-    assert flow.good_flow == [Fraction(1)]
-    assert flow.buyer_flow == [Fraction(1)]
     assert flow.pair_flow == {(0, 0): Fraction(1)}
     # The maximal cut absorbs both nodes.
     assert flow.far_side == (frozenset({0}), frozenset({0}))
@@ -94,7 +92,7 @@ def test_max_flow_respects_custom_money_caps():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow = max_flow(replace(net, m=(Fraction(1, 4), Fraction(1))))
     assert flow.value == Fraction(5, 4)
-    assert flow.buyer_flow == [Fraction(1, 4), Fraction(1)]
+    assert flow.pair_flow == {(0, 0): Fraction(1, 4), (1, 1): Fraction(1)}
 
 
 def test_max_flow_interior_edges_never_bind():
@@ -118,18 +116,13 @@ def test_max_flow_conservation_and_caps_random():
     for _ in range(150):
         net = random_network(rng)
         flow = max_flow(net)
+        assert all(q > 0 for q in flow.pair_flow.values())
         for j in range(net.g):
-            assert 0 <= flow.good_flow[j] <= net.p[j]
-            assert flow.good_flow[j] == sum(
-                q for (i, jj), q in flow.pair_flow.items() if jj == j
-            )
+            assert sum(q for (i, jj), q in flow.pair_flow.items() if jj == j) <= net.p[j]
         for i in range(net.n):
-            assert 0 <= flow.buyer_flow[i] <= net.m[i]
-            assert flow.buyer_flow[i] == sum(
-                q for (ii, j), q in flow.pair_flow.items() if ii == i
-            )
+            assert sum(q for (ii, j), q in flow.pair_flow.items() if ii == i) <= net.m[i]
         assert all((i, j) in net.edges for (i, j) in flow.pair_flow)
-        assert flow.value == sum(flow.good_flow, Fraction(0))
+        assert flow.value == sum(flow.pair_flow.values(), Fraction(0))
         # The cut's capacity certifies maximality.
         buyers, goods = flow.far_side
         cap = sum(
@@ -160,9 +153,7 @@ def test_residual_reachable_zero_flow_follows_interest_edges_only():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     zero = FlowResult(
         value=Fraction(0),
-        good_flow=[Fraction(0), Fraction(0)],
         pair_flow={},
-        buyer_flow=[Fraction(0), Fraction(0)],
         far_side=(frozenset(), frozenset()),
         net=net,
     )

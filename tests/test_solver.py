@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 from nashflow import (
+    MarketNetwork,
+    balanced_flow,
     check_equilibrium,
     check_feasibility_witness,
     check_kkt,
@@ -12,6 +14,7 @@ from nashflow import (
     initialize,
     make_instance,
     maxflow_budget,
+    scale_flow,
     solution_to_json,
     solve,
     SolverState,
@@ -20,10 +23,12 @@ from nashflow import (
     verify_convex_dual,
     verify_lp_dual,
 )
+from nashflow import solver
 from nashflow.fisher import _block_goods, _next_tie
 from conftest import (
     scalar_feasible,
     scalar_infeasible,
+    scaled_network,
     split_infeasible,
     unit_game,
 )
@@ -323,6 +328,36 @@ def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
         solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
     solve(gen_random(12, 12, 1000, 1500, 0))
     assert len(calls) > 1000
+
+
+def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
+    # At a tight event Stage II moves the block's surpluses by formula
+    # instead of recomputing the balanced flow.  Each update must equal the
+    # balanced surpluses of the scaled network, built here from the state the
+    # update was called on (before its prices move).
+    states = []
+    calls = []
+
+    def captured(state):
+        states.append(state)
+        return stage2(state)
+
+    def checked(edges, theta, x, buyers, goods):
+        updated = scale_flow(edges, theta, x, buyers, goods)
+        state = states[-1]
+        net = MarketNetwork(tuple(state.p), state.money, frozenset(edges))
+        assert balanced_flow(net)[1] == tuple(theta)
+        _, expected = balanced_flow(scaled_network(net, x, buyers, goods))
+        assert updated == expected, (state.inst.u, state.inst.c, x)
+        calls.append(x)
+        return updated
+
+    monkeypatch.setattr(solver, "stage2", captured)
+    monkeypatch.setattr(solver, "scale_flow", checked)
+    for seed in range(525):
+        solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+    solve(gen_random(12, 12, 1000, 1500, 0))
+    assert len(calls) > 250
 
 
 def test_solution_to_json_round_trips_rationals_as_strings():
