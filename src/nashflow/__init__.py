@@ -30,7 +30,7 @@ from .flownet import (
     maxflow_call_count,
 )
 from .balanced import BalanceError, balanced_flow, scale_flow, surpluses, verify_property1
-from .fisher import FisherError, fisher_equilibrium, measure_l1_vs_l2
+from .fisher import FisherError, fisher_equilibrium
 from .certify import (
     check_equilibrium,
     check_feasibility_witness,
@@ -93,7 +93,6 @@ __all__ = [
     "max_flow",
     "maxflow_budget",
     "maxflow_call_count",
-    "measure_l1_vs_l2",
     "oracle_solve",
     "parse_instance",
     "parse_rational",

@@ -213,11 +213,8 @@ def _cmd_gen(args) -> int:
         )
         _emit({"u": u, "money": money, "prices": prices}, args.output)
         return 0
-    payload = _read_json(args.input)
-    pi = [parse_rational(v) for v in payload["pi"]]
-    rates = [[int(v) for v in row] for row in payload["rates"]]
-    c = [parse_rational(v) for v in payload["c"]]
-    inst, scale = wireless_adapter(pi, rates, c)
+    payload = _object(_read_json(args.input), "wireless payload")
+    inst, scale = wireless_adapter(payload["pi"], payload["rates"], payload["c"])
     print(f"money scale: {format_rational(scale)}", file=sys.stderr)
     _emit(inst.to_json_dict(), args.output)
     return 0

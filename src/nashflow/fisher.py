@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .balanced import balanced_flow
 from .flownet import MarketNetwork, bang_per_buck, max_flow
-from .instance import gen_l1_adversarial
 
 
 class FisherError(AssertionError):
@@ -315,30 +314,3 @@ def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
     ]
     return p, x, (market.trace if collect_trace else [])
 
-
-def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
-    """Run one phase on the surplus-ladder family and report both norms.
-
-    The family is built so a single phase performs ``n`` edge events followed
-    by one tight event; the total surplus (l1) hardly moves while the squared
-    norm (l2) drops by a constant factor.  Returns a dict with the event list
-    and the start / after-edge-events / end values of both norms.
-    """
-    u, money, prices = gen_l1_adversarial(n, delta, big)
-    trace = []
-    _run(u, money, start_prices=prices, max_phases=1, trace=trace)
-    states = [e for e in trace if e["kind"] == "state"]
-    events = [e for e in trace if e["kind"] == "event"]
-    edge_events = [e for e in events if e["type"] == "edge"]
-    return {
-        "n": n,
-        "delta": Fraction(delta),
-        "events": events,
-        "l1_start": states[0]["l1"],
-        "l2_start": states[0]["l2"],
-        "l1_after_edges": edge_events[-1]["l1"] if edge_events else states[0]["l1"],
-        "l1_end": states[-1]["l1"],
-        "l2_end": states[-1]["l2"],
-        "l1_drop": states[0]["l1"] - states[-1]["l1"],
-        "l2_drop_factor": states[-1]["l2"] / states[0]["l2"],
-    }

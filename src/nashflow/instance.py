@@ -309,6 +309,11 @@ def wireless_adapter(pi, rates, c):
 
     Returns ``(instance, M)``.
     """
+    for name, value in (("pi", pi), ("rates", rates), ("c", c)):
+        if not isinstance(value, (list, tuple)):
+            raise InstanceError(f"{name} must be a list")
+    if not all(isinstance(row, (list, tuple)) for row in rates):
+        raise InstanceError("each row of rates must be a list")
     probs = [parse_rational(p) if not isinstance(p, Fraction) else Fraction(p) for p in pi]
     if not probs:
         raise InstanceError("need at least one channel state")

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from hypothesis import configuration, settings
 
-from nashflow import MarketNetwork, make_instance
+from nashflow import MarketNetwork, gen_l1_adversarial, make_instance
+from nashflow.fisher import _run
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -122,6 +123,38 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
     p = tuple(q * x if j in goods else q for j, q in enumerate(net.p))
     m = tuple(1 + x * (q - 1) if i in buyers else q for i, q in enumerate(net.m))
     return MarketNetwork(p, m, net.edges)
+
+
+# ---------------------------------------------------------------------------
+# One fixed-budget phase on the surplus-ladder family (acceptance criterion 08).
+
+
+def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
+    """Run one phase on the surplus-ladder family and report both norms.
+
+    The family is built so a single phase performs ``n`` edge events followed
+    by one tight event; the total surplus (l1) hardly moves while the squared
+    norm (l2) drops by a constant factor.  Returns a dict with the event list
+    and the start / after-edge-events / end values of both norms.
+    """
+    u, money, prices = gen_l1_adversarial(n, delta, big)
+    trace = []
+    _run(u, money, start_prices=prices, max_phases=1, trace=trace)
+    states = [e for e in trace if e["kind"] == "state"]
+    events = [e for e in trace if e["kind"] == "event"]
+    edge_events = [e for e in events if e["type"] == "edge"]
+    return {
+        "n": n,
+        "delta": Fraction(delta),
+        "events": events,
+        "l1_start": states[0]["l1"],
+        "l2_start": states[0]["l2"],
+        "l1_after_edges": edge_events[-1]["l1"] if edge_events else states[0]["l1"],
+        "l1_end": states[-1]["l1"],
+        "l2_end": states[-1]["l2"],
+        "l1_drop": states[0]["l1"] - states[-1]["l1"],
+        "l2_drop_factor": states[-1]["l2"] / states[0]["l2"],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from nashflow import (
     gen_random,
     limit_algorithm,
     max_flow,
-    measure_l1_vs_l2,
     oracle_solve,
     solve,
     verify_convex_dual,
@@ -31,6 +30,7 @@ from nashflow import (
 )
 from conftest import (
     exhaustive_small_instances,
+    measure_l1_vs_l2,
     random_network,
     reference_surpluses,
     scalar_feasible,

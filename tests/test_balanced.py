@@ -177,10 +177,10 @@ def test_scale_flow_up_reaches_the_equilibrium():
     assert theta == (Fraction(1, 2),)
     stheta = scale_flow(net.edges, theta, Fraction(2), {0}, {0})
     assert stheta == (Fraction(0),)
-    # The scaled network is the market at the doubled price: p = 2, m = 2.
+    # The scaled network is the market at the doubled price.
     scaled = scaled_network(net, Fraction(2), {0}, {0})
     assert scaled == build_network(scalar_feasible(), [Fraction(2)])
-    assert scaled.m == (Fraction(2),)
+    assert (scaled.p, scaled.m) == ((Fraction(2),), (Fraction(2),))
     assert balanced_flow(scaled)[1] == stheta
 
 
@@ -189,7 +189,8 @@ def test_scale_flow_down_grows_the_surplus():
     _, theta = balanced_flow(net)
     stheta = scale_flow(net.edges, theta, Fraction(1, 2), {0}, {0})
     assert stheta == (Fraction(3, 4),)
-    assert scaled_network(net, Fraction(1, 2), {0}, {0}).m == (Fraction(5, 4),)
+    scaled = scaled_network(net, Fraction(1, 2), {0}, {0})
+    assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
 
 
 def test_scale_flow_scaled_result_is_balanced_for_the_new_network():

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -108,12 +109,25 @@ PINNED_INSTANCES = (
     '{"u": [[1, 0, 0], [0, 1, 0]], "c": ["2", "0"]}',
     '{"u": [[0, 0], [1, 2]], "c": ["0", "1"]}',
 )
-CLI_BYTES_SHA256 = "8f400db894c13be878393b1d13d66c00db37fe116bb37a2fe67553fe6737fe9a"
+CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
+# The ``stats`` object of each instance's ``solve`` output, key order included.
+CLI_STATS = [
+    '{"phases": 2, "iterations": 2, "maxflows": 77}',
+    '{"phases": 0, "iterations": 0, "maxflows": 12}',
+    '{"phases": 0, "iterations": 0, "maxflows": 0}',
+]
+_STATS_OBJECT = re.compile(r'(\n  "stats": )\{.*?\n  \}', re.S)
 
 
 def test_cli_output_bytes_are_pinned(run, tmp_path):
-    """Exact stdout and exit codes, key order included, of the JSON verbs."""
+    """Exact stdout and exit codes, key order included, of the JSON verbs.
+
+    Each ``solve``'s ``stats`` object is cut out of its stdout before
+    hashing and compared on its own, so answers and work counts are pinned
+    apart.
+    """
     h = hashlib.sha256()
+    stats = []
     for k, text in enumerate(PINNED_INSTANCES):
         inst = tmp_path / f"instance{k}.json"
         inst.write_text(text)
@@ -121,7 +135,10 @@ def test_cli_output_bytes_are_pinned(run, tmp_path):
         code, out, _ = run(["solve", str(inst), "--trace", str(trace)])
         sol = tmp_path / f"solution{k}.json"
         sol.write_text(out)
-        h.update(f"{code}\n{out}".encode())
+        stats.append(json.dumps(json.loads(out)["stats"]))
+        answers, cuts = _STATS_OBJECT.subn(r"\1{}", out)
+        assert cuts == 1
+        h.update(f"{code}\n{answers}".encode())
         h.update(trace.read_bytes())
         for argv in (
             ["check", str(inst), str(sol)],
@@ -132,7 +149,8 @@ def test_cli_output_bytes_are_pinned(run, tmp_path):
             h.update(f"{code}\n{out}".encode())
     code, out, _ = run(["gen", "l1adv", "--n", "5"])
     h.update(f"{code}\n{out}".encode())
-    assert h.hexdigest() == CLI_BYTES_SHA256
+    assert h.hexdigest() == CLI_ANSWERS_SHA256
+    assert stats == CLI_STATS
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,23 @@ def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instan
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"pi":["1/2","1/2"],"rates":[[2.7, true]],"c":"0"}',
+        '{"pi":["1"],"rates":"3","c":["0"]}',
+        "[1]",
+        '{"pi":5,"rates":[[1]],"c":["0"]}',
+        '{"pi":["1"],"rates":[[1]],"c":5}',
+    ],
+)
+def test_gen_wireless_rejects_malformed_payload(run, payload):
+    code, out, err = run(["gen", "wireless", "--input", "-"], stdin_text=payload)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unparseable_json_exits_one(run, tmp_path):

@@ -5,9 +5,6 @@ from pathlib import Path
 
 import nashflow
 
-# The harness behind acceptance criterion 08; only its test calls it.
-HARNESSES = {"measure_l1_vs_l2"}
-
 
 def _names_read_outside_init():
     """Names the package modules other than ``__init__`` read or import."""
@@ -26,5 +23,5 @@ def _names_read_outside_init():
 
 
 def test_every_exported_name_has_a_caller_in_the_package():
-    orphans = set(nashflow.__all__) - _names_read_outside_init() - HARNESSES
+    orphans = set(nashflow.__all__) - _names_read_outside_init()
     assert sorted(orphans) == []

@@ -8,10 +8,9 @@ from nashflow import (
     fisher_equilibrium,
     gen_random,
     make_instance,
-    measure_l1_vs_l2,
     solve,
 )
-from conftest import symmetric_pair
+from conftest import measure_l1_vs_l2, symmetric_pair
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
-"""Golden output: one digest over solver answers, traces and work counts.
+"""Golden output: solver answers and max-flow counts, pinned separately.
 
-The digest covers, for a fixed set of instances, the canonical solution JSON,
-every trace event of a traced solve as ``nashflow solve --trace`` writes it,
-and the max-flow count, plus fixed-budget equilibria and traces at the
-non-unit budgets the limit iteration visits.  A refactor that changes any
-byte of ``solve`` output, any event or any count changes the digest; an
+The answers digest covers, for a fixed set of instances, the canonical
+solution JSON without its ``stats.maxflows`` count, every trace event of a
+traced solve as ``nashflow solve --trace`` writes it, and fixed-budget
+equilibria and traces at the non-unit budgets the limit iteration visits.  A
+refactor that changes any byte of that output changes the digest; an
 intended change of output must update the constant on purpose.
+
+The max-flow count of each instance is compared with the committed table in
+``golden_maxflows.json``, so a change that saves work shows which instances
+it touched.
 """
 
 import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from nashflow import (
     fisher_equilibrium,
@@ -21,15 +28,17 @@ from nashflow import (
     to_json,
 )
 
-GOLDEN_SHA256 = "47535746026af005fed703d408b1311d84370f29758e9c1208cd03e56fdb5fca"
+ANSWERS_SHA256 = "972c0163709340ca66532f43e447fdc9b8c75724b8f75935d12c50c579729bcf"
+MAXFLOWS_TABLE = Path(__file__).with_name("golden_maxflows.json")
 
 
 def _instances():
-    for seed in range(525):
-        yield gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed)
-    for seed in range(3):
-        yield gen_random(12, 12, 1000, 1500, seed)
-    yield gen_random(40, 40, 10, 10, 0)
+    """``(label, instance)`` for every pinned instance."""
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    for n, g, u_max, c_max, seed in shapes:
+        yield f"{n}x{g} U={u_max} C={c_max} seed={seed}", gen_random(n, g, u_max, c_max, seed)
 
 
 def _fisher_runs():
@@ -42,14 +51,30 @@ def _fisher_runs():
             yield fisher_equilibrium(reduced.u, money, collect_trace=True)
 
 
-def test_golden_output_digest():
+@pytest.fixture(scope="module")
+def golden():
+    """The answers digest and the max-flow count of each instance."""
     h = hashlib.sha256()
-    for inst in _instances():
+    maxflows = {}
+    for label, inst in _instances():
         sol = solve(inst, collect_trace=True)
-        h.update(json.dumps(solution_to_json(sol), sort_keys=True).encode())
+        doc = solution_to_json(sol)
+        maxflows[label] = doc["stats"].pop("maxflows")
+        h.update(json.dumps(doc, sort_keys=True).encode())
         for entry in sol.trace:
             h.update(json.dumps(to_json(entry)).encode())
-        h.update(str(sol.stats["maxflows"]).encode())
     for p, x, trace in _fisher_runs():
         h.update(json.dumps(to_json([p, x, trace])).encode())
-    assert h.hexdigest() == GOLDEN_SHA256
+    return h.hexdigest(), maxflows
+
+
+def test_golden_output_digest(golden):
+    assert golden[0] == ANSWERS_SHA256
+
+
+def test_golden_maxflow_counts(golden):
+    expected = json.loads(MAXFLOWS_TABLE.read_text(encoding="utf-8"))
+    maxflows = golden[1]
+    changed = {k: (expected.get(k), v) for k, v in maxflows.items() if expected.get(k) != v}
+    assert maxflows.keys() == expected.keys()
+    assert not changed, f"(table, now) per instance: {changed}"
