@@ -323,7 +323,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
-    except (InstanceError, OracleCapError, ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 1
+    except (InstanceError, OracleCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, BalanceError, FisherError) as exc:

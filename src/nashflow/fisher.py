@@ -236,8 +236,9 @@ def _rebuild(market):
 class _FixedBudgets:
     """Fixed-budget market over all buyers and goods, run by ``_price_phase``."""
 
-    def __init__(self, u, money, p, trace):
-        self.u, self.money, self.p, self.trace = u, money, p, trace
+    def __init__(self, u, money, p):
+        self.u, self.money, self.p = u, money, p
+        self.trace = []
         self.active_buyers = set(range(len(u)))
         self.active_goods = set(range(len(p)))
         self.gamma = [None] * len(u)
@@ -269,23 +270,20 @@ class _FixedBudgets:
         return True
 
 
-def _run(u, money, start_prices=None, max_phases=None, trace=None):
+def _run(u, money):
     money = tuple(Fraction(x) for x in money)
-    p = [Fraction(x) for x in (start_prices if start_prices is not None else initial_prices(u, money))]
-    market = _FixedBudgets(u, money, p, trace if trace is not None else [])
+    market = _FixedBudgets(u, money, initial_prices(u, money))
     cap = _phase_cap(u, money)
     while True:
         _rebuild(market)
         theta = market.theta
         market.trace.append(
             {
-                "kind": "state", "phase": market.phase, "p": tuple(p),
+                "kind": "state", "phase": market.phase, "p": tuple(market.p),
                 "theta": theta, "l1": _l1(theta), "l2": _l2(theta),
             }
         )
         if all(t == 0 for t in theta):
-            return market
-        if max_phases is not None and market.phase >= max_phases:
             return market
         market.phase += 1
         if market.phase > cap:
@@ -295,15 +293,15 @@ def _run(u, money, start_prices=None, max_phases=None, trace=None):
         _price_phase(market, block, True, market.stop_at_tight)
 
 
-def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
+def fisher_equilibrium(u, money):
     """Exact equilibrium of the fixed-budget market.
 
     Returns ``(p, x, trace)``: positive prices for wanted goods (0 for goods
     no one values), the allocation matrix with ``x[i][j]`` the fraction of
-    good ``j`` sold to buyer ``i``, and the phase/event trace (empty list
-    unless ``collect_trace``).
+    good ``j`` sold to buyer ``i``, and the run's trace: one ``state`` entry
+    per phase boundary and one ``event`` entry per edge or tight event.
     """
-    market = _run(u, money, start_prices=start_prices)
+    market = _run(u, money)
     p, flow = tuple(market.p), market.flow
     x = [
         [
@@ -312,5 +310,4 @@ def fisher_equilibrium(u, money, start_prices=None, collect_trace=False):
         ]
         for i in range(len(u))
     ]
-    return p, x, (market.trace if collect_trace else [])
-
+    return p, x, market.trace

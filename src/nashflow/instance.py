@@ -183,8 +183,9 @@ class PreprocessReport:
 def preprocess(inst: BargainingInstance):
     """Drop worthless goods and detect hopeless buyers.
 
-    Returns ``(reduced, report)``.  ``reduced`` is ``None`` when nothing
-    remains to solve (every good removed) or the verdict is already decided.
+    Returns ``(reduced, report)``.  ``reduced`` is ``None`` when a zero
+    buyer already decides the verdict; otherwise every buyer values some
+    good, so at least one good is kept.
     """
     report = PreprocessReport()
     for j in range(inst.g):
@@ -196,11 +197,6 @@ def preprocess(inst: BargainingInstance):
         if all(e == 0 for e in inst.u[i]):
             report.zero_buyers.append(i)
     if report.zero_buyers:
-        report.verdict = "infeasible"
-        return None, report
-    if not report.kept_goods:
-        # Unreachable for validated instances without zero buyers, but kept
-        # for direct callers.
         report.verdict = "infeasible"
         return None, report
     if not report.removed_goods:

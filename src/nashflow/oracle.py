@@ -216,7 +216,6 @@ def limit_algorithm(
     inst: BargainingInstance,
     eps: Fraction = Fraction(1, 10**6),
     max_iter: int = 1000,
-    collect_history: bool = False,
 ) -> LimitResult:
     """Iterate fixed-budget equilibria toward the flexible-budget one.
 
@@ -224,7 +223,8 @@ def limit_algorithm(
     equilibrium and reset each budget to ``1 + c_i / gamma_i``.  On feasible
     instances the budgets rise monotonically and converge to the
     flexible-budget equilibrium; the loop stops at an exact fixpoint, when
-    the update drops below ``eps``, or after ``max_iter`` rounds.
+    the update drops below ``eps``, or after ``max_iter`` rounds.  ``history``
+    holds one ``(prices, budgets)`` pair per round, prices over all goods.
     """
     reduced, report = preprocess(inst)
     if report.verdict == "infeasible":
@@ -240,8 +240,7 @@ def limit_algorithm(
         p, _x, _tr = fisher_equilibrium(reduced.u, money)
         gamma, _ = bang_per_buck(reduced.u, p)
         p_full = report.expand(p)
-        if collect_history:
-            history.append((list(p_full), list(money)))
+        history.append((list(p_full), list(money)))
         nxt = [1 + reduced.c[i] / gamma[i] for i in range(n)]
         if nxt == money:
             reason = "exact"

@@ -52,71 +52,47 @@ def _solve_phase(tableau, basis, cost):
         _pivot(tableau, basis, best[1], entering)
 
 
-def maximize(c, a_ub=None, b_ub=None, a_ge=None, b_ge=None, a_eq=None, b_eq=None):
+def maximize(c, a_ub, b_ub, a_ge, b_ge):
     """Maximize ``c . x`` subject to linear constraints, ``x >= 0``, exactly.
 
-    Constraint groups: ``a_ub x <= b_ub``, ``a_ge x >= b_ge``,
-    ``a_eq x = b_eq``.  Returns ``(value, x)`` as Fractions, ``None`` if the
-    constraints are inconsistent, and raises :class:`SimplexError` when the
-    objective is unbounded.
+    Constraint groups: ``a_ub x <= b_ub`` and ``a_ge x >= b_ge``.  Returns
+    ``(value, x)`` as Fractions, ``None`` if the constraints are
+    inconsistent, and raises :class:`SimplexError` when the objective is
+    unbounded.
     """
     c = [Fraction(v) for v in c]
     nvars = len(c)
-    rows = []
-    kinds = []
-    for mat, rhs, kind in (
-        (a_ub, b_ub, "ub"),
-        (a_ge, b_ge, "ge"),
-        (a_eq, b_eq, "eq"),
-    ):
-        if mat is None:
-            continue
+    prepared = []
+    for mat, rhs, upper in ((a_ub, b_ub, True), (a_ge, b_ge, False)):
         for line, b in zip(mat, rhs):
             row = [Fraction(v) for v in line]
             if len(row) != nvars:
                 raise ValueError("constraint row has the wrong arity")
-            rows.append((row, Fraction(b)))
-            kinds.append(kind)
+            b = Fraction(b)
+            if b < 0:
+                prepared.append(([-v for v in row], -b, not upper))
+            else:
+                prepared.append((row, b, upper))
 
-    nslack = sum(1 for k in kinds if k != "eq")
+    nslack = len(prepared)
+    art_start = nvars + nslack
+    n_art = sum(1 for (_, _, upper) in prepared if not upper)
+    total_cols = art_start + n_art + 1
     tableau = []
     basis = []
     artificial_cols = []
-    slack_at = 0
-    total = nvars + nslack
-    art_start = total
-
-    prepared = []
-    for (row, b), kind in zip(rows, kinds):
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            kind = {"ub": "ge", "ge": "ub", "eq": "eq"}[kind]
-        prepared.append((row, b, kind))
-
-    n_art = sum(1 for (_, _, kind) in prepared if kind != "ub")
-    total_cols = nvars + nslack + n_art + 1
-    art_seen = 0
-    for r, (row, b, kind) in enumerate(prepared):
+    for r, (row, b, upper) in enumerate(prepared):
         line = row + [Fraction(0)] * (nslack + n_art) + [b]
-        if kind == "ub":
-            line[nvars + slack_at] = Fraction(1)
-            basis.append(nvars + slack_at)
-            slack_at += 1
-        elif kind == "ge":
-            line[nvars + slack_at] = Fraction(-1)
-            slack_at += 1
-            line[art_start + art_seen] = Fraction(1)
-            basis.append(art_start + art_seen)
-            artificial_cols.append(art_start + art_seen)
-            art_seen += 1
+        if upper:
+            line[nvars + r] = Fraction(1)
+            basis.append(nvars + r)
         else:
-            line[art_start + art_seen] = Fraction(1)
-            basis.append(art_start + art_seen)
-            artificial_cols.append(art_start + art_seen)
-            art_seen += 1
+            line[nvars + r] = Fraction(-1)
+            col = art_start + len(artificial_cols)
+            line[col] = Fraction(1)
+            basis.append(col)
+            artificial_cols.append(col)
         tableau.append(line)
-    art_start = nvars + nslack
 
     if artificial_cols:
         phase1 = [Fraction(0)] * total_cols

@@ -144,7 +144,7 @@ def initialize(inst: BargainingInstance) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets."""
     n, g = inst.n, inst.g
     start = initial_prices(inst.u, [Fraction(1)] * n)
-    fisher = _fisher_run(inst.u, [Fraction(1)] * n, start_prices=start)
+    fisher = _fisher_run(inst.u, [Fraction(1)] * n)
     state = SolverState(
         inst=inst,
         p=list(fisher.p),
@@ -254,12 +254,17 @@ def _phi1(state):
 
 
 def _restore(state):
-    """Bring frozen groups back at safely scaled prices; verify the witness."""
+    """Bring frozen groups back at safely scaled prices; verify the witness.
+
+    With nothing frozen, Stage I's last rebuild already covers the whole
+    market, so the state is left as it is.
+    """
     inst = state.inst
-    _scale_frozen(state, state.p)
-    state.active_buyers = set(range(inst.n))
-    state.active_goods = set(range(inst.g))
-    _rebuild(state)
+    if state.frozen:
+        _scale_frozen(state, state.p)
+        state.active_buyers = set(range(inst.n))
+        state.active_goods = set(range(inst.g))
+        _rebuild(state)
     for i in range(inst.n):
         if state.beta(i) >= 0:
             raise SolverError("restored prices left a nonnegative deficit")
@@ -302,14 +307,15 @@ def _scale_frozen(state, p):
 def stage2(state: SolverState):
     """Raise prices from the feasibility witness to the equilibrium.
 
-    Returns ``(p, x, v)`` over the preprocessed instance's indices.
+    Expects the state ``stage1`` leaves on its feasible branch, rebuilt over
+    the whole market; each phase is followed by one rebuild.  Returns
+    ``(p, x, v)`` over the preprocessed instance's indices.
     """
     inst = state.inst
     n, g = inst.n, inst.g
     state.stage = 2
     guard = 0
     while True:
-        _rebuild(state)
         if all(t == 0 for t in state.theta):
             break
         if any(t >= 1 for t in state.theta):
@@ -318,6 +324,7 @@ def stage2(state: SolverState):
         if guard > 16 + 4 * n * n * g * (inst.u_max.bit_length() + 8):
             raise SolverError("stage II exceeded its phase safety cap")
         _stage2_phase(state)
+        _rebuild(state)
     x = [
         [
             state.flow.pair_flow.get((i, j), Fraction(0)) / state.p[j]

@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import configuration, settings
 
 from nashflow import MarketNetwork, gen_l1_adversarial, make_instance
-from nashflow.fisher import _run
+from nashflow.fisher import _FixedBudgets, _l1, _l2, _price_phase, _rebuild
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -134,26 +134,34 @@ def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
 
     The family is built so a single phase performs ``n`` edge events followed
     by one tight event; the total surplus (l1) hardly moves while the squared
-    norm (l2) drops by a constant factor.  Returns a dict with the event list
-    and the start / after-edge-events / end values of both norms.
+    norm (l2) drops by a constant factor.  The phase is the fixed-budget
+    run's first, driven here with the same kernel from the family's own
+    start prices.  Returns a dict with the event list and the start /
+    after-edge-events / end values of both norms.
     """
     u, money, prices = gen_l1_adversarial(n, delta, big)
-    trace = []
-    _run(u, money, start_prices=prices, max_phases=1, trace=trace)
-    states = [e for e in trace if e["kind"] == "state"]
-    events = [e for e in trace if e["kind"] == "event"]
+    market = _FixedBudgets(u, tuple(money), list(prices))
+    _rebuild(market)
+    start = market.theta
+    market.phase = 1
+    peak = max(start)
+    block = {i for i, t in enumerate(start) if t == peak}
+    _price_phase(market, block, True, market.stop_at_tight)
+    _rebuild(market)
+    end = market.theta
+    events = market.trace
     edge_events = [e for e in events if e["type"] == "edge"]
     return {
         "n": n,
         "delta": Fraction(delta),
         "events": events,
-        "l1_start": states[0]["l1"],
-        "l2_start": states[0]["l2"],
-        "l1_after_edges": edge_events[-1]["l1"] if edge_events else states[0]["l1"],
-        "l1_end": states[-1]["l1"],
-        "l2_end": states[-1]["l2"],
-        "l1_drop": states[0]["l1"] - states[-1]["l1"],
-        "l2_drop_factor": states[-1]["l2"] / states[0]["l2"],
+        "l1_start": _l1(start),
+        "l2_start": _l2(start),
+        "l1_after_edges": edge_events[-1]["l1"] if edge_events else _l1(start),
+        "l1_end": _l1(end),
+        "l2_end": _l2(end),
+        "l1_drop": _l1(start) - _l1(end),
+        "l2_drop_factor": _l2(end) / _l2(start),
     }
 
 

@@ -185,7 +185,7 @@ def test_criterion_07_limit_iteration_converges_from_below():
         if sol.verdict == "feasible":
             cases.append((inst, sol))
     for inst, sol in cases:
-        res = limit_algorithm(inst, eps=Fraction(1, 10**8), collect_history=True)
+        res = limit_algorithm(inst, eps=Fraction(1, 10**8))
         assert res.converged and res.iterations <= 1000, (inst.u, inst.c)
         pstar = list(sol.p)
         gamma, _ = bang_per_buck(inst.u, pstar)
@@ -204,9 +204,7 @@ def test_criterion_07_limit_iteration_converges_from_below():
             assert all(mt[i] <= mstar[i] for i in range(inst.n)), (inst.u, inst.c)
     # One buyer, one good, utility 2, fallback 1: each round halves the gap
     # to the fixed point, so consecutive budgets obey m' = 1 + m/2 exactly.
-    res = limit_algorithm(
-        scalar_feasible(), eps=Fraction(1, 10**6), collect_history=True
-    )
+    res = limit_algorithm(scalar_feasible(), eps=Fraction(1, 10**6))
     assert res.history[0][1] == [Fraction(1)]
     for t in range(1, len(res.history)):
         assert res.history[t][1][0] == 1 + res.history[t - 1][1][0] / 2

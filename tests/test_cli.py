@@ -112,7 +112,7 @@ PINNED_INSTANCES = (
 CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
 # The ``stats`` object of each instance's ``solve`` output, key order included.
 CLI_STATS = [
-    '{"phases": 2, "iterations": 2, "maxflows": 77}',
+    '{"phases": 2, "iterations": 2, "maxflows": 57}',
     '{"phases": 0, "iterations": 0, "maxflows": 12}',
     '{"phases": 0, "iterations": 0, "maxflows": 0}',
 ]
@@ -340,6 +340,25 @@ def test_gen_wireless_rejects_malformed_payload(run, payload):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, key",
+    [
+        (["check", "instance", "-"],
+         '{"verdict":"infeasible","certificate":{"lp_dual":{"z":["0","0"]}}}', "y"),
+        (["check", "instance", "-"],
+         '{"verdict":"infeasible","certificate":{"convex_dual":{"buyers":[0],"goods":[0]}}}',
+         "p"),
+        (["gen", "wireless", "--input", "-"], '{"pi":["1"],"rates":[[1]]}', "c"),
+    ],
+)
+def test_missing_key_is_named(run, feasible_file, argv, stdin_text, key):
+    argv = [feasible_file if a == "instance" else a for a in argv]
+    code, out, err = run(argv, stdin_text=stdin_text)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: missing key '{key}'\n"
 
 
 def test_unparseable_json_exits_one(run, tmp_path):

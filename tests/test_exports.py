@@ -1,9 +1,19 @@
-"""Every exported name has a caller inside the package."""
+"""Every exported name, and every optional parameter, has a caller in the package."""
 
 import ast
 from pathlib import Path
 
 import nashflow
+
+
+# ``cli.main`` is the console-script entry point, which calls it without
+# ``argv`` so that argparse reads the command line.
+ENTRY_POINT_PARAMETERS = {("main", "argv")}
+
+
+def _package_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(nashflow.__file__).parent.glob("*.py")]
 
 
 def _names_read_outside_init():
@@ -25,3 +35,63 @@ def _names_read_outside_init():
 def test_every_exported_name_has_a_caller_in_the_package():
     orphans = set(nashflow.__all__) - _names_read_outside_init()
     assert sorted(orphans) == []
+
+
+def _defaulted_parameters(trees):
+    """``(function, parameter, position)`` for each parameter with a default.
+
+    ``position`` counts from a call's first argument (``self`` skipped for
+    methods), or is ``None`` for keyword-only parameters.
+    """
+    found = set()
+    for tree in trees:
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            skip = 1 if id(fn) in methods else 0
+            for position, arg in enumerate(args[first:], first - skip):
+                found.add((fn.name, arg.arg, position))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found.add((fn.name, arg.arg, None))
+    return found
+
+
+def _passed_parameters(trees):
+    """``(callee, keyword)`` and ``(callee, position)`` for every call in the package.
+
+    Callees are matched by name, with ``import ... as`` aliases resolved; a
+    ``*args`` or ``**kwargs`` argument passes everything.
+    """
+    aliases = {alias.asname: alias.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            name = aliases.get(name, name)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                passed.add((name, "*"))
+            passed.update((name, k) for k in range(len(call.args)))
+            passed.update((name, kw.arg) for kw in call.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    trees = _package_trees()
+    passed = _passed_parameters(trees)
+    unused = sorted(
+        (fn, arg)
+        for fn, arg, position in _defaulted_parameters(trees)
+        if (fn, arg) not in passed and (fn, position) not in passed
+        and (fn, "*") not in passed and (fn, arg) not in ENTRY_POINT_PARAMETERS
+    )
+    assert unused == []

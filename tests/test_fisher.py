@@ -21,7 +21,8 @@ def test_single_buyer_single_good():
     p, x, trace = fisher_equilibrium(((1,),), (Fraction(1),))
     assert tuple(p) == (Fraction(1),)
     assert x == [[Fraction(1)]]
-    assert trace == []
+    # The start prices are already the equilibrium: one state, no events.
+    assert [(e["kind"], e["phase"], e["theta"]) for e in trace] == [("state", 0, (0,))]
 
 
 def test_two_buyers_split_one_good():
@@ -61,7 +62,7 @@ def test_prices_never_decrease_during_a_run():
     for _ in range(15):
         inst = gen_random(3, 3, 5, 0, rng.randint(0, 10**6))
         money = tuple(Fraction(rng.randint(1, 4)) for _ in range(3))
-        _, _, trace = fisher_equilibrium(inst.u, money, collect_trace=True)
+        _, _, trace = fisher_equilibrium(inst.u, money)
         states = [e for e in trace if e["kind"] == "state"]
         for before, after in zip(states, states[1:]):
             assert all(a >= b for a, b in zip(after["p"], before["p"]))

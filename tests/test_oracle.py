@@ -86,7 +86,7 @@ def test_limit_iteration_pins_on_the_scalar_game():
 
 def test_limit_iteration_follows_the_closed_form():
     # Money updates as m' = 1 + m/2 on this game, halving the gap to 2.
-    result = limit_algorithm(scalar_feasible(), collect_history=True)
+    result = limit_algorithm(scalar_feasible())
     money = [entry[1] for entry in result.history]
     assert money[:4] == [[Fraction(1)], [Fraction(3, 2)], [Fraction(7, 4)], [Fraction(15, 8)]]
     assert all(
@@ -119,7 +119,7 @@ def test_limit_iteration_approaches_the_exact_equilibrium():
         if sol.verdict != "feasible":
             continue
         checked += 1
-        result = limit_algorithm(inst, eps=Fraction(1, 10**8), collect_history=True)
+        result = limit_algorithm(inst, eps=Fraction(1, 10**8))
         assert result.converged is True
         assert max(abs(a - b) for a, b in zip(result.p, sol.p)) <= Fraction(1, 10**6)
         # Prices and budgets climb monotonically and never overshoot.

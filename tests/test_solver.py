@@ -324,10 +324,38 @@ def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
         calls.append(state)
 
     monkeypatch.setattr(SolverState, "rebalance", checked)
-    for seed in range(525):
+    for seed in range(600):
         solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
     solve(gen_random(12, 12, 1000, 1500, 0))
     assert len(calls) > 1000
+
+
+def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
+    # One rebuild at initialisation and one after each phase of either stage.
+    # The restore rebuilds only when it brings frozen groups back: otherwise
+    # Stage I's last rebuild already holds the whole market.
+    rebuild = solver._rebuild
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        rebuild(state)
+
+    monkeypatch.setattr(solver, "_rebuild", counted)
+    seen = set()
+    for seed in range(525):
+        calls.clear()
+        sol = solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+        detail = sol.stats.get("detail")
+        if detail is None:
+            assert calls == []
+            continue
+        froze = any(ph["reason"] == "isolated" for ph in detail["stage1_phases"])
+        thawed = sol.verdict == "feasible" and froze
+        expected = 1 + len(detail["stage1_phases"]) + thawed + len(detail["stage2_phases"])
+        assert len(calls) == expected, seed
+        seen.add((sol.verdict, froze))
+    assert {("feasible", True), ("feasible", False), ("infeasible", True)} <= seen
 
 
 def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
