@@ -39,11 +39,7 @@ def check_equilibrium(inst: BargainingInstance, p):
         return False, "some good cannot sell at these prices"
     if flow.value != budgets:
         return False, "some budget cannot be spent at these prices"
-    x = [
-        [flow.pair_flow.get((i, j), Fraction(0)) / p[j] for j in range(inst.g)]
-        for i in range(inst.n)
-    ]
-    return True, x
+    return True, flow.allocation()
 
 
 def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
@@ -75,15 +71,18 @@ def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
         sum((inst.u[i][j] * x[i][j] for j in range(inst.g)), Fraction(0))
         for i in range(inst.n)
     ]
+    # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
+    prices = [(q.numerator, q.denominator) for q in p]
     for i in range(inst.n):
         gain = v[i] - inst.c[i]
         if gain <= 0:
             return False, f"buyer {i} does not improve on the disagreement payoff"
-        for j in range(inst.g):
-            lhs = p[j] * gain
-            if lhs < inst.u[i][j]:
+        gn, gd = gain.numerator, gain.denominator
+        for j, (a, b) in enumerate(prices):
+            lhs, rhs = a * gn, inst.u[i][j] * b * gd
+            if lhs < rhs:
                 return False, f"stationarity violated at ({i},{j})"
-            if x[i][j] > 0 and lhs != inst.u[i][j]:
+            if x[i][j] > 0 and lhs != rhs:
                 return False, f"allocation ({i},{j}) is not on a tight pair"
     return True, "ok"
 

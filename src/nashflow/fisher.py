@@ -12,6 +12,10 @@ uniformly and stops at the first of two events:
   the block are absorbed into it;
 * the caller's stop event, which ends the phase.
 
+The next edge event is found in integers: utility-per-price ratios are
+compared by cross-multiplying numerators and denominators, and a
+``Fraction`` is built only for the nearest one.
+
 The kernel runs in two directions and under two kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
@@ -157,25 +161,30 @@ def _next_tie(market, block, goods, ascending):
     ``u_ij > 0``: over block buyers and outside goods when prices rise
     (factor ``r``), over outside buyers and block goods when they fall
     (factor ``1/r``).  Returns ``(None, [])`` when no such pair exists.
+    The running minimum is an integer pair ``N/D``, and a pair's ratio
+    ``gn a / (gd b u_ij)`` (``gamma_i = gn/gd``, ``p_j = a/b``) is compared
+    with it by cross-multiplying.
     """
     if ascending:
         buyers, targets = block, market.active_goods - goods
     else:
         buyers, targets = market.active_buyers - block, goods
     u, p, gamma = market.u, market.p, market.gamma
-    targets = sorted(targets)
-    best, pairs = None, []
+    targets = [(j, p[j].numerator, p[j].denominator) for j in sorted(targets)]
+    num = den = None
+    pairs = []
     for i in sorted(buyers):
-        for j in targets:
+        gn, gd = gamma[i].numerator, gamma[i].denominator
+        for j, a, b in targets:
             if u[i][j] > 0:
-                r = gamma[i] * p[j] / u[i][j]
-                if best is None or r < best:
-                    best, pairs = r, [(i, j)]
-                elif r == best:
+                rn, rd = gn * a, gd * b * u[i][j]
+                if num is None or num * rd > rn * den:
+                    num, den, pairs = rn, rd, [(i, j)]
+                elif num * rd == rn * den:
                     pairs.append((i, j))
-    if best is None or ascending:
-        return best, pairs
-    return 1 / best, pairs
+    if num is None:
+        return None, pairs
+    return (Fraction(num, den) if ascending else Fraction(den, num)), pairs
 
 
 def _price_phase(market, block, ascending, stop):
@@ -302,12 +311,4 @@ def fisher_equilibrium(u, money):
     per phase boundary and one ``event`` entry per edge or tight event.
     """
     market = _run(u, money)
-    p, flow = tuple(market.p), market.flow
-    x = [
-        [
-            (flow.pair_flow.get((i, j), Fraction(0)) / p[j]) if p[j] > 0 else Fraction(0)
-            for j in range(len(u[0]))
-        ]
-        for i in range(len(u))
-    ]
-    return p, x, market.trace
+    return tuple(market.p), market.flow.allocation(), market.trace

@@ -12,6 +12,8 @@ All capacities are rationals.  Max-flow clears denominators up front and runs
 integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
 so flows are exact and runs are reproducible.  Unbounded pair capacities are
 encoded as the total price mass plus one, which no s-t flow can reach.
+Utility-per-price ratios are compared in integers as well, by
+cross-multiplying numerators and denominators.
 """
 
 from __future__ import annotations
@@ -34,19 +36,28 @@ def bang_per_buck(u, p):
 
     Returns ``(gamma, edges)`` where ``gamma[i] = max_j u[i][j]/p[j]`` over
     goods with positive price and ``edges`` lists every ``(i, j)`` attaining
-    the maximum.  Rows with no positive utility toward positively-priced
-    goods are rejected (callers preprocess those away).
+    the maximum, row by row in ascending ``j``.  Rows with no positive
+    utility toward positively-priced goods are rejected (callers preprocess
+    those away).  With ``p_j = a_j/b_j`` the ratio is ``u_ij b_j / a_j``;
+    ratios are compared by cross-multiplying, and one ``Fraction`` is built
+    per row.
     """
-    n, g = len(u), len(p)
+    priced = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if x > 0]
     gamma = []
     edges = []
-    for i in range(n):
-        ratios = {j: Fraction(u[i][j], 1) / p[j] for j in range(g) if p[j] > 0 and u[i][j] > 0}
-        if not ratios:
+    for i, row in enumerate(u):
+        num, den, ties = 0, 1, []
+        for j, a, b in priced:
+            if row[j] > 0:
+                cand = row[j] * b
+                if cand * den > num * a:
+                    num, den, ties = cand, a, [j]
+                elif cand * den == num * a:
+                    ties.append(j)
+        if not ties:
             raise ValueError(f"buyer {i} values no positively priced good")
-        best = max(ratios.values())
-        gamma.append(best)
-        edges.extend((i, j) for j, ratio in ratios.items() if ratio == best)
+        gamma.append(Fraction(num, den))
+        edges.extend((i, j) for j in ties)
     return gamma, edges
 
 
@@ -103,6 +114,13 @@ class FlowResult:
     pair_flow: dict
     far_side: tuple
     net: MarketNetwork
+
+    def allocation(self):
+        """Share ``x[i][j]`` of good ``j`` sold to buyer ``i``, 0 without flow."""
+        x = [[Fraction(0)] * self.net.g for _ in range(self.net.n)]
+        for (i, j), f in self.pair_flow.items():
+            x[i][j] = f / self.net.p[j]
+        return x
 
     def residual_reach(self, start_buyers, reverse=False):
         """Buyers reachable from ``start_buyers`` in the residual graph.
@@ -165,18 +183,18 @@ def max_flow(net: MarketNetwork) -> FlowResult:
 
     # Pair capacities stand in for "unbounded" and must strictly exceed any
     # achievable flow, or a fully loaded pair would masquerade as a cut edge.
-    unbounded = sum(int(x * scale) for x in net.p) + 1
+    price_caps = [x.numerator * (scale // x.denominator) for x in net.p]
+    unbounded = sum(price_caps) + 1
     pair_ids = {}
-    for j in range(g):
-        cj = int(net.p[j] * scale)
+    for j, cj in enumerate(price_caps):
         if cj > 0:
             add_arc(source, gnode(j), cj)
     for (i, j) in sorted(net.edges, key=lambda e: (e[1], e[0])):
         if net.p[j] > 0:
             pair_ids[(i, j)] = len(to)
             add_arc(gnode(j), bnode(i), unbounded)
-    for i in range(n):
-        ci = int(net.m[i] * scale)
+    for i, x in enumerate(net.m):
+        ci = x.numerator * (scale // x.denominator)
         if ci > 0:
             add_arc(bnode(i), sink, ci)
 

@@ -54,7 +54,7 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
-from .fisher import _price_phase, _rebuild, _scale, initial_prices
+from .fisher import _price_phase, _rebuild, _scale
 from .fisher import _run as _fisher_run
 from .flownet import MarketNetwork, maxflow_call_count
 from .instance import BargainingInstance, preprocess, to_json
@@ -143,7 +143,6 @@ def _trace(state, **entry):
 def initialize(inst: BargainingInstance) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets."""
     n, g = inst.n, inst.g
-    start = initial_prices(inst.u, [Fraction(1)] * n)
     fisher = _fisher_run(inst.u, [Fraction(1)] * n)
     state = SolverState(
         inst=inst,
@@ -154,8 +153,9 @@ def initialize(inst: BargainingInstance) -> SolverState:
         active_buyers=set(range(n)),
         active_goods=set(range(g)),
     )
-    lowest = min(start)
-    state.mu = -(-lowest.denominator // lowest.numerator)
+    # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
+    lowest = min(max(col) for col in zip(*inst.u))
+    state.mu = -(-(g * inst.u_max) // lowest)
     state.stats = {
         "fisher_phases": fisher.phase,
         "stage1_phases": [],
@@ -325,13 +325,7 @@ def stage2(state: SolverState):
             raise SolverError("stage II exceeded its phase safety cap")
         _stage2_phase(state)
         _rebuild(state)
-    x = [
-        [
-            state.flow.pair_flow.get((i, j), Fraction(0)) / state.p[j]
-            for j in range(g)
-        ]
-        for i in range(n)
-    ]
+    x = state.flow.allocation()
     v = tuple(
         sum((inst.u[i][j] * x[i][j] for j in range(g)), Fraction(0)) for i in range(n)
     )

@@ -126,6 +126,75 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
 
 
 # ---------------------------------------------------------------------------
+# Fraction references for the integer ratio searches: each builds one
+# ``Fraction`` per pair and reads its definition directly.  The package
+# cross-multiplies integers and must return the same values in the same order.
+
+
+def reference_bang_per_buck(u, p):
+    """``flownet.bang_per_buck`` computed with one ``Fraction`` per pair."""
+    n, g = len(u), len(p)
+    gamma = []
+    edges = []
+    for i in range(n):
+        ratios = {j: Fraction(u[i][j], 1) / p[j] for j in range(g) if p[j] > 0 and u[i][j] > 0}
+        if not ratios:
+            raise ValueError(f"buyer {i} values no positively priced good")
+        best = max(ratios.values())
+        gamma.append(best)
+        edges.extend((i, j) for j, ratio in ratios.items() if ratio == best)
+    return gamma, edges
+
+
+def reference_next_tie(market, block, goods, ascending):
+    """``fisher._next_tie`` computed with one ``Fraction`` per pair."""
+    if ascending:
+        buyers, targets = block, market.active_goods - goods
+    else:
+        buyers, targets = market.active_buyers - block, goods
+    u, p, gamma = market.u, market.p, market.gamma
+    targets = sorted(targets)
+    best, pairs = None, []
+    for i in sorted(buyers):
+        for j in targets:
+            if u[i][j] > 0:
+                r = gamma[i] * p[j] / u[i][j]
+                if best is None or r < best:
+                    best, pairs = r, [(i, j)]
+                elif r == best:
+                    pairs.append((i, j))
+    if best is None or ascending:
+        return best, pairs
+    return 1 / best, pairs
+
+
+def random_ratio_case(rng: random.Random):
+    """Utilities, prices and best ratios for a ratio search, often tying.
+
+    Returns ``(u, p, gamma)``.  Entries are small integers times one shared
+    rational scale for prices and another for ratios, so ratios tie often;
+    the scales, and in some cases every entry, have numerators and
+    denominators of up to 180 bits.  Zero utilities and zero prices occur.
+    """
+    n, g = rng.randint(1, 4), rng.randint(1, 5)
+    bits = rng.choice((1, 8, 60, 180))
+
+    def big():
+        return Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1)
+
+    if rng.random() < 2 / 3:
+        p_scale, g_scale = big(), big()
+        u = [[rng.choice((0, 1, 2, 2, 3, 6)) for _ in range(g)] for _ in range(n)]
+        p = [rng.choice((0, 1, 2, 3, 6)) * p_scale for _ in range(g)]
+        gamma = [rng.choice((1, 2, 3, 6)) * g_scale for _ in range(n)]
+    else:
+        u = [[rng.choice((0, 1, 3, rng.randint(1, 1000))) for _ in range(g)] for _ in range(n)]
+        p = [rng.choice((0, big(), big(), big())) for _ in range(g)]
+        gamma = [big() for _ in range(n)]
+    return u, p, gamma
+
+
+# ---------------------------------------------------------------------------
 # One fixed-budget phase on the surplus-ladder family (acceptance criterion 08).
 
 

@@ -81,6 +81,26 @@ def test_check_kkt_rejects_oversold_good():
     assert ok is False
 
 
+def test_check_kkt_rejects_a_tight_price_nudged_by_two_to_the_minus_200():
+    # A golden deep instance: its equilibrium prices carry ~100-bit
+    # denominators, and a nudge far below them must still break exactness.
+    inst = gen_random(12, 12, 1000, 1500, 0)
+    sol = solve(inst)
+    assert check_kkt(inst, sol.p, sol.x) == (True, "ok")
+    j = 0
+    i = min(i for i in range(inst.n) if sol.x[i][j] > 0)
+    for eps in (Fraction(1, 2**200), -Fraction(1, 2**200)):
+        p = list(sol.p)
+        p[j] += eps
+        ok, reason = check_kkt(inst, p, sol.x)
+        assert not ok
+        if eps > 0:
+            assert reason == f"allocation ({i},{j}) is not on a tight pair"
+        else:
+            assert reason.startswith("stationarity violated at (")
+            assert reason.endswith(f",{j})")
+
+
 # ---------------------------------------------------------------------------
 # Feasibility witness (every surplus strictly under one unit)
 

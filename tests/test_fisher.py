@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from nashflow import (
     check_kkt,
@@ -10,7 +13,8 @@ from nashflow import (
     make_instance,
     solve,
 )
-from conftest import measure_l1_vs_l2, symmetric_pair
+from nashflow.fisher import _next_tie
+from conftest import measure_l1_vs_l2, random_ratio_case, reference_next_tie, symmetric_pair
 
 
 # ---------------------------------------------------------------------------
@@ -132,3 +136,37 @@ def test_ladder_phase_l1_progress_is_inverse_exponential():
         assert report["l1_drop"] <= Fraction(1, 2 ** (n - 2))
         buyers = n + 1
         assert report["l2_drop_factor"] <= 1 - Fraction(1, buyers**2)
+
+
+# ---------------------------------------------------------------------------
+# Edge-event search
+
+
+def test_next_tie_matches_the_fraction_reference():
+    # Same factor and the same tying pairs in the same order, rising and
+    # falling, or the same ZeroDivisionError when a zero price ties first
+    # while prices fall.
+    rng = random.Random(12)
+    tied = raised = deep = 0
+    for _ in range(5000):
+        u, p, gamma = random_ratio_case(rng)
+        n, g = len(u), len(p)
+        market = SimpleNamespace(
+            u=u, p=p, gamma=gamma,
+            active_buyers={i for i in range(n) if rng.random() < 0.8},
+            active_goods={j for j in range(g) if rng.random() < 0.8},
+        )
+        block = {i for i in market.active_buyers if rng.random() < 0.5}
+        goods = {j for j in market.active_goods if rng.random() < 0.5}
+        ascending = rng.random() < 0.5
+        try:
+            want = reference_next_tie(market, block, goods, ascending)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _next_tie(market, block, goods, ascending)
+            raised += 1
+            continue
+        assert _next_tie(market, block, goods, ascending) == want
+        tied += len(want[1]) > 1
+        deep += want[0] is not None and want[0].denominator.bit_length() > 150
+    assert tied > 150 and raised > 150 and deep > 200

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,14 @@ from nashflow import (
     max_flow,
     maxflow_call_count,
 )
-from conftest import random_network, scalar_feasible, symmetric_pair, unit_game
+from conftest import (
+    random_network,
+    random_ratio_case,
+    reference_bang_per_buck,
+    scalar_feasible,
+    symmetric_pair,
+    unit_game,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +49,27 @@ def test_bang_per_buck_rejects_buyer_with_no_priced_interest():
 
 # ---------------------------------------------------------------------------
 # Network construction (flexible budgets: m_i = 1 + c_i/gamma_i)
+
+
+def test_bang_per_buck_matches_the_fraction_reference():
+    # The integer search returns the reference's gammas and the same edges in
+    # the same order, or the same rejection.
+    rng = random.Random(11)
+    tied = rejected = deep = 0
+    for _ in range(5000):
+        u, p, _ = random_ratio_case(rng)
+        try:
+            want = reference_bang_per_buck(u, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                bang_per_buck(u, p)
+            assert str(got.value) == str(exc)
+            rejected += 1
+            continue
+        assert bang_per_buck(u, p) == want
+        tied += len(want[1]) > len(want[0])
+        deep += max(gamma.denominator for gamma in want[0]).bit_length() > 150
+    assert tied > 400 and rejected > 400 and deep > 500
 
 
 def test_build_network_unit():
@@ -129,6 +158,36 @@ def test_max_flow_conservation_and_caps_random():
             (net.p[j] for j in range(net.g) if j not in goods), Fraction(0)
         ) + sum((net.m[i] for i in buyers), Fraction(0))
         assert cap == flow.value
+
+
+def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
+    # Capacities are cleared by an lcm of about a thousand bits; the value
+    # must still equal the least cut, found here by trying every set of goods
+    # on the source side (their buyers must then be cut from the sink).
+    rng = random.Random(13)
+
+    def big():
+        return Fraction(rng.getrandbits(182) + 1, rng.getrandbits(180) | 1 << 179)
+
+    for _ in range(200):
+        n, g = rng.randint(1, 3), rng.randint(1, 3)
+        p = tuple(big() for _ in range(g))
+        m = tuple(big() for _ in range(n))
+        edges = frozenset((i, j) for i in range(n) for j in range(g) if rng.random() < 0.6)
+        net = MarketNetwork(p, m, edges)
+        least = min(
+            sum((p[j] for j in range(g) if j not in side), Fraction(0))
+            + sum((m[i] for i in range(n) if any((i, j) in edges for j in side)), Fraction(0))
+            for k in range(g + 1)
+            for side in combinations(range(g), k)
+        )
+        flow = max_flow(net)
+        assert flow.value == least
+        assert flow.value == sum(flow.pair_flow.values(), Fraction(0))
+        for j in range(g):
+            assert sum(q for (_, jj), q in flow.pair_flow.items() if jj == j) <= p[j]
+        for i in range(n):
+            assert sum(q for (ii, _), q in flow.pair_flow.items() if ii == i) <= m[i]
 
 
 def test_maxflow_call_count_increases():
