@@ -10,18 +10,19 @@ alternates a buyer, a good paying that buyer and a buyer interested in the
 good, so the condition is checked one good at a time: each buyer a good pays
 has at least the largest surplus among the good's interested buyers.
 
-The computation is divide and conquer on the buyer set: try the flat surplus
-level ``delta = (total money - max-flow) / #buyers`` with one max-flow at
-clamped sink capacities; if it is not achievable, the maximal min cut of that
-test run splits the buyers into a low-surplus side (inside the cut, together
-with its goods) and a high-surplus side, which are solved independently —
-cross edges carry no flow in any balanced flow.  Every split leaves both
-sides nonempty, so the recursion has at most ``2n - 1`` nodes; each costs at
-most two max-flows and the reassembly one more, at most ``4n - 1`` in all.
-The final reassembly is checked: the flow must saturate every
-clamped sink capacity, match the unconstrained max-flow value, and pass the
-residual-reachability characterization above, which together *prove* the
-output is the balanced flow.
+The computation is divide and conquer on the buyer set.  A block of value
+``F`` (one max-flow finds the root's) tries the flat surplus level
+``delta = (block money - F) / #buyers`` with one max-flow at clamped sink
+capacities; if it is not achievable, the maximal min cut of that trial splits
+the buyers into a low-surplus side (inside the cut, with its goods) and a
+high-surplus side.  The high goods sell out in the trial to high buyers
+alone, and no interest edge runs from a low good to a high buyer (an
+unbounded arc across a finite cut), so the high child's value is the high
+goods' price mass and the low child's is ``F`` minus it.  At most ``2n - 1``
+blocks each run at most one trial: with the root value and the reassembly,
+at most ``2n + 1`` max-flows.  The reassembly must saturate every clamped
+sink capacity, match the root value and pass the characterization above,
+which together *prove* the output balanced however its surpluses were found.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def balanced_flow(net: MarketNetwork):
     """Compute the balanced flow.  Returns ``(flow, theta)``, both exact."""
     n = net.n
     theta = [None] * n
-    root_value = _solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)
+    root_value = max_flow(net).value
+    _solve(frozenset(range(n)), frozenset(range(net.g)), root_value, net, theta)
     caps = [net.m[i] - theta[i] for i in range(n)]
     flow = max_flow(replace(net, m=tuple(caps)))
     if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
@@ -75,32 +77,26 @@ def balanced_flow(net: MarketNetwork):
     return flow, tuple(theta)
 
 
-def _solve(buyers, goods, net, theta):
-    """Fill ``theta`` for the given block; return the block's max-flow value."""
-    if not buyers:
-        return Fraction(0)
-    sub = net.sub(buyers, goods)
-    value = max_flow(sub).value
+def _solve(buyers, goods, value, net, theta):
+    """Fill ``theta`` for a nonempty block whose max-flow value is ``value``."""
     delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
     if delta == 0:
         for i in buyers:
             theta[i] = Fraction(0)
-        return value
+        return
     caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
-    trial = max_flow(replace(sub, m=tuple(caps)))
+    trial = max_flow(replace(net.sub(buyers, goods), m=tuple(caps)))
     if trial.value == value and all(net.m[i] >= delta for i in buyers):
         for i in buyers:
             theta[i] = delta
-        return value
-    low_b = set(trial.far_side[0]) & set(buyers)
-    low_g = set(trial.far_side[1]) & set(goods)
-    if not low_b or low_b == set(buyers):
+        return
+    low_b = trial.far_side[0] & buyers
+    low_g = trial.far_side[1] & goods
+    if not low_b or low_b == buyers:
         raise BalanceError("degenerate split in balanced-flow recursion")
-    lo = _solve(frozenset(low_b), frozenset(low_g), net, theta)
-    hi = _solve(frozenset(buyers - low_b), frozenset(goods - low_g), net, theta)
-    if lo + hi != value:
-        raise BalanceError("split lost flow value")
-    return value
+    high_value = sum((net.p[j] for j in goods - low_g), Fraction(0))
+    _solve(low_b, low_g, value - high_value, net, theta)
+    _solve(buyers - low_b, goods - low_g, high_value, net, theta)
 
 
 def scale_flow(edges, theta, x, buyers, goods):

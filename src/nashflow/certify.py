@@ -57,20 +57,21 @@ def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
     if any(len(row) != inst.g for row in x):
         return False, "shape mismatch"
     x = [[Fraction(v) for v in row] for row in x]
-    if any(v < 0 for row in x for v in row):
-        return False, "negative allocation"
-    if any(v < 0 for v in p):
+    sold, v = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
+    for i, row in enumerate(x):
+        for j, share in enumerate(row):
+            if share < 0:
+                return False, "negative allocation"
+            if share:
+                sold[j] += share
+                v[i] += inst.u[i][j] * share
+    if any(q < 0 for q in p):
         return False, "negative price"
     for j in range(inst.g):
-        sold = sum((x[i][j] for i in range(inst.n)), Fraction(0))
-        if sold > 1:
+        if sold[j] > 1:
             return False, f"good {j} oversold"
-        if p[j] > 0 and sold != 1:
+        if p[j] > 0 and sold[j] != 1:
             return False, f"good {j} priced but not sold out"
-    v = [
-        sum((inst.u[i][j] * x[i][j] for j in range(inst.g)), Fraction(0))
-        for i in range(inst.n)
-    ]
     # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
     prices = [(q.numerator, q.denominator) for q in p]
     for i in range(inst.n):

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: support enumeration with exact
 linear algebra, a plain LP for the feasibility margin, and a fixpoint
-iteration of fixed-budget equilibria.  None of it shares code paths with
-the two-stage solver beyond instance handling, which is what makes the
-agreement tests meaningful.
+iteration of fixed-budget equilibria.  The enumeration and the LP share only
+instance handling with the two-stage solver, which is what makes agreement
+with them meaningful.  The fixpoint iteration does not: it runs
+``fisher_equilibrium``, which shares the price-phase kernel,
+``balanced_flow``, ``max_flow`` and ``bang_per_buck`` with the solver, so it
+cross-checks the two-stage logic, not those layers.
 """
 
 from __future__ import annotations

@@ -68,6 +68,11 @@ def _clog2(v: int) -> int:
     return max(0, (int(v) - 1).bit_length())
 
 
+def _phase_cap(inst) -> int:
+    """Safety cap on the phases of one stage."""
+    return 16 + 4 * inst.n * inst.n * inst.g * (inst.u_max.bit_length() + 8)
+
+
 def maxflow_budget(n, g, u_max, c_max, mu) -> int:
     """Worst-case max-flow budget for a full solve (polynomial bound).
 
@@ -180,7 +185,6 @@ def stage1(state: SolverState) -> str:
     the infeasible branch the state is left at the terminal prices for
     certificate extraction.
     """
-    n, g = state.inst.n, state.inst.g
     state.stage = 1
     guard = 0
     while True:
@@ -192,7 +196,7 @@ def stage1(state: SolverState) -> str:
             verdict = "infeasible"
             break
         guard += 1
-        if guard > 16 + 4 * n * n * g * (state.inst.u_max.bit_length() + 8):
+        if guard > _phase_cap(state.inst):
             raise SolverError("stage I exceeded its phase safety cap")
         _stage1_phase(state)
         _rebuild(state)
@@ -312,7 +316,6 @@ def stage2(state: SolverState):
     ``(p, x, v)`` over the preprocessed instance's indices.
     """
     inst = state.inst
-    n, g = inst.n, inst.g
     state.stage = 2
     guard = 0
     while True:
@@ -321,19 +324,19 @@ def stage2(state: SolverState):
         if any(t >= 1 for t in state.theta):
             raise SolverError("stage II requires every surplus below 1")
         guard += 1
-        if guard > 16 + 4 * n * n * g * (inst.u_max.bit_length() + 8):
+        if guard > _phase_cap(inst):
             raise SolverError("stage II exceeded its phase safety cap")
         _stage2_phase(state)
         _rebuild(state)
     x = state.flow.allocation()
-    v = tuple(
-        sum((inst.u[i][j] * x[i][j] for j in range(g)), Fraction(0)) for i in range(n)
-    )
-    for i in range(n):
+    v = [Fraction(0)] * inst.n
+    for (i, j) in state.flow.pair_flow:
+        v[i] += inst.u[i][j] * x[i][j]
+    for i in range(inst.n):
         if v[i] - inst.c[i] != state.gamma[i]:
             raise SolverError("terminal gains must equal the best ratio")
     _trace(state, stage=2, type="equilibrium")
-    return tuple(state.p), x, v
+    return tuple(state.p), x, tuple(v)
 
 
 def _stage2_phase(state):
@@ -454,12 +457,6 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     state = initialize(reduced)
     verdict = stage1(state)
 
-    stats = state.stats
-    stage1_iters = sum(ph["iterations"] for ph in stats["stage1_phases"])
-    budget = maxflow_budget(
-        reduced.n, reduced.g, reduced.u_max, reduced.c_max, state.mu
-    )
-
     if verdict == "infeasible":
         lp = _lp_dual_certificate(state)
         cx = _convex_dual_certificate(state)
@@ -477,16 +474,13 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
         }
         sol = Solution(
             verdict="infeasible", certificate=cert, report=report,
-            stats=_final_stats(stats, stage1_iters, 0, flows0),
+            stats=_final_stats(state, flows0),
             trace=state.trace if collect_trace else [],
         )
-        sol.stats["mu"] = state.mu
-        sol.stats["budget"] = budget
         _verify_infeasible(inst, sol)
         return sol
 
     p_red, x_red, v = stage2(state)
-    stage2_iters = sum(ph["iterations"] for ph in stats["stage2_phases"])
     p = tuple(report.expand(p_red))
     x = [report.expand(row) for row in x_red]
     witness = tuple(report.expand(state.feasible_prices))
@@ -498,25 +492,26 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     if not eq:
         raise SolverError("terminal prices failed the one-flow equilibrium test")
 
-    sol = Solution(
+    return Solution(
         verdict="feasible", p=p, x=x, v=v, feasible_prices=witness,
         report=report,
-        stats=_final_stats(stats, stage1_iters, stage2_iters, flows0),
+        stats=_final_stats(state, flows0),
         trace=state.trace if collect_trace else [],
     )
-    sol.stats["mu"] = state.mu
-    sol.stats["budget"] = budget
-    return sol
 
 
-def _final_stats(stats, it1, it2, flows0):
-    out = {
-        "phases": len(stats["stage1_phases"]) + len(stats["stage2_phases"]),
-        "iterations": it1 + it2,
+def _final_stats(state, flows0):
+    """A solve's counts, its max-flow budget and the per-stage detail."""
+    stats, inst = state.stats, state.inst
+    phases = stats["stage1_phases"] + stats["stage2_phases"]
+    return {
+        "phases": len(phases),
+        "iterations": sum(ph["iterations"] for ph in phases),
         "maxflows": maxflow_call_count() - flows0,
         "detail": stats,
+        "mu": state.mu,
+        "budget": maxflow_budget(inst.n, inst.g, inst.u_max, inst.c_max, state.mu),
     }
-    return out
 
 
 def _verify_infeasible(inst, sol: Solution):

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import configuration, settings
 
-from nashflow import MarketNetwork, gen_l1_adversarial, make_instance
+from nashflow import (
+    BalanceError,
+    MarketNetwork,
+    gen_l1_adversarial,
+    make_instance,
+    max_flow,
+    verify_property1,
+)
 from nashflow.fisher import _FixedBudgets, _l1, _l2, _price_phase, _rebuild
 
 # Property tests draw the same examples on every run and keep no example
@@ -123,6 +131,56 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
     p = tuple(q * x if j in goods else q for j, q in enumerate(net.p))
     m = tuple(1 + x * (q - 1) if i in buyers else q for i, q in enumerate(net.m))
     return MarketNetwork(p, m, net.edges)
+
+
+# ---------------------------------------------------------------------------
+# The plain balanced-flow recursion, without child values derived from the
+# parent block: every block runs its own max-flow for its value, and a split
+# checks that the children's values add up.  Kept to compare ``theta`` and the
+# pair flows with ``balanced.balanced_flow`` on networks too large for
+# ``reference_surpluses``.
+
+
+def reference_balanced_flow(net: MarketNetwork):
+    """``balanced.balanced_flow`` with one extra max-flow per block."""
+    n = net.n
+    theta = [None] * n
+    root_value = _reference_solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)
+    caps = [net.m[i] - theta[i] for i in range(n)]
+    flow = max_flow(replace(net, m=tuple(caps)))
+    if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
+        raise BalanceError("reassembled flow does not saturate the computed surplus levels")
+    if not verify_property1(net, flow):
+        raise BalanceError("reassembled flow violates the balance characterization")
+    return flow, tuple(theta)
+
+
+def _reference_solve(buyers, goods, net, theta):
+    """Fill ``theta`` for the given block; return the block's max-flow value."""
+    if not buyers:
+        return Fraction(0)
+    sub = net.sub(buyers, goods)
+    value = max_flow(sub).value
+    delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
+    if delta == 0:
+        for i in buyers:
+            theta[i] = Fraction(0)
+        return value
+    caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
+    trial = max_flow(replace(sub, m=tuple(caps)))
+    if trial.value == value and all(net.m[i] >= delta for i in buyers):
+        for i in buyers:
+            theta[i] = delta
+        return value
+    low_b = set(trial.far_side[0]) & set(buyers)
+    low_g = set(trial.far_side[1]) & set(goods)
+    if not low_b or low_b == set(buyers):
+        raise BalanceError("degenerate split in balanced-flow recursion")
+    lo = _reference_solve(frozenset(low_b), frozenset(low_g), net, theta)
+    hi = _reference_solve(frozenset(buyers - low_b), frozenset(goods - low_g), net, theta)
+    if lo + hi != value:
+        raise BalanceError("split lost flow value")
+    return value
 
 
 # ---------------------------------------------------------------------------

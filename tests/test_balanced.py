@@ -6,18 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+import nashflow.balanced as balanced
 from nashflow import (
     FlowResult,
     MarketNetwork,
     balanced_flow,
     build_network,
+    gen_random,
     max_flow,
     scale_flow,
+    solve,
     surpluses,
     verify_property1,
 )
 from conftest import (
     random_network,
+    reference_balanced_flow,
     reference_surpluses,
     scalar_feasible,
     scaled_network,
@@ -165,6 +169,75 @@ def test_surplus_vector_is_order_independent():
         _, theta = balanced_flow(net)
         _, theta_p = balanced_flow(permuted)
         assert theta_p == tuple(theta[perm[i]] for i in range(net.n))
+
+
+# ---------------------------------------------------------------------------
+# The recursion: values passed down, at most 2n + 1 max-flows
+
+
+def _restricted(rng, net):
+    """``net``, sometimes cut to a block and with some buyers' money zeroed."""
+    if rng.random() < 0.3:
+        kept_b = {i for i in range(net.n) if rng.random() < 0.7}
+        kept_g = {j for j in range(net.g) if rng.random() < 0.7}
+        net = net.sub(kept_b, kept_g)
+    if rng.random() < 0.3:
+        net = replace(net, m=tuple(Fraction(0) if rng.random() < 0.3 else x for x in net.m))
+    return net
+
+
+@pytest.fixture
+def flows_per_call(monkeypatch):
+    """``(n, max-flows)`` of every ``balanced_flow`` call, wherever it is bound."""
+    count, calls = [0], []
+    real_max_flow, real_balanced_flow = balanced.max_flow, balanced.balanced_flow
+
+    def counted_max_flow(net):
+        count[0] += 1
+        return real_max_flow(net)
+
+    def counted_balanced_flow(net):
+        count[0] = 0
+        result = real_balanced_flow(net)
+        calls.append((net.n, count[0]))
+        return result
+
+    monkeypatch.setattr(balanced, "max_flow", counted_max_flow)
+    for module in ("balanced", "fisher", "solver", "certify"):
+        monkeypatch.setattr(f"nashflow.{module}.balanced_flow", counted_balanced_flow)
+    return calls
+
+
+def test_balanced_flow_runs_at_most_2n_plus_1_max_flows(flows_per_call):
+    rng = random.Random(7)
+    for _ in range(3000):
+        balanced.balanced_flow(_restricted(rng, random_network(rng, 6, 6)))
+    assert len(flows_per_call) == 3000
+    assert all(flows <= 2 * n + 1 for n, flows in flows_per_call)
+    # The bound is tight: a full split tree whose every leaf runs its trial.
+    assert {n for n, flows in flows_per_call if flows == 2 * n + 1} >= {1, 2, 3, 4, 5}
+
+
+def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
+    for seed in range(3):
+        solve(gen_random(12, 12, 1000, 1500, seed))
+    assert len(flows_per_call) > 50
+    assert all(flows <= 2 * n + 1 for n, flows in flows_per_call)
+
+
+def test_balanced_flow_matches_the_plain_recursion():
+    # Sizes beyond ``reference_surpluses``; the plain recursion runs a
+    # max-flow for each block's value and checks that a split keeps it.
+    rng = random.Random(8)
+    split = 0
+    for _ in range(3000):
+        net = _restricted(rng, random_network(rng, 8, 8))
+        flow, theta = balanced_flow(net)
+        ref_flow, ref_theta = reference_balanced_flow(net)
+        assert theta == ref_theta
+        assert flow.pair_flow == ref_flow.pair_flow
+        split += len(set(theta)) >= 3
+    assert split > 300
 
 
 # ---------------------------------------------------------------------------

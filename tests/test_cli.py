@@ -112,8 +112,8 @@ PINNED_INSTANCES = (
 CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
 # The ``stats`` object of each instance's ``solve`` output, key order included.
 CLI_STATS = [
-    '{"phases": 2, "iterations": 2, "maxflows": 57}',
-    '{"phases": 0, "iterations": 0, "maxflows": 12}',
+    '{"phases": 2, "iterations": 2, "maxflows": 41}',
+    '{"phases": 0, "iterations": 0, "maxflows": 10}',
     '{"phases": 0, "iterations": 0, "maxflows": 0}',
 ]
 _STATS_OBJECT = re.compile(r'(\n  "stats": )\{.*?\n  \}', re.S)
