@@ -20,9 +20,11 @@ alone, and no interest edge runs from a low good to a high buyer (an
 unbounded arc across a finite cut), so the high child's value is the high
 goods' price mass and the low child's is ``F`` minus it.  At most ``2n - 1``
 blocks each run at most one trial: with the root value and the reassembly,
-at most ``2n + 1`` max-flows.  The reassembly must saturate every clamped
-sink capacity, match the root value and pass the characterization above,
-which together *prove* the output balanced however its surpluses were found.
+at most ``2n + 1`` max-flows.  A root that does not split has solved the
+reassembly's network already, so such a call costs at most 2.  The returned
+flow must saturate every clamped sink capacity, match the root value and
+pass the characterization above, which together *prove* the output balanced
+however its surpluses were found.
 """
 
 from __future__ import annotations
@@ -66,11 +68,12 @@ def balanced_flow(net: MarketNetwork):
     """Compute the balanced flow.  Returns ``(flow, theta)``, both exact."""
     n = net.n
     theta = [None] * n
-    root_value = max_flow(net).value
-    _solve(frozenset(range(n)), frozenset(range(net.g)), root_value, net, theta)
-    caps = [net.m[i] - theta[i] for i in range(n)]
-    flow = max_flow(replace(net, m=tuple(caps)))
-    if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
+    root = max_flow(net)
+    leaf = _solve(frozenset(range(n)), frozenset(range(net.g)), root.value, net, theta)
+    caps = tuple(net.m[i] - theta[i] for i in range(n))
+    # An unsplit root ran on the reassembly's network: ``net``, capped if delta > 0.
+    flow = root if caps == net.m else leaf or max_flow(replace(net, m=caps))
+    if flow.value != sum(caps, Fraction(0)) or flow.value != root.value:
         raise BalanceError("reassembled flow does not saturate the computed surplus levels")
     if not verify_property1(net, flow):
         raise BalanceError("reassembled flow violates the balance characterization")
@@ -78,18 +81,18 @@ def balanced_flow(net: MarketNetwork):
 
 
 def _solve(buyers, goods, value, net, theta):
-    """Fill ``theta`` for a nonempty block whose max-flow value is ``value``."""
+    """Fill ``theta`` for a nonempty block of max-flow ``value``; return a leaf's trial flow."""
     delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
     if delta == 0:
         for i in buyers:
             theta[i] = Fraction(0)
-        return
+        return None
     caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
     trial = max_flow(replace(net.sub(buyers, goods), m=tuple(caps)))
     if trial.value == value and all(net.m[i] >= delta for i in buyers):
         for i in buyers:
             theta[i] = delta
-        return
+        return trial
     low_b = trial.far_side[0] & buyers
     low_g = trial.far_side[1] & goods
     if not low_b or low_b == buyers:
@@ -97,6 +100,7 @@ def _solve(buyers, goods, value, net, theta):
     high_value = sum((net.p[j] for j in goods - low_g), Fraction(0))
     _solve(low_b, low_g, value - high_value, net, theta)
     _solve(buyers - low_b, goods - low_g, high_value, net, theta)
+    return None
 
 
 def scale_flow(edges, theta, x, buyers, goods):

@@ -1,9 +1,10 @@
-"""Independent checkers for solutions, witnesses, and certificates.
+"""Independent checkers: the one definition of a valid answer.
 
-Everything here re-derives its verdict from the instance and the claimed
-object alone — none of it trusts solver state.  The solver calls these
-before returning, and the command-line ``check`` verb exposes them to
-validate solution files produced elsewhere.
+Each verdict is re-derived from the instance and the claimed object alone,
+never from solver state.  ``check_kkt`` takes a feasible answer's ``p``,
+``x`` and ``v``, ``check_feasibility_witness`` its witness prices, and the
+``verify_*`` functions an infeasible answer's certificates.  The solver and
+``nashflow check`` (on solution files produced elsewhere) both call them.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from .flownet import build_network, max_flow
 from .instance import BargainingInstance, preprocess
 
 
-def check_equilibrium(inst: BargainingInstance, p):
+def check_equilibrium(inst: BargainingInstance, p) -> tuple[bool, str]:
     """One max-flow equilibrium test for positive prices.
 
     ``p`` is an equilibrium of the flexible-budget market iff the best-ratio
     network routes the full price mass: every good sells out and every
-    budget ``1 + c_i/gamma_i`` is spent.  Returns ``(True, allocation)`` with
-    ``x[i][j] = flow(j, i) / p_j`` on success, ``(False, reason)`` otherwise.
+    budget ``1 + c_i/gamma_i`` is spent.  Returns ``(True, "ok")`` or
+    ``(False, reason)``.
     """
     p = [Fraction(v) for v in p]
     if len(p) != inst.g:
@@ -33,38 +34,35 @@ def check_equilibrium(inst: BargainingInstance, p):
     except ValueError as exc:
         return False, str(exc)
     flow = max_flow(net)
-    supply = sum(p, Fraction(0))
-    budgets = sum(net.m, Fraction(0))
-    if flow.value != supply:
+    if flow.value != sum(p, Fraction(0)):
         return False, "some good cannot sell at these prices"
-    if flow.value != budgets:
+    if flow.value != sum(net.m, Fraction(0)):
         return False, "some budget cannot be spent at these prices"
-    return True, flow.allocation()
+    return True, "ok"
 
 
-def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
-    """Exact optimality check for a claimed price/allocation pair.
+def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
+    """Exact optimality check for a claimed feasible answer ``(p, x, v)``.
 
     Verifies feasibility of the allocation, market clearing for positively
     priced goods, and the stationarity inequalities
     ``p_j (v_i - c_i) >= u_ij`` with equality wherever ``x_ij > 0``.
     Sufficient for global optimality (the objective is concave), so a pass
-    proves both feasibility of the game and optimality of ``x``.
+    proves both feasibility of the game and optimality of ``x``.  Last, ``v``
+    must be the utilities of ``x``.  Non-``Fraction`` inputs convert exactly.
     """
-    p = [Fraction(v) for v in p]
-    if len(p) != inst.g or len(x) != inst.n:
+    p = [Fraction(q) for q in p]
+    if len(p) != inst.g or len(x) != inst.n or any(len(row) != inst.g for row in x):
         return False, "shape mismatch"
-    if any(len(row) != inst.g for row in x):
-        return False, "shape mismatch"
-    x = [[Fraction(v) for v in row] for row in x]
-    sold, v = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
+    x = [[s if isinstance(s, Fraction) else Fraction(s) for s in row] for row in x]
+    sold, util = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
     for i, row in enumerate(x):
         for j, share in enumerate(row):
             if share < 0:
                 return False, "negative allocation"
             if share:
                 sold[j] += share
-                v[i] += inst.u[i][j] * share
+                util[i] += inst.u[i][j] * share
     if any(q < 0 for q in p):
         return False, "negative price"
     for j in range(inst.g):
@@ -75,7 +73,7 @@ def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
     # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
     prices = [(q.numerator, q.denominator) for q in p]
     for i in range(inst.n):
-        gain = v[i] - inst.c[i]
+        gain = util[i] - inst.c[i]
         if gain <= 0:
             return False, f"buyer {i} does not improve on the disagreement payoff"
         gn, gd = gain.numerator, gain.denominator
@@ -85,6 +83,8 @@ def check_kkt(inst: BargainingInstance, p, x) -> tuple[bool, str]:
                 return False, f"stationarity violated at ({i},{j})"
             if x[i][j] > 0 and lhs != rhs:
                 return False, f"allocation ({i},{j}) is not on a tight pair"
+    if [Fraction(a) for a in v] != util:
+        return False, "claimed utilities do not match the allocation"
     return True, "ok"
 
 

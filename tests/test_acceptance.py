@@ -100,9 +100,9 @@ def test_criterion_03_every_run_is_independently_certified(sweep):
                     inst, buyers=cx["buyers"], goods=cx["goods"], p=cx["p"]
                 ), (inst.u, inst.c)
         else:
-            ok, _x = check_equilibrium(inst, list(sol.p))
-            assert ok is True, (inst.u, inst.c)
-            ok, why = check_kkt(inst, list(sol.p), sol.x)
+            ok, why = check_equilibrium(inst, list(sol.p))
+            assert ok is True, (inst.u, inst.c, why)
+            ok, why = check_kkt(inst, list(sol.p), sol.x, sol.v)
             assert ok, (inst.u, inst.c, why)
             assert all(vi > ci for vi, ci in zip(sol.v, inst.c)), (inst.u, inst.c)
     assert infeasible > 0

@@ -210,12 +210,18 @@ def flows_per_call(monkeypatch):
 
 def test_balanced_flow_runs_at_most_2n_plus_1_max_flows(flows_per_call):
     rng = random.Random(7)
-    for _ in range(3000):
-        balanced.balanced_flow(_restricted(rng, random_network(rng, 6, 6)))
+    thetas = [
+        balanced.balanced_flow(_restricted(rng, random_network(rng, 6, 6)))[1]
+        for _ in range(3000)
+    ]
     assert len(flows_per_call) == 3000
     assert all(flows <= 2 * n + 1 for n, flows in flows_per_call)
+    split = [len(set(theta)) > 1 for theta in thetas]
+    # A root that does not split has already run the reassembly's max-flow.
+    assert all(flows <= 2 for (_, flows), s in zip(flows_per_call, split) if not s)
     # The bound is tight: a full split tree whose every leaf runs its trial.
-    assert {n for n, flows in flows_per_call if flows == 2 * n + 1} >= {1, 2, 3, 4, 5}
+    tight = {n for (n, flows), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
+    assert tight >= {2, 3, 4, 5}
 
 
 def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
@@ -236,6 +242,7 @@ def test_balanced_flow_matches_the_plain_recursion():
         ref_flow, ref_theta = reference_balanced_flow(net)
         assert theta == ref_theta
         assert flow.pair_flow == ref_flow.pair_flow
+        assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
         split += len(set(theta)) >= 3
     assert split > 300
 

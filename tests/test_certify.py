@@ -32,12 +32,9 @@ from conftest import (
 # Equilibrium test (both cuts minimum) and allocation extraction
 
 
-def test_check_equilibrium_accepts_and_returns_the_allocation():
-    ok, x = check_equilibrium(scalar_feasible(), [Fraction(2)])
-    assert ok is True
-    assert x == [[Fraction(1)]]
-    ok2, x2 = check_equilibrium(unit_game(), [Fraction(1)])
-    assert ok2 is True and x2 == [[Fraction(1)]]
+def test_check_equilibrium_accepts_the_equilibrium():
+    assert check_equilibrium(scalar_feasible(), [Fraction(2)]) == (True, "ok")
+    assert check_equilibrium(unit_game(), [Fraction(1)]) == (True, "ok")
 
 
 def test_check_equilibrium_rejects_low_prices_with_a_reason():
@@ -53,22 +50,32 @@ def test_check_equilibrium_rejects_high_prices():
 
 
 # ---------------------------------------------------------------------------
-# Optimality conditions on explicit (p, x)
+# Optimality conditions on explicit (p, x, v)
 
 
 def test_check_kkt_accepts_the_equilibrium():
-    assert check_kkt(scalar_feasible(), [Fraction(2)], [[Fraction(1)]]) == (True, "ok")
-    assert check_kkt(unit_game(), [Fraction(1)], [[Fraction(1)]]) == (True, "ok")
+    one = [[Fraction(1)]]
+    assert check_kkt(scalar_feasible(), [Fraction(2)], one, [Fraction(2)]) == (True, "ok")
+    assert check_kkt(unit_game(), [Fraction(1)], one, [Fraction(1)]) == (True, "ok")
+
+
+def test_check_kkt_rejects_utilities_that_disagree_with_the_allocation():
+    for v in ([Fraction(3)], [], [Fraction(2), Fraction(2)]):
+        ok, reason = check_kkt(scalar_feasible(), [Fraction(2)], [[Fraction(1)]], v)
+        assert (ok, reason) == (False, "claimed utilities do not match the allocation")
+    # Compared last: an earlier rejection keeps its reason.
+    ok, reason = check_kkt(scalar_feasible(), [Fraction(2)], [[Fraction(1, 2)]], [])
+    assert reason == "good 0 priced but not sold out"
 
 
 def test_check_kkt_rejects_unsold_priced_good():
-    ok, reason = check_kkt(scalar_feasible(), [Fraction(2)], [[Fraction(1, 2)]])
+    ok, reason = check_kkt(scalar_feasible(), [Fraction(2)], [[Fraction(1, 2)]], [Fraction(1)])
     assert ok is False
     assert reason == "good 0 priced but not sold out"
 
 
 def test_check_kkt_rejects_wrong_prices():
-    ok, _ = check_kkt(scalar_feasible(), [Fraction(1)], [[Fraction(1)]])
+    ok, _ = check_kkt(scalar_feasible(), [Fraction(1)], [[Fraction(1)]], [Fraction(2)])
     assert ok is False
 
 
@@ -77,6 +84,7 @@ def test_check_kkt_rejects_oversold_good():
         symmetric_pair(),
         [Fraction(1), Fraction(1)],
         [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
+        [Fraction(2), Fraction(3)],
     )
     assert ok is False
 
@@ -86,13 +94,13 @@ def test_check_kkt_rejects_a_tight_price_nudged_by_two_to_the_minus_200():
     # denominators, and a nudge far below them must still break exactness.
     inst = gen_random(12, 12, 1000, 1500, 0)
     sol = solve(inst)
-    assert check_kkt(inst, sol.p, sol.x) == (True, "ok")
+    assert check_kkt(inst, sol.p, sol.x, sol.v) == (True, "ok")
     j = 0
     i = min(i for i in range(inst.n) if sol.x[i][j] > 0)
     for eps in (Fraction(1, 2**200), -Fraction(1, 2**200)):
         p = list(sol.p)
         p[j] += eps
-        ok, reason = check_kkt(inst, p, sol.x)
+        ok, reason = check_kkt(inst, p, sol.x, sol.v)
         assert not ok
         if eps > 0:
             assert reason == f"allocation ({i},{j}) is not on a tight pair"

@@ -112,8 +112,8 @@ PINNED_INSTANCES = (
 CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
 # The ``stats`` object of each instance's ``solve`` output, key order included.
 CLI_STATS = [
-    '{"phases": 2, "iterations": 2, "maxflows": 41}',
-    '{"phases": 0, "iterations": 0, "maxflows": 10}',
+    '{"phases": 2, "iterations": 2, "maxflows": 39}',
+    '{"phases": 0, "iterations": 0, "maxflows": 8}',
     '{"phases": 0, "iterations": 0, "maxflows": 0}',
 ]
 _STATS_OBJECT = re.compile(r'(\n  "stats": )\{.*?\n  \}', re.S)
@@ -184,6 +184,26 @@ def test_check_rejects_tampered_prices(run, feasible_file, tmp_path):
     code, out, _ = run(["check", feasible_file, str(sol_path)])
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "v, reason",
+    [
+        (["3"], "claimed utilities do not match the allocation"),
+        (None, "feasible claim lacks prices, allocation or utilities"),
+    ],
+)
+def test_check_rejects_wrong_or_missing_utilities(run, feasible_file, tmp_path, v, reason):
+    sol_path = tmp_path / "solution.json"
+    run(["solve", feasible_file, "--output", str(sol_path)])
+    doc = json.loads(sol_path.read_text())
+    if v is None:
+        del doc["v"]
+    else:
+        doc["v"] = v
+    sol_path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", feasible_file, str(sol_path)])
+    assert (code, json.loads(out)) == (1, {"valid": False, "reason": reason})
 
 
 def test_check_rejects_certificate_swapped_to_wrong_instance(run, infeasible_file, tmp_path):

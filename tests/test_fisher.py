@@ -78,7 +78,7 @@ def test_unit_money_equilibrium_matches_zero_disagreement_solve():
     sol = solve(inst)
     assert sol.verdict == "feasible"
     assert list(sol.p) == list(p)
-    ok, why = check_kkt(inst, list(p), x)
+    ok, why = check_kkt(inst, list(p), x, sol.v)
     assert ok, why
 
 

@@ -11,8 +11,9 @@ The max-flow count of each instance is compared with the committed table in
 ``golden_maxflows.json``, so a change that saves work shows which instances
 it touched.  A change that lowers counts regenerates the table with
 ``PYTHONPATH=src python tests/test_golden.py``: it recomputes every count,
-exits 1 listing the instances whose count rose, and otherwise rewrites the
-table and prints the old and new totals.
+prints on how many instances the count fell, held and rose, exits 1 listing
+the instances whose count rose, and otherwise rewrites the table and prints
+the old and new totals.
 """
 
 import hashlib
@@ -93,6 +94,9 @@ def _regenerate_table():
     old = json.loads(MAXFLOWS_TABLE.read_text(encoding="utf-8"))
     _, new = _digest_and_counts()
     rose = {k: (old[k], v) for k, v in new.items() if k in old and v > old[k]}
+    fell = sum(k in old and v < old[k] for k, v in new.items())
+    held = sum(old.get(k) == v for k, v in new.items())
+    print(f"{fell} fell, {held} held, {len(rose)} rose of {len(new)} instances")
     if rose:
         for label, (before, after) in rose.items():
             print(f"{label}: {before} -> {after}")

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from nashflow import (
     MarketNetwork,
     balanced_flow,
@@ -17,6 +19,7 @@ from nashflow import (
     scale_flow,
     solution_to_json,
     solve,
+    SolverError,
     SolverState,
     stage1,
     stage2,
@@ -263,7 +266,7 @@ def test_solve_restores_frozen_groups_on_the_feasible_branch():
         Fraction(1),
     )
     assert feasibility_lp(inst) == Fraction(1, 4)
-    ok, why = check_kkt(inst, list(sol.p), sol.x)
+    ok, why = check_kkt(inst, list(sol.p), sol.x, sol.v)
     assert ok, why
 
 
@@ -287,7 +290,7 @@ def test_solve_verifies_feasible_output_before_returning():
         sol = solve(inst)
         if sol.verdict == "feasible":
             eq_ok, _ = check_equilibrium(inst, list(sol.p))
-            kkt_ok, why = check_kkt(inst, list(sol.p), sol.x)
+            kkt_ok, why = check_kkt(inst, list(sol.p), sol.x, sol.v)
             assert eq_ok and kkt_ok, why
             assert all(vi > ci for vi, ci in zip(sol.v, inst.c))
         else:
@@ -330,9 +333,26 @@ def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
     assert len(calls) > 1000
 
 
+def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
+    rebalance = SolverState.rebalance
+    sizes = []
+
+    def counted(state):
+        sizes.append(len(state.active_buyers))
+        rebalance(state)
+
+    monkeypatch.setattr(SolverState, "rebalance", counted)
+    for seed in range(525):
+        solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+    for seed in range(3):
+        solve(gen_random(12, 12, 1000, 1500, seed))
+    assert len(sizes) > 900 and 0 not in sizes
+
+
 def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
-    # One rebuild at initialisation and one after each phase of either stage.
-    # The restore rebuilds only when it brings frozen groups back: otherwise
+    # One rebuild at initialisation and one after each phase of either stage,
+    # but none after a Stage I phase that freezes every remaining buyer.  The
+    # restore rebuilds only when it brings frozen groups back: otherwise
     # Stage I's last rebuild already holds the whole market.
     rebuild = solver._rebuild
     calls = []
@@ -345,17 +365,32 @@ def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
     seen = set()
     for seed in range(525):
         calls.clear()
-        sol = solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+        inst = gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed)
+        sol = solve(inst, collect_trace=True)
         detail = sol.stats.get("detail")
         if detail is None:
             assert calls == []
             continue
         froze = any(ph["reason"] == "isolated" for ph in detail["stage1_phases"])
         thawed = sol.verdict == "feasible" and froze
-        expected = 1 + len(detail["stage1_phases"]) + thawed + len(detail["stage2_phases"])
+        emptied = sum(len(e["buyers"]) for e in sol.trace if e["type"] == "freeze") == inst.n
+        phases = len(detail["stage1_phases"]) + len(detail["stage2_phases"])
+        expected = 1 + phases - emptied + thawed
         assert len(calls) == expected, seed
-        seen.add((sol.verdict, froze))
-    assert {("feasible", True), ("feasible", False), ("infeasible", True)} <= seen
+        seen.add((sol.verdict, froze, emptied))
+    assert {("feasible", True, True), ("feasible", False, False), ("infeasible", True, False)} <= seen
+
+
+def test_solve_rejects_utilities_that_disagree_with_the_allocation(monkeypatch):
+    real_stage2 = solver.stage2
+
+    def wrong_v(state):
+        p, x, v = real_stage2(state)
+        return p, x, (v[0] + 1,) + v[1:]
+
+    monkeypatch.setattr(solver, "stage2", wrong_v)
+    with pytest.raises(SolverError, match="claimed utilities do not match the allocation"):
+        solve(scalar_feasible())
 
 
 def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
