@@ -58,7 +58,7 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
     sold, util = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
     for i, row in enumerate(x):
         for j, share in enumerate(row):
-            if share < 0:
+            if share.numerator < 0:
                 return False, "negative allocation"
             if share:
                 sold[j] += share
@@ -81,7 +81,7 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
             lhs, rhs = a * gn, inst.u[i][j] * b * gd
             if lhs < rhs:
                 return False, f"stationarity violated at ({i},{j})"
-            if x[i][j] > 0 and lhs != rhs:
+            if x[i][j].numerator > 0 and lhs != rhs:
                 return False, f"allocation ({i},{j}) is not on a tight pair"
     if [Fraction(a) for a in v] != util:
         return False, "claimed utilities do not match the allocation"

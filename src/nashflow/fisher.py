@@ -8,8 +8,9 @@ uniformly and stops at the first of two events:
 
 * an edge event: a utility/price ratio outside the block ties a best ratio;
   the attaining edges join the network, the balanced flow is recomputed
-  under the market's budgets, and buyers that the residual graph connects to
-  the block are absorbed into it;
+  under the market's budgets (guessed from the previous one and proved by
+  one max-flow when the guess holds), and buyers that the residual graph
+  connects to the block are absorbed into it;
 * the caller's stop event, which ends the phase.
 
 The next edge event is found in integers: utility-per-price ratios are
@@ -243,7 +244,11 @@ def _rebuild(market):
 
 
 class _FixedBudgets:
-    """Fixed-budget market over all buyers and goods, run by ``_price_phase``."""
+    """Fixed-budget market over all buyers and goods, run by ``_price_phase``.
+
+    ``rebalance`` hints ``balanced_flow`` with the previous flow and counts
+    the guess's hits and misses in ``guess``.
+    """
 
     def __init__(self, u, money, p):
         self.u, self.money, self.p = u, money, p
@@ -254,10 +259,12 @@ class _FixedBudgets:
         self.edges = set()
         self.flow = self.theta = None
         self.phase = 0
+        self.guess = {"hits": 0, "misses": 0}
 
     def rebalance(self):
         net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
-        self.flow, self.theta = balanced_flow(net)
+        hint = None if self.flow is None else (self.flow, self.theta)
+        self.flow, self.theta = balanced_flow(net, hint, self.guess)
 
     def log(self, event, iteration, **fields):
         entry = {"kind": "event", "phase": self.phase, "iteration": iteration,

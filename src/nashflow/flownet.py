@@ -190,7 +190,7 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         if cj > 0:
             add_arc(source, gnode(j), cj)
     for (i, j) in sorted(net.edges, key=lambda e: (e[1], e[0])):
-        if net.p[j] > 0:
+        if price_caps[j] > 0:
             pair_ids[(i, j)] = len(to)
             add_arc(gnode(j), bnode(i), unbounded)
     for i, x in enumerate(net.m):

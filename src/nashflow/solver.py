@@ -38,7 +38,9 @@ surplus is zero the prices are the equilibrium.
 Both stages move prices with the price-phase kernel of ``fisher``, falling
 in Stage I and rising in Stage II, and assert their structural invariants as
 they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
-a property of the input).
+a property of the input).  Each rebalance guesses the balanced flow from the
+previous one and proves the guess with one max-flow, running the full
+balanced-flow recursion only on a miss.
 """
 
 from __future__ import annotations
@@ -127,9 +129,16 @@ class SolverState:
         return self.theta[i] - 1
 
     def rebalance(self):
-        """Balanced flow of the active sub-market under flexible budgets."""
+        """Balanced flow of the active sub-market under flexible budgets.
+
+        The previous flow hints ``balanced_flow``; hits and misses of its
+        guess add to ``stats["guess"]``, which starts at the Fisher run's.
+        """
         net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
-        self.flow, theta = balanced_flow(net.sub(self.active_buyers, self.active_goods))
+        hint = None if self.flow is None else (self.flow, self.theta)
+        self.flow, theta = balanced_flow(
+            net.sub(self.active_buyers, self.active_goods), hint, self.stats["guess"]
+        )
         for i in self.active_buyers:
             self.theta[i] = theta[i]
         supply = sum((self.p[j] for j in self.active_goods), Fraction(0))
@@ -167,6 +176,7 @@ def initialize(inst: BargainingInstance) -> SolverState:
         "stage2_phases": [],
         "end_reasons": [],
         "tight_denominators": [],
+        "guess": dict(fisher.guess),
     }
     _rebuild(state)
     _trace(state, stage=0, type="initialized")

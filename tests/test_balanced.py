@@ -188,7 +188,11 @@ def _restricted(rng, net):
 
 @pytest.fixture
 def flows_per_call(monkeypatch):
-    """``(n, max-flows)`` of every ``balanced_flow`` call, wherever it is bound."""
+    """``(n, max-flows, outcome)`` of every ``balanced_flow`` call, wherever it is bound.
+
+    ``outcome`` is None for a call without a hint, else ``"hits"`` or
+    ``"misses"``; the caller's own tally is still counted.
+    """
     count, calls = [0], []
     real_max_flow, real_balanced_flow = balanced.max_flow, balanced.balanced_flow
 
@@ -196,10 +200,13 @@ def flows_per_call(monkeypatch):
         count[0] += 1
         return real_max_flow(net)
 
-    def counted_balanced_flow(net):
+    def counted_balanced_flow(net, hint=None, tally=None):
         count[0] = 0
-        result = real_balanced_flow(net)
-        calls.append((net.n, count[0]))
+        mine = {"hits": 0, "misses": 0}
+        result = real_balanced_flow(net, hint, mine)
+        for key in mine if tally is not None else ():
+            tally[key] += mine[key]
+        calls.append((net.n, count[0], None if hint is None else max(mine, key=mine.get)))
         return result
 
     monkeypatch.setattr(balanced, "max_flow", counted_max_flow)
@@ -215,20 +222,31 @@ def test_balanced_flow_runs_at_most_2n_plus_1_max_flows(flows_per_call):
         for _ in range(3000)
     ]
     assert len(flows_per_call) == 3000
-    assert all(flows <= 2 * n + 1 for n, flows in flows_per_call)
+    assert all(flows <= 2 * n + 1 for n, flows, _ in flows_per_call)
     split = [len(set(theta)) > 1 for theta in thetas]
     # A root that does not split has already run the reassembly's max-flow.
-    assert all(flows <= 2 for (_, flows), s in zip(flows_per_call, split) if not s)
+    assert all(flows <= 2 for (_, flows, _), s in zip(flows_per_call, split) if not s)
     # The bound is tight: a full split tree whose every leaf runs its trial.
-    tight = {n for (n, flows), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
+    tight = {n for (n, flows, _), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
     assert tight >= {2, 3, 4, 5}
 
 
 def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
+    # A hinted miss may cost 2n + 2 (the guess, then the recursion); none
+    # of these solves' misses does, and every hit costs one max-flow.
     for seed in range(3):
         solve(gen_random(12, 12, 1000, 1500, seed))
     assert len(flows_per_call) > 50
-    assert all(flows <= 2 * n + 1 for n, flows in flows_per_call)
+    assert all(flows <= 2 * n + 1 for n, flows, _ in flows_per_call)
+    assert all(flows == 1 for _, flows, outcome in flows_per_call if outcome == "hits")
+
+
+def test_guess_counters_count_every_hinted_call(flows_per_call):
+    sol = solve(gen_random(12, 12, 1000, 1500, 0))
+    outcomes = [outcome for _, _, outcome in flows_per_call if outcome is not None]
+    guess = sol.stats["detail"]["guess"]
+    assert guess["hits"] + guess["misses"] == len(outcomes)
+    assert guess["hits"] == outcomes.count("hits") > 0
 
 
 def test_balanced_flow_matches_the_plain_recursion():
@@ -245,6 +263,80 @@ def test_balanced_flow_matches_the_plain_recursion():
         assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
         split += len(set(theta)) >= 3
     assert split > 300
+
+
+# ---------------------------------------------------------------------------
+# The guess: surpluses from a previous balanced flow, proved by one max-flow
+
+
+def _hinted_cases(rng, count):
+    """``(kind, net, hint)`` for ``count`` random networks, six hints each.
+
+    ``own`` is the network's balanced flow; ``other`` a balanced flow of an
+    earlier network with as many buyers; ``moved`` the network's own flow
+    after some prices scale and an edge is added or dropped, as between two
+    rebalances of a market; ``permuted`` the own flow with its surpluses
+    shuffled across buyers; ``one level`` the own flow with every buyer at
+    one level, which lifts a poor buyer's guessed level above its money;
+    ``sub`` the own flow on a restriction, which leaves zero-money buyers
+    with stale levels.
+    """
+    earlier = {}
+    for _ in range(count):
+        net = _restricted(rng, random_network(rng, 6, 6))
+        own = balanced.balanced_flow(net)
+        flow, theta = own
+        yield "own", net, own
+        if net.n in earlier:
+            yield "other", net, earlier[net.n]
+        earlier[net.n] = own
+        shuffled = list(theta)
+        rng.shuffle(shuffled)
+        yield "permuted", net, (flow, tuple(shuffled))
+        yield "one level", net, (flow, (Fraction(0),) * net.n)
+        factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        p = tuple(x * factor if rng.random() < 0.5 else x for x in net.p)
+        pair = (rng.randrange(net.n), rng.randrange(net.g))
+        yield "moved", MarketNetwork(p, net.m, net.edges ^ {pair}), own
+        kept_b = {i for i in range(net.n) if rng.random() < 0.7}
+        kept_g = {j for j in range(net.g) if rng.random() < 0.7}
+        yield "sub", net.sub(kept_b, kept_g), own
+
+
+def test_hinted_balanced_flow_matches_the_plain_recursion():
+    rng = random.Random(11)
+    outcomes = {}
+    ref_net = None
+    for kind, net, hint in _hinted_cases(rng, 2000):
+        tally = {"hits": 0, "misses": 0}
+        flow, theta = balanced_flow(net, hint, tally)
+        if net is not ref_net:  # the cases on one network come in a row
+            ref_net, (ref_flow, ref_theta) = net, reference_balanced_flow(net)
+        assert theta == ref_theta
+        assert flow.pair_flow == ref_flow.pair_flow
+        assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+        hit = tally == {"hits": 1, "misses": 0}
+        assert hit or tally == {"hits": 0, "misses": 1}
+        if kind == "own":
+            # Its own classes give every surplus; the gate then needs only
+            # the whole price mass to sell.
+            assert hit == (ref_flow.value == sum(net.p, Fraction(0)))
+        outcomes.setdefault(kind, []).append(hit)
+    for kind, hits in outcomes.items():
+        assert 0 < hits.count(True) < len(hits), kind
+
+
+def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
+    rng = random.Random(12)
+    cases = list(_hinted_cases(rng, 500))
+    del flows_per_call[:]
+    for _, net, hint in cases:
+        balanced.balanced_flow(net, hint)
+    assert len(flows_per_call) == len(cases)
+    # A miss adds the guess's max-flow to the recursion's 2n + 1.
+    assert all(flows <= 2 * n + 2 for n, flows, _ in flows_per_call)
+    assert all(flows == 1 for _, flows, outcome in flows_per_call if outcome == "hits")
+    assert any(flows == 2 * n + 2 for n, flows, _ in flows_per_call)
 
 
 # ---------------------------------------------------------------------------
