@@ -26,8 +26,8 @@ from .flownet import (
     MarketNetwork,
     bang_per_buck,
     build_network,
+    counting,
     max_flow,
-    maxflow_call_count,
 )
 from .balanced import BalanceError, balanced_flow, scale_flow, surpluses, verify_property1
 from .fisher import FisherError, fisher_equilibrium
@@ -81,6 +81,7 @@ __all__ = [
     "check_equilibrium",
     "check_feasibility_witness",
     "check_kkt",
+    "counting",
     "feasibility_lp",
     "fisher_equilibrium",
     "format_rational",
@@ -92,7 +93,6 @@ __all__ = [
     "make_instance",
     "max_flow",
     "maxflow_budget",
-    "maxflow_call_count",
     "oracle_solve",
     "parse_instance",
     "parse_rational",

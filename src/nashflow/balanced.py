@@ -49,7 +49,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
-from .flownet import FlowResult, MarketNetwork, max_flow
+from .flownet import FlowResult, MarketNetwork, _count, max_flow
 
 
 class BalanceError(AssertionError):
@@ -81,19 +81,19 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
     return all(theta[i] >= top[j] for (i, j) in net.edges if flow.pair_flow.get((i, j), 0) > 0)
 
 
-def balanced_flow(net: MarketNetwork, hint=None, tally=None):
+def balanced_flow(net: MarketNetwork, hint=None):
     """Compute the balanced flow.  Returns ``(flow, theta)``, both exact.
 
     ``hint`` is the market's previous ``(flow, theta)``: surpluses are first
     guessed from its classes and proved with one max-flow (``_guess``), and
-    the recursion runs only when the guess misses.  ``tally`` counts the
-    hinted calls' ``"hits"`` and ``"misses"``.  At most ``2n + 1``
-    max-flows without a hint and ``2n + 2`` with one; a hit costs one.
+    the recursion runs only when the guess misses.  A hinted call counts
+    one ``"hits"`` or ``"misses"`` in the open ``counting()`` tally.  At
+    most ``2n + 1`` max-flows without a hint and ``2n + 2`` with one; a hit
+    costs one.
     """
     if hint is not None:
         guessed = _guess(net, *hint)
-        if tally is not None:
-            tally["hits" if guessed else "misses"] += 1
+        _count("hits" if guessed else "misses")
         if guessed:
             return guessed
     n = net.n

@@ -17,7 +17,11 @@ The next edge event is found in integers: utility-per-price ratios are
 compared by cross-multiplying numerators and denominators, and a
 ``Fraction`` is built only for the nearest one.
 
-The kernel runs in two directions and under two kinds of budget:
+The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
+the balanced flow and its surpluses, and the active buyers and goods, with
+one ``rebalance`` for every phase.  Its two subclasses, ``_FixedBudgets``
+here and ``solver.SolverState``, only name the budgets and the log.  The
+kernel runs in two directions and under two kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
@@ -191,18 +195,16 @@ def _next_tie(market, block, goods, ascending):
 def _price_phase(market, block, ascending, stop):
     """Move one block's prices up or down until ``stop`` ends the phase.
 
-    ``market`` holds prices ``p``, best ratios ``gamma``, ``edges``, the
-    balanced ``flow`` and the ``active_buyers``/``active_goods``; its
-    ``rebalance`` recomputes the flow under its own budgets and ``log``
-    records events.  ``block`` is the phase's buyer set and grows in place.
-    Each turn finds the next edge event and asks ``stop(x, block, goods,
-    iteration)``, which may end the phase with an event of its own (``x`` is
-    ``None`` when no edge can tie).  Otherwise the block's prices move by
-    ``x``, the tied edges join, the flow is rebalanced, and the block absorbs
-    every buyer the residual graph connects to it: buyers that reach it when
-    rising, buyers it reaches when falling.  Returns ``(goods, iterations)``,
-    counting turns when rising (the stop turn included) and edge events when
-    falling.
+    ``market`` is a ``Market``: its ``rebalance`` recomputes the balanced
+    flow under its own budgets and ``log`` records events.  ``block`` is the
+    phase's buyer set and grows in place.  Each turn finds the next edge
+    event and asks ``stop(x, block, goods, iteration)``, which may end the
+    phase with an event of its own (``x`` is ``None`` when no edge can
+    tie).  Otherwise the block's prices move by ``x``, the tied edges join,
+    the flow is rebalanced, and the block absorbs every buyer the residual
+    graph connects to it: buyers that reach it when rising, buyers it
+    reaches when falling.  Returns ``(goods, iterations)``, counting turns
+    when rising (the stop turn included) and edge events when falling.
     """
     n, g = len(market.u), len(market.u[0])
     cap = 4 * g + 4 if ascending else 4 * n * g + 4
@@ -243,28 +245,48 @@ def _rebuild(market):
     market.rebalance()
 
 
-class _FixedBudgets:
-    """Fixed-budget market over all buyers and goods, run by ``_price_phase``.
+class Market:
+    """The market that ``_price_phase`` and ``_rebuild`` work on.
 
-    ``rebalance`` hints ``balanced_flow`` with the previous flow and counts
-    the guess's hits and misses in ``guess``.
+    A subclass supplies the budgets ``money`` and ``log(event, iteration,
+    **fields)``.  A rebalance assigns a new ``flow`` and ``theta``, leaving
+    the old ones as they were.
     """
 
-    def __init__(self, u, money, p):
-        self.u, self.money, self.p = u, money, p
-        self.trace = []
-        self.active_buyers = set(range(len(u)))
-        self.active_goods = set(range(len(p)))
-        self.gamma = [None] * len(u)
+    def __init__(self, u, p):
+        n = len(u)
+        self.u, self.p = u, p
+        self.gamma = [None] * n
         self.edges = set()
-        self.flow = self.theta = None
-        self.phase = 0
-        self.guess = {"hits": 0, "misses": 0}
+        self.flow, self.theta = None, [Fraction(0)] * n
+        self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
+        self.trace = []
 
     def rebalance(self):
+        """Balanced flow of the active sub-market under the market's budgets.
+
+        The previous ``(flow, theta)`` hints ``balanced_flow``.  Active
+        buyers take their new surpluses, the others keep theirs, and every
+        active good must still sell in full.
+        """
+        buyers, goods = self.active_buyers, self.active_goods
         net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
+        if len(buyers) < len(self.u) or len(goods) < len(self.p):
+            net = net.sub(buyers, goods)
         hint = None if self.flow is None else (self.flow, self.theta)
-        self.flow, self.theta = balanced_flow(net, hint, self.guess)
+        self.flow, theta = balanced_flow(net, hint)
+        self.theta = [theta[i] if i in buyers else t for i, t in enumerate(self.theta)]
+        if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):
+            raise FisherError("active goods can no longer fully sell")
+
+
+class _FixedBudgets(Market):
+    """Fixed-budget market over all buyers and goods, run by ``_price_phase``."""
+
+    def __init__(self, u, money, p):
+        super().__init__(u, p)
+        self.money = money
+        self.phase = 0
 
     def log(self, event, iteration, **fields):
         entry = {"kind": "event", "phase": self.phase, "iteration": iteration,
@@ -292,7 +314,7 @@ def _run(u, money):
     cap = _phase_cap(u, money)
     while True:
         _rebuild(market)
-        theta = market.theta
+        theta = tuple(market.theta)
         market.trace.append(
             {
                 "kind": "state", "phase": market.phase, "p": tuple(market.p),

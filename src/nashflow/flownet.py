@@ -13,22 +13,45 @@ integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
 so flows are exact and runs are reproducible.  Unbounded pair capacities are
 encoded as the total price mass plus one, which no s-t flow can reach.
 Utility-per-price ratios are compared in integers as well, by
-cross-multiplying numerators and denominators.
+cross-multiplying numerators and denominators.  Work is counted per
+``counting()`` block, not per process.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-_MAXFLOW_CALLS = 0
+_TALLY = ContextVar("nashflow_tally", default=None)
 
 
-def maxflow_call_count() -> int:
-    """Total max-flow computations so far in this process (monotone counter)."""
-    return _MAXFLOW_CALLS
+@contextmanager
+def counting():
+    """Count the work done inside the block; yields a ``Counter``.
+
+    ``max_flow`` adds to ``"maxflows"`` and a hinted ``balanced_flow`` to
+    ``"hits"`` or ``"misses"``.  A nested block counts only its own work
+    and adds it to the enclosing block's tally when it exits.
+    """
+    outer, tally = _TALLY.get(), Counter()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+        if outer is not None:
+            outer.update(tally)
+
+
+def _count(key):
+    """Add one ``key`` to the innermost open tally, if any."""
+    tally = _TALLY.get()
+    if tally is not None:
+        tally[key] += 1
 
 
 def bang_per_buck(u, p):
@@ -158,9 +181,8 @@ class FlowResult:
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
-    """Exact max-flow of the network."""
-    global _MAXFLOW_CALLS
-    _MAXFLOW_CALLS += 1
+    """Exact max-flow of the network; counts one ``"maxflows"``."""
+    _count("maxflows")
 
     n, g = net.n, net.g
     denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]

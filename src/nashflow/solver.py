@@ -41,6 +41,11 @@ they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
 a property of the input).  Each rebalance guesses the balanced flow from the
 previous one and proves the guess with one max-flow, running the full
 balanced-flow recursion only on a miss.
+
+``solve`` counts its work in a ``counting()`` tally opened around
+``initialize`` and both stages: ``stats["maxflows"]`` is the max-flows run
+to find the answer, for either verdict, without the self-verification's,
+and ``stats["detail"]["guess"]`` the guess's hits and misses.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# ``Market.rebalance`` calls ``balanced_flow`` from ``fisher``; the name stays
+# bound here because ``perfbench/tracing.py`` patches it in ``solver`` too.
 from .balanced import balanced_flow, scale_flow
 from .certify import (
     check_equilibrium,
@@ -56,9 +63,9 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
-from .fisher import _price_phase, _rebuild, _scale
+from .fisher import Market, _l2, _price_phase, _rebuild, _scale
 from .fisher import _run as _fisher_run
-from .flownet import MarketNetwork, maxflow_call_count
+from .flownet import counting
 from .instance import BargainingInstance, preprocess, to_json
 
 
@@ -94,32 +101,23 @@ class FrozenBatch:
     gamma: dict
 
 
-@dataclass
-class SolverState:
-    """Mutable solver state over the preprocessed instance.
+class SolverState(Market):
+    """Solver state over the preprocessed instance ``inst``.
 
-    Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  ``u``, ``rebalance``
-    and ``log`` are what the price-phase kernel of ``fisher`` runs on.
+    It starts at the prices of ``fisher``, the fixed-budget market at unit
+    money.  Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  Stage I sets
+    groups aside in ``frozen``; the feasible branch keeps the restored
+    witness prices in ``feasible_prices``.
     """
 
-    inst: BargainingInstance
-    p: list
-    gamma: list
-    edges: set
-    flow: object = None
-    theta: list = field(default_factory=list)
-    active_buyers: set = field(default_factory=set)
-    active_goods: set = field(default_factory=set)
-    frozen: list = field(default_factory=list)
-    mu: int = 1
-    feasible_prices: tuple | None = None
-    stats: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
-    stage: int = field(default=0, init=False)
-
-    @property
-    def u(self):
-        return self.inst.u
+    def __init__(self, inst, fisher):
+        super().__init__(inst.u, list(fisher.p))
+        self.inst, self.frozen, self.feasible_prices, self.stage = inst, [], None, 0
+        # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
+        lowest = min(max(col) for col in zip(*inst.u))
+        self.mu = -(-(inst.g * inst.u_max) // lowest)
+        self.stats = {"fisher_phases": fisher.phase, "stage1_phases": [], "stage2_phases": [],
+                      "end_reasons": [], "tight_denominators": []}
 
     @property
     def money(self):
@@ -127,23 +125,6 @@ class SolverState:
 
     def beta(self, i):
         return self.theta[i] - 1
-
-    def rebalance(self):
-        """Balanced flow of the active sub-market under flexible budgets.
-
-        The previous flow hints ``balanced_flow``; hits and misses of its
-        guess add to ``stats["guess"]``, which starts at the Fisher run's.
-        """
-        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
-        hint = None if self.flow is None else (self.flow, self.theta)
-        self.flow, theta = balanced_flow(
-            net.sub(self.active_buyers, self.active_goods), hint, self.stats["guess"]
-        )
-        for i in self.active_buyers:
-            self.theta[i] = theta[i]
-        supply = sum((self.p[j] for j in self.active_goods), Fraction(0))
-        if self.flow.value != supply:
-            raise SolverError("active goods can no longer fully sell")
 
     def log(self, event, iteration, **fields):
         _trace(self, stage=self.stage, type=event, **fields, iteration=iteration)
@@ -156,28 +137,7 @@ def _trace(state, **entry):
 
 def initialize(inst: BargainingInstance) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets."""
-    n, g = inst.n, inst.g
-    fisher = _fisher_run(inst.u, [Fraction(1)] * n)
-    state = SolverState(
-        inst=inst,
-        p=list(fisher.p),
-        gamma=[Fraction(1)] * n,
-        edges=set(),
-        theta=[Fraction(0)] * n,
-        active_buyers=set(range(n)),
-        active_goods=set(range(g)),
-    )
-    # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
-    lowest = min(max(col) for col in zip(*inst.u))
-    state.mu = -(-(g * inst.u_max) // lowest)
-    state.stats = {
-        "fisher_phases": fisher.phase,
-        "stage1_phases": [],
-        "stage2_phases": [],
-        "end_reasons": [],
-        "tight_denominators": [],
-        "guess": dict(fisher.guess),
-    }
+    state = SolverState(inst, _fisher_run(inst.u, [Fraction(1)] * inst.n))
     _rebuild(state)
     _trace(state, stage=0, type="initialized")
     return state
@@ -349,7 +309,7 @@ def stage2(state: SolverState):
 
 def _stage2_phase(state):
     n = state.inst.n
-    phi_start = sum((t * t for t in state.theta), Fraction(0))
+    phi_start = _l2(state.theta)
     peak = max(state.theta)
     target = {i for i in range(n) if state.theta[i] == peak}
 
@@ -376,7 +336,7 @@ def _stage2_phase(state):
         return True
 
     _, iterations = _price_phase(state, target, True, stretched)
-    phi_end = sum((t * t for t in state.theta), Fraction(0))
+    phi_end = _l2(state.theta)
     state.stats["stage2_phases"].append(
         {"iterations": iterations, "phi_start": phi_start, "phi_end": phi_end}
     )
@@ -386,14 +346,15 @@ def _stage2_phase(state):
 # Certificates of infeasibility (constructed from the terminal stage-I state)
 
 
-def _lp_dual_certificate(state):
+def _lp_dual_certificate(state, report):
     """Dual prices proving no allocation clears every disagreement payoff.
 
     At the terminal state the active buyers' deficits sum to a nonnegative
     value; normalizing their inverse ratios gives dual weights ``y`` with
     unit sum, and the active prices scale into ``z``.  Frozen buyers and
     goods get zero weight: active buyers have zero utility toward frozen
-    goods, so the dual constraints hold with ``z = 0`` there.
+    goods, so the dual constraints hold with ``z = 0`` there.  ``z`` is
+    expanded over the input's goods, as emitted.
     """
     active = sorted(state.active_buyers)
     mu_hat = sum((1 / state.gamma[i] for i in active), Fraction(0))
@@ -403,23 +364,27 @@ def _lp_dual_certificate(state):
     z = [Fraction(0)] * state.inst.g
     for j in state.active_goods:
         z[j] = state.p[j] / mu_hat
-    return {"y": y, "z": z}
+    return {"y": y, "z": report.expand(z)}
 
 
-def _convex_dual_certificate(state):
+def _convex_dual_certificate(state, report):
     """Partition + prices witnessing unboundedness of the smooth dual.
 
     The frozen buyers/goods form the split side.  Frozen groups' prices are
     scaled with the same backward pass as the feasible-branch restore so that
     every frozen buyer's best ratio stays inside its own group; the active
     side keeps its terminal prices, where the deficits sum to a nonnegative
-    value.
+    value.  As emitted, goods and prices are over the input's goods: the
+    goods preprocessing removed join the split side at price 1.
     """
     p = list(state.p)
     _scale_frozen(state, p)
     buyers = sorted(i for batch in state.frozen for i in batch.buyers)
-    goods = sorted(j for batch in state.frozen for j in batch.goods)
-    return {"buyers": buyers, "goods": goods, "p": p}
+    goods = {report.kept_goods[j] for batch in state.frozen for j in batch.goods}
+    return {
+        "buyers": buyers, "goods": sorted(goods | set(report.removed_goods)),
+        "p": report.expand(p, fill=Fraction(1)), "zero_row": None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -447,94 +412,62 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     checkable certificates.  Every output but the witness prices (a balanced
     flow to check, left to ``nashflow check``) is re-verified before return.
     """
-    flows0 = maxflow_call_count()
     reduced, report = preprocess(inst)
 
     if report.verdict == "infeasible":
         i0 = report.zero_buyers[0]
+        cert = {"lp_dual": lp_dual_for_zero_row(inst, i0), "convex_dual": {"zero_row": i0}}
+        stats, trace = {"phases": 0, "iterations": 0, "maxflows": 0}, []
+    else:
+        with counting() as tally:
+            state = initialize(reduced)
+            verdict = stage1(state)
+            if verdict == "feasible":
+                p_red, x_red, v = stage2(state)
+        stats = _final_stats(state, tally)
+        trace = state.trace if collect_trace else []
+        if verdict == "feasible":
+            p = tuple(report.expand(p_red))
+            x = [report.expand(row) for row in x_red]
+            ok, why = check_kkt(inst, p, x, v)
+            if ok:
+                ok, why = check_equilibrium(reduced, p_red)
+            if not ok:
+                raise SolverError(f"computed equilibrium failed verification: {why}")
+            return Solution(
+                verdict="feasible", p=p, x=x, v=v,
+                feasible_prices=tuple(report.expand(state.feasible_prices)),
+                report=report, stats=stats, trace=trace,
+            )
         cert = {
-            "lp_dual": lp_dual_for_zero_row(inst, i0),
-            "convex_dual": {"zero_row": i0},
+            "lp_dual": _lp_dual_certificate(state, report),
+            "convex_dual": _convex_dual_certificate(state, report),
         }
-        sol = Solution(
-            verdict="infeasible", certificate=cert, report=report,
-            stats={"phases": 0, "iterations": 0, "maxflows": 0},
-        )
-        _verify_infeasible(inst, sol)
-        return sol
 
-    state = initialize(reduced)
-    verdict = stage1(state)
-
-    if verdict == "infeasible":
-        lp = _lp_dual_certificate(state)
-        cx = _convex_dual_certificate(state)
-        cert = {
-            "lp_dual": {"y": lp["y"], "z": report.expand(lp["z"])},
-            "convex_dual": {
-                "buyers": cx["buyers"],
-                "goods": sorted(
-                    {report.kept_goods[j] for j in cx["goods"]}
-                    | set(report.removed_goods)
-                ),
-                "p": report.expand(cx["p"], fill=Fraction(1)),
-                "zero_row": None,
-            },
-        }
-        sol = Solution(
-            verdict="infeasible", certificate=cert, report=report,
-            stats=_final_stats(state, flows0),
-            trace=state.trace if collect_trace else [],
-        )
-        _verify_infeasible(inst, sol)
-        return sol
-
-    p_red, x_red, v = stage2(state)
-    p = tuple(report.expand(p_red))
-    x = [report.expand(row) for row in x_red]
-    witness = tuple(report.expand(state.feasible_prices))
-
-    ok, why = check_kkt(inst, p, x, v)
-    if ok:
-        ok, why = check_equilibrium(reduced, p_red)
-    if not ok:
-        raise SolverError(f"computed equilibrium failed verification: {why}")
-
-    return Solution(
-        verdict="feasible", p=p, x=x, v=v, feasible_prices=witness,
-        report=report,
-        stats=_final_stats(state, flows0),
-        trace=state.trace if collect_trace else [],
-    )
+    if not verify_lp_dual(inst, **cert["lp_dual"]):
+        raise SolverError("emitted dual certificate failed verification")
+    if not verify_convex_dual(inst, **cert["convex_dual"]):
+        raise SolverError("emitted partition certificate failed verification")
+    return Solution(verdict="infeasible", certificate=cert, report=report, stats=stats, trace=trace)
 
 
-def _final_stats(state, flows0):
-    """A solve's counts, its max-flow budget and the per-stage detail."""
+def _final_stats(state, tally):
+    """A solve's counts, its max-flow budget and the per-stage detail.
+
+    ``tally`` holds the work of ``initialize`` and both stages, without the
+    self-verification that follows them.
+    """
     stats, inst = state.stats, state.inst
+    stats["guess"] = {"hits": tally["hits"], "misses": tally["misses"]}
     phases = stats["stage1_phases"] + stats["stage2_phases"]
     return {
         "phases": len(phases),
         "iterations": sum(ph["iterations"] for ph in phases),
-        "maxflows": maxflow_call_count() - flows0,
+        "maxflows": tally["maxflows"],
         "detail": stats,
         "mu": state.mu,
         "budget": maxflow_budget(inst.n, inst.g, inst.u_max, inst.c_max, state.mu),
     }
-
-
-def _verify_infeasible(inst, sol: Solution):
-    cert = sol.certificate
-    if not verify_lp_dual(inst, cert["lp_dual"]["y"], cert["lp_dual"]["z"]):
-        raise SolverError("emitted dual certificate failed verification")
-    cx = cert["convex_dual"]
-    if cx.get("zero_row") is not None:
-        ok = verify_convex_dual(inst, zero_row=cx["zero_row"])
-    else:
-        ok = verify_convex_dual(
-            inst, buyers=cx["buyers"], goods=cx["goods"], p=cx["p"]
-        )
-    if not ok:
-        raise SolverError("emitted partition certificate failed verification")
 
 
 def solution_to_json(sol: Solution) -> dict:

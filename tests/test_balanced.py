@@ -12,6 +12,7 @@ from nashflow import (
     MarketNetwork,
     balanced_flow,
     build_network,
+    counting,
     gen_random,
     max_flow,
     scale_flow,
@@ -191,7 +192,8 @@ def flows_per_call(monkeypatch):
     """``(n, max-flows, outcome)`` of every ``balanced_flow`` call, wherever it is bound.
 
     ``outcome`` is None for a call without a hint, else ``"hits"`` or
-    ``"misses"``; the caller's own tally is still counted.
+    ``"misses"``, read from a ``counting()`` block around the call; the
+    enclosing tally still receives it.
     """
     count, calls = [0], []
     real_max_flow, real_balanced_flow = balanced.max_flow, balanced.balanced_flow
@@ -200,13 +202,12 @@ def flows_per_call(monkeypatch):
         count[0] += 1
         return real_max_flow(net)
 
-    def counted_balanced_flow(net, hint=None, tally=None):
+    def counted_balanced_flow(net, hint=None):
         count[0] = 0
-        mine = {"hits": 0, "misses": 0}
-        result = real_balanced_flow(net, hint, mine)
-        for key in mine if tally is not None else ():
-            tally[key] += mine[key]
-        calls.append((net.n, count[0], None if hint is None else max(mine, key=mine.get)))
+        with counting() as mine:
+            result = real_balanced_flow(net, hint)
+        outcome = None if hint is None else "hits" if mine["hits"] else "misses"
+        calls.append((net.n, count[0], outcome))
         return result
 
     monkeypatch.setattr(balanced, "max_flow", counted_max_flow)
@@ -308,15 +309,16 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
     outcomes = {}
     ref_net = None
     for kind, net, hint in _hinted_cases(rng, 2000):
-        tally = {"hits": 0, "misses": 0}
-        flow, theta = balanced_flow(net, hint, tally)
+        with counting() as tally:
+            flow, theta = balanced_flow(net, hint)
         if net is not ref_net:  # the cases on one network come in a row
             ref_net, (ref_flow, ref_theta) = net, reference_balanced_flow(net)
         assert theta == ref_theta
         assert flow.pair_flow == ref_flow.pair_flow
         assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
-        hit = tally == {"hits": 1, "misses": 0}
-        assert hit or tally == {"hits": 0, "misses": 1}
+        outcome = (tally["hits"], tally["misses"])
+        hit = outcome == (1, 0)
+        assert hit or outcome == (0, 1)
         if kind == "own":
             # Its own classes give every surplus; the gate then needs only
             # the whole price mass to sell.

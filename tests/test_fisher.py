@@ -7,13 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 from nashflow import (
+    FisherError,
     check_kkt,
     fisher_equilibrium,
     gen_random,
     make_instance,
     solve,
 )
-from nashflow.fisher import _next_tie
+from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
 from conftest import measure_l1_vs_l2, random_ratio_case, reference_next_tie, symmetric_pair
 
 
@@ -27,6 +28,14 @@ def test_single_buyer_single_good():
     assert x == [[Fraction(1)]]
     # The start prices are already the equilibrium: one state, no events.
     assert [(e["kind"], e["phase"], e["theta"]) for e in trace] == [("state", 0, (0,))]
+
+
+def test_rebalance_rejects_an_active_good_that_no_longer_sells():
+    # No one values good 1, yet it is active at price 1: the balanced flow
+    # routes 1 of the active price mass 2.
+    market = _FixedBudgets(((1, 0),), (Fraction(1),), [Fraction(1), Fraction(1)])
+    with pytest.raises(FisherError, match="active goods can no longer fully sell"):
+        _rebuild(market)
 
 
 def test_two_buyers_split_one_good():

@@ -12,9 +12,11 @@ from nashflow import (
     MarketNetwork,
     bang_per_buck,
     build_network,
+    counting,
+    gen_random,
     make_instance,
     max_flow,
-    maxflow_call_count,
+    solve,
 )
 from conftest import (
     random_network,
@@ -190,10 +192,33 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
             assert sum(q for (ii, _), q in flow.pair_flow.items() if ii == i) <= m[i]
 
 
-def test_maxflow_call_count_increases():
-    before = maxflow_call_count()
-    max_flow(MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)})))
-    assert maxflow_call_count() == before + 1
+def test_counting_tallies_each_block_and_adds_nested_blocks_outward():
+    net = MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)}))
+    max_flow(net)  # outside every block: counted nowhere
+    with counting() as outer:
+        max_flow(net)
+        assert outer == {"maxflows": 1}
+        with counting() as inner:
+            max_flow(net)
+            max_flow(net)
+            assert inner == {"maxflows": 2}
+            assert outer == {"maxflows": 1}
+        assert outer == {"maxflows": 3}
+    max_flow(net)
+    assert (outer, inner) == ({"maxflows": 3}, {"maxflows": 2})
+
+
+def test_counting_starts_afresh_for_every_solve():
+    inst = gen_random(3, 3, 5, 3, 1)
+    first = solve(inst)
+    with counting() as tally:
+        second = solve(inst)
+    assert first.verdict == "feasible"
+    assert first.stats["maxflows"] == second.stats["maxflows"] > 0
+    assert first.stats["detail"]["guess"] == second.stats["detail"]["guess"]
+    # The enclosing block also sees the self-check's one max-flow, which
+    # the solve's own count leaves out.
+    assert tally["maxflows"] == second.stats["maxflows"] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nashflow import (
     gen_random,
     initialize,
     make_instance,
+    max_flow,
     maxflow_budget,
     scale_flow,
     solution_to_json,
@@ -307,6 +308,38 @@ def test_solve_stays_within_the_max_flow_budget():
         assert sol.stats["budget"] == maxflow_budget(
             inst.n, inst.g, inst.u_max, inst.c_max, sol.stats["mu"]
         )
+
+
+@pytest.mark.parametrize("seed, verdict", [(0, "feasible"), (2, "infeasible")])
+def test_maxflows_stat_counts_the_max_flows_of_both_stages(monkeypatch, seed, verdict):
+    # ``stats["maxflows"]`` is every max-flow run inside ``initialize``,
+    # ``stage1`` and ``stage2``, and none of the self-verification's.
+    depth = {"stage": 0, "check": 0}
+    calls = [0]
+    real_max_flow = max_flow
+
+    def counted(net):
+        calls[0] += depth["stage"] > 0 and not depth["check"]
+        return real_max_flow(net)
+
+    def nested(fn, key):
+        def wrapped(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+        return wrapped
+
+    for module in ("flownet", "balanced", "fisher", "certify"):
+        monkeypatch.setattr(f"nashflow.{module}.max_flow", counted)
+    for name in ("initialize", "stage1", "stage2"):
+        monkeypatch.setattr(solver, name, nested(getattr(solver, name), "stage"))
+    for name in ("check_kkt", "check_equilibrium", "verify_lp_dual", "verify_convex_dual"):
+        monkeypatch.setattr(solver, name, nested(getattr(solver, name), "check"))
+    sol = solve(gen_random(12, 12, 1000, 1500, seed))
+    assert sol.verdict == verdict
+    assert sol.stats["maxflows"] == calls[0] > 0
 
 
 def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
