@@ -46,10 +46,13 @@ from .solver import SolverError, solution_to_json, solve
 
 
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:  # nesting too deep for the decoder
+        raise ValueError(f"invalid JSON input: {exc}") from None
 
 
 def _emit(obj, out=None):
@@ -77,12 +80,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cross_check(inst, sol) -> int:
+    """Replay ``sol`` on the oracle (if under its cap), limit iteration and margin LP."""
     try:
         ref = oracle_solve(inst)
     except OracleCapError as exc:
-        print(f"cross-check skipped: {exc}", file=sys.stderr)
-        return 0
-    if ref.verdict != sol.verdict:
+        print(f"cross-check: oracle comparison skipped: {exc}", file=sys.stderr)
+        ref = None
+    if ref is not None and ref.verdict != sol.verdict:
         print(
             f"cross-check failed: solver says {sol.verdict}, "
             f"reference says {ref.verdict}",
@@ -90,7 +94,7 @@ def _cross_check(inst, sol) -> int:
         )
         return 1
     if sol.verdict == "feasible":
-        if list(sol.p) != list(ref.p) or list(sol.v) != list(ref.v):
+        if ref is not None and (list(sol.p) != list(ref.p) or list(sol.v) != list(ref.v)):
             print("cross-check failed: prices or utilities differ", file=sys.stderr)
             return 1
         limit = limit_algorithm(inst, eps=Fraction(1, 10**8))

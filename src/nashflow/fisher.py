@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balanced import balanced_flow
-from .flownet import MarketNetwork, bang_per_buck, max_flow
+from .flownet import MarketNetwork, bang_per_buck, best_ratio, max_flow
 
 
 class FisherError(AssertionError):
@@ -166,9 +166,9 @@ def _next_tie(market, block, goods, ascending):
     ``u_ij > 0``: over block buyers and outside goods when prices rise
     (factor ``r``), over outside buyers and block goods when they fall
     (factor ``1/r``).  Returns ``(None, [])`` when no such pair exists.
-    The running minimum is an integer pair ``N/D``, and a pair's ratio
-    ``gn a / (gd b u_ij)`` (``gamma_i = gn/gd``, ``p_j = a/b``) is compared
-    with it by cross-multiplying.
+    Buyer ``i``'s first tie is at ``gamma_i * den / num``, where ``num/den``
+    is its ``best_ratio`` over the targets; the running minimum over buyers
+    is an integer pair ``N/D`` compared by cross-multiplying.
     """
     if ascending:
         buyers, targets = block, market.active_goods - goods
@@ -179,14 +179,14 @@ def _next_tie(market, block, goods, ascending):
     num = den = None
     pairs = []
     for i in sorted(buyers):
-        gn, gd = gamma[i].numerator, gamma[i].denominator
-        for j, a, b in targets:
-            if u[i][j] > 0:
-                rn, rd = gn * a, gd * b * u[i][j]
-                if num is None or num * rd > rn * den:
-                    num, den, pairs = rn, rd, [(i, j)]
-                elif num * rd == rn * den:
-                    pairs.append((i, j))
+        bn, bd, ties = best_ratio(u[i], targets)
+        if not ties:
+            continue
+        rn, rd = gamma[i].numerator * bd, gamma[i].denominator * bn
+        if num is None or num * rd > rn * den:
+            num, den, pairs = rn, rd, [(i, j) for j in ties]
+        elif num * rd == rn * den:
+            pairs.extend((i, j) for j in ties)
     if num is None:
         return None, pairs
     return (Fraction(num, den) if ascending else Fraction(den, num)), pairs
@@ -230,13 +230,13 @@ def _price_phase(market, block, ascending, stop):
 def _rebuild(market):
     """Best ratios and best-ratio edges of the active block, then a rebalance.
 
-    Goods outside the active block count as unpriced, so its buyers' ratios
-    and edges stay inside it.
+    Goods outside the active block keep their prices: a group leaves it
+    only when no buyer left in it values the group's goods, so its buyers'
+    ratios and edges stay inside it without zeroing those prices.
     """
     buyers = sorted(market.active_buyers)
-    p = [x if j in market.active_goods else 0 for j, x in enumerate(market.p)]
     try:
-        gamma, pairs = bang_per_buck([market.u[i] for i in buyers], p)
+        gamma, pairs = bang_per_buck([market.u[i] for i in buyers], market.p)
     except ValueError as exc:
         raise FisherError("an active buyer values no active good") from exc
     for i, best in zip(buyers, gamma):

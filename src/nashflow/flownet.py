@@ -13,7 +13,8 @@ integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
 so flows are exact and runs are reproducible.  Unbounded pair capacities are
 encoded as the total price mass plus one, which no s-t flow can reach.
 Utility-per-price ratios are compared in integers as well, by
-cross-multiplying numerators and denominators.  Work is counted per
+cross-multiplying numerators and denominators, in the one search
+``best_ratio`` that every best-ratio question calls.  Work is counted per
 ``counting()`` block, not per process.
 """
 
@@ -54,6 +55,25 @@ def _count(key):
         tally[key] += 1
 
 
+def best_ratio(row, priced):
+    """Best utility-per-price ratio of one buyer over ``priced`` goods.
+
+    ``priced`` lists ``(j, a, b)`` for ``p_j = a/b``.  Returns ``(num, den,
+    goods)``: the best ``row[j] b / a`` as the integer pair ``num/den``, and
+    every good attaining it in ``priced`` order (none if the row values
+    none).  Comparing by cross-multiplying ranks a zero price above all.
+    """
+    num, den, goods = 0, 1, []
+    for j, a, b in priced:
+        if row[j] > 0:
+            cand = row[j] * b
+            if cand * den > num * a:
+                num, den, goods = cand, a, [j]
+            elif cand * den == num * a:
+                goods.append(j)
+    return num, den, goods
+
+
 def bang_per_buck(u, p):
     """Best utility-per-price ratio and its attaining edges.
 
@@ -61,22 +81,13 @@ def bang_per_buck(u, p):
     goods with positive price and ``edges`` lists every ``(i, j)`` attaining
     the maximum, row by row in ascending ``j``.  Rows with no positive
     utility toward positively-priced goods are rejected (callers preprocess
-    those away).  With ``p_j = a_j/b_j`` the ratio is ``u_ij b_j / a_j``;
-    ratios are compared by cross-multiplying, and one ``Fraction`` is built
-    per row.
+    those away).  One ``Fraction`` is built per row.
     """
     priced = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if x > 0]
     gamma = []
     edges = []
     for i, row in enumerate(u):
-        num, den, ties = 0, 1, []
-        for j, a, b in priced:
-            if row[j] > 0:
-                cand = row[j] * b
-                if cand * den > num * a:
-                    num, den, ties = cand, a, [j]
-                elif cand * den == num * a:
-                    ties.append(j)
+        num, den, ties = best_ratio(row, priced)
         if not ties:
             raise ValueError(f"buyer {i} values no positively priced good")
         gamma.append(Fraction(num, den))

@@ -14,8 +14,10 @@ deficit ``beta_i = theta_i - 1`` (``theta`` = balanced-flow surplus) and
 lowers the prices of the goods only they are interested in; each price drop
 either ties a new utility/price ratio (the network gains edges and the set
 grows) or exhausts outside interest, at which point the group is "frozen":
-set aside with its prices, provably able to reach surplus deficit < 0 on its
-own.  The run ends infeasible when the remaining buyers' deficits sum to a
+set aside as its buyers and goods, provably able to reach surplus deficit < 0
+on its own.  Its prices and its buyers' best ratios then stay where it froze,
+since no later step moves a good or buyer outside the active block.  The run
+ends infeasible when the remaining buyers' deficits sum to a
 nonnegative value (their money cannot absorb their goods' prices no matter
 what), or feasible when every remaining deficit is negative.
 
@@ -65,7 +67,7 @@ from .certify import (
 )
 from .fisher import Market, _l2, _price_phase, _rebuild, _scale
 from .fisher import _run as _fisher_run
-from .flownet import counting
+from .flownet import best_ratio, counting
 from .instance import BargainingInstance, preprocess, to_json
 
 
@@ -93,21 +95,13 @@ def maxflow_budget(n, g, u_max, c_max, mu) -> int:
     return n**4 * g * terms
 
 
-@dataclass
-class FrozenBatch:
-    buyers: frozenset
-    goods: frozenset
-    prices: dict
-    gamma: dict
-
-
 class SolverState(Market):
     """Solver state over the preprocessed instance ``inst``.
 
     It starts at the prices of ``fisher``, the fixed-budget market at unit
     money.  Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  Stage I sets
-    groups aside in ``frozen``; the feasible branch keeps the restored
-    witness prices in ``feasible_prices``.
+    groups aside in ``frozen`` as ``(buyers, goods)`` pairs; the feasible
+    branch keeps the restored witness prices in ``feasible_prices``.
     """
 
     def __init__(self, inst, fisher):
@@ -199,18 +193,9 @@ def _stage1_phase(state):
     if adaptable:
         if not target_goods:
             raise SolverError("a deficit group must hold at least one good")
-        batch = FrozenBatch(
-            buyers=frozenset(target),
-            goods=frozenset(target_goods),
-            prices={j: state.p[j] for j in target_goods},
-            gamma={i: state.gamma[i] for i in target},
-        )
-        state.frozen.append(batch)
+        state.frozen.append((frozenset(target), frozenset(target_goods)))
         state.active_buyers -= target
         state.active_goods -= target_goods
-        state.edges = {
-            (i, j) for (i, j) in state.edges if i in state.active_buyers
-        }
         _trace(
             state, stage=1, type="freeze", buyers=sorted(target),
             goods=sorted(target_goods),
@@ -250,6 +235,9 @@ def _restore(state):
 def _scale_frozen(state, p):
     """Scale each frozen group's prices in ``p`` so its buyers keep to its goods.
 
+    A frozen group's prices and its buyers' ratios stay where it froze: no
+    later phase, rebuild or scaling touches a good or buyer outside the
+    active block, so ``p[j]`` and ``state.gamma[i]`` still hold them here.
     Groups are processed newest first.  A group's buyers may value goods
     priced *after* its freeze (later groups or the final active goods) more
     than their own at the literal freeze prices; scaling the group's prices
@@ -259,20 +247,15 @@ def _scale_frozen(state, p):
     precisely when remaining buyers had zero utility toward them), so one
     backward pass settles every group.
     """
-    inst = state.inst
-    for batch in reversed(state.frozen):
-        worst = None
-        for i in sorted(batch.buyers):
-            cross = Fraction(0)
-            for j in range(inst.g):
-                if j not in batch.goods and inst.u[i][j] > 0:
-                    cross = max(cross, Fraction(inst.u[i][j]) / p[j])
-            if cross > 0:
-                need = batch.gamma[i] / cross
-                worst = need if worst is None or need < worst else worst
-        sigma = Fraction(1) if worst is None or worst > 1 else worst / 2
-        for j in batch.goods:
-            p[j] = batch.prices[j] * sigma
+    for buyers, goods in reversed(state.frozen):
+        others = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if j not in goods]
+        sigma = Fraction(1)
+        for i in buyers:
+            num, den, ties = best_ratio(state.inst.u[i], others)
+            if ties and state.gamma[i] * den <= num:  # an outside good ties or beats its own
+                sigma = min(sigma, state.gamma[i] * den / num / 2)
+        for j in goods:
+            p[j] *= sigma
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +362,8 @@ def _convex_dual_certificate(state, report):
     """
     p = list(state.p)
     _scale_frozen(state, p)
-    buyers = sorted(i for batch in state.frozen for i in batch.buyers)
-    goods = {report.kept_goods[j] for batch in state.frozen for j in batch.goods}
+    buyers = sorted(i for group, _ in state.frozen for i in group)
+    goods = {report.kept_goods[j] for _, group in state.frozen for j in group}
     return {
         "buyers": buyers, "goods": sorted(goods | set(report.removed_goods)),
         "p": report.expand(p, fill=Fraction(1)), "zero_row": None,

@@ -17,6 +17,7 @@ from nashflow import (
     BalanceError,
     FisherError,
     SolverError,
+    gen_random,
     parse_instance,
     solution_to_json,
     solve,
@@ -90,6 +91,21 @@ def test_solve_cross_check_passes_on_small_instances(run, feasible_file):
     code, out, _ = run(["solve", feasible_file, "--cross-check"])
     assert code == 0
     assert json.loads(out)["verdict"] == "feasible"
+
+
+def test_solve_cross_check_past_the_oracle_cap_still_runs_the_rest(run, tmp_path, monkeypatch):
+    # 14 positive pairs exceed the oracle's cap of 12: only the oracle
+    # comparison is skipped, and the limit iteration and margin program run.
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(gen_random(4, 4, 5, 2, 3).to_json_dict()))
+    code, out, err = run(["solve", str(path), "--cross-check"])
+    assert code == 0 and json.loads(out)["verdict"] == "feasible"
+    assert err.count("\n") == 2 and "oracle comparison skipped" in err
+    assert err.endswith("cross-check passed\n")
+    monkeypatch.setattr("nashflow.cli.feasibility_lp", lambda inst: 0)
+    code, out, err = run(["solve", str(path), "--cross-check"])
+    assert code == 1 and out == ""
+    assert "margin program disagrees" in err
 
 
 def test_solve_writes_trace_file(run, feasible_file, tmp_path):
@@ -329,6 +345,10 @@ def test_invalid_instance_exits_one(run, tmp_path):
         ),
         (["solve"], '{"u":[[1,2]],"c":5}', None),
         (["solve"], '{"u":5,"c":[1]}', None),
+        # Nesting deeper than the JSON decoder's recursion limit.
+        pytest.param(["solve"], "[" * 100000 + "]" * 100000, None, id="deep-instance"),
+        pytest.param(["check"], '{"u":[[1]],"c":["1"]}', "[" * 100000 + "]" * 100000,
+                     id="deep-solution"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instance, solution):

@@ -271,6 +271,47 @@ def test_solve_restores_frozen_groups_on_the_feasible_branch():
     assert ok, why
 
 
+def test_frozen_groups_keep_their_freeze_prices_and_ratios(monkeypatch):
+    # A frozen group is only its buyers and goods: every later phase, the
+    # restore and the partition certificate must find its goods' prices and
+    # its buyers' best ratios as they were at the freeze, and no active buyer
+    # valuing its goods.
+    taken, seen = {}, {"freezes": 0, "checks": 0}
+
+    def check(state):
+        groups = taken.setdefault(state, [])
+        for buyers, goods in state.frozen[len(groups):]:
+            groups.append(({j: state.p[j] for j in goods}, {i: state.gamma[i] for i in buyers}))
+            seen["freezes"] += 1
+        for (buyers, goods), (prices, ratios) in zip(state.frozen, groups):
+            assert {j: state.p[j] for j in goods} == prices
+            assert {i: state.gamma[i] for i in buyers} == ratios
+            assert not any(state.inst.u[i][j] for i in state.active_buyers for j in goods)
+            seen["checks"] += 1
+
+    def checked(run, before):
+        def wrapper(state, *args):
+            if before:
+                check(state)
+            out = run(state, *args)
+            if not before:
+                check(state)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(solver, "_stage1_phase", checked(solver._stage1_phase, False))
+    monkeypatch.setattr(solver, "_restore", checked(solver._restore, True))
+    monkeypatch.setattr(
+        solver, "_convex_dual_certificate", checked(solver._convex_dual_certificate, True)
+    )
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    for shape in shapes:
+        solve(gen_random(*shape))
+        taken.clear()
+    assert seen["freezes"] >= 40 and seen["checks"] > seen["freezes"]
+
+
 def test_solve_mixed_connectivity_regression():
     # A partly connected market where one buyer's payoff is out of reach.
     inst = make_instance([[2, 2], [0, 3], [1, 0]], [0, 0, 1])
