@@ -78,7 +78,7 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
     top = {}
     for (i, j) in net.edges:
         top[j] = max(top.get(j, theta[i]), theta[i])
-    return all(theta[i] >= top[j] for (i, j) in net.edges if flow.pair_flow.get((i, j), 0) > 0)
+    return all(theta[i] >= top[j] for (i, j) in net.edges if (i, j) in flow.pair_flow)
 
 
 def balanced_flow(net: MarketNetwork, hint=None):

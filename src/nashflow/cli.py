@@ -317,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact answers can pass Python's 4300-digit cap on int/str conversion; the
+    # CLI reads only files its user names, so it lifts the cap for the call.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
@@ -333,6 +337,8 @@ def main(argv=None) -> int:
         where = f" (instance: {source})" if source else ""
         print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ kernel runs in two directions and under two kinds of budget:
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
   of goods becomes exactly as expensive as all the money its buyers hold (a
-  tight event, located by a short descending search over min cuts);
+  tight event, found by a descent over min cuts from the next edge factor);
 * rising, flexible budgets ``m_i = 1 + c_i/gamma_i`` (Stage II in
   ``solver``): the phase stops when a block deficit would reach zero;
 * falling, flexible budgets (Stage I in ``solver``): the block is the
@@ -87,49 +87,6 @@ def _l2(theta):
     return sum((t * t for t in theta), Fraction(0))
 
 
-def _first_tight(p, money, edges, target):
-    """Largest uniform factor on the target goods' prices keeping all goods sellable.
-
-    Returns ``(x, tight_buyers, tight_goods)`` where the tight sets are the
-    maximal ones (far side of the min cut at the critical factor).  Starts
-    from the factor that would price the target at its buyers' whole money
-    and descends through binding min cuts; each step strictly grows the
-    binding target mass, so it ends within ``g + 2`` max-flows.
-    """
-    g = len(p)
-    buyers_of = {}
-    for (i, j) in edges:
-        buyers_of.setdefault(j, set()).add(i)
-    target = set(target)
-    gamma_t = set()
-    for j in target:
-        gamma_t |= buyers_of.get(j, set())
-    mass = sum((p[j] for j in target), Fraction(0))
-    if not gamma_t or mass <= 0:
-        raise FisherError("tight search needs a priced, wanted target set")
-    x = sum((money[i] for i in gamma_t), Fraction(0)) / mass
-    for _ in range(g + 3):
-        prices = tuple(p[j] * x if j in target else p[j] for j in range(g))
-        res = max_flow(MarketNetwork(prices, tuple(money), frozenset(edges)))
-        if res.value == sum(prices, Fraction(0)):
-            return x, res.far_side[0], res.far_side[1]
-        binding = set(res.far_side[1])
-        inside = sum((p[j] for j in binding & target), Fraction(0))
-        if inside <= 0:
-            raise FisherError("a set of goods outside the target cannot sell")
-        buyers = set()
-        for j in binding:
-            buyers |= buyers_of.get(j, set())
-        free = sum((money[i] for i in buyers), Fraction(0)) - sum(
-            (p[j] for j in binding - target), Fraction(0)
-        )
-        x_new = free / inside
-        if not (1 <= x_new < x):
-            raise FisherError("tight-factor descent failed to make progress")
-        x = x_new
-    raise FisherError("tight-factor descent did not converge")
-
-
 def _scale(market, block, goods, x):
     """Multiply the block's prices by ``x`` and its buyers' best ratios by ``1/x``."""
     for j in goods:
@@ -153,7 +110,7 @@ def _block_goods(market, block, ascending):
     else:
         goods -= {j for (i, j) in edges if i not in block}
         crossing = {(i, j) for (i, j) in edges if i in block and j not in goods}
-    if any(market.flow.pair_flow.get(e, 0) > 0 for e in crossing):
+    if any(e in market.flow.pair_flow for e in crossing):
         raise FisherError("an edge cut from the block still carries flow")
     edges -= crossing
     return goods
@@ -296,15 +253,52 @@ class _FixedBudgets(Market):
         self.trace.append(entry)
 
     def stop_at_tight(self, x_edge, block, goods, iteration):
-        """End the phase when some set of goods goes tight before the next edge."""
-        x_tight, tight_buyers, tight_goods = _first_tight(self.p, self.money, self.edges, goods)
-        if x_tight <= 1:
-            raise FisherError("tight factor must exceed 1 while surpluses remain")
-        if x_edge is not None and x_edge < x_tight:
+        """End the phase when some set of goods goes tight before the next edge.
+
+        A descent over min cuts finds the tight factor, the largest factor on
+        the block's prices that keeps every good sellable, from the smaller of
+        ``x_edge`` and ``m(block) / p(goods)``: the block is closed and each
+        of its buyers keeps an edge into its goods, so their buyers are the
+        block.  A max-flow that leaves goods unsold moves it to the factor at
+        which the far-side goods cost the far-side buyers' money: a far-side
+        buyer with money is saturated and every good paying it is on the far
+        side, so these are the cut goods' buyers.  If all sells at ``x_edge``
+        with no block good on the far side, the edge event comes first after
+        one max-flow; otherwise the far side holds the maximal tight sets.
+        """
+        p, money = self.p, self.money
+        mass = sum((p[j] for j in goods), Fraction(0))
+        if mass <= 0:
+            raise FisherError("tight search needs a priced, wanted target set")
+        x = sum((money[i] for i in block), Fraction(0)) / mass
+        if x_edge is not None and x_edge < x:
+            x = x_edge
+        edges = frozenset(self.edges)
+        for _ in range(len(p) + 3):
+            prices = tuple(q * x if j in goods else q for j, q in enumerate(p))
+            res = max_flow(MarketNetwork(prices, money, edges))
+            far_buyers, far_goods = res.far_side
+            if res.value == sum(prices, Fraction(0)):
+                break
+            inside = sum((p[j] for j in far_goods & goods), Fraction(0))
+            if inside <= 0:
+                raise FisherError("a set of goods outside the target cannot sell")
+            spent = sum((p[j] for j in far_goods - goods), Fraction(0))
+            x_new = (sum((money[i] for i in far_buyers), Fraction(0)) - spent) / inside
+            if not (1 <= x_new < x):
+                raise FisherError("tight-factor descent failed to make progress")
+            x = x_new
+        else:
+            raise FisherError("tight-factor descent did not converge")
+        if not far_goods & goods:
+            if x != x_edge:
+                raise FisherError("no block good is tight at the tight factor")
             return False
-        _scale(self, block, goods, x_tight)
-        self.log("tight", iteration, x=x_tight,
-                 tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
+        if x <= 1:
+            raise FisherError("tight factor must exceed 1 while surpluses remain")
+        _scale(self, block, goods, x)
+        self.log("tight", iteration, x=x,
+                 tight_goods=sorted(far_goods), tight_buyers=sorted(far_buyers))
         return True
 
 

@@ -137,11 +137,11 @@ class FlowResult:
     """An exact max-flow of ``net`` plus its maximal minimum cut.
 
     ``pair_flow`` maps each interest edge ``(i, j)`` that carries money to
-    the amount good ``j`` sells to buyer ``i``; edges without flow are
-    absent.  ``far_side`` is the complement of the nodes that reach the sink
-    in the residual graph, given as a pair ``(buyers, goods)`` of
-    frozensets, source/sink excluded.  Only ``max_flow`` makes one, so the
-    cut always belongs to the flow.
+    the amount good ``j`` sells to buyer ``i``; other edges are absent, so
+    ``e in pair_flow`` tests for money.  ``far_side`` is the complement of
+    the nodes that reach the sink in the residual graph, given as a pair
+    ``(buyers, goods)`` of frozensets, source/sink excluded.  Only
+    ``max_flow`` makes one, so the cut always belongs to the flow.
     """
 
     value: Fraction
@@ -168,7 +168,7 @@ class FlowResult:
         """
         good_to_buyers, buyer_to_goods = {}, {}
         for (i, j) in self.net.edges:
-            paid = self.pair_flow.get((i, j), 0) > 0
+            paid = (i, j) in self.pair_flow
             if reverse or paid:
                 buyer_to_goods.setdefault(i, []).append(j)
             if not reverse or paid:

@@ -229,6 +229,8 @@ def limit_algorithm(
     the update drops below ``eps``, or after ``max_iter`` rounds.  ``history``
     holds one ``(prices, budgets)`` pair per round, prices over all goods.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     reduced, report = preprocess(inst)
     if report.verdict == "infeasible":
         raise ValueError("a buyer with no valued good has no market limit")

@@ -303,10 +303,7 @@ def _stage2_phase(state):
         if x_edge is not None and x_edge < stretch:
             return False
         tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
-        tight_goods = {
-            j for j in goods
-            if any(state.flow.pair_flow.get((i, j), 0) > 0 for i in tight_buyers)
-        }
+        tight_goods = {j for (i, j) in state.flow.pair_flow if i in tight_buyers and j in goods}
         state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
         _scale(state, block, goods, stretch)
         for i in tight_buyers:

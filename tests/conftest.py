@@ -19,6 +19,7 @@ from hypothesis import configuration, settings
 
 from nashflow import (
     BalanceError,
+    FisherError,
     MarketNetwork,
     gen_l1_adversarial,
     make_instance,
@@ -181,6 +182,56 @@ def _reference_solve(buyers, goods, net, theta):
     if lo + hi != value:
         raise BalanceError("split lost flow value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# The fixed-budget tight search as it stood before it moved into
+# ``fisher._FixedBudgets.stop_at_tight``: it builds its own goods-to-buyers
+# map and always descends from the target's whole money.  Kept to compare the
+# stop's factor and tight sets with.
+
+
+def reference_first_tight(p, money, edges, target):
+    """Largest uniform factor on the target goods' prices keeping all goods sellable.
+
+    Returns ``(x, tight_buyers, tight_goods)`` where the tight sets are the
+    maximal ones (far side of the min cut at the critical factor).  Starts
+    from the factor that would price the target at its buyers' whole money
+    and descends through binding min cuts; each step strictly grows the
+    binding target mass, so it ends within ``g + 2`` max-flows.
+    """
+    g = len(p)
+    buyers_of = {}
+    for (i, j) in edges:
+        buyers_of.setdefault(j, set()).add(i)
+    target = set(target)
+    gamma_t = set()
+    for j in target:
+        gamma_t |= buyers_of.get(j, set())
+    mass = sum((p[j] for j in target), Fraction(0))
+    if not gamma_t or mass <= 0:
+        raise FisherError("tight search needs a priced, wanted target set")
+    x = sum((money[i] for i in gamma_t), Fraction(0)) / mass
+    for _ in range(g + 3):
+        prices = tuple(p[j] * x if j in target else p[j] for j in range(g))
+        res = max_flow(MarketNetwork(prices, tuple(money), frozenset(edges)))
+        if res.value == sum(prices, Fraction(0)):
+            return x, res.far_side[0], res.far_side[1]
+        binding = set(res.far_side[1])
+        inside = sum((p[j] for j in binding & target), Fraction(0))
+        if inside <= 0:
+            raise FisherError("a set of goods outside the target cannot sell")
+        buyers = set()
+        for j in binding:
+            buyers |= buyers_of.get(j, set())
+        free = sum((money[i] for i in buyers), Fraction(0)) - sum(
+            (p[j] for j in binding - target), Fraction(0)
+        )
+        x_new = free / inside
+        if not (1 <= x_new < x):
+            raise FisherError("tight-factor descent failed to make progress")
+        x = x_new
+    raise FisherError("tight-factor descent did not converge")
 
 
 # ---------------------------------------------------------------------------

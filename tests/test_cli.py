@@ -182,6 +182,24 @@ def test_check_validates_solver_output(run, feasible_file, tmp_path):
     assert json.loads(out2) == {"valid": True, "reason": "ok"}
 
 
+def test_solve_and_check_print_rationals_past_the_digit_limit(run, tmp_path):
+    # Every integer in the instance is under Python's 4300-digit limit on
+    # integer string conversion, but the exact prices have 8101-digit
+    # numerators.  Both verbs lift the limit for the call only.
+    a, b = 10**4000 + 7, 10**3999 + 3
+    c, d = 10**4100 + 9, 10**4100 + 13
+    inst_path, sol_path = tmp_path / "instance.json", tmp_path / "solution.json"
+    inst_path.write_text(f'{{"u": [[{a}, {b}], [{b}, {a}]], "c": ["{c - 1}/{c}", "{d - 5}/{d}"]}}')
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(["solve", str(inst_path), "--output", str(sol_path)])
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(["check", str(inst_path), str(sol_path)])
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "reason": "ok"}
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_validates_infeasibility_certificates(run, infeasible_file, tmp_path):
     sol_path = tmp_path / "solution.json"
     code, _, _ = run(["solve", infeasible_file, "--output", str(sol_path)])
@@ -300,6 +318,14 @@ def test_limit_verb_honors_max_iter(run, feasible_file):
     code, out, _ = run(["limit", feasible_file, "--max-iter", "5"])
     assert code == 0
     assert json.loads(out)["iterations"] == 5
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_limit_verb_rejects_max_iter_below_one(run, feasible_file, max_iter):
+    code, out, err = run(["limit", feasible_file, "--max-iter", max_iter])
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_iter must be at least 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fixed-budget market equilibria and the one-phase norm instrumentation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,13 +10,20 @@ import pytest
 from nashflow import (
     FisherError,
     check_kkt,
+    counting,
     fisher_equilibrium,
     gen_random,
     make_instance,
     solve,
 )
 from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
-from conftest import measure_l1_vs_l2, random_ratio_case, reference_next_tie, symmetric_pair
+from conftest import (
+    measure_l1_vs_l2,
+    random_ratio_case,
+    reference_first_tight,
+    reference_next_tie,
+    symmetric_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +187,49 @@ def test_next_tie_matches_the_fraction_reference():
         tied += len(want[1]) > 1
         deep += want[0] is not None and want[0].denominator.bit_length() > 150
     assert tied > 150 and raised > 150 and deep > 200
+
+
+# ---------------------------------------------------------------------------
+# Tight search
+
+
+def test_tight_search_matches_the_reference_descent(monkeypatch):
+    # Every turn of every fixed-budget phase asks the stop and the reference
+    # descent at the same state.  The stop lets the edge event through
+    # exactly when it comes before the reference's tight factor, and then
+    # after one max-flow; otherwise it logs the reference's factor and its
+    # maximal tight sets, ties included.
+    stop = _FixedBudgets.stop_at_tight
+    seen = Counter()
+
+    def checked(market, x_edge, block, goods, iteration):
+        x_ref, buyers_ref, goods_ref = reference_first_tight(
+            market.p, market.money, market.edges, goods
+        )
+        with counting() as tally:
+            ended = stop(market, x_edge, block, goods, iteration)
+        if not ended:
+            assert x_edge is not None and x_edge < x_ref
+            assert tally["maxflows"] == 1
+            seen["edge"] += 1
+            return False
+        assert x_edge is None or x_edge >= x_ref
+        event = market.trace[-1]
+        assert event["type"] == "tight" and event["x"] == x_ref
+        assert event["tight_goods"] == sorted(goods_ref)
+        assert event["tight_buyers"] == sorted(buyers_ref)
+        seen["tight"] += 1
+        seen["tie"] += x_edge == x_ref
+        return True
+
+    monkeypatch.setattr(_FixedBudgets, "stop_at_tight", checked)
+    rng = random.Random(3)
+    for k in range(600):
+        n, g = rng.randint(1, 6), rng.randint(1, 6)
+        inst = gen_random(n, g, rng.choice((3, 9, 50)), 0, rng.randint(0, 10**6))
+        if k % 2:
+            money = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n))
+        else:
+            money = (Fraction(1),) * n
+        fisher_equilibrium(inst.u, money)
+    assert seen["edge"] >= 800 and seen["tight"] >= 1200 and seen["tie"] >= 1, seen

@@ -11,9 +11,10 @@ The max-flow count of each instance is compared with the committed table in
 ``golden_maxflows.json``, so a change that saves work shows which instances
 it touched.  A change that lowers counts regenerates the table with
 ``PYTHONPATH=src python tests/test_golden.py``: it recomputes every count,
-prints on how many instances the count fell, held and rose, exits 1 listing
-the instances whose count rose, and otherwise rewrites the table and prints
-the old and new totals.
+prints each instance whose count changed as ``label: before -> after`` and
+then on how many instances the count fell, held and rose, exits 1 if any
+count rose, and otherwise rewrites the table and prints the old and new
+totals.
 """
 
 import hashlib
@@ -93,14 +94,15 @@ def _regenerate_table():
     """Rewrite the count table unless some instance's count rose."""
     old = json.loads(MAXFLOWS_TABLE.read_text(encoding="utf-8"))
     _, new = _digest_and_counts()
-    rose = {k: (old[k], v) for k, v in new.items() if k in old and v > old[k]}
+    changed = {k: (old.get(k), v) for k, v in new.items() if old.get(k) != v}
+    for label, (before, after) in changed.items():
+        print(f"{label}: {before} -> {after}")
+    rose = sum(k in old and v > old[k] for k, v in new.items())
     fell = sum(k in old and v < old[k] for k, v in new.items())
-    held = sum(old.get(k) == v for k, v in new.items())
-    print(f"{fell} fell, {held} held, {len(rose)} rose of {len(new)} instances")
+    held = len(new) - len(changed)
+    print(f"{fell} fell, {held} held, {rose} rose of {len(new)} instances")
     if rose:
-        for label, (before, after) in rose.items():
-            print(f"{label}: {before} -> {after}")
-        print(f"count rose on {len(rose)} of {len(new)} instances; table left as it is")
+        print(f"count rose on {rose} of {len(new)} instances; table left as it is")
         return 1
     MAXFLOWS_TABLE.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     print(f"max-flows: {sum(old.values())} -> {sum(new.values())} over {len(new)} instances")
