@@ -89,7 +89,7 @@ def balanced_flow(net: MarketNetwork, hint=None):
     the recursion runs only when the guess misses.  A hinted call counts
     one ``"hits"`` or ``"misses"`` in the open ``counting()`` tally.  At
     most ``2n + 1`` max-flows without a hint and ``2n + 2`` with one; a hit
-    costs one.
+    costs one.  A network without buyers returns its root flow and ``()``.
     """
     if hint is not None:
         guessed = _guess(net, *hint)
@@ -99,6 +99,8 @@ def balanced_flow(net: MarketNetwork, hint=None):
     n = net.n
     theta = [None] * n
     root = max_flow(net)
+    if not n:
+        return root, ()
     leaf = _solve(frozenset(range(n)), frozenset(range(net.g)), root.value, net, theta)
     caps = tuple(net.m[i] - theta[i] for i in range(n))
     # An unsplit root ran on the reassembly's network: ``net``, capped if delta > 0.

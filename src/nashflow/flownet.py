@@ -12,6 +12,18 @@ All capacities are rationals.  Max-flow clears denominators up front and runs
 integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
 so flows are exact and runs are reproducible.  Unbounded pair capacities are
 encoded as the total price mass plus one, which no s-t flow can reach.
+
+Each breadth-first search stops at the first buyer it discovers whose sink
+arc has room, without scanning on to the sink.  That keeps every path of
+the full search: a buyer scans its sink arc last and the queue pops nodes in
+discovery order, so the full search would reach the sink from that very
+buyer, along the parent chain fixed when each node on it was discovered.
+Nor does a search rescan the source: its scan finds the goods with price
+room in index order, and a source arc only loses room, so that scan is kept
+across the searches of one max-flow and a good leaves it when its arc
+saturates.  The paths, bottlenecks and residual updates are therefore the
+full search's, and so are the pair flows and the cut that callers read.
+
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
 ``best_ratio`` that every best-ratio question calls.  Work is counted per
@@ -34,7 +46,8 @@ _TALLY = ContextVar("nashflow_tally", default=None)
 def counting():
     """Count the work done inside the block; yields a ``Counter``.
 
-    ``max_flow`` adds to ``"maxflows"`` and a hinted ``balanced_flow`` to
+    ``max_flow`` adds one to ``"maxflows"`` and its number of augmenting
+    paths to ``"augments"``, and a hinted ``balanced_flow`` adds to
     ``"hits"`` or ``"misses"``.  A nested block counts only its own work
     and adds it to the enclosing block's tally when it exits.
     """
@@ -48,11 +61,11 @@ def counting():
             outer.update(tally)
 
 
-def _count(key):
-    """Add one ``key`` to the innermost open tally, if any."""
+def _count(key, amount=1):
+    """Add ``amount`` of ``key`` to the innermost open tally, if any."""
     tally = _TALLY.get()
     if tally is not None:
-        tally[key] += 1
+        tally[key] += amount
 
 
 def best_ratio(row, priced):
@@ -192,7 +205,7 @@ class FlowResult:
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
-    """Exact max-flow of the network; counts one ``"maxflows"``."""
+    """Exact max-flow of the network; counts one ``"maxflows"`` and its ``"augments"``."""
     _count("maxflows")
 
     n, g = net.n, net.g
@@ -204,7 +217,10 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     gnode = lambda j: 1 + j
     bnode = lambda i: 1 + g + i
 
-    to, cap, head = [], [], [[] for _ in range(2 + g + n)]
+    # Arcs 0 and 1 are a dead pair of capacity 0; arc 0 stands as the sink
+    # arc of every node without one, so "room to the sink" is one lookup.
+    to, cap, head = [sink, sink], [0, 0], [[] for _ in range(2 + g + n)]
+    sink_arc = [0] * (2 + g + n)
 
     def add_arc(a, b, c):
         head[a].append(len(to))
@@ -229,41 +245,53 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     for i, x in enumerate(net.m):
         ci = x.numerator * (scale // x.denominator)
         if ci > 0:
+            sink_arc[bnode(i)] = len(to)
             add_arc(bnode(i), sink, ci)
 
-    def bfs_augment():
-        parent_arc = [-1] * (2 + g + n)
-        parent_arc[source] = -2
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
+    # Each search starts from the state after the source's scan: the goods
+    # with price room, in index order, each found by its source arc.  No
+    # path re-enters the source, so a source arc only loses room; the state
+    # is kept across searches, and a good leaves it when its arc saturates.
+    start_parent = [-1] * (2 + g + n)
+    start_parent[source] = -2
+    start_queue = []
+    for arc in head[source]:
+        start_parent[to[arc]] = arc
+        start_queue.append(to[arc])
+    value = augments = 0
+    while True:
+        parent_arc = start_parent[:]
+        queue = start_queue[:]
+        last = 0  # the path's sink arc, once found
+        for node in queue:
             for arc in head[node]:
                 nxt = to[arc]
                 if parent_arc[nxt] == -1 and cap[arc] > 0:
                     parent_arc[nxt] = arc
-                    if nxt == sink:
-                        bottleneck = None
-                        cur = sink
-                        while cur != source:
-                            arc2 = parent_arc[cur]
-                            bottleneck = cap[arc2] if bottleneck is None else min(bottleneck, cap[arc2])
-                            cur = to[arc2 ^ 1]
-                        cur = sink
-                        while cur != source:
-                            arc2 = parent_arc[cur]
-                            cap[arc2] -= bottleneck
-                            cap[arc2 ^ 1] += bottleneck
-                            cur = to[arc2 ^ 1]
-                        return bottleneck
+                    if cap[sink_arc[nxt]] > 0:
+                        last = sink_arc[nxt]
+                        break
                     queue.append(nxt)
-        return 0
-
-    value = 0
-    while True:
-        pushed = bfs_augment()
-        if not pushed:
+            if last:
+                break
+        if not last:
             break
-        value += pushed
+        path = [last]
+        node = to[last ^ 1]
+        while node != source:
+            arc = parent_arc[node]
+            path.append(arc)
+            node = to[arc ^ 1]
+        bottleneck = min(cap[arc] for arc in path)
+        for arc in path:
+            cap[arc] -= bottleneck
+            cap[arc ^ 1] += bottleneck
+        if not cap[arc]:  # the path's first arc, out of the source
+            start_parent[to[arc]] = -1
+            start_queue.remove(to[arc])
+        value += bottleneck
+        augments += 1
+    _count("augments", augments)
 
     pair_flow = {}
     for (i, j), arc in pair_ids.items():

@@ -47,7 +47,9 @@ balanced-flow recursion only on a miss.
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize`` and both stages: ``stats["maxflows"]`` is the max-flows run
 to find the answer, for either verdict, without the self-verification's,
-and ``stats["detail"]["guess"]`` the guess's hits and misses.
+``stats["detail"]["augments"]`` their augmenting paths and
+``stats["detail"]["guess"]`` the guess's hits and misses.  The detail stays
+out of ``solution_to_json``.
 """
 
 from __future__ import annotations
@@ -439,6 +441,7 @@ def _final_stats(state, tally):
     """
     stats, inst = state.stats, state.inst
     stats["guess"] = {"hits": tally["hits"], "misses": tally["misses"]}
+    stats["augments"] = tally["augments"]
     phases = stats["stage1_phases"] + stats["stage2_phases"]
     return {
         "phases": len(phases),

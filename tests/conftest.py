@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 import tempfile
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from hypothesis import configuration, settings
@@ -20,6 +22,7 @@ from hypothesis import configuration, settings
 from nashflow import (
     BalanceError,
     FisherError,
+    FlowResult,
     MarketNetwork,
     gen_l1_adversarial,
     make_instance,
@@ -232,6 +235,110 @@ def reference_first_tight(p, money, edges, target):
             raise FisherError("tight-factor descent failed to make progress")
         x = x_new
     raise FisherError("tight-factor descent did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Edmonds-Karp as it stood before each search stopped at the first buyer
+# discovered with room to the sink: every search runs on until it pops that
+# buyer and scans its sink arc, and the path is walked twice, once for the
+# bottleneck and once for the update.  Kept verbatim, apart from the name,
+# the docstring and the dropped count, to compare ``value``, ``pair_flow``
+# and ``far_side`` with ``flownet.max_flow``.
+
+
+def reference_max_flow(net: MarketNetwork) -> FlowResult:
+    """``flownet.max_flow`` with a search that runs on to the sink; counts nothing."""
+    n, g = net.n, net.g
+    denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
+    scale = lcm(*denoms) if denoms else 1
+
+    # Node ids: source, goods, buyers, sink.
+    source, sink = 0, 1 + g + n
+    gnode = lambda j: 1 + j
+    bnode = lambda i: 1 + g + i
+
+    to, cap, head = [], [], [[] for _ in range(2 + g + n)]
+
+    def add_arc(a, b, c):
+        head[a].append(len(to))
+        to.append(b)
+        cap.append(c)
+        head[b].append(len(to))
+        to.append(a)
+        cap.append(0)
+
+    # Pair capacities stand in for "unbounded" and must strictly exceed any
+    # achievable flow, or a fully loaded pair would masquerade as a cut edge.
+    price_caps = [x.numerator * (scale // x.denominator) for x in net.p]
+    unbounded = sum(price_caps) + 1
+    pair_ids = {}
+    for j, cj in enumerate(price_caps):
+        if cj > 0:
+            add_arc(source, gnode(j), cj)
+    for (i, j) in sorted(net.edges, key=lambda e: (e[1], e[0])):
+        if price_caps[j] > 0:
+            pair_ids[(i, j)] = len(to)
+            add_arc(gnode(j), bnode(i), unbounded)
+    for i, x in enumerate(net.m):
+        ci = x.numerator * (scale // x.denominator)
+        if ci > 0:
+            add_arc(bnode(i), sink, ci)
+
+    def bfs_augment():
+        parent_arc = [-1] * (2 + g + n)
+        parent_arc[source] = -2
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for arc in head[node]:
+                nxt = to[arc]
+                if parent_arc[nxt] == -1 and cap[arc] > 0:
+                    parent_arc[nxt] = arc
+                    if nxt == sink:
+                        bottleneck = None
+                        cur = sink
+                        while cur != source:
+                            arc2 = parent_arc[cur]
+                            bottleneck = cap[arc2] if bottleneck is None else min(bottleneck, cap[arc2])
+                            cur = to[arc2 ^ 1]
+                        cur = sink
+                        while cur != source:
+                            arc2 = parent_arc[cur]
+                            cap[arc2] -= bottleneck
+                            cap[arc2 ^ 1] += bottleneck
+                            cur = to[arc2 ^ 1]
+                        return bottleneck
+                    queue.append(nxt)
+        return 0
+
+    value = 0
+    while True:
+        pushed = bfs_augment()
+        if not pushed:
+            break
+        value += pushed
+
+    pair_flow = {}
+    for (i, j), arc in pair_ids.items():
+        f = cap[arc ^ 1]  # reverse residual equals flow shipped
+        if f:
+            pair_flow[(i, j)] = Fraction(f, scale)
+
+    # Nodes that still reach the sink; the rest form the maximal min cut.
+    to_sink = {sink}
+    queue = deque(to_sink)
+    while queue:
+        node = queue.popleft()
+        for arc in head[node]:
+            nxt = to[arc]
+            if cap[arc ^ 1] > 0 and nxt not in to_sink:
+                to_sink.add(nxt)
+                queue.append(nxt)
+    far_side = (
+        frozenset(i for i in range(n) if bnode(i) not in to_sink),
+        frozenset(j for j in range(g) if gnode(j) not in to_sink),
+    )
+    return FlowResult(value=Fraction(value, scale), pair_flow=pair_flow, far_side=far_side, net=net)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,20 @@ def test_balanced_flow_cannot_spend_past_the_prices():
     assert theta == (Fraction(1), Fraction(1))
 
 
+@pytest.mark.parametrize("goods", [0, 1])
+def test_balanced_flow_without_buyers_returns_the_root_flow(goods):
+    net = MarketNetwork((Fraction(1),) * goods, (), frozenset())
+    with counting() as tally:
+        flow, theta = balanced_flow(net)
+    assert theta == ()
+    assert (flow.value, flow.pair_flow) == (0, {})
+    # A good no buyer wants cannot reach the sink.
+    assert flow.far_side == (frozenset(), frozenset(range(goods)))
+    assert tally["maxflows"] == 1
+    # A hint from that flow proves the same answer or falls back to it.
+    assert balanced_flow(net, (flow, theta))[1] == ()
+
+
 def test_balanced_flow_is_a_max_flow():
     rng = random.Random(21)
     for _ in range(60):

@@ -1,6 +1,8 @@
 """Market sale network: construction, exact max flow, cuts, reachability."""
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from fractions import Fraction
@@ -16,12 +18,14 @@ from nashflow import (
     gen_random,
     make_instance,
     max_flow,
+    solution_to_json,
     solve,
 )
 from conftest import (
     random_network,
     random_ratio_case,
     reference_bang_per_buck,
+    reference_max_flow,
     scalar_feasible,
     symmetric_pair,
     unit_game,
@@ -192,20 +196,133 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
             assert sum(q for (ii, _), q in flow.pair_flow.items() if ii == i) <= m[i]
 
 
+# ---------------------------------------------------------------------------
+# The same augmenting paths as the search that runs on to the sink
+
+
+def _same_flow(got, want):
+    """Equal value, the same pair flows in the same order, and the same cut."""
+    return (got.value, list(got.pair_flow.items()), got.far_side) == (
+        want.value, list(want.pair_flow.items()), want.far_side
+    )
+
+
+def _varied_network(rng):
+    """A seeded network with what the flow core meets inside a solve.
+
+    A third of the networks have denominators of at least 180 bits.  Some
+    prices are zero, half the networks lower every buyer's money by one
+    ``delta`` clamped at zero, ``max(m_i - delta, 0)``, as a balanced-flow
+    trial does, and edge densities run from sparse, with edgeless buyers
+    and goods, to complete.
+    """
+    n, g = rng.randint(1, 8), rng.randint(1, 8)
+    deep = rng.random() < 1 / 3
+
+    def amount():
+        if deep:
+            return Fraction(rng.getrandbits(182) + 1, rng.getrandbits(180) | 1 << 179)
+        return Fraction(rng.randint(1, 12), rng.randint(1, 6))
+
+    p = tuple(Fraction(0) if rng.random() < 0.1 else amount() for _ in range(g))
+    m = [amount() for _ in range(n)]
+    if rng.random() < 0.5:
+        delta = rng.choice(m) * Fraction(rng.randint(1, 8), 8)
+        m = [max(x - delta, Fraction(0)) for x in m]
+    density = rng.random()
+    edges = frozenset((i, j) for i in range(n) for j in range(g) if rng.random() < density)
+    return MarketNetwork(p, tuple(m), edges)
+
+
+def test_max_flow_finds_the_reference_paths_on_seeded_networks():
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(4000):
+        net = _varied_network(rng)
+        if rng.random() < 1 / 3:
+            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
+                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            seen["restricted"] += 1
+        flow = max_flow(net)
+        assert _same_flow(flow, reference_max_flow(net))
+        seen["zero money"] += 0 in net.m
+        seen["zero price"] += 0 in net.p
+        seen["edgeless buyer"] += len({i for i, _ in net.edges}) < net.n
+        seen["edgeless good"] += len({j for _, j in net.edges}) < net.g
+        seen["180 bits"] += max(x.denominator for x in net.p + net.m).bit_length() >= 180
+        seen["flow on 4+ pairs"] += len(flow.pair_flow) >= 4
+    assert len(seen) == 7 and min(seen.values()) > 400, seen
+
+
+def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch):
+    # Every max-flow of small solves of the benchmark's three shapes:
+    # n,g <= 3 at U=3, 12x12 at U=1000 and 80x80 at U=10.
+    import nashflow.balanced
+    import nashflow.certify
+    import nashflow.fisher
+
+    recorded = []
+
+    def recording(net):
+        recorded.append((net, max_flow(net)))
+        return recorded[-1][1]
+
+    for module in (nashflow.balanced, nashflow.certify, nashflow.fisher):
+        monkeypatch.setattr(module, "max_flow", recording)
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(27)]
+    shapes += [(12, 12, 1000, 1500, 0), (80, 80, 10, 10, 0)]
+    for n, g, u_max, c_max, seed in shapes:
+        solve(gen_random(n, g, u_max, c_max, seed))
+    monkeypatch.undo()
+    assert len(recorded) > 500
+    for net, flow in recorded:
+        assert _same_flow(flow, reference_max_flow(net))
+
+
+def test_max_flow_counts_its_augmenting_paths_once_per_call(monkeypatch):
+    # Good 0 fills buyer 0 first.  Good 1 interests buyer 0 alone, so the
+    # second path runs good 1 -> buyer 0 -> (reverse arc) good 0 -> buyer 1.
+    net = MarketNetwork(
+        (Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0), (0, 1)})
+    )
+    with counting() as tally:
+        flow = max_flow(net)
+    assert list(flow.pair_flow.items()) == [((1, 0), Fraction(1)), ((0, 1), Fraction(1))]
+    assert tally == {"maxflows": 1, "augments": 2}
+    calls = []
+    monkeypatch.setattr("nashflow.flownet._count", lambda *args: calls.append(args))
+    max_flow(net)
+    max_flow(replace(net, edges=frozenset()))
+    assert calls == [("maxflows",), ("augments", 2), ("maxflows",), ("augments", 0)]
+
+
+def test_solve_reports_augmenting_paths_in_its_detail_only():
+    inst = gen_random(3, 3, 5, 3, 1)
+    first = solve(inst)
+    with counting() as tally:
+        second = solve(inst)
+    augments = first.stats["detail"]["augments"]
+    assert augments == second.stats["detail"]["augments"] > 0
+    # The enclosing block also sees the self-check's paths.
+    assert tally["augments"] > augments
+    assert "augments" not in json.dumps(solution_to_json(first))
+
+
 def test_counting_tallies_each_block_and_adds_nested_blocks_outward():
+    # Each max-flow of this network counts itself and its one augmenting path.
     net = MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)}))
     max_flow(net)  # outside every block: counted nowhere
     with counting() as outer:
         max_flow(net)
-        assert outer == {"maxflows": 1}
+        assert outer == {"maxflows": 1, "augments": 1}
         with counting() as inner:
             max_flow(net)
             max_flow(net)
-            assert inner == {"maxflows": 2}
-            assert outer == {"maxflows": 1}
-        assert outer == {"maxflows": 3}
+            assert inner == {"maxflows": 2, "augments": 2}
+            assert outer == {"maxflows": 1, "augments": 1}
+        assert outer == {"maxflows": 3, "augments": 3}
     max_flow(net)
-    assert (outer, inner) == ({"maxflows": 3}, {"maxflows": 2})
+    assert (outer, inner) == ({"maxflows": 3, "augments": 3}, {"maxflows": 2, "augments": 2})
 
 
 def test_counting_starts_afresh_for_every_solve():
