@@ -22,6 +22,7 @@ from .instance import (
     wireless_adapter,
 )
 from .flownet import (
+    FlowError,
     FlowResult,
     MarketNetwork,
     bang_per_buck,
@@ -65,6 +66,7 @@ __all__ = [
     "BalanceError",
     "BargainingInstance",
     "FisherError",
+    "FlowError",
     "FlowResult",
     "InstanceError",
     "LimitResult",

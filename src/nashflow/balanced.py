@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
 
-from .flownet import FlowResult, MarketNetwork, _count, max_flow
+from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
 
 
 class BalanceError(AssertionError):
@@ -124,9 +123,7 @@ def _guess(net, prev_flow, prev_theta):
     n, g = net.n, net.g
     if len(prev_theta) != n:
         return None
-    scale = lcm(*(x.denominator for x in net.p + net.m))
-    money = [x.numerator * (scale // x.denominator) for x in net.m]
-    price = [x.numerator * (scale // x.denominator) for x in net.p]
+    scale, price, money = integer_caps(net)
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 
     def find(a):

@@ -41,6 +41,7 @@ from .instance import (
     wireless_adapter,
 )
 from .fisher import FisherError
+from .flownet import FlowError
 from .oracle import OracleCapError, feasibility_lp, limit_algorithm, oracle_solve
 from .solver import SolverError, solution_to_json, solve
 
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     except (InstanceError, OracleCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, BalanceError, FisherError) as exc:
+    except (SolverError, BalanceError, FisherError, FlowError) as exc:
         source = getattr(args, "instance", None)
         where = f" (instance: {source})" if source else ""
         print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)

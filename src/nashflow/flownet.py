@@ -8,10 +8,15 @@ cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
 sales and a buyer's spending are sums over them, and callers that need one
 sum it themselves.
 
-All capacities are rationals.  Max-flow clears denominators up front and runs
-integer Edmonds-Karp (shortest augmenting paths, deterministic edge order),
-so flows are exact and runs are reproducible.  Unbounded pair capacities are
-encoded as the total price mass plus one, which no s-t flow can reach.
+All capacities are rationals.  Max-flow clears denominators up front
+(``integer_caps``, which the balanced-flow guess shares) and runs integer
+Edmonds-Karp (shortest augmenting paths, deterministic edge order), so flows
+are exact and runs are reproducible.  Unbounded pair capacities are encoded
+as the total price mass plus one, which no s-t flow can reach.  Over V nodes
+and A arcs, reverse arcs counted, Edmonds-Karp needs at most V*A/2
+augmenting paths (each saturates an arc, and an arc saturates at most V/2
+times); a max-flow that finds V*A of them has a broken flow core and raises
+``FlowError`` rather than loop for ever.
 
 Each breadth-first search stops at the first buyer it discovers whose sink
 arc has room, without scanning on to the sink.  That keeps every path of
@@ -24,6 +29,11 @@ across the searches of one max-flow and a good leaves it when its arc
 saturates.  The paths, bottlenecks and residual updates are therefore the
 full search's, and so are the pair flows and the cut that callers read.
 
+Each flow keeps the integer residual graph its max-flow ended with, and one
+search, ``_reach``, reads everything from it: the maximal min cut (the
+nodes that reach the sink, searched backward from it) and the buyers that
+a phase's block reaches through goods (``FlowResult.residual_reach``).
+
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
 ``best_ratio`` that every best-ratio question calls.  Work is counted per
@@ -32,14 +42,18 @@ cross-multiplying numerators and denominators, in the one search
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 _TALLY = ContextVar("nashflow_tally", default=None)
+
+
+class FlowError(AssertionError):
+    """Internal defect: a max-flow ran past the Edmonds-Karp path bound."""
 
 
 @contextmanager
@@ -145,6 +159,33 @@ def build_network(inst, p) -> MarketNetwork:
     return MarketNetwork(p, money, frozenset(edges))
 
 
+def integer_caps(net):
+    """``(scale, prices, money)``: the lcm of all denominators, and the caps times it."""
+    amounts = (*net.p, *net.m)
+    scale = lcm(*[x.denominator for x in amounts])
+    caps = [x.numerator * (scale // x.denominator) for x in amounts]
+    return scale, caps[:net.g], caps[net.g:]
+
+
+def _reach(residual, start, backward, avoid):
+    """Nodes that ``start`` reaches along arcs with room in a ``residual`` graph.
+
+    ``backward`` reads every arc reversed, giving the nodes that reach
+    ``start``.  ``start`` is included; no path enters a node of ``avoid``.
+    """
+    head, to, cap = residual
+    flip = 1 if backward else 0
+    seen = {*start, *avoid}
+    queue = list(start)
+    for node in queue:
+        for arc in head[node]:
+            nxt = to[arc]
+            if nxt not in seen and cap[arc ^ flip] > 0:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen.difference(avoid)
+
+
 @dataclass
 class FlowResult:
     """An exact max-flow of ``net`` plus its maximal minimum cut.
@@ -153,7 +194,10 @@ class FlowResult:
     the amount good ``j`` sells to buyer ``i``; other edges are absent, so
     ``e in pair_flow`` tests for money.  ``far_side`` is the complement of
     the nodes that reach the sink in the residual graph, given as a pair
-    ``(buyers, goods)`` of frozensets, source/sink excluded.  Only
+    ``(buyers, goods)`` of frozensets, source/sink excluded.  ``residual``
+    holds the integer arcs ``(head, to, cap)`` the max-flow ended with,
+    over nodes source 0, goods ``1..g``, buyers ``g+1..g+n`` and sink
+    ``g+n+1``; the cut and ``residual_reach`` are both read from it.  Only
     ``max_flow`` makes one, so the cut always belongs to the flow.
     """
 
@@ -161,6 +205,7 @@ class FlowResult:
     pair_flow: dict
     far_side: tuple
     net: MarketNetwork
+    residual: tuple = field(default=None, compare=False, repr=False)
 
     def allocation(self):
         """Share ``x[i][j]`` of good ``j`` sold to buyer ``i``, 0 without flow."""
@@ -170,7 +215,7 @@ class FlowResult:
         return x
 
     def residual_reach(self, start_buyers, reverse=False):
-        """Buyers reachable from ``start_buyers`` in the residual graph.
+        """Buyers reachable from ``start_buyers`` in the kept residual graph.
 
         Paths run through goods and buyers only (never the source or sink):
         good -> buyer arcs are always traversable along interest edges
@@ -179,29 +224,11 @@ class FlowResult:
         arcs are flipped, giving the set of buyers that can reach
         ``start_buyers``.
         """
-        good_to_buyers, buyer_to_goods = {}, {}
-        for (i, j) in self.net.edges:
-            paid = (i, j) in self.pair_flow
-            if reverse or paid:
-                buyer_to_goods.setdefault(i, []).append(j)
-            if not reverse or paid:
-                good_to_buyers.setdefault(j, []).append(i)
-        seen_b = set(start_buyers)
-        seen_g = set()
-        queue = deque(("b", i) for i in sorted(seen_b))
-        while queue:
-            kind, node = queue.popleft()
-            if kind == "b":
-                for j in buyer_to_goods.get(node, ()):
-                    if j not in seen_g:
-                        seen_g.add(j)
-                        queue.append(("g", j))
-            else:
-                for i in good_to_buyers.get(node, ()):
-                    if i not in seen_b:
-                        seen_b.add(i)
-                        queue.append(("b", i))
-        return seen_b
+        g = self.net.g
+        sink = g + self.net.n + 1
+        start = [g + 1 + i for i in start_buyers]
+        reached = _reach(self.residual, start, reverse, (0, sink))
+        return {node - g - 1 for node in reached if node > g}
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
@@ -209,8 +236,7 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     _count("maxflows")
 
     n, g = net.n, net.g
-    denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
-    scale = lcm(*denoms) if denoms else 1
+    scale, price_caps, money_caps = integer_caps(net)
 
     # Node ids: source, goods, buyers, sink.
     source, sink = 0, 1 + g + n
@@ -232,7 +258,6 @@ def max_flow(net: MarketNetwork) -> FlowResult:
 
     # Pair capacities stand in for "unbounded" and must strictly exceed any
     # achievable flow, or a fully loaded pair would masquerade as a cut edge.
-    price_caps = [x.numerator * (scale // x.denominator) for x in net.p]
     unbounded = sum(price_caps) + 1
     pair_ids = {}
     for j, cj in enumerate(price_caps):
@@ -242,8 +267,7 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         if price_caps[j] > 0:
             pair_ids[(i, j)] = len(to)
             add_arc(gnode(j), bnode(i), unbounded)
-    for i, x in enumerate(net.m):
-        ci = x.numerator * (scale // x.denominator)
+    for i, ci in enumerate(money_caps):
         if ci > 0:
             sink_arc[bnode(i)] = len(to)
             add_arc(bnode(i), sink, ci)
@@ -259,7 +283,7 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         start_parent[to[arc]] = arc
         start_queue.append(to[arc])
     value = augments = 0
-    while True:
+    for _ in range(len(head) * len(to)):
         parent_arc = start_parent[:]
         queue = start_queue[:]
         last = 0  # the path's sink arc, once found
@@ -291,6 +315,8 @@ def max_flow(net: MarketNetwork) -> FlowResult:
             start_queue.remove(to[arc])
         value += bottleneck
         augments += 1
+    else:
+        raise FlowError(f"max-flow did not end within {len(head) * len(to)} augmenting paths")
     _count("augments", augments)
 
     pair_flow = {}
@@ -300,17 +326,10 @@ def max_flow(net: MarketNetwork) -> FlowResult:
             pair_flow[(i, j)] = Fraction(f, scale)
 
     # Nodes that still reach the sink; the rest form the maximal min cut.
-    to_sink = {sink}
-    queue = deque(to_sink)
-    while queue:
-        node = queue.popleft()
-        for arc in head[node]:
-            nxt = to[arc]
-            if cap[arc ^ 1] > 0 and nxt not in to_sink:
-                to_sink.add(nxt)
-                queue.append(nxt)
+    residual = (head, to, cap)
+    to_sink = _reach(residual, [sink], True, ())
     far_side = (
         frozenset(i for i in range(n) if bnode(i) not in to_sink),
         frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
-    return FlowResult(value=Fraction(value, scale), pair_flow=pair_flow, far_side=far_side, net=net)
+    return FlowResult(Fraction(value, scale), pair_flow, far_side, net, residual)

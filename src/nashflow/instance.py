@@ -28,16 +28,18 @@ class InstanceError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a JSON-borne rational: an int, or a string like ``"7"`` / ``"7/4"``."""
-    if isinstance(value, bool):
-        raise InstanceError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    """Parse a rational: an int, a ``Fraction``, or a string like ``"7"`` / ``"7/4"``."""
+    # Strings first: they are the wire form, and an isinstance test against
+    # ``Fraction`` (an ABC) costs several times one against ``str``.
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceError(f"not a rational: {value!r}") from exc
+    if isinstance(value, bool):
+        raise InstanceError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     raise InstanceError(f"not a rational: {value!r} (floats are not accepted)")
 
 
@@ -133,10 +135,10 @@ def make_instance(u, c) -> BargainingInstance:
         raise InstanceError(f"expected {len(rows)} disagreement payoffs, got {len(c)}")
     payoffs = []
     for i, raw in enumerate(c):
-        ci = raw if isinstance(raw, Fraction) else parse_rational(raw)
+        ci = parse_rational(raw)
         if ci < 0:
             raise InstanceError(f"disagreement payoff for buyer {i} is negative: {format_rational(ci)}")
-        payoffs.append(Fraction(ci))
+        payoffs.append(ci)
     return BargainingInstance(u=tuple(rows), c=tuple(payoffs))
 
 
@@ -310,7 +312,7 @@ def wireless_adapter(pi, rates, c):
             raise InstanceError(f"{name} must be a list")
     if not all(isinstance(row, (list, tuple)) for row in rates):
         raise InstanceError("each row of rates must be a list")
-    probs = [parse_rational(p) if not isinstance(p, Fraction) else Fraction(p) for p in pi]
+    probs = [parse_rational(p) for p in pi]
     if not probs:
         raise InstanceError("need at least one channel state")
     for j, p in enumerate(probs):
@@ -327,5 +329,5 @@ def wireless_adapter(pi, rates, c):
                 raise InstanceError(f"rate ({i},{j}) must be a nonnegative integer, got {r!r}")
             out.append(int(probs[j] * r * scale))
         u.append(out)
-    payoffs = [scale * (ci if isinstance(ci, Fraction) else parse_rational(ci)) for ci in c]
+    payoffs = [scale * parse_rational(ci) for ci in c]
     return make_instance(u, payoffs), scale

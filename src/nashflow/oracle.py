@@ -7,7 +7,8 @@ instance handling with the two-stage solver, which is what makes agreement
 with them meaningful.  The fixpoint iteration does not: it runs
 ``fisher_equilibrium``, which shares the price-phase kernel,
 ``balanced_flow``, ``max_flow`` and ``bang_per_buck`` with the solver, so it
-cross-checks the two-stage logic, not those layers.
+cross-checks the two-stage logic, not those layers.  The enumeration's
+Gauss-Jordan elimination pivots with the LP's own ``simplex._pivot``.
 """
 
 from __future__ import annotations
@@ -35,41 +36,26 @@ class OracleResult:
 
 
 def _solve_linear(rows, ncols, free_default):
-    """Exact Gaussian elimination; ``rows`` are coefficient lists + rhs.
+    """Exact Gauss-Jordan elimination; ``rows`` are coefficient lists + rhs.
 
     Returns the solution list or ``None`` when inconsistent.  Columns never
-    pivoted (underdetermined systems) take ``free_default[col]``.
+    pivoted (underdetermined systems) take ``free_default[col]``.  Each
+    pivot row ends zero in every other pivot column, so a pivot variable is
+    its row's rhs less the free columns' terms.
     """
     rows = [list(r) for r in rows]
-    pivot_of = {}
-    rank_rows = []
+    basis = [None] * len(rows)
     for col in range(ncols):
-        pivot_row = None
-        for r, row in enumerate(rows):
-            if r not in {rr for rr, _ in rank_rows} and row[col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        piv = rows[pivot_row][col]
-        rows[pivot_row] = [v / piv for v in rows[pivot_row]]
-        for r, row in enumerate(rows):
-            if r != pivot_row and row[col] != 0:
-                factor = row[col]
-                rows[r] = [a - factor * b for a, b in zip(row, rows[pivot_row])]
-        rank_rows.append((pivot_row, col))
-        pivot_of[col] = pivot_row
-    for r, row in enumerate(rows):
-        if r not in {rr for rr, _ in rank_rows} and row[-1] != 0:
-            return None
+        r = next((r for r, row in enumerate(rows) if basis[r] is None and row[col] != 0), None)
+        if r is not None:
+            simplex._pivot(rows, basis, r, col)
+    if any(col is None and row[-1] != 0 for col, row in zip(basis, rows)):
+        return None
+    free = [col for col in range(ncols) if col not in basis]
     solution = list(free_default)
-    for col in sorted(pivot_of, reverse=True):
-        row = rows[pivot_of[col]]
-        acc = row[-1]
-        for other in range(col + 1, ncols):
-            if row[other] != 0:
-                acc -= row[other] * solution[other]
-        solution[col] = acc
+    for col, row in zip(basis, rows):
+        if col is not None:
+            solution[col] = row[-1] - sum(row[f] * free_default[f] for f in free)
     return solution
 
 
@@ -107,23 +93,14 @@ def oracle_solve(inst: BargainingInstance, max_pairs: int = 12) -> OracleResult:
                 continue
             result = _try_support(reduced, support)
             if result is not None:
-                q, x = result
-                p_red = [1 / q[j] for j in range(g)]
+                p, x, v = result
                 x_full = [report.expand(row) for row in x]
-                p_full = report.expand(p_red)
-                v = [
-                    sum(
-                        (inst.u[i][j] * x_full[i][j] for j in range(inst.g)),
-                        Fraction(0),
-                    )
-                    for i in range(n)
-                ]
-                return OracleResult(verdict="feasible", p=p_full, x=x_full, v=v)
+                return OracleResult(verdict="feasible", p=report.expand(p), x=x_full, v=v)
     return OracleResult(verdict="infeasible")
 
 
 def _try_support(inst, support):
-    """Solve and check one candidate support; ``None`` if it fails."""
+    """Solve and check one candidate support: ``(p, x, v)``, or ``None`` if it fails."""
     n, g = inst.n, inst.g
     nx = len(support)
     ncols = nx + g
@@ -166,7 +143,7 @@ def _try_support(inst, support):
         for j in range(g):
             if inst.u[i][j] > 0 and gain < inst.u[i][j] * q[j]:
                 return None
-    return q, x
+    return [1 / qj for qj in q], x, v
 
 
 def feasibility_lp(inst: BargainingInstance) -> Fraction:

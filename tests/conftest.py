@@ -342,6 +342,78 @@ def reference_max_flow(net: MarketNetwork) -> FlowResult:
 
 
 # ---------------------------------------------------------------------------
+# Two kernels as they stood before the flow core kept its residual graph and
+# the oracle pivoted with ``simplex._pivot``: residual reachability over dict
+# adjacency rebuilt from ``net.edges`` and ``pair_flow`` on every call, and
+# the oracle's own Gauss-Jordan elimination with a reverse back-substitution.
+# Kept verbatim, apart from the names, the docstrings and ``self`` read as
+# ``flow``, to compare with ``FlowResult.residual_reach`` and
+# ``oracle._solve_linear``.
+
+
+def reference_residual_reach(flow, start_buyers, reverse=False):
+    """``FlowResult.residual_reach`` searched over dict adjacency."""
+    good_to_buyers, buyer_to_goods = {}, {}
+    for (i, j) in flow.net.edges:
+        paid = (i, j) in flow.pair_flow
+        if reverse or paid:
+            buyer_to_goods.setdefault(i, []).append(j)
+        if not reverse or paid:
+            good_to_buyers.setdefault(j, []).append(i)
+    seen_b = set(start_buyers)
+    seen_g = set()
+    queue = deque(("b", i) for i in sorted(seen_b))
+    while queue:
+        kind, node = queue.popleft()
+        if kind == "b":
+            for j in buyer_to_goods.get(node, ()):
+                if j not in seen_g:
+                    seen_g.add(j)
+                    queue.append(("g", j))
+        else:
+            for i in good_to_buyers.get(node, ()):
+                if i not in seen_b:
+                    seen_b.add(i)
+                    queue.append(("b", i))
+    return seen_b
+
+
+def reference_solve_linear(rows, ncols, free_default):
+    """``oracle._solve_linear`` with its own pivot and back-substitution."""
+    rows = [list(r) for r in rows]
+    pivot_of = {}
+    rank_rows = []
+    for col in range(ncols):
+        pivot_row = None
+        for r, row in enumerate(rows):
+            if r not in {rr for rr, _ in rank_rows} and row[col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        piv = rows[pivot_row][col]
+        rows[pivot_row] = [v / piv for v in rows[pivot_row]]
+        for r, row in enumerate(rows):
+            if r != pivot_row and row[col] != 0:
+                factor = row[col]
+                rows[r] = [a - factor * b for a, b in zip(row, rows[pivot_row])]
+        rank_rows.append((pivot_row, col))
+        pivot_of[col] = pivot_row
+    for r, row in enumerate(rows):
+        if r not in {rr for rr, _ in rank_rows} and row[-1] != 0:
+            return None
+    solution = list(free_default)
+    for col in sorted(pivot_of, reverse=True):
+        row = rows[pivot_of[col]]
+        acc = row[-1]
+        for other in range(col + 1, ncols):
+            if row[other] != 0:
+                acc -= row[other] * solution[other]
+        solution[col] = acc
+    return solution
+
+
+# ---------------------------------------------------------------------------
 # Fraction references for the integer ratio searches: each builds one
 # ``Fraction`` per pair and reads its definition directly.  The package
 # cross-multiplies integers and must return the same values in the same order.

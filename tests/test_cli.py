@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from nashflow import (
     BalanceError,
     FisherError,
+    FlowError,
     SolverError,
     gen_random,
     parse_instance,
@@ -434,7 +435,7 @@ def test_unparseable_json_exits_one(run, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("error", [SolverError, BalanceError, FisherError])
+@pytest.mark.parametrize("error", [SolverError, BalanceError, FisherError, FlowError])
 def test_internal_invariant_failure_exits_three(run, monkeypatch, feasible_file, error):
     def broken(state):
         raise error("stage I lost its deficit buyer")

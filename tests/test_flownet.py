@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from nashflow import (
-    FlowResult,
     MarketNetwork,
+    balanced_flow,
     bang_per_buck,
     build_network,
     counting,
@@ -26,6 +26,7 @@ from conftest import (
     random_ratio_case,
     reference_bang_per_buck,
     reference_max_flow,
+    reference_residual_reach,
     scalar_feasible,
     symmetric_pair,
     unit_game,
@@ -343,8 +344,6 @@ def test_counting_starts_afresh_for_every_solve():
 
 
 def test_residual_reachable_balanced_buyers_are_separated():
-    from nashflow import balanced_flow
-
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow, _ = balanced_flow(net)
     assert flow.residual_reach({0}) == {0}
@@ -352,11 +351,41 @@ def test_residual_reachable_balanced_buyers_are_separated():
 
 def test_residual_reachable_zero_flow_follows_interest_edges_only():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
-    zero = FlowResult(
-        value=Fraction(0),
-        pair_flow={},
-        far_side=(frozenset(), frozenset()),
-        net=net,
-    )
+    zero = max_flow(replace(net, m=(Fraction(0), Fraction(0))))
+    assert zero.pair_flow == {}
     # A buyer receiving no flow has no residual arc back into any good.
     assert zero.residual_reach({0}) == {0}
+
+
+def test_residual_reach_matches_the_dict_adjacency_search():
+    # The kept integer residual graph against adjacency rebuilt from
+    # ``net.edges`` and ``pair_flow``, both ways, on the flows the phases
+    # and the balanced-flow recursion read: zero prices, restrictions,
+    # money clamped at zero, plain max-flows and balanced flows.
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(5000):
+        net = random_network(rng, max_buyers=6, max_goods=5)
+        if rng.random() < 0.3:
+            net = replace(net, p=tuple(x if rng.random() < 0.7 else Fraction(0) for x in net.p))
+        if rng.random() < 0.3:
+            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
+                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            seen["restricted"] += 1
+        kind = rng.choice(("clamped", "balanced", "max-flow"))
+        if kind == "clamped":
+            delta = Fraction(rng.randint(0, 8), rng.randint(1, 4))
+            flow = max_flow(replace(net, m=tuple(max(x - delta, Fraction(0)) for x in net.m)))
+        elif kind == "balanced":
+            flow, _ = balanced_flow(net)
+        else:
+            flow = max_flow(net)
+        seen[kind] += 1
+        seen["zero price"] += 0 in net.p
+        seen["zero money"] += 0 in flow.net.m
+        for reverse in (False, True):
+            start = set(rng.sample(range(net.n), rng.randint(1, net.n)))
+            reach = flow.residual_reach(start, reverse)
+            assert reach == reference_residual_reach(flow, start, reverse)
+            seen[f"grew, reverse={reverse}"] += reach > start
+    assert len(seen) == 8 and min(seen.values()) > 1000, seen

@@ -32,6 +32,7 @@ def test_parse_rational_accepts_ints_and_fraction_strings():
     assert parse_rational("1/2") == Fraction(1, 2)
     assert parse_rational("3") == Fraction(3)
     assert parse_rational(2) == Fraction(2)
+    assert parse_rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "x/y", "1/0", None])

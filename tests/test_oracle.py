@@ -1,6 +1,7 @@
 """Reference solvers: support enumeration, margin program, fixpoint iteration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from nashflow import (
     oracle_solve,
     solve,
 )
+from nashflow.oracle import _solve_linear
 from conftest import (
+    reference_solve_linear,
     scalar_feasible,
     scalar_infeasible,
     symmetric_pair,
@@ -36,6 +39,31 @@ def test_oracle_trio():
         [Fraction(1), Fraction(1)],
         [Fraction(2), Fraction(2)],
     )
+
+
+def test_solve_linear_matches_the_reference_elimination():
+    # Unique, underdetermined and inconsistent systems, square or not.  An
+    # appended multiple of a row, its rhs sometimes off by one, forces a
+    # dependent or an inconsistent row.
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(10000):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(ncols + 1)] for _ in range(nrows)]
+        if rng.random() < 0.4:
+            k, base = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)), rng.choice(rows)
+            rows.append([k * v for v in base[:-1]] + [k * base[-1] + rng.choice((0, 0, 1))])
+        free = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        want = reference_solve_linear(rows, ncols, free)
+        assert _solve_linear(rows, ncols, free) == want
+        if want is None:
+            seen["inconsistent"] += 1
+        elif reference_solve_linear(rows, ncols, [d + 1 for d in free]) != want:
+            seen["underdetermined"] += 1
+        else:
+            seen["unique"] += 1
+    assert len(seen) == 3 and min(seen.values()) > 1000, seen
 
 
 def test_oracle_allocation_is_consistent():
