@@ -27,19 +27,35 @@ pass the characterization above, which together *prove* the output balanced
 however its surpluses were found.
 
 A market rebalances after every price event, and its new balanced
-partition is usually the previous one with a few classes merged.  So
-``balanced_flow`` takes the market's previous ``(flow, theta)`` as a hint
+partition is usually the previous one with a few classes merged or split.
+So ``balanced_flow`` takes the market's previous ``(flow, theta)`` as a hint
 and first guesses: buyers at one previous level form a class, each good
 joins the class it paid, a class whose buyer wants a good of a lower class
 merges into that class, and a class ``B`` with goods ``G`` gets the level
-``(m(B) - p(G)) / |B|``.  One max-flow at sink capacities ``m - level``
-proves the guess by the same gate: every level lies in ``[0, m_i]``, the
-flow routes the whole price mass (so it is maximum) and saturates every
-capacity, and it passes the characterization.  The balanced surpluses are
-unique, so an accepted guess is the Edmonds-Karp flow on the very network
-the recursion would reassemble, and the answer does not depend on which
-path found it.  A hit costs one max-flow; a miss falls through to the
-recursion, so a hinted call costs at most ``2n + 2``.  The checkers in
+``(m(B) - p(G)) / |B|``.  A market without a flow yet starts from one class
+per connected component.  One max-flow at sink capacities
+``max(m - level, 0)`` proves the guess by the same gate: every level lies in
+``[0, m_i]``, the flow routes the whole price mass (so it is maximum) and
+saturates every capacity, and it passes the characterization.
+
+A guess that fails the gate is repaired from its own flow, by the
+recursion's split rule applied to every class at once (the recursion is
+Fujishige's decomposition algorithm, and one trial's cut is its split): the
+flow's maximal min cut splits each class it crosses into the part inside
+the cut (the recursion's low side) and the part outside, goods following
+their side.  The classes are merged again as above, re-levelled and proved
+by one more max-flow.  A class whose goods cost more than its buyers hold
+proves that the price mass cannot sell (no buyer outside a lowest class
+wants its goods, or the classes would have merged), and classes that repeat
+the last round's would rerun its max-flow; either ends the repair, as does
+a cap of ``n + 1`` rounds, and the recursion runs as the proof of last
+resort.
+
+The balanced surpluses are unique, so an accepted guess is the
+Edmonds-Karp flow on the very network the recursion would reassemble, and
+the answer does not depend on which path found it.  A hit costs one
+max-flow, a repair one per round, and a miss adds the recursion's, so a
+hinted call costs at most ``(n + 1) + (2n + 1) = 3n + 2``.  The checkers in
 ``certify`` pass no hint and keep the recursion as their proof.
 """
 
@@ -83,16 +99,18 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
 def balanced_flow(net: MarketNetwork, hint=None):
     """Compute the balanced flow.  Returns ``(flow, theta)``, both exact.
 
-    ``hint`` is the market's previous ``(flow, theta)``: surpluses are first
-    guessed from its classes and proved with one max-flow (``_guess``), and
-    the recursion runs only when the guess misses.  A hinted call counts
-    one ``"hits"`` or ``"misses"`` in the open ``counting()`` tally.  At
-    most ``2n + 1`` max-flows without a hint and ``2n + 2`` with one; a hit
-    costs one.  A network without buyers returns its root flow and ``()``.
+    ``hint`` is the market's previous ``(flow, theta)``, or ``(None, theta)``
+    before its first flow: surpluses are first guessed from its classes and
+    proved with one max-flow, a failed guess is repaired from its flow's cut
+    (``_guess``), and the recursion runs only when the repair gives up.  A
+    hinted call counts one ``"hits"``, ``"repairs"`` or ``"misses"`` in the
+    open ``counting()`` tally.  At most ``2n + 1`` max-flows without a hint
+    and ``3n + 2`` with one; a hit costs one.  A network without buyers
+    returns its root flow and ``()``.
     """
     if hint is not None:
-        guessed = _guess(net, *hint)
-        _count("hits" if guessed else "misses")
+        outcome, guessed = _guess(net, *hint)
+        _count(outcome)
         if guessed:
             return guessed
     n = net.n
@@ -112,18 +130,21 @@ def balanced_flow(net: MarketNetwork, hint=None):
 
 
 def _guess(net, prev_flow, prev_theta):
-    """Balanced ``(flow, theta)`` guessed from a previous one, or None.
+    """``(outcome, guessed)``: the count to add and the proved ``(flow, theta)`` or None.
 
-    The classes and the gate are the module docstring's.  An edgeless buyer
-    stays alone (its surplus is its money), a good joins a class only
-    through a previous pair that is still an edge, and a class with goods
-    but no buyer counts as the lowest.  Levels are compared in integers,
-    over one common denominator of every money and price.
+    The classes, the gate and the repair are the module docstring's.  An
+    edgeless buyer stays alone (its surplus is its money), a good joins a
+    class only through a previous pair that is still an edge (any edge
+    without a previous flow), and a class with goods but no buyer counts as
+    the lowest.  Levels are compared in integers, over one common
+    denominator of every money and price.  The first round is the guess
+    (``"hits"``), a later one a repair (``"repairs"``).
     """
     n, g = net.n, net.g
     if len(prev_theta) != n:
-        return None
+        return "misses", None
     scale, price, money = integer_caps(net)
+    mass = Fraction(sum(price), scale)
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 
     def find(a):
@@ -132,44 +153,53 @@ def _guess(net, prev_flow, prev_theta):
         return a
 
     edges = sorted(net.edges)
-    order = sorted({i for (i, _) in edges}, key=prev_theta.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if prev_theta[a] == prev_theta[b]:
-            parent[b] = find(a)
-    for (i, j) in prev_flow.pair_flow:
+    if prev_flow is None:  # no flow yet: one class per connected component
+        pairs = edges
+    else:
+        order = sorted({i for (i, _) in edges}, key=prev_theta.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if prev_theta[a] == prev_theta[b]:
+                parent[b] = find(a)
+        pairs = prev_flow.pair_flow
+    for (i, j) in pairs:
         if (i, j) in net.edges:
             parent[find(n + j)] = find(i)
-    cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) and |B|, scaled
-    for i, x in enumerate(money):
-        cash[find(i)] += x
-        size[find(i)] += 1
-    for j, x in enumerate(price):
-        cash[find(n + j)] -= x
-    merged = True
-    while merged:
-        merged = False
-        for (i, j) in edges:
-            a, b = find(i), find(n + j)
-            if a != b and (not size[b] or cash[a] * size[b] > cash[b] * size[a]):
-                parent[a] = b
-                cash[b] += cash[a]
-                size[b] += size[a]
-                merged = True
-    level = {}
-    for i in range(n):
-        r = find(i)
-        if cash[r] < 0 or money[i] * size[r] < cash[r]:
-            return None
-        if r not in level:
-            level[r] = Fraction(cash[r], size[r] * scale)
-    theta = tuple(level[find(i)] for i in range(n))
-    flow = max_flow(replace(net, m=tuple(m - t for m, t in zip(net.m, theta))))
-    held = sum(cash[r] for r in level)
-    if flow.value != Fraction(sum(price), scale) or flow.value != Fraction(sum(money) - held, scale):
-        return None
-    if not verify_property1(net, flow):
-        return None
-    return flow, theta
+    last = None
+    for attempt in range(n + 1):
+        cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) and |B|, scaled
+        for i, x in enumerate(money):
+            cash[find(i)] += x
+            size[find(i)] += 1
+        for j, x in enumerate(price):
+            cash[find(n + j)] -= x
+        merged = True
+        while merged:
+            merged = False
+            for (i, j) in edges:
+                a, b = find(i), find(n + j)
+                if a != b and (not size[b] or cash[a] * size[b] > cash[b] * size[a]):
+                    parent[a] = b
+                    cash[b] += cash[a]
+                    size[b] += size[a]
+                    merged = True
+        root = [find(x) for x in range(n + g)]
+        first = {}
+        classes = [first.setdefault(r, x) for x, r in enumerate(root)]
+        if classes == last or any(cash[r] < 0 for r in first):
+            break
+        level = {r: Fraction(cash[r], size[r] * scale) for r in first if size[r]}
+        theta = tuple(level[r] for r in root[:n])
+        caps = tuple(max(m - t, 0) for m, t in zip(net.m, theta))
+        flow = max_flow(replace(net, m=caps))
+        fits = all(money[i] * size[r] >= cash[r] for i, r in enumerate(root[:n]))
+        if fits and flow.value == mass == sum(caps) and verify_property1(net, flow):
+            return ("repairs" if attempt else "hits"), (flow, theta)
+        far_buyers, far_goods = flow.far_side
+        side = {}  # (class, inside the cut) -> its part's first member
+        parent = [side.setdefault((r, x in far_buyers if x < n else x - n in far_goods), x)
+                  for x, r in enumerate(root)]
+        last = classes
+    return "misses", None
 
 
 def _solve(buyers, goods, value, net, theta):

@@ -131,8 +131,21 @@ def _list(value, what):
     return value
 
 
-def _rationals(value, what):
-    return [parse_rational(v) for v in _list(value, what)]
+def _rationals(value, what, parsed):
+    """Parse a list of rationals; ``parsed`` maps each string already seen to its value.
+
+    Only strings are memoized: ``True == 1`` hashes alike, so a mixed-key
+    memo would let a boolean slip past ``parse_rational``'s rejection.
+    """
+    out = []
+    for v in _list(value, what):
+        if isinstance(v, str):
+            if v not in parsed:
+                parsed[v] = parse_rational(v)
+            out.append(parsed[v])
+        else:
+            out.append(parse_rational(v))
+    return out
 
 
 def _index(value, what):
@@ -147,18 +160,21 @@ def _check_claim(inst, claim):
     A feasible claim needs ``p``, ``x`` and ``v`` and may add
     ``feasible_prices``; an infeasible one needs a ``certificate`` with
     ``lp_dual``, ``convex_dual`` or both.  Everything present must verify.
+    Each distinct rational string is parsed once per claim: an allocation
+    is mostly ``"0"``.
     """
+    parsed = {}
     verdict = _object(claim, "solution").get("verdict")
     if verdict == "feasible":
         if any(claim.get(key) is None for key in ("p", "x", "v")):
             return False, "feasible claim lacks prices, allocation or utilities"
-        p = _rationals(claim["p"], "p")
-        x = [_rationals(row, "x row") for row in _list(claim["x"], "x")]
-        ok, why = check_kkt(inst, p, x, _rationals(claim["v"], "v"))
+        p = _rationals(claim["p"], "p", parsed)
+        x = [_rationals(row, "x row", parsed) for row in _list(claim["x"], "x")]
+        ok, why = check_kkt(inst, p, x, _rationals(claim["v"], "v", parsed))
         if not ok:
             return False, why
         if claim.get("feasible_prices") is not None:
-            w = _rationals(claim["feasible_prices"], "feasible_prices")
+            w = _rationals(claim["feasible_prices"], "feasible_prices", parsed)
             ok, why = check_feasibility_witness(inst, w)
             if not ok:
                 return False, f"witness prices rejected: {why}"
@@ -169,8 +185,8 @@ def _check_claim(inst, claim):
             return False, "infeasible claim carries no certificate"
         if "lp_dual" in cert:
             lp = _object(cert["lp_dual"], "lp_dual")
-            y = _rationals(lp["y"], "lp_dual.y")
-            z = _rationals(lp["z"], "lp_dual.z")
+            y = _rationals(lp["y"], "lp_dual.y", parsed)
+            z = _rationals(lp["z"], "lp_dual.z", parsed)
             if not verify_lp_dual(inst, y, z):
                 return False, "dual certificate rejected"
         if "convex_dual" in cert:
@@ -180,7 +196,7 @@ def _check_claim(inst, claim):
                 if not verify_convex_dual(inst, zero_row=row):
                     return False, "zero-row certificate rejected"
             else:
-                p = _rationals(cx["p"], "convex_dual.p")
+                p = _rationals(cx["p"], "convex_dual.p", parsed)
                 if not verify_convex_dual(
                     inst,
                     buyers=[_index(b, "buyer") for b in _list(cx["buyers"], "buyers")],

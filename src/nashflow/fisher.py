@@ -9,7 +9,8 @@ uniformly and stops at the first of two events:
 * an edge event: a utility/price ratio outside the block ties a best ratio;
   the attaining edges join the network, the balanced flow is recomputed
   under the market's budgets (guessed from the previous one and proved by
-  one max-flow when the guess holds), and buyers that the residual graph
+  one max-flow when the guess holds, repaired from that max-flow's min cut
+  when it does not), and buyers that the residual graph
   connects to the block are absorbed into it;
 * the caller's stop event, which ends the phase.
 
@@ -222,16 +223,16 @@ class Market:
     def rebalance(self):
         """Balanced flow of the active sub-market under the market's budgets.
 
-        The previous ``(flow, theta)`` hints ``balanced_flow``.  Active
-        buyers take their new surpluses, the others keep theirs, and every
-        active good must still sell in full.
+        The previous ``(flow, theta)`` hints ``balanced_flow``; before the
+        first flow that is ``(None, theta)``, one class per connected
+        component.  Active buyers take their new surpluses, the others keep
+        theirs, and every active good must still sell in full.
         """
         buyers, goods = self.active_buyers, self.active_goods
         net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
         if len(buyers) < len(self.u) or len(goods) < len(self.p):
             net = net.sub(buyers, goods)
-        hint = None if self.flow is None else (self.flow, self.theta)
-        self.flow, theta = balanced_flow(net, hint)
+        self.flow, theta = balanced_flow(net, (self.flow, self.theta))
         self.theta = [theta[i] if i in buyers else t for i, t in enumerate(self.theta)]
         if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):
             raise FisherError("active goods can no longer fully sell")

@@ -62,8 +62,8 @@ def counting():
 
     ``max_flow`` adds one to ``"maxflows"`` and its number of augmenting
     paths to ``"augments"``, and a hinted ``balanced_flow`` adds to
-    ``"hits"`` or ``"misses"``.  A nested block counts only its own work
-    and adds it to the enclosing block's tally when it exits.
+    ``"hits"``, ``"repairs"`` or ``"misses"``.  A nested block counts only
+    its own work and adds it to the enclosing block's tally when it exits.
     """
     outer, tally = _TALLY.get(), Counter()
     token = _TALLY.set(tally)

@@ -41,15 +41,16 @@ Both stages move prices with the price-phase kernel of ``fisher``, falling
 in Stage I and rising in Stage II, and assert their structural invariants as
 they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
 a property of the input).  Each rebalance guesses the balanced flow from the
-previous one and proves the guess with one max-flow, running the full
-balanced-flow recursion only on a miss.
+previous one and proves the guess with one max-flow, repairs a failed guess
+from its flow's min cut, and runs the full balanced-flow recursion only when
+the repair gives up.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize`` and both stages: ``stats["maxflows"]`` is the max-flows run
 to find the answer, for either verdict, without the self-verification's,
 ``stats["detail"]["augments"]`` their augmenting paths and
-``stats["detail"]["guess"]`` the guess's hits and misses.  The detail stays
-out of ``solution_to_json``.
+``stats["detail"]["guess"]`` the guess's hits, repairs and misses.  The
+detail stays out of ``solution_to_json``.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ class SolverState(Market):
     money.  Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  Stage I sets
     groups aside in ``frozen`` as ``(buyers, goods)`` pairs; the feasible
     branch keeps the restored witness prices in ``feasible_prices``.
+
+    Its first flow and surpluses are the Fisher run's flow and ``c_i /
+    gamma_i``, the first rebalance's hint: that flow spends every unit
+    budget, and the first rebuild finds the Fisher ratios ``gamma`` again at
+    the same prices, so under the new budgets it leaves exactly that surplus.
     """
 
     def __init__(self, inst, fisher):
         super().__init__(inst.u, list(fisher.p))
+        self.flow = fisher.flow
+        self.theta = [c / gamma for c, gamma in zip(inst.c, fisher.gamma)]
         self.inst, self.frozen, self.feasible_prices, self.stage = inst, [], None, 0
         # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
         lowest = min(max(col) for col in zip(*inst.u))
@@ -132,7 +140,11 @@ def _trace(state, **entry):
 
 
 def initialize(inst: BargainingInstance) -> SolverState:
-    """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets."""
+    """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets.
+
+    Its first rebalance is hinted with the Fisher run's flow (see
+    ``SolverState``), so no rebalance of a solve runs without a hint.
+    """
     state = SolverState(inst, _fisher_run(inst.u, [Fraction(1)] * inst.n))
     _rebuild(state)
     _trace(state, stage=0, type="initialized")
@@ -440,7 +452,7 @@ def _final_stats(state, tally):
     self-verification that follows them.
     """
     stats, inst = state.stats, state.inst
-    stats["guess"] = {"hits": tally["hits"], "misses": tally["misses"]}
+    stats["guess"] = {key: tally[key] for key in ("hits", "repairs", "misses")}
     stats["augments"] = tally["augments"]
     phases = stats["stage1_phases"] + stats["stage2_phases"]
     return {

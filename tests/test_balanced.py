@@ -201,13 +201,17 @@ def _restricted(rng, net):
     return net
 
 
+OUTCOMES = ("hits", "repairs", "misses")
+
+
 @pytest.fixture
 def flows_per_call(monkeypatch):
-    """``(n, max-flows, outcome)`` of every ``balanced_flow`` call, wherever it is bound.
+    """``(n, max-flows, outcome, caller)`` of every ``balanced_flow`` call, wherever it is bound.
 
-    ``outcome`` is None for a call without a hint, else ``"hits"`` or
-    ``"misses"``, read from a ``counting()`` block around the call; the
-    enclosing tally still receives it.
+    ``outcome`` is None for a call without a hint, else ``"hits"``,
+    ``"repairs"`` or ``"misses"``, read from a ``counting()`` block around
+    the call; the enclosing tally still receives it.  ``caller`` names the
+    module whose binding was called.
     """
     count, calls = [0], []
     real_max_flow, real_balanced_flow = balanced.max_flow, balanced.balanced_flow
@@ -216,17 +220,21 @@ def flows_per_call(monkeypatch):
         count[0] += 1
         return real_max_flow(net)
 
-    def counted_balanced_flow(net, hint=None):
-        count[0] = 0
-        with counting() as mine:
-            result = real_balanced_flow(net, hint)
-        outcome = None if hint is None else "hits" if mine["hits"] else "misses"
-        calls.append((net.n, count[0], outcome))
-        return result
+    def counted_from(caller):
+        def counted_balanced_flow(net, hint=None):
+            count[0] = 0
+            with counting() as mine:
+                result = real_balanced_flow(net, hint)
+            (outcome,) = [key for key in OUTCOMES if mine[key]] or [None]
+            assert (outcome is None) == (hint is None)
+            calls.append((net.n, count[0], outcome, caller))
+            return result
+
+        return counted_balanced_flow
 
     monkeypatch.setattr(balanced, "max_flow", counted_max_flow)
     for module in ("balanced", "fisher", "solver", "certify"):
-        monkeypatch.setattr(f"nashflow.{module}.balanced_flow", counted_balanced_flow)
+        monkeypatch.setattr(f"nashflow.{module}.balanced_flow", counted_from(module))
     return calls
 
 
@@ -237,31 +245,42 @@ def test_balanced_flow_runs_at_most_2n_plus_1_max_flows(flows_per_call):
         for _ in range(3000)
     ]
     assert len(flows_per_call) == 3000
-    assert all(flows <= 2 * n + 1 for n, flows, _ in flows_per_call)
+    assert all(flows <= 2 * n + 1 for n, flows, *_ in flows_per_call)
     split = [len(set(theta)) > 1 for theta in thetas]
     # A root that does not split has already run the reassembly's max-flow.
-    assert all(flows <= 2 for (_, flows, _), s in zip(flows_per_call, split) if not s)
+    assert all(flows <= 2 for (_, flows, *_), s in zip(flows_per_call, split) if not s)
     # The bound is tight: a full split tree whose every leaf runs its trial.
-    tight = {n for (n, flows, _), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
+    tight = {n for (n, flows, *_), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
     assert tight >= {2, 3, 4, 5}
 
 
 def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
-    # A hinted miss may cost 2n + 2 (the guess, then the recursion); none
-    # of these solves' misses does, and every hit costs one max-flow.
+    # Every rebalance is hinted and only the checkers call without a hint.
+    # A hinted call may cost 3n + 2 (n + 1 rounds, then the recursion); a
+    # hit costs one max-flow and a repair one per round, and on these
+    # solves every guess is proved or repaired, so every call stays within
+    # the recursion's 2n + 1.
     for seed in range(3):
         solve(gen_random(12, 12, 1000, 1500, seed))
+    for seed in range(6):
+        solve(gen_random(seed % 3 + 1, seed // 3 + 1, 3, 2, seed))
     assert len(flows_per_call) > 50
-    assert all(flows <= 2 * n + 1 for n, flows, _ in flows_per_call)
-    assert all(flows == 1 for _, flows, outcome in flows_per_call if outcome == "hits")
+    assert {caller for *_, outcome, caller in flows_per_call if outcome is None} <= {"certify"}
+    assert all(flows <= 2 * n + 1 for n, flows, *_ in flows_per_call)
+    hinted = [(n, flows, outcome) for n, flows, outcome, _ in flows_per_call if outcome]
+    assert {outcome for *_, outcome in hinted} == {"hits", "repairs"}
+    assert all(flows == 1 for _, flows, outcome in hinted if outcome == "hits")
+    assert all(2 <= flows <= n + 1 for n, flows, outcome in hinted if outcome == "repairs")
 
 
 def test_guess_counters_count_every_hinted_call(flows_per_call):
     sol = solve(gen_random(12, 12, 1000, 1500, 0))
-    outcomes = [outcome for _, _, outcome in flows_per_call if outcome is not None]
+    outcomes = [outcome for _, _, outcome, _ in flows_per_call if outcome is not None]
     guess = sol.stats["detail"]["guess"]
-    assert guess["hits"] + guess["misses"] == len(outcomes)
-    assert guess["hits"] == outcomes.count("hits") > 0
+    assert list(guess) == list(OUTCOMES)
+    assert sum(guess.values()) == len(outcomes)
+    assert all(guess[key] == outcomes.count(key) for key in OUTCOMES)
+    assert guess["hits"] > 0 and guess["repairs"] > 0
 
 
 def test_balanced_flow_matches_the_plain_recursion():
@@ -318,11 +337,34 @@ def _hinted_cases(rng, count):
         yield "sub", net.sub(kept_b, kept_g), own
 
 
+def _pinned_hinted_cases():
+    """``(kind, net, hint, outcome)`` whose outcome is known by hand.
+
+    ``stale``: buyers 0 and 1 shared a level and buyer 1 bought good 1.  At
+    the new prices their class (with good 0, which buyer 0 wants) gets the
+    level 3/2, and the guess's flow leaves good 1 short: buyer 1 and good 1
+    fall inside its cut, buyer 0 and good 0 outside.  Split so, buyer 1's
+    class sits at 0 below buyer 2's 1, and buyer 2, who also wants good 1,
+    merges into it; the second round proves ``theta = (3, 1/2, 1/2)``.
+    ``unsellable``: a good dearer than its one buyer's money is a class of
+    negative level, which no flow can prove; the recursion answers.
+    """
+    net = MarketNetwork(
+        (Fraction(1), Fraction(2)), (Fraction(4), Fraction(2), Fraction(1)),
+        frozenset({(0, 0), (1, 1), (2, 1)}),
+    )
+    paid = max_flow(replace(net, edges=frozenset({(1, 1)})))
+    yield "stale", net, (paid, (Fraction(1), Fraction(1), Fraction(0))), "repairs"
+    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+    yield "unsellable", net, (None, (Fraction(0),)), "misses"
+
+
 def test_hinted_balanced_flow_matches_the_plain_recursion():
     rng = random.Random(11)
     outcomes = {}
     ref_net = None
-    for kind, net, hint in _hinted_cases(rng, 2000):
+    cases = [(*case, None) for case in _hinted_cases(rng, 2000)]
+    for kind, net, hint, expected in [*_pinned_hinted_cases(), *cases]:
         with counting() as tally:
             flow, theta = balanced_flow(net, hint)
         if net is not ref_net:  # the cases on one network come in a row
@@ -330,16 +372,17 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
         assert theta == ref_theta
         assert flow.pair_flow == ref_flow.pair_flow
         assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
-        outcome = (tally["hits"], tally["misses"])
-        hit = outcome == (1, 0)
-        assert hit or outcome == (0, 1)
+        (outcome,) = [key for key in OUTCOMES if tally[key]]
+        assert tally[outcome] == 1
+        assert outcome == (expected or outcome), kind
         if kind == "own":
             # Its own classes give every surplus; the gate then needs only
             # the whole price mass to sell.
-            assert hit == (ref_flow.value == sum(net.p, Fraction(0)))
-        outcomes.setdefault(kind, []).append(hit)
-    for kind, hits in outcomes.items():
-        assert 0 < hits.count(True) < len(hits), kind
+            assert (outcome == "hits") == (ref_flow.value == sum(net.p, Fraction(0)))
+        outcomes.setdefault(kind, []).append(outcome)
+    for kind, seen in outcomes.items():
+        assert len(seen) == 1 or 0 < seen.count("hits") < len(seen), kind
+    assert set(sum(outcomes.values(), [])) == set(OUTCOMES)
 
 
 def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
@@ -349,10 +392,12 @@ def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
     for _, net, hint in cases:
         balanced.balanced_flow(net, hint)
     assert len(flows_per_call) == len(cases)
-    # A miss adds the guess's max-flow to the recursion's 2n + 1.
-    assert all(flows <= 2 * n + 2 for n, flows, _ in flows_per_call)
-    assert all(flows == 1 for _, flows, outcome in flows_per_call if outcome == "hits")
-    assert any(flows == 2 * n + 2 for n, flows, _ in flows_per_call)
+    # A hit runs one max-flow, a repair one per round (at most n + 1), and a
+    # miss adds the recursion's 2n + 1 to the rounds it ran.
+    assert all(flows <= 3 * n + 2 for n, flows, *_ in flows_per_call)
+    assert all(flows == 1 for _, flows, outcome, _ in flows_per_call if outcome == "hits")
+    repairs = [(n, flows) for n, flows, outcome, _ in flows_per_call if outcome == "repairs"]
+    assert repairs and all(2 <= flows <= n + 1 for n, flows in repairs)
 
 
 # ---------------------------------------------------------------------------

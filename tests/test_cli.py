@@ -129,8 +129,8 @@ PINNED_INSTANCES = (
 CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
 # The ``stats`` object of each instance's ``solve`` output, key order included.
 CLI_STATS = [
-    '{"phases": 2, "iterations": 2, "maxflows": 24}',
-    '{"phases": 0, "iterations": 0, "maxflows": 8}',
+    '{"phases": 2, "iterations": 2, "maxflows": 13}',
+    '{"phases": 0, "iterations": 0, "maxflows": 4}',
     '{"phases": 0, "iterations": 0, "maxflows": 0}',
 ]
 _STATS_OBJECT = re.compile(r'(\n  "stats": )\{.*?\n  \}', re.S)
@@ -376,6 +376,14 @@ def test_invalid_instance_exits_one(run, tmp_path):
         pytest.param(["solve"], "[" * 100000 + "]" * 100000, None, id="deep-instance"),
         pytest.param(["check"], '{"u":[[1]],"c":["1"]}', "[" * 100000 + "]" * 100000,
                      id="deep-solution"),
+        # A boolean after a one: the parse memo keys on strings alone, so
+        # ``true`` (equal to 1, and hashed alike) is still rejected.
+        pytest.param(["check"], '{"u":[[1,1]],"c":["1"]}',
+                     '{"verdict":"feasible","p":["1","1"],"x":[["1",true]],"v":["1"]}',
+                     id="bool-after-string-one"),
+        pytest.param(["check"], '{"u":[[1,1]],"c":["1"]}',
+                     '{"verdict":"feasible","p":["1","1"],"x":[[1,true]],"v":["1"]}',
+                     id="bool-after-int-one"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instance, solution):

@@ -270,8 +270,8 @@ def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch)
 
     for module in (nashflow.balanced, nashflow.certify, nashflow.fisher):
         monkeypatch.setattr(module, "max_flow", recording)
-    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(27)]
-    shapes += [(12, 12, 1000, 1500, 0), (80, 80, 10, 10, 0)]
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(81)]
+    shapes += [(12, 12, 1000, 1500, 0), (12, 12, 1000, 1500, 1), (80, 80, 10, 10, 0)]
     for n, g, u_max, c_max, seed in shapes:
         solve(gen_random(n, g, u_max, c_max, seed))
     monkeypatch.undo()

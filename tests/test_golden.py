@@ -12,14 +12,16 @@ The max-flow count of each instance is compared with the committed table in
 it touched.  A change that lowers counts regenerates the table with
 ``PYTHONPATH=src python tests/test_golden.py``: it recomputes every count,
 prints each instance whose count changed as ``label: before -> after`` and
-then on how many instances the count fell, held and rose, exits 1 if any
-count rose, and otherwise rewrites the table and prints the old and new
+then on how many instances the count fell, held and rose, with the totals of
+the balanced-flow guesses' hits, repairs and misses beside it, exits 1 if
+any count rose, and otherwise rewrites the table and prints the old and new
 totals.
 """
 
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,12 +59,17 @@ def _fisher_runs():
             yield fisher_equilibrium(reduced.u, money)
 
 
-def _digest_and_counts():
-    """The answers digest and the max-flow count of each instance."""
+def _digest_and_counts(guesses=None):
+    """The answers digest and the max-flow count of each instance.
+
+    ``guesses``, a ``Counter`` if given, gathers the solves' guess outcomes.
+    """
     h = hashlib.sha256()
     maxflows = {}
     for label, inst in _instances():
         sol = solve(inst, collect_trace=True)
+        if guesses is not None:
+            guesses.update(sol.stats.get("detail", {}).get("guess", {}))
         doc = solution_to_json(sol)
         maxflows[label] = doc["stats"].pop("maxflows")
         h.update(json.dumps(doc, sort_keys=True).encode())
@@ -93,14 +100,16 @@ def test_golden_maxflow_counts(golden):
 def _regenerate_table():
     """Rewrite the count table unless some instance's count rose."""
     old = json.loads(MAXFLOWS_TABLE.read_text(encoding="utf-8"))
-    _, new = _digest_and_counts()
+    guesses = Counter()
+    _, new = _digest_and_counts(guesses)
     changed = {k: (old.get(k), v) for k, v in new.items() if old.get(k) != v}
     for label, (before, after) in changed.items():
         print(f"{label}: {before} -> {after}")
     rose = sum(k in old and v > old[k] for k, v in new.items())
     fell = sum(k in old and v < old[k] for k, v in new.items())
     held = len(new) - len(changed)
-    print(f"{fell} fell, {held} held, {rose} rose of {len(new)} instances")
+    print(f"{fell} fell, {held} held, {rose} rose of {len(new)} instances; guesses: "
+          f"{guesses['hits']} hits, {guesses['repairs']} repairs, {guesses['misses']} misses")
     if rose:
         print(f"count rose on {rose} of {len(new)} instances; table left as it is")
         return 1
