@@ -10,53 +10,47 @@ alternates a buyer, a good paying that buyer and a buyer interested in the
 good, so the condition is checked one good at a time: each buyer a good pays
 has at least the largest surplus among the good's interested buyers.
 
-The computation is divide and conquer on the buyer set.  A block of value
-``F`` (one max-flow finds the root's) tries the flat surplus level
-``delta = (block money - F) / #buyers`` with one max-flow at clamped sink
-capacities; if it is not achievable, the maximal min cut of that trial splits
-the buyers into a low-surplus side (inside the cut, with its goods) and a
-high-surplus side.  The high goods sell out in the trial to high buyers
-alone, and no interest edge runs from a low good to a high buyer (an
-unbounded arc across a finite cut), so the high child's value is the high
-goods' price mass and the low child's is ``F`` minus it.  At most ``2n - 1``
-blocks each run at most one trial: with the root value and the reassembly,
-at most ``2n + 1`` max-flows.  A root that does not split has solved the
-reassembly's network already, so such a call costs at most 2.  The returned
-flow must saturate every clamped sink capacity, match the root value and
-pass the characterization above, which together *prove* the output balanced
-however its surpluses were found.
-
-A market rebalances after every price event, and its new balanced
-partition is usually the previous one with a few classes merged or split.
-So ``balanced_flow`` takes the market's previous ``(flow, theta)`` as a hint
-and first guesses: buyers at one previous level form a class, each good
-joins the class it paid, a class whose buyer wants a good of a lower class
-merges into that class, and a class ``B`` with goods ``G`` gets the level
-``(m(B) - p(G)) / |B|``.  A market without a flow yet starts from one class
-per connected component.  One max-flow at sink capacities
-``max(m - level, 0)`` proves the guess by the same gate: every level lies in
+Every call guesses the balanced partition.  A market rebalances after every
+price event, and its new partition is usually the previous one with a few
+classes merged or split, so a market passes its previous ``(flow, theta)``:
+buyers at one previous level form a class and each good joins the class it
+paid.  Without a previous flow (the checkers', or a market's first) every
+connected component starts as one class.  A class whose buyer wants a good
+of a lower class merges into that class, and a class ``B`` with goods ``G``
+gets the level ``(m(B) - p(G)) / |B|``.  One max-flow at sink capacities
+``max(m - level, 0)`` proves the guess by the gate: every level lies in
 ``[0, m_i]``, the flow routes the whole price mass (so it is maximum) and
 saturates every capacity, and it passes the characterization.
 
-A guess that fails the gate is repaired from its own flow, by the
-recursion's split rule applied to every class at once (the recursion is
-Fujishige's decomposition algorithm, and one trial's cut is its split): the
-flow's maximal min cut splits each class it crosses into the part inside
-the cut (the recursion's low side) and the part outside, goods following
-their side.  The classes are merged again as above, re-levelled and proved
-by one more max-flow.  A class whose goods cost more than its buyers hold
-proves that the price mass cannot sell (no buyer outside a lowest class
-wants its goods, or the classes would have merged), and classes that repeat
-the last round's would rerun its max-flow; either ends the repair, as does
-a cap of ``n + 1`` rounds, and the recursion runs as the proof of last
-resort.
+A guess that fails the gate is repaired from its own flow by the
+recursion's split rule (below) applied to every class at once: the flow's
+maximal min cut splits each class it crosses into the part inside the cut
+and the part outside, goods following their side.  The classes are merged
+again as above, re-levelled and proved by one more max-flow.  A class whose
+goods cost more than its buyers hold proves that the price mass cannot sell
+(no buyer outside a lowest class wants its goods, or the classes would have
+merged), and classes that repeat the last round's would rerun its
+max-flow; either ends the repair, as does a cap of ``n + 1`` rounds.
 
-The balanced surpluses are unique, so an accepted guess is the
-Edmonds-Karp flow on the very network the recursion would reassemble, and
-the answer does not depend on which path found it.  A hit costs one
-max-flow, a repair one per round, and a miss adds the recursion's, so a
-hinted call costs at most ``(n + 1) + (2n + 1) = 3n + 2``.  The checkers in
-``certify`` pass no hint and keep the recursion as their proof.
+Then, and only then, the recursion runs: Fujishige's decomposition
+algorithm, divide and conquer on the buyer set.  A block of value ``F``
+(one max-flow finds the root's) tries the flat surplus level ``delta =
+(block money - F) / #buyers`` with one max-flow at clamped sink capacities;
+if it is not achievable, the maximal min cut of that trial splits the
+buyers into a low-surplus side (inside the cut, with its goods) and a
+high-surplus side.  The high goods sell out in the trial to high buyers
+alone, and no interest edge runs from a low good to a high buyer (an
+unbounded arc across a finite cut), so the high child's value is the high
+goods' price mass and the low child's is ``F`` minus it.  At most ``2n -
+1`` blocks each run at most one trial: with the root value and the
+reassembly, at most ``2n + 1`` max-flows, and 2 for a root that does not
+split (it has solved the reassembly's network already).
+
+Every path ends in the same gate (the reassembled flow must also match the
+root value), which *proves* the output balanced however its surpluses were
+found.  The balanced surpluses are unique, so every path returns the
+Edmonds-Karp flow on the same network.  A hit costs one max-flow, a repair
+one per round, and a miss adds the recursion's: at most ``3n + 2``.
 """
 
 from __future__ import annotations
@@ -96,37 +90,22 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
     return all(theta[i] >= top[j] for (i, j) in net.edges if (i, j) in flow.pair_flow)
 
 
-def balanced_flow(net: MarketNetwork, hint=None):
+def balanced_flow(net: MarketNetwork, hint=(None, ())):
     """Compute the balanced flow.  Returns ``(flow, theta)``, both exact.
 
-    ``hint`` is the market's previous ``(flow, theta)``, or ``(None, theta)``
-    before its first flow: surpluses are first guessed from its classes and
-    proved with one max-flow, a failed guess is repaired from its flow's cut
-    (``_guess``), and the recursion runs only when the repair gives up.  A
-    hinted call counts one ``"hits"``, ``"repairs"`` or ``"misses"`` in the
-    open ``counting()`` tally.  At most ``2n + 1`` max-flows without a hint
-    and ``3n + 2`` with one; a hit costs one.  A network without buyers
-    returns its root flow and ``()``.
+    ``hint`` is the market's previous ``(flow, theta)``; without a usable
+    previous flow (none, or a ``theta`` of the wrong length) the guess starts
+    from one class per connected component.  The guess is proved with one
+    max-flow, a failed guess is repaired from its flow's cut (``_guess``),
+    and the recursion (``_recursion``) runs only when the repair gives up.
+    Each call counts one ``"hits"``, ``"repairs"`` or ``"misses"`` in the
+    open ``counting()`` tally.  At most ``3n + 2`` max-flows per call, one
+    for a hit; the recursion alone costs at most ``2n + 1``.  A network
+    without buyers returns a max-flow and ``()``.
     """
-    if hint is not None:
-        outcome, guessed = _guess(net, *hint)
-        _count(outcome)
-        if guessed:
-            return guessed
-    n = net.n
-    theta = [None] * n
-    root = max_flow(net)
-    if not n:
-        return root, ()
-    leaf = _solve(frozenset(range(n)), frozenset(range(net.g)), root.value, net, theta)
-    caps = tuple(net.m[i] - theta[i] for i in range(n))
-    # An unsplit root ran on the reassembly's network: ``net``, capped if delta > 0.
-    flow = root if caps == net.m else leaf or max_flow(replace(net, m=caps))
-    if flow.value != sum(caps, Fraction(0)) or flow.value != root.value:
-        raise BalanceError("reassembled flow does not saturate the computed surplus levels")
-    if not verify_property1(net, flow):
-        raise BalanceError("reassembled flow violates the balance characterization")
-    return flow, tuple(theta)
+    outcome, guessed = _guess(net, *hint)
+    _count(outcome)
+    return guessed or _recursion(net)
 
 
 def _guess(net, prev_flow, prev_theta):
@@ -135,14 +114,12 @@ def _guess(net, prev_flow, prev_theta):
     The classes, the gate and the repair are the module docstring's.  An
     edgeless buyer stays alone (its surplus is its money), a good joins a
     class only through a previous pair that is still an edge (any edge
-    without a previous flow), and a class with goods but no buyer counts as
-    the lowest.  Levels are compared in integers, over one common
+    without a usable previous flow), and a class with goods but no buyer
+    counts as the lowest.  Levels are compared in integers, over one common
     denominator of every money and price.  The first round is the guess
     (``"hits"``), a later one a repair (``"repairs"``).
     """
     n, g = net.n, net.g
-    if len(prev_theta) != n:
-        return "misses", None
     scale, price, money = integer_caps(net)
     mass = Fraction(sum(price), scale)
     parent = list(range(n + g))  # buyers 0..n-1, then goods
@@ -153,7 +130,7 @@ def _guess(net, prev_flow, prev_theta):
         return a
 
     edges = sorted(net.edges)
-    if prev_flow is None:  # no flow yet: one class per connected component
+    if prev_flow is None or len(prev_theta) != n:  # one class per connected component
         pairs = edges
     else:
         order = sorted({i for (i, _) in edges}, key=prev_theta.__getitem__)
@@ -200,6 +177,24 @@ def _guess(net, prev_flow, prev_theta):
                   for x, r in enumerate(root)]
         last = classes
     return "misses", None
+
+
+def _recursion(net):
+    """The divide and conquer of the module docstring: ``(flow, theta)`` in ``2n + 1`` max-flows."""
+    n = net.n
+    theta = [None] * n
+    root = max_flow(net)
+    if not n:
+        return root, ()
+    leaf = _solve(frozenset(range(n)), frozenset(range(net.g)), root.value, net, theta)
+    caps = tuple(net.m[i] - theta[i] for i in range(n))
+    # An unsplit root ran on the reassembly's network: ``net``, capped if delta > 0.
+    flow = root if caps == net.m else leaf or max_flow(replace(net, m=caps))
+    if flow.value != sum(caps, Fraction(0)) or flow.value != root.value:
+        raise BalanceError("reassembled flow does not saturate the computed surplus levels")
+    if not verify_property1(net, flow):
+        raise BalanceError("reassembled flow violates the balance characterization")
+    return flow, tuple(theta)
 
 
 def _solve(buyers, goods, value, net, theta):

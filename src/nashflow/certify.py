@@ -5,6 +5,8 @@ never from solver state.  ``check_kkt`` takes a feasible answer's ``p``,
 ``x`` and ``v``, ``check_feasibility_witness`` its witness prices, and the
 ``verify_*`` functions an infeasible answer's certificates.  The solver and
 ``nashflow check`` (on solution files produced elsewhere) both call them.
+The witness check reads each buyer's surplus from one balanced flow; every
+other verdict costs at most one max-flow.
 """
 
 from __future__ import annotations
@@ -156,17 +158,20 @@ def verify_convex_dual(
 
     1. every buyer outside the split has zero utility on split goods,
     2. every split buyer's best ratio is attained only on split goods,
-    3. every non-split good sells out under ``p``, and the balanced-flow
-       surpluses of the non-split buyers sum to at least their count,
+    3. every non-split good sells out under ``p``, and the non-split
+       buyers' money exceeds the non-split price mass by at least their
+       count,
     4. at least one buyer lies outside the split.
 
     (1) and (2) together say no best-ratio edge crosses the split, so every
-    max-flow sells the same non-split goods and (3) reads them off the one
-    balanced flow.  Under (1)-(4) any allocation with all-positive gains would force the
-    non-split buyers' money, ``sum(c_i / gamma_i)`` plus their unit budgets,
-    to exceed the non-split price mass — contradicting (3).  Formally the
-    conditions exhibit a ray on which the smooth dual of the underlying
-    convex program diverges to minus infinity.
+    max-flow sells the same non-split goods to the non-split buyers alone
+    and (3) reads them off one max-flow; the excess in (3) is then the sum
+    of the non-split buyers' surpluses.  Under (1)-(4) any allocation with
+    all-positive gains would force the non-split buyers' money,
+    ``sum(c_i / gamma_i)`` plus their unit budgets, to exceed the non-split
+    price mass — contradicting (3).  Formally the conditions exhibit a ray
+    on which the smooth dual of the underlying convex program diverges to
+    minus infinity.
     """
     if zero_row is not None:
         if not 0 <= zero_row < inst.n:
@@ -194,14 +199,12 @@ def verify_convex_dual(
         return False
     if any((i in split_b) != (j in split_g) for (i, j) in net.edges):
         return False
-    flow, theta = balanced_flow(net)
     # Each good's flow is capped by its price, so the rest sells out exactly
     # when its flow reaches its price mass.
+    flow = max_flow(net)
     rest_flow = sum((f for (_, j), f in flow.pair_flow.items() if j not in split_g), Fraction(0))
-    if rest_flow != sum((p[j] for j in range(inst.g) if j not in split_g), Fraction(0)):
-        return False
-    rest_sum = sum((theta[i] - 1 for i in rest_b), Fraction(0))
-    return rest_sum >= 0
+    rest_price = sum((p[j] for j in range(inst.g) if j not in split_g), Fraction(0))
+    return rest_flow == rest_price and sum(net.m[i] for i in rest_b) - rest_price >= len(rest_b)
 
 
 def lp_dual_for_zero_row(inst: BargainingInstance, i) -> dict:

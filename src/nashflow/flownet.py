@@ -61,8 +61,8 @@ def counting():
     """Count the work done inside the block; yields a ``Counter``.
 
     ``max_flow`` adds one to ``"maxflows"`` and its number of augmenting
-    paths to ``"augments"``, and a hinted ``balanced_flow`` adds to
-    ``"hits"``, ``"repairs"`` or ``"misses"``.  A nested block counts only
+    paths to ``"augments"``, and each ``balanced_flow`` adds to ``"hits"``,
+    ``"repairs"`` or ``"misses"``.  A nested block counts only
     its own work and adds it to the enclosing block's tally when it exits.
     """
     outer, tally = _TALLY.get(), Counter()

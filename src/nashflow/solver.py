@@ -91,9 +91,9 @@ def maxflow_budget(n, g, u_max, c_max, mu) -> int:
     """Worst-case max-flow budget for a full solve (polynomial bound).
 
     ``mu`` is the ceiling of the reciprocal of the smallest initialization
-    price; ``c_max`` may be rational and is rounded up.
+    price; ``c_max``, an ``int`` or a ``Fraction``, is rounded up.
     """
-    c_int = max(1, -(-c_max.numerator // c_max.denominator) if isinstance(c_max, Fraction) else int(c_max))
+    c_int = max(1, -(-c_max.numerator // c_max.denominator))
     terms = _clog2(n) + n * _clog2(max(u_max, 1)) + _clog2(c_int) + g * _clog2(max(int(mu), 1)) + 16
     return n**4 * g * terms
 
@@ -143,7 +143,7 @@ def initialize(inst: BargainingInstance) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets.
 
     Its first rebalance is hinted with the Fisher run's flow (see
-    ``SolverState``), so no rebalance of a solve runs without a hint.
+    ``SolverState``).
     """
     state = SolverState(inst, _fisher_run(inst.u, [Fraction(1)] * inst.n))
     _rebuild(state)

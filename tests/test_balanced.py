@@ -57,6 +57,31 @@ def test_balanced_flow_splits_contested_good_evenly():
     assert flow.pair_flow == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
 
 
+def test_balanced_flow_without_a_hint_proves_one_level_per_component_at_once():
+    # The contested good's buyers form one component at one level, and the
+    # disconnected pair two components at level 0: each guess is a hit.
+    contested = MarketNetwork(
+        (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
+    )
+    for net in (contested, build_network(symmetric_pair(), [Fraction(1), Fraction(1)])):
+        with counting() as tally:
+            balanced_flow(net)
+        assert (tally["maxflows"], tally["hits"], tally["repairs"], tally["misses"]) == (1, 1, 0, 0)
+
+
+def test_balanced_flow_that_cannot_sell_falls_back_to_the_recursion():
+    # One good priced 2 and one buyer with 1: the guessed class has a
+    # negative level, so the guess misses and the recursion answers.
+    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+    with counting() as tally:
+        flow, theta = balanced_flow(net)
+    assert (tally["hits"], tally["repairs"], tally["misses"]) == (0, 0, 1)
+    ref_flow, ref_theta = reference_balanced_flow(net)
+    assert theta == ref_theta == (Fraction(0),)
+    assert flow.pair_flow == ref_flow.pair_flow
+    assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+
+
 def test_balanced_flow_disconnected_market_has_no_surplus():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow, theta = balanced_flow(net)
@@ -208,10 +233,9 @@ OUTCOMES = ("hits", "repairs", "misses")
 def flows_per_call(monkeypatch):
     """``(n, max-flows, outcome, caller)`` of every ``balanced_flow`` call, wherever it is bound.
 
-    ``outcome`` is None for a call without a hint, else ``"hits"``,
-    ``"repairs"`` or ``"misses"``, read from a ``counting()`` block around
-    the call; the enclosing tally still receives it.  ``caller`` names the
-    module whose binding was called.
+    ``outcome`` is ``"hits"``, ``"repairs"`` or ``"misses"``, read from a
+    ``counting()`` block around the call; the enclosing tally still
+    receives it.  ``caller`` names the module whose binding was called.
     """
     count, calls = [0], []
     real_max_flow, real_balanced_flow = balanced.max_flow, balanced.balanced_flow
@@ -221,12 +245,11 @@ def flows_per_call(monkeypatch):
         return real_max_flow(net)
 
     def counted_from(caller):
-        def counted_balanced_flow(net, hint=None):
+        def counted_balanced_flow(net, *hint):
             count[0] = 0
             with counting() as mine:
-                result = real_balanced_flow(net, hint)
-            (outcome,) = [key for key in OUTCOMES if mine[key]] or [None]
-            assert (outcome is None) == (hint is None)
+                result = real_balanced_flow(net, *hint)
+            (outcome,) = [key for key in OUTCOMES if mine[key]]
             calls.append((net.n, count[0], outcome, caller))
             return result
 
@@ -238,44 +261,49 @@ def flows_per_call(monkeypatch):
     return calls
 
 
-def test_balanced_flow_runs_at_most_2n_plus_1_max_flows(flows_per_call):
+def test_balanced_flow_runs_at_most_2n_plus_1_max_flows():
+    # The recursion alone, which a call runs only when its guess gives up;
+    # it answers as the guess does.
     rng = random.Random(7)
-    thetas = [
-        balanced.balanced_flow(_restricted(rng, random_network(rng, 6, 6)))[1]
-        for _ in range(3000)
-    ]
-    assert len(flows_per_call) == 3000
-    assert all(flows <= 2 * n + 1 for n, flows, *_ in flows_per_call)
-    split = [len(set(theta)) > 1 for theta in thetas]
+    calls = []
+    for _ in range(3000):
+        net = _restricted(rng, random_network(rng, 6, 6))
+        with counting() as tally:
+            flow, theta = balanced._recursion(net)
+        own_flow, own_theta = balanced_flow(net)
+        assert theta == own_theta
+        assert flow.pair_flow == own_flow.pair_flow
+        assert (flow.value, flow.far_side) == (own_flow.value, own_flow.far_side)
+        calls.append((net.n, tally["maxflows"], len(set(theta)) > 1))
+    assert len(calls) == 3000
+    assert all(flows <= 2 * n + 1 for n, flows, _ in calls)
     # A root that does not split has already run the reassembly's max-flow.
-    assert all(flows <= 2 for (_, flows, *_), s in zip(flows_per_call, split) if not s)
+    assert all(flows <= 2 for _, flows, split in calls if not split)
     # The bound is tight: a full split tree whose every leaf runs its trial.
-    tight = {n for (n, flows, *_), s in zip(flows_per_call, split) if s and flows == 2 * n + 1}
+    tight = {n for n, flows, split in calls if split and flows == 2 * n + 1}
     assert tight >= {2, 3, 4, 5}
 
 
 def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
-    # Every rebalance is hinted and only the checkers call without a hint.
-    # A hinted call may cost 3n + 2 (n + 1 rounds, then the recursion); a
-    # hit costs one max-flow and a repair one per round, and on these
-    # solves every guess is proved or repaired, so every call stays within
-    # the recursion's 2n + 1.
+    # A call may cost 3n + 2 (n + 1 rounds, then the recursion); a hit
+    # costs one max-flow and a repair one per round, and on these solves
+    # every guess is proved or repaired, so every call stays within the
+    # recursion's 2n + 1.  Self-verification runs no balanced flow.
     for seed in range(3):
         solve(gen_random(12, 12, 1000, 1500, seed))
     for seed in range(6):
         solve(gen_random(seed % 3 + 1, seed // 3 + 1, 3, 2, seed))
     assert len(flows_per_call) > 50
-    assert {caller for *_, outcome, caller in flows_per_call if outcome is None} <= {"certify"}
+    assert "certify" not in {caller for *_, caller in flows_per_call}
     assert all(flows <= 2 * n + 1 for n, flows, *_ in flows_per_call)
-    hinted = [(n, flows, outcome) for n, flows, outcome, _ in flows_per_call if outcome]
-    assert {outcome for *_, outcome in hinted} == {"hits", "repairs"}
-    assert all(flows == 1 for _, flows, outcome in hinted if outcome == "hits")
-    assert all(2 <= flows <= n + 1 for n, flows, outcome in hinted if outcome == "repairs")
+    assert {outcome for *_, outcome, _ in flows_per_call} == {"hits", "repairs"}
+    assert all(flows == 1 for _, flows, outcome, _ in flows_per_call if outcome == "hits")
+    assert all(2 <= flows <= n + 1 for n, flows, outcome, _ in flows_per_call if outcome == "repairs")
 
 
 def test_guess_counters_count_every_hinted_call(flows_per_call):
     sol = solve(gen_random(12, 12, 1000, 1500, 0))
-    outcomes = [outcome for _, _, outcome, _ in flows_per_call if outcome is not None]
+    outcomes = [outcome for _, _, outcome, _ in flows_per_call]
     guess = sol.stats["detail"]["guess"]
     assert list(guess) == list(OUTCOMES)
     assert sum(guess.values()) == len(outcomes)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import nashflow.certify as certify
 from nashflow import (
     balanced_flow,
     build_network,
     check_equilibrium,
     check_feasibility_witness,
     check_kkt,
+    counting,
     gen_random,
     lp_dual_for_zero_row,
     make_instance,
@@ -26,6 +28,7 @@ from conftest import (
     symmetric_pair,
     unit_game,
 )
+from test_golden import _instances
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,22 @@ def test_verify_convex_dual_rejects_cross_interest_and_feasible_sides():
     assert verify_convex_dual(leaky, buyers=[1], goods=[1], p=[Fraction(1), Fraction(1)]) is False
     # A feasible game admits no valid split at these prices.
     assert verify_convex_dual(scalar_feasible(), buyers=[], goods=[], p=[Fraction(1)]) is False
+
+
+def test_verify_convex_dual_runs_one_max_flow_on_every_golden_certificate(monkeypatch):
+    # No best-ratio edge crosses the split, so any one max-flow shows what
+    # the rest buyers are left with; no balanced flow is needed.
+    def no_balanced_flow(*args):
+        raise AssertionError("verify_convex_dual ran a balanced flow")
+
+    certs = [(inst, sol.certificate["convex_dual"]) for _, inst in _instances()
+             for sol in [solve(inst)] if sol.verdict == "infeasible"]
+    monkeypatch.setattr(certify, "balanced_flow", no_balanced_flow)
+    for inst, cert in certs:
+        with counting() as tally:
+            assert verify_convex_dual(inst, **cert)
+        assert tally["maxflows"] == 1
+    assert len(certs) > 100
 
 
 def test_verify_convex_dual_zero_row_form():

@@ -340,6 +340,12 @@ def test_solve_verifies_feasible_output_before_returning():
             assert verify_lp_dual(inst, cert["lp_dual"]["y"], cert["lp_dual"]["z"])
 
 
+def test_maxflow_budget_rounds_a_rational_c_max_up():
+    budgets = {maxflow_budget(3, 2, 5, c, 4) for c in (3, Fraction(3), Fraction(5, 2))}
+    assert len(budgets) == 1
+    assert budgets != {maxflow_budget(3, 2, 5, 2, 4)}
+
+
 def test_solve_stays_within_the_max_flow_budget():
     rng = random.Random(23)
     for _ in range(20):
