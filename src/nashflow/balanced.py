@@ -18,12 +18,9 @@ paid.  Without a previous flow (the checkers', or a market's first) every
 connected component starts as one class.  A class whose buyer wants a good
 of a lower class merges into that class, and a class ``B`` with goods ``G``
 gets the level ``(m(B) - p(G)) / |B|``.  One max-flow at sink capacities
-``max(m - level, 0)`` proves the guess by the gate: every level lies in
-``[0, m_i]``, the flow routes the whole price mass (so it is maximum) and
-saturates every capacity, and it passes the characterization.
+``max(m - level, 0)`` proves the guess by the gate (below).
 
-A guess that fails the gate is repaired from its own flow by the
-recursion's split rule (below) applied to every class at once: the flow's
+A guess that fails the gate is repaired from its own flow: the flow's
 maximal min cut splits each class it crosses into the part inside the cut
 and the part outside, goods following their side.  The classes are merged
 again as above, re-levelled and proved by one more max-flow.  A class whose
@@ -32,29 +29,40 @@ goods cost more than its buyers hold proves that the price mass cannot sell
 merged), and classes that repeat the last round's would rerun its
 max-flow; either ends the repair, as does a cap of ``n + 1`` rounds.
 
-Then, and only then, the recursion runs: Fujishige's decomposition
-algorithm, divide and conquer on the buyer set.  A block of value ``F``
-(one max-flow finds the root's) tries the flat surplus level ``delta =
-(block money - F) / #buyers`` with one max-flow at clamped sink capacities;
-if it is not achievable, the maximal min cut of that trial splits the
-buyers into a low-surplus side (inside the cut, with its goods) and a
-high-surplus side.  The high goods sell out in the trial to high buyers
-alone, and no interest edge runs from a low good to a high buyer (an
-unbounded arc across a finite cut), so the high child's value is the high
-goods' price mass and the low child's is ``F`` minus it.  At most ``2n -
-1`` blocks each run at most one trial: with the root value and the
-reassembly, at most ``2n + 1`` max-flows, and 2 for a root that does not
-split (it has solved the reassembly's network already).
+Then the same loop runs split rounds: Fujishige's decomposition algorithm,
+breadth-first.  It restarts from one class per connected component, and one
+max-flow of the whole network charges each class the price mass that no
+flow sells (none where the mass sells), so a class of value ``F`` (what the
+max-flow sells in it) gets the level ``(m(B) - F) / |B|``.  Classes stop
+merging.  Each round runs one max-flow with every class on its own edges
+only, so the flow is each class's trial at its level.  A class whose trial
+fails is split by the maximal min cut into a low-surplus part (inside the
+cut, with its goods) and a high-surplus part.  The high goods sell out in
+the trial to high buyers alone, and no interest edge runs from a low good
+to a high buyer (an unbounded arc across a finite cut), so the high part
+sells its whole price mass and the charge passes to the low part.  A class
+whose trial passes saturates its buyers and lies inside the cut whole.
+Both parts of a split hold buyers, so within ``n`` rounds one splits
+nothing, and its levels are proved on the whole network: by that round's
+max-flow when every class still holds its component's edges, by the whole
+max-flow when every level is 0, and by one more max-flow otherwise.  A
+degenerate split (a part without buyers) or a proof that fails can only
+come from a broken flow core; the loop then raises ``BalanceError``, at the
+proof or after ``2n + 3`` rounds.
 
-Every path ends in the same gate (the reassembled flow must also match the
-root value), which *proves* the output balanced however its surpluses were
-found.  The balanced surpluses are unique, so every path returns the
-Edmonds-Karp flow on the same network.  A hit costs one max-flow, a repair
-one per round, and a miss adds the recursion's: at most ``3n + 2``.
+Every path ends in the same gate, which *proves* the output balanced however
+its levels were found: every level lies in ``[0, m_i]``, and the flow
+saturates every capacity, has the value of a maximum flow (the price mass
+while guessing, the whole max-flow's in split rounds) and passes the
+characterization.  The balanced surpluses are unique, so every path returns
+the Edmonds-Karp flow on the same network.  A hit costs one max-flow, a
+repair one per round, and the split rounds add the whole max-flow, at most
+``n`` rounds and the proof: at most ``2n + 3`` per call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -95,33 +103,22 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
 
     ``hint`` is the market's previous ``(flow, theta)``; without a usable
     previous flow (none, or a ``theta`` of the wrong length) the guess starts
-    from one class per connected component.  The guess is proved with one
-    max-flow, a failed guess is repaired from its flow's cut (``_guess``),
-    and the recursion (``_recursion``) runs only when the repair gives up.
-    Each call counts one ``"hits"``, ``"repairs"`` or ``"misses"`` in the
-    open ``counting()`` tally.  At most ``3n + 2`` max-flows per call, one
-    for a hit; the recursion alone costs at most ``2n + 1``.  A network
-    without buyers returns a max-flow and ``()``.
+    from one class per connected component.  The guess, its repair and the
+    split rounds are the module docstring's.  An edgeless buyer stays alone
+    (its surplus is its money), a good joins a class only through a previous
+    pair that is still an edge (any edge without a usable previous flow), and
+    a class with goods but no buyer counts as the lowest.  Levels are
+    compared in integers, over one common denominator of every money and
+    price.  Each call counts one ``"hits"`` (the first round proves it),
+    ``"repairs"`` or ``"misses"`` (the split rounds ran) in the open
+    ``counting()`` tally: one max-flow for a hit, at most ``n + 1`` for a
+    repair and ``2n + 3`` in all.  A network without buyers returns a
+    max-flow and ``()``.
     """
-    outcome, guessed = _guess(net, *hint)
-    _count(outcome)
-    return guessed or _recursion(net)
-
-
-def _guess(net, prev_flow, prev_theta):
-    """``(outcome, guessed)``: the count to add and the proved ``(flow, theta)`` or None.
-
-    The classes, the gate and the repair are the module docstring's.  An
-    edgeless buyer stays alone (its surplus is its money), a good joins a
-    class only through a previous pair that is still an edge (any edge
-    without a usable previous flow), and a class with goods but no buyer
-    counts as the lowest.  Levels are compared in integers, over one common
-    denominator of every money and price.  The first round is the guess
-    (``"hits"``), a later one a repair (``"repairs"``).
-    """
+    prev_flow, prev_theta = hint
     n, g = net.n, net.g
     scale, price, money = integer_caps(net)
-    mass = Fraction(sum(price), scale)
+    target = Fraction(sum(price), scale)  # the proved flow's value: the price mass while guessing
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 
     def find(a):
@@ -141,15 +138,17 @@ def _guess(net, prev_flow, prev_theta):
     for (i, j) in pairs:
         if (i, j) in net.edges:
             parent[find(n + j)] = find(i)
-    last = None
-    for attempt in range(n + 1):
-        cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) and |B|, scaled
+    last, whole, charge = None, None, {}  # whole: the unrestricted max-flow, once the split rounds run
+    for attempt in range(2 * n + 3):  # n + 1 guesses, the whole max-flow, n split rounds, the proof
+        cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) + charge and |B|, scaled
         for i, x in enumerate(money):
             cash[find(i)] += x
             size[find(i)] += 1
         for j, x in enumerate(price):
             cash[find(n + j)] -= x
-        merged = True
+        for r, x in charge.items():
+            cash[r] += x
+        merged = whole is None
         while merged:
             merged = False
             for (i, j) in edges:
@@ -162,62 +161,39 @@ def _guess(net, prev_flow, prev_theta):
         root = [find(x) for x in range(n + g)]
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
-        if classes == last or any(cash[r] < 0 for r in first):
-            break
+        if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
+            whole = max_flow(net)
+            target, parent, last = whole.value, list(range(n + g)), None
+            for (i, j) in edges:
+                parent[find(n + j)] = find(i)
+            charge = Counter()
+            for j, x in enumerate(price):
+                charge[find(n + j)] += x
+            for (_, j), f in whole.pair_flow.items():
+                charge[find(n + j)] -= int(f * scale)
+            continue
         level = {r: Fraction(cash[r], size[r] * scale) for r in first if size[r]}
         theta = tuple(level[r] for r in root[:n])
         caps = tuple(max(m - t, 0) for m, t in zip(net.m, theta))
-        flow = max_flow(replace(net, m=caps))
-        fits = all(money[i] * size[r] >= cash[r] for i, r in enumerate(root[:n]))
-        if fits and flow.value == mass == sum(caps) and verify_property1(net, flow):
-            return ("repairs" if attempt else "hits"), (flow, theta)
+        final = classes == last  # a split round that split nothing: prove its levels
+        inner = net.edges if whole is None or final else frozenset(
+            e for e in edges if root[e[0]] == root[n + e[1]])  # every class on its own edges
+        full = len(inner) == len(net.edges)
+        reuse = whole is not None and full and caps == net.m
+        flow = whole if reuse else max_flow(replace(net, m=caps, edges=inner))
+        fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
+        if full and fits and flow.value == target == sum(caps) and verify_property1(net, flow):
+            _count("misses" if whole else "repairs" if attempt else "hits")
+            return flow, theta
+        if final:
+            raise BalanceError("balanced-flow levels fail the gate on the whole network")
         far_buyers, far_goods = flow.far_side
         side = {}  # (class, inside the cut) -> its part's first member
         parent = [side.setdefault((r, x in far_buyers if x < n else x - n in far_goods), x)
                   for x, r in enumerate(root)]
+        charge = {side[r, True]: x for r, x in charge.items() if (r, True) in side}
         last = classes
-    return "misses", None
-
-
-def _recursion(net):
-    """The divide and conquer of the module docstring: ``(flow, theta)`` in ``2n + 1`` max-flows."""
-    n = net.n
-    theta = [None] * n
-    root = max_flow(net)
-    if not n:
-        return root, ()
-    leaf = _solve(frozenset(range(n)), frozenset(range(net.g)), root.value, net, theta)
-    caps = tuple(net.m[i] - theta[i] for i in range(n))
-    # An unsplit root ran on the reassembly's network: ``net``, capped if delta > 0.
-    flow = root if caps == net.m else leaf or max_flow(replace(net, m=caps))
-    if flow.value != sum(caps, Fraction(0)) or flow.value != root.value:
-        raise BalanceError("reassembled flow does not saturate the computed surplus levels")
-    if not verify_property1(net, flow):
-        raise BalanceError("reassembled flow violates the balance characterization")
-    return flow, tuple(theta)
-
-
-def _solve(buyers, goods, value, net, theta):
-    """Fill ``theta`` for a nonempty block of max-flow ``value``; return a leaf's trial flow."""
-    delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
-    if delta == 0:
-        for i in buyers:
-            theta[i] = Fraction(0)
-        return None
-    caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
-    trial = max_flow(replace(net.sub(buyers, goods), m=tuple(caps)))
-    if trial.value == value and all(net.m[i] >= delta for i in buyers):
-        for i in buyers:
-            theta[i] = delta
-        return trial
-    low_b = trial.far_side[0] & buyers
-    low_g = trial.far_side[1] & goods
-    if not low_b or low_b == buyers:
-        raise BalanceError("degenerate split in balanced-flow recursion")
-    high_value = sum((net.p[j] for j in goods - low_g), Fraction(0))
-    _solve(low_b, low_g, value - high_value, net, theta)
-    _solve(buyers - low_b, goods - low_g, high_value, net, theta)
-    return None
+    raise BalanceError("balanced-flow split rounds did not end")
 
 
 def scale_flow(edges, theta, x, buyers, goods):

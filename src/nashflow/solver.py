@@ -42,8 +42,8 @@ in Stage I and rising in Stage II, and assert their structural invariants as
 they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
 a property of the input).  Each rebalance guesses the balanced flow from the
 previous one and proves the guess with one max-flow, repairs a failed guess
-from its flow's min cut, and runs the full balanced-flow recursion only when
-the repair gives up.
+from its flow's min cut, and only when the repair gives up splits classes,
+starting from one max-flow of the whole network.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize`` and both stages: ``stats["maxflows"]`` is the max-flows run

@@ -138,15 +138,17 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
 
 
 # ---------------------------------------------------------------------------
-# The plain balanced-flow recursion, without child values derived from the
-# parent block: every block runs its own max-flow for its value, and a split
-# checks that the children's values add up.  Kept to compare ``theta`` and the
-# pair flows with ``balanced.balanced_flow`` on networks too large for
+# The one remaining copy of the balanced-flow recursion (Fujishige's
+# decomposition, depth-first), without child values derived from the parent
+# block: every block runs its own max-flow for its value, and a split checks
+# that the children's values add up.  Kept to compare ``theta`` and the pair
+# flows with ``balanced.balanced_flow``, whose split rounds run the same
+# decomposition breadth-first, on networks too large for
 # ``reference_surpluses``.
 
 
 def reference_balanced_flow(net: MarketNetwork):
-    """``balanced.balanced_flow`` with one extra max-flow per block."""
+    """The balanced flow by divide and conquer, one extra max-flow per block."""
     n = net.n
     theta = [None] * n
     root_value = _reference_solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)

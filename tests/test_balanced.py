@@ -69,17 +69,76 @@ def test_balanced_flow_without_a_hint_proves_one_level_per_component_at_once():
         assert (tally["maxflows"], tally["hits"], tally["repairs"], tally["misses"]) == (1, 1, 0, 0)
 
 
-def test_balanced_flow_that_cannot_sell_falls_back_to_the_recursion():
+def test_balanced_flow_that_cannot_sell_runs_the_split_rounds():
     # One good priced 2 and one buyer with 1: the guessed class has a
-    # negative level, so the guess misses and the recursion answers.
+    # negative level, so the guess misses before any max-flow.  The whole
+    # max-flow charges the class the 1 it cannot sell, which puts its level
+    # at 0, and the gate proves that level on the whole max-flow itself.
     net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
     with counting() as tally:
         flow, theta = balanced_flow(net)
-    assert (tally["hits"], tally["repairs"], tally["misses"]) == (0, 0, 1)
+    assert (tally["maxflows"], tally["hits"], tally["repairs"], tally["misses"]) == (1, 0, 0, 1)
     ref_flow, ref_theta = reference_balanced_flow(net)
     assert theta == ref_theta == (Fraction(0),)
     assert flow.pair_flow == ref_flow.pair_flow
     assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+
+
+def test_balanced_flow_without_a_hint_can_miss_on_a_sellable_network():
+    # Everything sells, but buyer 0 holds no money and wants the good that
+    # buyers 1 and 2 want: the one component's level lies above buyer 0's
+    # money, and the repair runs out of its n + 1 = 5 rounds.  The split
+    # rounds then answer with at most 2n + 3 max-flows in all.
+    net = MarketNetwork(
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(0), Fraction(9, 2), Fraction(3), Fraction(6)),
+        frozenset({(0, 1), (1, 1), (2, 1), (2, 0), (3, 0)}),
+    )
+    with counting() as tally:
+        flow, theta = balanced_flow(net)
+    assert (tally["hits"], tally["repairs"], tally["misses"]) == (0, 0, 1)
+    assert tally["maxflows"] <= 2 * net.n + 3
+    assert theta == (Fraction(0), Fraction(25, 6), Fraction(3), Fraction(11, 2))
+    assert flow.value == sum(net.p)
+    ref_flow, ref_theta = reference_balanced_flow(net)
+    assert theta == ref_theta
+    assert flow.pair_flow == ref_flow.pair_flow
+    assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+
+
+FAR_SIDES = {
+    "nothing": lambda net, k: (frozenset(), frozenset()),
+    "everything": lambda net, k: (frozenset(range(net.n)), frozenset(range(net.g))),
+    "a good more each time": lambda net, k: (frozenset(), frozenset(range(k))),
+}
+
+
+@pytest.mark.parametrize("far", FAR_SIDES)
+def test_balanced_flow_over_a_broken_flow_core_raises_within_2n_plus_3_max_flows(monkeypatch, far):
+    # Flows that report one less than they route never sell the mass and
+    # never pass the gate.  A cut with nothing or everything on its far side
+    # splits no class: the repair repeats its partition, the split rounds
+    # split nothing, and the gate refuses their levels.  A cut that takes
+    # one good more at every max-flow cuts goods off their buyers, a
+    # degenerate split that the gate or the round cap ends.  The stub fails
+    # the test past 2n + 3 max-flows, so a loop that spins cannot hide.
+    real_max_flow, ran = balanced.max_flow, []
+
+    def broken(net):
+        ran.append(net)
+        assert len(ran) <= 2 * net.n + 3
+        flow = real_max_flow(net)
+        return replace(flow, value=flow.value - 1, far_side=FAR_SIDES[far](net, len(ran)))
+
+    rng = random.Random(13)
+    cases = [(net, hint) for _, net, hint in _hinted_cases(rng, 40)]
+    cases += [(random_network(rng, 6, 6), (None, ())) for _ in range(40)]
+    monkeypatch.setattr(balanced, "max_flow", broken)
+    for net, hint in cases:
+        del ran[:]
+        with pytest.raises(balanced.BalanceError):
+            balanced_flow(net, hint)
+        assert ran
 
 
 def test_balanced_flow_disconnected_market_has_no_surplus():
@@ -143,7 +202,7 @@ def test_verify_property1_rejects_lopsided_split():
 def test_verify_property1_matches_residual_search():
     # Edmonds-Karp flows are rarely balanced and balanced flows always are,
     # so both verdicts occur; sub-networks, zero prices and clamped budgets
-    # are the shapes the balanced-flow recursion feeds the check.
+    # are the shapes a balanced flow's rounds feed the check.
     rng = random.Random(4)
     verdicts = []
     for _ in range(2400):
@@ -212,7 +271,7 @@ def test_surplus_vector_is_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# The recursion: values passed down, at most 2n + 1 max-flows
+# The split rounds: at most 2n + 3 max-flows per call
 
 
 def _restricted(rng, net):
@@ -261,34 +320,34 @@ def flows_per_call(monkeypatch):
     return calls
 
 
-def test_balanced_flow_runs_at_most_2n_plus_1_max_flows():
-    # The recursion alone, which a call runs only when its guess gives up;
-    # it answers as the guess does.
+def test_balanced_flow_runs_at_most_2n_plus_3_max_flows():
+    # Each network as drawn (most cannot sell their goods) and with its
+    # prices cut to an eighth (more sell): misses run the split rounds on
+    # both kinds, and the bound is not vacuous.
     rng = random.Random(7)
     calls = []
     for _ in range(3000):
-        net = _restricted(rng, random_network(rng, 6, 6))
-        with counting() as tally:
-            flow, theta = balanced._recursion(net)
-        own_flow, own_theta = balanced_flow(net)
-        assert theta == own_theta
-        assert flow.pair_flow == own_flow.pair_flow
-        assert (flow.value, flow.far_side) == (own_flow.value, own_flow.far_side)
-        calls.append((net.n, tally["maxflows"], len(set(theta)) > 1))
-    assert len(calls) == 3000
-    assert all(flows <= 2 * n + 1 for n, flows, _ in calls)
-    # A root that does not split has already run the reassembly's max-flow.
-    assert all(flows <= 2 for _, flows, split in calls if not split)
-    # The bound is tight: a full split tree whose every leaf runs its trial.
-    tight = {n for n, flows, split in calls if split and flows == 2 * n + 1}
-    assert tight >= {2, 3, 4, 5}
+        drawn = _restricted(rng, random_network(rng, 6, 6))
+        for net in (drawn, replace(drawn, p=tuple(x / 8 for x in drawn.p))):
+            with counting() as tally:
+                flow, theta = balanced_flow(net)
+            ref_flow, ref_theta = reference_balanced_flow(net)
+            assert theta == ref_theta
+            assert flow.pair_flow == ref_flow.pair_flow
+            assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+            sellable = flow.value == sum(net.p, Fraction(0))
+            calls.append((net.n, tally["maxflows"], tally["misses"], sellable))
+    assert len(calls) == 6000
+    assert all(flows <= 2 * n + 3 for n, flows, *_ in calls)
+    assert {sellable for *_, missed, sellable in calls if missed} == {True, False}
+    assert any(flows >= 2 * n + 1 for n, flows, missed, _ in calls if missed)
 
 
 def test_solver_balanced_flows_stay_within_2n_plus_1_max_flows(flows_per_call):
-    # A call may cost 3n + 2 (n + 1 rounds, then the recursion); a hit
+    # A call may cost 2n + 3 (n + 1 rounds, then the split rounds); a hit
     # costs one max-flow and a repair one per round, and on these solves
-    # every guess is proved or repaired, so every call stays within the
-    # recursion's 2n + 1.  Self-verification runs no balanced flow.
+    # every guess is proved or repaired, so every call stays within n + 1.
+    # Self-verification runs no balanced flow.
     for seed in range(3):
         solve(gen_random(12, 12, 1000, 1500, seed))
     for seed in range(6):
@@ -375,7 +434,7 @@ def _pinned_hinted_cases():
     class sits at 0 below buyer 2's 1, and buyer 2, who also wants good 1,
     merges into it; the second round proves ``theta = (3, 1/2, 1/2)``.
     ``unsellable``: a good dearer than its one buyer's money is a class of
-    negative level, which no flow can prove; the recursion answers.
+    negative level, which no flow can prove; the split rounds answer.
     """
     net = MarketNetwork(
         (Fraction(1), Fraction(2)), (Fraction(4), Fraction(2), Fraction(1)),
@@ -421,8 +480,8 @@ def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
         balanced.balanced_flow(net, hint)
     assert len(flows_per_call) == len(cases)
     # A hit runs one max-flow, a repair one per round (at most n + 1), and a
-    # miss adds the recursion's 2n + 1 to the rounds it ran.
-    assert all(flows <= 3 * n + 2 for n, flows, *_ in flows_per_call)
+    # miss adds the whole max-flow, at most n split rounds and the proof.
+    assert all(flows <= 2 * n + 3 for n, flows, *_ in flows_per_call)
     assert all(flows == 1 for _, flows, outcome, _ in flows_per_call if outcome == "hits")
     repairs = [(n, flows) for n, flows, outcome, _ in flows_per_call if outcome == "repairs"]
     assert repairs and all(2 <= flows <= n + 1 for n, flows in repairs)

@@ -360,7 +360,7 @@ def test_residual_reachable_zero_flow_follows_interest_edges_only():
 def test_residual_reach_matches_the_dict_adjacency_search():
     # The kept integer residual graph against adjacency rebuilt from
     # ``net.edges`` and ``pair_flow``, both ways, on the flows the phases
-    # and the balanced-flow recursion read: zero prices, restrictions,
+    # and the balanced-flow rounds read: zero prices, restrictions,
     # money clamped at zero, plain max-flows and balanced flows.
     rng = random.Random(23)
     seen = Counter()
