@@ -213,5 +213,5 @@ def scale_flow(edges, theta, x, buyers, goods):
     """
     for (i, j) in edges:
         if (i in buyers) != (j in goods):
-            raise ValueError(f"edge ({i},{j}) crosses the scaled block")
+            raise BalanceError(f"edge ({i},{j}) crosses the scaled block")
     return tuple(1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta))

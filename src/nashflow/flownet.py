@@ -13,26 +13,28 @@ All capacities are rationals.  Max-flow clears denominators up front
 Edmonds-Karp (shortest augmenting paths, deterministic edge order), so flows
 are exact and runs are reproducible.  Unbounded pair capacities are encoded
 as the total price mass plus one, which no s-t flow can reach.  Over V nodes
-and A arcs, reverse arcs counted, Edmonds-Karp needs at most V*A/2
-augmenting paths (each saturates an arc, and an arc saturates at most V/2
-times); a max-flow that finds V*A of them has a broken flow core and raises
-``FlowError`` rather than loop for ever.
+and A arcs, source and sink and reverse arcs counted, Edmonds-Karp needs at
+most V*A/2 augmenting paths (each saturates an arc, and an arc saturates at
+most V/2 times); a max-flow that finds more than V*A of them has a broken
+flow core and raises ``FlowError`` rather than loop for ever.
 
-Each breadth-first search stops at the first buyer it discovers whose sink
-arc has room, without scanning on to the sink.  That keeps every path of
-the full search: a buyer scans its sink arc last and the queue pops nodes in
-discovery order, so the full search would reach the sink from that very
-buyer, along the parent chain fixed when each node on it was discovered.
-Nor does a search rescan the source: its scan finds the goods with price
-room in index order, and a source arc only loses room, so that scan is kept
-across the searches of one max-flow and a good leaves it when its arc
-saturates.  The paths, bottlenecks and residual updates are therefore the
-full search's, and so are the pair flows and the cut that callers read.
+The source and sink are not nodes: the residual rooms of their arcs are the
+scaled prices and money, one per good and one per buyer, and only the pair
+arcs are stored.  No path re-enters the source, so a price room only
+shrinks: each breadth-first search starts from the goods with price room in
+index order (the source's scan, kept across the searches of one max-flow; a
+good leaves it when its room reaches 0) and stops at the first buyer it
+discovers with money room.  A search over the s-t graph would take that very
+path: a buyer scans its sink arc last and the queue pops nodes in discovery
+order.  The paths, bottlenecks and residual updates are therefore the full
+search's, and so are the pair flows and the cut that callers read.
 
 Each flow keeps the integer residual graph its max-flow ended with, and one
 search, ``_reach``, reads everything from it: the maximal min cut (the
-nodes that reach the sink, searched backward from it) and the buyers that
-a phase's block reaches through goods (``FlowResult.residual_reach``).
+nodes that reach a buyer with money room, searched backward from those
+buyers; at a maximum flow no node reaches the sink through the source) and
+the buyers that a phase's block reaches through goods
+(``FlowResult.residual_reach``).
 
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
@@ -167,15 +169,15 @@ def integer_caps(net):
     return scale, caps[:net.g], caps[net.g:]
 
 
-def _reach(residual, start, backward, avoid):
+def _reach(residual, start, backward):
     """Nodes that ``start`` reaches along arcs with room in a ``residual`` graph.
 
     ``backward`` reads every arc reversed, giving the nodes that reach
-    ``start``.  ``start`` is included; no path enters a node of ``avoid``.
+    ``start``.  ``start`` is included.
     """
     head, to, cap = residual
     flip = 1 if backward else 0
-    seen = {*start, *avoid}
+    seen = set(start)
     queue = list(start)
     for node in queue:
         for arc in head[node]:
@@ -183,7 +185,7 @@ def _reach(residual, start, backward, avoid):
             if nxt not in seen and cap[arc ^ flip] > 0:
                 seen.add(nxt)
                 queue.append(nxt)
-    return seen.difference(avoid)
+    return seen
 
 
 @dataclass
@@ -194,11 +196,11 @@ class FlowResult:
     the amount good ``j`` sells to buyer ``i``; other edges are absent, so
     ``e in pair_flow`` tests for money.  ``far_side`` is the complement of
     the nodes that reach the sink in the residual graph, given as a pair
-    ``(buyers, goods)`` of frozensets, source/sink excluded.  ``residual``
-    holds the integer arcs ``(head, to, cap)`` the max-flow ended with,
-    over nodes source 0, goods ``1..g``, buyers ``g+1..g+n`` and sink
-    ``g+n+1``; the cut and ``residual_reach`` are both read from it.  Only
-    ``max_flow`` makes one, so the cut always belongs to the flow.
+    ``(buyers, goods)`` of frozensets.  ``residual`` holds the integer pair
+    arcs ``(head, to, cap)`` the max-flow ended with, over nodes goods
+    ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are
+    both read from it.  Only ``max_flow`` makes one, so the cut always
+    belongs to the flow.
     """
 
     value: Fraction
@@ -217,18 +219,15 @@ class FlowResult:
     def residual_reach(self, start_buyers, reverse=False):
         """Buyers reachable from ``start_buyers`` in the kept residual graph.
 
-        Paths run through goods and buyers only (never the source or sink):
-        good -> buyer arcs are always traversable along interest edges
-        (unbounded capacity), buyer -> good arcs only where that buyer
-        currently receives flow from the good.  With ``reverse=True`` the
-        arcs are flipped, giving the set of buyers that can reach
-        ``start_buyers``.
+        Paths run through goods and buyers only: good -> buyer arcs are
+        always traversable along interest edges (unbounded capacity),
+        buyer -> good arcs only where that buyer currently receives flow
+        from the good.  With ``reverse=True`` the arcs are flipped, giving
+        the set of buyers that can reach ``start_buyers``.
         """
         g = self.net.g
-        sink = g + self.net.n + 1
-        start = [g + 1 + i for i in start_buyers]
-        reached = _reach(self.residual, start, reverse, (0, sink))
-        return {node - g - 1 for node in reached if node > g}
+        reached = _reach(self.residual, [g + i for i in start_buyers], reverse)
+        return {node - g for node in reached if node >= g}
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
@@ -236,100 +235,75 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     _count("maxflows")
 
     n, g = net.n, net.g
-    scale, price_caps, money_caps = integer_caps(net)
+    scale, price, money = integer_caps(net)
+    money = [0] * g + money  # by node: goods 0..g-1, buyers g..g+n-1
 
-    # Node ids: source, goods, buyers, sink.
-    source, sink = 0, 1 + g + n
-    gnode = lambda j: 1 + j
-    bnode = lambda i: 1 + g + i
-
-    # Arcs 0 and 1 are a dead pair of capacity 0; arc 0 stands as the sink
-    # arc of every node without one, so "room to the sink" is one lookup.
-    to, cap, head = [sink, sink], [0, 0], [[] for _ in range(2 + g + n)]
-    sink_arc = [0] * (2 + g + n)
-
-    def add_arc(a, b, c):
-        head[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        head[b].append(len(to))
-        to.append(a)
-        cap.append(0)
-
+    # Arc 2k runs good -> buyer, arc 2k+1 back, sorted by good, then buyer.
     # Pair capacities stand in for "unbounded" and must strictly exceed any
     # achievable flow, or a fully loaded pair would masquerade as a cut edge.
-    unbounded = sum(price_caps) + 1
-    pair_ids = {}
-    for j, cj in enumerate(price_caps):
-        if cj > 0:
-            add_arc(source, gnode(j), cj)
-    for (i, j) in sorted(net.edges, key=lambda e: (e[1], e[0])):
-        if price_caps[j] > 0:
-            pair_ids[(i, j)] = len(to)
-            add_arc(gnode(j), bnode(i), unbounded)
-    for i, ci in enumerate(money_caps):
-        if ci > 0:
-            sink_arc[bnode(i)] = len(to)
-            add_arc(bnode(i), sink, ci)
+    unbounded = sum(price) + 1
+    to, cap, head = [], [], [[] for _ in range(g + n)]
+    pairs = sorted((j, i) for (i, j) in net.edges if price[j] > 0)
+    for j, i in pairs:
+        head[j].append(len(to))
+        head[g + i].append(len(to) + 1)
+        to += (g + i, j)
+        cap += (unbounded, 0)
 
-    # Each search starts from the state after the source's scan: the goods
-    # with price room, in index order, each found by its source arc.  No
-    # path re-enters the source, so a source arc only loses room; the state
-    # is kept across searches, and a good leaves it when its arc saturates.
-    start_parent = [-1] * (2 + g + n)
-    start_parent[source] = -2
-    start_queue = []
-    for arc in head[source]:
-        start_parent[to[arc]] = arc
-        start_queue.append(to[arc])
+    # Each search starts from the goods with price room, in index order.
+    starts = [j for j in range(g) if price[j]]
+    start_parent = [-1] * (g + n)
+    for j in starts:
+        start_parent[j] = -2
+    bound = (g + n + 2) * 2 * (len(starts) + len(pairs) + sum(x > 0 for x in money))
     value = augments = 0
-    for _ in range(len(head) * len(to)):
+    for _ in range(bound + 1):
         parent_arc = start_parent[:]
-        queue = start_queue[:]
-        last = 0  # the path's sink arc, once found
+        queue = starts[:]
+        last = -1  # the path's buyer, once found
         for node in queue:
             for arc in head[node]:
                 nxt = to[arc]
                 if parent_arc[nxt] == -1 and cap[arc] > 0:
                     parent_arc[nxt] = arc
-                    if cap[sink_arc[nxt]] > 0:
-                        last = sink_arc[nxt]
+                    if money[nxt]:
+                        last = nxt
                         break
                     queue.append(nxt)
-            if last:
+            if last >= 0:
                 break
-        if not last:
+        if last < 0:
             break
-        path = [last]
-        node = to[last ^ 1]
-        while node != source:
-            arc = parent_arc[node]
-            path.append(arc)
-            node = to[arc ^ 1]
-        bottleneck = min(cap[arc] for arc in path)
+        path, node = [], last
+        while parent_arc[node] >= 0:
+            path.append(parent_arc[node])
+            node = to[path[-1] ^ 1]
+        bottleneck = min(price[node], money[last], *(cap[arc] for arc in path))
+        price[node] -= bottleneck
+        money[last] -= bottleneck
         for arc in path:
             cap[arc] -= bottleneck
             cap[arc ^ 1] += bottleneck
-        if not cap[arc]:  # the path's first arc, out of the source
-            start_parent[to[arc]] = -1
-            start_queue.remove(to[arc])
+        if not price[node]:  # the path's first good
+            start_parent[node] = -1
+            starts.remove(node)
         value += bottleneck
         augments += 1
     else:
-        raise FlowError(f"max-flow did not end within {len(head) * len(to)} augmenting paths")
+        raise FlowError(f"max-flow did not end within {bound} augmenting paths")
     _count("augments", augments)
 
     pair_flow = {}
-    for (i, j), arc in pair_ids.items():
-        f = cap[arc ^ 1]  # reverse residual equals flow shipped
+    for k, (j, i) in enumerate(pairs):
+        f = cap[2 * k + 1]  # reverse residual equals flow shipped
         if f:
             pair_flow[(i, j)] = Fraction(f, scale)
 
     # Nodes that still reach the sink; the rest form the maximal min cut.
     residual = (head, to, cap)
-    to_sink = _reach(residual, [sink], True, ())
+    to_sink = _reach(residual, [b for b in range(g, g + n) if money[b]], True)
     far_side = (
-        frozenset(i for i in range(n) if bnode(i) not in to_sink),
-        frozenset(j for j in range(g) if gnode(j) not in to_sink),
+        frozenset(i for i in range(n) if g + i not in to_sink),
+        frozenset(j for j in range(g) if j not in to_sink),
     )
     return FlowResult(Fraction(value, scale), pair_flow, far_side, net, residual)

@@ -241,11 +241,12 @@ def reference_first_tight(p, money, edges, target):
 
 # ---------------------------------------------------------------------------
 # Edmonds-Karp as it stood before each search stopped at the first buyer
-# discovered with room to the sink: every search runs on until it pops that
-# buyer and scans its sink arc, and the path is walked twice, once for the
-# bottleneck and once for the update.  Kept verbatim, apart from the name,
-# the docstring and the dropped count, to compare ``value``, ``pair_flow``
-# and ``far_side`` with ``flownet.max_flow``.
+# discovered with room to the sink: the textbook graph with source and sink
+# nodes, every search runs on until it pops that buyer and scans its sink
+# arc, and the path is walked twice, once for the bottleneck and once for
+# the update.  Kept verbatim, apart from the name, the docstring and the
+# dropped count, to compare ``value``, ``pair_flow`` and ``far_side`` with
+# ``flownet.max_flow``.
 
 
 def reference_max_flow(net: MarketNetwork) -> FlowResult:

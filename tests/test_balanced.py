@@ -530,5 +530,5 @@ def test_scale_flow_rejects_edges_crossing_the_block():
         frozenset({(0, 0), (0, 1), (1, 1)}),
     )
     _, theta = balanced_flow(net)
-    with pytest.raises(ValueError):
+    with pytest.raises(balanced.BalanceError, match=r"edge \(0,1\) crosses the scaled block"):
         scale_flow(net.edges, theta, Fraction(2), {0}, {0})

@@ -458,6 +458,23 @@ def test_internal_invariant_failure_exits_three(run, monkeypatch, feasible_file,
     )
 
 
+def test_block_crossing_edge_at_a_stage_two_scaling_exits_three(run, monkeypatch, feasible_file):
+    # An edge across a scaled block is a broken invariant, not bad input.
+    from nashflow.balanced import scale_flow
+
+    def crossing(edges, theta, x, buyers, goods):
+        return scale_flow([*edges, (min(buyers), max(goods) + 1)], theta, x, buyers, goods)
+
+    monkeypatch.setattr("nashflow.solver.scale_flow", crossing)
+    code, out, err = run(["solve", feasible_file])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal error: BalanceError: edge (0,1) crosses the scaled block "
+        f"(instance: {feasible_file})\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the input boundary with generated instance and solution files
 

@@ -244,8 +244,13 @@ def test_max_flow_finds_the_reference_paths_on_seeded_networks():
             net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
                           rng.sample(range(net.g), rng.randint(0, net.g)))
             seen["restricted"] += 1
-        flow = max_flow(net)
+        with counting() as tally:
+            flow = max_flow(net)
         assert _same_flow(flow, reference_max_flow(net))
+        # The Edmonds-Karp bound V*A/2, V nodes with source and sink, A arcs
+        # with reverse arcs: half the cap past which max_flow raises.
+        arcs = 2 * (sum(x > 0 for x in net.p + net.m) + sum(net.p[j] > 0 for _, j in net.edges))
+        assert tally["augments"] <= (net.g + net.n + 2) * arcs // 2
         seen["zero money"] += 0 in net.m
         seen["zero price"] += 0 in net.p
         seen["edgeless buyer"] += len({i for i, _ in net.edges}) < net.n
