@@ -27,7 +27,11 @@ kernel runs in two directions and under two kinds of budget:
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
   of goods becomes exactly as expensive as all the money its buyers hold (a
-  tight event, found by a descent over min cuts from the next edge factor);
+  tight event).  The tight factor is read off the block's current flow: the
+  flow scaled until some block buyer spends its whole budget, whose maximal
+  min cut one residual search finds.  That settles every stop at equal
+  budgets; under unequal ones, when no block good lies on that cut, a
+  descent over min cuts from the next edge factor finds it instead;
 * rising, flexible budgets ``m_i = 1 + c_i/gamma_i`` (Stage II in
   ``solver``): the phase stops when a block deficit would reach zero;
 * falling, flexible budgets (Stage I in ``solver``): the block is the
@@ -46,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balanced import balanced_flow
-from .flownet import MarketNetwork, bang_per_buck, best_ratio, max_flow
+from .flownet import MarketNetwork, bang_per_buck, best_ratio, max_flow, maximal_cut
 
 
 class FisherError(AssertionError):
@@ -208,17 +212,18 @@ class Market:
 
     A subclass supplies the budgets ``money`` and ``log(event, iteration,
     **fields)``.  A rebalance assigns a new ``flow`` and ``theta``, leaving
-    the old ones as they were.
+    the old ones as they were.  ``trace`` is the event log, or ``None`` when
+    no one asked for one (``log`` then records nothing).
     """
 
-    def __init__(self, u, p):
+    def __init__(self, u, p, collect_trace):
         n = len(u)
         self.u, self.p = u, p
         self.gamma = [None] * n
         self.edges = set()
         self.flow, self.theta = None, [Fraction(0)] * n
         self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
-        self.trace = []
+        self.trace = [] if collect_trace else None
 
     def rebalance(self):
         """Balanced flow of the active sub-market under the market's budgets.
@@ -241,12 +246,14 @@ class Market:
 class _FixedBudgets(Market):
     """Fixed-budget market over all buyers and goods, run by ``_price_phase``."""
 
-    def __init__(self, u, money, p):
-        super().__init__(u, p)
+    def __init__(self, u, money, p, collect_trace):
+        super().__init__(u, p, collect_trace)
         self.money = money
         self.phase = 0
 
     def log(self, event, iteration, **fields):
+        if self.trace is None:
+            return
         entry = {"kind": "event", "phase": self.phase, "iteration": iteration,
                  "type": event, **fields}
         if event == "edge":
@@ -256,21 +263,56 @@ class _FixedBudgets(Market):
     def stop_at_tight(self, x_edge, block, goods, iteration):
         """End the phase when some set of goods goes tight before the next edge.
 
-        A descent over min cuts finds the tight factor, the largest factor on
-        the block's prices that keeps every good sellable, from the smaller of
-        ``x_edge`` and ``m(block) / p(goods)``: the block is closed and each
-        of its buyers keeps an edge into its goods, so their buyers are the
-        block.  A max-flow that leaves goods unsold moves it to the factor at
-        which the far-side goods cost the far-side buyers' money: a far-side
-        buyer with money is saturated and every good paying it is on the far
-        side, so these are the cut goods' buyers.  If all sells at ``x_edge``
-        with no block good on the far side, the edge event comes first after
-        one max-flow; otherwise the far side holds the maximal tight sets.
+        The tight factor is the largest factor on the block's prices that
+        keeps every good sellable.  It is read off the current flow first:
+        the block is closed, so its flow scaled by ``x`` stays a flow while
+        ``x`` times each block buyer's spending fits its budget.  Below ``L =
+        min m_i / spent_i`` the edge event therefore comes first with no
+        max-flow.  At ``L`` the scaled flow is a maximum flow, and its
+        maximal min cut (``maximal_cut``, one residual search) is the one
+        every maximum flow has: if it holds a block good, those goods cost
+        exactly their buyers' money, so ``L`` is the tight factor and the far
+        side holds the maximal tight sets.  At equal budgets it always does.
+
+        Otherwise, which happens only under unequal budgets, a descent over
+        min cuts finds the tight factor from the smaller of ``x_edge`` and
+        ``m(block) / p(goods)``.  A max-flow that leaves goods unsold moves it
+        to the factor at which the far-side goods cost the far-side buyers'
+        money: a far-side buyer with money is saturated and every good paying
+        it is on the far side, so these are the cut goods' buyers.  If all
+        sells at ``x_edge`` with no block good on the far side, the edge event
+        comes first.
         """
+        p, money, support = self.p, self.money, self.flow.pair_flow
+        spent = [Fraction(0)] * len(money)
+        for (i, j), f in support.items():
+            spent[i] += f
+        if not any(spent[i] for i in block):
+            raise FisherError("tight search needs a priced, wanted target set")
+        x = min(money[i] / spent[i] for i in block if spent[i])
+        if x_edge is not None and x_edge < x:
+            return False
+        prices = tuple(q * x if j in goods else q for j, q in enumerate(p))
+        room = [i for i, s in enumerate(spent) if money[i] > (x * s if i in block else s)]
+        net = MarketNetwork(prices, money, frozenset(self.edges))
+        far_buyers, far_goods = maximal_cut(net, support, room)
+        if not far_goods & goods:
+            x, far_buyers, far_goods = self._descend(x_edge, block, goods)
+            if not far_goods & goods:
+                if x != x_edge:
+                    raise FisherError("no block good is tight at the tight factor")
+                return False
+        if x <= 1:
+            raise FisherError("tight factor must exceed 1 while surpluses remain")
+        _scale(self, block, goods, x)
+        self.log("tight", iteration, x=x,
+                 tight_goods=sorted(far_goods), tight_buyers=sorted(far_buyers))
+        return True
+
+    def _descend(self, x_edge, block, goods):
+        """Tight factor and far side by a descent over min cuts (see ``stop_at_tight``)."""
         p, money = self.p, self.money
         mass = sum((p[j] for j in goods), Fraction(0))
-        if mass <= 0:
-            raise FisherError("tight search needs a priced, wanted target set")
         x = sum((money[i] for i in block), Fraction(0)) / mass
         if x_edge is not None and x_edge < x:
             x = x_edge
@@ -280,7 +322,7 @@ class _FixedBudgets(Market):
             res = max_flow(MarketNetwork(prices, money, edges))
             far_buyers, far_goods = res.far_side
             if res.value == sum(prices, Fraction(0)):
-                break
+                return x, far_buyers, far_goods
             inside = sum((p[j] for j in far_goods & goods), Fraction(0))
             if inside <= 0:
                 raise FisherError("a set of goods outside the target cannot sell")
@@ -289,33 +331,23 @@ class _FixedBudgets(Market):
             if not (1 <= x_new < x):
                 raise FisherError("tight-factor descent failed to make progress")
             x = x_new
-        else:
-            raise FisherError("tight-factor descent did not converge")
-        if not far_goods & goods:
-            if x != x_edge:
-                raise FisherError("no block good is tight at the tight factor")
-            return False
-        if x <= 1:
-            raise FisherError("tight factor must exceed 1 while surpluses remain")
-        _scale(self, block, goods, x)
-        self.log("tight", iteration, x=x,
-                 tight_goods=sorted(far_goods), tight_buyers=sorted(far_buyers))
-        return True
+        raise FisherError("tight-factor descent did not converge")
 
 
-def _run(u, money):
+def _run(u, money, collect_trace=True):
     money = tuple(Fraction(x) for x in money)
-    market = _FixedBudgets(u, money, initial_prices(u, money))
+    market = _FixedBudgets(u, money, initial_prices(u, money), collect_trace)
     cap = _phase_cap(u, money)
     while True:
         _rebuild(market)
         theta = tuple(market.theta)
-        market.trace.append(
-            {
-                "kind": "state", "phase": market.phase, "p": tuple(market.p),
-                "theta": theta, "l1": _l1(theta), "l2": _l2(theta),
-            }
-        )
+        if collect_trace:
+            market.trace.append(
+                {
+                    "kind": "state", "phase": market.phase, "p": tuple(market.p),
+                    "theta": theta, "l1": _l1(theta), "l2": _l2(theta),
+                }
+            )
         if all(t == 0 for t in theta):
             return market
         market.phase += 1

@@ -112,8 +112,8 @@ class SolverState(Market):
     the same prices, so under the new budgets it leaves exactly that surplus.
     """
 
-    def __init__(self, inst, fisher):
-        super().__init__(inst.u, list(fisher.p))
+    def __init__(self, inst, fisher, collect_trace):
+        super().__init__(inst.u, list(fisher.p), collect_trace)
         self.flow = fisher.flow
         self.theta = [c / gamma for c, gamma in zip(inst.c, fisher.gamma)]
         self.inst, self.frozen, self.feasible_prices, self.stage = inst, [], None, 0
@@ -135,17 +135,20 @@ class SolverState(Market):
 
 
 def _trace(state, **entry):
-    entry.setdefault("p", tuple(state.p))
-    state.trace.append(entry)
+    if state.trace is not None:
+        entry.setdefault("p", tuple(state.p))
+        state.trace.append(entry)
 
 
-def initialize(inst: BargainingInstance) -> SolverState:
+def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverState:
     """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets.
 
     Its first rebalance is hinted with the Fisher run's flow (see
-    ``SolverState``).
+    ``SolverState``).  The Fisher run keeps no trace; the state keeps one in
+    ``trace`` only under ``collect_trace`` and holds ``None`` there otherwise.
     """
-    state = SolverState(inst, _fisher_run(inst.u, [Fraction(1)] * inst.n))
+    fisher = _fisher_run(inst.u, [Fraction(1)] * inst.n, collect_trace=False)
+    state = SolverState(inst, fisher, collect_trace)
     _rebuild(state)
     _trace(state, stage=0, type="initialized")
     return state
@@ -395,7 +398,7 @@ class Solution:
     certificate: dict | None = None
     stats: dict = field(default_factory=dict)
     report: object = None
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # filled only under ``collect_trace``
 
 
 def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
@@ -405,6 +408,8 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
     feasibility witness prices.  Infeasible: returns two independently
     checkable certificates.  Every output but the witness prices (a balanced
     flow to check, left to ``nashflow check``) is re-verified before return.
+    The phase events go to ``Solution.trace`` only under ``collect_trace``;
+    otherwise no trace is built and it stays empty.
     """
     reduced, report = preprocess(inst)
 
@@ -414,12 +419,12 @@ def solve(inst: BargainingInstance, collect_trace: bool = False) -> Solution:
         stats, trace = {"phases": 0, "iterations": 0, "maxflows": 0}, []
     else:
         with counting() as tally:
-            state = initialize(reduced)
+            state = initialize(reduced, collect_trace)
             verdict = stage1(state)
             if verdict == "feasible":
                 p_red, x_red, v = stage2(state)
         stats = _final_stats(state, tally)
-        trace = state.trace if collect_trace else []
+        trace = state.trace or []
         if verdict == "feasible":
             p = tuple(report.expand(p_red))
             x = [report.expand(row) for row in x_red]

@@ -500,7 +500,7 @@ def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
     after-edge-events / end values of both norms.
     """
     u, money, prices = gen_l1_adversarial(n, delta, big)
-    market = _FixedBudgets(u, tuple(money), list(prices))
+    market = _FixedBudgets(u, tuple(money), list(prices), True)
     _rebuild(market)
     start = market.theta
     market.phase = 1

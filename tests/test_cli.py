@@ -129,8 +129,8 @@ PINNED_INSTANCES = (
 CLI_ANSWERS_SHA256 = "022549999f9049ba384a118b5410f89cc18f6c4d2c3247d125088ce9c5e7b852"
 # The ``stats`` object of each instance's ``solve`` output, key order included.
 CLI_STATS = [
-    '{"phases": 2, "iterations": 2, "maxflows": 13}',
-    '{"phases": 0, "iterations": 0, "maxflows": 4}',
+    '{"phases": 2, "iterations": 2, "maxflows": 8}',
+    '{"phases": 0, "iterations": 0, "maxflows": 3}',
     '{"phases": 0, "iterations": 0, "maxflows": 0}',
 ]
 _STATS_OBJECT = re.compile(r'(\n  "stats": )\{.*?\n  \}', re.S)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nashflow import (
     FisherError,
@@ -16,7 +18,9 @@ from nashflow import (
     make_instance,
     solve,
 )
+from nashflow import fisher
 from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
+from nashflow.flownet import max_flow, maximal_cut
 from conftest import (
     measure_l1_vs_l2,
     random_ratio_case,
@@ -41,7 +45,7 @@ def test_single_buyer_single_good():
 def test_rebalance_rejects_an_active_good_that_no_longer_sells():
     # No one values good 1, yet it is active at price 1: the balanced flow
     # routes 1 of the active price mass 2.
-    market = _FixedBudgets(((1, 0),), (Fraction(1),), [Fraction(1), Fraction(1)])
+    market = _FixedBudgets(((1, 0),), (Fraction(1),), [Fraction(1), Fraction(1)], True)
     with pytest.raises(FisherError, match="active goods can no longer fully sell"):
         _rebuild(market)
 
@@ -196,9 +200,11 @@ def test_next_tie_matches_the_fraction_reference():
 def test_tight_search_matches_the_reference_descent(monkeypatch):
     # Every turn of every fixed-budget phase asks the stop and the reference
     # descent at the same state.  The stop lets the edge event through
-    # exactly when it comes before the reference's tight factor, and then
-    # after one max-flow; otherwise it logs the reference's factor and its
-    # maximal tight sets, ties included.
+    # exactly when it comes before the reference's tight factor; otherwise it
+    # logs the reference's factor and its maximal tight sets, ties included.
+    # It runs no max-flow at equal budgets, and none for an edge event that
+    # comes before L = min m_i / spent_i over the block (the block's flow
+    # scaled to the edge factor still fits every budget).
     stop = _FixedBudgets.stop_at_tight
     seen = Counter()
 
@@ -206,13 +212,24 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
         x_ref, buyers_ref, goods_ref = reference_first_tight(
             market.p, market.money, market.edges, goods
         )
+        spent = Counter()
+        for (i, j), f in market.flow.pair_flow.items():
+            spent[i] += f
+        certified = x_edge is not None and all(
+            x_edge * spent[i] < market.money[i] for i in block
+        )
+        equal = len(set(market.money)) == 1
         with counting() as tally:
             ended = stop(market, x_edge, block, goods, iteration)
+        if equal or certified:
+            assert tally["maxflows"] == 0
+        seen["descent"] += tally["maxflows"] > 0
         if not ended:
             assert x_edge is not None and x_edge < x_ref
-            assert tally["maxflows"] == 1
             seen["edge"] += 1
+            seen["certified"] += certified
             return False
+        assert not certified
         assert x_edge is None or x_edge >= x_ref
         event = market.trace[-1]
         assert event["type"] == "tight" and event["x"] == x_ref
@@ -233,3 +250,61 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
             money = (Fraction(1),) * n
         fisher_equilibrium(inst.u, money)
     assert seen["edge"] >= 800 and seen["tight"] >= 1200 and seen["tie"] >= 1, seen
+    assert seen["certified"] >= 700 and seen["descent"] >= 1, seen
+
+
+@st.composite
+def fixed_budget_markets(draw):
+    """Small markets in which every buyer values some good; goods may be valueless."""
+    n, g = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 9), min_size=g, max_size=g).filter(any)
+    u = draw(st.lists(row, min_size=n, max_size=n))
+    budget = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    if draw(st.booleans()):
+        return u, (Fraction(1),) * n
+    return u, tuple(draw(st.lists(budget, min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(market=([[2, 0, 1], [1, 0, 3]], (Fraction(1), Fraction(2))))
+@example(market=([[2, 0, 1], [1, 0, 3]], (Fraction(1), Fraction(1))))
+@given(fixed_budget_markets())
+def test_the_closed_form_cut_is_the_max_flow_cut(market):
+    # At L = min m_i / spent_i the stop reads the maximal min cut off the
+    # block's scaled flow.  It must be the far side a max-flow of that very
+    # network reports, goods priced at 0 (no one values them) included.
+    cuts = []
+
+    def checked(net, support, room):
+        far = maximal_cut(net, support, room)
+        res = max_flow(net)
+        assert res.value == sum(net.p)
+        assert far == res.far_side
+        cuts.append((net, far))
+        return far
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisher, "maximal_cut", checked)
+        fisher_equilibrium(*market)
+    for net, (_, goods) in cuts:
+        assert {j for j, q in enumerate(net.p) if q == 0} <= goods
+    if market[0] == [[2, 0, 1], [1, 0, 3]]:
+        assert cuts and all(net.p[1] == 0 for net, _ in cuts)
+
+
+def test_tight_descent_rejects_a_stale_cut(monkeypatch):
+    # Under these unequal budgets the closed form misses and the descent
+    # runs; its first max-flow leaves goods unsold.  A flow core that keeps
+    # reporting that flow and its far side yields no smaller factor, which
+    # the progress check must catch instead of running to the descent's cap.
+    real, first = fisher.max_flow, []
+
+    def stale(net):
+        if not first:
+            first.append(real(net))
+        return first[0]
+
+    monkeypatch.setattr(fisher, "max_flow", stale)
+    with pytest.raises(FisherError, match="failed to make progress"):
+        fisher_equilibrium(((2, 9), (1, 4)), (Fraction(3), Fraction(1)))
+    assert first[0].value < sum(first[0].net.p)

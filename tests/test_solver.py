@@ -153,7 +153,7 @@ def test_stage2_raises_prices_to_the_equilibrium():
 
 
 def test_stage2_emits_the_tight_event_in_the_trace():
-    state = initialize(scalar_feasible())
+    state = initialize(scalar_feasible(), collect_trace=True)
     stage1(state)
     stage2(state)
     tight = [e for e in state.trace if e.get("type") == "tight"]
