@@ -7,7 +7,7 @@ Verbs:
 - ``oracle``     run the exhaustive reference solver (small instances)
 - ``gen``        generate instances (random, adversarial family, wireless)
 - ``limit``      run the fixed-budget fixpoint iteration
-- ``bench``      batch-solve random instances and print CSV statistics
+- ``bench``      batch-solve random instances and print one JSON line each
 
 ``solve`` exits 0 on feasible, 2 on infeasible, 1 on errors; ``check``
 exits 0 when the solution validates and 1 otherwise.  Every verb exits 3
@@ -255,19 +255,19 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    writer = sys.stdout
-    writer.write("seed,n,g,verdict,phases,iterations,maxflows,budget,within_budget\n")
     for k in range(args.count):
         seed = args.seed + k
         inst = gen_random(args.n, args.g, args.u_max, args.c_max, seed)
         sol = solve(inst)
         budget = sol.stats.get("budget", 0)
         flows = sol.stats.get("maxflows", 0)
-        within = bool(budget and flows <= 4 * budget)
-        writer.write(
-            f"{seed},{inst.n},{inst.g},{sol.verdict},{sol.stats.get('phases', 0)},"
-            f"{sol.stats.get('iterations', 0)},{flows},{budget},{int(within)}\n"
-        )
+        row = {
+            "seed": seed, "n": inst.n, "g": inst.g, "verdict": sol.verdict,
+            "phases": sol.stats.get("phases", 0), "iterations": sol.stats.get("iterations", 0),
+            "maxflows": flows, "budget": budget,
+            "within_budget": bool(budget and flows <= 4 * budget),
+        }
+        sys.stdout.write(json.dumps(to_json(row)) + "\n")
     return 0
 
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--output")
     pl.set_defaults(func=_cmd_limit)
 
-    pb = sub.add_parser("bench", help="batch-solve random instances (CSV)")
+    pb = sub.add_parser("bench", help="batch-solve random instances (JSON lines)")
     pb.add_argument("--count", type=int, default=20)
     pb.add_argument("--n", type=int, default=5)
     pb.add_argument("--g", type=int, default=5)

@@ -1,14 +1,17 @@
 """Independent reference solvers for cross-checking the main algorithm.
 
 Everything here is deliberately naive: support enumeration with exact
-linear algebra, a plain LP for the feasibility margin, and a fixpoint
+linear algebra, a one-phase LP for the feasibility margin, and a fixpoint
 iteration of fixed-budget equilibria.  The enumeration and the LP share only
 instance handling with the two-stage solver, which is what makes agreement
 with them meaningful.  The fixpoint iteration does not: it runs
 ``fisher_equilibrium``, which shares the price-phase kernel,
 ``balanced_flow``, ``max_flow`` and ``bang_per_buck`` with the solver, so it
-cross-checks the two-stage logic, not those layers.  The enumeration's
-Gauss-Jordan elimination pivots with the LP's own ``simplex._pivot``.
+cross-checks the two-stage logic, not those layers.  The LP measures the
+margin from ``-max(c)``, which the empty allocation already reaches, so
+every bound is nonnegative and ``simplex.maximize`` starts from its slack
+basis.  The enumeration's Gauss-Jordan elimination pivots with the LP's
+own ``simplex._pivot``.
 """
 
 from __future__ import annotations
@@ -150,36 +153,26 @@ def feasibility_lp(inst: BargainingInstance) -> Fraction:
     """Largest ``t`` with an allocation giving every buyer gain >= ``t``.
 
     The game is feasible exactly when the value is positive.  Solved as an
-    exact LP over allocations with a free margin variable.
+    exact LP over the allocation ``x`` and ``s = t + max(c)``: maximize ``s``
+    subject to ``s - sum_j u_ij x_ij <= max(c) - c_i`` for each buyer and
+    ``sum_i x_ij <= 1`` for each good.  Every bound is nonnegative, so the
+    simplex starts at its slack basis.  The empty allocation already gives
+    every buyer a gain of at least ``-max(c)``, so the optimum has ``s >= 0``
+    and the sign constraint on ``s`` loses nothing.
     """
     n, g = inst.n, inst.g
-    nvars = n * g + 2
-    objective = [Fraction(0)] * (n * g) + [Fraction(1), Fraction(-1)]
-    a_ge = []
-    b_ge = []
+    top = max(inst.c)
+    rows, bounds = [], []  # x_ij in column j * n + i (good-major: fewer Bland pivots), s last
     for i in range(n):
-        row = [Fraction(0)] * nvars
-        for j in range(g):
-            row[i * g + j] = Fraction(inst.u[i][j])
-        row[n * g] = Fraction(-1)
-        row[n * g + 1] = Fraction(1)
-        a_ge.append(row)
-        b_ge.append(inst.c[i])
-    a_ub = []
-    b_ub = []
+        row = [0] * (n * g) + [1]
+        row[i:n * g:n] = [-v for v in inst.u[i]]
+        rows.append(row)
+        bounds.append(top - inst.c[i])
     for j in range(g):
-        row = [Fraction(0)] * nvars
-        for i in range(n):
-            row[i * g + j] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(Fraction(1))
-    solved = simplex.maximize(
-        objective, a_ub=a_ub, b_ub=b_ub, a_ge=a_ge, b_ge=b_ge
-    )
-    if solved is None:
-        raise AssertionError("the margin program is always consistent")
-    value, _ = solved
-    return value
+        rows.append([0] * (j * n) + [1] * n + [0] * ((g - 1 - j) * n + 1))
+        bounds.append(1)
+    value, _ = simplex.maximize([0] * (n * g) + [1], rows, bounds)
+    return value - top
 
 
 @dataclass

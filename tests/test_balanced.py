@@ -141,6 +141,46 @@ def test_balanced_flow_over_a_broken_flow_core_raises_within_2n_plus_3_max_flows
         assert ran
 
 
+def _stubbed_flow_core(monkeypatch, make_flow):
+    """Route ``balanced.max_flow`` through ``make_flow(net, real_flow)``; returns the calls."""
+    real_max_flow, ran = balanced.max_flow, []
+
+    def stub(net):
+        ran.append(net)
+        assert len(ran) <= 2 * net.n + 3
+        return make_flow(net, real_max_flow(net))
+
+    monkeypatch.setattr(balanced, "max_flow", stub)
+    return ran
+
+
+def test_gate_rejects_a_round_flow_that_fails_property1(monkeypatch):
+    # The guessed level 1/2 is right, and the stub's flow has the price
+    # mass as its value and as the sum of the caps, but it pays the whole
+    # good to buyer 1, past its cap 1/2.  Only property 1 sees that.
+    net, lopsided = _unbalanced_shared_good()
+    ran = _stubbed_flow_core(monkeypatch, lambda net, real: replace(lopsided, net=net))
+    with pytest.raises(balanced.BalanceError):
+        balanced_flow(net)
+    assert ran
+
+
+def test_gate_rejects_a_split_round_level_below_zero(monkeypatch):
+    # One buyer with 1 and one good priced 2: the guess misses, and the
+    # whole max-flow reports the good sold out though it sells 1.  The
+    # class's charge is then 0 and its level -1, below 0, while the caps
+    # (2) and the value (2) still agree.  Only the levels' range sees that.
+    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+
+    def sold_out(net, real):
+        return replace(real, value=net.p[0], pair_flow={(0, 0): net.p[0]})
+
+    ran = _stubbed_flow_core(monkeypatch, sold_out)
+    with pytest.raises(balanced.BalanceError):
+        balanced_flow(net)
+    assert ran[0] == net
+
+
 def test_balanced_flow_disconnected_market_has_no_surplus():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow, theta = balanced_flow(net)

@@ -336,11 +336,12 @@ def test_limit_verb_rejects_max_iter_below_one(run, feasible_file, max_iter):
 def test_bench_emits_budget_table(run):
     code, out, _ = run(["bench", "--count", "2", "--n", "2", "--g", "2", "--seed", "0"])
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "seed,n,g,verdict,phases,iterations,maxflows,budget,within_budget"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert line.endswith(",1")  # every run stays within budget
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    for row in rows:
+        assert list(row) == ["seed", "n", "g", "verdict", "phases", "iterations",
+                             "maxflows", "budget", "within_budget"]
+        assert row["within_budget"] is True  # every run stays within budget
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from nashflow import (
     solution_to_json,
     solve,
 )
+from nashflow.flownet import maximal_cut
 from conftest import (
     random_network,
     random_ratio_case,
@@ -145,6 +146,15 @@ def test_max_flow_interior_edges_never_bind():
     # sink-reaching side of the maximal cut.
     assert 0 not in flow.far_side[1]
     assert 2 not in flow.far_side[0]
+
+
+def test_maximal_cut_leaves_a_wanted_good_priced_at_zero_on_the_far_side():
+    # A good priced at 0 has no arcs in max_flow or in maximal_cut, so it
+    # lies on the far side even though a buyer with room wants it.
+    net = MarketNetwork((Fraction(0), Fraction(1)), (Fraction(2),), frozenset({(0, 0), (0, 1)}))
+    flow = max_flow(net)
+    assert flow.far_side == (frozenset(), frozenset({0}))
+    assert maximal_cut(net, flow.pair_flow, [0]) == flow.far_side
 
 
 def test_max_flow_conservation_and_caps_random():

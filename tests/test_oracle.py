@@ -15,6 +15,7 @@ from nashflow import (
     oracle_solve,
     solve,
 )
+from nashflow import simplex
 from nashflow.oracle import _solve_linear
 from conftest import (
     reference_solve_linear,
@@ -97,6 +98,54 @@ def test_feasibility_lp_sign_decides_the_game():
     for _ in range(50):
         inst = gen_random(rng.randint(1, 3), rng.randint(1, 3), 3, 2, rng.randint(0, 10**6))
         assert (feasibility_lp(inst) > 0) == (oracle_solve(inst).verdict == "feasible")
+
+
+def test_feasibility_lp_from_a_degenerate_or_trivial_start():
+    # Equal utilities; equal disagreement payoffs start every buyer row at
+    # bound 0, a degenerate slack basis.
+    assert feasibility_lp(make_instance([[2] * 3] * 2, [1, 1])) == 2
+    assert feasibility_lp(make_instance([[1, 1], [1, 1]], [0, 1])) == Fraction(1, 2)
+    # Without payoffs the margin is the worst disagreement point.
+    assert feasibility_lp(make_instance([[0, 0], [0, 0]], [0, 0])) == 0
+    assert feasibility_lp(make_instance([[0, 0], [0, 0]], [1, 2])) == -2
+    # One buyer takes every good.
+    assert feasibility_lp(make_instance([[3, 0, 5]], [2])) == 6
+    assert feasibility_lp(make_instance([[1, 1]], [Fraction(7, 3)])) == Fraction(-1, 3)
+    # A good no one values changes nothing.
+    rng = random.Random(53)
+    for _ in range(20):
+        inst = gen_random(rng.randint(1, 3), rng.randint(1, 3), 3, 2, rng.randint(0, 10**6))
+        k = rng.randint(0, inst.g)
+        wider = make_instance([row[:k] + (0,) + row[k:] for row in inst.u], inst.c)
+        assert feasibility_lp(wider) == feasibility_lp(inst)
+
+
+def test_simplex_requires_nonnegative_bounds_and_a_bounded_objective():
+    with pytest.raises(simplex.SimplexError):
+        simplex.maximize([1], [[1]], [-1])
+    with pytest.raises(simplex.SimplexError):
+        simplex.maximize([1, 0], [[-1, 1]], [0])
+    with pytest.raises(ValueError):
+        simplex.maximize([1, 0], [[1]], [1])
+    assert simplex.maximize([1, 1], [[1, 2], [3, 1]], [4, 6]) == (
+        Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
+
+
+def test_feasibility_lp_bounds_every_answer_by_weak_duality():
+    # A feasible answer's least gain is a point of the margin program, and
+    # an infeasibility certificate's ``sum(z) - sum(c y)`` bounds it above.
+    verdicts = Counter()
+    for seed in range(525):
+        inst = gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed)
+        sol, margin = solve(inst), feasibility_lp(inst)
+        verdicts[sol.verdict] += 1
+        if sol.verdict == "feasible":
+            assert 0 < min(v - c for v, c in zip(sol.v, inst.c)) <= margin
+        else:
+            dual = sol.certificate["lp_dual"]
+            bound = sum(dual["z"]) - sum(c * y for c, y in zip(inst.c, dual["y"]))
+            assert margin <= bound <= 0
+    assert min(verdicts.values()) > 100, verdicts
 
 
 # ---------------------------------------------------------------------------
