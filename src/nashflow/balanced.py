@@ -205,9 +205,10 @@ def scale_flow(edges, theta, x, buyers, goods):
     again a balanced max-flow of the scaled network, so each block surplus
     moves to ``1 + x*(theta_i - 1)`` and every other surplus stays.  The
     block must be closed: no interest edge may cross its boundary
-    (checked).  This is Stage II's surplus update at a tight event; it keeps
-    its name because ``perfbench/tracing.py`` wraps ``scale_flow`` where
-    ``solver`` binds it and the benchmark reports it as a layer.
+    (checked).  This is the rising loop's surplus update at a tight event,
+    in the solver's stage 0 and Stage II; it keeps its name because
+    ``perfbench/tracing.py`` wraps ``scale_flow`` where ``solver`` binds it
+    and the benchmark reports it as a layer.
 
     Returns the new surplus tuple.
     """

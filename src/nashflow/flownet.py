@@ -34,10 +34,7 @@ search, ``_reach``, reads everything from it: the maximal min cut (the
 nodes that reach a buyer with money room, searched backward from those
 buyers; at a maximum flow no node reaches the sink through the source) and
 the buyers that a phase's block reaches through goods
-(``FlowResult.residual_reach``).  Every maximum flow of a network has the
-same maximal min cut, so ``maximal_cut`` reads it with the same search off
-any maximum flow known from elsewhere (its support and the buyers it leaves
-with money), with no max-flow.
+(``FlowResult.residual_reach``).
 
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
@@ -303,34 +300,8 @@ def max_flow(net: MarketNetwork) -> FlowResult:
             pair_flow[(i, j)] = Fraction(f, scale)
 
     residual = (head, to, cap)
-    far_side = _far_side(residual, g, n, [i for i in range(n) if money[g + i]])
+    to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
+    far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
+                frozenset(j for j in range(g) if j not in to_sink))
     return FlowResult(Fraction(value, scale), pair_flow, far_side, net, residual)
 
-
-def _far_side(residual, g, n, room):
-    """Maximal min cut ``(buyers, goods)``: the nodes that reach no buyer in ``room``."""
-    to_sink = _reach(residual, [g + i for i in room], True)
-    return (
-        frozenset(i for i in range(n) if g + i not in to_sink),
-        frozenset(j for j in range(g) if j not in to_sink),
-    )
-
-
-def maximal_cut(net, support, room):
-    """The far side ``max_flow(net)`` reports, read off a known maximum flow.
-
-    ``support`` holds the interest edges that carry money in some maximum
-    flow of ``net`` and ``room`` the buyers it leaves with money.  Every
-    maximum flow has the same maximal min cut, so one backward search over
-    that flow's residual pair arcs finds it without a max-flow; goods priced
-    at 0 have no arcs and lie on the far side, as they do in ``max_flow``.
-    """
-    g, n = net.g, net.n
-    head, to, cap = [[] for _ in range(g + n)], [], []
-    for (i, j) in net.edges:
-        if net.p[j] > 0:
-            head[j].append(len(to))
-            head[g + i].append(len(to) + 1)
-            to += (g + i, j)
-            cap += (1, (i, j) in support)
-    return _far_side((head, to, cap), g, n, room)

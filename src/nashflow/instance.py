@@ -40,7 +40,8 @@ def parse_rational(value) -> Fraction:
         raise InstanceError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise InstanceError(f"not a rational: {value!r} (floats are not accepted)")
+    hint = " (floats are not accepted)" if isinstance(value, float) else ""
+    raise InstanceError(f"not a rational: {value!r}{hint}")
 
 
 def format_rational(q: Fraction) -> str:

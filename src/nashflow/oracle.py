@@ -7,11 +7,12 @@ instance handling with the two-stage solver, which is what makes agreement
 with them meaningful.  The fixpoint iteration does not: it runs
 ``fisher_equilibrium``, which shares the price-phase kernel,
 ``balanced_flow``, ``max_flow`` and ``bang_per_buck`` with the solver, so it
-cross-checks the two-stage logic, not those layers.  The LP measures the
-margin from ``-max(c)``, which the empty allocation already reaches, so
-every bound is nonnegative and ``simplex.maximize`` starts from its slack
-basis.  The enumeration's Gauss-Jordan elimination pivots with the LP's
-own ``simplex._pivot``.
+cross-checks the two-stage logic, not those layers.  Its tight stop is its
+own: a descent over min cuts, where the solver reads each tight factor off
+the balanced flow.  The LP measures the margin from ``-max(c)``, which the
+empty allocation already reaches, so every bound is nonnegative and
+``simplex.maximize`` starts from its slack basis.  The enumeration's
+Gauss-Jordan elimination pivots with the LP's own ``simplex._pivot``.
 """
 
 from __future__ import annotations

@@ -8,13 +8,18 @@ best-ratio money flow can simultaneously sell every good and exhaust every
 budget.  At equilibrium the optimal allocation is read off the flow and
 ``v_i - c_i = gamma_i``.
 
-Stage I decides feasibility.  Starting from the fixed-budget equilibrium at
-unit money, it repeatedly picks the buyers with the *most negative* budget
-deficit ``beta_i = theta_i - 1`` (``theta`` = balanced-flow surplus) and
-lowers the prices of the goods only they are interested in; each price drop
-either ties a new utility/price ratio (the network gains edges and the set
-grows) or exhausts outside interest, at which point the group is "frozen":
-set aside as its buyers and goods, provably able to reach surplus deficit < 0
+Stage 0 finds the start: the fixed-budget equilibrium at unit money.  It
+is the flexible-budget market with every ``c_i`` held at 0, so the rising
+loop of Stage II (below) reaches it from small prices; then the instance's
+``c`` takes over.
+
+Stage I decides feasibility.  Starting from that equilibrium, it
+repeatedly picks the buyers with the *most negative* budget deficit
+``beta_i = theta_i - 1`` (``theta`` = balanced-flow surplus) and lowers the
+prices of the goods only they are interested in; each price drop either
+ties a new utility/price ratio (the network gains edges and the set grows)
+or exhausts outside interest, at which point the group is "frozen": set
+aside as its buyers and goods, provably able to reach surplus deficit < 0
 on its own.  Its prices and its buyers' best ratios then stay where it froze,
 since no later step moves a good or buyer outside the active block.  The run
 ends infeasible when the remaining buyers' deficits sum to a
@@ -37,19 +42,19 @@ outside ratio (new edges, block grows) or some subset of goods becomes
 exactly affordable (surplus hits zero there) and the phase ends.  When every
 surplus is zero the prices are the equilibrium.
 
-Both stages move prices with the price-phase kernel of ``fisher``, falling
-in Stage I and rising in Stage II, and assert their structural invariants as
-they go; violations raise ``SolverError`` or ``FisherError`` (a defect, never
-a property of the input).  Each rebalance guesses the balanced flow from the
-previous one and proves the guess with one max-flow, repairs a failed guess
-from its flow's min cut, and only when the repair gives up splits classes,
-starting from one max-flow of the whole network.
+Every stage moves prices with the price-phase kernel of ``fisher``, falling
+in Stage I and rising in stage 0 and Stage II, and asserts its structural
+invariants as it goes; violations raise ``SolverError`` or ``FisherError``
+(a defect, never a property of the input).  Each rebalance guesses the
+balanced flow from the previous one and proves the guess with one max-flow,
+repairs a failed guess from its flow's min cut, and only when the repair
+gives up splits classes, starting from one max-flow of the whole network.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
-``initialize`` and both stages: ``stats["maxflows"]`` is the max-flows run
-to find the answer, for either verdict, without the self-verification's,
-``stats["detail"]["augments"]`` their augmenting paths and
-``stats["detail"]["guess"]`` the guess's hits, repairs and misses.  The
+``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
+max-flows run to find the answer, for either verdict, without the
+self-verification's, ``stats["detail"]["augments"]`` their augmenting paths
+and ``stats["detail"]["guess"]`` the guess's hits, repairs and misses.  The
 detail stays out of ``solution_to_json``.
 """
 
@@ -68,8 +73,7 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
-from .fisher import Market, _l2, _price_phase, _rebuild, _scale
-from .fisher import _run as _fisher_run
+from .fisher import Market, _l2, _price_phase, _rebuild, _scale, initial_prices
 from .flownet import best_ratio, counting
 from .instance import BargainingInstance, preprocess, to_json
 
@@ -101,31 +105,29 @@ def maxflow_budget(n, g, u_max, c_max, mu) -> int:
 class SolverState(Market):
     """Solver state over the preprocessed instance ``inst``.
 
-    It starts at the prices of ``fisher``, the fixed-budget market at unit
-    money.  Budgets are flexible, ``m_i = 1 + c_i/gamma_i``.  Stage I sets
-    groups aside in ``frozen`` as ``(buyers, goods)`` pairs; the feasible
-    branch keeps the restored witness prices in ``feasible_prices``.
-
-    Its first flow and surpluses are the Fisher run's flow and ``c_i /
-    gamma_i``, the first rebalance's hint: that flow spends every unit
-    budget, and the first rebuild finds the Fisher ratios ``gamma`` again at
-    the same prices, so under the new budgets it leaves exactly that surplus.
+    Budgets are flexible, ``m_i = 1 + c_i/gamma_i`` over the state's ``c``.
+    It starts at ``fisher.initial_prices`` with every ``c_i`` held at 0, so
+    every budget is 1 until ``initialize`` switches ``c`` to the instance's.
+    Stage I sets groups aside in ``frozen`` as ``(buyers, goods)`` pairs;
+    the feasible branch keeps the restored witness prices in
+    ``feasible_prices``.  The state keeps no ``trace`` until ``initialize``
+    gives it one.
     """
 
-    def __init__(self, inst, fisher, collect_trace):
-        super().__init__(inst.u, list(fisher.p), collect_trace)
-        self.flow = fisher.flow
-        self.theta = [c / gamma for c, gamma in zip(inst.c, fisher.gamma)]
-        self.inst, self.frozen, self.feasible_prices, self.stage = inst, [], None, 0
+    def __init__(self, inst):
+        super().__init__(inst.u, initial_prices(inst.u, [Fraction(1)] * inst.n))
+        self.inst, self.c = inst, (Fraction(0),) * inst.n
+        self.frozen, self.feasible_prices, self.stage = [], None, 0
         # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
         lowest = min(max(col) for col in zip(*inst.u))
         self.mu = -(-(inst.g * inst.u_max) // lowest)
-        self.stats = {"fisher_phases": fisher.phase, "stage1_phases": [], "stage2_phases": [],
+        self.stats = {"fisher_phases": 0, "stage1_phases": [], "stage2_phases": [],
                       "end_reasons": [], "tight_denominators": []}
 
     @property
     def money(self):
-        return tuple(1 + c / gamma for c, gamma in zip(self.inst.c, self.gamma))
+        one = Fraction(1)
+        return tuple(1 + c / gamma if c else one for c, gamma in zip(self.c, self.gamma))
 
     def beta(self, i):
         return self.theta[i] - 1
@@ -141,15 +143,25 @@ def _trace(state, **entry):
 
 
 def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverState:
-    """Stage-0 state: fixed-budget equilibrium at unit money, flexible budgets.
+    """Stage 0: the fixed-budget equilibrium at unit money, then flexible budgets.
 
-    Its first rebalance is hinted with the Fisher run's flow (see
-    ``SolverState``).  The Fisher run keeps no trace; the state keeps one in
-    ``trace`` only under ``collect_trace`` and holds ``None`` there otherwise.
+    With every ``c_i`` at 0 each budget is 1, so Stage II's rising loop
+    (``_rise``) runs the fixed-budget market from its start prices to its
+    equilibrium; it counts its phases in ``stats["fisher_phases"]`` and
+    records nothing else.  Then ``c`` becomes the instance's and the market
+    is rebuilt, hinted with surpluses ``c_i / gamma_i``: the equilibrium flow
+    spends every unit budget, and the rebuild finds the same ratios
+    ``gamma`` at the same prices, so under the new budgets it leaves exactly
+    that surplus.  The state keeps a ``trace`` only under ``collect_trace``
+    and holds ``None`` there otherwise.
     """
-    fisher = _fisher_run(inst.u, [Fraction(1)] * inst.n, collect_trace=False)
-    state = SolverState(inst, fisher, collect_trace)
+    state = SolverState(inst)
     _rebuild(state)
+    state.stats["fisher_phases"] = _rise(state)
+    state.c = inst.c
+    state.theta = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
+    _rebuild(state)
+    state.trace = [] if collect_trace else None
     _trace(state, stage=0, type="initialized")
     return state
 
@@ -288,17 +300,7 @@ def stage2(state: SolverState):
     """
     inst = state.inst
     state.stage = 2
-    guard = 0
-    while True:
-        if all(t == 0 for t in state.theta):
-            break
-        if any(t >= 1 for t in state.theta):
-            raise SolverError("stage II requires every surplus below 1")
-        guard += 1
-        if guard > _phase_cap(inst):
-            raise SolverError("stage II exceeded its phase safety cap")
-        _stage2_phase(state)
-        _rebuild(state)
+    _rise(state)
     x = state.flow.allocation()
     v = [Fraction(0)] * inst.n
     for (i, j) in state.flow.pair_flow:
@@ -307,36 +309,58 @@ def stage2(state: SolverState):
     return tuple(state.p), x, tuple(v)
 
 
-def _stage2_phase(state):
-    n = state.inst.n
-    phi_start = _l2(state.theta)
+def _rise(state):
+    """Rising phases, each followed by one rebuild, until every surplus is 0.
+
+    Stage 0 and Stage II both run this loop; its errors name the stage.
+    Returns the number of phases.
+    """
+    name = "stage II" if state.stage else "stage 0"
+    phases = 0
+    while not all(t == 0 for t in state.theta):
+        if any(t >= 1 for t in state.theta):
+            raise SolverError(f"{name} requires every surplus below 1")
+        phases += 1
+        if phases > _phase_cap(state.inst):
+            raise SolverError(f"{name} exceeded its phase safety cap")
+        _stage2_phase(state, name)
+        _rebuild(state)
+    return phases
+
+
+def _stage2_phase(state, name):
+    """One rising phase; Stage II records it and its tight event, stage 0 does not."""
+    record = state.stage == 2
+    phi_start = _l2(state.theta) if record else None
     peak = max(state.theta)
-    target = {i for i in range(n) if state.theta[i] == peak}
+    target = {i for i, t in enumerate(state.theta) if t == peak}
 
     def stretched(x_edge, block, goods, iteration):
         stretch = min(Fraction(-1) / state.beta(i) for i in block)
         if stretch <= 1:
-            raise SolverError("stage II stretch factor must exceed 1")
+            raise SolverError(f"{name} stretch factor must exceed 1")
         if x_edge is not None and x_edge < stretch:
             return False
         tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
-        tight_goods = {j for (i, j) in state.flow.pair_flow if i in tight_buyers and j in goods}
         state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
         _scale(state, block, goods, stretch)
         for i in tight_buyers:
             if state.theta[i] != 0:
-                raise SolverError("tight buyers must end with zero surplus")
-        denom = max(state.p[j].denominator for j in tight_goods) if tight_goods else 1
-        state.stats["tight_denominators"].append(denom)
-        state.log("tight", iteration, x=stretch,
-                  tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
+                raise SolverError(f"{name} tight buyers must end with zero surplus")
+        if record:
+            tight_goods = {j for (i, j) in state.flow.pair_flow
+                           if i in tight_buyers and j in goods}
+            denom = max(state.p[j].denominator for j in tight_goods) if tight_goods else 1
+            state.stats["tight_denominators"].append(denom)
+            state.log("tight", iteration, x=stretch,
+                      tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
         return True
 
     _, iterations = _price_phase(state, target, True, stretched)
-    phi_end = _l2(state.theta)
-    state.stats["stage2_phases"].append(
-        {"iterations": iterations, "phi_start": phi_start, "phi_end": phi_end}
-    )
+    if record:
+        state.stats["stage2_phases"].append(
+            {"iterations": iterations, "phi_start": phi_start, "phi_end": _l2(state.theta)}
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def _reference_solve(buyers, goods, net, theta):
 # The fixed-budget tight search as it stood before it moved into
 # ``fisher._FixedBudgets.stop_at_tight``: it builds its own goods-to-buyers
 # map and always descends from the target's whole money.  Kept to compare the
-# stop's factor and tight sets with.
+# factor and tight sets of that stop and of the solver's stage 0 with.
 
 
 def reference_first_tight(p, money, edges, target):
@@ -500,7 +500,7 @@ def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
     after-edge-events / end values of both norms.
     """
     u, money, prices = gen_l1_adversarial(n, delta, big)
-    market = _FixedBudgets(u, tuple(money), list(prices), True)
+    market = _FixedBudgets(u, tuple(money), list(prices))
     _rebuild(market)
     start = market.theta
     market.phase = 1

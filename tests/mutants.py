@@ -46,8 +46,8 @@ MUTANTS = [
     dict(
         name="cut-from-every-buyer",
         file="flownet.py",
-        old="far_side = _far_side(residual, g, n, [i for i in range(n) if money[g + i]])",
-        new="far_side = _far_side(residual, g, n, range(n))",
+        old="to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)",
+        new="to_sink = _reach(residual, [g + i for i in range(n)], True)",
         killer="tests/test_flownet.py::test_max_flow_saturates_single_edge",
     ),
     dict(
@@ -57,14 +57,24 @@ MUTANTS = [
         new="if False:  # the path's first good",
         killer="tests/test_flownet.py::test_max_flow_interior_edges_never_bind",
     ),
-    # The fixed-budget tight stop (fisher._FixedBudgets).
     dict(
-        name="edge-event-certified-at-the-tight-factor",
-        file="fisher.py",
-        old="if x_edge is not None and x_edge < x:\n            return False",
-        new="if x_edge is not None and x_edge <= x:\n            return False",
-        killer="tests/test_fisher.py::test_tight_search_matches_the_reference_descent",
+        name="max-flow-without-path-cap",
+        file="flownet.py",
+        old='raise FlowError(f"max-flow did not end within {bound} augmenting paths")',
+        new="pass",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound",
     ),
+    # The market's rebalance (fisher.Market).
+    dict(
+        name="rebalance-without-sell-check",
+        file="fisher.py",
+        old="if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):",
+        new="if False:",
+        killer="tests/test_fisher.py::test_rebalance_rejects_an_active_good_that_no_longer_sells",
+    ),
+    # The fixed-budget tight stop (fisher._FixedBudgets) and the rising
+    # loop's stop (solver._stage2_phase).
     dict(
         name="descent-without-progress-check",
         file="fisher.py",
@@ -73,19 +83,12 @@ MUTANTS = [
         killer="tests/test_fisher.py::test_tight_descent_rejects_a_stale_cut",
     ),
     dict(
-        name="maximal-cut-drops-free-goods",
-        file="flownet.py",
-        old="return _far_side((head, to, cap), g, n, room)",
-        new="far_buyers, far_goods = _far_side((head, to, cap), g, n, room)\n"
-            "    return far_buyers, frozenset(j for j in far_goods if net.p[j])",
-        killer="tests/test_fisher.py::test_the_closed_form_cut_is_the_max_flow_cut",
-    ),
-    dict(
-        name="maximal-cut-gives-free-goods-arcs",
-        file="flownet.py",
-        old="if net.p[j] > 0:",
-        new="if True:",
-        killer="tests/test_flownet.py::test_maximal_cut_leaves_a_wanted_good_priced_at_zero_on_the_far_side",
+        name="rising-stop-lets-a-tied-edge-through",
+        file="solver.py",
+        old="if x_edge is not None and x_edge < stretch:",
+        new="if x_edge is not None and x_edge <= stretch:",
+        killer="tests/test_fisher.py::"
+               "test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events",
     ),
     # The balanced-flow loop and its gate (balanced.balanced_flow).
     dict(

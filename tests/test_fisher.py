@@ -6,21 +6,19 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from nashflow import (
     FisherError,
     check_kkt,
-    counting,
     fisher_equilibrium,
     gen_random,
+    initialize,
     make_instance,
+    preprocess,
     solve,
 )
-from nashflow import fisher
+from nashflow import fisher, solver
 from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
-from nashflow.flownet import max_flow, maximal_cut
 from conftest import (
     measure_l1_vs_l2,
     random_ratio_case,
@@ -45,7 +43,7 @@ def test_single_buyer_single_good():
 def test_rebalance_rejects_an_active_good_that_no_longer_sells():
     # No one values good 1, yet it is active at price 1: the balanced flow
     # routes 1 of the active price mass 2.
-    market = _FixedBudgets(((1, 0),), (Fraction(1),), [Fraction(1), Fraction(1)], True)
+    market = _FixedBudgets(((1, 0),), (Fraction(1),), [Fraction(1), Fraction(1)])
     with pytest.raises(FisherError, match="active goods can no longer fully sell"):
         _rebuild(market)
 
@@ -202,9 +200,9 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
     # descent at the same state.  The stop lets the edge event through
     # exactly when it comes before the reference's tight factor; otherwise it
     # logs the reference's factor and its maximal tight sets, ties included.
-    # It runs no max-flow at equal budgets, and none for an edge event that
-    # comes before L = min m_i / spent_i over the block (the block's flow
-    # scaled to the edge factor still fits every budget).
+    # An edge event that comes before L = min m_i / spent_i over the block is
+    # "certified": the block's flow scaled to the edge factor still fits
+    # every budget, so the tight factor cannot come first.
     stop = _FixedBudgets.stop_at_tight
     seen = Counter()
 
@@ -218,12 +216,7 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
         certified = x_edge is not None and all(
             x_edge * spent[i] < market.money[i] for i in block
         )
-        equal = len(set(market.money)) == 1
-        with counting() as tally:
-            ended = stop(market, x_edge, block, goods, iteration)
-        if equal or certified:
-            assert tally["maxflows"] == 0
-        seen["descent"] += tally["maxflows"] > 0
+        ended = stop(market, x_edge, block, goods, iteration)
         if not ended:
             assert x_edge is not None and x_edge < x_ref
             seen["edge"] += 1
@@ -250,59 +243,61 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
             money = (Fraction(1),) * n
         fisher_equilibrium(inst.u, money)
     assert seen["edge"] >= 800 and seen["tight"] >= 1200 and seen["tie"] >= 1, seen
-    assert seen["certified"] >= 700 and seen["descent"] >= 1, seen
+    assert seen["certified"] >= 700, seen
 
 
-@st.composite
-def fixed_budget_markets(draw):
-    """Small markets in which every buyer values some good; goods may be valueless."""
-    n, g = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    row = st.lists(st.integers(0, 9), min_size=g, max_size=g).filter(any)
-    u = draw(st.lists(row, min_size=n, max_size=n))
-    budget = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
-    if draw(st.booleans()):
-        return u, (Fraction(1),) * n
-    return u, tuple(draw(st.lists(budget, min_size=n, max_size=n)))
+def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeypatch):
+    # Stage 0 of the solver and ``fisher_equilibrium`` share no tight logic:
+    # the first reads each tight factor off the flow, the second descends
+    # over min cuts.  At unit money both must reach the same prices in the
+    # same number of phases, and every stage-0 tight event must sit at the
+    # reference descent's factor with its tight sets inside the maximal ones.
+    scale, seen = solver._scale, Counter()
 
+    def checked(state, block, goods, x):
+        assert set(state.money) == {1}
+        x_ref, buyers_ref, goods_ref = reference_first_tight(
+            state.p, state.money, state.edges, goods
+        )
+        assert x == x_ref
+        tight = {i for i in block if state.theta[i] == 0}
+        assert tight and tight <= buyers_ref
+        assert {j for (i, j) in state.flow.pair_flow if i in tight and j in goods} <= goods_ref
+        seen["tight"] += 1
+        seen["tie"] += _next_tie(state, block, goods, True)[0] == x
+        scale(state, block, goods, x)
 
-@settings(max_examples=150, deadline=None)
-@example(market=([[2, 0, 1], [1, 0, 3]], (Fraction(1), Fraction(2))))
-@example(market=([[2, 0, 1], [1, 0, 3]], (Fraction(1), Fraction(1))))
-@given(fixed_budget_markets())
-def test_the_closed_form_cut_is_the_max_flow_cut(market):
-    # At L = min m_i / spent_i the stop reads the maximal min cut off the
-    # block's scaled flow.  It must be the far side a max-flow of that very
-    # network reports, goods priced at 0 (no one values them) included.
-    cuts = []
-
-    def checked(net, support, room):
-        far = maximal_cut(net, support, room)
-        res = max_flow(net)
-        assert res.value == sum(net.p)
-        assert far == res.far_side
-        cuts.append((net, far))
-        return far
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fisher, "maximal_cut", checked)
-        fisher_equilibrium(*market)
-    for net, (_, goods) in cuts:
-        assert {j for j, q in enumerate(net.p) if q == 0} <= goods
-    if market[0] == [[2, 0, 1], [1, 0, 3]]:
-        assert cuts and all(net.p[1] == 0 for net, _ in cuts)
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    for shape in shapes:
+        reduced, report = preprocess(gen_random(*shape))
+        if report.verdict == "infeasible":
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_scale", checked)
+            state = initialize(reduced)
+        p, _, trace = fisher_equilibrium(reduced.u, (Fraction(1),) * reduced.n)
+        assert tuple(state.p) == p, shape
+        phases = sum(e["kind"] == "state" for e in trace) - 1
+        assert state.stats["fisher_phases"] == phases, shape
+        seen["phases"] += phases
+    assert seen["tight"] == seen["phases"] > 500 and seen["tie"] >= 1, seen
 
 
 def test_tight_descent_rejects_a_stale_cut(monkeypatch):
-    # Under these unequal budgets the closed form misses and the descent
-    # runs; its first max-flow leaves goods unsold.  A flow core that keeps
-    # reporting that flow and its far side yields no smaller factor, which
-    # the progress check must catch instead of running to the descent's cap.
+    # Under these unequal budgets some max-flow of the descent leaves goods
+    # unsold.  A flow core that keeps reporting the first such flow and its
+    # far side yields no smaller factor, which the progress check must catch
+    # instead of running to the descent's cap.
     real, first = fisher.max_flow, []
 
     def stale(net):
-        if not first:
-            first.append(real(net))
-        return first[0]
+        if first:
+            return first[0]
+        res = real(net)
+        if res.value < sum(net.p):
+            first.append(res)
+        return res
 
     monkeypatch.setattr(fisher, "max_flow", stale)
     with pytest.raises(FisherError, match="failed to make progress"):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nashflow import (
+    FlowError,
     MarketNetwork,
     balanced_flow,
     bang_per_buck,
@@ -21,7 +22,6 @@ from nashflow import (
     solution_to_json,
     solve,
 )
-from nashflow.flownet import maximal_cut
 from conftest import (
     random_network,
     random_ratio_case,
@@ -146,15 +146,6 @@ def test_max_flow_interior_edges_never_bind():
     # sink-reaching side of the maximal cut.
     assert 0 not in flow.far_side[1]
     assert 2 not in flow.far_side[0]
-
-
-def test_maximal_cut_leaves_a_wanted_good_priced_at_zero_on_the_far_side():
-    # A good priced at 0 has no arcs in max_flow or in maximal_cut, so it
-    # lies on the far side even though a buyer with room wants it.
-    net = MarketNetwork((Fraction(0), Fraction(1)), (Fraction(2),), frozenset({(0, 0), (0, 1)}))
-    flow = max_flow(net)
-    assert flow.far_side == (frozenset(), frozenset({0}))
-    assert maximal_cut(net, flow.pair_flow, [0]) == flow.far_side
 
 
 def test_max_flow_conservation_and_caps_random():
@@ -310,6 +301,24 @@ def test_max_flow_counts_its_augmenting_paths_once_per_call(monkeypatch):
     max_flow(net)
     max_flow(replace(net, edges=frozenset()))
     assert calls == [("maxflows",), ("augments", 2), ("maxflows",), ("augments", 0)]
+
+
+def test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound(monkeypatch):
+    # A broken flow core whose paths ship nothing (here every bottleneck
+    # reads 0) would search for ever.  One good, one buyer and their pair
+    # give 4 nodes with the source and sink, and 6 arcs with the reverse
+    # arcs, so the bound is 4 * 6 = 24 paths and the 25th search raises.
+    searches = []
+
+    def no_room(*rooms):
+        searches.append(rooms)
+        return 0
+
+    monkeypatch.setattr("nashflow.flownet.min", no_room, raising=False)
+    net = MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)}))
+    with pytest.raises(FlowError, match="within 24 augmenting paths"):
+        max_flow(net)
+    assert len(searches) == 25
 
 
 def test_solve_reports_augmenting_paths_in_its_detail_only():

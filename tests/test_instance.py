@@ -41,6 +41,17 @@ def test_parse_rational_rejects_nonrationals(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "not a rational: 1.5 (floats are not accepted)"),
+    (None, "not a rational: None"),
+    (["1"], "not a rational: ['1']"),
+])
+def test_parse_rational_names_floats_only_when_rejecting_a_float(bad, message):
+    with pytest.raises(InstanceError) as exc:
+        parse_rational(bad)
+    assert str(exc.value) == message
+
+
 def test_format_rational_is_canonical():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(3)) == "3"

@@ -430,10 +430,11 @@ def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
 
 
 def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
-    # One rebuild at initialisation and one after each phase of either stage,
-    # but none after a Stage I phase that freezes every remaining buyer.  The
-    # restore rebuilds only when it brings frozen groups back: otherwise
-    # Stage I's last rebuild already holds the whole market.
+    # Stage 0 rebuilds at its start prices, after each of its phases and once
+    # more when the instance's c takes over.  Then one rebuild follows each
+    # phase of Stages I and II, but none a Stage I phase that freezes every
+    # remaining buyer.  The restore rebuilds only when it brings frozen groups
+    # back: otherwise Stage I's last rebuild already holds the whole market.
     rebuild = solver._rebuild
     calls = []
 
@@ -455,7 +456,7 @@ def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
         thawed = sol.verdict == "feasible" and froze
         emptied = sum(len(e["buyers"]) for e in sol.trace if e["type"] == "freeze") == inst.n
         phases = len(detail["stage1_phases"]) + len(detail["stage2_phases"])
-        expected = 1 + phases - emptied + thawed
+        expected = 2 + detail["fisher_phases"] + phases - emptied + thawed
         assert len(calls) == expected, seed
         seen.add((sol.verdict, froze, emptied))
     assert {("feasible", True, True), ("feasible", False, False), ("infeasible", True, False)} <= seen
@@ -474,16 +475,18 @@ def test_solve_rejects_utilities_that_disagree_with_the_allocation(monkeypatch):
 
 
 def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
-    # At a tight event Stage II moves the block's surpluses by formula
-    # instead of recomputing the balanced flow.  Each update must equal the
-    # balanced surpluses of the scaled network, built here from the state the
-    # update was called on (before its prices move).
+    # At a tight event the rising loop moves the block's surpluses by formula
+    # instead of recomputing the balanced flow, in stage 0 (every budget 1)
+    # and in Stage II.  Each update must equal the balanced surpluses of the
+    # scaled network, built here from the state the update was called on
+    # (before its prices move).
     states = []
     calls = []
+    phase = solver._stage2_phase
 
-    def captured(state):
+    def captured(state, name):
         states.append(state)
-        return stage2(state)
+        return phase(state, name)
 
     def checked(edges, theta, x, buyers, goods):
         updated = scale_flow(edges, theta, x, buyers, goods)
@@ -492,15 +495,15 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         assert balanced_flow(net)[1] == tuple(theta)
         _, expected = balanced_flow(scaled_network(net, x, buyers, goods))
         assert updated == expected, (state.inst.u, state.inst.c, x)
-        calls.append(x)
+        calls.append(state.stage)
         return updated
 
-    monkeypatch.setattr(solver, "stage2", captured)
+    monkeypatch.setattr(solver, "_stage2_phase", captured)
     monkeypatch.setattr(solver, "scale_flow", checked)
     for seed in range(525):
         solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
     solve(gen_random(12, 12, 1000, 1500, 0))
-    assert len(calls) > 250
+    assert calls.count(0) > 250 and calls.count(2) > 250
 
 
 def test_solution_to_json_round_trips_rationals_as_strings():
