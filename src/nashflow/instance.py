@@ -28,10 +28,17 @@ class InstanceError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a rational: an int, a ``Fraction``, or a string like ``"7"`` / ``"7/4"``."""
+    """Parse a rational: an int, a ``Fraction``, or a string like ``"7"`` / ``"7/4"``.
+
+    Decimal strings such as ``"0.25"`` are exact and accepted.  Exponent
+    forms such as ``"1e9"`` are not: ``Fraction`` would expand ``"1e10000000"``
+    into a ten-million-digit integer, which takes seconds for 11 bytes.
+    """
     # Strings first: they are the wire form, and an isinstance test against
     # ``Fraction`` (an ABC) costs several times one against ``str``.
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise InstanceError(f"not a rational: {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -6,13 +6,12 @@ iteration of fixed-budget equilibria.  The enumeration and the LP share only
 instance handling with the two-stage solver, which is what makes agreement
 with them meaningful.  The fixpoint iteration does not: it runs
 ``fisher_equilibrium``, which shares the price-phase kernel,
-``balanced_flow``, ``max_flow`` and ``bang_per_buck`` with the solver, so it
+``balanced_flow`` and ``max_flow`` with the solver, and it reads each
+round's budgets ``1 + c_i/gamma_i`` off ``build_network``, so it
 cross-checks the two-stage logic, not those layers.  Its tight stop is its
 own: a descent over min cuts, where the solver reads each tight factor off
-the balanced flow.  The LP measures the margin from ``-max(c)``, which the
-empty allocation already reaches, so every bound is nonnegative and
-``simplex.maximize`` starts from its slack basis.  The enumeration's
-Gauss-Jordan elimination pivots with the LP's own ``simplex._pivot``.
+the balanced flow.  The LP and the enumeration's Gauss-Jordan elimination
+pivot with one exact rational pivot, ``_pivot``.
 """
 
 from __future__ import annotations
@@ -22,9 +21,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .fisher import fisher_equilibrium
-from .flownet import bang_per_buck
+from .flownet import build_network
 from .instance import BargainingInstance, preprocess
-from . import simplex
+
+
+class SimplexError(Exception):
+    """The objective is unbounded or a bound is negative."""
 
 
 class OracleCapError(ValueError):
@@ -37,6 +39,64 @@ class OracleResult:
     p: list | None = None
     x: list | None = None
     v: list | None = None
+
+
+def _pivot(tableau, basis, row, col):
+    """Gauss-Jordan pivot on ``tableau[row][col]``, exact; ``col`` enters ``basis[row]``."""
+    inv = 1 / tableau[row][col]
+    pivot_row = tableau[row] = [v * inv for v in tableau[row]]
+    support = [k for k, v in enumerate(pivot_row) if v]
+    for r, line in enumerate(tableau):
+        factor = line[col]
+        if r != row and factor:
+            for k in support:
+                line[k] -= factor * pivot_row[k]
+    basis[row] = col
+
+
+def maximize(c, a_ub, b_ub):
+    """Maximize ``c . x`` subject to ``a_ub x <= b_ub`` and ``x >= 0``, exactly.
+
+    The simplex method in one phase.  Every bound must be nonnegative, so
+    the slack basis (``x = 0``, each slack at its bound) is a feasible start
+    and no phase 1 or artificial variable is needed.  Small and dense on
+    purpose: the margin LP's instances are tiny, and exactness matters more
+    than speed.  Bland's rule (the lowest improving column enters, ratio
+    ties leave by the lowest basic column) guarantees termination.  Returns
+    ``(value, x)`` as Fractions and raises :class:`SimplexError` when a
+    bound is negative or the objective is unbounded.
+    """
+    nvars, nrows = len(c), len(a_ub)
+    tableau = []
+    for r, (line, b) in enumerate(zip(a_ub, b_ub)):
+        if len(line) != nvars:
+            raise ValueError("constraint row has the wrong arity")
+        if b < 0:
+            raise SimplexError("a negative bound leaves the slack basis infeasible")
+        slack = [Fraction(0)] * nrows
+        slack[r] = Fraction(1)
+        tableau.append([Fraction(v) for v in line] + slack + [Fraction(b)])
+    # The last row holds the reduced costs, negated, and the value.
+    tableau.append([-Fraction(v) for v in c] + [Fraction(0)] * (nrows + 1))
+    basis = list(range(nvars, nvars + nrows))
+    while True:
+        entering = next((col for col, v in enumerate(tableau[-1][:-1]) if v < 0), None)
+        if entering is None:
+            break
+        best = None
+        for r, line in enumerate(tableau[:-1]):
+            if line[entering] > 0:
+                key = (line[-1] / line[entering], basis[r])
+                if best is None or key < best[0]:
+                    best = (key, r)
+        if best is None:
+            raise SimplexError("objective is unbounded")
+        _pivot(tableau, basis, best[1], entering)
+    solution = [Fraction(0)] * nvars
+    for r, col in enumerate(basis):
+        if col < nvars:
+            solution[col] = tableau[r][-1]
+    return tableau[-1][-1], solution
 
 
 def _solve_linear(rows, ncols, free_default):
@@ -52,7 +112,7 @@ def _solve_linear(rows, ncols, free_default):
     for col in range(ncols):
         r = next((r for r, row in enumerate(rows) if basis[r] is None and row[col] != 0), None)
         if r is not None:
-            simplex._pivot(rows, basis, r, col)
+            _pivot(rows, basis, r, col)
     if any(col is None and row[-1] != 0 for col, row in zip(basis, rows)):
         return None
     free = [col for col in range(ncols) if col not in basis]
@@ -172,7 +232,7 @@ def feasibility_lp(inst: BargainingInstance) -> Fraction:
     for j in range(g):
         rows.append([0] * (j * n) + [1] * n + [0] * ((g - 1 - j) * n + 1))
         bounds.append(1)
-    value, _ = simplex.maximize([0] * (n * g) + [1], rows, bounds)
+    value, _ = maximize([0] * (n * g) + [1], rows, bounds)
     return value - top
 
 
@@ -205,8 +265,7 @@ def limit_algorithm(
     reduced, report = preprocess(inst)
     if report.verdict == "infeasible":
         raise ValueError("a buyer with no valued good has no market limit")
-    n, g = reduced.n, reduced.g
-    money = [Fraction(1)] * n
+    money = [Fraction(1)] * reduced.n
     history = []
     reason = "max_iter"
     iterations = 0
@@ -214,10 +273,9 @@ def limit_algorithm(
     for _ in range(max_iter):
         iterations += 1
         p, _x, _tr = fisher_equilibrium(reduced.u, money)
-        gamma, _ = bang_per_buck(reduced.u, p)
         p_full = report.expand(p)
         history.append((list(p_full), list(money)))
-        nxt = [1 + reduced.c[i] / gamma[i] for i in range(n)]
+        nxt = list(build_network(reduced, p).m)
         if nxt == money:
             reason = "exact"
             break

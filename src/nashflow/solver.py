@@ -118,9 +118,7 @@ class SolverState(Market):
         super().__init__(inst.u, initial_prices(inst.u, [Fraction(1)] * inst.n))
         self.inst, self.c = inst, (Fraction(0),) * inst.n
         self.frozen, self.feasible_prices, self.stage = [], None, 0
-        # The smallest start price at unit money is min_j max_i u_ij / (g u_max).
-        lowest = min(max(col) for col in zip(*inst.u))
-        self.mu = -(-(inst.g * inst.u_max) // lowest)
+        self.mu = -(-1 // min(self.p))  # every kept good is valued, so priced above 0
         self.stats = {"fisher_phases": 0, "stage1_phases": [], "stage2_phases": [],
                       "end_reasons": [], "tight_denominators": []}
 
@@ -149,18 +147,18 @@ def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverS
     (``_rise``) runs the fixed-budget market from its start prices to its
     equilibrium; it counts its phases in ``stats["fisher_phases"]`` and
     records nothing else.  Then ``c`` becomes the instance's and the market
-    is rebuilt, hinted with surpluses ``c_i / gamma_i``: the equilibrium flow
-    spends every unit budget, and the rebuild finds the same ratios
-    ``gamma`` at the same prices, so under the new budgets it leaves exactly
-    that surplus.  The state keeps a ``trace`` only under ``collect_trace``
-    and holds ``None`` there otherwise.
+    is rebalanced, hinted with surpluses ``c_i / gamma_i``: the loop's last
+    rebuild already found the ratios ``gamma`` and the edges at these
+    prices, and the equilibrium flow spends every unit budget, so under the
+    new budgets it leaves exactly that surplus.  The state keeps a ``trace``
+    only under ``collect_trace`` and holds ``None`` there otherwise.
     """
     state = SolverState(inst)
     _rebuild(state)
     state.stats["fisher_phases"] = _rise(state)
     state.c = inst.c
     state.theta = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
-    _rebuild(state)
+    state.rebalance()
     state.trace = [] if collect_trace else None
     _trace(state, stage=0, type="initialized")
     return state

@@ -346,12 +346,12 @@ def reference_max_flow(net: MarketNetwork) -> FlowResult:
 
 # ---------------------------------------------------------------------------
 # Two kernels as they stood before the flow core kept its residual graph and
-# the oracle pivoted with ``simplex._pivot``: residual reachability over dict
-# adjacency rebuilt from ``net.edges`` and ``pair_flow`` on every call, and
-# the oracle's own Gauss-Jordan elimination with a reverse back-substitution.
-# Kept verbatim, apart from the names, the docstrings and ``self`` read as
-# ``flow``, to compare with ``FlowResult.residual_reach`` and
-# ``oracle._solve_linear``.
+# the oracle pivoted with the margin LP's ``_pivot``: residual reachability
+# over dict adjacency rebuilt from ``net.edges`` and ``pair_flow`` on every
+# call, and the oracle's own Gauss-Jordan elimination with a reverse
+# back-substitution.  Kept verbatim, apart from the names, the docstrings and
+# ``self`` read as ``flow``, to compare with ``FlowResult.residual_reach``
+# and ``oracle._solve_linear``.
 
 
 def reference_residual_reach(flow, start_buyers, reverse=False):

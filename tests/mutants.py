@@ -148,7 +148,52 @@ MUTANTS = [
         new="flow.value == target == sum(caps):",
         killer="tests/test_balanced.py::test_gate_rejects_a_round_flow_that_fails_property1",
     ),
-    # The margin LP (oracle.feasibility_lp, simplex.maximize).
+    # The checkers' rejections (certify).
+    dict(
+        name="kkt-oversold-bound-doubled",
+        file="certify.py",
+        old="if sold[j] > 1:",
+        new="if sold[j] > 2:",
+        killer="tests/test_certify.py::test_check_kkt_rejects_a_valueless_good_sold_half_again_over",
+    ),
+    dict(
+        name="kkt-accepts-a-zero-gain",
+        file="certify.py",
+        old="if gain <= 0:",
+        new="if gain < 0:",
+        killer="tests/test_certify.py::"
+               "test_check_kkt_rejects_a_buyer_left_at_the_disagreement_payoff",
+    ),
+    dict(
+        name="witness-prices-valueless-goods",
+        file="certify.py",
+        old="if p[j] != 0:",
+        new="if False:",
+        killer="tests/test_certify.py::test_witness_rejects_a_priced_valueless_good",
+    ),
+    dict(
+        name="lp-dual-without-unit-sum",
+        file="certify.py",
+        old="if sum(y, Fraction(0)) != 1:",
+        new="if False:",
+        killer="tests/test_certify.py::test_verify_lp_dual_rejects_weights_that_do_not_sum_to_one",
+    ),
+    dict(
+        name="lp-dual-without-price-cover",
+        file="certify.py",
+        old="if inst.u[i][j] * y[i] > z[j]:",
+        new="if False:",
+        killer="tests/test_certify.py::"
+               "test_verify_lp_dual_rejects_a_good_priced_below_a_weighted_utility",
+    ),
+    dict(
+        name="lp-dual-gap-loosened",
+        file="certify.py",
+        old="return gap >= 0",
+        new="return gap >= -1",
+        killer="tests/test_certify.py::test_verify_lp_dual_rejects_a_negative_gap",
+    ),
+    # The margin LP (oracle.feasibility_lp, oracle.maximize).
     dict(
         name="margin-without-shift",
         file="oracle.py",
@@ -158,7 +203,7 @@ MUTANTS = [
     ),
     dict(
         name="simplex-accepts-negative-bounds",
-        file="simplex.py",
+        file="oracle.py",
         old="if b < 0:",
         new="if False:",
         killer="tests/test_oracle.py::test_simplex_requires_nonnegative_bounds_and_a_bounded_objective",

@@ -92,6 +92,22 @@ def test_check_kkt_rejects_oversold_good():
     assert ok is False
 
 
+
+def test_check_kkt_rejects_a_valueless_good_sold_half_again_over():
+    # An unpriced good adds no stationarity term, so only the supply bound
+    # sees it sold beyond its one unit.
+    inst = make_instance([[1, 0]], [0])
+    assert check_kkt(inst, [1, 0], [[1, 0]], [1]) == (True, "ok")
+    assert check_kkt(inst, [1, 0], [[1, Fraction(3, 2)]], [1]) == (False, "good 1 oversold")
+
+
+def test_check_kkt_rejects_a_buyer_left_at_the_disagreement_payoff():
+    # Buyer 1 values nothing and gains exactly 0: each of its stationarity
+    # terms reads 0 >= 0, so only the gain check rejects the answer.
+    inst = make_instance([[1], [0]], [0, 0])
+    assert check_kkt(inst, [1], [[1], [0]], [1, 0]) == (
+        False, "buyer 1 does not improve on the disagreement payoff")
+
 def test_check_kkt_rejects_a_tight_price_nudged_by_two_to_the_minus_200():
     # A golden deep instance: its equilibrium prices carry ~100-bit
     # denominators, and a nudge far below them must still break exactness.
@@ -124,6 +140,12 @@ def test_witness_trio():
     assert check_feasibility_witness(unit_game(), [Fraction(1, 2)]) == (True, "ok")
 
 
+
+def test_witness_rejects_a_priced_valueless_good():
+    inst = make_instance([[2, 0]], [1])
+    assert check_feasibility_witness(inst, [1, 0]) == (True, "ok")
+    assert check_feasibility_witness(inst, [1, 1]) == (False, "valueless good 1 must be priced 0")
+
 # ---------------------------------------------------------------------------
 # Infeasibility certificates
 
@@ -137,6 +159,24 @@ def test_verify_lp_dual_rejects_feasible_instances_and_bad_weights():
     # Dual weights must sum to one.
     assert verify_lp_dual(scalar_infeasible(), [Fraction(1, 2)], [Fraction(1)]) is False
 
+
+
+def test_verify_lp_dual_rejects_weights_that_do_not_sum_to_one():
+    # All-zero weights meet every other condition, with a zero gap.
+    assert verify_lp_dual(scalar_feasible(), [0], [0]) is False
+
+
+def test_verify_lp_dual_rejects_a_good_priced_below_a_weighted_utility():
+    # Without u_ij y_i <= z_j, y = e_0 and z = 0 would prove any game infeasible.
+    for inst in (scalar_feasible(), unit_game(), symmetric_pair()):
+        assert verify_lp_dual(inst, [1] + [0] * (inst.n - 1), [0] * inst.g) is False
+
+
+def test_verify_lp_dual_rejects_a_negative_gap():
+    # y = 1 and z = 2 meet every constraint of the feasible scalar game,
+    # whose gap c y - z is then -1.
+    assert verify_lp_dual(scalar_feasible(), [1], [2]) is False
+    assert verify_lp_dual(make_instance([[1]], [Fraction(1, 2)]), [1], [1]) is False
 
 def test_verify_convex_dual_accepts_valid_splits():
     inst = split_infeasible()

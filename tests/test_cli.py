@@ -385,6 +385,7 @@ def test_invalid_instance_exits_one(run, tmp_path):
         pytest.param(["check"], '{"u":[[1,1]],"c":["1"]}',
                      '{"verdict":"feasible","p":["1","1"],"x":[[1,true]],"v":["1"]}',
                      id="bool-after-int-one"),
+        pytest.param(["solve"], '{"u":[[1]],"c":["1e10000000"]}', None, id="exponent-payoff"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instance, solution):

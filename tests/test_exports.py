@@ -1,4 +1,7 @@
-"""Every exported name, and every optional parameter, has a caller in the package."""
+"""Every exported name, and every optional parameter, has a caller in the package.
+
+Also: no module reads another module's private names beyond an allow-list.
+"""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,17 @@ import nashflow
 # ``cli.main`` is the console-script entry point, which calls it without
 # ``argv`` so that argparse reads the command line.
 ENTRY_POINT_PARAMETERS = {("main", "argv")}
+
+# ``(reader, owner, name)`` for each ``_``-prefixed name one module may read
+# from another: the solver drives the price-phase kernel with its helpers,
+# and the balanced flow adds its work to the flow core's tally.
+PRIVATE_READS = {
+    ("solver", "fisher", "_l2"),
+    ("solver", "fisher", "_price_phase"),
+    ("solver", "fisher", "_rebuild"),
+    ("solver", "fisher", "_scale"),
+    ("balanced", "flownet", "_count"),
+}
 
 
 def _package_trees():
@@ -95,3 +109,41 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
         and (fn, "*") not in passed and (fn, arg) not in ENTRY_POINT_PARAMETERS
     )
     assert unused == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(path):
+    """``(reader, owner, name)`` for each private name ``path`` reads from a sibling.
+
+    A name is read either by importing it (``from .owner import _name``) or
+    as an attribute of an imported module (``from . import owner``, then
+    ``owner._name``).  Dunder names are not private.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.module or ""
+        if node.level == 0 and package.partition(".")[0] != "nashflow":
+            continue
+        owner = package.removeprefix("nashflow").lstrip(".")
+        for alias in node.names:
+            if not owner:
+                modules[alias.asname or alias.name] = alias.name
+            elif _is_private(alias.name):
+                reads.add((path.stem, owner, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            reads.add((path.stem, modules[node.value.id], node.attr))
+    return reads
+
+
+def test_modules_read_no_other_modules_private_names_beyond_the_allow_list():
+    reads = set().union(*map(_private_reads, Path(nashflow.__file__).parent.glob("*.py")))
+    assert sorted(reads - PRIVATE_READS) == []
+    assert sorted(PRIVATE_READS - reads) == []  # no stale allow-list entry

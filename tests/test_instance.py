@@ -52,6 +52,19 @@ def test_parse_rational_names_floats_only_when_rejecting_a_float(bad, message):
     assert str(exc.value) == message
 
 
+
+def test_parse_rational_accepts_decimals():
+    assert parse_rational("0.25") == Fraction(1, 4)
+    assert parse_rational("-1.5") == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E3", "2.5e-1", "-1e0"])
+def test_parse_rational_rejects_exponent_notation(text):
+    # ``Fraction`` would expand "1e10000000" into a ten-million-digit integer.
+    with pytest.raises(InstanceError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == f"not a rational: {text!r} (exponent notation is not accepted)"
+
 def test_format_rational_is_canonical():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(3)) == "3"

@@ -15,8 +15,7 @@ from nashflow import (
     oracle_solve,
     solve,
 )
-from nashflow import simplex
-from nashflow.oracle import _solve_linear
+from nashflow.oracle import SimplexError, _solve_linear, maximize
 from conftest import (
     reference_solve_linear,
     scalar_feasible,
@@ -121,13 +120,13 @@ def test_feasibility_lp_from_a_degenerate_or_trivial_start():
 
 
 def test_simplex_requires_nonnegative_bounds_and_a_bounded_objective():
-    with pytest.raises(simplex.SimplexError):
-        simplex.maximize([1], [[1]], [-1])
-    with pytest.raises(simplex.SimplexError):
-        simplex.maximize([1, 0], [[-1, 1]], [0])
+    with pytest.raises(SimplexError):
+        maximize([1], [[1]], [-1])
+    with pytest.raises(SimplexError):
+        maximize([1, 0], [[-1, 1]], [0])
     with pytest.raises(ValueError):
-        simplex.maximize([1, 0], [[1]], [1])
-    assert simplex.maximize([1, 1], [[1, 2], [3, 1]], [4, 6]) == (
+        maximize([1, 0], [[1]], [1])
+    assert maximize([1, 1], [[1, 2], [3, 1]], [4, 6]) == (
         Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
 
 

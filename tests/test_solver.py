@@ -17,6 +17,7 @@ from nashflow import (
     make_instance,
     max_flow,
     maxflow_budget,
+    preprocess,
     scale_flow,
     solution_to_json,
     solve,
@@ -357,6 +358,20 @@ def test_solve_stays_within_the_max_flow_budget():
         )
 
 
+
+def test_mu_is_the_reciprocal_of_the_smallest_start_price_rounded_up():
+    # At unit money the start prices are max_i u_ij / (g u_max) over the
+    # preprocessed instance's goods, so ``mu`` is ceil(g u_max / min_j max_i u_ij).
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    for shape in shapes:
+        inst = gen_random(*shape)
+        reduced, _ = preprocess(inst)
+        lowest = min(max(col) for col in zip(*reduced.u))
+        mu = -(-(reduced.g * reduced.u_max) // lowest)
+        stats = solve(inst).stats
+        assert type(stats["mu"]) is int and stats["mu"] == mu, shape
+
 @pytest.mark.parametrize("seed, verdict", [(0, "feasible"), (2, "infeasible")])
 def test_maxflows_stat_counts_the_max_flows_of_both_stages(monkeypatch, seed, verdict):
     # ``stats["maxflows"]`` is every max-flow run inside ``initialize``,
@@ -430,11 +445,12 @@ def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
 
 
 def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
-    # Stage 0 rebuilds at its start prices, after each of its phases and once
-    # more when the instance's c takes over.  Then one rebuild follows each
-    # phase of Stages I and II, but none a Stage I phase that freezes every
-    # remaining buyer.  The restore rebuilds only when it brings frozen groups
-    # back: otherwise Stage I's last rebuild already holds the whole market.
+    # Stage 0 rebuilds at its start prices and after each of its phases, and
+    # only rebalances when the instance's c takes over.  Then one rebuild
+    # follows each phase of Stages I and II, but none a Stage I phase that
+    # freezes every remaining buyer.  The restore rebuilds only when it brings
+    # frozen groups back: otherwise Stage I's last rebuild already holds the
+    # whole market.
     rebuild = solver._rebuild
     calls = []
 
@@ -456,7 +472,7 @@ def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
         thawed = sol.verdict == "feasible" and froze
         emptied = sum(len(e["buyers"]) for e in sol.trace if e["type"] == "freeze") == inst.n
         phases = len(detail["stage1_phases"]) + len(detail["stage2_phases"])
-        expected = 2 + detail["fisher_phases"] + phases - emptied + thawed
+        expected = 1 + detail["fisher_phases"] + phases - emptied + thawed
         assert len(calls) == expected, seed
         seen.add((sol.verdict, froze, emptied))
     assert {("feasible", True, True), ("feasible", False, False), ("infeasible", True, False)} <= seen
