@@ -58,6 +58,16 @@ characterization.  The balanced surpluses are unique, so every path returns
 the Edmonds-Karp flow on the same network.  A hit costs one max-flow, a
 repair one per round, and the split rounds add the whole max-flow, at most
 ``n`` rounds and the proof: at most ``2n + 3`` per call.
+
+The rounds run in integers.  Every money and price is an integer over one
+``scale`` (``integer_caps``), so a class's level is ``cash / (size * scale)``.
+Over ``scale * mult``, with ``mult`` the lcm of each class's size divided by
+its gcd with the class's cash, every level, cap and price is an integer.
+The round's max-flow gets that integer network and answers in integers, and
+the gate reads it so: the value against the target times ``mult`` and
+property 1 over the money times ``mult``.  A network scaled by a positive
+integer keeps its Edmonds-Karp paths and cut, so only the proved flow and
+its surpluses are divided back, into ``Fraction``s, once.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
 
@@ -107,18 +118,21 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     split rounds are the module docstring's.  An edgeless buyer stays alone
     (its surplus is its money), a good joins a class only through a previous
     pair that is still an edge (any edge without a usable previous flow), and
-    a class with goods but no buyer counts as the lowest.  Levels are
-    compared in integers, over one common denominator of every money and
-    price.  Each call counts one ``"hits"`` (the first round proves it),
-    ``"repairs"`` or ``"misses"`` (the split rounds ran) in the open
-    ``counting()`` tally: one max-flow for a hit, at most ``n + 1`` for a
-    repair and ``2n + 3`` in all.  A network without buyers returns a
-    max-flow and ``()``.
+    a class with goods but no buyer counts as the lowest.  Levels, caps and
+    prices are integers over ``scale * mult`` in every round, the flow core
+    gets them as ints, and the returned flow and ``theta`` are its integer
+    answer over ``scale * mult`` in ``Fraction``s: the Edmonds-Karp flow of
+    ``replace(net, m=caps)``, that network included.  Each call counts one
+    ``"hits"`` (the first round proves it), ``"repairs"`` or ``"misses"``
+    (the split rounds ran) in the open ``counting()`` tally: one max-flow
+    for a hit, at most ``n + 1`` for a repair and ``2n + 3`` in all.  A
+    network without buyers returns a max-flow and ``()``.
     """
     prev_flow, prev_theta = hint
     n, g = net.n, net.g
     scale, price, money = integer_caps(net)
-    target = Fraction(sum(price), scale)  # the proved flow's value: the price mass while guessing
+    price, money = tuple(price), tuple(money)
+    target = sum(price)  # the proved flow's value over scale: the price mass while guessing
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 
     def find(a):
@@ -162,7 +176,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
         if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
-            whole = max_flow(net)
+            whole = max_flow(MarketNetwork(price, money, net.edges))
             target, parent, last = whole.value, list(range(n + g)), None
             for (i, j) in edges:
                 parent[find(n + j)] = find(i)
@@ -170,21 +184,31 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
             for j, x in enumerate(price):
                 charge[find(n + j)] += x
             for (_, j), f in whole.pair_flow.items():
-                charge[find(n + j)] -= int(f * scale)
+                charge[find(n + j)] -= f
             continue
-        level = {r: Fraction(cash[r], size[r] * scale) for r in first if size[r]}
-        theta = tuple(level[r] for r in root[:n])
-        caps = tuple(max(m - t, 0) for m, t in zip(net.m, theta))
+        # Over scale * mult every level, cap and price is an integer.
+        sized = [r for r in first if size[r]]
+        mult = lcm(*[size[r] // gcd(cash[r], size[r]) for r in sized])
+        level = {r: cash[r] * mult // size[r] for r in sized}
+        theta = [level[r] for r in root[:n]]
+        caps = tuple([max(x * mult - t, 0) for x, t in zip(money, theta)])
+        prices = tuple([x * mult for x in price])
         final = classes == last  # a split round that split nothing: prove its levels
         inner = net.edges if whole is None or final else frozenset(
             e for e in edges if root[e[0]] == root[n + e[1]])  # every class on its own edges
         full = len(inner) == len(net.edges)
-        reuse = whole is not None and full and caps == net.m
-        flow = whole if reuse else max_flow(replace(net, m=caps, edges=inner))
+        reuse = whole is not None and full and mult == 1 and caps == money
+        flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner))
         fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
-        if full and fits and flow.value == target == sum(caps) and verify_property1(net, flow):
+        if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
+                MarketNetwork(prices, tuple([x * mult for x in money]), net.edges), flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
-            return flow, theta
+            scale *= mult
+            pair_flow = {e: Fraction(f, scale) for e, f in flow.pair_flow.items()}
+            m = tuple([Fraction(x, scale) for x in caps])
+            return (FlowResult(Fraction(flow.value, scale), pair_flow, flow.far_side,
+                               replace(net, m=m), flow.residual),
+                    tuple([Fraction(t, scale) for t in theta]))
         if final:
             raise BalanceError("balanced-flow levels fail the gate on the whole network")
         far_buyers, far_goods = flow.far_side
@@ -215,4 +239,4 @@ def scale_flow(edges, theta, x, buyers, goods):
     for (i, j) in edges:
         if (i in buyers) != (j in goods):
             raise BalanceError(f"edge ({i},{j}) crosses the scaled block")
-    return tuple(1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta))
+    return tuple([1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta)])

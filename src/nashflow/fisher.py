@@ -277,7 +277,7 @@ class _FixedBudgets(Market):
             x = x_edge
         edges = frozenset(self.edges)
         for _ in range(len(p) + 3):
-            prices = tuple(q * x if j in goods else q for j, q in enumerate(p))
+            prices = tuple([q * x if j in goods else q for j, q in enumerate(p)])
             res = max_flow(MarketNetwork(prices, money, edges))
             far_buyers, far_goods = res.far_side
             if res.value == sum(prices, Fraction(0)):

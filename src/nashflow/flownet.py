@@ -8,15 +8,21 @@ cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
 sales and a buyer's spending are sums over them, and callers that need one
 sum it themselves.
 
-All capacities are rationals.  Max-flow clears denominators up front
-(``integer_caps``, which the balanced-flow guess shares) and runs integer
-Edmonds-Karp (shortest augmenting paths, deterministic edge order), so flows
-are exact and runs are reproducible.  Unbounded pair capacities are encoded
-as the total price mass plus one, which no s-t flow can reach.  Over V nodes
-and A arcs, source and sink and reverse arcs counted, Edmonds-Karp needs at
-most V*A/2 augmenting paths (each saturates an arc, and an arc saturates at
-most V/2 times); a max-flow that finds more than V*A of them has a broken
-flow core and raises ``FlowError`` rather than loop for ever.
+Capacities are rationals, or ints for a network that is already integral
+(the rounds of ``balanced_flow`` hand in such networks).  Max-flow clears
+denominators up front (``integer_caps``, which the balanced-flow guess
+shares) and runs integer Edmonds-Karp (shortest augmenting paths,
+deterministic edge order), so flows are exact and runs are reproducible.
+It answers in ints when every capacity it receives is an int, and in
+``Fraction``s over the scale otherwise.  Multiplying every capacity by one
+positive integer multiplies the flow by it and keeps the paths, the cut and
+the augment count, since the pair arcs never bind.  Unbounded pair
+capacities are encoded as the total price mass plus one, which no s-t flow
+can reach.  Over V nodes and A arcs, source and sink and reverse arcs
+counted, Edmonds-Karp needs at most V*A/2 augmenting paths (each saturates
+an arc, and an arc saturates at most V/2 times); a max-flow that finds more
+than V*A of them has a broken flow core and raises ``FlowError`` rather than
+loop for ever.
 
 The source and sink are not nodes: the residual rooms of their arcs are the
 scaled prices and money, one per good and one per buyer, and only the pair
@@ -126,7 +132,11 @@ def bang_per_buck(u, p):
 
 @dataclass(frozen=True)
 class MarketNetwork:
-    """Immutable network description: prices, money, and interest edges."""
+    """Immutable network description: prices, money, and interest edges.
+
+    Prices and money are ``Fraction``s, or all ints for an integer network,
+    whose max-flow answers in ints.
+    """
 
     p: tuple
     m: tuple
@@ -155,9 +165,9 @@ def build_network(inst, p) -> MarketNetwork:
     Buyer ``i`` carries ``1 + c_i / gamma_i`` where ``gamma_i`` is their best
     utility-per-price ratio, and the edges are the best-ratio pairs.
     """
-    p = tuple(Fraction(x) for x in p)
+    p = tuple([Fraction(x) for x in p])
     gamma, edges = bang_per_buck(inst.u, p)
-    money = tuple(1 + inst.c[i] / gamma[i] for i in range(inst.n))
+    money = tuple([1 + inst.c[i] / gamma[i] for i in range(inst.n)])
     return MarketNetwork(p, money, frozenset(edges))
 
 
@@ -199,7 +209,10 @@ class FlowResult:
     ``(buyers, goods)`` of frozensets.  ``residual`` holds the integer pair
     arcs ``(head, to, cap)`` the max-flow ended with, over nodes goods
     ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are
-    both read from it.  Only ``max_flow`` makes one, so the cut always
+    both read from it.  The value and pair flows are ints when every amount
+    of ``net`` is an int, ``Fraction``s otherwise.  Only ``max_flow`` runs
+    one, and ``balanced_flow`` divides its integer answer back into
+    ``Fraction``s with the cut and residual graph kept, so the cut always
     belongs to the flow.
     """
 
@@ -210,10 +223,10 @@ class FlowResult:
     residual: tuple = field(default=None, compare=False, repr=False)
 
     def allocation(self):
-        """Share ``x[i][j]`` of good ``j`` sold to buyer ``i``, 0 without flow."""
+        """Share ``x[i][j]`` of good ``j`` sold to buyer ``i`` as a ``Fraction``, 0 without flow."""
         x = [[Fraction(0)] * self.net.g for _ in range(self.net.n)]
         for (i, j), f in self.pair_flow.items():
-            x[i][j] = f / self.net.p[j]
+            x[i][j] = Fraction(f) / self.net.p[j]
         return x
 
     def residual_reach(self, start_buyers, reverse=False):
@@ -231,7 +244,11 @@ class FlowResult:
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
-    """Exact max-flow of the network; counts one ``"maxflows"`` and its ``"augments"``."""
+    """Exact max-flow of the network; counts one ``"maxflows"`` and its ``"augments"``.
+
+    Every capacity an int: the value and pair flows are ints.  Otherwise
+    they are ``Fraction``s.
+    """
     _count("maxflows")
 
     n, g = net.n, net.g
@@ -293,15 +310,16 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         raise FlowError(f"max-flow did not end within {bound} augmenting paths")
     _count("augments", augments)
 
+    ints = all(type(x) is int for x in (*net.p, *net.m))  # int capacities in, int flows out
     pair_flow = {}
     for k, (j, i) in enumerate(pairs):
         f = cap[2 * k + 1]  # reverse residual equals flow shipped
         if f:
-            pair_flow[(i, j)] = Fraction(f, scale)
+            pair_flow[(i, j)] = f if ints else Fraction(f, scale)
 
     residual = (head, to, cap)
     to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
     far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
                 frozenset(j for j in range(g) if j not in to_sink))
-    return FlowResult(Fraction(value, scale), pair_flow, far_side, net, residual)
+    return FlowResult(value if ints else Fraction(value, scale), pair_flow, far_side, net, residual)
 

@@ -125,7 +125,7 @@ class SolverState(Market):
     @property
     def money(self):
         one = Fraction(1)
-        return tuple(1 + c / gamma if c else one for c, gamma in zip(self.c, self.gamma))
+        return tuple([1 + c / gamma if c else one for c, gamma in zip(self.c, self.gamma)])
 
     def beta(self, i):
         return self.theta[i] - 1

@@ -130,7 +130,7 @@ MUTANTS = [
     dict(
         name="whole-flow-never-reused",
         file="balanced.py",
-        old="reuse = whole is not None and full and caps == net.m",
+        old="reuse = whole is not None and full and mult == 1 and caps == money",
         new="reuse = False",
         killer="tests/test_balanced.py::test_balanced_flow_that_cannot_sell_runs_the_split_rounds",
     ),
@@ -144,9 +144,40 @@ MUTANTS = [
     dict(
         name="gate-without-property1",
         file="balanced.py",
-        old="flow.value == target == sum(caps) and verify_property1(net, flow):",
-        new="flow.value == target == sum(caps):",
+        old="flow.value == target * mult == sum(caps) and verify_property1(",
+        new="flow.value == target * mult == sum(caps) and (lambda *_: True)(",
         killer="tests/test_balanced.py::test_gate_rejects_a_round_flow_that_fails_property1",
+    ),
+    # The integer hand-off: levels, caps and prices over scale * mult.
+    dict(
+        name="gate-target-without-mult",
+        file="balanced.py",
+        old="flow.value == target * mult == sum(caps)",
+        new="flow.value == target == sum(caps)",
+        killer="tests/test_balanced.py::test_balanced_flow_splits_contested_good_evenly",
+    ),
+    dict(
+        name="return-over-scale-without-mult",
+        file="balanced.py",
+        old="scale *= mult",
+        new="pass",
+        killer="tests/test_balanced.py::"
+               "test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow",
+    ),
+    dict(
+        name="round-caps-from-a-generator",
+        file="balanced.py",
+        old="caps = tuple([max(x * mult - t, 0) for x, t in zip(money, theta)])",
+        new="caps = tuple(max(x * mult - t, 0) for x, t in zip(money, theta))",
+        killer="tests/test_balanced.py::test_solves_hold_the_tuple_free_lists_steady",
+    ),
+    dict(
+        name="int-network-returns-fractions",
+        file="flownet.py",
+        old="ints = all(type(x) is int for x in (*net.p, *net.m))",
+        new="ints = False",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
     ),
     # The checkers' rejections (certify).
     dict(

@@ -1,8 +1,11 @@
 """Balanced flows: l2-minimal surpluses, their characterization, scaling."""
 
+import gc
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -157,9 +160,11 @@ def _stubbed_flow_core(monkeypatch, make_flow):
 def test_gate_rejects_a_round_flow_that_fails_property1(monkeypatch):
     # The guessed level 1/2 is right, and the stub's flow has the price
     # mass as its value and as the sum of the caps, but it pays the whole
-    # good to buyer 1, past its cap 1/2.  Only property 1 sees that.
-    net, lopsided = _unbalanced_shared_good()
-    ran = _stubbed_flow_core(monkeypatch, lambda net, real: replace(lopsided, net=net))
+    # good to buyer 1, past its cap (half the price).  Only property 1 sees
+    # that.  The stub pays in the units of the network it receives.
+    net, _ = _unbalanced_shared_good()
+    ran = _stubbed_flow_core(monkeypatch,
+                             lambda net, real: replace(real, pair_flow={(1, 0): net.p[0]}))
     with pytest.raises(balanced.BalanceError):
         balanced_flow(net)
     assert ran
@@ -510,6 +515,60 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
     for kind, seen in outcomes.items():
         assert len(seen) == 1 or 0 < seen.count("hits") < len(seen), kind
     assert set(sum(outcomes.values(), [])) == set(OUTCOMES)
+
+
+def test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow(monkeypatch):
+    # Levels, caps and prices go to the flow core as ints over one scale per
+    # round; the returned flow is rebuilt in Fractions once, and equals the
+    # recursion's field for field, its network included.
+    real_max_flow, handed = balanced.max_flow, []
+
+    def ints_only(net):
+        assert all(type(x) is int for x in (*net.p, *net.m)), net
+        handed.append(net)
+        return real_max_flow(net)
+
+    monkeypatch.setattr(balanced, "max_flow", ints_only)
+    rng = random.Random(31)
+    ref_net = None
+    wider = 0
+    for _, net, hint in _hinted_cases(rng, 400):
+        del handed[:]
+        flow, theta = balanced_flow(net, hint)
+        if net is not ref_net:
+            ref_net, (ref_flow, ref_theta) = net, reference_balanced_flow(net)
+        assert flow == ref_flow and theta == ref_theta
+        assert all(type(x) is Fraction for x in (flow.value, *flow.pair_flow.values(), *theta))
+        assert handed
+        # A level whose denominator does not divide the scale widens the integers.
+        scale = lcm(*[x.denominator for x in (*net.p, *net.m)])
+        wider += any(scale % t.denominator for t in theta)
+    assert wider > 100
+
+
+def test_solves_hold_the_tuple_free_lists_steady():
+    # The solve path builds its tuples from lists.  A tuple built from a
+    # generator is allocated at a guessed size and resized, so on CPython
+    # 3.11 it leaves one size's free list for another's each time, and the
+    # allocator grows by a block each time until that list holds 2000
+    # (about 45 blocks per 12x12 solve with the rounds' caps so built).  A full collection empties the free
+    # lists first, and none runs while the solves are counted.
+    if sys.implementation.name != "cpython":
+        pytest.skip("sys.getallocatedblocks() counts CPython's allocator")
+    insts = [gen_random(12, 12, 1000, 1500, s) for s in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in insts:
+            solve(inst)
+        before = sys.getallocatedblocks()
+        for _ in range(5):
+            for inst in insts:
+                solve(inst)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 100
 
 
 def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):

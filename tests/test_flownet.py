@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -284,6 +285,41 @@ def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch)
     assert len(recorded) > 500
     for net, flow in recorded:
         assert _same_flow(flow, reference_max_flow(net))
+
+
+def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
+    # Every capacity times one positive integer: the pair arcs never bind,
+    # so the paths are the same, and an all-int network gets int flows.
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(2000):
+        net = _varied_network(rng)
+        if rng.random() < 1 / 3:
+            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
+                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            seen["restricted"] += 1
+        with counting() as tally:
+            want = max_flow(net)
+        assert type(want.value) is Fraction
+        scale = lcm(*[x.denominator for x in net.p + net.m])
+        for k in (1, 2, 6):
+            d = scale * k
+            ints = MarketNetwork(tuple([int(x * d) for x in net.p]),
+                                 tuple([int(x * d) for x in net.m]), net.edges)
+            with counting() as scaled_tally:
+                got = max_flow(ints)
+            assert type(got.value) is int and got.value == want.value * d
+            assert all(type(f) is int for f in got.pair_flow.values())
+            assert list(got.pair_flow.items()) == [(e, f * d) for e, f in want.pair_flow.items()]
+            assert got.far_side == want.far_side
+            assert scaled_tally == tally
+            shares = got.allocation()
+            assert shares == want.allocation()
+            assert all(type(x) is Fraction for row in shares for x in row)
+        seen["zero price"] += 0 in net.p
+        seen["180 bits"] += scale.bit_length() >= 180
+        seen["flow on 4+ pairs"] += len(want.pair_flow) >= 4
+    assert len(seen) == 4 and min(seen.values()) > 150, seen
 
 
 def test_max_flow_counts_its_augmenting_paths_once_per_call(monkeypatch):
