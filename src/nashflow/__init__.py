@@ -30,7 +30,7 @@ from .flownet import (
     counting,
     max_flow,
 )
-from .balanced import BalanceError, balanced_flow, scale_flow, surpluses, verify_property1
+from .balanced import BalanceError, balanced_flow, surpluses, verify_property1
 from .fisher import FisherError, fisher_equilibrium
 from .certify import (
     check_equilibrium,
@@ -99,7 +99,6 @@ __all__ = [
     "parse_instance",
     "parse_rational",
     "preprocess",
-    "scale_flow",
     "solution_to_json",
     "solve",
     "stage1",

@@ -20,8 +20,9 @@ compared by cross-multiplying numerators and denominators, and a
 
 The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
 the balanced flow and its surpluses, and the active buyers and goods, with
-one ``rebalance`` for every phase.  The kernel runs in two directions and
-under two kinds of budget:
+one ``rebalance`` for every phase.  It owns the edge rule, so a phase end
+re-derives nothing: the market's edges stay its best-ratio edges.  The
+kernel runs in two directions and under two kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
@@ -37,7 +38,8 @@ A fixed-budget run starts from provably small prices (every good priced at
 its best column utility times a common factor small enough that any single
 buyer could afford everything) and runs rising phases.  Surpluses never
 increase, the maximum surplus drops geometrically, and the run ends when
-every budget is exactly spent.
+every budget is exactly spent.  It rebuilds after each phase: a buyer that
+spends nothing can lose every edge to a rising move.
 """
 
 from __future__ import annotations
@@ -88,7 +90,15 @@ def _l2(theta):
 
 
 def _scale(market, block, goods, x):
-    """Multiply the block's prices by ``x`` and its buyers' best ratios by ``1/x``."""
+    """Multiply the block's prices by ``x`` and its buyers' best ratios by ``1/x``.
+
+    The move takes every edge with exactly one end in the block below best,
+    so it drops them; a dropped edge never carries flow (checked).
+    """
+    crossing = {(i, j) for (i, j) in market.edges if (i in block) != (j in goods)}
+    if any(e in market.flow.pair_flow for e in crossing):
+        raise FisherError("an edge cut from the block still carries flow")
+    market.edges -= crossing
     for j in goods:
         market.p[j] *= x
     for i in block:
@@ -96,23 +106,14 @@ def _scale(market, block, goods, x):
 
 
 def _block_goods(market, block, ascending):
-    """The block's goods; drops the edges that cross the block's boundary.
+    """The block's goods, read off the edges without changing them.
 
-    Rising, the block owns every good its buyers want, and outside buyers
-    lose their edges into those goods.  Falling, it owns only the goods no
-    outside buyer wants, and its buyers lose their edges to shared goods.  A
-    dropped edge never carries flow (checked).
+    Rising, every good its buyers want; falling, only those no outside one wants.
     """
     edges = market.edges
     goods = {j for (i, j) in edges if i in block}
-    if ascending:
-        crossing = {(i, j) for (i, j) in edges if j in goods and i not in block}
-    else:
+    if not ascending:
         goods -= {j for (i, j) in edges if i not in block}
-        crossing = {(i, j) for (i, j) in edges if i in block and j not in goods}
-    if any(e in market.flow.pair_flow for e in crossing):
-        raise FisherError("an edge cut from the block still carries flow")
-    edges -= crossing
     return goods
 
 
@@ -157,11 +158,12 @@ def _price_phase(market, block, ascending, stop):
     phase's buyer set and grows in place.  Each turn finds the next edge
     event and asks ``stop(x, block, goods, iteration)``, which may end the
     phase with an event of its own (``x`` is ``None`` when no edge can
-    tie).  Otherwise the block's prices move by ``x``, the tied edges join,
-    the flow is rebalanced, and the block absorbs every buyer the residual
-    graph connects to it: buyers that reach it when rising, buyers it
-    reaches when falling.  Returns ``(goods, iterations)``, counting turns
-    when rising (the stop turn included) and edge events when falling.
+    tie); the turn's pairs that tie at the prices it leaves join the edges,
+    with no rebalance.  Otherwise the block's prices move by ``x``, the tied edges
+    join, the flow is rebalanced, and the block absorbs every buyer the
+    residual graph connects to it: buyers that reach it when rising, buyers
+    it reaches when falling.  Returns ``(goods, iterations)``, counting
+    turns when rising (the stop turn included) and edge events when falling.
     """
     n, g = len(market.u), len(market.u[0])
     cap = 4 * g + 4 if ascending else 4 * n * g + 4
@@ -173,6 +175,8 @@ def _price_phase(market, block, ascending, stop):
         if x is not None and not (x > 1 if ascending else 0 < x < 1):
             raise FisherError("an edge event must move prices the phase's way")
         if stop(x, block, goods, iteration):
+            u, p, gamma = market.u, market.p, market.gamma
+            market.edges |= {(i, j) for (i, j) in pairs if u[i][j] == gamma[i] * p[j]}
             return goods, iteration if ascending else iteration - 1
         if iteration > cap:
             raise FisherError("price phase exceeded its iteration budget")
@@ -187,9 +191,11 @@ def _price_phase(market, block, ascending, stop):
 def _rebuild(market):
     """Best ratios and best-ratio edges of the active block, then a rebalance.
 
-    Goods outside the active block keep their prices: a group leaves it
-    only when no buyer left in it values the group's goods, so its buyers'
-    ratios and edges stay inside it without zeroing those prices.
+    Runs only at start prices, after a thaw and after a fixed-budget phase;
+    elsewhere the kernel keeps both exact.  Goods outside the active block
+    keep their prices: a group leaves it only when no buyer left in it
+    values the group's goods, so its buyers' ratios and edges stay inside
+    it without zeroing those prices.
     """
     buyers = sorted(market.active_buyers)
     try:
@@ -258,15 +264,16 @@ class _FixedBudgets(Market):
         """End the phase when some set of goods goes tight before the next edge.
 
         A descent over min cuts finds the tight factor, the largest factor on
-        the block's prices that keeps every good sellable, from the smaller of
-        ``x_edge`` and ``m(block) / p(goods)``: the block is closed and each
-        of its buyers keeps an edge into its goods, so their buyers are the
-        block.  A max-flow that leaves goods unsold moves it to the factor at
-        which the far-side goods cost the far-side buyers' money: a far-side
-        buyer with money is saturated and every good paying it is on the far
-        side, so these are the cut goods' buyers.  If all sells at ``x_edge``
-        with no block good on the far side, the edge event comes first after
-        one max-flow; otherwise the far side holds the maximal tight sets.
+        the block's prices that keeps every good sellable on the network the
+        move leaves, from the smaller of ``x_edge`` and ``m(block) /
+        p(goods)``: that network closes the block and each of its buyers
+        keeps an edge into its goods, so their buyers are the block.  A
+        max-flow that leaves goods unsold moves it to the factor at which the
+        far-side goods cost the far-side buyers' money: a far-side buyer with
+        money is saturated and every good paying it is on the far side, so
+        these are the cut goods' buyers.  If all sells at ``x_edge`` with no
+        block good on the far side, the edge event comes first after one
+        max-flow; otherwise the far side holds the maximal tight sets.
         """
         p, money = self.p, self.money
         mass = sum((p[j] for j in goods), Fraction(0))
@@ -275,7 +282,7 @@ class _FixedBudgets(Market):
         x = sum((money[i] for i in block), Fraction(0)) / mass
         if x_edge is not None and x_edge < x:
             x = x_edge
-        edges = frozenset(self.edges)
+        edges = frozenset(e for e in self.edges if (e[0] in block) == (e[1] in goods))
         for _ in range(len(p) + 3):
             prices = tuple([q * x if j in goods else q for j, q in enumerate(p)])
             res = max_flow(MarketNetwork(prices, money, edges))

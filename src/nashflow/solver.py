@@ -20,20 +20,14 @@ prices of the goods only they are interested in; each price drop either
 ties a new utility/price ratio (the network gains edges and the set grows)
 or exhausts outside interest, at which point the group is "frozen": set
 aside as its buyers and goods, provably able to reach surplus deficit < 0
-on its own.  Its prices and its buyers' best ratios then stay where it froze,
-since no later step moves a good or buyer outside the active block.  The run
-ends infeasible when the remaining buyers' deficits sum to a
-nonnegative value (their money cannot absorb their goods' prices no matter
-what), or feasible when every remaining deficit is negative.
+on its own.  The run ends infeasible when the remaining buyers' deficits sum
+to a nonnegative value (their money cannot absorb their goods' prices no
+matter what), or feasible when every remaining deficit is negative.
 
-On the feasible branch the frozen groups are restored.  Restoring at the
-literal freeze prices can leave a frozen buyer preferring some still-active
-good whose price dropped after the freeze, so each frozen group's prices are
-scaled down by a safe factor (newest group first) until every frozen buyer's
-best ratio stays strictly inside its own group; scaling a self-contained
-group scales its balanced flow and deficits by the same factor, preserving
-their negativity.  The reassembled prices make every deficit negative — a
-feasibility witness.
+On the feasible branch the frozen groups are restored, each group's prices
+scaled down (newest first) until its buyers' best ratios stay inside it
+(``_scale_frozen``); that scales its deficits too, keeping them negative.
+The reassembled prices make every deficit negative — a feasibility witness.
 
 Stage II walks prices up.  It picks the buyers with *maximum* surplus, whose
 goods sell to them alone, and raises that block's prices by the largest
@@ -45,10 +39,9 @@ surplus is zero the prices are the equilibrium.
 Every stage moves prices with the price-phase kernel of ``fisher``, falling
 in Stage I and rising in stage 0 and Stage II, and asserts its structural
 invariants as it goes; violations raise ``SolverError`` or ``FisherError``
-(a defect, never a property of the input).  Each rebalance guesses the
-balanced flow from the previous one and proves the guess with one max-flow,
-repairs a failed guess from its flow's min cut, and only when the repair
-gives up splits classes, starting from one max-flow of the whole network.
+(a defect, never a property of the input).  The kernel keeps ratios and
+edges exact, so ``_rebuild`` runs only at stage 0's start and after a thaw;
+each rebalance is a ``balanced_flow`` hinted with the previous flow.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
@@ -144,12 +137,11 @@ def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverS
     """Stage 0: the fixed-budget equilibrium at unit money, then flexible budgets.
 
     With every ``c_i`` at 0 each budget is 1, so Stage II's rising loop
-    (``_rise``) runs the fixed-budget market from its start prices to its
-    equilibrium; it counts its phases in ``stats["fisher_phases"]`` and
+    (``_rise``) runs the fixed-budget market from its start prices, rebuilt
+    there, to its equilibrium; it counts its phases in ``stats["fisher_phases"]`` and
     records nothing else.  Then ``c`` becomes the instance's and the market
-    is rebalanced, hinted with surpluses ``c_i / gamma_i``: the loop's last
-    rebuild already found the ratios ``gamma`` and the edges at these
-    prices, and the equilibrium flow spends every unit budget, so under the
+    is rebalanced, hinted with surpluses ``c_i / gamma_i``: the kernel kept
+    the ratios ``gamma`` and the edges exact at these prices, and the equilibrium flow spends every unit budget, so under the
     new budgets it leaves exactly that surplus.  The state keeps a ``trace``
     only under ``collect_trace`` and holds ``None`` there otherwise.
     """
@@ -190,8 +182,6 @@ def stage1(state: SolverState) -> str:
         if guard > _phase_cap(state.inst):
             raise SolverError("stage I exceeded its phase safety cap")
         _stage1_phase(state)
-        if state.active_buyers:  # else ``_restore`` rebuilds the whole market next
-            _rebuild(state)
     _trace(state, stage=1, type="verdict", verdict=verdict)
     if verdict == "feasible":
         _restore(state)
@@ -221,6 +211,7 @@ def _stage1_phase(state):
         if not target_goods:
             raise SolverError("a deficit group must hold at least one good")
         state.frozen.append((frozenset(target), frozenset(target_goods)))
+        state.edges -= {e for e in state.edges if e[0] in target}
         state.active_buyers -= target
         state.active_goods -= target_goods
         _trace(
@@ -231,6 +222,8 @@ def _stage1_phase(state):
         {"iterations": iterations, "phi_start": phi_start, "phi_end": _phi1(state),
          "reason": reason}
     )
+    if adaptable and state.active_buyers:  # a stop without a freeze moves no price
+        state.rebalance()
 
 
 def _phi1(state):
@@ -243,8 +236,8 @@ def _phi1(state):
 def _restore(state):
     """Bring frozen groups back at safely scaled prices; verify the witness.
 
-    With nothing frozen, Stage I's last rebuild already covers the whole
-    market, so the state is left as it is.
+    The scaling moves prices outside the kernel, so the thawed market is
+    rebuilt.  With nothing frozen, the state is left as it is.
     """
     inst = state.inst
     if state.frozen:
@@ -292,9 +285,9 @@ def _scale_frozen(state, p):
 def stage2(state: SolverState):
     """Raise prices from the feasibility witness to the equilibrium.
 
-    Expects the state ``stage1`` leaves on its feasible branch, rebuilt over
-    the whole market; each phase is followed by one rebuild.  Returns
-    ``(p, x, v)`` over the preprocessed instance's indices.
+    Expects the state ``stage1`` leaves on its feasible branch, balanced over
+    the whole market.  Returns ``(p, x, v)`` over the preprocessed
+    instance's indices.
     """
     inst = state.inst
     state.stage = 2
@@ -308,10 +301,10 @@ def stage2(state: SolverState):
 
 
 def _rise(state):
-    """Rising phases, each followed by one rebuild, until every surplus is 0.
+    """Rising phases, each followed by one rebalance, until every surplus is 0.
 
-    Stage 0 and Stage II both run this loop; its errors name the stage.
-    Returns the number of phases.
+    The kernel leaves ratios and edges exact.  Stage 0 and Stage II both run
+    this loop; its errors name the stage.  Returns the number of phases.
     """
     name = "stage II" if state.stage else "stage 0"
     phases = 0
@@ -322,7 +315,7 @@ def _rise(state):
         if phases > _phase_cap(state.inst):
             raise SolverError(f"{name} exceeded its phase safety cap")
         _stage2_phase(state, name)
-        _rebuild(state)
+        state.rebalance()
     return phases
 
 
@@ -340,8 +333,8 @@ def _stage2_phase(state, name):
         if x_edge is not None and x_edge < stretch:
             return False
         tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
-        state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
         _scale(state, block, goods, stretch)
+        state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
         for i in tight_buyers:
             if state.theta[i] != 0:
                 raise SolverError(f"{name} tight buyers must end with zero surplus")

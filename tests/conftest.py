@@ -196,6 +196,11 @@ def _reference_solve(buyers, goods, net, theta):
 # factor and tight sets of that stop and of the solver's stage 0 with.
 
 
+def closed_edges(edges, block, goods):
+    """``edges`` without those a move of the block drops: exactly one end in it."""
+    return {(i, j) for (i, j) in edges if (i in block) == (j in goods)}
+
+
 def reference_first_tight(p, money, edges, target):
     """Largest uniform factor on the target goods' prices keeping all goods sellable.
 

@@ -73,6 +73,37 @@ MUTANTS = [
         new="if False:",
         killer="tests/test_fisher.py::test_rebalance_rejects_an_active_good_that_no_longer_sells",
     ),
+    # The edge rule: the kernel's move (fisher._scale), its stop
+    # (fisher._price_phase) and Stage I's freeze (solver._stage1_phase) keep
+    # the market's edges its best-ratio edges.
+    dict(
+        name="stop-without-tied-pairs",
+        file="fisher.py",
+        old="market.edges |= {(i, j) for (i, j) in pairs if u[i][j] == gamma[i] * p[j]}",
+        new="pass",
+        killer="tests/test_solver.py::test_phase_ends_leave_the_market_on_its_best_ratio_edges",
+    ),
+    dict(
+        name="move-keeps-crossing-edges",
+        file="fisher.py",
+        old="market.edges -= crossing",
+        new="pass",
+        killer="tests/test_solver.py::test_phase_ends_leave_the_market_on_its_best_ratio_edges",
+    ),
+    dict(
+        name="tight-search-on-crossing-edges",
+        file="fisher.py",
+        old="edges = frozenset(e for e in self.edges if (e[0] in block) == (e[1] in goods))",
+        new="edges = frozenset(self.edges)",
+        killer="tests/test_fisher.py::test_tight_search_matches_the_reference_descent",
+    ),
+    dict(
+        name="freeze-keeps-frozen-edges",
+        file="solver.py",
+        old="state.edges -= {e for e in state.edges if e[0] in target}",
+        new="pass",
+        killer="tests/test_solver.py::test_phase_ends_leave_the_market_on_its_best_ratio_edges",
+    ),
     # The fixed-budget tight stop (fisher._FixedBudgets) and the rising
     # loop's stop (solver._stage2_phase).
     dict(
@@ -178,6 +209,57 @@ MUTANTS = [
         new="ints = False",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
+    ),
+    # Input validation (instance.make_instance, instance.parse_instance).
+    dict(
+        name="ragged-rows-accepted",
+        file="instance.py",
+        old="if len(row) != width:",
+        new="if False:",
+        killer="tests/test_instance.py::test_parse_instance_rejects_malformed",
+    ),
+    dict(
+        name="bool-utilities-accepted",
+        file="instance.py",
+        old="if isinstance(entry, bool) or not isinstance(entry, int):",
+        new="if not isinstance(entry, int):",
+        killer="tests/test_instance.py::test_parse_instance_rejects_malformed",
+    ),
+    dict(
+        name="negative-payoffs-accepted",
+        file="instance.py",
+        old="if ci < 0:",
+        new="if False:",
+        killer="tests/test_instance.py::test_parse_instance_rejects_malformed",
+    ),
+    dict(
+        name="unknown-keys-accepted",
+        file="instance.py",
+        old="if extra:",
+        new="if False:",
+        killer="tests/test_instance.py::test_parse_instance_rejects_malformed",
+    ),
+    # Claim parsing for ``nashflow check`` (cli._check_claim and helpers).
+    dict(
+        name="claim-memo-keys-every-value",
+        file="cli.py",
+        old="if isinstance(v, str):",
+        new="if True:",
+        killer="tests/test_cli.py::test_malformed_input_exits_one_without_traceback",
+    ),
+    dict(
+        name="bool-index-accepted",
+        file="cli.py",
+        old="if isinstance(value, bool) or not isinstance(value, int):",
+        new="if not isinstance(value, int):",
+        killer="tests/test_cli.py::test_malformed_input_exits_one_without_traceback",
+    ),
+    dict(
+        name="claim-object-unchecked",
+        file="cli.py",
+        old="if not isinstance(value, dict):",
+        new="if False:",
+        killer="tests/test_cli.py::test_malformed_input_exits_one_without_traceback",
     ),
     # The checkers' rejections (certify).
     dict(

@@ -10,6 +10,7 @@ from math import lcm
 import pytest
 
 import nashflow.balanced as balanced
+from nashflow.balanced import scale_flow
 from nashflow import (
     FlowResult,
     MarketNetwork,
@@ -18,7 +19,6 @@ from nashflow import (
     counting,
     gen_random,
     max_flow,
-    scale_flow,
     solve,
     surpluses,
     verify_property1,

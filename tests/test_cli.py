@@ -386,6 +386,10 @@ def test_invalid_instance_exits_one(run, tmp_path):
                      '{"verdict":"feasible","p":["1","1"],"x":[[1,true]],"v":["1"]}',
                      id="bool-after-int-one"),
         pytest.param(["solve"], '{"u":[[1]],"c":["1e10000000"]}', None, id="exponent-payoff"),
+        # ``true`` is not buyer 1, though it indexes the zero row as 1 would.
+        pytest.param(["check"], '{"u":[[1],[0]],"c":["0","0"]}',
+                     '{"verdict":"infeasible","certificate":{"convex_dual":{"zero_row":true}}}',
+                     id="bool-zero-row"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(run, tmp_path, argv, instance, solution):

@@ -20,6 +20,7 @@ from nashflow import (
 from nashflow import fisher, solver
 from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
 from conftest import (
+    closed_edges,
     measure_l1_vs_l2,
     random_ratio_case,
     reference_first_tight,
@@ -202,13 +203,15 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
     # logs the reference's factor and its maximal tight sets, ties included.
     # An edge event that comes before L = min m_i / spent_i over the block is
     # "certified": the block's flow scaled to the edge factor still fits
-    # every budget, so the tight factor cannot come first.
+    # every budget, so the tight factor cannot come first.  The reference
+    # searches the network the move leaves: without the outside buyers'
+    # edges into the block's goods.
     stop = _FixedBudgets.stop_at_tight
     seen = Counter()
 
     def checked(market, x_edge, block, goods, iteration):
         x_ref, buyers_ref, goods_ref = reference_first_tight(
-            market.p, market.money, market.edges, goods
+            market.p, market.money, closed_edges(market.edges, block, goods), goods
         )
         spent = Counter()
         for (i, j), f in market.flow.pair_flow.items():
@@ -252,15 +255,17 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
     # over min cuts.  At unit money both must reach the same prices in the
     # same number of phases, and every stage-0 tight event must sit at the
     # reference descent's factor with its tight sets inside the maximal ones.
+    # The move is checked as it starts, so the reference leaves out the edges
+    # it drops, and the tight buyers are those whose surplus it takes to 0.
     scale, seen = solver._scale, Counter()
 
     def checked(state, block, goods, x):
         assert set(state.money) == {1}
         x_ref, buyers_ref, goods_ref = reference_first_tight(
-            state.p, state.money, state.edges, goods
+            state.p, state.money, closed_edges(state.edges, block, goods), goods
         )
         assert x == x_ref
-        tight = {i for i in block if state.theta[i] == 0}
+        tight = {i for i in block if x * state.beta(i) == -1}
         assert tight and tight <= buyers_ref
         assert {j for (i, j) in state.flow.pair_flow if i in tight and j in goods} <= goods_ref
         seen["tight"] += 1

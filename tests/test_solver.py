@@ -1,6 +1,7 @@
 """Two-stage exact solver: state setup, both stages, end-to-end solve."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nashflow import (
     MarketNetwork,
     balanced_flow,
+    bang_per_buck,
     check_equilibrium,
     check_feasibility_witness,
     check_kkt,
@@ -18,7 +20,6 @@ from nashflow import (
     max_flow,
     maxflow_budget,
     preprocess,
-    scale_flow,
     solution_to_json,
     solve,
     SolverError,
@@ -29,6 +30,7 @@ from nashflow import (
     verify_lp_dual,
 )
 from nashflow import solver
+from nashflow.balanced import scale_flow
 from nashflow.fisher import _block_goods, _next_tie
 from conftest import (
     scalar_feasible,
@@ -428,6 +430,36 @@ def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
     assert len(calls) > 1000
 
 
+def test_phase_ends_leave_the_market_on_its_best_ratio_edges(monkeypatch):
+    # The price-phase kernel keeps the market's edges exact, so no phase end
+    # re-derives them: after every stage-0, Stage I and Stage II phase,
+    # ``bang_per_buck`` over the active buyers returns exactly the market's
+    # ratios and edges.  That needs the pairs that tie at a rising stop, the
+    # edges a Stage I phase keeps when its stop moves no price, and no edge
+    # of a frozen buyer.
+    ends = []
+
+    def checked(phase):
+        def wrapped(state, *args):
+            phase(state, *args)
+            buyers = sorted(state.active_buyers)
+            gamma, pairs = bang_per_buck([state.u[i] for i in buyers], state.p)
+            where = (state.inst.u, state.inst.c, state.stage)
+            assert gamma == [state.gamma[i] for i in buyers], where
+            assert {(buyers[k], j) for (k, j) in pairs} == state.edges, where
+            ends.append(state.stage)
+        return wrapped
+
+    for name in ("_stage1_phase", "_stage2_phase"):
+        monkeypatch.setattr(solver, name, checked(getattr(solver, name)))
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    for shape in shapes:
+        solve(gen_random(*shape))
+    assert ends.count(0) > 500 and ends.count(1) > 40 and ends.count(2) > 250, Counter(ends)
+
+
 def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
     rebalance = SolverState.rebalance
     sizes = []
@@ -444,37 +476,54 @@ def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
     assert len(sizes) > 900 and 0 not in sizes
 
 
-def test_market_is_rebuilt_once_per_phase_and_after_a_thaw(monkeypatch):
-    # Stage 0 rebuilds at its start prices and after each of its phases, and
-    # only rebalances when the instance's c takes over.  Then one rebuild
-    # follows each phase of Stages I and II, but none a Stage I phase that
-    # freezes every remaining buyer.  The restore rebuilds only when it brings
-    # frozen groups back: otherwise Stage I's last rebuild already holds the
-    # whole market.
-    rebuild = solver._rebuild
-    calls = []
+def test_market_is_rebuilt_at_the_start_and_after_a_thaw(monkeypatch):
+    # ``_rebuild`` re-derives the ratios and edges only at stage 0's start
+    # prices and when the restore brings frozen groups back: the price-phase
+    # kernel keeps them exact everywhere else.  Outside the kernel and those
+    # rebuilds the market rebalances once after each rising phase (stage 0
+    # and Stage II), once when the instance's c takes over, and once after
+    # each Stage I freeze that leaves some buyer active; a Stage I phase that
+    # freezes nothing ends on the network it has just balanced.
+    rebuild, rebalance, phase = solver._rebuild, SolverState.rebalance, solver._price_phase
+    depth = [0]
+    rebuilds, rebalances = [], []
+
+    def nested(fn, calls=None):
+        def wrapped(state, *args):
+            if calls is not None:
+                calls.append(state)
+            depth[0] += 1
+            try:
+                return fn(state, *args)
+            finally:
+                depth[0] -= 1
+        return wrapped
 
     def counted(state):
-        calls.append(state)
-        rebuild(state)
+        if not depth[0]:
+            rebalances.append(state)
+        rebalance(state)
 
-    monkeypatch.setattr(solver, "_rebuild", counted)
+    monkeypatch.setattr(solver, "_rebuild", nested(rebuild, rebuilds))
+    monkeypatch.setattr(solver, "_price_phase", nested(phase))
+    monkeypatch.setattr(SolverState, "rebalance", counted)
     seen = set()
     for seed in range(525):
-        calls.clear()
+        rebuilds.clear()
+        rebalances.clear()
         inst = gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed)
         sol = solve(inst, collect_trace=True)
         detail = sol.stats.get("detail")
         if detail is None:
-            assert calls == []
+            assert rebuilds == rebalances == []
             continue
-        froze = any(ph["reason"] == "isolated" for ph in detail["stage1_phases"])
-        thawed = sol.verdict == "feasible" and froze
+        freezes = sum(ph["reason"] == "isolated" for ph in detail["stage1_phases"])
+        thawed = sol.verdict == "feasible" and freezes > 0
         emptied = sum(len(e["buyers"]) for e in sol.trace if e["type"] == "freeze") == inst.n
-        phases = len(detail["stage1_phases"]) + len(detail["stage2_phases"])
-        expected = 1 + detail["fisher_phases"] + phases - emptied + thawed
-        assert len(calls) == expected, seed
-        seen.add((sol.verdict, froze, emptied))
+        assert len(rebuilds) == 1 + thawed, seed
+        expected = detail["fisher_phases"] + 1 + freezes - emptied + len(detail["stage2_phases"])
+        assert len(rebalances) == expected, seed
+        seen.add((sol.verdict, freezes > 0, emptied))
     assert {("feasible", True, True), ("feasible", False, False), ("infeasible", True, False)} <= seen
 
 
@@ -494,8 +543,9 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
     # At a tight event the rising loop moves the block's surpluses by formula
     # instead of recomputing the balanced flow, in stage 0 (every budget 1)
     # and in Stage II.  Each update must equal the balanced surpluses of the
-    # scaled network, built here from the state the update was called on
-    # (before its prices move).
+    # scaled network, built here from the state the update was called on:
+    # its prices have just moved, and undoing the move gives back the
+    # network whose balanced surpluses the update starts from.
     states = []
     calls = []
     phase = solver._stage2_phase
@@ -508,8 +558,8 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         updated = scale_flow(edges, theta, x, buyers, goods)
         state = states[-1]
         net = MarketNetwork(tuple(state.p), state.money, frozenset(edges))
-        assert balanced_flow(net)[1] == tuple(theta)
-        _, expected = balanced_flow(scaled_network(net, x, buyers, goods))
+        assert balanced_flow(scaled_network(net, 1 / x, buyers, goods))[1] == tuple(theta)
+        _, expected = balanced_flow(net)
         assert updated == expected, (state.inst.u, state.inst.c, x)
         calls.append(state.stage)
         return updated
