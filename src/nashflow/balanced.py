@@ -220,23 +220,52 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     raise BalanceError("balanced-flow split rounds did not end")
 
 
-def scale_flow(edges, theta, x, buyers, goods):
-    """Surpluses after a closed block's prices and budgets scale by ``x``.
+def scale_flow(flow, theta, x, buyers, goods, net):
+    """A closed block's balanced flow and surpluses after its prices scale by ``x``.
 
-    Buyer budgets here are flexible, of the form ``m_i = 1 + alpha_i``.
-    Multiplying the block's prices by ``x`` turns each block budget into
-    ``1 + x*alpha_i`` and the block's balanced flow, scaled by ``x``, is
-    again a balanced max-flow of the scaled network, so each block surplus
-    moves to ``1 + x*(theta_i - 1)`` and every other surplus stays.  The
-    block must be closed: no interest edge may cross its boundary
-    (checked).  This is the rising loop's surplus update at a tight event,
-    in the solver's stage 0 and Stage II; it keeps its name because
-    ``perfbench/tracing.py`` wraps ``scale_flow`` where ``solver`` binds it
-    and the benchmark reports it as a layer.
+    ``flow`` and ``theta`` are the balanced flow and surpluses before the
+    move and ``net`` is the network after it.  Budgets are flexible, of the
+    form ``m_i = 1 + alpha_i``: multiplying the block's prices by ``x`` turns
+    each block budget into ``1 + x*alpha_i``, so each block surplus moves to
+    ``1 + x*(theta_i - 1)`` and every other surplus stays.  The block must be
+    closed in ``net``: no interest edge may cross its boundary (checked).
+    This is the rising loop's update at a tight event, in the solver's stage
+    0 and Stage II; ``perfbench/tracing.py`` wraps ``scale_flow`` where
+    ``solver`` binds it and the benchmark reports it as a layer.
 
-    Returns the new surplus tuple.
+    When ``flow``'s network has the edges of ``net``, the block was closed
+    there too and is a union of its components.  Edmonds-Karp runs component
+    by component, and a positive factor on one component's capacities keeps
+    its paths, so the balanced flow of ``net`` is ``flow`` with the block's
+    pair flows times ``x``.  It keeps ``flow``'s cut and residual graph: the
+    edges are the same, and a factor ``x > 0`` changes no arc's sign.  The
+    scaled flow skips the max-flow but not the proof: it must pass
+    ``balanced_flow``'s gate in integers over one common scale, its value the
+    price mass and the caps' sum and property 1 over the full budgets.  When
+    the edges differ (the move dropped edges of ``flow``'s network, which can
+    reroute Edmonds-Karp outside the block), ``flow`` is returned as it is,
+    for the caller to rebalance.
+
+    Returns ``(flow, theta)``.
     """
-    for (i, j) in edges:
+    for (i, j) in net.edges:
         if (i in buyers) != (j in goods):
             raise BalanceError(f"edge ({i},{j}) crosses the scaled block")
-    return tuple([1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta)])
+    theta = tuple([1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta)])
+    if net.edges != flow.net.edges:
+        return flow, theta
+    pair_flow = {e: f * x if e[0] in buyers else f for e, f in flow.pair_flow.items()}
+    amounts = (*net.p, *net.m, *theta, *pair_flow.values())
+    scale = lcm(*[a.denominator for a in amounts])
+    ints = [a.numerator * (scale // a.denominator) for a in amounts]
+    g, n = net.g, net.n
+    price, money, paid = ints[:g], ints[g:g + n], ints[g + 2 * n:]
+    caps = [m - t for m, t in zip(money, ints[g + n:g + 2 * n])]
+    value = sum(paid)
+    whole = MarketNetwork(tuple(price), tuple(money), net.edges)
+    if not (value == sum(price) == sum(caps) and verify_property1(
+            whole, FlowResult(value, dict(zip(pair_flow, paid)), flow.far_side, whole))):
+        raise BalanceError("a scaled balanced flow fails the gate")
+    m = tuple([Fraction(c, scale) for c in caps])
+    return (FlowResult(Fraction(value, scale), pair_flow, flow.far_side, replace(net, m=m),
+                       flow.residual), theta)

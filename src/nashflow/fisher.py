@@ -20,16 +20,20 @@ compared by cross-multiplying numerators and denominators, and a
 
 The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
 the balanced flow and its surpluses, and the active buyers and goods, with
-one ``rebalance`` for every phase.  It owns the edge rule, so a phase end
-re-derives nothing: the market's edges stay its best-ratio edges.  The
-kernel runs in two directions and under two kinds of budget:
+one ``rebalance`` for every edge event.  It owns the edge rule, so a phase
+end re-derives nothing: the market's edges stay its best-ratio edges, and a
+caller rebalances at a phase end only where the phase changed the network
+its flow is balanced on.  The kernel runs in two directions and under two
+kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
   of goods becomes exactly as expensive as all the money its buyers hold (a
   tight event, found by a descent over min cuts from the next edge factor);
 * rising, flexible budgets ``m_i = 1 + c_i/gamma_i`` (stage 0 and Stage II
-  in ``solver``): the phase stops when a block deficit would reach zero;
+  in ``solver``): the phase stops when a block deficit would reach zero,
+  and the stop scales the closed block's balanced flow with its prices
+  (``balanced.scale_flow``);
 * falling, flexible budgets (Stage I in ``solver``): the block is the
   buyers with the most negative deficit and the goods only they want; the
   phase stops when no outside buyer can tie or a deficit reaches zero.
@@ -213,8 +217,9 @@ class Market:
 
     A subclass supplies the budgets ``money`` and ``log(event, iteration,
     **fields)``.  A rebalance assigns a new ``flow`` and ``theta``, leaving
-    the old ones as they were.  ``trace`` is the event log, or ``None`` when
-    the market keeps none.
+    the old ones as they were; ``flow.net`` is the network the flow is
+    balanced on.  ``trace`` is the event log, or ``None`` when the market
+    keeps none.
     """
 
     def __init__(self, u, p):
@@ -226,6 +231,14 @@ class Market:
         self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
         self.trace = None
 
+    def network(self):
+        """The active sub-market's network: prices, budgets and edges."""
+        buyers, goods = self.active_buyers, self.active_goods
+        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
+        if len(buyers) < len(self.u) or len(goods) < len(self.p):
+            net = net.sub(buyers, goods)
+        return net
+
     def rebalance(self):
         """Balanced flow of the active sub-market under the market's budgets.
 
@@ -235,10 +248,7 @@ class Market:
         theirs, and every active good must still sell in full.
         """
         buyers, goods = self.active_buyers, self.active_goods
-        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
-        if len(buyers) < len(self.u) or len(goods) < len(self.p):
-            net = net.sub(buyers, goods)
-        self.flow, theta = balanced_flow(net, (self.flow, self.theta))
+        self.flow, theta = balanced_flow(self.network(), (self.flow, self.theta))
         self.theta = [theta[i] if i in buyers else t for i, t in enumerate(self.theta)]
         if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):
             raise FisherError("active goods can no longer fully sell")

@@ -210,10 +210,14 @@ class FlowResult:
     arcs ``(head, to, cap)`` the max-flow ended with, over nodes goods
     ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are
     both read from it.  The value and pair flows are ints when every amount
-    of ``net`` is an int, ``Fraction``s otherwise.  Only ``max_flow`` runs
-    one, and ``balanced_flow`` divides its integer answer back into
-    ``Fraction``s with the cut and residual graph kept, so the cut always
-    belongs to the flow.
+    of ``net`` is an int, ``Fraction``s otherwise.  Three functions make
+    one: ``max_flow`` runs it, ``balanced_flow`` divides its integer answer
+    back into ``Fraction``s with the cut and residual graph kept, and
+    ``scale_flow`` multiplies a closed block's pair flows by a factor
+    ``x > 0``.  The scaled flow keeps its parent's cut and residual graph,
+    whose integers are over the parent's scale: the edges are the same and
+    no arc changes sign, and only the signs of the residual rooms are read.
+    So the cut always belongs to the flow.
     """
 
     value: Fraction

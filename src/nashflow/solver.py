@@ -41,7 +41,10 @@ in Stage I and rising in stage 0 and Stage II, and asserts its structural
 invariants as it goes; violations raise ``SolverError`` or ``FisherError``
 (a defect, never a property of the input).  The kernel keeps ratios and
 edges exact, so ``_rebuild`` runs only at stage 0's start and after a thaw;
-each rebalance is a ``balanced_flow`` hinted with the previous flow.
+each rebalance is a ``balanced_flow`` hinted with the previous flow.  A
+rising phase's stop scales a closed block, and with it the block's balanced
+flow (``scale_flow``); the phase keeps that flow, with no rebalance, when
+the market's edges are still those of the last balanced network.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
@@ -301,10 +304,16 @@ def stage2(state: SolverState):
 
 
 def _rise(state):
-    """Rising phases, each followed by one rebalance, until every surplus is 0.
+    """Rising phases until every surplus is 0; returns the number of phases.
 
-    The kernel leaves ratios and edges exact.  Stage 0 and Stage II both run
-    this loop; its errors name the stage.  Returns the number of phases.
+    The kernel leaves ratios and edges exact.  Each phase ends in one
+    rebalance or keeps the scaled flow of its stop: it keeps it exactly when
+    the market's edges equal the edges of the last balanced network, which
+    is the scaled flow's.  Then the stop neither dropped an edge crossing
+    the block nor added a tied pair, so the block was closed in that network
+    too, and the scaled flow is the Edmonds-Karp flow a rebalance would
+    find.  Stage 0 and Stage II both run this loop; its errors name the
+    stage.
     """
     name = "stage II" if state.stage else "stage 0"
     phases = 0
@@ -315,7 +324,8 @@ def _rise(state):
         if phases > _phase_cap(state.inst):
             raise SolverError(f"{name} exceeded its phase safety cap")
         _stage2_phase(state, name)
-        state.rebalance()
+        if state.edges != state.flow.net.edges:
+            state.rebalance()
     return phases
 
 
@@ -334,7 +344,9 @@ def _stage2_phase(state, name):
             return False
         tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
         _scale(state, block, goods, stretch)
-        state.theta = list(scale_flow(state.edges, state.theta, stretch, block, goods))
+        state.flow, theta = scale_flow(state.flow, state.theta, stretch, block, goods,
+                                       state.network())
+        state.theta = list(theta)
         for i in tight_buyers:
             if state.theta[i] != 0:
                 raise SolverError(f"{name} tight buyers must end with zero surplus")

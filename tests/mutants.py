@@ -179,6 +179,43 @@ MUTANTS = [
         new="flow.value == target * mult == sum(caps) and (lambda *_: True)(",
         killer="tests/test_balanced.py::test_gate_rejects_a_round_flow_that_fails_property1",
     ),
+    # The closed form at a rising stop (balanced.scale_flow) and the phase
+    # end that keeps it (solver._rise).
+    dict(
+        name="scaled-flow-on-a-subset-of-edges",
+        file="balanced.py",
+        old="if net.edges != flow.net.edges:",
+        new="if not net.edges <= flow.net.edges:",
+        killer="tests/test_solver.py::test_a_stop_that_dropped_an_edge_rebalances",
+    ),
+    dict(
+        name="scaled-flow-kept-after-tied-pairs",
+        file="solver.py",
+        old="if state.edges != state.flow.net.edges:",
+        new="if not state.edges >= state.flow.net.edges:",
+        killer="tests/test_solver.py::test_every_kept_scaled_flow_is_the_rebalance_it_replaces",
+    ),
+    dict(
+        name="scaled-flow-block-left-unscaled",
+        file="balanced.py",
+        old="pair_flow = {e: f * x if e[0] in buyers else f for e, f in flow.pair_flow.items()}",
+        new="pair_flow = dict(flow.pair_flow)",
+        killer="tests/test_solver.py::test_a_stop_that_dropped_an_edge_rebalances",
+    ),
+    dict(
+        name="scaled-flow-gate-without-value",
+        file="balanced.py",
+        old="if not (value == sum(price) == sum(caps) and verify_property1(",
+        new="if not (verify_property1(",
+        killer="tests/test_balanced.py::test_scale_flow_rejects_a_scaled_flow_that_sells_short",
+    ),
+    dict(
+        name="scaled-flow-gate-without-property1",
+        file="balanced.py",
+        old="== sum(caps) and verify_property1(\n            whole,",
+        new="== sum(caps) and (lambda *_: True)(\n            whole,",
+        killer="tests/test_balanced.py::test_scale_flow_rejects_a_scaled_flow_that_fails_property1",
+    ),
     # The integer hand-off: levels, caps and prices over scale * mult.
     dict(
         name="gate-target-without-mult",

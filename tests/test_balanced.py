@@ -592,33 +592,69 @@ def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
 
 def test_scale_flow_up_reaches_the_equilibrium():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    _, theta = balanced_flow(net)
+    flow, theta = balanced_flow(net)
     assert theta == (Fraction(1, 2),)
-    stheta = scale_flow(net.edges, theta, Fraction(2), {0}, {0})
-    assert stheta == (Fraction(0),)
     # The scaled network is the market at the doubled price.
     scaled = scaled_network(net, Fraction(2), {0}, {0})
     assert scaled == build_network(scalar_feasible(), [Fraction(2)])
     assert (scaled.p, scaled.m) == ((Fraction(2),), (Fraction(2),))
-    assert balanced_flow(scaled)[1] == stheta
+    sflow, stheta = scale_flow(flow, theta, Fraction(2), {0}, {0}, scaled)
+    assert stheta == (Fraction(0),)
+    assert (sflow, stheta) == balanced_flow(scaled)
 
 
 def test_scale_flow_down_grows_the_surplus():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    _, theta = balanced_flow(net)
-    stheta = scale_flow(net.edges, theta, Fraction(1, 2), {0}, {0})
-    assert stheta == (Fraction(3, 4),)
+    flow, theta = balanced_flow(net)
     scaled = scaled_network(net, Fraction(1, 2), {0}, {0})
     assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
+    sflow, stheta = scale_flow(flow, theta, Fraction(1, 2), {0}, {0}, scaled)
+    assert stheta == (Fraction(3, 4),)
+    assert sflow.pair_flow == {(0, 0): Fraction(1, 2)} and sflow.net.m == (Fraction(1, 2),)
 
 
 def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
     net = build_network(scalar_feasible(), [Fraction(1)])
-    _, theta = balanced_flow(net)
+    flow, theta = balanced_flow(net)
     for x in (Fraction(3, 2), Fraction(2), Fraction(1, 3)):
-        stheta = scale_flow(net.edges, theta, x, {0}, {0})
-        _, direct = balanced_flow(scaled_network(net, x, {0}, {0}))
-        assert stheta == direct
+        scaled = scaled_network(net, x, {0}, {0})
+        assert scale_flow(flow, theta, x, {0}, {0}, scaled) == balanced_flow(scaled)
+
+
+def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_graph():
+    # Two components; scaling the second leaves the first's pair flows alone
+    # and gives the balanced flow of the scaled network, cut and residual
+    # reach included, without a max-flow.
+    net = MarketNetwork((Fraction(1), Fraction(1), Fraction(2)),
+                        (Fraction(3, 2), Fraction(2), Fraction(3, 2)),
+                        frozenset({(0, 0), (1, 1), (1, 2), (2, 2)}))
+    flow, theta = balanced_flow(net)
+    x = Fraction(4, 3)
+    scaled = scaled_network(net, x, {1, 2}, {1, 2})
+    with counting() as tally:
+        sflow, stheta = scale_flow(flow, theta, x, {1, 2}, {1, 2}, scaled)
+    assert tally["maxflows"] == 0
+    want, want_theta = balanced_flow(scaled)
+    assert (sflow, stheta) == (want, want_theta)
+    assert sflow.pair_flow[0, 0] == flow.pair_flow[0, 0]
+    for i in range(3):
+        for reverse in (False, True):
+            assert sflow.residual_reach({i}, reverse) == want.residual_reach({i}, reverse)
+
+
+def test_scale_flow_keeps_the_old_flow_when_the_move_dropped_an_edge():
+    # The old network had an edge across the block, which the move dropped:
+    # Edmonds-Karp may route the new network differently, so only the
+    # surpluses move and the old flow comes back for the caller to rebalance.
+    net = MarketNetwork((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
+                        frozenset({(0, 0), (1, 0), (1, 1)}))
+    flow, theta = balanced_flow(net)
+    moved = scaled_network(replace(net, edges=frozenset({(0, 0), (1, 1)})),
+                           Fraction(5, 4), {1}, {1})
+    with counting() as tally:
+        kept, stheta = scale_flow(flow, theta, Fraction(5, 4), {1}, {1}, moved)
+    assert kept is flow and tally["maxflows"] == 0
+    assert stheta == (theta[0], 1 + Fraction(5, 4) * (theta[1] - 1))
 
 
 def test_scale_flow_rejects_edges_crossing_the_block():
@@ -628,6 +664,29 @@ def test_scale_flow_rejects_edges_crossing_the_block():
         (Fraction(1), Fraction(1)),
         frozenset({(0, 0), (0, 1), (1, 1)}),
     )
-    _, theta = balanced_flow(net)
+    flow, theta = balanced_flow(net)
     with pytest.raises(balanced.BalanceError, match=r"edge \(0,1\) crosses the scaled block"):
-        scale_flow(net.edges, theta, Fraction(2), {0}, {0})
+        scale_flow(flow, theta, Fraction(2), {0}, {0}, net)
+
+
+def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
+    # The gate does not trust the flow it scales: one that leaves half the
+    # good unsold passes property 1 (one buyer) and fails on its value.
+    before = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
+    flow = FlowResult(Fraction(1, 2), {(0, 0): Fraction(1, 2)}, (frozenset(), frozenset()),
+                      replace(before, m=(Fraction(1, 2),)))
+    after = scaled_network(before, Fraction(2), {0}, {0})
+    with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
+        scale_flow(flow, (Fraction(3, 2),), Fraction(2), {0}, {0}, after)
+
+
+def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
+    # A good sold whole to one of its two buyers sells the price mass and
+    # spends every cap, but the other buyer keeps the larger surplus.
+    before = MarketNetwork((Fraction(1),), (Fraction(2), Fraction(2)),
+                           frozenset({(0, 0), (1, 0)}))
+    flow = FlowResult(Fraction(1), {(1, 0): Fraction(1)}, (frozenset(), frozenset()),
+                      replace(before, m=(Fraction(0), Fraction(1))))
+    after = scaled_network(before, Fraction(2), {0, 1}, {0})
+    with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
+        scale_flow(flow, (Fraction(2), Fraction(1)), Fraction(2), {0, 1}, {0}, after)

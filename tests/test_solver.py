@@ -476,17 +476,52 @@ def test_no_rebalance_runs_on_an_empty_active_market(monkeypatch):
     assert len(sizes) > 900 and 0 not in sizes
 
 
+def _watch_kept_scaled_flows(monkeypatch, on_kept):
+    """Call ``on_kept(state)`` at each rising phase end that keeps its scaled flow.
+
+    The flow is kept when the one ``scale_flow`` made at the phase's stop is
+    still the state's flow once the phase has ended: when the next phase
+    starts or the rising loop returns, before anything else moves the market.
+    """
+    scale, phase, rise = solver.scale_flow, solver._stage2_phase, solver._rise
+    made = [None]
+
+    def scaled(flow, *args):
+        result = scale(flow, *args)
+        made[0] = None if result[0] is flow else result[0]
+        return result
+
+    def settle(state):
+        if made[0] is not None and state.flow is made[0]:
+            on_kept(state)
+        made[0] = None
+
+    def phased(state, name):
+        settle(state)
+        return phase(state, name)
+
+    def rising(state):
+        phases = rise(state)
+        settle(state)
+        return phases
+
+    monkeypatch.setattr(solver, "scale_flow", scaled)
+    monkeypatch.setattr(solver, "_stage2_phase", phased)
+    monkeypatch.setattr(solver, "_rise", rising)
+
+
 def test_market_is_rebuilt_at_the_start_and_after_a_thaw(monkeypatch):
     # ``_rebuild`` re-derives the ratios and edges only at stage 0's start
     # prices and when the restore brings frozen groups back: the price-phase
     # kernel keeps them exact everywhere else.  Outside the kernel and those
-    # rebuilds the market rebalances once after each rising phase (stage 0
-    # and Stage II), once when the instance's c takes over, and once after
-    # each Stage I freeze that leaves some buyer active; a Stage I phase that
-    # freezes nothing ends on the network it has just balanced.
+    # rebuilds the market rebalances once when the instance's c takes over
+    # and once after each Stage I freeze that leaves some buyer active; a
+    # Stage I phase that freezes nothing ends on the network it has just
+    # balanced.  Each rising phase (stage 0 and Stage II) ends in exactly one
+    # rebalance or one kept scaled flow, and both are counted.
     rebuild, rebalance, phase = solver._rebuild, SolverState.rebalance, solver._price_phase
     depth = [0]
-    rebuilds, rebalances = [], []
+    rebuilds, rebalances, kept = [], [], []
 
     def nested(fn, calls=None):
         def wrapped(state, *args):
@@ -507,24 +542,29 @@ def test_market_is_rebuilt_at_the_start_and_after_a_thaw(monkeypatch):
     monkeypatch.setattr(solver, "_rebuild", nested(rebuild, rebuilds))
     monkeypatch.setattr(solver, "_price_phase", nested(phase))
     monkeypatch.setattr(SolverState, "rebalance", counted)
+    _watch_kept_scaled_flows(monkeypatch, kept.append)
     seen = set()
+    total = Counter()
     for seed in range(525):
         rebuilds.clear()
         rebalances.clear()
+        kept.clear()
         inst = gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed)
         sol = solve(inst, collect_trace=True)
         detail = sol.stats.get("detail")
         if detail is None:
-            assert rebuilds == rebalances == []
+            assert rebuilds == rebalances == kept == []
             continue
         freezes = sum(ph["reason"] == "isolated" for ph in detail["stage1_phases"])
         thawed = sol.verdict == "feasible" and freezes > 0
         emptied = sum(len(e["buyers"]) for e in sol.trace if e["type"] == "freeze") == inst.n
         assert len(rebuilds) == 1 + thawed, seed
         expected = detail["fisher_phases"] + 1 + freezes - emptied + len(detail["stage2_phases"])
-        assert len(rebalances) == expected, seed
+        assert len(rebalances) + len(kept) == expected, seed
+        total.update(rebalances=len(rebalances), kept=len(kept))
         seen.add((sol.verdict, freezes > 0, emptied))
     assert {("feasible", True, True), ("feasible", False, False), ("infeasible", True, False)} <= seen
+    assert total["kept"] > 600 and total["rebalances"] > 500, total
 
 
 def test_solve_rejects_utilities_that_disagree_with_the_allocation(monkeypatch):
@@ -543,9 +583,8 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
     # At a tight event the rising loop moves the block's surpluses by formula
     # instead of recomputing the balanced flow, in stage 0 (every budget 1)
     # and in Stage II.  Each update must equal the balanced surpluses of the
-    # scaled network, built here from the state the update was called on:
-    # its prices have just moved, and undoing the move gives back the
-    # network whose balanced surpluses the update starts from.
+    # network handed in, the market just after the move: undoing the move
+    # gives back the network whose balanced surpluses the update starts from.
     states = []
     calls = []
     phase = solver._stage2_phase
@@ -554,13 +593,13 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         states.append(state)
         return phase(state, name)
 
-    def checked(edges, theta, x, buyers, goods):
-        updated = scale_flow(edges, theta, x, buyers, goods)
+    def checked(flow, theta, x, buyers, goods, net):
+        updated = scale_flow(flow, theta, x, buyers, goods, net)
         state = states[-1]
-        net = MarketNetwork(tuple(state.p), state.money, frozenset(edges))
+        assert net == MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
         assert balanced_flow(scaled_network(net, 1 / x, buyers, goods))[1] == tuple(theta)
         _, expected = balanced_flow(net)
-        assert updated == expected, (state.inst.u, state.inst.c, x)
+        assert updated[1] == expected, (state.inst.u, state.inst.c, x)
         calls.append(state.stage)
         return updated
 
@@ -570,6 +609,44 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
     solve(gen_random(12, 12, 1000, 1500, 0))
     assert calls.count(0) > 250 and calls.count(2) > 250
+
+
+def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
+    # A rising phase end keeps the stop's scaled flow only when the market's
+    # edges are those of the last balanced network.  Each kept flow must be
+    # the flow a rebalance would have computed there, from the same network
+    # and hint: pair flows, value, network, surpluses, cut and residual reach.
+    kept = Counter()
+
+    def compare(state):
+        flow, theta = balanced_flow(state.network(), (state.flow, state.theta))
+        where = (state.inst.u, state.inst.c, state.stage)
+        assert state.flow.pair_flow == flow.pair_flow, where
+        assert state.flow.value == flow.value and state.flow.net == flow.net, where
+        assert tuple(state.theta) == theta and state.flow.far_side == flow.far_side, where
+        for i in range(state.inst.n):
+            for reverse in (False, True):
+                assert (state.flow.residual_reach({i}, reverse)
+                        == flow.residual_reach({i}, reverse)), where
+        kept[state.stage] += 1
+
+    _watch_kept_scaled_flows(monkeypatch, compare)
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes += [(40, 40, 10, 10, 0), (3, 3, 3, 2, 1229284897)]
+    for shape in shapes:
+        solve(gen_random(*shape))
+    assert kept[0] > 400 and kept[2] > 250, kept
+
+
+def test_a_stop_that_dropped_an_edge_rebalances():
+    # Stage II's last stop here drops an edge of the last balanced network
+    # that crosses the block.  Keeping the scaled flow there would keep a
+    # balanced flow with the right surpluses, but not the Edmonds-Karp flow
+    # of the new network: buyers 0 and 1 would swap their goods.
+    sol = solve(gen_random(3, 3, 3, 2, 1063641966))
+    F = Fraction
+    assert sol.x == [[0, 1, F(1, 3)], [0, 0, F(2, 3)], [1, 0, 0]]
 
 
 def test_solution_to_json_round_trips_rationals_as_strings():
