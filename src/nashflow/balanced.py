@@ -66,15 +66,16 @@ its gcd with the class's cash, every level, cap and price is an integer.
 The round's max-flow gets that integer network and answers in integers, and
 the gate reads it so: the value against the target times ``mult`` and
 property 1 over the money times ``mult``.  A network scaled by a positive
-integer keeps its Edmonds-Karp paths and cut, so only the proved flow and
-its surpluses are divided back, into ``Fraction``s, once.
+integer keeps its Edmonds-Karp paths and cut, so the proved flow is
+returned as it stands, over ``scale * mult``, and so are its surpluses.
+That scale is the least common denominator of the prices, the money and
+the surpluses, so no ``Fraction`` is built: a market keeps the flow and
+surpluses as integers until a value leaves the solve.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
-from fractions import Fraction
 from math import gcd, lcm
 
 from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
@@ -85,6 +86,7 @@ class BalanceError(AssertionError):
 
 
 def surpluses(net: MarketNetwork, flow: FlowResult):
+    """Each buyer's money minus its spending; ``net`` and ``flow`` in one unit."""
     theta = list(net.m)
     for (i, _), f in flow.pair_flow.items():
         theta[i] -= f
@@ -94,10 +96,11 @@ def surpluses(net: MarketNetwork, flow: FlowResult):
 def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
     """Residual-reachability check that characterizes balanced max-flows.
 
-    True iff for every buyer ``i``, every buyer reachable from ``i`` in the
-    residual graph (source and sink excluded) has surplus <= ``theta_i``.
-    One residual hop leads from a buyer through a good that pays them to any
-    buyer interested in that good.  Reachability is the transitive closure
+    ``net`` holds the full budgets in the flow's unit.  True iff for every
+    buyer ``i``, every buyer reachable from ``i`` in the residual graph
+    (source and sink excluded) has surplus <= ``theta_i``.  One residual hop
+    leads from a buyer through a good that pays them to any buyer
+    interested in that good.  Reachability is the transitive closure
     of these hops and ``<=`` is transitive, so it suffices that every buyer
     a good pays has at least the largest surplus ``top[j]`` among the good's
     interested buyers.
@@ -110,7 +113,7 @@ def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
 
 
 def balanced_flow(net: MarketNetwork, hint=(None, ())):
-    """Compute the balanced flow.  Returns ``(flow, theta)``, both exact.
+    """Compute the balanced flow.  Returns ``(flow, theta)`` in ints over ``flow.scale``.
 
     ``hint`` is the market's previous ``(flow, theta)``; without a usable
     previous flow (none, or a ``theta`` of the wrong length) the guess starts
@@ -118,15 +121,17 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     split rounds are the module docstring's.  An edgeless buyer stays alone
     (its surplus is its money), a good joins a class only through a previous
     pair that is still an edge (any edge without a usable previous flow), and
-    a class with goods but no buyer counts as the lowest.  Levels, caps and
-    prices are integers over ``scale * mult`` in every round, the flow core
-    gets them as ints, and the returned flow and ``theta`` are its integer
-    answer over ``scale * mult`` in ``Fraction``s: the Edmonds-Karp flow of
-    ``replace(net, m=caps)``, that network included.  Each call counts one
-    ``"hits"`` (the first round proves it), ``"repairs"`` or ``"misses"``
-    (the split rounds ran) in the open ``counting()`` tally: one max-flow
-    for a hit, at most ``n + 1`` for a repair and ``2n + 3`` in all.  A
-    network without buyers returns a max-flow and ``()``.
+    a class with goods but no buyer counts as the lowest.  Only the order
+    and ties of ``theta`` matter, so it may be over any one scale.  Levels,
+    caps and prices are integers over ``scale * mult`` in every round, the
+    flow core gets them as ints, and the returned flow and ``theta`` are its
+    integer answer over ``flow.scale = scale * mult``: the Edmonds-Karp flow
+    of ``replace(net, m=caps)`` and that network, both times the scale.
+    Each call counts one ``"hits"`` (the first round proves it),
+    ``"repairs"`` or ``"misses"`` (the split rounds ran) in the open
+    ``counting()`` tally: one max-flow for a hit, at most ``n + 1`` for a
+    repair and ``2n + 3`` in all.  A network without buyers returns a
+    max-flow and ``()``.
     """
     prev_flow, prev_theta = hint
     n, g = net.n, net.g
@@ -203,12 +208,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
                 MarketNetwork(prices, tuple([x * mult for x in money]), net.edges), flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
-            scale *= mult
-            pair_flow = {e: Fraction(f, scale) for e, f in flow.pair_flow.items()}
-            m = tuple([Fraction(x, scale) for x in caps])
-            return (FlowResult(Fraction(flow.value, scale), pair_flow, flow.far_side,
-                               replace(net, m=m), flow.residual),
-                    tuple([Fraction(t, scale) for t in theta]))
+            return (FlowResult(flow.value, flow.pair_flow, flow.far_side, flow.net,
+                               flow.residual, scale * mult), tuple(theta))
         if final:
             raise BalanceError("balanced-flow levels fail the gate on the whole network")
         far_buyers, far_goods = flow.far_side
@@ -220,52 +221,67 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     raise BalanceError("balanced-flow split rounds did not end")
 
 
-def scale_flow(flow, theta, x, buyers, goods, net):
+def scale_flow(flow, theta, scale, x, buyers, goods, net, keep):
     """A closed block's balanced flow and surpluses after its prices scale by ``x``.
 
     ``flow`` and ``theta`` are the balanced flow and surpluses before the
-    move and ``net`` is the network after it.  Budgets are flexible, of the
-    form ``m_i = 1 + alpha_i``: multiplying the block's prices by ``x`` turns
-    each block budget into ``1 + x*alpha_i``, so each block surplus moves to
-    ``1 + x*(theta_i - 1)`` and every other surplus stays.  The block must be
-    closed in ``net``: no interest edge may cross its boundary (checked).
-    This is the rising loop's update at a tight event, in the solver's stage
-    0 and Stage II; ``perfbench/tracing.py`` wraps ``scale_flow`` where
-    ``solver`` binds it and the benchmark reports it as a layer.
+    move, ``theta`` in ints over ``scale``, and ``net`` is the network after
+    it.  Budgets are flexible, of the form ``m_i = 1 + alpha_i``: multiplying
+    the block's prices by ``x`` turns each block budget into ``1 +
+    x*alpha_i``, so each block surplus moves to ``1 + x*(theta_i - 1)`` and
+    every other surplus stays.  With ``x = a/b`` in lowest terms that is
+    ``scale*b + a*(theta_i - scale)`` over ``scale*b`` for a block buyer and
+    ``theta_i*b`` for the others.  The block must be closed in ``net``: no
+    interest edge may cross its boundary (checked).  This is the rising
+    loop's update at a tight event, in the solver's stage 0 and Stage II;
+    ``perfbench/tracing.py`` wraps ``scale_flow`` where ``solver`` binds it
+    and the benchmark reports it as a layer.
 
     When ``flow``'s network has the edges of ``net``, the block was closed
     there too and is a union of its components.  Edmonds-Karp runs component
     by component, and a positive factor on one component's capacities keeps
     its paths, so the balanced flow of ``net`` is ``flow`` with the block's
     pair flows times ``x``.  It keeps ``flow``'s cut and residual graph: the
-    edges are the same, and a factor ``x > 0`` changes no arc's sign.  The
-    scaled flow skips the max-flow but not the proof: it must pass
-    ``balanced_flow``'s gate in integers over one common scale, its value the
-    price mass and the caps' sum and property 1 over the full budgets.  When
-    the edges differ (the move dropped edges of ``flow``'s network, which can
-    reroute Edmonds-Karp outside the block), ``flow`` is returned as it is,
-    for the caller to rebalance.
+    edges are the same, and a factor ``x > 0`` changes no arc's sign.  Over
+    ``flow.scale * b`` the block's amounts are multiplied by ``a`` and the
+    others by ``b``, and one gcd takes everything to its least common
+    denominator.  The scaled flow skips the max-flow but not the proof: its
+    prices and budgets must be those of ``net`` (cross-multiplied), its
+    value the price mass and the caps' sum, and it must pass property 1
+    over the full budgets.  When the edges differ (the move dropped edges of
+    ``flow``'s network, which can reroute Edmonds-Karp outside the block),
+    or ``keep`` is false (the caller rebalances anyway), ``flow`` is
+    returned as it is, for the caller to rebalance.
 
-    Returns ``(flow, theta)``.
+    Returns ``(flow, theta, theta_scale)``: the surpluses over their own
+    scale, which is ``flow.scale`` only for a scaled flow.
     """
     for (i, j) in net.edges:
         if (i in buyers) != (j in goods):
             raise BalanceError(f"edge ({i},{j}) crosses the scaled block")
-    theta = tuple([1 + x * (t - 1) if i in buyers else t for i, t in enumerate(theta)])
-    if net.edges != flow.net.edges:
-        return flow, theta
-    pair_flow = {e: f * x if e[0] in buyers else f for e, f in flow.pair_flow.items()}
-    amounts = (*net.p, *net.m, *theta, *pair_flow.values())
-    scale = lcm(*[a.denominator for a in amounts])
-    ints = [a.numerator * (scale // a.denominator) for a in amounts]
-    g, n = net.g, net.n
-    price, money, paid = ints[:g], ints[g:g + n], ints[g + 2 * n:]
-    caps = [m - t for m, t in zip(money, ints[g + n:g + 2 * n])]
+    a, b = x.numerator, x.denominator
+    common = scale * b
+    theta = [common + a * (t - scale) if i in buyers else t * b for i, t in enumerate(theta)]
+    if not keep or net.edges != flow.net.edges:
+        return flow, tuple(theta), common
+    price = [q * a if j in goods else q * b for j, q in enumerate(flow.net.p)]
+    caps = [c * a if i in buyers else c * b for i, c in enumerate(flow.net.m)]
+    paid = [f * a if e[0] in buyers else f * b for e, f in flow.pair_flow.items()]
+    d = gcd(common, *price, *caps, *theta, *paid)
+    if d > 1:
+        common //= d
+        price, caps = [q // d for q in price], [c // d for c in caps]
+        theta, paid = [t // d for t in theta], [f // d for f in paid]
+    money = [c + t for c, t in zip(caps, theta)]
+    amounts = zip((*net.p, *net.m), (*price, *money))
+    if any(q.numerator * common != v * q.denominator for q, v in amounts):
+        raise BalanceError("a scaled flow does not price the network it scales to")
     value = sum(paid)
+    pair_flow = dict(zip(flow.pair_flow, paid))
     whole = MarketNetwork(tuple(price), tuple(money), net.edges)
     if not (value == sum(price) == sum(caps) and verify_property1(
-            whole, FlowResult(value, dict(zip(pair_flow, paid)), flow.far_side, whole))):
+            whole, FlowResult(value, pair_flow, flow.far_side, whole))):
         raise BalanceError("a scaled balanced flow fails the gate")
-    m = tuple([Fraction(c, scale) for c in caps])
-    return (FlowResult(Fraction(value, scale), pair_flow, flow.far_side, replace(net, m=m),
-                       flow.residual), theta)
+    scaled = MarketNetwork(whole.p, tuple(caps), net.edges)
+    flow = FlowResult(value, pair_flow, flow.far_side, scaled, flow.residual, common)
+    return flow, tuple(theta), common

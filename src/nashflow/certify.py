@@ -36,9 +36,10 @@ def check_equilibrium(inst: BargainingInstance, p) -> tuple[bool, str]:
     except ValueError as exc:
         return False, str(exc)
     flow = max_flow(net)
-    if flow.value != sum(p, Fraction(0)):
+    value = Fraction(flow.value, flow.scale)
+    if value != sum(p, Fraction(0)):
         return False, "some good cannot sell at these prices"
-    if flow.value != sum(net.m, Fraction(0)):
+    if value != sum(net.m, Fraction(0)):
         return False, "some budget cannot be spent at these prices"
     return True, "ok"
 
@@ -112,9 +113,9 @@ def check_feasibility_witness(inst: BargainingInstance, p) -> tuple[bool, str]:
         return False, "a buyer with no valued good can never improve"
     pk = [p[j] for j in report.kept_goods]
     flow, theta = balanced_flow(build_network(reduced, pk))
-    if flow.value != sum(pk, Fraction(0)):
+    if Fraction(flow.value, flow.scale) != sum(pk, Fraction(0)):
         return False, "some good cannot sell at these prices"
-    if any(t >= 1 for t in theta):
+    if any(t >= flow.scale for t in theta):
         return False, "a buyer's surplus reaches its full unit of money"
     return True, "ok"
 
@@ -202,7 +203,8 @@ def verify_convex_dual(
     # Each good's flow is capped by its price, so the rest sells out exactly
     # when its flow reaches its price mass.
     flow = max_flow(net)
-    rest_flow = sum((f for (_, j), f in flow.pair_flow.items() if j not in split_g), Fraction(0))
+    rest = sum([f for (_, j), f in flow.pair_flow.items() if j not in split_g])
+    rest_flow = Fraction(rest, flow.scale)
     rest_price = sum((p[j] for j in range(inst.g) if j not in split_g), Fraction(0))
     return rest_flow == rest_price and sum(net.m[i] for i in rest_b) - rest_price >= len(rest_b)
 

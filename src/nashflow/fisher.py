@@ -20,10 +20,13 @@ compared by cross-multiplying numerators and denominators, and a
 
 The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
 the balanced flow and its surpluses, and the active buyers and goods, with
-one ``rebalance`` for every edge event.  It owns the edge rule, so a phase
-end re-derives nothing: the market's edges stay its best-ratio edges, and a
-caller rebalances at a phase end only where the phase changed the network
-its flow is balanced on.  The kernel runs in two directions and under two
+one ``rebalance`` for every edge event.  The flow and the surpluses are
+integers over a scale (``balanced_flow``'s), and a ``Fraction`` is built
+from them only where a value leaves the market: a trace, a statistic, an
+allocation.  The kernel owns the edge rule, so a phase end re-derives
+nothing: the market's edges stay its best-ratio edges, and a caller
+rebalances at a phase end only where the phase changed the network its
+flow is balanced on.  The kernel runs in two directions and under two
 kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
@@ -83,14 +86,6 @@ def _phase_cap(u, money):
     bits += sum(x.numerator.bit_length() + x.denominator.bit_length() for x in money)
     n, g = len(u), len(u[0])
     return 64 + 8 * n * n * (bits + g)
-
-
-def _l1(theta):
-    return sum(theta, Fraction(0))
-
-
-def _l2(theta):
-    return sum((t * t for t in theta), Fraction(0))
 
 
 def _scale(market, block, goods, x):
@@ -216,10 +211,12 @@ class Market:
     """The market that ``_price_phase`` and ``_rebuild`` work on.
 
     A subclass supplies the budgets ``money`` and ``log(event, iteration,
-    **fields)``.  A rebalance assigns a new ``flow`` and ``theta``, leaving
-    the old ones as they were; ``flow.net`` is the network the flow is
-    balanced on.  ``trace`` is the event log, or ``None`` when the market
-    keeps none.
+    **fields)``.  ``theta`` holds every buyer's surplus as an int over the
+    market's own ``scale``.  A rebalance assigns a new ``flow``, ``theta``
+    and ``scale`` whole, leaving the old ones as they were; ``flow.net`` is
+    the network the flow is balanced on, over ``flow.scale``, which is
+    ``scale`` too unless a caller moved the surpluses alone.  ``trace`` is
+    the event log, or ``None`` when the market keeps none.
     """
 
     def __init__(self, u, p):
@@ -227,9 +224,17 @@ class Market:
         self.u, self.p = u, p
         self.gamma = [None] * n
         self.edges = set()
-        self.flow, self.theta = None, [Fraction(0)] * n
+        self.flow, self.theta, self.scale = None, (0,) * n, 1
         self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
         self.trace = None
+
+    def l1(self):
+        """The surpluses' sum, as a ``Fraction``."""
+        return Fraction(sum(self.theta), self.scale)
+
+    def l2(self):
+        """The sum of the squared surpluses, as a ``Fraction``."""
+        return Fraction(sum([t * t for t in self.theta]), self.scale * self.scale)
 
     def network(self):
         """The active sub-market's network: prices, budgets and edges."""
@@ -244,13 +249,13 @@ class Market:
 
         The previous ``(flow, theta)`` hints ``balanced_flow``; before the
         first flow that is ``(None, theta)``, one class per connected
-        component.  Active buyers take their new surpluses, the others keep
-        theirs, and every active good must still sell in full.
+        component.  The market takes the flow and every surplus over the
+        flow's scale (an inactive buyer's is 0), and every active good must
+        still sell in full: the flow's value is its network's price mass.
         """
-        buyers, goods = self.active_buyers, self.active_goods
-        self.flow, theta = balanced_flow(self.network(), (self.flow, self.theta))
-        self.theta = [theta[i] if i in buyers else t for i, t in enumerate(self.theta)]
-        if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):
+        self.flow, self.theta = balanced_flow(self.network(), (self.flow, self.theta))
+        self.scale = self.flow.scale
+        if self.flow.value != sum(self.flow.net.p):
             raise FisherError("active goods can no longer fully sell")
 
 
@@ -267,7 +272,7 @@ class _FixedBudgets(Market):
         entry = {"kind": "event", "phase": self.phase, "iteration": iteration,
                  "type": event, **fields}
         if event == "edge":
-            entry.update(l1=_l1(self.theta), l2=_l2(self.theta))
+            entry.update(l1=self.l1(), l2=self.l2())
         self.trace.append(entry)
 
     def stop_at_tight(self, x_edge, block, goods, iteration):
@@ -297,7 +302,7 @@ class _FixedBudgets(Market):
             prices = tuple([q * x if j in goods else q for j, q in enumerate(p)])
             res = max_flow(MarketNetwork(prices, money, edges))
             far_buyers, far_goods = res.far_side
-            if res.value == sum(prices, Fraction(0)):
+            if res.value == sum(res.net.p):
                 break
             inside = sum((p[j] for j in far_goods & goods), Fraction(0))
             if inside <= 0:
@@ -334,14 +339,15 @@ def fisher_equilibrium(u, money):
     cap = _phase_cap(u, money)
     while True:
         _rebuild(market)
-        theta = tuple(market.theta)
+        theta, scale = market.theta, market.scale
         market.trace.append(
             {
                 "kind": "state", "phase": market.phase, "p": tuple(market.p),
-                "theta": theta, "l1": _l1(theta), "l2": _l2(theta),
+                "theta": tuple([Fraction(t, scale) for t in theta]),
+                "l1": market.l1(), "l2": market.l2(),
             }
         )
-        if all(t == 0 for t in theta):
+        if not any(theta):
             return tuple(market.p), market.flow.allocation(), market.trace
         market.phase += 1
         if market.phase > cap:

@@ -13,8 +13,9 @@ Capacities are rationals, or ints for a network that is already integral
 denominators up front (``integer_caps``, which the balanced-flow guess
 shares) and runs integer Edmonds-Karp (shortest augmenting paths,
 deterministic edge order), so flows are exact and runs are reproducible.
-It answers in ints when every capacity it receives is an int, and in
-``Fraction``s over the scale otherwise.  Multiplying every capacity by one
+It answers in one form whatever it receives: ints over the scale it
+cleared the denominators with (``FlowResult.scale``, 1 for an integer
+network), the network included.  Multiplying every capacity by one
 positive integer multiplies the flow by it and keeps the paths, the cut and
 the augment count, since the pair arcs never bind.  Unbounded pair
 capacities are encoded as the total price mass plus one, which no s-t flow
@@ -134,8 +135,8 @@ def bang_per_buck(u, p):
 class MarketNetwork:
     """Immutable network description: prices, money, and interest edges.
 
-    Prices and money are ``Fraction``s, or all ints for an integer network,
-    whose max-flow answers in ints.
+    Prices and money are ``Fraction``s, or all ints for an integer network:
+    a flow's own network holds its amounts over the flow's scale.
     """
 
     p: tuple
@@ -202,35 +203,40 @@ def _reach(residual, start, backward):
 class FlowResult:
     """An exact max-flow of ``net`` plus its maximal minimum cut.
 
-    ``pair_flow`` maps each interest edge ``(i, j)`` that carries money to
-    the amount good ``j`` sells to buyer ``i``; other edges are absent, so
-    ``e in pair_flow`` tests for money.  ``far_side`` is the complement of
-    the nodes that reach the sink in the residual graph, given as a pair
-    ``(buyers, goods)`` of frozensets.  ``residual`` holds the integer pair
-    arcs ``(head, to, cap)`` the max-flow ended with, over nodes goods
-    ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are
-    both read from it.  The value and pair flows are ints when every amount
-    of ``net`` is an int, ``Fraction``s otherwise.  Three functions make
-    one: ``max_flow`` runs it, ``balanced_flow`` divides its integer answer
-    back into ``Fraction``s with the cut and residual graph kept, and
-    ``scale_flow`` multiplies a closed block's pair flows by a factor
-    ``x > 0``.  The scaled flow keeps its parent's cut and residual graph,
-    whose integers are over the parent's scale: the edges are the same and
-    no arc changes sign, and only the signs of the residual rooms are read.
-    So the cut always belongs to the flow.
+    Every amount is an int over ``scale``: the ``value``, the pair flows and
+    the prices and caps of ``net``, the integer network the flow belongs to,
+    so ``Fraction(value, scale)`` is the value.  ``pair_flow`` maps each
+    interest edge ``(i, j)`` that carries money to the amount good ``j``
+    sells to buyer ``i``; other edges are absent, so ``e in pair_flow``
+    tests for money.  ``far_side`` is the complement of the nodes that reach
+    the sink in the residual graph, given as a pair ``(buyers, goods)`` of
+    frozensets.  ``residual`` holds the integer pair arcs ``(head, to,
+    cap)`` the max-flow ended with, over nodes goods ``0..g-1`` and buyers
+    ``g..g+n-1``; the cut and ``residual_reach`` are both read from it.
+    Three functions make one: ``max_flow`` runs it, ``balanced_flow``
+    returns its round's integer flow over ``scale * mult`` with the cut and
+    residual graph kept, and ``scale_flow`` multiplies a closed block's pair
+    flows by a factor ``x > 0``.  The scaled flow keeps its parent's cut and
+    residual graph, whose integers are over the parent's scale: the edges
+    are the same and no arc changes sign, and only the signs of the residual
+    rooms are read.  So the cut always belongs to the flow.
     """
 
-    value: Fraction
+    value: int
     pair_flow: dict
     far_side: tuple
     net: MarketNetwork
     residual: tuple = field(default=None, compare=False, repr=False)
+    scale: int = 1
 
     def allocation(self):
-        """Share ``x[i][j]`` of good ``j`` sold to buyer ``i`` as a ``Fraction``, 0 without flow."""
+        """Share ``x[i][j]`` of good ``j`` sold to buyer ``i`` as a ``Fraction``, 0 without flow.
+
+        A pair flow and its good's price share the scale, which cancels.
+        """
         x = [[Fraction(0)] * self.net.g for _ in range(self.net.n)]
         for (i, j), f in self.pair_flow.items():
-            x[i][j] = Fraction(f) / self.net.p[j]
+            x[i][j] = Fraction(f, self.net.p[j])
         return x
 
     def residual_reach(self, start_buyers, reverse=False):
@@ -250,13 +256,13 @@ class FlowResult:
 def max_flow(net: MarketNetwork) -> FlowResult:
     """Exact max-flow of the network; counts one ``"maxflows"`` and its ``"augments"``.
 
-    Every capacity an int: the value and pair flows are ints.  Otherwise
-    they are ``Fraction``s.
+    The flow is in ints over the lcm of the network's denominators.
     """
     _count("maxflows")
 
     n, g = net.n, net.g
     scale, price, money = integer_caps(net)
+    whole = MarketNetwork(tuple(price), tuple(money), net.edges)
     money = [0] * g + money  # by node: goods 0..g-1, buyers g..g+n-1
 
     # Arc 2k runs good -> buyer, arc 2k+1 back, sorted by good, then buyer.
@@ -314,16 +320,15 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         raise FlowError(f"max-flow did not end within {bound} augmenting paths")
     _count("augments", augments)
 
-    ints = all(type(x) is int for x in (*net.p, *net.m))  # int capacities in, int flows out
     pair_flow = {}
     for k, (j, i) in enumerate(pairs):
         f = cap[2 * k + 1]  # reverse residual equals flow shipped
         if f:
-            pair_flow[(i, j)] = f if ints else Fraction(f, scale)
+            pair_flow[(i, j)] = f
 
     residual = (head, to, cap)
     to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
     far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
                 frozenset(j for j in range(g) if j not in to_sink))
-    return FlowResult(value if ints else Fraction(value, scale), pair_flow, far_side, net, residual)
+    return FlowResult(value, pair_flow, far_side, whole, residual, scale)
 

@@ -46,18 +46,28 @@ rising phase's stop scales a closed block, and with it the block's balanced
 flow (``scale_flow``); the phase keeps that flow, with no rebalance, when
 the market's edges are still those of the last balanced network.
 
+The surpluses stay integers over the market's ``scale`` between the price
+moves, and the stages read them so: ``beta_i < 0`` is ``theta_i < scale``,
+Stage I's deficits sum to at least 0 when ``sum theta >= k * scale`` over
+its ``k`` active buyers, and the rising stretch ``min -1/beta_i`` is
+``scale / (scale - min theta)``.  ``Fraction``s are built only where a value
+leaves the solve: the allocation, the trace, the statistics (the phase
+potentials and tight denominators) and the certificates.
+
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
 max-flows run to find the answer, for either verdict, without the
-self-verification's, ``stats["detail"]["augments"]`` their augmenting paths
-and ``stats["detail"]["guess"]`` the guess's hits, repairs and misses.  The
-detail stays out of ``solution_to_json``.
+self-verification's, ``stats["detail"]["augments"]`` their augmenting paths,
+``stats["detail"]["guess"]`` the guess's hits, repairs and misses and
+``stats["detail"]["scale_bits"]`` the bit length of the widest scale of a
+flow the market held.  The detail stays out of ``solution_to_json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 # ``Market.rebalance`` calls ``balanced_flow`` from ``fisher``; the name stays
 # bound here because ``perfbench/tracing.py`` patches it in ``solver`` too.
@@ -69,7 +79,7 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
-from .fisher import Market, _l2, _price_phase, _rebuild, _scale, initial_prices
+from .fisher import Market, _price_phase, _rebuild, _scale, initial_prices
 from .flownet import best_ratio, counting
 from .instance import BargainingInstance, preprocess, to_json
 
@@ -104,10 +114,11 @@ class SolverState(Market):
     Budgets are flexible, ``m_i = 1 + c_i/gamma_i`` over the state's ``c``.
     It starts at ``fisher.initial_prices`` with every ``c_i`` held at 0, so
     every budget is 1 until ``initialize`` switches ``c`` to the instance's.
-    Stage I sets groups aside in ``frozen`` as ``(buyers, goods)`` pairs;
-    the feasible branch keeps the restored witness prices in
-    ``feasible_prices``.  The state keeps no ``trace`` until ``initialize``
-    gives it one.
+    Stage I sets groups aside in ``frozen`` as ``(buyers, goods, theta,
+    scale)``: the market's surpluses when the group froze, which the thaw's
+    rebalance takes as its hint.  The feasible branch keeps the restored
+    witness prices in ``feasible_prices``.  The state keeps no ``trace``
+    until ``initialize`` gives it one.
     """
 
     def __init__(self, inst):
@@ -116,15 +127,22 @@ class SolverState(Market):
         self.frozen, self.feasible_prices, self.stage = [], None, 0
         self.mu = -(-1 // min(self.p))  # every kept good is valued, so priced above 0
         self.stats = {"fisher_phases": 0, "stage1_phases": [], "stage2_phases": [],
-                      "end_reasons": [], "tight_denominators": []}
+                      "end_reasons": [], "tight_denominators": [], "scale_bits": 0}
 
     @property
     def money(self):
         one = Fraction(1)
         return tuple([1 + c / gamma if c else one for c, gamma in zip(self.c, self.gamma)])
 
-    def beta(self, i):
-        return self.theta[i] - 1
+    def rebalance(self):
+        super().rebalance()
+        self._record_scale()
+
+    def _record_scale(self):
+        """Widen ``stats["scale_bits"]`` to the scale of the flow held now."""
+        bits = self.flow.scale.bit_length()
+        if bits > self.stats["scale_bits"]:
+            self.stats["scale_bits"] = bits
 
     def log(self, event, iteration, **fields):
         _trace(self, stage=self.stage, type=event, **fields, iteration=iteration)
@@ -152,7 +170,9 @@ def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverS
     _rebuild(state)
     state.stats["fisher_phases"] = _rise(state)
     state.c = inst.c
-    state.theta = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
+    hint = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
+    scale = lcm(*[t.denominator for t in hint])
+    state.theta = [t.numerator * (scale // t.denominator) for t in hint]
     state.rebalance()
     state.trace = [] if collect_trace else None
     _trace(state, stage=0, type="initialized")
@@ -174,11 +194,11 @@ def stage1(state: SolverState) -> str:
     state.stage = 1
     guard = 0
     while True:
-        active = state.active_buyers
-        if all(state.beta(i) < 0 for i in active):
+        active, theta, scale = state.active_buyers, state.theta, state.scale
+        if all(theta[i] < scale for i in active):
             verdict = "feasible"
             break
-        if sum((state.beta(i) for i in active), Fraction(0)) >= 0:
+        if sum([theta[i] for i in active]) >= len(active) * scale:
             verdict = "infeasible"
             break
         guard += 1
@@ -194,18 +214,18 @@ def stage1(state: SolverState) -> str:
 def _stage1_phase(state):
     inst = state.inst
     active = state.active_buyers
-    low = min(state.beta(i) for i in active)
-    if low >= 0:
+    low = min([state.theta[i] for i in active])
+    if low >= state.scale:
         raise SolverError("stage I phase started without a deficit buyer")
-    target = {i for i in active if state.beta(i) == low}
+    target = {i for i in active if state.theta[i] == low}
     phi_start = _phi1(state)
 
     def deficit_cleared(x, block, goods, iteration):
-        return x is None or any(state.beta(i) >= 0 for i in block)
+        return x is None or any(state.theta[i] >= state.scale for i in block)
 
     target_goods, iterations = _price_phase(state, target, False, deficit_cleared)
 
-    adaptable = all(state.beta(i) < 0 for i in target) and not any(
+    adaptable = all(state.theta[i] < state.scale for i in target) and not any(
         inst.u[i][j] > 0 for i in active - target for j in target_goods
     )
     reason = "isolated" if adaptable else "deficit-cleared"
@@ -213,7 +233,8 @@ def _stage1_phase(state):
     if adaptable:
         if not target_goods:
             raise SolverError("a deficit group must hold at least one good")
-        state.frozen.append((frozenset(target), frozenset(target_goods)))
+        group = (frozenset(target), frozenset(target_goods), state.theta, state.scale)
+        state.frozen.append(group)
         state.edges -= {e for e in state.edges if e[0] in target}
         state.active_buyers -= target
         state.active_goods -= target_goods
@@ -230,27 +251,36 @@ def _stage1_phase(state):
 
 
 def _phi1(state):
-    return sum(
-        (state.beta(i) ** 2 for i in state.active_buyers if state.beta(i) < 0),
-        Fraction(0),
-    )
+    """Sum of the squared negative deficits of the active buyers."""
+    scale = state.scale
+    low = [state.theta[i] - scale for i in state.active_buyers]
+    return Fraction(sum([b * b for b in low if b < 0]), scale * scale)
 
 
 def _restore(state):
     """Bring frozen groups back at safely scaled prices; verify the witness.
 
     The scaling moves prices outside the kernel, so the thawed market is
-    rebuilt.  With nothing frozen, the state is left as it is.
+    rebuilt, hinted with the active buyers' surpluses and each frozen
+    buyer's from its freeze, over one scale.  With nothing frozen, the
+    state is left as it is.
     """
     inst = state.inst
     if state.frozen:
         _scale_frozen(state, state.p)
+        parts = [(state.active_buyers, state.theta, state.scale)]
+        parts += [(buyers, theta, scale) for buyers, _, theta, scale in state.frozen]
+        common = lcm(*[scale for *_, scale in parts])
+        hint = [0] * inst.n
+        for buyers, theta, scale in parts:
+            for i in buyers:
+                hint[i] = theta[i] * (common // scale)
+        state.theta, state.scale = hint, common
         state.active_buyers = set(range(inst.n))
         state.active_goods = set(range(inst.g))
         _rebuild(state)
-    for i in range(inst.n):
-        if state.beta(i) >= 0:
-            raise SolverError("restored prices left a nonnegative deficit")
+    if any(t >= state.scale for t in state.theta):
+        raise SolverError("restored prices left a nonnegative deficit")
     state.feasible_prices = tuple(state.p)
     _trace(state, stage=1, type="restore")
 
@@ -270,7 +300,7 @@ def _scale_frozen(state, p):
     precisely when remaining buyers had zero utility toward them), so one
     backward pass settles every group.
     """
-    for buyers, goods in reversed(state.frozen):
+    for buyers, goods, *_ in reversed(state.frozen):
         others = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if j not in goods]
         sigma = Fraction(1)
         for i in buyers:
@@ -317,8 +347,8 @@ def _rise(state):
     """
     name = "stage II" if state.stage else "stage 0"
     phases = 0
-    while not all(t == 0 for t in state.theta):
-        if any(t >= 1 for t in state.theta):
+    while any(state.theta):
+        if any(t >= state.scale for t in state.theta):
             raise SolverError(f"{name} requires every surplus below 1")
         phases += 1
         if phases > _phase_cap(state.inst):
@@ -330,23 +360,34 @@ def _rise(state):
 
 
 def _stage2_phase(state, name):
-    """One rising phase; Stage II records it and its tight event, stage 0 does not."""
+    """One rising phase; Stage II records it and its tight event, stage 0 does not.
+
+    The stop's factor is the stretch ``min -1/beta_i`` over the block,
+    ``scale / (scale - low)`` at the block's least surplus ``low``, and the
+    tight buyers are those at ``low``.  At a stop that ties the next edge
+    event the tied pairs join the edges and the phase end rebalances, so
+    ``scale_flow`` moves the surpluses alone.
+    """
     record = state.stage == 2
-    phi_start = _l2(state.theta) if record else None
+    phi_start = state.l2() if record else None
     peak = max(state.theta)
     target = {i for i, t in enumerate(state.theta) if t == peak}
 
     def stretched(x_edge, block, goods, iteration):
-        stretch = min(Fraction(-1) / state.beta(i) for i in block)
-        if stretch <= 1:
+        theta, scale = state.theta, state.scale
+        low = min([theta[i] for i in block])
+        if not 0 < low < scale:
             raise SolverError(f"{name} stretch factor must exceed 1")
+        stretch = Fraction(scale, scale - low)
         if x_edge is not None and x_edge < stretch:
             return False
-        tight_buyers = {i for i in block if Fraction(-1) / state.beta(i) == stretch}
+        tight_buyers = {i for i in block if theta[i] == low}
         _scale(state, block, goods, stretch)
-        state.flow, theta = scale_flow(state.flow, state.theta, stretch, block, goods,
-                                       state.network())
-        state.theta = list(theta)
+        flow = state.flow
+        state.flow, state.theta, state.scale = scale_flow(
+            flow, theta, scale, stretch, block, goods, state.network(), x_edge != stretch)
+        if state.flow is not flow:
+            state._record_scale()
         for i in tight_buyers:
             if state.theta[i] != 0:
                 raise SolverError(f"{name} tight buyers must end with zero surplus")
@@ -362,7 +403,7 @@ def _stage2_phase(state, name):
     _, iterations = _price_phase(state, target, True, stretched)
     if record:
         state.stats["stage2_phases"].append(
-            {"iterations": iterations, "phi_start": phi_start, "phi_end": _l2(state.theta)}
+            {"iterations": iterations, "phi_start": phi_start, "phi_end": state.l2()}
         )
 
 
@@ -403,8 +444,8 @@ def _convex_dual_certificate(state, report):
     """
     p = list(state.p)
     _scale_frozen(state, p)
-    buyers = sorted(i for group, _ in state.frozen for i in group)
-    goods = {report.kept_goods[j] for _, group in state.frozen for j in group}
+    buyers = sorted(i for group, *_ in state.frozen for i in group)
+    goods = {report.kept_goods[j] for _, group, *_ in state.frozen for j in group}
     return {
         "buyers": buyers, "goods": sorted(goods | set(report.removed_goods)),
         "p": report.expand(p, fill=Fraction(1)), "zero_row": None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -29,7 +29,7 @@ from nashflow import (
     max_flow,
     verify_property1,
 )
-from nashflow.fisher import _FixedBudgets, _l1, _l2, _price_phase, _rebuild
+from nashflow.fisher import _FixedBudgets, _price_phase, _rebuild
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -147,18 +147,50 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
 # ``reference_surpluses``.
 
 
+Balanced = namedtuple("Balanced", "value pair_flow far_side theta")
+
+
+def balanced_values(flow, theta=()):
+    """A flow and its surpluses as values: their ints over ``flow.scale`` as ``Fraction``s.
+
+    Returns a ``Balanced``, the form ``reference_balanced_flow`` answers in.
+    """
+    s = flow.scale
+    return Balanced(Fraction(flow.value, s), {e: Fraction(f, s) for e, f in flow.pair_flow.items()},
+                    flow.far_side, tuple(Fraction(t, s) for t in theta))
+
+
+def flow_value(flow):
+    """A flow's value as a ``Fraction``."""
+    return Fraction(flow.value, flow.scale)
+
+
+def in_units(net, scale):
+    """``net`` with its prices and money as ints over ``scale``, which must clear them."""
+    def ints(amounts):
+        scaled = [Fraction(x) * scale for x in amounts]
+        assert all(x.denominator == 1 for x in scaled), (amounts, scale)
+        return tuple(x.numerator for x in scaled)
+
+    return MarketNetwork(ints(net.p), ints(net.m), net.edges)
+
+
 def reference_balanced_flow(net: MarketNetwork):
-    """The balanced flow by divide and conquer, one extra max-flow per block."""
+    """The balanced flow by divide and conquer, one extra max-flow per block.
+
+    Returns a ``Balanced`` in ``Fraction``s: the value, pair flows and cut of
+    the Edmonds-Karp flow at caps ``m - theta``, and ``theta``.
+    """
     n = net.n
     theta = [None] * n
     root_value = _reference_solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)
     caps = [net.m[i] - theta[i] for i in range(n)]
-    flow = max_flow(replace(net, m=tuple(caps)))
+    flow = balanced_values(max_flow(replace(net, m=tuple(caps))))
     if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
         raise BalanceError("reassembled flow does not saturate the computed surplus levels")
-    if not verify_property1(net, flow):
+    if not verify_property1(net, FlowResult(flow.value, flow.pair_flow, flow.far_side, net)):
         raise BalanceError("reassembled flow violates the balance characterization")
-    return flow, tuple(theta)
+    return flow._replace(theta=tuple(theta))
 
 
 def _reference_solve(buyers, goods, net, theta):
@@ -166,7 +198,7 @@ def _reference_solve(buyers, goods, net, theta):
     if not buyers:
         return Fraction(0)
     sub = net.sub(buyers, goods)
-    value = max_flow(sub).value
+    value = flow_value(max_flow(sub))
     delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
     if delta == 0:
         for i in buyers:
@@ -174,7 +206,7 @@ def _reference_solve(buyers, goods, net, theta):
         return value
     caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
     trial = max_flow(replace(sub, m=tuple(caps)))
-    if trial.value == value and all(net.m[i] >= delta for i in buyers):
+    if flow_value(trial) == value and all(net.m[i] >= delta for i in buyers):
         for i in buyers:
             theta[i] = delta
         return value
@@ -225,7 +257,7 @@ def reference_first_tight(p, money, edges, target):
     for _ in range(g + 3):
         prices = tuple(p[j] * x if j in target else p[j] for j in range(g))
         res = max_flow(MarketNetwork(prices, tuple(money), frozenset(edges)))
-        if res.value == sum(prices, Fraction(0)):
+        if flow_value(res) == sum(prices, Fraction(0)):
             return x, res.far_side[0], res.far_side[1]
         binding = set(res.far_side[1])
         inside = sum((p[j] for j in binding & target), Fraction(0))
@@ -507,26 +539,26 @@ def measure_l1_vs_l2(n, delta=Fraction(1), big=None):
     u, money, prices = gen_l1_adversarial(n, delta, big)
     market = _FixedBudgets(u, tuple(money), list(prices))
     _rebuild(market)
-    start = market.theta
+    l1_start, l2_start = market.l1(), market.l2()
     market.phase = 1
-    peak = max(start)
-    block = {i for i, t in enumerate(start) if t == peak}
+    peak = max(market.theta)
+    block = {i for i, t in enumerate(market.theta) if t == peak}
     _price_phase(market, block, True, market.stop_at_tight)
     _rebuild(market)
-    end = market.theta
+    l1_end, l2_end = market.l1(), market.l2()
     events = market.trace
     edge_events = [e for e in events if e["type"] == "edge"]
     return {
         "n": n,
         "delta": Fraction(delta),
         "events": events,
-        "l1_start": _l1(start),
-        "l2_start": _l2(start),
-        "l1_after_edges": edge_events[-1]["l1"] if edge_events else _l1(start),
-        "l1_end": _l1(end),
-        "l2_end": _l2(end),
-        "l1_drop": _l1(start) - _l1(end),
-        "l2_drop_factor": _l2(end) / _l2(start),
+        "l1_start": l1_start,
+        "l2_start": l2_start,
+        "l1_after_edges": edge_events[-1]["l1"] if edge_events else l1_start,
+        "l1_end": l1_end,
+        "l2_end": l2_end,
+        "l1_drop": l1_start - l1_end,
+        "l2_drop_factor": l2_end / l2_start,
     }
 
 

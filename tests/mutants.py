@@ -69,7 +69,7 @@ MUTANTS = [
     dict(
         name="rebalance-without-sell-check",
         file="fisher.py",
-        old="if self.flow.value != sum((self.p[j] for j in goods), Fraction(0)):",
+        old="if self.flow.value != sum(self.flow.net.p):",
         new="if False:",
         killer="tests/test_fisher.py::test_rebalance_rejects_an_active_good_that_no_longer_sells",
     ),
@@ -118,6 +118,23 @@ MUTANTS = [
         file="solver.py",
         old="if x_edge is not None and x_edge < stretch:",
         new="if x_edge is not None and x_edge <= stretch:",
+        killer="tests/test_fisher.py::"
+               "test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events",
+    ),
+    # The integer reads of the surpluses over the market's scale
+    # (solver.stage1 and the rising stop).
+    dict(
+        name="stage1-sum-over-unit-scale",
+        file="solver.py",
+        old="if sum([theta[i] for i in active]) >= len(active) * scale:",
+        new="if sum([theta[i] for i in active]) >= len(active):",
+        killer="tests/test_solver.py::test_stage1_verdict_matches_the_margin_program_sign",
+    ),
+    dict(
+        name="stretch-at-the-block-peak",
+        file="solver.py",
+        old="low = min([theta[i] for i in block])",
+        new="low = max([theta[i] for i in block])",
         killer="tests/test_fisher.py::"
                "test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events",
     ),
@@ -184,8 +201,8 @@ MUTANTS = [
     dict(
         name="scaled-flow-on-a-subset-of-edges",
         file="balanced.py",
-        old="if net.edges != flow.net.edges:",
-        new="if not net.edges <= flow.net.edges:",
+        old="if not keep or net.edges != flow.net.edges:",
+        new="if not keep or not net.edges <= flow.net.edges:",
         killer="tests/test_solver.py::test_a_stop_that_dropped_an_edge_rebalances",
     ),
     dict(
@@ -198,9 +215,23 @@ MUTANTS = [
     dict(
         name="scaled-flow-block-left-unscaled",
         file="balanced.py",
-        old="pair_flow = {e: f * x if e[0] in buyers else f for e, f in flow.pair_flow.items()}",
-        new="pair_flow = dict(flow.pair_flow)",
+        old="paid = [f * a if e[0] in buyers else f * b for e, f in flow.pair_flow.items()]",
+        new="paid = [f * b for e, f in flow.pair_flow.items()]",
         killer="tests/test_solver.py::test_a_stop_that_dropped_an_edge_rebalances",
+    ),
+    dict(
+        name="scaled-flow-unchecked-against-its-network",
+        file="balanced.py",
+        old="if any(q.numerator * common != v * q.denominator for q, v in amounts):",
+        new="if False:",
+        killer="tests/test_balanced.py::test_scale_flow_rejects_a_network_its_flow_does_not_price",
+    ),
+    dict(
+        name="scaled-flow-formed-at-an-edge-tie",
+        file="solver.py",
+        old="flow, theta, scale, stretch, block, goods, state.network(), x_edge != stretch)",
+        new="flow, theta, scale, stretch, block, goods, state.network(), True)",
+        killer="tests/test_solver.py::test_every_scaled_flow_a_stop_forms_is_kept",
     ),
     dict(
         name="scaled-flow-gate-without-value",
@@ -227,8 +258,8 @@ MUTANTS = [
     dict(
         name="return-over-scale-without-mult",
         file="balanced.py",
-        old="scale *= mult",
-        new="pass",
+        old="flow.residual, scale * mult), tuple(theta))",
+        new="flow.residual, scale), tuple(theta))",
         killer="tests/test_balanced.py::"
                "test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow",
     ),
@@ -242,8 +273,16 @@ MUTANTS = [
     dict(
         name="int-network-returns-fractions",
         file="flownet.py",
-        old="ints = all(type(x) is int for x in (*net.p, *net.m))",
-        new="ints = False",
+        old="pair_flow[(i, j)] = f\n",
+        new="pair_flow[(i, j)] = Fraction(f, scale)\n",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
+    ),
+    dict(
+        name="max-flow-forgets-its-scale",
+        file="flownet.py",
+        old="return FlowResult(value, pair_flow, far_side, whole, residual, scale)",
+        new="return FlowResult(value, pair_flow, far_side, whole, residual)",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
     ),

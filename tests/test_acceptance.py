@@ -29,7 +29,10 @@ from nashflow import (
     verify_property1,
 )
 from conftest import (
+    balanced_values,
     exhaustive_small_instances,
+    flow_value,
+    in_units,
     measure_l1_vs_l2,
     random_network,
     reference_surpluses,
@@ -158,8 +161,9 @@ def test_criterion_06_balanced_flow_on_a_thousand_networks():
     for _ in range(1000):
         net = random_network(rng, max_buyers=6, max_goods=6)
         flow, theta = balanced_flow(net)
-        assert flow.value == max_flow(net).value
-        assert verify_property1(net, flow)
+        assert flow_value(flow) == flow_value(max_flow(net))
+        assert verify_property1(in_units(net, flow.scale), flow)
+        theta = balanced_values(flow, theta).theta
         perm = list(range(net.n))
         rng.shuffle(perm)
         permuted = MarketNetwork(
@@ -167,7 +171,7 @@ def test_criterion_06_balanced_flow_on_a_thousand_networks():
             tuple(net.m[perm[i]] for i in range(net.n)),
             frozenset((perm.index(i), j) for (i, j) in net.edges),
         )
-        _, ptheta = balanced_flow(permuted)
+        ptheta = balanced_values(*balanced_flow(permuted)).theta
         assert all(ptheta[i] == theta[perm[i]] for i in range(net.n))
         if net.n <= 4:
             small += 1

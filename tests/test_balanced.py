@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -24,6 +25,9 @@ from nashflow import (
     verify_property1,
 )
 from conftest import (
+    balanced_values,
+    flow_value,
+    in_units,
     random_network,
     reference_balanced_flow,
     reference_surpluses,
@@ -56,8 +60,10 @@ def test_balanced_flow_splits_contested_good_evenly():
         (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
     )
     flow, theta = balanced_flow(net)
-    assert theta == (Fraction(1, 2), Fraction(1, 2))
-    assert flow.pair_flow == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+    assert (flow.scale, theta, flow.pair_flow) == (2, (1, 1), {(0, 0): 1, (1, 0): 1})
+    got = balanced_values(flow, theta)
+    assert got.theta == (Fraction(1, 2), Fraction(1, 2))
+    assert got.pair_flow == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
 
 
 def test_balanced_flow_without_a_hint_proves_one_level_per_component_at_once():
@@ -81,10 +87,8 @@ def test_balanced_flow_that_cannot_sell_runs_the_split_rounds():
     with counting() as tally:
         flow, theta = balanced_flow(net)
     assert (tally["maxflows"], tally["hits"], tally["repairs"], tally["misses"]) == (1, 0, 0, 1)
-    ref_flow, ref_theta = reference_balanced_flow(net)
-    assert theta == ref_theta == (Fraction(0),)
-    assert flow.pair_flow == ref_flow.pair_flow
-    assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+    ref = reference_balanced_flow(net)
+    assert balanced_values(flow, theta) == ref and ref.theta == (Fraction(0),)
 
 
 def test_balanced_flow_without_a_hint_can_miss_on_a_sellable_network():
@@ -101,12 +105,10 @@ def test_balanced_flow_without_a_hint_can_miss_on_a_sellable_network():
         flow, theta = balanced_flow(net)
     assert (tally["hits"], tally["repairs"], tally["misses"]) == (0, 0, 1)
     assert tally["maxflows"] <= 2 * net.n + 3
-    assert theta == (Fraction(0), Fraction(25, 6), Fraction(3), Fraction(11, 2))
-    assert flow.value == sum(net.p)
-    ref_flow, ref_theta = reference_balanced_flow(net)
-    assert theta == ref_theta
-    assert flow.pair_flow == ref_flow.pair_flow
-    assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+    got = balanced_values(flow, theta)
+    assert got.theta == (Fraction(0), Fraction(25, 6), Fraction(3), Fraction(11, 2))
+    assert got.value == sum(net.p)
+    assert got == reference_balanced_flow(net)
 
 
 FAR_SIDES = {
@@ -189,16 +191,16 @@ def test_gate_rejects_a_split_round_level_below_zero(monkeypatch):
 def test_balanced_flow_disconnected_market_has_no_surplus():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow, theta = balanced_flow(net)
-    assert theta == (Fraction(0), Fraction(0))
-    assert flow.value == Fraction(2)
+    assert theta == (0, 0)
+    assert flow_value(flow) == Fraction(2)
 
 
 def test_balanced_flow_cannot_spend_past_the_prices():
     net = MarketNetwork(
         (Fraction(1),), (Fraction(2), Fraction(1)), frozenset({(0, 0), (1, 0)})
     )
-    _, theta = balanced_flow(net)
-    assert theta == (Fraction(1), Fraction(1))
+    flow, theta = balanced_flow(net)
+    assert balanced_values(flow, theta).theta == (Fraction(1), Fraction(1))
 
 
 @pytest.mark.parametrize("goods", [0, 1])
@@ -220,8 +222,8 @@ def test_balanced_flow_is_a_max_flow():
     for _ in range(60):
         net = random_network(rng)
         flow, theta = balanced_flow(net)
-        assert flow.value == max_flow(net).value
-        assert surpluses(net, flow) == theta
+        assert flow_value(flow) == flow_value(max_flow(net))
+        assert surpluses(in_units(net, flow.scale), flow) == theta
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def test_verify_property1_accepts_balanced_flows():
         (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
     )
     flow, _ = balanced_flow(net)
-    assert verify_property1(net, flow) is True
+    assert verify_property1(in_units(net, flow.scale), flow) is True
 
 
 def test_verify_property1_rejects_lopsided_split():
@@ -266,6 +268,7 @@ def test_verify_property1_matches_residual_search():
             flow, _ = balanced_flow(net)
         else:
             flow = max_flow(net)
+        flow = FlowResult(*balanced_values(flow)[:3], net, flow.residual)  # the network's unit
         # The characterization read literally: a residual search from every
         # buyer, which the reverse search must mirror.
         theta = surpluses(net, flow)
@@ -293,8 +296,8 @@ def test_balanced_flow_matches_reference_on_random_networks():
     for _ in range(300):
         net = random_network(rng)
         flow, theta = balanced_flow(net)
-        assert theta == reference_surpluses(net)
-        assert verify_property1(net, flow) is True
+        assert balanced_values(flow, theta).theta == reference_surpluses(net)
+        assert verify_property1(in_units(net, flow.scale), flow) is True
 
 
 def test_surplus_vector_is_order_independent():
@@ -310,8 +313,8 @@ def test_surplus_vector_is_order_independent():
             tuple(net.m[perm[i]] for i in range(net.n)),
             frozenset((perm.index(i), j) for (i, j) in net.edges),
         )
-        _, theta = balanced_flow(net)
-        _, theta_p = balanced_flow(permuted)
+        theta = balanced_values(*balanced_flow(net)).theta
+        theta_p = balanced_values(*balanced_flow(permuted)).theta
         assert theta_p == tuple(theta[perm[i]] for i in range(net.n))
 
 
@@ -376,11 +379,9 @@ def test_balanced_flow_runs_at_most_2n_plus_3_max_flows():
         for net in (drawn, replace(drawn, p=tuple(x / 8 for x in drawn.p))):
             with counting() as tally:
                 flow, theta = balanced_flow(net)
-            ref_flow, ref_theta = reference_balanced_flow(net)
-            assert theta == ref_theta
-            assert flow.pair_flow == ref_flow.pair_flow
-            assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
-            sellable = flow.value == sum(net.p, Fraction(0))
+            ref = reference_balanced_flow(net)
+            assert balanced_values(flow, theta) == ref
+            sellable = ref.value == sum(net.p, Fraction(0))
             calls.append((net.n, tally["maxflows"], tally["misses"], sellable))
     assert len(calls) == 6000
     assert all(flows <= 2 * n + 3 for n, flows, *_ in calls)
@@ -423,10 +424,7 @@ def test_balanced_flow_matches_the_plain_recursion():
     for _ in range(3000):
         net = _restricted(rng, random_network(rng, 8, 8))
         flow, theta = balanced_flow(net)
-        ref_flow, ref_theta = reference_balanced_flow(net)
-        assert theta == ref_theta
-        assert flow.pair_flow == ref_flow.pair_flow
-        assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+        assert balanced_values(flow, theta) == reference_balanced_flow(net)
         split += len(set(theta)) >= 3
     assert split > 300
 
@@ -459,7 +457,7 @@ def _hinted_cases(rng, count):
         shuffled = list(theta)
         rng.shuffle(shuffled)
         yield "permuted", net, (flow, tuple(shuffled))
-        yield "one level", net, (flow, (Fraction(0),) * net.n)
+        yield "one level", net, (flow, (0,) * net.n)
         factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         p = tuple(x * factor if rng.random() < 0.5 else x for x in net.p)
         pair = (rng.randrange(net.n), rng.randrange(net.g))
@@ -486,9 +484,9 @@ def _pinned_hinted_cases():
         frozenset({(0, 0), (1, 1), (2, 1)}),
     )
     paid = max_flow(replace(net, edges=frozenset({(1, 1)})))
-    yield "stale", net, (paid, (Fraction(1), Fraction(1), Fraction(0))), "repairs"
+    yield "stale", net, (paid, (1, 1, 0)), "repairs"
     net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
-    yield "unsellable", net, (None, (Fraction(0),)), "misses"
+    yield "unsellable", net, (None, (0,)), "misses"
 
 
 def test_hinted_balanced_flow_matches_the_plain_recursion():
@@ -500,17 +498,15 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
         with counting() as tally:
             flow, theta = balanced_flow(net, hint)
         if net is not ref_net:  # the cases on one network come in a row
-            ref_net, (ref_flow, ref_theta) = net, reference_balanced_flow(net)
-        assert theta == ref_theta
-        assert flow.pair_flow == ref_flow.pair_flow
-        assert (flow.value, flow.far_side) == (ref_flow.value, ref_flow.far_side)
+            ref_net, ref = net, reference_balanced_flow(net)
+        assert balanced_values(flow, theta) == ref
         (outcome,) = [key for key in OUTCOMES if tally[key]]
         assert tally[outcome] == 1
         assert outcome == (expected or outcome), kind
         if kind == "own":
             # Its own classes give every surplus; the gate then needs only
             # the whole price mass to sell.
-            assert (outcome == "hits") == (ref_flow.value == sum(net.p, Fraction(0)))
+            assert (outcome == "hits") == (ref.value == sum(net.p, Fraction(0)))
         outcomes.setdefault(kind, []).append(outcome)
     for kind, seen in outcomes.items():
         assert len(seen) == 1 or 0 < seen.count("hits") < len(seen), kind
@@ -519,8 +515,10 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
 
 def test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow(monkeypatch):
     # Levels, caps and prices go to the flow core as ints over one scale per
-    # round; the returned flow is rebuilt in Fractions once, and equals the
-    # recursion's field for field, its network included.
+    # round.  The proved round's integer flow comes back as it stands, with
+    # its surpluses, over that scale: the least common denominator of the
+    # prices, the money and the surpluses.  Its values are the recursion's,
+    # and its network is the network at caps m - theta in that unit.
     real_max_flow, handed = balanced.max_flow, []
 
     def ints_only(net):
@@ -536,14 +534,56 @@ def test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_fl
         del handed[:]
         flow, theta = balanced_flow(net, hint)
         if net is not ref_net:
-            ref_net, (ref_flow, ref_theta) = net, reference_balanced_flow(net)
-        assert flow == ref_flow and theta == ref_theta
-        assert all(type(x) is Fraction for x in (flow.value, *flow.pair_flow.values(), *theta))
+            ref_net, ref = net, reference_balanced_flow(net)
+        assert balanced_values(flow, theta) == ref
+        assert all(type(x) is int for x in (flow.value, *flow.pair_flow.values(), *theta,
+                                            *flow.net.p, *flow.net.m))
+        caps = tuple([m - t for m, t in zip(net.m, ref.theta)])
+        assert flow.net == in_units(replace(net, m=caps), flow.scale)
+        assert flow.scale == lcm(*[x.denominator for x in (*net.p, *net.m, *ref.theta)])
         assert handed
         # A level whose denominator does not divide the scale widens the integers.
-        scale = lcm(*[x.denominator for x in (*net.p, *net.m)])
-        wider += any(scale % t.denominator for t in theta)
+        wider += flow.scale != lcm(*[x.denominator for x in (*net.p, *net.m)])
     assert wider > 100
+
+
+def test_solves_build_no_fraction_inside_balanced_flow_or_scale_flow(monkeypatch):
+    # On the solve path the balanced flow (the guess, its max-flows and its
+    # gate) and the closed-form scaling at a rising stop run in integers
+    # from the network's numerators and denominators to their answer: every
+    # ``Fraction`` is built outside them.
+    import nashflow.fisher
+    import nashflow.solver
+
+    built, calls, inside = Counter(), Counter(), []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[inside[-1] if inside else "elsewhere"] += 1
+        return new(cls, *args, **kwargs)
+
+    def entered(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    entered(nashflow.fisher, "balanced_flow")
+    entered(nashflow.solver, "scale_flow")
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for seed in range(27):
+        solve(gen_random(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed))
+    solve(gen_random(12, 12, 1000, 1500, 0))
+    monkeypatch.undo()
+    assert calls["balanced_flow"] > 50 and calls["scale_flow"] > 20, calls
+    assert set(built) == {"elsewhere"}, built
 
 
 def test_solves_hold_the_tuple_free_lists_steady():
@@ -593,13 +633,13 @@ def test_hinted_balanced_flow_costs_one_max_flow_on_a_hit(flows_per_call):
 def test_scale_flow_up_reaches_the_equilibrium():
     net = build_network(scalar_feasible(), [Fraction(1)])
     flow, theta = balanced_flow(net)
-    assert theta == (Fraction(1, 2),)
+    assert balanced_values(flow, theta).theta == (Fraction(1, 2),)
     # The scaled network is the market at the doubled price.
     scaled = scaled_network(net, Fraction(2), {0}, {0})
     assert scaled == build_network(scalar_feasible(), [Fraction(2)])
     assert (scaled.p, scaled.m) == ((Fraction(2),), (Fraction(2),))
-    sflow, stheta = scale_flow(flow, theta, Fraction(2), {0}, {0}, scaled)
-    assert stheta == (Fraction(0),)
+    sflow, stheta, scale = scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, scaled, True)
+    assert stheta == (0,) and scale == sflow.scale
     assert (sflow, stheta) == balanced_flow(scaled)
 
 
@@ -608,9 +648,11 @@ def test_scale_flow_down_grows_the_surplus():
     flow, theta = balanced_flow(net)
     scaled = scaled_network(net, Fraction(1, 2), {0}, {0})
     assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
-    sflow, stheta = scale_flow(flow, theta, Fraction(1, 2), {0}, {0}, scaled)
-    assert stheta == (Fraction(3, 4),)
-    assert sflow.pair_flow == {(0, 0): Fraction(1, 2)} and sflow.net.m == (Fraction(1, 2),)
+    x = Fraction(1, 2)
+    sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {0}, {0}, scaled, True)
+    # Over the least common denominator 4: surplus 3/4, pair flow 1/2, cap 1/2.
+    assert (scale, stheta, sflow.pair_flow, sflow.net) == (
+        4, (3,), {(0, 0): 2}, MarketNetwork((2,), (2,), scaled.edges))
 
 
 def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
@@ -618,13 +660,15 @@ def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
     flow, theta = balanced_flow(net)
     for x in (Fraction(3, 2), Fraction(2), Fraction(1, 3)):
         scaled = scaled_network(net, x, {0}, {0})
-        assert scale_flow(flow, theta, x, {0}, {0}, scaled) == balanced_flow(scaled)
+        sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {0}, {0}, scaled, True)
+        assert scale == sflow.scale and (sflow, stheta) == balanced_flow(scaled)
 
 
 def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_graph():
     # Two components; scaling the second leaves the first's pair flows alone
     # and gives the balanced flow of the scaled network, cut and residual
-    # reach included, without a max-flow.
+    # reach included, without a max-flow, over the same least common
+    # denominator as a rebalance.
     net = MarketNetwork((Fraction(1), Fraction(1), Fraction(2)),
                         (Fraction(3, 2), Fraction(2), Fraction(3, 2)),
                         frozenset({(0, 0), (1, 1), (1, 2), (2, 2)}))
@@ -632,14 +676,32 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
     x = Fraction(4, 3)
     scaled = scaled_network(net, x, {1, 2}, {1, 2})
     with counting() as tally:
-        sflow, stheta = scale_flow(flow, theta, x, {1, 2}, {1, 2}, scaled)
+        sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {1, 2}, {1, 2}, scaled, True)
     assert tally["maxflows"] == 0
     want, want_theta = balanced_flow(scaled)
-    assert (sflow, stheta) == (want, want_theta)
-    assert sflow.pair_flow[0, 0] == flow.pair_flow[0, 0]
+    assert (sflow, stheta, scale) == (want, want_theta, want.scale)
+    assert (balanced_values(sflow).pair_flow[0, 0]
+            == balanced_values(flow).pair_flow[0, 0])
     for i in range(3):
         for reverse in (False, True):
             assert sflow.residual_reach({i}, reverse) == want.residual_reach({i}, reverse)
+
+
+def _keeps_the_old_flow(net, moved, keep, ungated=None):
+    """Scale buyer 1's block by 5/4 and check that only the surpluses move.
+
+    With ``ungated``, a ``monkeypatch``, the gate's property-1 check is
+    removed first, so a scaled flow formed and gated would raise.
+    """
+    flow, theta = balanced_flow(net)
+    if ungated is not None:
+        ungated.setattr(balanced, "verify_property1", None)
+    x = Fraction(5, 4)
+    with counting() as tally:
+        kept, stheta, scale = scale_flow(flow, theta, flow.scale, x, {1}, {1}, moved, keep)
+    assert kept is flow and tally["maxflows"] == 0
+    before = balanced_values(flow, theta).theta
+    assert tuple(Fraction(t, scale) for t in stheta) == (before[0], 1 + x * (before[1] - 1))
 
 
 def test_scale_flow_keeps_the_old_flow_when_the_move_dropped_an_edge():
@@ -648,13 +710,18 @@ def test_scale_flow_keeps_the_old_flow_when_the_move_dropped_an_edge():
     # surpluses move and the old flow comes back for the caller to rebalance.
     net = MarketNetwork((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
                         frozenset({(0, 0), (1, 0), (1, 1)}))
-    flow, theta = balanced_flow(net)
     moved = scaled_network(replace(net, edges=frozenset({(0, 0), (1, 1)})),
                            Fraction(5, 4), {1}, {1})
-    with counting() as tally:
-        kept, stheta = scale_flow(flow, theta, Fraction(5, 4), {1}, {1}, moved)
-    assert kept is flow and tally["maxflows"] == 0
-    assert stheta == (theta[0], 1 + Fraction(5, 4) * (theta[1] - 1))
+    _keeps_the_old_flow(net, moved, True)
+
+
+def test_scale_flow_not_kept_moves_the_surpluses_alone(monkeypatch):
+    # A caller that rebalances after the stop anyway (its tied pairs join the
+    # edges) asks for no scaled flow: the surpluses move, and no flow is
+    # formed or gated.
+    net = MarketNetwork((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
+                        frozenset({(0, 0), (1, 1)}))
+    _keeps_the_old_flow(net, scaled_network(net, Fraction(5, 4), {1}, {1}), False, monkeypatch)
 
 
 def test_scale_flow_rejects_edges_crossing_the_block():
@@ -666,18 +733,32 @@ def test_scale_flow_rejects_edges_crossing_the_block():
     )
     flow, theta = balanced_flow(net)
     with pytest.raises(balanced.BalanceError, match=r"edge \(0,1\) crosses the scaled block"):
-        scale_flow(flow, theta, Fraction(2), {0}, {0}, net)
+        scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, net, True)
+
+
+def test_scale_flow_rejects_a_network_its_flow_does_not_price():
+    # The gate proves the scaled flow against the network it receives, not
+    # only against amounts derived from the old flow: a block moved by 3
+    # while the flow scales by 2 sells the flow's own price mass and passes
+    # property 1, but its prices and budgets are not the network's.
+    net = build_network(scalar_feasible(), [Fraction(1)])
+    flow, theta = balanced_flow(net)
+    moved = scaled_network(net, Fraction(3), {0}, {0})
+    with pytest.raises(balanced.BalanceError, match="does not price the network"):
+        scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, moved, True)
 
 
 def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
     # The gate does not trust the flow it scales: one that leaves half the
     # good unsold passes property 1 (one buyer) and fails on its value.
+    # Over scale 2 the good costs 2, the budget is 4, the flow pays 1 and
+    # the surplus is 3.
     before = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
-    flow = FlowResult(Fraction(1, 2), {(0, 0): Fraction(1, 2)}, (frozenset(), frozenset()),
-                      replace(before, m=(Fraction(1, 2),)))
+    flow = FlowResult(1, {(0, 0): 1}, (frozenset(), frozenset()),
+                      MarketNetwork((2,), (1,), before.edges), scale=2)
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
-        scale_flow(flow, (Fraction(3, 2),), Fraction(2), {0}, {0}, after)
+        scale_flow(flow, (3,), 2, Fraction(2), {0}, {0}, after, True)
 
 
 def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
@@ -685,8 +766,8 @@ def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
     # spends every cap, but the other buyer keeps the larger surplus.
     before = MarketNetwork((Fraction(1),), (Fraction(2), Fraction(2)),
                            frozenset({(0, 0), (1, 0)}))
-    flow = FlowResult(Fraction(1), {(1, 0): Fraction(1)}, (frozenset(), frozenset()),
-                      replace(before, m=(Fraction(0), Fraction(1))))
+    flow = FlowResult(1, {(1, 0): 1}, (frozenset(), frozenset()),
+                      MarketNetwork((1,), (0, 1), before.edges))
     after = scaled_network(before, Fraction(2), {0, 1}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
-        scale_flow(flow, (Fraction(2), Fraction(1)), Fraction(2), {0, 1}, {0}, after)
+        scale_flow(flow, (2, 1), 1, Fraction(2), {0, 1}, {0}, after, True)

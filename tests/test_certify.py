@@ -256,11 +256,11 @@ def _partition_by_definition(inst, buyers, goods, p):
         return False
     flow = max_flow(net)
     for j in range(inst.g):
-        sold = sum((f for (_, jj), f in flow.pair_flow.items() if jj == j), Fraction(0))
+        sold = Fraction(sum(f for (_, jj), f in flow.pair_flow.items() if jj == j), flow.scale)
         if j not in split_g and sold != p[j]:
             return False
-    _, theta = balanced_flow(net)
-    return sum((theta[i] - 1 for i in rest_b), Fraction(0)) >= 0
+    flow, theta = balanced_flow(net)
+    return sum(theta[i] - flow.scale for i in rest_b) >= 0
 
 
 def _partition_claims(rng, count):

@@ -469,9 +469,9 @@ def test_block_crossing_edge_at_a_stage_two_scaling_exits_three(run, monkeypatch
     # An edge across a scaled block is a broken invariant, not bad input.
     from nashflow.balanced import scale_flow
 
-    def crossing(flow, theta, x, buyers, goods, net):
+    def crossing(flow, theta, scale, x, buyers, goods, net, keep):
         net = replace(net, edges=net.edges | {(min(buyers), max(goods) + 1)})
-        return scale_flow(flow, theta, x, buyers, goods, net)
+        return scale_flow(flow, theta, scale, x, buyers, goods, net, keep)
 
     monkeypatch.setattr("nashflow.solver.scale_flow", crossing)
     code, out, err = run(["solve", feasible_file])

@@ -17,7 +17,6 @@ ENTRY_POINT_PARAMETERS = {("main", "argv")}
 # from another: the solver drives the price-phase kernel with its helpers,
 # and the balanced flow adds its work to the flow core's tally.
 PRIVATE_READS = {
-    ("solver", "fisher", "_l2"),
     ("solver", "fisher", "_price_phase"),
     ("solver", "fisher", "_rebuild"),
     ("solver", "fisher", "_scale"),

@@ -217,7 +217,7 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
         for (i, j), f in market.flow.pair_flow.items():
             spent[i] += f
         certified = x_edge is not None and all(
-            x_edge * spent[i] < market.money[i] for i in block
+            x_edge * Fraction(spent[i], market.flow.scale) < market.money[i] for i in block
         )
         ended = stop(market, x_edge, block, goods, iteration)
         if not ended:
@@ -265,7 +265,7 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
             state.p, state.money, closed_edges(state.edges, block, goods), goods
         )
         assert x == x_ref
-        tight = {i for i in block if x * state.beta(i) == -1}
+        tight = {i for i in block if x * (Fraction(state.theta[i], state.scale) - 1) == -1}
         assert tight and tight <= buyers_ref
         assert {j for (i, j) in state.flow.pair_flow if i in tight and j in goods} <= goods_ref
         seen["tight"] += 1
@@ -300,7 +300,7 @@ def test_tight_descent_rejects_a_stale_cut(monkeypatch):
         if first:
             return first[0]
         res = real(net)
-        if res.value < sum(net.p):
+        if res.value < sum(res.net.p):
             first.append(res)
         return res
 

@@ -12,6 +12,7 @@ import pytest
 
 from nashflow import (
     FlowError,
+    FlowResult,
     MarketNetwork,
     balanced_flow,
     bang_per_buck,
@@ -24,6 +25,9 @@ from nashflow import (
     solve,
 )
 from conftest import (
+    balanced_values,
+    flow_value,
+    in_units,
     random_network,
     random_ratio_case,
     reference_bang_per_buck,
@@ -117,20 +121,24 @@ def test_max_flow_saturates_single_edge():
 
 def test_max_flow_money_short_cuts_agree():
     flow = max_flow(MarketNetwork((Fraction(1),), (Fraction(1, 2),), frozenset({(0, 0)})))
-    assert flow.value == Fraction(1, 2)
+    assert flow_value(flow) == Fraction(1, 2)
     assert flow.far_side == (frozenset({0}), frozenset({0}))
 
 
 def test_max_flow_symmetric_pair_moves_all_money():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
-    assert max_flow(net).value == Fraction(2)
+    assert flow_value(max_flow(net)) == Fraction(2)
 
 
 def test_max_flow_respects_custom_money_caps():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     flow = max_flow(replace(net, m=(Fraction(1, 4), Fraction(1))))
-    assert flow.value == Fraction(5, 4)
-    assert flow.pair_flow == {(0, 0): Fraction(1, 4), (1, 1): Fraction(1)}
+    # Ints over the lcm of the denominators, the network included.
+    assert (flow.scale, flow.value, flow.pair_flow) == (4, 5, {(0, 0): 1, (1, 1): 4})
+    assert (flow.net.p, flow.net.m) == ((4, 4), (1, 4))
+    values = balanced_values(flow)
+    assert values.value == Fraction(5, 4)
+    assert values.pair_flow == {(0, 0): Fraction(1, 4), (1, 1): Fraction(1)}
 
 
 def test_max_flow_interior_edges_never_bind():
@@ -142,7 +150,7 @@ def test_max_flow_interior_edges_never_bind():
         frozenset({(2, 0)}),
     )
     flow = max_flow(net)
-    assert flow.value == Fraction(3, 2)
+    assert flow_value(flow) == Fraction(3, 2)
     # The good sells out and its buyer still has slack, so both stay on the
     # sink-reaching side of the maximal cut.
     assert 0 not in flow.far_side[1]
@@ -154,6 +162,8 @@ def test_max_flow_conservation_and_caps_random():
     for _ in range(150):
         net = random_network(rng)
         flow = max_flow(net)
+        assert flow.net == in_units(net, flow.scale)
+        flow = FlowResult(*balanced_values(flow)[:3], net)
         assert all(q > 0 for q in flow.pair_flow.values())
         for j in range(net.g):
             assert sum(q for (i, jj), q in flow.pair_flow.items() if jj == j) <= net.p[j]
@@ -190,7 +200,7 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
             for k in range(g + 1)
             for side in combinations(range(g), k)
         )
-        flow = max_flow(net)
+        flow = FlowResult(*balanced_values(max_flow(net))[:3], net)
         assert flow.value == least
         assert flow.value == sum(flow.pair_flow.values(), Fraction(0))
         for j in range(g):
@@ -204,8 +214,12 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
 
 
 def _same_flow(got, want):
-    """Equal value, the same pair flows in the same order, and the same cut."""
-    return (got.value, list(got.pair_flow.items()), got.far_side) == (
+    """Equal value, the same pair flows in the same order, and the same cut.
+
+    ``got`` is in ints over its scale, ``want`` (the reference) in ``Fraction``s.
+    """
+    value, pair_flow, far_side, _ = balanced_values(got)
+    return (value, list(pair_flow.items()), far_side) == (
         want.value, list(want.pair_flow.items()), want.far_side
     )
 
@@ -288,8 +302,10 @@ def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch)
 
 
 def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
-    # Every capacity times one positive integer: the pair arcs never bind,
-    # so the paths are the same, and an all-int network gets int flows.
+    # The flow core answers in one form: ints over the lcm of the network's
+    # denominators, its network included.  Every capacity times one positive
+    # integer: the pair arcs never bind, so the paths are the same, and the
+    # flow of an integer network is over scale 1.
     rng = random.Random(29)
     seen = Counter()
     for _ in range(2000):
@@ -300,17 +316,18 @@ def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
             seen["restricted"] += 1
         with counting() as tally:
             want = max_flow(net)
-        assert type(want.value) is Fraction
         scale = lcm(*[x.denominator for x in net.p + net.m])
+        assert want.scale == scale and want.net == in_units(net, scale)
+        assert all(type(x) is int for x in (want.value, *want.pair_flow.values(),
+                                            *want.net.p, *want.net.m))
         for k in (1, 2, 6):
-            d = scale * k
-            ints = MarketNetwork(tuple([int(x * d) for x in net.p]),
-                                 tuple([int(x * d) for x in net.m]), net.edges)
+            ints = in_units(net, scale * k)
             with counting() as scaled_tally:
                 got = max_flow(ints)
-            assert type(got.value) is int and got.value == want.value * d
+            assert got.scale == 1 and got.net == ints
+            assert type(got.value) is int and got.value == want.value * k
             assert all(type(f) is int for f in got.pair_flow.values())
-            assert list(got.pair_flow.items()) == [(e, f * d) for e, f in want.pair_flow.items()]
+            assert list(got.pair_flow.items()) == [(e, f * k) for e, f in want.pair_flow.items()]
             assert got.far_side == want.far_side
             assert scaled_tally == tally
             shares = got.allocation()

@@ -212,14 +212,16 @@ def test_ladder_family_start_is_a_saturating_price_vector():
         u, money, prices = gen_l1_adversarial(n)
         gamma, edges = bang_per_buck(u, list(prices))
         net = MarketNetwork(tuple(prices), tuple(money), frozenset(edges))
-        assert max_flow(net).value == sum(prices, Fraction(0))
+        flow = max_flow(net)
+        assert Fraction(flow.value, flow.scale) == sum(prices, Fraction(0))
 
 
 def test_ladder_family_start_surpluses_concentrate_on_buyer_zero():
     u, money, prices = gen_l1_adversarial(2, Fraction(1), Fraction(2))
     gamma, edges = bang_per_buck(u, list(prices))
     net = MarketNetwork(tuple(prices), tuple(money), frozenset(edges))
-    _, theta = balanced_flow(net)
+    flow, theta = balanced_flow(net)
+    theta = [Fraction(t, flow.scale) for t in theta]
     assert theta[0] == Fraction(1)          # exactly delta
     assert theta[-1] == Fraction(0)
     assert all(t <= 2 * Fraction(1, 3840) for t in theta[1:])  # slivers only

@@ -1,8 +1,10 @@
 """Two-stage exact solver: state setup, both stages, end-to-end solve."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -33,6 +35,8 @@ from nashflow import solver
 from nashflow.balanced import scale_flow
 from nashflow.fisher import _block_goods, _next_tie
 from conftest import (
+    balanced_values,
+    reference_balanced_flow,
     scalar_feasible,
     scalar_infeasible,
     scaled_network,
@@ -50,15 +54,14 @@ def test_initialize_zero_disagreement_is_already_settled():
     assert state.p == [Fraction(1)]
     assert state.gamma == [Fraction(1)]
     assert state.money == (Fraction(1),)
-    assert state.theta == [Fraction(0)]
+    assert state.theta == (0,)
 
 
 def test_initialize_saturated_buyer_shows_full_surplus():
     state = initialize(scalar_infeasible())
     assert state.p == [Fraction(1)]
     assert state.money == (Fraction(2),)
-    assert state.theta == [Fraction(1)]
-    assert state.beta(0) == Fraction(0)
+    assert (state.theta, state.scale) == ((1,), 1)
 
 
 def test_initialize_partial_surplus():
@@ -66,8 +69,8 @@ def test_initialize_partial_surplus():
     assert state.p == [Fraction(1)]
     assert state.gamma == [Fraction(2)]
     assert state.money == (Fraction(3, 2),)
-    assert state.theta == [Fraction(1, 2)]
-    assert state.beta(0) == Fraction(-1, 2)
+    # Surpluses are ints over the market's scale: 1/2 is 1 over 2.
+    assert (state.theta, state.scale) == ((1,), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +113,8 @@ def test_stage1_verdict_matches_the_margin_program_sign():
 
 
 def _deepest_deficit_block(state):
-    low = min(state.beta(i) for i in state.active_buyers)
-    block = {i for i in state.active_buyers if state.beta(i) == low}
+    low = min(state.theta[i] for i in state.active_buyers)
+    block = {i for i in state.active_buyers if state.theta[i] == low}
     return block, _block_goods(state, block, ascending=False)
 
 
@@ -283,10 +286,10 @@ def test_frozen_groups_keep_their_freeze_prices_and_ratios(monkeypatch):
 
     def check(state):
         groups = taken.setdefault(state, [])
-        for buyers, goods in state.frozen[len(groups):]:
+        for buyers, goods, *_ in state.frozen[len(groups):]:
             groups.append(({j: state.p[j] for j in goods}, {i: state.gamma[i] for i in buyers}))
             seen["freezes"] += 1
-        for (buyers, goods), (prices, ratios) in zip(state.frozen, groups):
+        for (buyers, goods, *_), (prices, ratios) in zip(state.frozen, groups):
             assert {j: state.p[j] for j in goods} == prices
             assert {i: state.gamma[i] for i in buyers} == ratios
             assert not any(state.inst.u[i][j] for i in state.active_buyers for j in goods)
@@ -593,13 +596,15 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         states.append(state)
         return phase(state, name)
 
-    def checked(flow, theta, x, buyers, goods, net):
-        updated = scale_flow(flow, theta, x, buyers, goods, net)
+    def checked(flow, theta, scale, x, buyers, goods, net, keep):
+        updated = scale_flow(flow, theta, scale, x, buyers, goods, net, keep)
         state = states[-1]
         assert net == MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
-        assert balanced_flow(scaled_network(net, 1 / x, buyers, goods))[1] == tuple(theta)
-        _, expected = balanced_flow(net)
-        assert updated[1] == expected, (state.inst.u, state.inst.c, x)
+        before = balanced_flow(scaled_network(net, 1 / x, buyers, goods))
+        assert balanced_values(*before).theta == tuple(Fraction(t, scale) for t in theta)
+        expected = balanced_values(*balanced_flow(net)).theta
+        moved = tuple(Fraction(t, updated[2]) for t in updated[1])
+        assert moved == expected, (state.inst.u, state.inst.c, x)
         calls.append(state.stage)
         return updated
 
@@ -621,9 +626,10 @@ def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
     def compare(state):
         flow, theta = balanced_flow(state.network(), (state.flow, state.theta))
         where = (state.inst.u, state.inst.c, state.stage)
+        assert state.scale == state.flow.scale == flow.scale, where
         assert state.flow.pair_flow == flow.pair_flow, where
         assert state.flow.value == flow.value and state.flow.net == flow.net, where
-        assert tuple(state.theta) == theta and state.flow.far_side == flow.far_side, where
+        assert state.theta == theta and state.flow.far_side == flow.far_side, where
         for i in range(state.inst.n):
             for reverse in (False, True):
                 assert (state.flow.residual_reach({i}, reverse)
@@ -637,6 +643,100 @@ def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
     for shape in shapes:
         solve(gen_random(*shape))
     assert kept[0] > 400 and kept[2] > 250, kept
+
+
+def _watch_market_flows(monkeypatch, on_flow):
+    """Call ``on_flow(state)`` after every rebalance and at every kept scaled flow.
+
+    These are the two ways a flow reaches the market; at both,
+    ``state.network()`` is the network the flow belongs to.
+    """
+    rebalance = SolverState.rebalance
+
+    def watched(state):
+        rebalance(state)
+        on_flow(state)
+
+    monkeypatch.setattr(SolverState, "rebalance", watched)
+    _watch_kept_scaled_flows(monkeypatch, on_flow)
+
+
+def _least_common_denominator(net, flow, theta, scale):
+    """The lcm of the denominators of a network and a flow's values, by ``Fraction``s."""
+    values = [Fraction(t, scale) for t in (*theta, *flow.pair_flow.values())]
+    return lcm(*[x.denominator for x in (*net.p, *net.m, *values)])
+
+
+def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypatch):
+    # Every flow the market takes, from a rebalance or kept from a stop, is
+    # in ints over one scale, surpluses and network included, and that scale
+    # is the least common denominator of the network and the flow's values.
+    # Divided by it, the value, pair flows, cut and surpluses are the
+    # recursion's on the same network.
+    seen = Counter()
+
+    def check(state):
+        flow, theta, scale = state.flow, state.theta, state.scale
+        net = state.network()
+        amounts = (flow.value, *flow.pair_flow.values(), *theta, *flow.net.p, *flow.net.m)
+        assert scale == flow.scale and all(type(x) is int for x in amounts)
+        ref = reference_balanced_flow(net)
+        where = (state.inst.u, state.inst.c, state.stage)
+        assert balanced_values(flow, theta) == ref, where
+        assert scale == _least_common_denominator(net, flow, theta, scale), where
+        seen[state.stage] += 1
+
+    _watch_market_flows(monkeypatch, check)
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    for shape in shapes:
+        solve(gen_random(*shape))
+    assert seen[0] > 1000 and seen[1] > 50 and seen[2] > 250, seen
+
+
+def test_scale_bits_is_the_widest_held_flow_by_its_fraction_lcm(monkeypatch):
+    # ``stats["detail"]["scale_bits"]`` is the bit length of the widest scale
+    # of a flow the market held, which is the lcm of the denominators of the
+    # network's amounts and the flow's values as ``Fraction``s.  It stays out
+    # of the solution's JSON.
+    widest = []
+
+    def width(state):
+        bits = _least_common_denominator(state.network(), state.flow, state.theta,
+                                         state.scale).bit_length()
+        widest[-1] = max(widest[-1], bits)
+
+    _watch_market_flows(monkeypatch, width)
+    for seed in range(3):
+        widest.append(0)
+        sol = solve(gen_random(12, 12, 1000, 1500, seed))
+        assert sol.stats["detail"]["scale_bits"] == widest[-1] > 100, (seed, widest)
+        assert "scale_bits" not in json.dumps(solution_to_json(sol))
+
+
+def test_every_scaled_flow_a_stop_forms_is_kept(monkeypatch):
+    # A stop that ties the next edge event adds the tied pairs, and its phase
+    # end rebalances: ``scale_flow`` moves the surpluses there and forms no
+    # scaled flow, so every scaled flow formed and gated is one a phase end
+    # keeps.  The ties do occur on these shapes.
+    formed, kept, ties = [], [], []
+    scale = solver.scale_flow
+
+    def counted(flow, theta, theta_scale, x, buyers, goods, net, keep):
+        result = scale(flow, theta, theta_scale, x, buyers, goods, net, keep)
+        if result[0] is not flow:
+            formed.append(result[0])
+        ties.append(not keep)
+        return result
+
+    monkeypatch.setattr(solver, "scale_flow", counted)
+    _watch_kept_scaled_flows(monkeypatch, lambda state: kept.append(state.flow))
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    for shape in shapes:
+        solve(gen_random(*shape))
+    assert formed == kept and len(kept) > 600 and sum(ties) > 5, (len(kept), sum(ties))
 
 
 def test_a_stop_that_dropped_an_edge_rebalances():
