@@ -76,6 +76,7 @@ surpluses as integers until a value leaves the solve.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from math import gcd, lcm
 
 from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
@@ -122,9 +123,10 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     (its surplus is its money), a good joins a class only through a previous
     pair that is still an edge (any edge without a usable previous flow), and
     a class with goods but no buyer counts as the lowest.  Only the order
-    and ties of ``theta`` matter, so it may be over any one scale.  Levels,
-    caps and prices are integers over ``scale * mult`` in every round, the
-    flow core gets them as ints, and the returned flow and ``theta`` are its
+    and ties of ``theta`` matter, so it may hold any exact values: ints over
+    any one scale, or ``Fraction``s.  Levels, caps and prices are integers
+    over ``scale * mult`` in every round, the flow core gets them as ints,
+    and the returned flow and ``theta`` are its
     integer answer over ``flow.scale = scale * mult``: the Edmonds-Karp flow
     of ``replace(net, m=caps)`` and that network, both times the scale.
     Each call counts one ``"hits"`` (the first round proves it),
@@ -208,8 +210,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
                 MarketNetwork(prices, tuple([x * mult for x in money]), net.edges), flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
-            return (FlowResult(flow.value, flow.pair_flow, flow.far_side, flow.net,
-                               flow.residual, scale * mult), tuple(theta))
+            return replace(flow, scale=scale * mult), tuple(theta)
         if final:
             raise BalanceError("balanced-flow levels fail the gate on the whole network")
         far_buyers, far_goods = flow.far_side
@@ -221,15 +222,15 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     raise BalanceError("balanced-flow split rounds did not end")
 
 
-def scale_flow(flow, theta, scale, x, buyers, goods, net, keep):
+def scale_flow(flow, theta, x, buyers, goods, net, keep):
     """A closed block's balanced flow and surpluses after its prices scale by ``x``.
 
     ``flow`` and ``theta`` are the balanced flow and surpluses before the
-    move, ``theta`` in ints over ``scale``, and ``net`` is the network after
-    it.  Budgets are flexible, of the form ``m_i = 1 + alpha_i``: multiplying
-    the block's prices by ``x`` turns each block budget into ``1 +
-    x*alpha_i``, so each block surplus moves to ``1 + x*(theta_i - 1)`` and
-    every other surplus stays.  With ``x = a/b`` in lowest terms that is
+    move, ``theta`` in ints over ``scale = flow.scale``, and ``net`` is the
+    network after it.  Budgets are flexible, of the form ``m_i = 1 +
+    alpha_i``: multiplying the block's prices by ``x`` turns each block
+    budget into ``1 + x*alpha_i``, so each block surplus moves to ``1 +
+    x*(theta_i - 1)`` and every other surplus stays.  With ``x = a/b`` in lowest terms that is
     ``scale*b + a*(theta_i - scale)`` over ``scale*b`` for a block buyer and
     ``theta_i*b`` for the others.  The block must be closed in ``net``: no
     interest edge may cross its boundary (checked).  This is the rising
@@ -253,17 +254,19 @@ def scale_flow(flow, theta, scale, x, buyers, goods, net, keep):
     or ``keep`` is false (the caller rebalances anyway), ``flow`` is
     returned as it is, for the caller to rebalance.
 
-    Returns ``(flow, theta, theta_scale)``: the surpluses over their own
-    scale, which is ``flow.scale`` only for a scaled flow.
+    Returns ``(flow, theta)``.  For a scaled flow ``theta`` is over its
+    ``flow.scale``.  For a flow returned as it is, ``theta`` is over
+    ``scale * b``, not the flow's scale: the moved surpluses, exact values
+    that serve only as the hint of the caller's rebalance.
     """
     for (i, j) in net.edges:
         if (i in buyers) != (j in goods):
             raise BalanceError(f"edge ({i},{j}) crosses the scaled block")
-    a, b = x.numerator, x.denominator
+    a, b, scale = x.numerator, x.denominator, flow.scale
     common = scale * b
     theta = [common + a * (t - scale) if i in buyers else t * b for i, t in enumerate(theta)]
     if not keep or net.edges != flow.net.edges:
-        return flow, tuple(theta), common
+        return flow, tuple(theta)
     price = [q * a if j in goods else q * b for j, q in enumerate(flow.net.p)]
     caps = [c * a if i in buyers else c * b for i, c in enumerate(flow.net.m)]
     paid = [f * a if e[0] in buyers else f * b for e, f in flow.pair_flow.items()]
@@ -284,4 +287,4 @@ def scale_flow(flow, theta, scale, x, buyers, goods, net, keep):
         raise BalanceError("a scaled balanced flow fails the gate")
     scaled = MarketNetwork(whole.p, tuple(caps), net.edges)
     flow = FlowResult(value, pair_flow, flow.far_side, scaled, flow.residual, common)
-    return flow, tuple(theta), common
+    return flow, tuple(theta)

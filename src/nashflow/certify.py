@@ -36,10 +36,9 @@ def check_equilibrium(inst: BargainingInstance, p) -> tuple[bool, str]:
     except ValueError as exc:
         return False, str(exc)
     flow = max_flow(net)
-    value = Fraction(flow.value, flow.scale)
-    if value != sum(p, Fraction(0)):
+    if flow.value != sum(flow.net.p):
         return False, "some good cannot sell at these prices"
-    if value != sum(net.m, Fraction(0)):
+    if flow.value != sum(flow.net.m):
         return False, "some budget cannot be spent at these prices"
     return True, "ok"
 
@@ -113,7 +112,7 @@ def check_feasibility_witness(inst: BargainingInstance, p) -> tuple[bool, str]:
         return False, "a buyer with no valued good can never improve"
     pk = [p[j] for j in report.kept_goods]
     flow, theta = balanced_flow(build_network(reduced, pk))
-    if Fraction(flow.value, flow.scale) != sum(pk, Fraction(0)):
+    if flow.value != sum(flow.net.p):
         return False, "some good cannot sell at these prices"
     if any(t >= flow.scale for t in theta):
         return False, "a buyer's surplus reaches its full unit of money"
@@ -201,12 +200,13 @@ def verify_convex_dual(
     if any((i in split_b) != (j in split_g) for (i, j) in net.edges):
         return False
     # Each good's flow is capped by its price, so the rest sells out exactly
-    # when its flow reaches its price mass.
+    # when its flow reaches its price mass.  All three sums are ints over
+    # the flow's scale.
     flow = max_flow(net)
-    rest = sum([f for (_, j), f in flow.pair_flow.items() if j not in split_g])
-    rest_flow = Fraction(rest, flow.scale)
-    rest_price = sum((p[j] for j in range(inst.g) if j not in split_g), Fraction(0))
-    return rest_flow == rest_price and sum(net.m[i] for i in rest_b) - rest_price >= len(rest_b)
+    rest_flow = sum([f for (_, j), f in flow.pair_flow.items() if j not in split_g])
+    rest_price = sum([q for j, q in enumerate(flow.net.p) if j not in split_g])
+    money = sum([flow.net.m[i] for i in rest_b])
+    return rest_flow == rest_price and money - rest_price >= len(rest_b) * flow.scale
 
 
 def lp_dual_for_zero_row(inst: BargainingInstance, i) -> dict:

@@ -20,14 +20,14 @@ compared by cross-multiplying numerators and denominators, and a
 
 The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
 the balanced flow and its surpluses, and the active buyers and goods, with
-one ``rebalance`` for every edge event.  The flow and the surpluses are
-integers over a scale (``balanced_flow``'s), and a ``Fraction`` is built
-from them only where a value leaves the market: a trace, a statistic, an
-allocation.  The kernel owns the edge rule, so a phase end re-derives
-nothing: the market's edges stay its best-ratio edges, and a caller
-rebalances at a phase end only where the phase changed the network its
-flow is balanced on.  The kernel runs in two directions and under two
-kinds of budget:
+one ``rebalance`` for every edge event.  The surpluses are integers over
+the flow's scale (``balanced_flow``'s), one denominator for both, and a
+``Fraction`` is built from them only where a value leaves the market: a
+trace, a statistic, an allocation.  The kernel owns the edge rule, so a
+phase end re-derives nothing: the market's edges stay its best-ratio
+edges, and a caller rebalances at a phase end only where the phase changed
+the network its flow is balanced on.  The kernel runs in two directions
+and under two kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
@@ -211,12 +211,14 @@ class Market:
     """The market that ``_price_phase`` and ``_rebuild`` work on.
 
     A subclass supplies the budgets ``money`` and ``log(event, iteration,
-    **fields)``.  ``theta`` holds every buyer's surplus as an int over the
-    market's own ``scale``.  A rebalance assigns a new ``flow``, ``theta``
-    and ``scale`` whole, leaving the old ones as they were; ``flow.net`` is
-    the network the flow is balanced on, over ``flow.scale``, which is
-    ``scale`` too unless a caller moved the surpluses alone.  ``trace`` is
-    the event log, or ``None`` when the market keeps none.
+    **fields)``.  ``theta`` holds every buyer's surplus as an int over
+    ``flow.scale``, and ``flow.net`` is the network the flow is balanced on,
+    over the same scale.  A rebalance assigns a new ``flow`` and ``theta``
+    whole, leaving the old ones as they were.  ``balanced_flow`` reads only
+    the order and ties of its hint, so a caller may set ``theta`` to any
+    exact values (``Fraction``s, or ints over another scale) as a hint, but
+    only right before it rebalances.  ``trace`` is the event log, or
+    ``None`` when the market keeps none.
     """
 
     def __init__(self, u, p):
@@ -224,17 +226,18 @@ class Market:
         self.u, self.p = u, p
         self.gamma = [None] * n
         self.edges = set()
-        self.flow, self.theta, self.scale = None, (0,) * n, 1
+        self.flow, self.theta = None, (0,) * n
         self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
         self.trace = None
 
     def l1(self):
         """The surpluses' sum, as a ``Fraction``."""
-        return Fraction(sum(self.theta), self.scale)
+        return Fraction(sum(self.theta), self.flow.scale)
 
     def l2(self):
         """The sum of the squared surpluses, as a ``Fraction``."""
-        return Fraction(sum([t * t for t in self.theta]), self.scale * self.scale)
+        scale = self.flow.scale
+        return Fraction(sum([t * t for t in self.theta]), scale * scale)
 
     def network(self):
         """The active sub-market's network: prices, budgets and edges."""
@@ -254,7 +257,6 @@ class Market:
         still sell in full: the flow's value is its network's price mass.
         """
         self.flow, self.theta = balanced_flow(self.network(), (self.flow, self.theta))
-        self.scale = self.flow.scale
         if self.flow.value != sum(self.flow.net.p):
             raise FisherError("active goods can no longer fully sell")
 
@@ -339,7 +341,7 @@ def fisher_equilibrium(u, money):
     cap = _phase_cap(u, money)
     while True:
         _rebuild(market)
-        theta, scale = market.theta, market.scale
+        theta, scale = market.theta, market.flow.scale
         market.trace.append(
             {
                 "kind": "state", "phase": market.phase, "p": tuple(market.p),

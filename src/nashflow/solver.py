@@ -44,15 +44,17 @@ edges exact, so ``_rebuild`` runs only at stage 0's start and after a thaw;
 each rebalance is a ``balanced_flow`` hinted with the previous flow.  A
 rising phase's stop scales a closed block, and with it the block's balanced
 flow (``scale_flow``); the phase keeps that flow, with no rebalance, when
-the market's edges are still those of the last balanced network.
+the market's edges are still those of the last balanced network, and
+rebalances before it records anything otherwise.
 
-The surpluses stay integers over the market's ``scale`` between the price
-moves, and the stages read them so: ``beta_i < 0`` is ``theta_i < scale``,
+The surpluses are integers over the flow's ``scale`` wherever a stage reads
+them, and the stages read them so: ``beta_i < 0`` is ``theta_i < scale``,
 Stage I's deficits sum to at least 0 when ``sum theta >= k * scale`` over
 its ``k`` active buyers, and the rising stretch ``min -1/beta_i`` is
-``scale / (scale - min theta)``.  ``Fraction``s are built only where a value
-leaves the solve: the allocation, the trace, the statistics (the phase
-potentials and tight denominators) and the certificates.
+``scale / (scale - min theta)``.  Only a hint, set right before a
+rebalance, is over anything else.  ``Fraction``s are built only where a
+value leaves the solve: the allocation, the trace, the statistics (the
+phase potentials and tight denominators) and the certificates.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
@@ -67,7 +69,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 # ``Market.rebalance`` calls ``balanced_flow`` from ``fisher``; the name stays
 # bound here because ``perfbench/tracing.py`` patches it in ``solver`` too.
@@ -115,10 +116,10 @@ class SolverState(Market):
     It starts at ``fisher.initial_prices`` with every ``c_i`` held at 0, so
     every budget is 1 until ``initialize`` switches ``c`` to the instance's.
     Stage I sets groups aside in ``frozen`` as ``(buyers, goods, theta,
-    scale)``: the market's surpluses when the group froze, which the thaw's
-    rebalance takes as its hint.  The feasible branch keeps the restored
-    witness prices in ``feasible_prices``.  The state keeps no ``trace``
-    until ``initialize`` gives it one.
+    scale)``: the market's surpluses and their flow's scale when the group
+    froze, which the thaw's rebalance takes as its hint.  The feasible
+    branch keeps the restored witness prices in ``feasible_prices``.  The
+    state keeps no ``trace`` until ``initialize`` gives it one.
     """
 
     def __init__(self, inst):
@@ -144,14 +145,14 @@ class SolverState(Market):
         if bits > self.stats["scale_bits"]:
             self.stats["scale_bits"] = bits
 
-    def log(self, event, iteration, **fields):
-        _trace(self, stage=self.stage, type=event, **fields, iteration=iteration)
-
-
-def _trace(state, **entry):
-    if state.trace is not None:
-        entry.setdefault("p", tuple(state.p))
-        state.trace.append(entry)
+    def log(self, event, iteration=None, **fields):
+        """Append a trace entry: stage, type, fields, the iteration if given, prices."""
+        if self.trace is not None:
+            entry = {"stage": self.stage, "type": event, **fields}
+            if iteration is not None:
+                entry["iteration"] = iteration
+            entry["p"] = tuple(self.p)
+            self.trace.append(entry)
 
 
 def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverState:
@@ -161,21 +162,20 @@ def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverS
     (``_rise``) runs the fixed-budget market from its start prices, rebuilt
     there, to its equilibrium; it counts its phases in ``stats["fisher_phases"]`` and
     records nothing else.  Then ``c`` becomes the instance's and the market
-    is rebalanced, hinted with surpluses ``c_i / gamma_i``: the kernel kept
-    the ratios ``gamma`` and the edges exact at these prices, and the equilibrium flow spends every unit budget, so under the
-    new budgets it leaves exactly that surplus.  The state keeps a ``trace``
+    is rebalanced, hinted with the surpluses ``c_i / gamma_i`` as
+    ``Fraction``s: the kernel kept the ratios ``gamma`` and the edges exact
+    at these prices, and the equilibrium flow spends every unit budget, so
+    under the new budgets it leaves exactly that surplus.  The state keeps a ``trace``
     only under ``collect_trace`` and holds ``None`` there otherwise.
     """
     state = SolverState(inst)
     _rebuild(state)
     state.stats["fisher_phases"] = _rise(state)
     state.c = inst.c
-    hint = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
-    scale = lcm(*[t.denominator for t in hint])
-    state.theta = [t.numerator * (scale // t.denominator) for t in hint]
+    state.theta = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
     state.rebalance()
     state.trace = [] if collect_trace else None
-    _trace(state, stage=0, type="initialized")
+    state.log("initialized")
     return state
 
 
@@ -194,7 +194,7 @@ def stage1(state: SolverState) -> str:
     state.stage = 1
     guard = 0
     while True:
-        active, theta, scale = state.active_buyers, state.theta, state.scale
+        active, theta, scale = state.active_buyers, state.theta, state.flow.scale
         if all(theta[i] < scale for i in active):
             verdict = "feasible"
             break
@@ -205,7 +205,7 @@ def stage1(state: SolverState) -> str:
         if guard > _phase_cap(state.inst):
             raise SolverError("stage I exceeded its phase safety cap")
         _stage1_phase(state)
-    _trace(state, stage=1, type="verdict", verdict=verdict)
+    state.log("verdict", verdict=verdict)
     if verdict == "feasible":
         _restore(state)
     return verdict
@@ -215,17 +215,17 @@ def _stage1_phase(state):
     inst = state.inst
     active = state.active_buyers
     low = min([state.theta[i] for i in active])
-    if low >= state.scale:
+    if low >= state.flow.scale:
         raise SolverError("stage I phase started without a deficit buyer")
     target = {i for i in active if state.theta[i] == low}
     phi_start = _phi1(state)
 
     def deficit_cleared(x, block, goods, iteration):
-        return x is None or any(state.theta[i] >= state.scale for i in block)
+        return x is None or any(state.theta[i] >= state.flow.scale for i in block)
 
     target_goods, iterations = _price_phase(state, target, False, deficit_cleared)
 
-    adaptable = all(state.theta[i] < state.scale for i in target) and not any(
+    adaptable = all(state.theta[i] < state.flow.scale for i in target) and not any(
         inst.u[i][j] > 0 for i in active - target for j in target_goods
     )
     reason = "isolated" if adaptable else "deficit-cleared"
@@ -233,15 +233,12 @@ def _stage1_phase(state):
     if adaptable:
         if not target_goods:
             raise SolverError("a deficit group must hold at least one good")
-        group = (frozenset(target), frozenset(target_goods), state.theta, state.scale)
+        group = (frozenset(target), frozenset(target_goods), state.theta, state.flow.scale)
         state.frozen.append(group)
         state.edges -= {e for e in state.edges if e[0] in target}
         state.active_buyers -= target
         state.active_goods -= target_goods
-        _trace(
-            state, stage=1, type="freeze", buyers=sorted(target),
-            goods=sorted(target_goods),
-        )
+        state.log("freeze", buyers=sorted(target), goods=sorted(target_goods))
     state.stats["stage1_phases"].append(
         {"iterations": iterations, "phi_start": phi_start, "phi_end": _phi1(state),
          "reason": reason}
@@ -252,7 +249,7 @@ def _stage1_phase(state):
 
 def _phi1(state):
     """Sum of the squared negative deficits of the active buyers."""
-    scale = state.scale
+    scale = state.flow.scale
     low = [state.theta[i] - scale for i in state.active_buyers]
     return Fraction(sum([b * b for b in low if b < 0]), scale * scale)
 
@@ -262,27 +259,25 @@ def _restore(state):
 
     The scaling moves prices outside the kernel, so the thawed market is
     rebuilt, hinted with the active buyers' surpluses and each frozen
-    buyer's from its freeze, over one scale.  With nothing frozen, the
-    state is left as it is.
+    buyer's from its freeze (every inactive buyer is in one frozen group),
+    as ``Fraction``s over their own scales.  With nothing frozen, the state
+    is left as it is.
     """
     inst = state.inst
     if state.frozen:
         _scale_frozen(state, state.p)
-        parts = [(state.active_buyers, state.theta, state.scale)]
-        parts += [(buyers, theta, scale) for buyers, _, theta, scale in state.frozen]
-        common = lcm(*[scale for *_, scale in parts])
-        hint = [0] * inst.n
-        for buyers, theta, scale in parts:
+        hint = [Fraction(t, state.flow.scale) for t in state.theta]
+        for buyers, _, theta, scale in state.frozen:
             for i in buyers:
-                hint[i] = theta[i] * (common // scale)
-        state.theta, state.scale = hint, common
+                hint[i] = Fraction(theta[i], scale)
+        state.theta = hint
         state.active_buyers = set(range(inst.n))
         state.active_goods = set(range(inst.g))
         _rebuild(state)
-    if any(t >= state.scale for t in state.theta):
+    if any(t >= state.flow.scale for t in state.theta):
         raise SolverError("restored prices left a nonnegative deficit")
     state.feasible_prices = tuple(state.p)
-    _trace(state, stage=1, type="restore")
+    state.log("restore")
 
 
 def _scale_frozen(state, p):
@@ -329,33 +324,26 @@ def stage2(state: SolverState):
     v = [Fraction(0)] * inst.n
     for (i, j) in state.flow.pair_flow:
         v[i] += inst.u[i][j] * x[i][j]
-    _trace(state, stage=2, type="equilibrium")
+    state.log("equilibrium")
     return tuple(state.p), x, tuple(v)
 
 
 def _rise(state):
     """Rising phases until every surplus is 0; returns the number of phases.
 
-    The kernel leaves ratios and edges exact.  Each phase ends in one
-    rebalance or keeps the scaled flow of its stop: it keeps it exactly when
-    the market's edges equal the edges of the last balanced network, which
-    is the scaled flow's.  Then the stop neither dropped an edge crossing
-    the block nor added a tied pair, so the block was closed in that network
-    too, and the scaled flow is the Edmonds-Karp flow a rebalance would
-    find.  Stage 0 and Stage II both run this loop; its errors name the
-    stage.
+    The kernel leaves ratios and edges exact, and each phase ends on a
+    balanced flow (``_stage2_phase``).  Stage 0 and Stage II both run this
+    loop; its errors name the stage.
     """
     name = "stage II" if state.stage else "stage 0"
     phases = 0
     while any(state.theta):
-        if any(t >= state.scale for t in state.theta):
+        if any(t >= state.flow.scale for t in state.theta):
             raise SolverError(f"{name} requires every surplus below 1")
         phases += 1
         if phases > _phase_cap(state.inst):
             raise SolverError(f"{name} exceeded its phase safety cap")
         _stage2_phase(state, name)
-        if state.edges != state.flow.net.edges:
-            state.rebalance()
     return phases
 
 
@@ -364,9 +352,14 @@ def _stage2_phase(state, name):
 
     The stop's factor is the stretch ``min -1/beta_i`` over the block,
     ``scale / (scale - low)`` at the block's least surplus ``low``, and the
-    tight buyers are those at ``low``.  At a stop that ties the next edge
-    event the tied pairs join the edges and the phase end rebalances, so
-    ``scale_flow`` moves the surpluses alone.
+    tight buyers are those at ``low``.  The phase keeps the scaled flow of
+    its stop exactly when the market's edges equal the edges of the last
+    balanced network, which is the scaled flow's.  Then the stop neither
+    dropped an edge crossing the block nor added a tied pair, so the block
+    was closed in that network too, and the scaled flow is the Edmonds-Karp
+    flow a rebalance would find.  Otherwise ``scale_flow`` moved the
+    surpluses alone, over a wider scale than the flow's, and they hint the
+    rebalance that ends the phase before ``phi_end`` reads them.
     """
     record = state.stage == 2
     phi_start = state.l2() if record else None
@@ -374,7 +367,7 @@ def _stage2_phase(state, name):
     target = {i for i, t in enumerate(state.theta) if t == peak}
 
     def stretched(x_edge, block, goods, iteration):
-        theta, scale = state.theta, state.scale
+        theta, scale = state.theta, state.flow.scale
         low = min([theta[i] for i in block])
         if not 0 < low < scale:
             raise SolverError(f"{name} stretch factor must exceed 1")
@@ -383,11 +376,9 @@ def _stage2_phase(state, name):
             return False
         tight_buyers = {i for i in block if theta[i] == low}
         _scale(state, block, goods, stretch)
-        flow = state.flow
-        state.flow, state.theta, state.scale = scale_flow(
-            flow, theta, scale, stretch, block, goods, state.network(), x_edge != stretch)
-        if state.flow is not flow:
-            state._record_scale()
+        state.flow, state.theta = scale_flow(
+            state.flow, theta, stretch, block, goods, state.network(), x_edge != stretch)
+        state._record_scale()
         for i in tight_buyers:
             if state.theta[i] != 0:
                 raise SolverError(f"{name} tight buyers must end with zero surplus")
@@ -401,6 +392,8 @@ def _stage2_phase(state, name):
         return True
 
     _, iterations = _price_phase(state, target, True, stretched)
+    if state.edges != state.flow.net.edges:
+        state.rebalance()
     if record:
         state.stats["stage2_phases"].append(
             {"iterations": iterations, "phi_start": phi_start, "phi_end": state.l2()}

@@ -197,7 +197,7 @@ MUTANTS = [
         killer="tests/test_balanced.py::test_gate_rejects_a_round_flow_that_fails_property1",
     ),
     # The closed form at a rising stop (balanced.scale_flow) and the phase
-    # end that keeps it (solver._rise).
+    # end that keeps it or rebalances (solver._stage2_phase).
     dict(
         name="scaled-flow-on-a-subset-of-edges",
         file="balanced.py",
@@ -211,6 +211,26 @@ MUTANTS = [
         old="if state.edges != state.flow.net.edges:",
         new="if not state.edges >= state.flow.net.edges:",
         killer="tests/test_solver.py::test_every_kept_scaled_flow_is_the_rebalance_it_replaces",
+    ),
+    dict(
+        name="phase-end-without-rebalance",
+        file="solver.py",
+        old="    if state.edges != state.flow.net.edges:\n        state.rebalance()\n",
+        new="",
+        killer="tests/test_solver.py::test_every_surplus_a_stage_reads_is_over_the_flows_scale",
+    ),
+    dict(
+        name="phi-end-before-the-phase-end-rebalance",
+        file="solver.py",
+        old=("    if state.edges != state.flow.net.edges:\n        state.rebalance()\n"
+             "    if record:\n        state.stats[\"stage2_phases\"].append(\n"
+             "            {\"iterations\": iterations, \"phi_start\": phi_start, "
+             "\"phi_end\": state.l2()}\n        )\n"),
+        new=("    if record:\n        state.stats[\"stage2_phases\"].append(\n"
+             "            {\"iterations\": iterations, \"phi_start\": phi_start, "
+             "\"phi_end\": state.l2()}\n        )\n"
+             "    if state.edges != state.flow.net.edges:\n        state.rebalance()\n"),
+        killer="tests/test_solver.py::test_every_surplus_a_stage_reads_is_over_the_flows_scale",
     ),
     dict(
         name="scaled-flow-block-left-unscaled",
@@ -229,8 +249,8 @@ MUTANTS = [
     dict(
         name="scaled-flow-formed-at-an-edge-tie",
         file="solver.py",
-        old="flow, theta, scale, stretch, block, goods, state.network(), x_edge != stretch)",
-        new="flow, theta, scale, stretch, block, goods, state.network(), True)",
+        old="state.flow, theta, stretch, block, goods, state.network(), x_edge != stretch)",
+        new="state.flow, theta, stretch, block, goods, state.network(), True)",
         killer="tests/test_solver.py::test_every_scaled_flow_a_stop_forms_is_kept",
     ),
     dict(
@@ -258,8 +278,8 @@ MUTANTS = [
     dict(
         name="return-over-scale-without-mult",
         file="balanced.py",
-        old="flow.residual, scale * mult), tuple(theta))",
-        new="flow.residual, scale), tuple(theta))",
+        old="return replace(flow, scale=scale * mult), tuple(theta)",
+        new="return replace(flow, scale=scale), tuple(theta)",
         killer="tests/test_balanced.py::"
                "test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow",
     ),

@@ -513,6 +513,32 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
     assert set(sum(outcomes.values(), [])) == set(OUTCOMES)
 
 
+def test_a_hint_is_read_as_values_whatever_its_representation():
+    # A market hints a rebalance with its surpluses as ints over the flow's
+    # scale, with moved surpluses over a wider scale, or with ``Fraction``s.
+    # Only the hint's values matter: the same values as ints over the scale,
+    # as ints over 7 times it and as ``Fraction``s give one flow, one set of
+    # surpluses and one tally.
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(2000):
+        net = random_network(rng, 6, 6)
+        factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        pair = (rng.randrange(net.n), rng.randrange(net.g))
+        before = MarketNetwork(tuple(x * factor if rng.random() < 0.5 else x for x in net.p),
+                               net.m, net.edges ^ {pair})
+        flow, theta = balanced_flow(before)
+        answers = []
+        for hint in (theta, tuple(7 * t for t in theta),
+                     tuple(Fraction(t, flow.scale) for t in theta)):
+            with counting() as tally:
+                answer = balanced_flow(net, (flow, hint))
+            answers.append((answer, dict(tally)))
+        assert answers[0] == answers[1] == answers[2], net
+        seen.update(answers[0][1])
+    assert seen["hits"] > 300 and seen["repairs"] > 100 and seen["misses"] > 1000, seen
+
+
 def test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow(monkeypatch):
     # Levels, caps and prices go to the flow core as ints over one scale per
     # round.  The proved round's integer flow comes back as it stands, with
@@ -638,8 +664,8 @@ def test_scale_flow_up_reaches_the_equilibrium():
     scaled = scaled_network(net, Fraction(2), {0}, {0})
     assert scaled == build_network(scalar_feasible(), [Fraction(2)])
     assert (scaled.p, scaled.m) == ((Fraction(2),), (Fraction(2),))
-    sflow, stheta, scale = scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, scaled, True)
-    assert stheta == (0,) and scale == sflow.scale
+    sflow, stheta = scale_flow(flow, theta, Fraction(2), {0}, {0}, scaled, True)
+    assert stheta == (0,)
     assert (sflow, stheta) == balanced_flow(scaled)
 
 
@@ -649,9 +675,9 @@ def test_scale_flow_down_grows_the_surplus():
     scaled = scaled_network(net, Fraction(1, 2), {0}, {0})
     assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
     x = Fraction(1, 2)
-    sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {0}, {0}, scaled, True)
+    sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
     # Over the least common denominator 4: surplus 3/4, pair flow 1/2, cap 1/2.
-    assert (scale, stheta, sflow.pair_flow, sflow.net) == (
+    assert (sflow.scale, stheta, sflow.pair_flow, sflow.net) == (
         4, (3,), {(0, 0): 2}, MarketNetwork((2,), (2,), scaled.edges))
 
 
@@ -660,8 +686,8 @@ def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
     flow, theta = balanced_flow(net)
     for x in (Fraction(3, 2), Fraction(2), Fraction(1, 3)):
         scaled = scaled_network(net, x, {0}, {0})
-        sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {0}, {0}, scaled, True)
-        assert scale == sflow.scale and (sflow, stheta) == balanced_flow(scaled)
+        sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
+        assert (sflow, stheta) == balanced_flow(scaled)
 
 
 def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_graph():
@@ -676,10 +702,10 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
     x = Fraction(4, 3)
     scaled = scaled_network(net, x, {1, 2}, {1, 2})
     with counting() as tally:
-        sflow, stheta, scale = scale_flow(flow, theta, flow.scale, x, {1, 2}, {1, 2}, scaled, True)
+        sflow, stheta = scale_flow(flow, theta, x, {1, 2}, {1, 2}, scaled, True)
     assert tally["maxflows"] == 0
     want, want_theta = balanced_flow(scaled)
-    assert (sflow, stheta, scale) == (want, want_theta, want.scale)
+    assert (sflow, stheta, sflow.scale) == (want, want_theta, want.scale)
     assert (balanced_values(sflow).pair_flow[0, 0]
             == balanced_values(flow).pair_flow[0, 0])
     for i in range(3):
@@ -690,18 +716,21 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
 def _keeps_the_old_flow(net, moved, keep, ungated=None):
     """Scale buyer 1's block by 5/4 and check that only the surpluses move.
 
-    With ``ungated``, a ``monkeypatch``, the gate's property-1 check is
-    removed first, so a scaled flow formed and gated would raise.
+    They move to ints over the flow's scale times 4, the factor's
+    denominator, to hint the caller's rebalance.  With ``ungated``, a
+    ``monkeypatch``, the gate's property-1 check is removed first, so a
+    scaled flow formed and gated would raise.
     """
     flow, theta = balanced_flow(net)
     if ungated is not None:
         ungated.setattr(balanced, "verify_property1", None)
     x = Fraction(5, 4)
     with counting() as tally:
-        kept, stheta, scale = scale_flow(flow, theta, flow.scale, x, {1}, {1}, moved, keep)
+        kept, stheta = scale_flow(flow, theta, x, {1}, {1}, moved, keep)
     assert kept is flow and tally["maxflows"] == 0
     before = balanced_values(flow, theta).theta
-    assert tuple(Fraction(t, scale) for t in stheta) == (before[0], 1 + x * (before[1] - 1))
+    wider = flow.scale * x.denominator
+    assert tuple(Fraction(t, wider) for t in stheta) == (before[0], 1 + x * (before[1] - 1))
 
 
 def test_scale_flow_keeps_the_old_flow_when_the_move_dropped_an_edge():
@@ -733,7 +762,7 @@ def test_scale_flow_rejects_edges_crossing_the_block():
     )
     flow, theta = balanced_flow(net)
     with pytest.raises(balanced.BalanceError, match=r"edge \(0,1\) crosses the scaled block"):
-        scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, net, True)
+        scale_flow(flow, theta, Fraction(2), {0}, {0}, net, True)
 
 
 def test_scale_flow_rejects_a_network_its_flow_does_not_price():
@@ -745,7 +774,7 @@ def test_scale_flow_rejects_a_network_its_flow_does_not_price():
     flow, theta = balanced_flow(net)
     moved = scaled_network(net, Fraction(3), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="does not price the network"):
-        scale_flow(flow, theta, flow.scale, Fraction(2), {0}, {0}, moved, True)
+        scale_flow(flow, theta, Fraction(2), {0}, {0}, moved, True)
 
 
 def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
@@ -758,7 +787,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
                       MarketNetwork((2,), (1,), before.edges), scale=2)
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
-        scale_flow(flow, (3,), 2, Fraction(2), {0}, {0}, after, True)
+        scale_flow(flow, (3,), Fraction(2), {0}, {0}, after, True)
 
 
 def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
@@ -770,4 +799,4 @@ def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
                       MarketNetwork((1,), (0, 1), before.edges))
     after = scaled_network(before, Fraction(2), {0, 1}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
-        scale_flow(flow, (2, 1), 1, Fraction(2), {0, 1}, {0}, after, True)
+        scale_flow(flow, (2, 1), Fraction(2), {0, 1}, {0}, after, True)

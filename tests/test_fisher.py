@@ -265,7 +265,7 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
             state.p, state.money, closed_edges(state.edges, block, goods), goods
         )
         assert x == x_ref
-        tight = {i for i in block if x * (Fraction(state.theta[i], state.scale) - 1) == -1}
+        tight = {i for i in block if x * (Fraction(state.theta[i], state.flow.scale) - 1) == -1}
         assert tight and tight <= buyers_ref
         assert {j for (i, j) in state.flow.pair_flow if i in tight and j in goods} <= goods_ref
         seen["tight"] += 1

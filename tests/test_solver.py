@@ -61,7 +61,7 @@ def test_initialize_saturated_buyer_shows_full_surplus():
     state = initialize(scalar_infeasible())
     assert state.p == [Fraction(1)]
     assert state.money == (Fraction(2),)
-    assert (state.theta, state.scale) == ((1,), 1)
+    assert (state.theta, state.flow.scale) == ((1,), 1)
 
 
 def test_initialize_partial_surplus():
@@ -69,8 +69,8 @@ def test_initialize_partial_surplus():
     assert state.p == [Fraction(1)]
     assert state.gamma == [Fraction(2)]
     assert state.money == (Fraction(3, 2),)
-    # Surpluses are ints over the market's scale: 1/2 is 1 over 2.
-    assert (state.theta, state.scale) == ((1,), 2)
+    # Surpluses are ints over the flow's scale: 1/2 is 1 over 2.
+    assert (state.theta, state.flow.scale) == ((1,), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +596,17 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         states.append(state)
         return phase(state, name)
 
-    def checked(flow, theta, scale, x, buyers, goods, net, keep):
-        updated = scale_flow(flow, theta, scale, x, buyers, goods, net, keep)
+    def checked(flow, theta, x, buyers, goods, net, keep):
+        updated = scale_flow(flow, theta, x, buyers, goods, net, keep)
         state = states[-1]
         assert net == MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
         before = balanced_flow(scaled_network(net, 1 / x, buyers, goods))
-        assert balanced_values(*before).theta == tuple(Fraction(t, scale) for t in theta)
+        assert balanced_values(*before).theta == tuple(Fraction(t, flow.scale) for t in theta)
         expected = balanced_values(*balanced_flow(net)).theta
-        moved = tuple(Fraction(t, updated[2]) for t in updated[1])
+        # A scaled flow's surpluses are over its scale; moved ones alone over
+        # the old flow's scale times the factor's denominator.
+        scale = updated[0].scale if updated[0] is not flow else flow.scale * x.denominator
+        moved = tuple(Fraction(t, scale) for t in updated[1])
         assert moved == expected, (state.inst.u, state.inst.c, x)
         calls.append(state.stage)
         return updated
@@ -626,7 +629,7 @@ def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
     def compare(state):
         flow, theta = balanced_flow(state.network(), (state.flow, state.theta))
         where = (state.inst.u, state.inst.c, state.stage)
-        assert state.scale == state.flow.scale == flow.scale, where
+        assert state.flow.scale == flow.scale, where
         assert state.flow.pair_flow == flow.pair_flow, where
         assert state.flow.value == flow.value and state.flow.net == flow.net, where
         assert state.theta == theta and state.flow.far_side == flow.far_side, where
@@ -661,9 +664,9 @@ def _watch_market_flows(monkeypatch, on_flow):
     _watch_kept_scaled_flows(monkeypatch, on_flow)
 
 
-def _least_common_denominator(net, flow, theta, scale):
+def _least_common_denominator(net, flow, theta):
     """The lcm of the denominators of a network and a flow's values, by ``Fraction``s."""
-    values = [Fraction(t, scale) for t in (*theta, *flow.pair_flow.values())]
+    values = [Fraction(t, flow.scale) for t in (*theta, *flow.pair_flow.values())]
     return lcm(*[x.denominator for x in (*net.p, *net.m, *values)])
 
 
@@ -676,14 +679,14 @@ def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypat
     seen = Counter()
 
     def check(state):
-        flow, theta, scale = state.flow, state.theta, state.scale
+        flow, theta = state.flow, state.theta
         net = state.network()
         amounts = (flow.value, *flow.pair_flow.values(), *theta, *flow.net.p, *flow.net.m)
-        assert scale == flow.scale and all(type(x) is int for x in amounts)
+        assert all(type(x) is int for x in amounts)
         ref = reference_balanced_flow(net)
         where = (state.inst.u, state.inst.c, state.stage)
         assert balanced_values(flow, theta) == ref, where
-        assert scale == _least_common_denominator(net, flow, theta, scale), where
+        assert flow.scale == _least_common_denominator(net, flow, theta), where
         seen[state.stage] += 1
 
     _watch_market_flows(monkeypatch, check)
@@ -703,8 +706,7 @@ def test_scale_bits_is_the_widest_held_flow_by_its_fraction_lcm(monkeypatch):
     widest = []
 
     def width(state):
-        bits = _least_common_denominator(state.network(), state.flow, state.theta,
-                                         state.scale).bit_length()
+        bits = _least_common_denominator(state.network(), state.flow, state.theta).bit_length()
         widest[-1] = max(widest[-1], bits)
 
     _watch_market_flows(monkeypatch, width)
@@ -715,6 +717,44 @@ def test_scale_bits_is_the_widest_held_flow_by_its_fraction_lcm(monkeypatch):
         assert "scale_bits" not in json.dumps(solution_to_json(sol))
 
 
+def test_every_surplus_a_stage_reads_is_over_the_flows_scale(monkeypatch):
+    # The market holds one denominator: after ``initialize``, every Stage I
+    # and rising phase and the restore, each surplus is an int over the
+    # flow's scale, and divided by it the active buyers' surpluses are the
+    # reference's on the market's network.  A rising phase whose stop kept
+    # no scaled flow rebalances before it ends, so each Stage II
+    # ``phi_end`` is the reference surpluses' l2 too.
+    seen = Counter()
+
+    def checked(fn, name):
+        def wrapped(*args):
+            out = fn(*args)
+            state = out if name == "initialize" else args[0]
+            ref = reference_balanced_flow(state.network()).theta
+            where = (state.inst.u, state.inst.c, name)
+            assert all(type(t) is int for t in state.theta), where
+            scale = state.flow.scale
+            assert all(Fraction(state.theta[i], scale) == ref[i] for i in state.active_buyers), where
+            key = name
+            if name == "_stage2_phase" and state.stage == 2:
+                assert state.stats["stage2_phases"][-1]["phi_end"] == sum(r * r for r in ref), where
+                key = "stage II phase"
+            seen[key] += 1
+            return out
+        return wrapped
+
+    for name in ("initialize", "_stage1_phase", "_stage2_phase", "_restore"):
+        monkeypatch.setattr(solver, name, checked(getattr(solver, name), name))
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    for shape in shapes:
+        solve(gen_random(*shape))
+    assert seen["initialize"] > 500 and seen["_stage2_phase"] > 500, seen
+    assert seen["_stage1_phase"] > 40 and seen["_restore"] > 300, seen
+    assert seen["stage II phase"] > 250, seen
+
+
 def test_every_scaled_flow_a_stop_forms_is_kept(monkeypatch):
     # A stop that ties the next edge event adds the tied pairs, and its phase
     # end rebalances: ``scale_flow`` moves the surpluses there and forms no
@@ -723,8 +763,8 @@ def test_every_scaled_flow_a_stop_forms_is_kept(monkeypatch):
     formed, kept, ties = [], [], []
     scale = solver.scale_flow
 
-    def counted(flow, theta, theta_scale, x, buyers, goods, net, keep):
-        result = scale(flow, theta, theta_scale, x, buyers, goods, net, keep)
+    def counted(flow, theta, x, buyers, goods, net, keep):
+        result = scale(flow, theta, x, buyers, goods, net, keep)
         if result[0] is not flow:
             formed.append(result[0])
         ties.append(not keep)
