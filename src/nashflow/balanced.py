@@ -137,8 +137,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     """
     prev_flow, prev_theta = hint
     n, g = net.n, net.g
-    scale, price, money = integer_caps(net)
-    price, money = tuple(price), tuple(money)
+    scale, whole = integer_caps(net)
+    price, money = whole.p, whole.m
     target = sum(price)  # the proved flow's value over scale: the price mass while guessing
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 

@@ -45,8 +45,9 @@ A fixed-budget run starts from provably small prices (every good priced at
 its best column utility times a common factor small enough that any single
 buyer could afford everything) and runs rising phases.  Surpluses never
 increase, the maximum surplus drops geometrically, and the run ends when
-every budget is exactly spent.  It rebuilds after each phase: a buyer that
-spends nothing can lose every edge to a rising move.
+every budget is exactly spent.  After each phase it re-derives the ratio
+and edges of every buyer the move left with no edge (a buyer that spends
+nothing can lose every edge to a rising move), then rebalances.
 """
 
 from __future__ import annotations
@@ -187,23 +188,27 @@ def _price_phase(market, block, ascending, stop):
         market.log("edge", iteration, x=x, pairs=pairs)
 
 
-def _rebuild(market):
-    """Best ratios and best-ratio edges of the active block, then a rebalance.
+def _rebuild(market, buyers=None):
+    """Best ratios and best-ratio edges of ``buyers``, then a rebalance.
 
-    Runs only at start prices, after a thaw and after a fixed-budget phase;
+    By default ``buyers`` is the active block and its edges are derived
+    afresh: at start prices and after a thaw.  After a fixed-budget phase it
+    names the buyers the move left with no edge, whose edges join the rest;
     elsewhere the kernel keeps both exact.  Goods outside the active block
     keep their prices: a group leaves it only when no buyer left in it
     values the group's goods, so its buyers' ratios and edges stay inside
     it without zeroing those prices.
     """
-    buyers = sorted(market.active_buyers)
+    if buyers is None:
+        buyers, market.edges = market.active_buyers, set()
+    buyers = sorted(buyers)
     try:
         gamma, pairs = bang_per_buck([market.u[i] for i in buyers], market.p)
     except ValueError as exc:
         raise FisherError("an active buyer values no active good") from exc
     for i, best in zip(buyers, gamma):
         market.gamma[i] = best
-    market.edges = {(buyers[k], j) for (k, j) in pairs}
+    market.edges |= {(buyers[k], j) for (k, j) in pairs}
     market.rebalance()
 
 
@@ -339,8 +344,8 @@ def fisher_equilibrium(u, money):
     money = tuple(Fraction(x) for x in money)
     market = _FixedBudgets(u, money, initial_prices(u, money))
     cap = _phase_cap(u, money)
+    _rebuild(market)
     while True:
-        _rebuild(market)
         theta, scale = market.theta, market.flow.scale
         market.trace.append(
             {
@@ -357,3 +362,4 @@ def fisher_equilibrium(u, money):
         peak = max(theta)
         block = {i for i, t in enumerate(theta) if t == peak}
         _price_phase(market, block, True, market.stop_at_tight)
+        _rebuild(market, market.active_buyers - {i for (i, _) in market.edges})

@@ -9,21 +9,38 @@ sales and a buyer's spending are sums over them, and callers that need one
 sum it themselves.
 
 Capacities are rationals, or ints for a network that is already integral
-(the rounds of ``balanced_flow`` hand in such networks).  Max-flow clears
-denominators up front (``integer_caps``, which the balanced-flow guess
-shares) and runs integer Edmonds-Karp (shortest augmenting paths,
-deterministic edge order), so flows are exact and runs are reproducible.
-It answers in one form whatever it receives: ints over the scale it
-cleared the denominators with (``FlowResult.scale``, 1 for an integer
-network), the network included.  Multiplying every capacity by one
-positive integer multiplies the flow by it and keeps the paths, the cut and
-the augment count, since the pair arcs never bind.  Unbounded pair
-capacities are encoded as the total price mass plus one, which no s-t flow
-can reach.  Over V nodes and A arcs, source and sink and reverse arcs
-counted, Edmonds-Karp needs at most V*A/2 augmenting paths (each saturates
-an arc, and an arc saturates at most V/2 times); a max-flow that finds more
-than V*A of them has a broken flow core and raises ``FlowError`` rather than
-loop for ever.
+(the rounds of ``balanced_flow`` hand in such networks, which skip the
+denominator pass).  Max-flow clears denominators up front
+(``integer_caps``, which the balanced-flow guess shares) and runs integer
+Edmonds-Karp (shortest augmenting paths, deterministic edge order), so
+flows are exact and runs are reproducible.  It answers in one form whatever
+it receives: ints over the scale it cleared the denominators with
+(``FlowResult.scale``, 1 for an integer network), the network included.
+Multiplying every capacity by one positive integer multiplies the flow by
+it and keeps the paths, the cut and the augment count, since the pair arcs
+never bind.  Unbounded pair capacities are encoded as the total price mass
+plus one, which no s-t flow can reach.  Over V nodes and A arcs, source and
+sink and reverse arcs counted, Edmonds-Karp needs at most V*A/2 augmenting
+paths (each saturates an arc, and an arc saturates at most V/2 times); a
+max-flow that finds more than V*A of them has a broken flow core and raises
+``FlowError`` rather than loop for ever.
+
+Before the first search, a network whose priced pairs form a forest and
+whose price and money masses are equal is peeled.  Such a network has at
+most one flow that sells every good and spends all money: a leaf's balance
+fixes the flow on its one pair, and removing that pair leaves a smaller
+forest.  The peel puts each leaf's whole remaining room on its one
+unsettled pair, with the other end's room reduced by it, and gives up at
+the first overdraw (an end left with less than nothing).  If every pair
+settles and every good sells out, the equal masses spend all money too, so
+this is the one saturating flow.  Every maximum flow saturates then, so it
+is Edmonds-Karp's flow as well, with the same residual graph (each pair arc
+holds unbounded minus the pair's flow, its reverse the flow), the price
+mass as value and, since no buyer keeps money room, every node on the far
+side.  Edmonds-Karp runs on what the peel leaves: unequal masses, cycles
+(the priced pairs of a cycle never become leaves) and forests with no
+saturating flow.  With generic utilities the best-ratio networks are
+forests, and most balanced-flow rounds prove a guess that saturates.
 
 The source and sink are not nodes: the residual rooms of their arcs are the
 scaled prices and money, one per good and one per buyer, and only the pair
@@ -69,8 +86,9 @@ class FlowError(AssertionError):
 def counting():
     """Count the work done inside the block; yields a ``Counter``.
 
-    ``max_flow`` adds one to ``"maxflows"`` and its number of augmenting
-    paths to ``"augments"``, and each ``balanced_flow`` adds to ``"hits"``,
+    ``max_flow`` adds one to ``"maxflows"`` and either one to ``"peels"``
+    (it peeled a saturating forest) or its number of augmenting paths to
+    ``"augments"``, and each ``balanced_flow`` adds to ``"hits"``,
     ``"repairs"`` or ``"misses"``.  A nested block counts only
     its own work and adds it to the enclosing block's tally when it exits.
     """
@@ -173,11 +191,17 @@ def build_network(inst, p) -> MarketNetwork:
 
 
 def integer_caps(net):
-    """``(scale, prices, money)``: the lcm of all denominators, and the caps times it."""
+    """``(scale, network)``: the lcm of all denominators, and the network times it.
+
+    A network whose every amount is an ``int`` is returned as it is, over
+    scale 1; a ``Fraction``, even with denominator 1, is not an ``int``.
+    """
     amounts = (*net.p, *net.m)
+    if set(map(type, amounts)) <= {int}:
+        return 1, net
     scale = lcm(*[x.denominator for x in amounts])
     caps = [x.numerator * (scale // x.denominator) for x in amounts]
-    return scale, caps[:net.g], caps[net.g:]
+    return scale, MarketNetwork(tuple(caps[:net.g]), tuple(caps[net.g:]), net.edges)
 
 
 def _reach(residual, start, backward):
@@ -254,21 +278,24 @@ class FlowResult:
 
 
 def max_flow(net: MarketNetwork) -> FlowResult:
-    """Exact max-flow of the network; counts one ``"maxflows"`` and its ``"augments"``.
+    """Exact max-flow of the network; counts one ``"maxflows"``.
 
-    The flow is in ints over the lcm of the network's denominators.
+    A forest that saturates counts one ``"peels"``; every other network
+    counts its ``"augments"``.  The flow is in ints over the lcm of the
+    network's denominators.
     """
     _count("maxflows")
 
     n, g = net.n, net.g
-    scale, price, money = integer_caps(net)
-    whole = MarketNetwork(tuple(price), tuple(money), net.edges)
-    money = [0] * g + money  # by node: goods 0..g-1, buyers g..g+n-1
+    scale, whole = integer_caps(net)
+    price = list(whole.p)
+    money = [0] * g + list(whole.m)  # by node: goods 0..g-1, buyers g..g+n-1
 
     # Arc 2k runs good -> buyer, arc 2k+1 back, sorted by good, then buyer.
     # Pair capacities stand in for "unbounded" and must strictly exceed any
     # achievable flow, or a fully loaded pair would masquerade as a cut edge.
-    unbounded = sum(price) + 1
+    mass = sum(price)
+    unbounded = mass + 1
     to, cap, head = [], [], [[] for _ in range(g + n)]
     pairs = sorted((j, i) for (i, j) in net.edges if price[j] > 0)
     for j, i in pairs:
@@ -277,48 +304,78 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         to += (g + i, j)
         cap += (unbounded, 0)
 
-    # Each search starts from the goods with price room, in index order.
-    starts = [j for j in range(g) if price[j]]
-    start_parent = [-1] * (g + n)
-    for j in starts:
-        start_parent[j] = -2
-    bound = (g + n + 2) * 2 * (len(starts) + len(pairs) + sum(x > 0 for x in money))
-    value = augments = 0
-    for _ in range(bound + 1):
-        parent_arc = start_parent[:]
-        queue = starts[:]
-        last = -1  # the path's buyer, once found
-        for node in queue:
-            for arc in head[node]:
-                nxt = to[arc]
-                if parent_arc[nxt] == -1 and cap[arc] > 0:
-                    parent_arc[nxt] = arc
-                    if money[nxt]:
-                        last = nxt
-                        break
-                    queue.append(nxt)
-            if last >= 0:
+    # Peel a forest with equal masses (module docstring): a leaf puts its
+    # whole room on its one unsettled pair; the peel gives up at an overdraw.
+    peeled = len(pairs) < g + n and mass == sum(money)
+    if peeled:
+        room, degree = price + money[g:], [len(arcs) for arcs in head]
+        settled = [-1] * len(pairs)  # each pair's flow once its leaf settles it
+        leaves = [v for v in range(g + n) if degree[v] == 1]
+        for leaf in leaves:
+            if degree[leaf] != 1:  # its last pair went with its partner
+                continue
+            for arc in head[leaf]:
+                if settled[arc >> 1] < 0:
+                    break
+            node = to[arc]
+            if room[node] < room[leaf]:  # an overdraw: no flow saturates
+                peeled = False
                 break
-        if last < 0:
-            break
-        path, node = [], last
-        while parent_arc[node] >= 0:
-            path.append(parent_arc[node])
-            node = to[path[-1] ^ 1]
-        bottleneck = min(price[node], money[last], *(cap[arc] for arc in path))
-        price[node] -= bottleneck
-        money[last] -= bottleneck
-        for arc in path:
-            cap[arc] -= bottleneck
-            cap[arc ^ 1] += bottleneck
-        if not price[node]:  # the path's first good
-            start_parent[node] = -1
-            starts.remove(node)
-        value += bottleneck
-        augments += 1
+            room[node] -= room[leaf]
+            settled[arc >> 1], room[leaf], degree[leaf] = room[leaf], 0, 0
+            degree[node] -= 1
+            if degree[node] == 1:
+                leaves.append(node)
+        # Accept when no pair is left (no cycle) and every good sold out; with
+        # equal masses and no overdraw, every buyer then spent all its money.
+        peeled = peeled and -1 not in settled and not any(room[:g])
+    if peeled:
+        cap = [c for f in settled for c in (unbounded - f, f)]
+        value, money = mass, room  # no room left: the cut puts every node on the far side
+        _count("peels")
     else:
-        raise FlowError(f"max-flow did not end within {bound} augmenting paths")
-    _count("augments", augments)
+        value = augments = 0
+        # Each search starts from the goods with price room, in index order.
+        starts = [j for j in range(g) if price[j]]
+        start_parent = [-1] * (g + n)
+        for j in starts:
+            start_parent[j] = -2
+        bound = (g + n + 2) * 2 * (len(starts) + len(pairs) + sum(x > 0 for x in money))
+        for _ in range(bound + 1):
+            parent_arc = start_parent[:]
+            queue = starts[:]
+            last = -1  # the path's buyer, once found
+            for node in queue:
+                for arc in head[node]:
+                    nxt = to[arc]
+                    if parent_arc[nxt] == -1 and cap[arc] > 0:
+                        parent_arc[nxt] = arc
+                        if money[nxt]:
+                            last = nxt
+                            break
+                        queue.append(nxt)
+                if last >= 0:
+                    break
+            if last < 0:
+                break
+            path, node = [], last
+            while parent_arc[node] >= 0:
+                path.append(parent_arc[node])
+                node = to[path[-1] ^ 1]
+            bottleneck = min(price[node], money[last], *(cap[arc] for arc in path))
+            price[node] -= bottleneck
+            money[last] -= bottleneck
+            for arc in path:
+                cap[arc] -= bottleneck
+                cap[arc ^ 1] += bottleneck
+            if not price[node]:  # the path's first good
+                start_parent[node] = -1
+                starts.remove(node)
+            value += bottleneck
+            augments += 1
+        else:
+            raise FlowError(f"max-flow did not end within {bound} augmenting paths")
+        _count("augments", augments)
 
     pair_flow = {}
     for k, (j, i) in enumerate(pairs):
@@ -331,4 +388,3 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
                 frozenset(j for j in range(g) if j not in to_sink))
     return FlowResult(value, pair_flow, far_side, whole, residual, scale)
-

@@ -60,6 +60,7 @@ phase potentials and tight denominators) and the certificates.
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
 max-flows run to find the answer, for either verdict, without the
 self-verification's, ``stats["detail"]["augments"]`` their augmenting paths,
+``stats["detail"]["peels"]`` those that peeled a saturating forest instead,
 ``stats["detail"]["guess"]`` the guess's hits, repairs and misses and
 ``stats["detail"]["scale_bits"]`` the bit length of the widest scale of a
 flow the market held.  The detail stays out of ``solution_to_json``.
@@ -519,7 +520,7 @@ def _final_stats(state, tally):
     """
     stats, inst = state.stats, state.inst
     stats["guess"] = {key: tally[key] for key in ("hits", "repairs", "misses")}
-    stats["augments"] = tally["augments"]
+    stats["augments"], stats["peels"] = tally["augments"], tally["peels"]
     phases = stats["stage1_phases"] + stats["stage2_phases"]
     return {
         "phases": len(phases),

@@ -48,7 +48,7 @@ MUTANTS = [
         file="flownet.py",
         old="to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)",
         new="to_sink = _reach(residual, [g + i for i in range(n)], True)",
-        killer="tests/test_flownet.py::test_max_flow_saturates_single_edge",
+        killer="tests/test_flownet.py::test_max_flow_money_short_cuts_agree",
     ),
     dict(
         name="sold-out-good-stays-a-start",
@@ -65,6 +65,35 @@ MUTANTS = [
         killer="tests/test_flownet.py::"
                "test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound",
     ),
+    # The forest peel (flownet.max_flow).
+    dict(
+        name="peel-without-mass-check",
+        file="flownet.py",
+        old="peeled = len(pairs) < g + n and mass == sum(money)",
+        new="peeled = len(pairs) < g + n",
+        killer="tests/test_flownet.py::test_max_flow_peels_exactly_the_saturating_forests",
+    ),
+    dict(
+        name="peel-accepts-an-overdraw",
+        file="flownet.py",
+        old="if room[node] < room[leaf]:  # an overdraw: no flow saturates",
+        new="if False:",
+        killer="tests/test_flownet.py::test_max_flow_peels_exactly_the_saturating_forests",
+    ),
+    dict(
+        name="peel-accepts-unsettled-pairs",
+        file="flownet.py",
+        old="peeled = peeled and -1 not in settled and not any(room[:g])",
+        new="peeled = peeled and not any(room[:g])",
+        killer="tests/test_flownet.py::test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods",
+    ),
+    dict(
+        name="peel-leaves-the-residual-graph",
+        file="flownet.py",
+        old="cap = [c for f in settled for c in (unbounded - f, f)]",
+        new="pass",
+        killer="tests/test_flownet.py::test_max_flow_peels_exactly_the_saturating_forests",
+    ),
     # The market's rebalance (fisher.Market).
     dict(
         name="rebalance-without-sell-check",
@@ -72,6 +101,16 @@ MUTANTS = [
         old="if self.flow.value != sum(self.flow.net.p):",
         new="if False:",
         killer="tests/test_fisher.py::test_rebalance_rejects_an_active_good_that_no_longer_sells",
+    ),
+    # A fixed-budget phase end (fisher.fisher_equilibrium) re-derives the
+    # buyers the move left with no edge.
+    dict(
+        name="phase-end-rebuild-skips-edgeless-buyers",
+        file="fisher.py",
+        old="_rebuild(market, market.active_buyers - {i for (i, _) in market.edges})",
+        new="_rebuild(market, set())",
+        killer="tests/test_fisher.py::"
+               "test_phase_ends_rederive_only_the_buyers_left_without_an_edge",
     ),
     # The edge rule: the kernel's move (fisher._scale), its stop
     # (fisher._price_phase) and Stage I's freeze (solver._stage1_phase) keep

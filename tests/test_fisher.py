@@ -9,10 +9,12 @@ import pytest
 
 from nashflow import (
     FisherError,
+    bang_per_buck,
     check_kkt,
     fisher_equilibrium,
     gen_random,
     initialize,
+    limit_algorithm,
     make_instance,
     preprocess,
     solve,
@@ -287,6 +289,32 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
         assert state.stats["fisher_phases"] == phases, shape
         seen["phases"] += phases
     assert seen["tight"] == seen["phases"] > 500 and seen["tie"] >= 1, seen
+
+
+def test_phase_ends_rederive_only_the_buyers_left_without_an_edge(monkeypatch):
+    # The kernel keeps every ratio and edge exact, but for a buyer that a
+    # rising move left with no edge.  So re-deriving those buyers alone at a
+    # fixed-budget phase end must give a full ``bang_per_buck``'s ratios and
+    # edges.  Checked at every phase end of the golden digest's fixed-budget
+    # runs (the first limit-iteration rounds of four 4x4 games) and of the
+    # limit iterations that visit them.
+    rebuild, seen = fisher._rebuild, Counter()
+
+    def checked(market, buyers=None):
+        rebuild(market, buyers)
+        if buyers is not None:
+            gamma, edges = bang_per_buck(market.u, market.p)
+            assert market.gamma == gamma and market.edges == set(edges)
+            seen["phase ends"] += 1
+            seen["stripped"] += bool(buyers)
+
+    monkeypatch.setattr(fisher, "_rebuild", checked)
+    for seed in range(4):
+        inst = gen_random(4, 4, 10, 10, seed)
+        reduced, _ = preprocess(inst)
+        for _, money in limit_algorithm(inst, max_iter=3).history[1:]:
+            fisher_equilibrium(reduced.u, money)
+    assert seen["phase ends"] > 60 and seen["stripped"] > 10, seen
 
 
 def test_tight_descent_rejects_a_stale_cut(monkeypatch):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashflow import (
     FlowError,
@@ -286,8 +288,10 @@ def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch)
     recorded = []
 
     def recording(net):
-        recorded.append((net, max_flow(net)))
-        return recorded[-1][1]
+        with counting() as tally:
+            flow = max_flow(net)
+        recorded.append((net, flow, tally["peels"]))
+        return flow
 
     for module in (nashflow.balanced, nashflow.certify, nashflow.fisher):
         monkeypatch.setattr(module, "max_flow", recording)
@@ -297,8 +301,112 @@ def test_max_flow_finds_the_reference_paths_on_networks_from_solves(monkeypatch)
         solve(gen_random(n, g, u_max, c_max, seed))
     monkeypatch.undo()
     assert len(recorded) > 500
-    for net, flow in recorded:
+    for net, flow, _ in recorded:
         assert _same_flow(flow, reference_max_flow(net))
+        for i in range(net.n):
+            for reverse in (False, True):
+                assert flow.residual_reach({i}, reverse) == reference_residual_reach(
+                    flow, {i}, reverse)
+    # Generic utilities give forests, and most rounds saturate theirs.
+    assert sum(peeled for _, _, peeled in recorded) > 400
+
+
+@st.composite
+def near_forests(draw):
+    """A market network on a random forest, with what can stop its peel.
+
+    Amounts are sums of random pair flows over the forest's edges, so a
+    network left alone is a forest that saturates.  Draws may shift some of
+    one good's price to another good (or one buyer's money to another
+    buyer), which keeps the masses equal but may leave no saturating flow,
+    add a few edges (cycles), unbalance one amount, zero one price or
+    restrict the network to some buyers and goods.  Amounts are ints, or
+    ``Fraction``s over one denominator.
+    """
+    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    order = draw(st.permutations([(0, j) for j in range(g)] + [(1, i) for i in range(n)]))
+    edges, flow = set(), {}
+    for k, (side, x) in enumerate(order):
+        others = [y for s, y in order[:k] if s != side]
+        if others and draw(st.integers(0, 3)):
+            y = draw(st.sampled_from(others))
+            e = (x, y) if side else (y, x)
+            edges.add(e)
+            flow[e] = draw(st.integers(0, 6))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, g - 1)), max_size=3))
+    edges |= set(extra)
+    p, m = [0] * g, [0] * n
+    for (i, j), f in flow.items():
+        p[j] += f
+        m[i] += f
+    amounts = draw(st.sampled_from([p, m]))
+    give, take = draw(st.integers(0, len(amounts) - 1)), draw(st.integers(0, len(amounts) - 1))
+    shift = min(draw(st.integers(0, 3)), amounts[give])
+    amounts[give] -= shift  # equal masses, perhaps no saturating flow
+    amounts[take] += shift
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(amounts) - 1))
+        amounts[k] = max(amounts[k] + draw(st.integers(-3, 3)), 0)
+    if draw(st.integers(0, 4)) == 0:
+        p[draw(st.integers(0, g - 1))] = 0
+    d = draw(st.sampled_from([None, 1, 2, 3, 6]))
+    if d is not None:
+        p, m = [Fraction(x, d) for x in p], [Fraction(x, d) for x in m]
+    net = MarketNetwork(tuple(p), tuple(m), frozenset(edges))
+    if draw(st.integers(0, 4)) == 0:
+        net = net.sub(draw(st.sets(st.integers(0, n - 1))), draw(st.sets(st.integers(0, g - 1))))
+    return net
+
+
+def _saturating_forest(net):
+    """Whether the priced pairs form a forest and some flow sells and spends all."""
+    parent = list(range(net.g + net.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for (i, j) in net.edges:
+        if net.p[j] > 0:
+            a, b = find(j), find(net.g + i)
+            if a == b:
+                return False
+            parent[a] = b
+    value = reference_max_flow(net).value
+    return value == sum(net.p, Fraction(0)) == sum(net.m, Fraction(0))
+
+
+@given(near_forests())
+@settings(max_examples=600)
+def test_max_flow_peels_exactly_the_saturating_forests(net):
+    # A peeled flow is Edmonds-Karp's: the same value, pair flows in the same
+    # order, cut and residual graph, read from every buyer both ways.
+    with counting() as tally:
+        flow = max_flow(net)
+    assert _same_flow(flow, reference_max_flow(net))
+    for i in range(net.n):
+        for reverse in (False, True):
+            assert flow.residual_reach({i}, reverse) == reference_residual_reach(flow, {i}, reverse)
+    if _saturating_forest(net):
+        assert tally == {"maxflows": 1, "peels": 1}
+    else:
+        assert tally["maxflows"] == 1 and "peels" not in tally
+
+
+def test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods():
+    # Buyers 0 and 1 and goods 0 and 1 form a cycle; buyers 2 and 3 hang off
+    # goods 0 and 1 and can pay for them, and buyer 4 has no edge.  The
+    # masses are equal and there are fewer pairs than nodes, and peeling
+    # buyers 2 and 3 sells out both goods, but it leaves the cycle's pairs
+    # unsettled: a cycle can carry flow either way round, so Edmonds-Karp runs.
+    net = MarketNetwork((2, 3), (0, 0, 2, 3, 0),
+                        frozenset({(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 1)}))
+    with counting() as tally:
+        flow = max_flow(net)
+    assert tally == {"maxflows": 1, "augments": 2}
+    assert flow.pair_flow == {(2, 0): 2, (3, 1): 3}
+    assert _same_flow(flow, reference_max_flow(net))
 
 
 def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
@@ -342,8 +450,10 @@ def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
 def test_max_flow_counts_its_augmenting_paths_once_per_call(monkeypatch):
     # Good 0 fills buyer 0 first.  Good 1 interests buyer 0 alone, so the
     # second path runs good 1 -> buyer 0 -> (reverse arc) good 0 -> buyer 1.
+    # The money mass (3) exceeds the price mass (2), so Edmonds-Karp runs
+    # rather than the peel.
     net = MarketNetwork(
-        (Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0), (0, 1)})
+        (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)), frozenset({(0, 0), (1, 0), (0, 1)})
     )
     with counting() as tally:
         flow = max_flow(net)
@@ -361,6 +471,7 @@ def test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound(monkeypatch)
     # reads 0) would search for ever.  One good, one buyer and their pair
     # give 4 nodes with the source and sink, and 6 arcs with the reverse
     # arcs, so the bound is 4 * 6 = 24 paths and the 25th search raises.
+    # The buyer's money exceeds the price, so the network is not peeled.
     searches = []
 
     def no_room(*rooms):
@@ -368,14 +479,16 @@ def test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound(monkeypatch)
         return 0
 
     monkeypatch.setattr("nashflow.flownet.min", no_room, raising=False)
-    net = MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)}))
+    net = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
     with pytest.raises(FlowError, match="within 24 augmenting paths"):
         max_flow(net)
     assert len(searches) == 25
 
 
 def test_solve_reports_augmenting_paths_in_its_detail_only():
-    inst = gen_random(3, 3, 5, 3, 1)
+    # A tied game: its equilibrium network holds a cycle, so the self-check's
+    # max-flow augments rather than peels.
+    inst = gen_random(3, 3, 5, 3, 11)
     first = solve(inst)
     with counting() as tally:
         second = solve(inst)
@@ -386,9 +499,25 @@ def test_solve_reports_augmenting_paths_in_its_detail_only():
     assert "augments" not in json.dumps(solution_to_json(first))
 
 
+def test_solve_reports_peeled_forests_in_its_detail_only():
+    # Generic utilities give forests: most of a 12x12 solve's max-flows
+    # saturate one and are peeled, the rest augment.
+    inst = gen_random(12, 12, 1000, 1500, 0)
+    with counting() as tally:
+        sol = solve(inst)
+    detail = sol.stats["detail"]
+    assert detail["peels"] > 0 and detail["augments"] > 0
+    assert detail["peels"] < sol.stats["maxflows"]
+    # The enclosing block also sees the self-check's max-flow, which peels
+    # the equilibrium's forest.
+    assert tally["peels"] == detail["peels"] + 1
+    assert "peels" not in json.dumps(solution_to_json(sol))
+
+
 def test_counting_tallies_each_block_and_adds_nested_blocks_outward():
-    # Each max-flow of this network counts itself and its one augmenting path.
-    net = MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)}))
+    # Each max-flow of this network counts itself and its one augmenting path
+    # (the buyer's money exceeds the price, so the network is not peeled).
+    net = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
     max_flow(net)  # outside every block: counted nowhere
     with counting() as outer:
         max_flow(net)

@@ -13,7 +13,8 @@ it touched.  A change that lowers counts regenerates the table with
 ``PYTHONPATH=src python tests/test_golden.py``: it recomputes every count,
 prints each instance whose count changed as ``label: before -> after`` and
 then on how many instances the count fell, held and rose, with the totals of
-the balanced-flow guesses' hits, repairs and misses beside it, exits 1 if
+the balanced-flow guesses' hits, repairs and misses and of the max-flows'
+augmenting paths and peeled forests beside it, exits 1 if
 any count rose, and otherwise rewrites the table and prints the old and new
 totals.
 """
@@ -62,14 +63,17 @@ def _fisher_runs():
 def _digest_and_counts(guesses=None):
     """The answers digest and the max-flow count of each instance.
 
-    ``guesses``, a ``Counter`` if given, gathers the solves' guess outcomes.
+    ``guesses``, a ``Counter`` if given, gathers the solves' guess outcomes
+    and their max-flows' ``augments`` and ``peels``.
     """
     h = hashlib.sha256()
     maxflows = {}
     for label, inst in _instances():
         sol = solve(inst, collect_trace=True)
         if guesses is not None:
-            guesses.update(sol.stats.get("detail", {}).get("guess", {}))
+            detail = sol.stats.get("detail", {})
+            guesses.update(detail.get("guess", {}))
+            guesses.update({key: detail.get(key, 0) for key in ("augments", "peels")})
         doc = solution_to_json(sol)
         maxflows[label] = doc["stats"].pop("maxflows")
         h.update(json.dumps(doc, sort_keys=True).encode())
@@ -109,7 +113,8 @@ def _regenerate_table():
     fell = sum(k in old and v < old[k] for k, v in new.items())
     held = len(new) - len(changed)
     print(f"{fell} fell, {held} held, {rose} rose of {len(new)} instances; guesses: "
-          f"{guesses['hits']} hits, {guesses['repairs']} repairs, {guesses['misses']} misses")
+          f"{guesses['hits']} hits, {guesses['repairs']} repairs, {guesses['misses']} misses; "
+          f"{guesses['augments']} augmenting paths, {guesses['peels']} peels")
     if rose:
         print(f"count rose on {rose} of {len(new)} instances; table left as it is")
         return 1
