@@ -51,20 +51,31 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
     ``p_j (v_i - c_i) >= u_ij`` with equality wherever ``x_ij > 0``.
     Sufficient for global optimality (the objective is concave), so a pass
     proves both feasibility of the game and optimality of ``x``.  Last, ``v``
-    must be the utilities of ``x``.  Non-``Fraction`` inputs convert exactly.
+    must be the utilities of ``x``.  Non-``Fraction`` inputs convert exactly;
+    a false allocation entry counts as 0.  Stationarity is checked row by
+    row: one integer loop for the inequality at every good, then equality on
+    the row's support (its nonzero shares) only.  A failing row is scanned
+    again pair by pair, which names its first failing pair; a row only the
+    row pass fails would be a defect, and the check fails closed.
     """
-    p = [Fraction(q) for q in p]
+    p = [q if isinstance(q, Fraction) else Fraction(q) for q in p]
     if len(p) != inst.g or len(x) != inst.n or any(len(row) != inst.g for row in x):
         return False, "shape mismatch"
-    x = [[s if isinstance(s, Fraction) else Fraction(s) for s in row] for row in x]
-    sold, util = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
+    sold, util, support = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n, []
     for i, row in enumerate(x):
+        goods = []
         for j, share in enumerate(row):
-            if share.numerator < 0:
-                return False, "negative allocation"
             if share:
-                sold[j] += share
-                util[i] += inst.u[i][j] * share
+                if not isinstance(share, Fraction):
+                    share = Fraction(share)
+                num = share.numerator
+                if num < 0:
+                    return False, "negative allocation"
+                if num:
+                    sold[j] += share
+                    util[i] += inst.u[i][j] * share
+                    goods.append(j)
+        support.append(goods)
     if any(q < 0 for q in p):
         return False, "negative price"
     for j in range(inst.g):
@@ -74,18 +85,31 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
             return False, f"good {j} priced but not sold out"
     # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
     prices = [(q.numerator, q.denominator) for q in p]
-    for i in range(inst.n):
-        gain = util[i] - inst.c[i]
-        if gain <= 0:
-            return False, f"buyer {i} does not improve on the disagreement payoff"
+    for i, (row, c, goods) in enumerate(zip(inst.u, inst.c, support)):
+        gain = util[i] - c
         gn, gd = gain.numerator, gain.denominator
+        if gn <= 0:
+            return False, f"buyer {i} does not improve on the disagreement payoff"
+        # Every inequality, then equality on the support.
+        for (a, b), w in zip(prices, row):
+            if a * gn < w * b * gd:
+                break
+        else:
+            for j in goods:
+                a, b = prices[j]
+                if a * gn != row[j] * b * gd:
+                    break
+            else:
+                continue
+        # The row failed: the pair-by-pair scan names its first failing pair.
         for j, (a, b) in enumerate(prices):
-            lhs, rhs = a * gn, inst.u[i][j] * b * gd
+            lhs, rhs = a * gn, row[j] * b * gd
             if lhs < rhs:
                 return False, f"stationarity violated at ({i},{j})"
-            if x[i][j].numerator > 0 and lhs != rhs:
+            if j in goods and lhs != rhs:
                 return False, f"allocation ({i},{j}) is not on a tight pair"
-    if [Fraction(a) for a in v] != util:
+        return False, f"buyer {i}: the row pass and the pair-by-pair scan disagree"
+    if [a if isinstance(a, Fraction) else Fraction(a) for a in v] != util:
         return False, "claimed utilities do not match the allocation"
     return True, "ok"
 

@@ -71,15 +71,15 @@ def initial_prices(u, money):
     the poorest budget, so every good can fully sell from the start.  Goods
     no one values get price 0 and never enter the network.
     """
-    u_max = max(max(row) for row in u)
+    tops = [max(col) for col in zip(*u)]
+    u_max = max(tops)
     if u_max == 0:
         raise FisherError("cannot price a market with all-zero utilities")
     least = min(money)
     if least <= 0:
         raise FisherError("budgets must be positive")
-    g = len(u[0])
-    scale = Fraction(least, g * u_max)
-    return [max(row[j] for row in u) * scale for j in range(len(u[0]))]
+    scale = Fraction(least, len(tops) * u_max)
+    return [top * scale for top in tops]
 
 
 def _phase_cap(u, money):

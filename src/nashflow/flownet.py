@@ -42,6 +42,15 @@ side.  Edmonds-Karp runs on what the peel leaves: unequal masses, cycles
 saturating flow.  With generic utilities the best-ratio networks are
 forests, and most balanced-flow rounds prove a guess that saturates.
 
+Where the peel gives up or is not tried, one sweep pushes the direct pairs
+before the first search: goods in index order, each good's arcs in order,
+the smaller room on each pair whose buyer has money room, each push counted
+as one augmenting path.  A search queues every good with price room before
+any buyer, so while a direct pair is left it returns the first one in
+(good, arc) order, with the smaller room as bottleneck since pair arcs
+never bind.  Rooms only shrink, so the sweep makes the searches' first
+pushes in their order, and the searches finish the flow.
+
 The source and sink are not nodes: the residual rooms of their arcs are the
 scaled prices and money, one per good and one per buyer, and only the pair
 arcs are stored.  No path re-enters the source, so a price room only
@@ -334,14 +343,31 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         value, money = mass, room  # no room left: the cut puts every node on the far side
         _count("peels")
     else:
+        bound = (g + n + 2) * 2 * (sum(x > 0 for x in price) + len(pairs) + sum(x > 0 for x in money))
+        # The first paths are the direct pairs, in (good, arc) order (module
+        # docstring): one sweep pushes them, each counted as one path.
         value = augments = 0
+        for j in range(g):
+            room = price[j]
+            for arc in head[j]:
+                if not room:
+                    break
+                buyer = to[arc]
+                if money[buyer]:
+                    bottleneck = min(room, money[buyer])
+                    room -= bottleneck
+                    money[buyer] -= bottleneck
+                    cap[arc] -= bottleneck
+                    cap[arc ^ 1] += bottleneck
+                    value += bottleneck
+                    augments += 1
+            price[j] = room
         # Each search starts from the goods with price room, in index order.
         starts = [j for j in range(g) if price[j]]
         start_parent = [-1] * (g + n)
         for j in starts:
             start_parent[j] = -2
-        bound = (g + n + 2) * 2 * (len(starts) + len(pairs) + sum(x > 0 for x in money))
-        for _ in range(bound + 1):
+        for _ in range(bound + 1 - augments):
             parent_arc = start_parent[:]
             queue = starts[:]
             last = -1  # the path's buyer, once found

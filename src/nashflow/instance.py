@@ -53,7 +53,8 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational canonically: ``"3"`` for integers, else ``"num/den"``."""
-    q = Fraction(q)
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

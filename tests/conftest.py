@@ -282,12 +282,16 @@ def reference_first_tight(p, money, edges, target):
 # nodes, every search runs on until it pops that buyer and scans its sink
 # arc, and the path is walked twice, once for the bottleneck and once for
 # the update.  Kept verbatim, apart from the name, the docstring and the
-# dropped count, to compare ``value``, ``pair_flow`` and ``far_side`` with
+# count, which goes to a ``paths`` list when one is given, to compare
+# ``value``, ``pair_flow``, ``far_side`` and the path count with
 # ``flownet.max_flow``.
 
 
-def reference_max_flow(net: MarketNetwork) -> FlowResult:
-    """``flownet.max_flow`` with a search that runs on to the sink; counts nothing."""
+def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
+    """``flownet.max_flow`` with a search that runs on to the sink.
+
+    Appends each augmenting path's bottleneck to ``paths`` if it is given.
+    """
     n, g = net.n, net.g
     denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
     scale = lcm(*denoms) if denoms else 1
@@ -356,6 +360,8 @@ def reference_max_flow(net: MarketNetwork) -> FlowResult:
         pushed = bfs_augment()
         if not pushed:
             break
+        if paths is not None:
+            paths.append(pushed)
         value += pushed
 
     pair_flow = {}
@@ -379,6 +385,53 @@ def reference_max_flow(net: MarketNetwork) -> FlowResult:
         frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
     return FlowResult(value=Fraction(value, scale), pair_flow=pair_flow, far_side=far_side, net=net)
+
+
+# ---------------------------------------------------------------------------
+# The optimality check as it stood before it checked stationarity row by
+# row: every allocation entry converted up front, and each pair's
+# inequality and, where its share is positive, equality tested in one loop.
+# Kept verbatim, apart from the name and the docstring, to compare verdicts
+# and reasons with ``certify.check_kkt``.
+
+
+def reference_check_kkt(inst, p, x, v) -> tuple[bool, str]:
+    """``certify.check_kkt`` testing stationarity pair by pair."""
+    p = [Fraction(q) for q in p]
+    if len(p) != inst.g or len(x) != inst.n or any(len(row) != inst.g for row in x):
+        return False, "shape mismatch"
+    x = [[s if isinstance(s, Fraction) else Fraction(s) for s in row] for row in x]
+    sold, util = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n
+    for i, row in enumerate(x):
+        for j, share in enumerate(row):
+            if share.numerator < 0:
+                return False, "negative allocation"
+            if share:
+                sold[j] += share
+                util[i] += inst.u[i][j] * share
+    if any(q < 0 for q in p):
+        return False, "negative price"
+    for j in range(inst.g):
+        if sold[j] > 1:
+            return False, f"good {j} oversold"
+        if p[j] > 0 and sold[j] != 1:
+            return False, f"good {j} priced but not sold out"
+    # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
+    prices = [(q.numerator, q.denominator) for q in p]
+    for i in range(inst.n):
+        gain = util[i] - inst.c[i]
+        if gain <= 0:
+            return False, f"buyer {i} does not improve on the disagreement payoff"
+        gn, gd = gain.numerator, gain.denominator
+        for j, (a, b) in enumerate(prices):
+            lhs, rhs = a * gn, inst.u[i][j] * b * gd
+            if lhs < rhs:
+                return False, f"stationarity violated at ({i},{j})"
+            if x[i][j].numerator > 0 and lhs != rhs:
+                return False, f"allocation ({i},{j}) is not on a tight pair"
+    if [Fraction(a) for a in v] != util:
+        return False, "claimed utilities do not match the allocation"
+    return True, "ok"
 
 
 # ---------------------------------------------------------------------------

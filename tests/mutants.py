@@ -41,7 +41,8 @@ MUTANTS = [
         file="flownet.py",
         old="bottleneck = min(price[node], money[last], *(cap[arc] for arc in path))",
         new="bottleneck = min(price[node], *(cap[arc] for arc in path))",
-        killer="tests/test_flownet.py::test_max_flow_money_short_cuts_agree",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
     ),
     dict(
         name="cut-from-every-buyer",
@@ -55,7 +56,8 @@ MUTANTS = [
         file="flownet.py",
         old="if not price[node]:  # the path's first good",
         new="if False:  # the path's first good",
-        killer="tests/test_flownet.py::test_max_flow_interior_edges_never_bind",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
     ),
     dict(
         name="max-flow-without-path-cap",
@@ -64,6 +66,31 @@ MUTANTS = [
         new="pass",
         killer="tests/test_flownet.py::"
                "test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound",
+    ),
+    # The direct-pair sweep (flownet.max_flow).
+    dict(
+        name="sweep-goods-reversed",
+        file="flownet.py",
+        old="for j in range(g):\n            room = price[j]",
+        new="for j in reversed(range(g)):\n            room = price[j]",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
+    ),
+    dict(
+        name="sweep-arcs-reversed",
+        file="flownet.py",
+        old="for arc in head[j]:",
+        new="for arc in reversed(head[j]):",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
+    ),
+    dict(
+        name="sweep-push-past-the-money-room",
+        file="flownet.py",
+        old="bottleneck = min(room, money[buyer])",
+        new="bottleneck = room",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
     ),
     # The forest peel (flownet.max_flow).
     dict(
@@ -407,10 +434,26 @@ MUTANTS = [
     dict(
         name="kkt-accepts-a-zero-gain",
         file="certify.py",
-        old="if gain <= 0:",
-        new="if gain < 0:",
+        old="if gn <= 0:",
+        new="if gn < 0:",
         killer="tests/test_certify.py::"
                "test_check_kkt_rejects_a_buyer_left_at_the_disagreement_payoff",
+    ),
+    dict(
+        name="kkt-row-pass-skips-support-equality",
+        file="certify.py",
+        old="if a * gn != row[j] * b * gd:",
+        new="if False:",
+        killer="tests/test_certify.py::"
+               "test_check_kkt_matches_the_pair_by_pair_check_on_single_changes",
+    ),
+    dict(
+        name="kkt-row-pass-strict",
+        file="certify.py",
+        old="if a * gn < w * b * gd:",
+        new="if a * gn <= w * b * gd:",
+        killer="tests/test_certify.py::"
+               "test_check_kkt_matches_the_pair_by_pair_check_on_single_changes",
     ),
     dict(
         name="witness-prices-valueless-goods",

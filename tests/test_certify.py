@@ -1,7 +1,10 @@
 """Independent checkers: equilibrium, optimality, witnesses, dual certificates."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -22,6 +25,7 @@ from nashflow import (
     verify_lp_dual,
 )
 from conftest import (
+    reference_check_kkt,
     scalar_feasible,
     scalar_infeasible,
     split_infeasible,
@@ -126,6 +130,82 @@ def test_check_kkt_rejects_a_tight_price_nudged_by_two_to_the_minus_200():
         else:
             assert reason.startswith("stationarity violated at (")
             assert reason.endswith(f",{j})")
+
+
+def _reason_kind(reason):
+    """A check's reason with its buyer and good indices left out."""
+    return re.sub(r"\d+", "#", reason)
+
+
+def _changes(value):
+    """Values one entry of an answer is changed to, an ``int`` among them."""
+    q = Fraction(value)
+    return [Fraction(0), q + 1, q - 1, q / 2, 2 * q, -q, q + Fraction(1, 7), int(q)]
+
+
+def test_check_kkt_matches_the_pair_by_pair_check_on_single_changes():
+    # Every single-value change (one price, one share or one utility) to the
+    # feasible answers of the small golden games: the row-wise check gives
+    # the pair-by-pair check's verdict and reason.
+    kinds = Counter()
+    for _, inst in islice(_instances(), 150):
+        sol = solve(inst)
+        if sol.verdict != "feasible":
+            continue
+        claims = [(sol.p, sol.x, sol.v)]
+        for j in range(inst.g):
+            claims += [(sol.p[:j] + (q,) + sol.p[j + 1:], sol.x, sol.v) for q in _changes(sol.p[j])]
+        for i in range(inst.n):
+            claims += [(sol.p, sol.x, sol.v[:i] + (q,) + sol.v[i + 1:]) for q in _changes(sol.v[i])]
+            for j in range(inst.g):
+                for q in _changes(sol.x[i][j]):
+                    x = [list(row) for row in sol.x]
+                    x[i][j] = q
+                    claims.append((sol.p, x, sol.v))
+        for p, x, v in claims:
+            got = check_kkt(inst, p, x, v)
+            assert got == reference_check_kkt(inst, p, x, v), (inst, p, x, v)
+            kinds[_reason_kind(got[1])] += 1
+    assert min(kinds.values()) > 20 and len(kinds) == 8, kinds
+
+
+def test_check_kkt_matches_the_pair_by_pair_check_on_a_perturbed_20x20_answer():
+    # Random changes to one 20x20 answer: shares moved onto other buyers'
+    # pairs (most of them not tight), negative shares, zero and rescaled
+    # prices, changed utilities, and integral entries handed in as ints.
+    # Half the claims carry the utilities of their changed allocation, so
+    # the checks before the utilities decide.
+    inst = gen_random(20, 20, 10, 10, 0)
+    sol = solve(inst)
+    assert sol.verdict == "feasible"
+    rng = random.Random(31)
+    kinds = Counter()
+    for _ in range(1500):
+        p, x, v = list(sol.p), [list(row) for row in sol.x], list(sol.v)
+        for _ in range(rng.randint(0, 3)):
+            i, j, move = rng.randrange(inst.n), rng.randrange(inst.g), rng.randrange(6)
+            if move == 0:
+                owner = rng.choice([k for k in range(inst.n) if x[k][j]] or [i])
+                part = x[owner][j] * Fraction(rng.randint(1, 4), 4)
+                x[owner][j] -= part
+                x[i][j] += part
+            elif move == 1:
+                x[i][j] = -Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            elif move == 2:
+                p[j] = Fraction(0)
+            elif move == 3:
+                p[j] *= Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            elif move == 4:
+                v[i] += Fraction(1, rng.randint(1, 5))
+            else:
+                x = [[int(s) if Fraction(s).denominator == 1 else s for s in row] for row in x]
+                p = [int(q) if q.denominator == 1 else q for q in map(Fraction, p)]
+        if rng.random() < 0.5:
+            v = [sum(w * Fraction(s) for w, s in zip(row, shares)) for row, shares in zip(inst.u, x)]
+        got = check_kkt(inst, p, x, v)
+        assert got == reference_check_kkt(inst, p, x, v), (p, x, v)
+        kinds[_reason_kind(got[1])] += 1
+    assert len(kinds) == 6 and min(kinds.values()) > 10, kinds
 
 
 # ---------------------------------------------------------------------------

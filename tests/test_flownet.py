@@ -394,6 +394,49 @@ def test_max_flow_peels_exactly_the_saturating_forests(net):
         assert tally["maxflows"] == 1 and "peels" not in tally
 
 
+@st.composite
+def crowded_networks(draw):
+    """A market network whose direct pairs compete, tie and close cycles.
+
+    Edges are any set of pairs, so goods share buyers, cycles are common and
+    many paths run through a reverse arc.  Rooms are small, so a push often
+    empties a good and its buyer at once.  Each amount is an int or a
+    ``Fraction`` over one denominator, some prices and budgets are zero, and
+    some networks are restricted to some buyers and goods.
+    """
+    n, g = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(g)]
+    edges = [e for e, kept in zip(pairs, draw(st.lists(st.booleans(), min_size=n * g,
+                                                       max_size=n * g))) if kept]
+    d = draw(st.sampled_from([1, 2, 3]))
+    amounts = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=n + g, max_size=n + g)
+    caps = [Fraction(k, d) if rational else k for k, rational in draw(amounts)]
+    net = MarketNetwork(tuple(caps[:g]), tuple(caps[g:]), frozenset(edges))
+    if draw(st.integers(0, 3)) == 0:
+        net = net.sub(draw(st.sets(st.integers(0, n - 1))), draw(st.sets(st.integers(0, g - 1))))
+    return net
+
+
+@given(crowded_networks())
+@settings(max_examples=600)
+def test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them(net):
+    # The sweep's pushes and the searches after it are the reference's
+    # augmenting paths: the same flow, cut and residual graph, read from
+    # every buyer both ways, and one counted augment per path.
+    paths = []
+    want = reference_max_flow(net, paths)
+    with counting() as tally:
+        flow = max_flow(net)
+    assert _same_flow(flow, want)
+    for i in range(net.n):
+        for reverse in (False, True):
+            assert flow.residual_reach({i}, reverse) == reference_residual_reach(flow, {i}, reverse)
+    if tally["peels"]:
+        assert tally == {"maxflows": 1, "peels": 1}
+    else:
+        assert tally == {"maxflows": 1, "augments": len(paths)}
+
+
 def test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods():
     # Buyers 0 and 1 and goods 0 and 1 form a cycle; buyers 2 and 3 hang off
     # goods 0 and 1 and can pay for them, and buyer 4 has no edge.  The
@@ -470,19 +513,21 @@ def test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound(monkeypatch)
     # A broken flow core whose paths ship nothing (here every bottleneck
     # reads 0) would search for ever.  One good, one buyer and their pair
     # give 4 nodes with the source and sink, and 6 arcs with the reverse
-    # arcs, so the bound is 4 * 6 = 24 paths and the 25th search raises.
+    # arcs, so the bound is 4 * 6 = 24 paths and the 25th path raises.  The
+    # first path is the direct-pair sweep's push, which reads the price and
+    # money rooms; the 24 searches after it also read the pair arc's room.
     # The buyer's money exceeds the price, so the network is not peeled.
-    searches = []
+    paths = []
 
     def no_room(*rooms):
-        searches.append(rooms)
+        paths.append(len(rooms))
         return 0
 
     monkeypatch.setattr("nashflow.flownet.min", no_room, raising=False)
     net = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
     with pytest.raises(FlowError, match="within 24 augmenting paths"):
         max_flow(net)
-    assert len(searches) == 25
+    assert paths == [2] + [3] * 24
 
 
 def test_solve_reports_augmenting_paths_in_its_detail_only():

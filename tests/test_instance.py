@@ -1,6 +1,7 @@
 """Instance parsing, preprocessing, and generators."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,11 @@ def test_format_rational_is_canonical():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-6, 4)) == "-3/2"
+    # An int is read as it is, a bool as its int; other rationals convert exactly.
+    assert [format_rational(q) for q in (0, 7, -12, True)] == ["0", "7", "-12", "1"]
+    assert format_rational(0.75) == "3/4"
+    assert format_rational(Decimal("-2.50")) == "-5/2"
+    assert format_rational("6/4") == "3/2"
 
 
 def test_rational_round_trip():
