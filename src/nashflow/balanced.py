@@ -60,14 +60,17 @@ repair one per round, and the split rounds add the whole max-flow, at most
 ``n`` rounds and the proof: at most ``2n + 3`` per call.
 
 The rounds run in integers.  Every money and price is an integer over one
-``scale`` (``integer_caps``), so a class's level is ``cash / (size * scale)``.
+``scale``: a market hands in its network so, over the network's ``scale``,
+and ``integer_caps`` clears a checker's ``Fraction``s to the lcm of their
+denominators.  So a class's level is ``cash / (size * scale)``.
 Over ``scale * mult``, with ``mult`` the lcm of each class's size divided by
 its gcd with the class's cash, every level, cap and price is an integer.
-The round's max-flow gets that integer network and answers in integers, and
-the gate reads it so: the value against the target times ``mult`` and
-property 1 over the money times ``mult``.  A network scaled by a positive
-integer keeps its Edmonds-Karp paths and cut, so the proved flow is
-returned as it stands, over ``scale * mult``, and so are its surpluses.
+The round's max-flow gets that integer network, over ``scale * mult``,
+and answers in integers, and the gate reads it so: the value against the
+target times ``mult`` and property 1 over the money times ``mult``.  A
+network scaled by a positive integer keeps its Edmonds-Karp paths and cut,
+so the proved flow is returned as it stands, over ``scale * mult`` like
+its network, and so are its surpluses.
 That scale is the least common denominator of the prices, the money and
 the surpluses, so no ``Fraction`` is built: a market keeps the flow and
 surpluses as integers until a value leaves the solve.
@@ -76,7 +79,6 @@ surpluses as integers until a value leaves the solve.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from math import gcd, lcm
 
 from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
@@ -125,8 +127,9 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     a class with goods but no buyer counts as the lowest.  Only the order
     and ties of ``theta`` matter, so it may hold any exact values: ints over
     any one scale, or ``Fraction``s.  Levels, caps and prices are integers
-    over ``scale * mult`` in every round, the flow core gets them as ints,
-    and the returned flow and ``theta`` are its
+    over ``scale * mult`` in every round (``scale`` is an int network's own,
+    a ``Fraction`` network's lcm), the flow core gets them as ints over that
+    scale, and the returned flow and ``theta`` are its
     integer answer over ``flow.scale = scale * mult``: the Edmonds-Karp flow
     of ``replace(net, m=caps)`` and that network, both times the scale.
     Each call counts one ``"hits"`` (the first round proves it),
@@ -183,7 +186,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
         if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
-            whole = max_flow(MarketNetwork(price, money, net.edges))
+            whole = max_flow(MarketNetwork(price, money, net.edges, scale))
             target, parent, last = whole.value, list(range(n + g)), None
             for (i, j) in edges:
                 parent[find(n + j)] = find(i)
@@ -205,12 +208,12 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
             e for e in edges if root[e[0]] == root[n + e[1]])  # every class on its own edges
         full = len(inner) == len(net.edges)
         reuse = whole is not None and full and mult == 1 and caps == money
-        flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner))
+        flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))
         fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
                 MarketNetwork(prices, tuple([x * mult for x in money]), net.edges), flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
-            return replace(flow, scale=scale * mult), tuple(theta)
+            return flow, tuple(theta)
         if final:
             raise BalanceError("balanced-flow levels fail the gate on the whole network")
         far_buyers, far_goods = flow.far_side
@@ -277,14 +280,14 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
         theta, paid = [t // d for t in theta], [f // d for f in paid]
     money = [c + t for c, t in zip(caps, theta)]
     amounts = zip((*net.p, *net.m), (*price, *money))
-    if any(q.numerator * common != v * q.denominator for q, v in amounts):
+    if any(q * common != v * net.scale for q, v in amounts):
         raise BalanceError("a scaled flow does not price the network it scales to")
     value = sum(paid)
     pair_flow = dict(zip(flow.pair_flow, paid))
-    whole = MarketNetwork(tuple(price), tuple(money), net.edges)
+    whole = MarketNetwork(tuple(price), tuple(money), net.edges, common)
     if not (value == sum(price) == sum(caps) and verify_property1(
             whole, FlowResult(value, pair_flow, flow.far_side, whole))):
         raise BalanceError("a scaled balanced flow fails the gate")
-    scaled = MarketNetwork(whole.p, tuple(caps), net.edges)
+    scaled = MarketNetwork(whole.p, tuple(caps), net.edges, common)
     flow = FlowResult(value, pair_flow, flow.far_side, scaled, flow.residual, common)
     return flow, tuple(theta)

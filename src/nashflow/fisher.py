@@ -20,10 +20,20 @@ compared by cross-multiplying numerators and denominators, and a
 
 The kernel works on a ``Market``: prices, best ratios, best-ratio edges,
 the balanced flow and its surpluses, and the active buyers and goods, with
-one ``rebalance`` for every edge event.  The surpluses are integers over
-the flow's scale (``balanced_flow``'s), one denominator for both, and a
-``Fraction`` is built from them only where a value leaves the market: a
-trace, a statistic, an allocation.  The kernel owns the edge rule, so a
+one ``rebalance`` for every edge event.  All of it is integers.  Prices
+are ints over one price scale, their least common denominator, and each
+best ratio is a reduced integer pair; a move by ``x = a/b`` multiplies the
+block's prices by ``a`` and the other prices and the scale by ``b``, one
+gcd reduces them, and each block ratio ``num/den`` becomes ``num*b /
+(den*a)``.  Budgets come from the subclass as integer pairs, and
+``Market.network()`` hands ``balanced_flow`` the active network in ints
+over the least common denominator of its prices and budgets, the network's
+``scale``.  The surpluses are integers over the flow's scale
+(``balanced_flow``'s), one denominator for both.  A ``Fraction`` is built
+only where a value leaves the market (the views ``p`` and ``gamma``, a
+trace, a statistic, an allocation) and for each event's factor ``x``.  The
+fixed-budget tight search (``_FixedBudgets.stop_at_tight``) still prices
+its trial networks in ``Fraction``s.  The kernel owns the edge rule, so a
 phase end re-derives nothing: the market's edges stay its best-ratio
 edges, and a caller rebalances at a phase end only where the phase changed
 the network its flow is balanced on.  The kernel runs in two directions
@@ -53,9 +63,10 @@ nothing can lose every edge to a rising move), then rebalances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .balanced import balanced_flow
-from .flownet import MarketNetwork, bang_per_buck, best_ratio, max_flow
+from .flownet import MarketNetwork, best_ratio, max_flow
 
 
 class FisherError(AssertionError):
@@ -89,20 +100,43 @@ def _phase_cap(u, money):
     return 64 + 8 * n * n * (bits + g)
 
 
+def move_prices(price, scale, goods, a, b):
+    """Prices ``price / scale`` with those of ``goods`` times ``a/b``.
+
+    The goods' prices are multiplied by ``a``, the other prices and the
+    scale by ``b``, and one gcd takes them all to their least common
+    denominator.  Returns ``(price, scale)``.
+    """
+    price = [q * a if j in goods else q * b for j, q in enumerate(price)]
+    scale *= b
+    d = gcd(scale, *price)
+    if d > 1:
+        scale //= d
+        price = [q // d for q in price]
+    return price, scale
+
+
 def _scale(market, block, goods, x):
     """Multiply the block's prices by ``x`` and its buyers' best ratios by ``1/x``.
 
     The move takes every edge with exactly one end in the block below best,
-    so it drops them; a dropped edge never carries flow (checked).
+    so it drops them; a dropped edge never carries flow (checked).  With
+    ``x = a/b``, each block ratio ``num/den`` becomes ``num*b / (den*a)``,
+    reduced.
     """
     crossing = {(i, j) for (i, j) in market.edges if (i in block) != (j in goods)}
     if any(e in market.flow.pair_flow for e in crossing):
         raise FisherError("an edge cut from the block still carries flow")
     market.edges -= crossing
-    for j in goods:
-        market.p[j] *= x
+    a, b = x.numerator, x.denominator
+    market.price, market.price_scale = move_prices(
+        market.price, market.price_scale, goods, a, b)
+    ratio = market.ratio
     for i in block:
-        market.gamma[i] /= x
+        num, den = ratio[i]
+        num, den = num * b, den * a
+        d = gcd(num, den)
+        ratio[i] = (num // d, den // d)
 
 
 def _block_goods(market, block, ascending):
@@ -125,22 +159,23 @@ def _next_tie(market, block, goods, ascending):
     (factor ``r``), over outside buyers and block goods when they fall
     (factor ``1/r``).  Returns ``(None, [])`` when no such pair exists.
     Buyer ``i``'s first tie is at ``gamma_i * den / num``, where ``num/den``
-    is its ``best_ratio`` over the targets; the running minimum over buyers
-    is an integer pair ``N/D`` compared by cross-multiplying.
+    is its ``best_ratio`` over the targets at the market's integer prices;
+    the running minimum over buyers is an integer pair ``N/D`` compared by
+    cross-multiplying.
     """
     if ascending:
         buyers, targets = block, market.active_goods - goods
     else:
         buyers, targets = market.active_buyers - block, goods
-    u, p, gamma = market.u, market.p, market.gamma
-    targets = [(j, p[j].numerator, p[j].denominator) for j in sorted(targets)]
+    u, price, scale, ratio = market.u, market.price, market.price_scale, market.ratio
+    targets = [(j, price[j], scale) for j in sorted(targets)]
     num = den = None
     pairs = []
     for i in sorted(buyers):
         bn, bd, ties = best_ratio(u[i], targets)
         if not ties:
             continue
-        rn, rd = gamma[i].numerator * bd, gamma[i].denominator * bn
+        rn, rd = ratio[i][0] * bd, ratio[i][1] * bn
         if num is None or num * rd > rn * den:
             num, den, pairs = rn, rd, [(i, j) for j in ties]
         elif num * rd == rn * den:
@@ -175,8 +210,10 @@ def _price_phase(market, block, ascending, stop):
         if x is not None and not (x > 1 if ascending else 0 < x < 1):
             raise FisherError("an edge event must move prices the phase's way")
         if stop(x, block, goods, iteration):
-            u, p, gamma = market.u, market.p, market.gamma
-            market.edges |= {(i, j) for (i, j) in pairs if u[i][j] == gamma[i] * p[j]}
+            u, price, scale, ratio = market.u, market.price, market.price_scale, market.ratio
+            tied = [(i, j) for (i, j) in pairs
+                    if u[i][j] * ratio[i][1] * scale == ratio[i][0] * price[j]]
+            market.edges.update(tied)
             return goods, iteration if ascending else iteration - 1
         if iteration > cap:
             raise FisherError("price phase exceeded its iteration budget")
@@ -201,39 +238,58 @@ def _rebuild(market, buyers=None):
     """
     if buyers is None:
         buyers, market.edges = market.active_buyers, set()
-    buyers = sorted(buyers)
-    try:
-        gamma, pairs = bang_per_buck([market.u[i] for i in buyers], market.p)
-    except ValueError as exc:
-        raise FisherError("an active buyer values no active good") from exc
-    for i, best in zip(buyers, gamma):
-        market.gamma[i] = best
-    market.edges |= {(buyers[k], j) for (k, j) in pairs}
+    scale = market.price_scale
+    priced = [(j, q, scale) for j, q in enumerate(market.price) if q > 0]
+    for i in sorted(buyers):
+        num, den, ties = best_ratio(market.u[i], priced)
+        if not ties:
+            raise FisherError("an active buyer values no active good")
+        d = gcd(num, den)
+        market.ratio[i] = (num // d, den // d)
+        market.edges.update([(i, j) for j in ties])
     market.rebalance()
 
 
 class Market:
     """The market that ``_price_phase`` and ``_rebuild`` work on.
 
-    A subclass supplies the budgets ``money`` and ``log(event, iteration,
-    **fields)``.  ``theta`` holds every buyer's surplus as an int over
-    ``flow.scale``, and ``flow.net`` is the network the flow is balanced on,
-    over the same scale.  A rebalance assigns a new ``flow`` and ``theta``
-    whole, leaving the old ones as they were.  ``balanced_flow`` reads only
-    the order and ties of its hint, so a caller may set ``theta`` to any
-    exact values (``Fraction``s, or ints over another scale) as a hint, but
-    only right before it rebalances.  ``trace`` is the event log, or
-    ``None`` when the market keeps none.
+    Prices are ints over one ``price_scale``, their least common
+    denominator: ``p_j = price[j] / price_scale``.  Each best ratio
+    ``gamma_i`` is a reduced integer pair ``ratio[i] = (num, den)``.  A
+    subclass supplies ``budgets()``, every buyer's budget as an integer pair
+    ``(num, den)``, and ``log(event, iteration, **fields)``.  ``theta``
+    holds every buyer's surplus as an int over ``flow.scale``, and
+    ``flow.net`` is the network the flow is balanced on, over the same
+    scale.  A rebalance assigns a new ``flow`` and ``theta`` whole, leaving
+    the old ones as they were.  ``balanced_flow`` reads only the order and
+    ties of its hint, so a caller may set ``theta`` to any exact values
+    (``Fraction``s, or ints over another scale) as a hint, but only right
+    before it rebalances.  ``trace`` is the event log, or ``None`` when the
+    market keeps none.  The views ``p`` and ``gamma`` build ``Fraction``s
+    for where a value leaves the market; no phase reads them.
     """
 
     def __init__(self, u, p):
         n = len(u)
-        self.u, self.p = u, p
-        self.gamma = [None] * n
+        self.u = u
+        self.price_scale = scale = lcm(*[q.denominator for q in p])
+        self.price = [q.numerator * (scale // q.denominator) for q in p]
+        self.ratio = [None] * n
         self.edges = set()
         self.flow, self.theta = None, (0,) * n
         self.active_buyers, self.active_goods = set(range(n)), set(range(len(p)))
         self.trace = None
+
+    @property
+    def p(self):
+        """The prices, as ``Fraction``s."""
+        scale = self.price_scale
+        return [Fraction(q, scale) for q in self.price]
+
+    @property
+    def gamma(self):
+        """The best ratios, as ``Fraction``s (``None`` before the first rebuild)."""
+        return [r and Fraction(*r) for r in self.ratio]
 
     def l1(self):
         """The surpluses' sum, as a ``Fraction``."""
@@ -245,12 +301,30 @@ class Market:
         return Fraction(sum([t * t for t in self.theta]), scale * scale)
 
     def network(self):
-        """The active sub-market's network: prices, budgets and edges."""
+        """The active sub-market's network, in ints over their least common denominator.
+
+        Inactive goods and buyers get 0 and lose their edges.  The prices
+        and budgets go over the lcm of the price scale and the budgets'
+        denominators, and one gcd reduces them all: the network
+        ``integer_caps`` would make of the same values as ``Fraction``s.
+        """
         buyers, goods = self.active_buyers, self.active_goods
-        net = MarketNetwork(tuple(self.p), self.money, frozenset(self.edges))
-        if len(buyers) < len(self.u) or len(goods) < len(self.p):
-            net = net.sub(buyers, goods)
-        return net
+        price, money = self.price, self.budgets()
+        if len(buyers) < len(money) or len(goods) < len(price):
+            price = [q if j in goods else 0 for j, q in enumerate(price)]
+            money = [x if i in buyers else (0, 1) for i, x in enumerate(money)]
+            edges = frozenset([(i, j) for (i, j) in self.edges if i in buyers and j in goods])
+        else:
+            edges = frozenset(self.edges)
+        scale = lcm(self.price_scale, *[den for _, den in money])
+        k = scale // self.price_scale
+        amounts = [q * k for q in price] + [num * (scale // den) for num, den in money]
+        d = gcd(scale, *amounts)
+        if d > 1:
+            scale //= d
+            amounts = [x // d for x in amounts]
+        g = len(price)
+        return MarketNetwork(tuple(amounts[:g]), tuple(amounts[g:]), edges, scale)
 
     def rebalance(self):
         """Balanced flow of the active sub-market under the market's budgets.
@@ -272,8 +346,12 @@ class _FixedBudgets(Market):
     def __init__(self, u, money, p):
         super().__init__(u, p)
         self.money = money
+        self._budgets = [(m.numerator, m.denominator) for m in money]
         self.phase = 0
         self.trace = []
+
+    def budgets(self):
+        return self._budgets
 
     def log(self, event, iteration, **fields):
         entry = {"kind": "event", "phase": self.phase, "iteration": iteration,

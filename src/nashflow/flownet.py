@@ -8,14 +8,16 @@ cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
 sales and a buyer's spending are sums over them, and callers that need one
 sum it themselves.
 
-Capacities are rationals, or ints for a network that is already integral
-(the rounds of ``balanced_flow`` hand in such networks, which skip the
-denominator pass).  Max-flow clears denominators up front
-(``integer_caps``, which the balanced-flow guess shares) and runs integer
-Edmonds-Karp (shortest augmenting paths, deterministic edge order), so
-flows are exact and runs are reproducible.  It answers in one form whatever
-it receives: ints over the scale it cleared the denominators with
-(``FlowResult.scale``, 1 for an integer network), the network included.
+A network's amounts are ints over its ``scale`` or ``Fraction``s at scale
+1.  The market and the rounds of ``balanced_flow`` hand in int networks,
+which skip the denominator pass; the ``Fraction`` path serves only the
+checkers (``build_network``) and the fixed-budget tight search.  Max-flow
+clears denominators up front (``integer_caps``, which the balanced-flow
+guess shares) and runs integer Edmonds-Karp (shortest augmenting paths,
+deterministic edge order), so flows are exact and runs are reproducible.
+It answers in one form whatever it receives: ints over the scale of its
+integer network (``FlowResult.scale``, the network's own for an int
+network), the network included.
 Multiplying every capacity by one positive integer multiplies the flow by
 it and keeps the paths, the cut and the augment count, since the pair arcs
 never bind.  Unbounded pair capacities are encoded as the total price mass
@@ -162,13 +164,15 @@ def bang_per_buck(u, p):
 class MarketNetwork:
     """Immutable network description: prices, money, and interest edges.
 
-    Prices and money are ``Fraction``s, or all ints for an integer network:
-    a flow's own network holds its amounts over the flow's scale.
+    Prices and money are ``Fraction``s at ``scale`` 1, or all ints over
+    ``scale``: a market hands in its networks so, and a flow's own network
+    holds its amounts over the flow's scale.
     """
 
     p: tuple
     m: tuple
     edges: frozenset
+    scale: int = 1
 
     @property
     def g(self) -> int:
@@ -179,12 +183,16 @@ class MarketNetwork:
         return len(self.m)
 
     def sub(self, buyers, goods) -> "MarketNetwork":
-        """Restriction to subsets: outside caps zeroed, edges filtered."""
+        """Restriction to subsets: outside caps zeroed, edges filtered.
+
+        A network over a scale gets int zeros, one at scale 1 ``Fraction`` zeros.
+        """
         buyers, goods = set(buyers), set(goods)
-        p = tuple(self.p[j] if j in goods else Fraction(0) for j in range(self.g))
-        m = tuple(self.m[i] if i in buyers else Fraction(0) for i in range(self.n))
+        zero = Fraction(0) if self.scale == 1 else 0
+        p = tuple(self.p[j] if j in goods else zero for j in range(self.g))
+        m = tuple(self.m[i] if i in buyers else zero for i in range(self.n))
         edges = frozenset((i, j) for (i, j) in self.edges if i in buyers and j in goods)
-        return MarketNetwork(p, m, edges)
+        return MarketNetwork(p, m, edges, self.scale)
 
 
 def build_network(inst, p) -> MarketNetwork:
@@ -200,17 +208,19 @@ def build_network(inst, p) -> MarketNetwork:
 
 
 def integer_caps(net):
-    """``(scale, network)``: the lcm of all denominators, and the network times it.
+    """``(scale, network)``: the network's amounts as ints over ``scale``.
 
     A network whose every amount is an ``int`` is returned as it is, over
-    scale 1; a ``Fraction``, even with denominator 1, is not an ``int``.
+    its own ``scale``; a ``Fraction``, even with denominator 1, is not an
+    ``int``.  Otherwise ``scale`` is the lcm of all denominators and the
+    network is multiplied by it.
     """
     amounts = (*net.p, *net.m)
     if set(map(type, amounts)) <= {int}:
-        return 1, net
+        return net.scale, net
     scale = lcm(*[x.denominator for x in amounts])
     caps = [x.numerator * (scale // x.denominator) for x in amounts]
-    return scale, MarketNetwork(tuple(caps[:net.g]), tuple(caps[net.g:]), net.edges)
+    return scale, MarketNetwork(tuple(caps[:net.g]), tuple(caps[net.g:]), net.edges, scale)
 
 
 def _reach(residual, start, backward):
@@ -290,8 +300,8 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     """Exact max-flow of the network; counts one ``"maxflows"``.
 
     A forest that saturates counts one ``"peels"``; every other network
-    counts its ``"augments"``.  The flow is in ints over the lcm of the
-    network's denominators.
+    counts its ``"augments"``.  The flow is in ints over the network's
+    scale, or over the lcm of its denominators for a ``Fraction`` network.
     """
     _count("maxflows")
 

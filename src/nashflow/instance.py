@@ -40,6 +40,8 @@ def parse_rational(value) -> Fraction:
         if "e" in value or "E" in value:
             raise InstanceError(f"not a rational: {value!r} (exponent notation is not accepted)")
         try:
+            if value.isascii() and value.isdigit():  # a plain integer, the common case
+                return Fraction(int(value))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceError(f"not a rational: {value!r}") from exc
@@ -132,6 +134,9 @@ def make_instance(u, c) -> BargainingInstance:
     for i, row in enumerate(u):
         if len(row) != width:
             raise InstanceError(f"utility row {i} has length {len(row)}, expected {width}")
+        if all([type(e) is int and e >= 0 for e in row]):  # one pass for a valid row
+            rows.append(tuple(row))
+            continue
         for j, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, int):
                 raise InstanceError(f"utility entry ({i},{j}) must be an integer, got {entry!r}")
@@ -184,7 +189,12 @@ class PreprocessReport:
     verdict: str | None = None
 
     def expand(self, values, fill=Fraction(0)):
-        """Lift values over the kept goods to all goods, ``fill`` at removed ones."""
+        """Lift values over the kept goods to all goods, ``fill`` at removed ones.
+
+        With no good removed that is the values themselves, as a new list.
+        """
+        if not self.removed_goods:
+            return list(values)
         out = [fill] * (len(self.kept_goods) + len(self.removed_goods))
         for pos, j in enumerate(self.kept_goods):
             out[j] = values[pos]

@@ -47,14 +47,20 @@ flow (``scale_flow``); the phase keeps that flow, with no rebalance, when
 the market's edges are still those of the last balanced network, and
 rebalances before it records anything otherwise.
 
-The surpluses are integers over the flow's ``scale`` wherever a stage reads
-them, and the stages read them so: ``beta_i < 0`` is ``theta_i < scale``,
-Stage I's deficits sum to at least 0 when ``sum theta >= k * scale`` over
-its ``k`` active buyers, and the rising stretch ``min -1/beta_i`` is
-``scale / (scale - min theta)``.  Only a hint, set right before a
-rebalance, is over anything else.  ``Fraction``s are built only where a
-value leaves the solve: the allocation, the trace, the statistics (the
-phase potentials and tight denominators) and the certificates.
+The market is integers (``fisher.Market``): prices over one price scale,
+best ratios as integer pairs, and each budget ``1 + c_i/gamma_i`` as the
+integer pair ``(num_i*cd + cn*den_i, num_i*cd)`` for ``c_i = cn/cd`` and
+``gamma_i = num_i/den_i``.  The surpluses are integers over the flow's
+``scale`` wherever a stage reads them, and the stages read them so:
+``beta_i < 0`` is ``theta_i < scale``, Stage I's deficits sum to at least
+0 when ``sum theta >= k * scale`` over its ``k`` active buyers, and the
+rising stretch ``min -1/beta_i`` is ``scale / (scale - min theta)``.  Only
+a hint, set right before a rebalance, is over anything else.  A tight
+denominator is the price scale over its gcd with the price, and the
+restore scales frozen groups' integer prices.  ``Fraction``s are built
+only for each event's factor, for the hints of the ``c`` switch and the
+restore, and where a value leaves the solve: the prices of the trace and
+the answer, the allocation, the phase potentials and the certificates.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
@@ -70,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 # ``Market.rebalance`` calls ``balanced_flow`` from ``fisher``; the name stays
 # bound here because ``perfbench/tracing.py`` patches it in ``solver`` too.
@@ -81,7 +88,7 @@ from .certify import (
     verify_convex_dual,
     verify_lp_dual,
 )
-from .fisher import Market, _price_phase, _rebuild, _scale, initial_prices
+from .fisher import Market, _price_phase, _rebuild, _scale, initial_prices, move_prices
 from .flownet import best_ratio, counting
 from .instance import BargainingInstance, preprocess, to_json
 
@@ -127,14 +134,31 @@ class SolverState(Market):
         super().__init__(inst.u, initial_prices(inst.u, [Fraction(1)] * inst.n))
         self.inst, self.c = inst, (Fraction(0),) * inst.n
         self.frozen, self.feasible_prices, self.stage = [], None, 0
-        self.mu = -(-1 // min(self.p))  # every kept good is valued, so priced above 0
+        self.mu = -(-self.price_scale // min(self.price))  # every kept good is priced above 0
         self.stats = {"fisher_phases": 0, "stage1_phases": [], "stage2_phases": [],
                       "end_reasons": [], "tight_denominators": [], "scale_bits": 0}
 
+    def budgets(self):
+        """Each budget ``1 + c_i/gamma_i`` as the integer pair ``(num, den)``.
+
+        With ``c_i = cn/cd`` and ``gamma_i = num_i/den_i`` that is
+        ``(num_i*cd + cn*den_i, num_i*cd)``, and ``(1, 1)`` when ``c_i = 0``.
+        """
+        out = []
+        for c, r in zip(self.c, self.ratio):
+            cn = c.numerator
+            if cn:
+                num, den = r
+                cd = c.denominator * num
+                out.append((cd + cn * den, cd))
+            else:
+                out.append((1, 1))
+        return out
+
     @property
     def money(self):
-        one = Fraction(1)
-        return tuple([1 + c / gamma if c else one for c, gamma in zip(self.c, self.gamma)])
+        """The budgets, as ``Fraction``s."""
+        return tuple([Fraction(num, den) for num, den in self.budgets()])
 
     def rebalance(self):
         super().rebalance()
@@ -173,7 +197,8 @@ def initialize(inst: BargainingInstance, collect_trace: bool = False) -> SolverS
     _rebuild(state)
     state.stats["fisher_phases"] = _rise(state)
     state.c = inst.c
-    state.theta = [c / gamma for c, gamma in zip(inst.c, state.gamma)]
+    state.theta = [Fraction(c.numerator * den, c.denominator * num)
+                   for c, (num, den) in zip(inst.c, state.ratio)]
     state.rebalance()
     state.trace = [] if collect_trace else None
     state.log("initialized")
@@ -266,7 +291,7 @@ def _restore(state):
     """
     inst = state.inst
     if state.frozen:
-        _scale_frozen(state, state.p)
+        state.price, state.price_scale = _scale_frozen(state)
         hint = [Fraction(t, state.flow.scale) for t in state.theta]
         for buyers, _, theta, scale in state.frozen:
             for i in buyers:
@@ -281,30 +306,35 @@ def _restore(state):
     state.log("restore")
 
 
-def _scale_frozen(state, p):
-    """Scale each frozen group's prices in ``p`` so its buyers keep to its goods.
+def _scale_frozen(state):
+    """The market's prices with each frozen group's scaled so its buyers keep to its goods.
 
-    A frozen group's prices and its buyers' ratios stay where it froze: no
-    later phase, rebuild or scaling touches a good or buyer outside the
-    active block, so ``p[j]`` and ``state.gamma[i]`` still hold them here.
-    Groups are processed newest first.  A group's buyers may value goods
-    priced *after* its freeze (later groups or the final active goods) more
-    than their own at the literal freeze prices; scaling the group's prices
-    down restores strict preference for its own goods while scaling its
-    deficits by the same factor (keeping them negative).  Buyers frozen
-    later never value earlier groups' goods (those groups were declared
-    precisely when remaining buyers had zero utility toward them), so one
-    backward pass settles every group.
+    Returns them as ``(price, scale)``, ints over their least common
+    denominator, and leaves the market's own as they are.  A frozen
+    group's prices and its buyers' ratios stay where it froze: no later
+    phase, rebuild or scaling touches a good or buyer outside the active
+    block, so ``price[j]`` and ``state.ratio[i]`` still hold them here.
+    Groups are processed newest first.  A group's buyers may value
+    goods priced *after* its freeze (later groups or the final active
+    goods) more than their own at the literal freeze prices; scaling the
+    group's prices down restores strict preference for its own goods while
+    scaling its deficits by the same factor (keeping them negative).
+    Buyers frozen later never value earlier groups' goods (those groups
+    were declared precisely when remaining buyers had zero utility toward
+    them), so one backward pass settles every group.
     """
+    price, scale = state.price, state.price_scale
     for buyers, goods, *_ in reversed(state.frozen):
-        others = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if j not in goods]
+        others = [(j, q, scale) for j, q in enumerate(price) if j not in goods]
         sigma = Fraction(1)
         for i in buyers:
             num, den, ties = best_ratio(state.inst.u[i], others)
-            if ties and state.gamma[i] * den <= num:  # an outside good ties or beats its own
-                sigma = min(sigma, state.gamma[i] * den / num / 2)
-        for j in goods:
-            p[j] *= sigma
+            g_num, g_den = state.ratio[i]
+            if ties and g_num * den <= num * g_den:  # an outside good ties or beats its own
+                sigma = min(sigma, Fraction(g_num * den, g_den * num * 2))
+        if sigma < 1:
+            price, scale = move_prices(price, scale, goods, sigma.numerator, sigma.denominator)
+    return price, scale
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +416,8 @@ def _stage2_phase(state, name):
         if record:
             tight_goods = {j for (i, j) in state.flow.pair_flow
                            if i in tight_buyers and j in goods}
-            denom = max(state.p[j].denominator for j in tight_goods) if tight_goods else 1
+            scale = state.price_scale
+            denom = max([scale // gcd(state.price[j], scale) for j in tight_goods], default=1)
             state.stats["tight_denominators"].append(denom)
             state.log("tight", iteration, x=stretch,
                       tight_goods=sorted(tight_goods), tight_buyers=sorted(tight_buyers))
@@ -416,13 +447,14 @@ def _lp_dual_certificate(state, report):
     expanded over the input's goods, as emitted.
     """
     active = sorted(state.active_buyers)
-    mu_hat = sum((1 / state.gamma[i] for i in active), Fraction(0))
+    gamma, p = state.gamma, state.p
+    mu_hat = sum((1 / gamma[i] for i in active), Fraction(0))
     y = [Fraction(0)] * state.inst.n
     for i in active:
-        y[i] = 1 / (mu_hat * state.gamma[i])
+        y[i] = 1 / (mu_hat * gamma[i])
     z = [Fraction(0)] * state.inst.g
     for j in state.active_goods:
-        z[j] = state.p[j] / mu_hat
+        z[j] = p[j] / mu_hat
     return {"y": y, "z": report.expand(z)}
 
 
@@ -436,8 +468,8 @@ def _convex_dual_certificate(state, report):
     value.  As emitted, goods and prices are over the input's goods: the
     goods preprocessing removed join the split side at price 1.
     """
-    p = list(state.p)
-    _scale_frozen(state, p)
+    price, scale = _scale_frozen(state)
+    p = [Fraction(q, scale) for q in price]
     buyers = sorted(i for group, *_ in state.frozen for i in group)
     goods = {report.kept_goods[j] for _, group, *_ in state.frozen for j in group}
     return {

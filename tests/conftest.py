@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 import tempfile
 from collections import deque, namedtuple
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
+import pytest
 from hypothesis import configuration, settings
 
 from nashflow import (
@@ -24,12 +26,15 @@ from nashflow import (
     FisherError,
     FlowResult,
     MarketNetwork,
+    SolverState,
     gen_l1_adversarial,
     make_instance,
     max_flow,
+    solver,
     verify_property1,
 )
 from nashflow.fisher import _FixedBudgets, _price_phase, _rebuild
+from nashflow.flownet import integer_caps
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -172,7 +177,7 @@ def in_units(net, scale):
         assert all(x.denominator == 1 for x in scaled), (amounts, scale)
         return tuple(x.numerator for x in scaled)
 
-    return MarketNetwork(ints(net.p), ints(net.m), net.edges)
+    return MarketNetwork(ints(net.p), ints(net.m), net.edges, scale)
 
 
 def reference_balanced_flow(net: MarketNetwork):
@@ -291,6 +296,7 @@ def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
     """``flownet.max_flow`` with a search that runs on to the sink.
 
     Appends each augmenting path's bottleneck to ``paths`` if it is given.
+    Answers in values: an int network's amounts are over its ``scale``.
     """
     n, g = net.n, net.g
     denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
@@ -368,7 +374,7 @@ def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
     for (i, j), arc in pair_ids.items():
         f = cap[arc ^ 1]  # reverse residual equals flow shipped
         if f:
-            pair_flow[(i, j)] = Fraction(f, scale)
+            pair_flow[(i, j)] = Fraction(f, scale * net.scale)
 
     # Nodes that still reach the sink; the rest form the maximal min cut.
     to_sink = {sink}
@@ -384,7 +390,8 @@ def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
         frozenset(i for i in range(n) if bnode(i) not in to_sink),
         frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
-    return FlowResult(value=Fraction(value, scale), pair_flow=pair_flow, far_side=far_side, net=net)
+    return FlowResult(value=Fraction(value, scale * net.scale), pair_flow=pair_flow,
+                      far_side=far_side, net=net)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +580,73 @@ def random_ratio_case(rng: random.Random):
         p = [rng.choice((0, big(), big(), big())) for _ in range(g)]
         gamma = [big() for _ in range(n)]
     return u, p, gamma
+
+
+# ---------------------------------------------------------------------------
+# The solver's market as ``Fraction``s.  The market keeps prices as ints over
+# one scale, each ratio as an integer pair and each budget as an integer
+# pair; these references rebuild what it hands out from its ``Fraction``
+# views alone.
+
+
+def reference_market_network(state):
+    """``MarketNetwork(p, 1 + c/gamma, edges)`` from the views, on the active block."""
+    gamma = state.gamma
+    money = tuple(1 + c / gamma[i] if c else Fraction(1) for i, c in enumerate(state.c))
+    net = MarketNetwork(tuple(state.p), money, frozenset(state.edges))
+    return net.sub(state.active_buyers, state.active_goods)
+
+
+@contextmanager
+def checked_market(seen):
+    """Check every solver market against ``reference_market_network`` while open.
+
+    Each ``state.network()``, at every rebalance and every rising stop's
+    ``scale_flow``, must be ``integer_caps`` of the reference, scale
+    included; there the price scale must be the prices' least common
+    denominator and each active ratio pair reduced.  Every flow a rebalance
+    or ``scale_flow`` hands the market must carry its scale on its network.
+    ``seen`` counts the networks and flows checked.
+    """
+    network, rebalance, scale = SolverState.network, SolverState.rebalance, solver.scale_flow
+
+    def checked_network(state):
+        net = network(state)
+        assert integer_caps(reference_market_network(state)) == (net.scale, net)
+        assert gcd(state.price_scale, *state.price) == 1
+        assert all(gcd(*state.ratio[i]) == 1 for i in state.active_buyers)
+        seen["networks"] += 1
+        return net
+
+    def checked_rebalance(state):
+        rebalance(state)
+        assert state.flow.net.scale == state.flow.scale
+        seen["flows"] += 1
+
+    def checked_scale(*args):
+        flow, theta = scale(*args)
+        assert flow.net.scale == flow.scale
+        seen["flows"] += 1
+        return flow, theta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverState, "network", checked_network)
+        mp.setattr(SolverState, "rebalance", checked_rebalance)
+        mp.setattr(solver, "scale_flow", checked_scale)
+        yield seen
+
+
+def check_tight_denominators(sol):
+    """Each Stage II tight denominator is its tight goods' largest, read off the trace.
+
+    ``sol`` comes from a traced solve; each ``"tight"`` entry of Stage II
+    holds the prices after its move as ``Fraction``s.
+    """
+    detail = sol.stats.get("detail")
+    tights = [e for e in sol.trace if e["stage"] == 2 and e["type"] == "tight"]
+    want = [max([e["p"][j].denominator for j in e["tight_goods"]], default=1) for e in tights]
+    assert (detail["tight_denominators"] if detail else []) == want
+    return len(want)
 
 
 # ---------------------------------------------------------------------------

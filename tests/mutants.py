@@ -145,9 +145,39 @@ MUTANTS = [
     dict(
         name="stop-without-tied-pairs",
         file="fisher.py",
-        old="market.edges |= {(i, j) for (i, j) in pairs if u[i][j] == gamma[i] * p[j]}",
+        old="market.edges.update(tied)",
         new="pass",
         killer="tests/test_solver.py::test_phase_ends_leave_the_market_on_its_best_ratio_edges",
+    ),
+    dict(
+        name="stop-tie-without-price-scale",
+        file="fisher.py",
+        old="if u[i][j] * ratio[i][1] * scale == ratio[i][0] * price[j]]",
+        new="if u[i][j] * ratio[i][1] == ratio[i][0] * price[j]]",
+        killer="tests/test_solver.py::test_phase_ends_leave_the_market_on_its_best_ratio_edges",
+    ),
+    dict(
+        name="block-ratio-scaled-by-x",
+        file="fisher.py",
+        old="num, den = num * b, den * a",
+        new="num, den = num * a, den * b",
+        killer="tests/test_solver.py::test_rebalance_keeps_edges_tight_and_ratios_current",
+    ),
+    dict(
+        name="price-move-without-gcd",
+        file="fisher.py",
+        old="d = gcd(scale, *price)",
+        new="d = 1",
+        killer="tests/test_solver.py::"
+               "test_the_integer_market_is_its_fraction_reference_on_the_golden_set",
+    ),
+    dict(
+        name="budget-numerator-from-the-wrong-half",
+        file="solver.py",
+        old="out.append((cd + cn * den, cd))",
+        new="out.append((cd + cn * num, cd))",
+        killer="tests/test_solver.py::"
+               "test_the_integer_market_is_its_fraction_reference_on_the_golden_set",
     ),
     dict(
         name="move-keeps-crossing-edges",
@@ -308,7 +338,7 @@ MUTANTS = [
     dict(
         name="scaled-flow-unchecked-against-its-network",
         file="balanced.py",
-        old="if any(q.numerator * common != v * q.denominator for q, v in amounts):",
+        old="if any(q * common != v * net.scale for q, v in amounts):",
         new="if False:",
         killer="tests/test_balanced.py::test_scale_flow_rejects_a_network_its_flow_does_not_price",
     ),
@@ -344,8 +374,8 @@ MUTANTS = [
     dict(
         name="return-over-scale-without-mult",
         file="balanced.py",
-        old="return replace(flow, scale=scale * mult), tuple(theta)",
-        new="return replace(flow, scale=scale), tuple(theta)",
+        old="flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))",
+        new="flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale))",
         killer="tests/test_balanced.py::"
                "test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_flow",
     ),

@@ -676,9 +676,10 @@ def test_scale_flow_down_grows_the_surplus():
     assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
     x = Fraction(1, 2)
     sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
-    # Over the least common denominator 4: surplus 3/4, pair flow 1/2, cap 1/2.
+    # Over the least common denominator 4: surplus 3/4, pair flow 1/2, cap
+    # 1/2, and the flow's network carries that scale.
     assert (sflow.scale, stheta, sflow.pair_flow, sflow.net) == (
-        4, (3,), {(0, 0): 2}, MarketNetwork((2,), (2,), scaled.edges))
+        4, (3,), {(0, 0): 2}, MarketNetwork((2,), (2,), scaled.edges, 4))
 
 
 def test_scale_flow_scaled_result_is_balanced_for_the_new_network():

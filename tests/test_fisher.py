@@ -1,6 +1,7 @@
 """Fixed-budget market equilibria and the one-phase norm instrumentation."""
 
 import random
+from math import lcm
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -167,14 +168,19 @@ def test_ladder_phase_l1_progress_is_inverse_exponential():
 def test_next_tie_matches_the_fraction_reference():
     # Same factor and the same tying pairs in the same order, rising and
     # falling, or the same ZeroDivisionError when a zero price ties first
-    # while prices fall.
+    # while prices fall.  The kernel reads the market's integers: prices over
+    # their least common denominator and each ratio as a reduced pair; the
+    # reference reads the same values as ``Fraction``s.
     rng = random.Random(12)
     tied = raised = deep = 0
     for _ in range(5000):
         u, p, gamma = random_ratio_case(rng)
         n, g = len(u), len(p)
+        scale = lcm(*[q.denominator for q in p])
         market = SimpleNamespace(
-            u=u, p=p, gamma=gamma,
+            u=u, p=p, gamma=gamma, price_scale=scale,
+            price=[q.numerator * (scale // q.denominator) for q in p],
+            ratio=[(r.numerator, r.denominator) for r in gamma],
             active_buyers={i for i in range(n) if rng.random() < 0.8},
             active_goods={j for j in range(g) if rng.random() < 0.8},
         )

@@ -456,7 +456,7 @@ def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
     # The flow core answers in one form: ints over the lcm of the network's
     # denominators, its network included.  Every capacity times one positive
     # integer: the pair arcs never bind, so the paths are the same, and the
-    # flow of an integer network is over scale 1.
+    # flow of an integer network is over that network's scale, in its ints.
     rng = random.Random(29)
     seen = Counter()
     for _ in range(2000):
@@ -475,7 +475,7 @@ def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
             ints = in_units(net, scale * k)
             with counting() as scaled_tally:
                 got = max_flow(ints)
-            assert got.scale == 1 and got.net == ints
+            assert got.scale == scale * k and got.net is ints
             assert type(got.value) is int and got.value == want.value * k
             assert all(type(f) is int for f in got.pair_flow.values())
             assert list(got.pair_flow.items()) == [(e, f * k) for e, f in want.pair_flow.items()]

@@ -54,6 +54,49 @@ def test_parse_rational_names_floats_only_when_rejecting_a_float(bad, message):
 
 
 
+@pytest.mark.parametrize("text", ["0", "007", "+3", " 3", "\u0663", "\u00b2", "1" * 5000],
+                         ids=["zero", "leading-zeros", "plus", "space", "arabic-indic-three",
+                              "superscript-two", "5000-digits"])
+def test_parse_rational_reads_plain_digits_as_fraction_would(text):
+    # ASCII digit strings take a shortcut through ``int``; every string must
+    # still give ``Fraction``'s value, or the same error when it has none
+    # (a 5000-digit string passes the int digit limit in neither).
+    try:
+        want = Fraction(text)
+    except ValueError:
+        with pytest.raises(InstanceError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"not a rational: {text!r}"
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+class _Count(int):
+    """An ``int`` subclass: a valid utility, though not of type ``int``."""
+
+
+@pytest.mark.parametrize("u, want", [
+    ([[0, 3], [5, 0]], ((0, 3), (5, 0))),
+    ([[1, True]], "utility entry (0,1) must be an integer, got True"),
+    ([[2], [1.0]], "utility entry (1,0) must be an integer, got 1.0"),
+    ([[2, -1]], "utility entry (0,1) is negative: -1"),
+    ([[_Count(2), 1]], ((2, 1),)),
+], ids=["ints", "bool", "float", "negative", "int-subclass"])
+def test_make_instance_accepts_and_rejects_rows_entry_by_entry(u, want):
+    # A row of nonnegative plain ints is accepted in one pass; any other row
+    # is checked entry by entry, so each error names its entry.
+    c = ["0"] * len(u)
+    if isinstance(want, str):
+        with pytest.raises(InstanceError) as exc:
+            make_instance(u, c)
+        assert str(exc.value) == want
+    else:
+        inst = make_instance(u, c)
+        assert inst.u == want
+        assert [type(e) for row in inst.u for e in row] == [type(e) for row in u for e in row]
+
+
 def test_parse_rational_accepts_decimals():
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational("-1.5") == Fraction(-3, 2)

@@ -3,17 +3,21 @@
 Each of the first four properties compares the solution of a generated
 instance with the solution of a transformed copy: relabelled buyers and
 goods, one buyer's utilities and payoff scaled by an integer, an appended
-good nobody values, and lowered disagreement payoffs.  The last one sends
-every output through its JSON form to the checker of ``nashflow check``.
+good nobody values, and lowered disagreement payoffs.  The fifth sends
+every output through its JSON form to the checker of ``nashflow check``,
+and the last checks the solver's integer market against the ``Fraction``
+network its views describe.
 """
 
 import json
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashflow import make_instance, solution_to_json, solve
 from nashflow.cli import _check_claim
+from conftest import check_tight_denominators, checked_market
 
 
 @st.composite
@@ -86,3 +90,14 @@ def test_lowering_disagreement_payoffs_keeps_feasibility(inst, data):
 def test_every_output_passes_its_checker(inst):
     doc = json.loads(json.dumps(solution_to_json(solve(inst))))
     assert _check_claim(inst, doc) == (True, "ok")
+
+
+@settings(max_examples=60)
+@given(instances(max_n=5, max_g=5, u_max=1000, c_max=1500))
+def test_the_integer_market_is_its_fraction_reference(inst):
+    # Every network the solver's market hands out is ``integer_caps`` of its
+    # ``Fraction`` reference, every flow it holds carries its scale, and the
+    # tight denominators are read off the prices (``conftest``).
+    with checked_market(Counter()):
+        sol = solve(inst, collect_trace=True)
+    check_tight_denominators(sol)

@@ -9,7 +9,6 @@ from math import lcm
 import pytest
 
 from nashflow import (
-    MarketNetwork,
     balanced_flow,
     bang_per_buck,
     check_equilibrium,
@@ -34,9 +33,13 @@ from nashflow import (
 from nashflow import solver
 from nashflow.balanced import scale_flow
 from nashflow.fisher import _block_goods, _next_tie
+from nashflow.flownet import integer_caps
 from conftest import (
     balanced_values,
+    check_tight_denominators,
+    checked_market,
     reference_balanced_flow,
+    reference_market_network,
     scalar_feasible,
     scalar_infeasible,
     scaled_network,
@@ -586,8 +589,9 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
     # At a tight event the rising loop moves the block's surpluses by formula
     # instead of recomputing the balanced flow, in stage 0 (every budget 1)
     # and in Stage II.  Each update must equal the balanced surpluses of the
-    # network handed in, the market just after the move: undoing the move
-    # gives back the network whose balanced surpluses the update starts from.
+    # network handed in, the market just after the move (in integers, its
+    # ``Fraction`` reference over the same scale): undoing the move gives
+    # back the network whose balanced surpluses the update starts from.
     states = []
     calls = []
     phase = solver._stage2_phase
@@ -599,10 +603,11 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
     def checked(flow, theta, x, buyers, goods, net, keep):
         updated = scale_flow(flow, theta, x, buyers, goods, net, keep)
         state = states[-1]
-        assert net == MarketNetwork(tuple(state.p), state.money, frozenset(state.edges))
-        before = balanced_flow(scaled_network(net, 1 / x, buyers, goods))
+        ref = reference_market_network(state)
+        assert integer_caps(ref) == (net.scale, net)
+        before = balanced_flow(scaled_network(ref, 1 / x, buyers, goods))
         assert balanced_values(*before).theta == tuple(Fraction(t, flow.scale) for t in theta)
-        expected = balanced_values(*balanced_flow(net)).theta
+        expected = balanced_values(*balanced_flow(ref)).theta
         # A scaled flow's surpluses are over its scale; moved ones alone over
         # the old flow's scale times the factor's denominator.
         scale = updated[0].scale if updated[0] is not flow else flow.scale * x.denominator
@@ -680,7 +685,7 @@ def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypat
 
     def check(state):
         flow, theta = state.flow, state.theta
-        net = state.network()
+        net = reference_market_network(state)
         amounts = (flow.value, *flow.pair_flow.values(), *theta, *flow.net.p, *flow.net.m)
         assert all(type(x) is int for x in amounts)
         ref = reference_balanced_flow(net)
@@ -698,6 +703,23 @@ def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypat
     assert seen[0] > 1000 and seen[1] > 50 and seen[2] > 250, seen
 
 
+def test_the_integer_market_is_its_fraction_reference_on_the_golden_set():
+    # The market keeps prices, ratios and budgets as integers.  On every
+    # golden instance each network it hands out is ``integer_caps`` of the
+    # one its ``Fraction`` views describe, each flow it holds carries its
+    # scale on its network, and each Stage II tight denominator is the
+    # largest denominator of the tight goods' prices.
+    seen = Counter()
+    tights = 0
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    with checked_market(seen):
+        for shape in shapes:
+            tights += check_tight_denominators(solve(gen_random(*shape), collect_trace=True))
+    assert seen["networks"] > 2000 and seen["flows"] > 2000 and tights > 250, (seen, tights)
+
+
 def test_scale_bits_is_the_widest_held_flow_by_its_fraction_lcm(monkeypatch):
     # ``stats["detail"]["scale_bits"]`` is the bit length of the widest scale
     # of a flow the market held, which is the lcm of the denominators of the
@@ -706,7 +728,8 @@ def test_scale_bits_is_the_widest_held_flow_by_its_fraction_lcm(monkeypatch):
     widest = []
 
     def width(state):
-        bits = _least_common_denominator(state.network(), state.flow, state.theta).bit_length()
+        net = reference_market_network(state)
+        bits = _least_common_denominator(net, state.flow, state.theta).bit_length()
         widest[-1] = max(widest[-1], bits)
 
     _watch_market_flows(monkeypatch, width)
@@ -730,7 +753,7 @@ def test_every_surplus_a_stage_reads_is_over_the_flows_scale(monkeypatch):
         def wrapped(*args):
             out = fn(*args)
             state = out if name == "initialize" else args[0]
-            ref = reference_balanced_flow(state.network()).theta
+            ref = reference_balanced_flow(reference_market_network(state)).theta
             where = (state.inst.u, state.inst.c, name)
             assert all(type(t) is int for t in state.theta), where
             scale = state.flow.scale
