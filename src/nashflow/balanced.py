@@ -59,10 +59,8 @@ the Edmonds-Karp flow on the same network.  A hit costs one max-flow, a
 repair one per round, and the split rounds add the whole max-flow, at most
 ``n`` rounds and the proof: at most ``2n + 3`` per call.
 
-The rounds run in integers.  Every money and price is an integer over one
-``scale``: a market hands in its network so, over the network's ``scale``,
-and ``integer_caps`` clears a checker's ``Fraction``s to the lcm of their
-denominators.  So a class's level is ``cash / (size * scale)``.
+The rounds run in integers.  Every money and price is an integer over the
+network's ``scale``, so a class's level is ``cash / (size * scale)``.
 Over ``scale * mult``, with ``mult`` the lcm of each class's size divided by
 its gcd with the class's cash, every level, cap and price is an integer.
 The round's max-flow gets that integer network, over ``scale * mult``,
@@ -81,7 +79,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 
-from .flownet import FlowResult, MarketNetwork, _count, integer_caps, max_flow
+from .flownet import FlowResult, MarketNetwork, _count, max_flow
 
 
 class BalanceError(AssertionError):
@@ -127,11 +125,11 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     a class with goods but no buyer counts as the lowest.  Only the order
     and ties of ``theta`` matter, so it may hold any exact values: ints over
     any one scale, or ``Fraction``s.  Levels, caps and prices are integers
-    over ``scale * mult`` in every round (``scale`` is an int network's own,
-    a ``Fraction`` network's lcm), the flow core gets them as ints over that
-    scale, and the returned flow and ``theta`` are its
-    integer answer over ``flow.scale = scale * mult``: the Edmonds-Karp flow
-    of ``replace(net, m=caps)`` and that network, both times the scale.
+    over ``scale * mult`` in every round (``scale`` is the network's), the
+    flow core gets them as ints over that scale, and the returned flow and
+    ``theta`` are its integer answer over ``flow.scale = scale * mult``: the
+    Edmonds-Karp flow of ``replace(net, m=caps)`` and that network, both
+    times ``mult``.
     Each call counts one ``"hits"`` (the first round proves it),
     ``"repairs"`` or ``"misses"`` (the split rounds ran) in the open
     ``counting()`` tally: one max-flow for a hit, at most ``n + 1`` for a
@@ -140,8 +138,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
     """
     prev_flow, prev_theta = hint
     n, g = net.n, net.g
-    scale, whole = integer_caps(net)
-    price, money = whole.p, whole.m
+    scale, price, money = net.scale, net.p, net.m
     target = sum(price)  # the proved flow's value over scale: the price mass while guessing
     parent = list(range(n + g))  # buyers 0..n-1, then goods
 
@@ -186,7 +183,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
         if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
-            whole = max_flow(MarketNetwork(price, money, net.edges, scale))
+            whole = max_flow(net)
             target, parent, last = whole.value, list(range(n + g)), None
             for (i, j) in edges:
                 parent[find(n + j)] = find(i)
@@ -211,7 +208,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))
         fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
-                MarketNetwork(prices, tuple([x * mult for x in money]), net.edges), flow):
+                MarketNetwork(prices, tuple([x * mult for x in money]), net.edges, scale * mult),
+                flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
             return flow, tuple(theta)
         if final:
@@ -282,12 +280,11 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
     amounts = zip((*net.p, *net.m), (*price, *money))
     if any(q * common != v * net.scale for q, v in amounts):
         raise BalanceError("a scaled flow does not price the network it scales to")
-    value = sum(paid)
-    pair_flow = dict(zip(flow.pair_flow, paid))
-    whole = MarketNetwork(tuple(price), tuple(money), net.edges, common)
+    value, price = sum(paid), tuple(price)
+    scaled = MarketNetwork(price, tuple(caps), net.edges, common)
+    flow = FlowResult(value, dict(zip(flow.pair_flow, paid)), flow.far_side, scaled,
+                      flow.residual, common)
     if not (value == sum(price) == sum(caps) and verify_property1(
-            whole, FlowResult(value, pair_flow, flow.far_side, whole))):
+            MarketNetwork(price, tuple(money), net.edges, common), flow)):
         raise BalanceError("a scaled balanced flow fails the gate")
-    scaled = MarketNetwork(whole.p, tuple(caps), net.edges, common)
-    flow = FlowResult(value, pair_flow, flow.far_side, scaled, flow.residual, common)
     return flow, tuple(theta)

@@ -32,12 +32,10 @@ over the least common denominator of its prices and budgets, the network's
 (``balanced_flow``'s), one denominator for both.  A ``Fraction`` is built
 only where a value leaves the market (the views ``p`` and ``gamma``, a
 trace, a statistic, an allocation) and for each event's factor ``x``.  The
-fixed-budget tight search (``_FixedBudgets.stop_at_tight``) still prices
-its trial networks in ``Fraction``s.  The kernel owns the edge rule, so a
-phase end re-derives nothing: the market's edges stay its best-ratio
-edges, and a caller rebalances at a phase end only where the phase changed
-the network its flow is balanced on.  The kernel runs in two directions
-and under two kinds of budget:
+kernel owns the edge rule, so a phase end re-derives nothing: the market's
+edges stay its best-ratio edges, and a caller rebalances at a phase end
+only where the phase changed the network its flow is balanced on.  The
+kernel runs in two directions and under two kinds of budget:
 
 * rising, fixed budgets (this module): the block is the buyers with the
   maximum surplus and every good they want; the phase stops when some set
@@ -66,7 +64,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .balanced import balanced_flow
-from .flownet import MarketNetwork, best_ratio, max_flow
+from .flownet import best_ratio, int_network, max_flow
 
 
 class FisherError(AssertionError):
@@ -301,30 +299,19 @@ class Market:
         return Fraction(sum([t * t for t in self.theta]), scale * scale)
 
     def network(self):
-        """The active sub-market's network, in ints over their least common denominator.
+        """The active sub-market's network (``int_network``).
 
-        Inactive goods and buyers get 0 and lose their edges.  The prices
-        and budgets go over the lcm of the price scale and the budgets'
-        denominators, and one gcd reduces them all: the network
-        ``integer_caps`` would make of the same values as ``Fraction``s.
+        Inactive goods and buyers get 0 and lose their edges.
         """
         buyers, goods = self.active_buyers, self.active_goods
         price, money = self.price, self.budgets()
         if len(buyers) < len(money) or len(goods) < len(price):
             price = [q if j in goods else 0 for j, q in enumerate(price)]
             money = [x if i in buyers else (0, 1) for i, x in enumerate(money)]
-            edges = frozenset([(i, j) for (i, j) in self.edges if i in buyers and j in goods])
+            edges = [(i, j) for (i, j) in self.edges if i in buyers and j in goods]
         else:
-            edges = frozenset(self.edges)
-        scale = lcm(self.price_scale, *[den for _, den in money])
-        k = scale // self.price_scale
-        amounts = [q * k for q in price] + [num * (scale // den) for num, den in money]
-        d = gcd(scale, *amounts)
-        if d > 1:
-            scale //= d
-            amounts = [x // d for x in amounts]
-        g = len(price)
-        return MarketNetwork(tuple(amounts[:g]), tuple(amounts[g:]), edges, scale)
+            edges = self.edges
+        return int_network(price, self.price_scale, money, edges)
 
     def rebalance(self):
         """Balanced flow of the active sub-market under the market's budgets.
@@ -382,10 +369,11 @@ class _FixedBudgets(Market):
         x = sum((money[i] for i in block), Fraction(0)) / mass
         if x_edge is not None and x_edge < x:
             x = x_edge
-        edges = frozenset(e for e in self.edges if (e[0] in block) == (e[1] in goods))
+        edges = [e for e in self.edges if (e[0] in block) == (e[1] in goods)]
         for _ in range(len(p) + 3):
-            prices = tuple([q * x if j in goods else q for j, q in enumerate(p)])
-            res = max_flow(MarketNetwork(prices, money, edges))
+            price, scale = move_prices(
+                self.price, self.price_scale, goods, x.numerator, x.denominator)
+            res = max_flow(int_network(price, scale, self._budgets, edges))
             far_buyers, far_goods = res.far_side
             if res.value == sum(res.net.p):
                 break

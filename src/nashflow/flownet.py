@@ -8,16 +8,13 @@ cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
 sales and a buyer's spending are sums over them, and callers that need one
 sum it themselves.
 
-A network's amounts are ints over its ``scale`` or ``Fraction``s at scale
-1.  The market and the rounds of ``balanced_flow`` hand in int networks,
-which skip the denominator pass; the ``Fraction`` path serves only the
-checkers (``build_network``) and the fixed-budget tight search.  Max-flow
-clears denominators up front (``integer_caps``, which the balanced-flow
-guess shares) and runs integer Edmonds-Karp (shortest augmenting paths,
-deterministic edge order), so flows are exact and runs are reproducible.
-It answers in one form whatever it receives: ints over the scale of its
-integer network (``FlowResult.scale``, the network's own for an int
-network), the network included.
+A network's amounts are ints over its ``scale``.  ``int_network``
+assembles one from prices over a scale and budgets as integer pairs, over
+their least common denominator: the market, the checkers and the
+fixed-budget tight search build theirs so.  Max-flow runs integer
+Edmonds-Karp (shortest augmenting paths, deterministic edge order) on the
+amounts as given, so flows are exact and runs are reproducible, and it
+answers in ints over the network's scale (``FlowResult.scale``).
 Multiplying every capacity by one positive integer multiplies the flow by
 it and keeps the paths, the cut and the augment count, since the pair arcs
 never bind.  Unbounded pair capacities are encoded as the total price mass
@@ -84,7 +81,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _TALLY = ContextVar("nashflow_tally", default=None)
 
@@ -164,15 +161,14 @@ def bang_per_buck(u, p):
 class MarketNetwork:
     """Immutable network description: prices, money, and interest edges.
 
-    Prices and money are ``Fraction``s at ``scale`` 1, or all ints over
-    ``scale``: a market hands in its networks so, and a flow's own network
-    holds its amounts over the flow's scale.
+    Prices and money are ints over ``scale``: ``p[j] / scale`` is good
+    ``j``'s price and ``m[i] / scale`` buyer ``i``'s money.
     """
 
     p: tuple
     m: tuple
     edges: frozenset
-    scale: int = 1
+    scale: int
 
     @property
     def g(self) -> int:
@@ -182,17 +178,23 @@ class MarketNetwork:
     def n(self) -> int:
         return len(self.m)
 
-    def sub(self, buyers, goods) -> "MarketNetwork":
-        """Restriction to subsets: outside caps zeroed, edges filtered.
 
-        A network over a scale gets int zeros, one at scale 1 ``Fraction`` zeros.
-        """
-        buyers, goods = set(buyers), set(goods)
-        zero = Fraction(0) if self.scale == 1 else 0
-        p = tuple(self.p[j] if j in goods else zero for j in range(self.g))
-        m = tuple(self.m[i] if i in buyers else zero for i in range(self.n))
-        edges = frozenset((i, j) for (i, j) in self.edges if i in buyers and j in goods)
-        return MarketNetwork(p, m, edges, self.scale)
+def int_network(price, scale, budgets, edges) -> MarketNetwork:
+    """The network of prices ``price[j] / scale`` and budgets ``num / den``.
+
+    ``budgets`` lists each buyer's ``(num, den)``.  The amounts go over the
+    lcm of ``scale`` and the budgets' denominators, and one gcd takes them
+    all to their least common denominator, the network's ``scale``.
+    """
+    common = lcm(scale, *[den for _, den in budgets])
+    k = common // scale
+    amounts = [q * k for q in price] + [num * (common // den) for num, den in budgets]
+    d = gcd(common, *amounts)
+    if d > 1:
+        common //= d
+        amounts = [x // d for x in amounts]
+    g = len(price)
+    return MarketNetwork(tuple(amounts[:g]), tuple(amounts[g:]), frozenset(edges), common)
 
 
 def build_network(inst, p) -> MarketNetwork:
@@ -201,26 +203,12 @@ def build_network(inst, p) -> MarketNetwork:
     Buyer ``i`` carries ``1 + c_i / gamma_i`` where ``gamma_i`` is their best
     utility-per-price ratio, and the edges are the best-ratio pairs.
     """
-    p = tuple([Fraction(x) for x in p])
+    p = [Fraction(x) for x in p]
     gamma, edges = bang_per_buck(inst.u, p)
-    money = tuple([1 + inst.c[i] / gamma[i] for i in range(inst.n)])
-    return MarketNetwork(p, money, frozenset(edges))
-
-
-def integer_caps(net):
-    """``(scale, network)``: the network's amounts as ints over ``scale``.
-
-    A network whose every amount is an ``int`` is returned as it is, over
-    its own ``scale``; a ``Fraction``, even with denominator 1, is not an
-    ``int``.  Otherwise ``scale`` is the lcm of all denominators and the
-    network is multiplied by it.
-    """
-    amounts = (*net.p, *net.m)
-    if set(map(type, amounts)) <= {int}:
-        return net.scale, net
-    scale = lcm(*[x.denominator for x in amounts])
-    caps = [x.numerator * (scale // x.denominator) for x in amounts]
-    return scale, MarketNetwork(tuple(caps[:net.g]), tuple(caps[net.g:]), net.edges, scale)
+    scale = lcm(*[x.denominator for x in p])
+    price = [x.numerator * (scale // x.denominator) for x in p]
+    money = [(1 + c / r).as_integer_ratio() for c, r in zip(inst.c, gamma)]
+    return int_network(price, scale, money, edges)
 
 
 def _reach(residual, start, backward):
@@ -301,14 +289,13 @@ def max_flow(net: MarketNetwork) -> FlowResult:
 
     A forest that saturates counts one ``"peels"``; every other network
     counts its ``"augments"``.  The flow is in ints over the network's
-    scale, or over the lcm of its denominators for a ``Fraction`` network.
+    scale.
     """
     _count("maxflows")
 
     n, g = net.n, net.g
-    scale, whole = integer_caps(net)
-    price = list(whole.p)
-    money = [0] * g + list(whole.m)  # by node: goods 0..g-1, buyers g..g+n-1
+    price = list(net.p)
+    money = [0] * g + list(net.m)  # by node: goods 0..g-1, buyers g..g+n-1
 
     # Arc 2k runs good -> buyer, arc 2k+1 back, sorted by good, then buyer.
     # Pair capacities stand in for "unbounded" and must strictly exceed any
@@ -423,4 +410,4 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
     far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
                 frozenset(j for j in range(g) if j not in to_sink))
-    return FlowResult(value, pair_flow, far_side, whole, residual, scale)
+    return FlowResult(value, pair_flow, far_side, net, residual, net.scale)

@@ -7,11 +7,11 @@ instance handling with the two-stage solver, which is what makes agreement
 with them meaningful.  The fixpoint iteration does not: it runs
 ``fisher_equilibrium``, which shares the price-phase kernel,
 ``balanced_flow`` and ``max_flow`` with the solver, and it reads each
-round's budgets ``1 + c_i/gamma_i`` off ``build_network``, so it
-cross-checks the two-stage logic, not those layers.  Its tight stop is its
-own: a descent over min cuts, where the solver reads each tight factor off
-the balanced flow.  The LP and the enumeration's Gauss-Jordan elimination
-pivot with one exact rational pivot, ``_pivot``.
+round's budgets ``1 + c_i/gamma_i`` off ``build_network``'s ints over its
+scale, so it cross-checks the two-stage logic, not those layers.  Its tight
+stop is its own: a descent over min cuts, where the solver reads each tight
+factor off the balanced flow.  The LP and the enumeration's Gauss-Jordan
+elimination pivot with one exact rational pivot, ``_pivot``.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ def limit_algorithm(
         p, _x, _tr = fisher_equilibrium(reduced.u, money)
         p_full = report.expand(p)
         history.append((list(p_full), list(money)))
-        nxt = list(build_network(reduced, p).m)
+        net = build_network(reduced, p)
+        nxt = [Fraction(x, net.scale) for x in net.m]
         if nxt == money:
             reason = "exact"
             break

@@ -34,7 +34,6 @@ from nashflow import (
     verify_property1,
 )
 from nashflow.fisher import _FixedBudgets, _price_phase, _rebuild
-from nashflow.flownet import integer_caps
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -75,6 +74,37 @@ def split_infeasible():
 
 
 # ---------------------------------------------------------------------------
+# Networks from values.  A ``MarketNetwork`` holds ints over its scale; the
+# tests write prices and money as exact values and convert them here.
+
+
+def integer_network(p, m, edges) -> MarketNetwork:
+    """The network of prices ``p`` and money ``m``, exact values, as ints over their lcm.
+
+    Every amount is multiplied by the lcm of all denominators, which is
+    the network's ``scale``: the least common denominator.
+    """
+    amounts = [Fraction(x) for x in (*p, *m)]
+    scale = lcm(*[x.denominator for x in amounts])
+    caps = [x.numerator * (scale // x.denominator) for x in amounts]
+    return MarketNetwork(tuple(caps[:len(p)]), tuple(caps[len(p):]), frozenset(edges), scale)
+
+
+def network_values(net):
+    """``(p, m)``: a network's prices and money as ``Fraction``s."""
+    scale = net.scale
+    return (tuple(Fraction(x, scale) for x in net.p), tuple(Fraction(x, scale) for x in net.m))
+
+
+def restrict(net, buyers, goods):
+    """``net`` on some buyers and goods: the others' amounts zeroed, their edges dropped."""
+    p = tuple(x if j in goods else 0 for j, x in enumerate(net.p))
+    m = tuple(x if i in buyers else 0 for i, x in enumerate(net.m))
+    edges = frozenset((i, j) for (i, j) in net.edges if i in buyers and j in goods)
+    return replace(net, p=p, m=m, edges=edges)
+
+
+# ---------------------------------------------------------------------------
 # Reference surplus oracle (exponential, for small networks only).
 
 
@@ -90,6 +120,7 @@ def reference_surpluses(net: MarketNetwork) -> tuple:
     balanced surplus vector.
     """
     n = net.n
+    p, m = network_values(net)
     goods_of = [frozenset(j for (i, j) in net.edges if i == b) for b in range(n)]
 
     def spendable(buyers):
@@ -98,8 +129,8 @@ def reference_surpluses(net: MarketNetwork) -> tuple:
         for bits in range(1 << len(members)):
             chosen = [members[k] for k in range(len(members)) if bits >> k & 1]
             reach = frozenset().union(*(goods_of[i] for i in chosen)) if chosen else frozenset()
-            val = sum((net.p[j] for j in reach), Fraction(0)) + sum(
-                (net.m[i] for i in members if i not in chosen), Fraction(0)
+            val = sum((p[j] for j in reach), Fraction(0)) + sum(
+                (m[i] for i in members if i not in chosen), Fraction(0)
             )
             if best is None or val < best:
                 best = val
@@ -115,7 +146,7 @@ def reference_surpluses(net: MarketNetwork) -> tuple:
         for bits in range(1, 1 << len(rem)):
             group = frozenset(rem[k] for k in range(len(rem)) if bits >> k & 1)
             leftover = (
-                sum((net.m[i] for i in group), Fraction(0))
+                sum((m[i] for i in group), Fraction(0))
                 - (spendable(group | settled) - settled_spend)
             ) / len(group)
             if best_val is None or leftover > best_val:
@@ -137,9 +168,10 @@ def scaled_network(net: MarketNetwork, x, buyers, goods) -> MarketNetwork:
     prices by ``x``: each budget ``1 + c_i/gamma_i`` becomes
     ``1 + x*c_i/gamma_i`` as the best ratio ``gamma_i`` divides by ``x``.
     """
-    p = tuple(q * x if j in goods else q for j, q in enumerate(net.p))
-    m = tuple(1 + x * (q - 1) if i in buyers else q for i, q in enumerate(net.m))
-    return MarketNetwork(p, m, net.edges)
+    p, m = network_values(net)
+    p = [q * x if j in goods else q for j, q in enumerate(p)]
+    m = [1 + x * (q - 1) if i in buyers else q for i, q in enumerate(m)]
+    return integer_network(p, m, net.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +205,8 @@ def flow_value(flow):
 def in_units(net, scale):
     """``net`` with its prices and money as ints over ``scale``, which must clear them."""
     def ints(amounts):
-        scaled = [Fraction(x) * scale for x in amounts]
-        assert all(x.denominator == 1 for x in scaled), (amounts, scale)
+        scaled = [Fraction(x * scale, net.scale) for x in amounts]
+        assert all(x.denominator == 1 for x in scaled), (amounts, net.scale, scale)
         return tuple(x.numerator for x in scaled)
 
     return MarketNetwork(ints(net.p), ints(net.m), net.edges, scale)
@@ -189,29 +221,31 @@ def reference_balanced_flow(net: MarketNetwork):
     n = net.n
     theta = [None] * n
     root_value = _reference_solve(frozenset(range(n)), frozenset(range(net.g)), net, theta)
-    caps = [net.m[i] - theta[i] for i in range(n)]
-    flow = balanced_values(max_flow(replace(net, m=tuple(caps))))
-    if flow.value != sum(caps, Fraction(0)) or flow.value != root_value:
+    whole = in_units(net, lcm(net.scale, *[t.denominator for t in theta]))
+    caps = tuple(x - int(t * whole.scale) for x, t in zip(whole.m, theta))
+    flow = max_flow(replace(whole, m=caps))
+    if flow.value != sum(caps) or flow_value(flow) != root_value:
         raise BalanceError("reassembled flow does not saturate the computed surplus levels")
-    if not verify_property1(net, FlowResult(flow.value, flow.pair_flow, flow.far_side, net)):
+    if not verify_property1(whole, flow):
         raise BalanceError("reassembled flow violates the balance characterization")
-    return flow._replace(theta=tuple(theta))
+    return balanced_values(flow)._replace(theta=tuple(theta))
 
 
 def _reference_solve(buyers, goods, net, theta):
     """Fill ``theta`` for the given block; return the block's max-flow value."""
     if not buyers:
         return Fraction(0)
-    sub = net.sub(buyers, goods)
+    sub = restrict(net, buyers, goods)
     value = flow_value(max_flow(sub))
-    delta = (sum((net.m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
+    p, m = network_values(sub)
+    delta = (sum((m[i] for i in buyers), Fraction(0)) - value) / len(buyers)
     if delta == 0:
         for i in buyers:
             theta[i] = Fraction(0)
         return value
-    caps = [max(net.m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
-    trial = max_flow(replace(sub, m=tuple(caps)))
-    if flow_value(trial) == value and all(net.m[i] >= delta for i in buyers):
+    caps = [max(m[i] - delta, Fraction(0)) if i in buyers else Fraction(0) for i in range(net.n)]
+    trial = max_flow(integer_network(p, caps, sub.edges))
+    if flow_value(trial) == value and all(m[i] >= delta for i in buyers):
         for i in buyers:
             theta[i] = delta
         return value
@@ -261,7 +295,7 @@ def reference_first_tight(p, money, edges, target):
     x = sum((money[i] for i in gamma_t), Fraction(0)) / mass
     for _ in range(g + 3):
         prices = tuple(p[j] * x if j in target else p[j] for j in range(g))
-        res = max_flow(MarketNetwork(prices, tuple(money), frozenset(edges)))
+        res = max_flow(integer_network(prices, money, edges))
         if flow_value(res) == sum(prices, Fraction(0)):
             return x, res.far_side[0], res.far_side[1]
         binding = set(res.far_side[1])
@@ -590,11 +624,16 @@ def random_ratio_case(rng: random.Random):
 
 
 def reference_market_network(state):
-    """``MarketNetwork(p, 1 + c/gamma, edges)`` from the views, on the active block."""
-    gamma = state.gamma
-    money = tuple(1 + c / gamma[i] if c else Fraction(1) for i, c in enumerate(state.c))
-    net = MarketNetwork(tuple(state.p), money, frozenset(state.edges))
-    return net.sub(state.active_buyers, state.active_goods)
+    """The network of prices ``p`` and budgets ``1 + c/gamma`` from the views, on the active block.
+
+    Inactive goods and buyers get 0 and lose their edges before the values
+    are converted.
+    """
+    buyers, goods, gamma = state.active_buyers, state.active_goods, state.gamma
+    p = [q if j in goods else 0 for j, q in enumerate(state.p)]
+    money = [(1 + c / gamma[i] if c else 1) if i in buyers else 0 for i, c in enumerate(state.c)]
+    return integer_network(p, money, [(i, j) for (i, j) in state.edges
+                                      if i in buyers and j in goods])
 
 
 @contextmanager
@@ -602,7 +641,7 @@ def checked_market(seen):
     """Check every solver market against ``reference_market_network`` while open.
 
     Each ``state.network()``, at every rebalance and every rising stop's
-    ``scale_flow``, must be ``integer_caps`` of the reference, scale
+    ``scale_flow``, must be the reference, scale
     included; there the price scale must be the prices' least common
     denominator and each active ratio pair reduced.  Every flow a rebalance
     or ``scale_flow`` hands the market must carry its scale on its network.
@@ -612,7 +651,7 @@ def checked_market(seen):
 
     def checked_network(state):
         net = network(state)
-        assert integer_caps(reference_market_network(state)) == (net.scale, net)
+        assert reference_market_network(state) == net
         assert gcd(state.price_scale, *state.price) == 1
         assert all(gcd(*state.ratio[i]) == 1 for i in state.active_buyers)
         seen["networks"] += 1
@@ -700,7 +739,7 @@ def random_network(rng: random.Random, max_buyers: int = 4, max_goods: int = 4) 
     p = tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(g))
     m = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n))
     edges = frozenset((i, j) for i in range(n) for j in range(g) if rng.random() < 0.55)
-    return MarketNetwork(p, m, edges)
+    return integer_network(p, m, edges)
 
 
 def exhaustive_small_instances():

@@ -189,8 +189,8 @@ MUTANTS = [
     dict(
         name="tight-search-on-crossing-edges",
         file="fisher.py",
-        old="edges = frozenset(e for e in self.edges if (e[0] in block) == (e[1] in goods))",
-        new="edges = frozenset(self.edges)",
+        old="edges = [e for e in self.edges if (e[0] in block) == (e[1] in goods)]",
+        new="edges = self.edges",
         killer="tests/test_fisher.py::test_tight_search_matches_the_reference_descent",
     ),
     dict(
@@ -359,8 +359,8 @@ MUTANTS = [
     dict(
         name="scaled-flow-gate-without-property1",
         file="balanced.py",
-        old="== sum(caps) and verify_property1(\n            whole,",
-        new="== sum(caps) and (lambda *_: True)(\n            whole,",
+        old="== sum(caps) and verify_property1(\n            MarketNetwork(price,",
+        new="== sum(caps) and (lambda *_: True)(\n            MarketNetwork(price,",
         killer="tests/test_balanced.py::test_scale_flow_rejects_a_scaled_flow_that_fails_property1",
     ),
     # The integer hand-off: levels, caps and prices over scale * mult.
@@ -390,17 +390,30 @@ MUTANTS = [
         name="int-network-returns-fractions",
         file="flownet.py",
         old="pair_flow[(i, j)] = f\n",
-        new="pair_flow[(i, j)] = Fraction(f, scale)\n",
+        new="pair_flow[(i, j)] = Fraction(f, net.scale)\n",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
     ),
     dict(
         name="max-flow-forgets-its-scale",
         file="flownet.py",
-        old="return FlowResult(value, pair_flow, far_side, whole, residual, scale)",
-        new="return FlowResult(value, pair_flow, far_side, whole, residual)",
+        old="return FlowResult(value, pair_flow, far_side, net, residual, net.scale)",
+        new="return FlowResult(value, pair_flow, far_side, net, residual)",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
+    ),
+    # The one network assembly (flownet.int_network): the market's, the
+    # checkers' and the tight search's networks over their least common
+    # denominator.  The checkers and the tight search hand in reduced
+    # denominators, so only a market's unreduced budget pairs and zeroed
+    # inactive prices need the gcd.
+    dict(
+        name="network-assembly-without-gcd",
+        file="flownet.py",
+        old="d = gcd(common, *amounts)",
+        new="d = 1",
+        killer="tests/test_solver.py::"
+               "test_the_integer_market_is_its_fraction_reference_on_the_golden_set",
     ),
     # Input validation (instance.make_instance, instance.parse_instance).
     dict(

@@ -170,6 +170,7 @@ def test_criterion_06_balanced_flow_on_a_thousand_networks():
             net.p,
             tuple(net.m[perm[i]] for i in range(net.n)),
             frozenset((perm.index(i), j) for (i, j) in net.edges),
+            net.scale,
         )
         ptheta = balanced_values(*balanced_flow(permuted)).theta
         assert all(ptheta[i] == theta[perm[i]] for i in range(net.n))

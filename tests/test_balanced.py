@@ -28,9 +28,12 @@ from conftest import (
     balanced_values,
     flow_value,
     in_units,
+    integer_network,
+    network_values,
     random_network,
     reference_balanced_flow,
     reference_surpluses,
+    restrict,
     scalar_feasible,
     scaled_network,
     symmetric_pair,
@@ -39,12 +42,10 @@ from conftest import (
 
 def _unbalanced_shared_good():
     """One good two buyers could split, sold entirely to buyer 1."""
-    net = MarketNetwork(
-        (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
-    )
+    net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
     flow = FlowResult(
-        value=Fraction(1),
-        pair_flow={(1, 0): Fraction(1)},
+        value=1,
+        pair_flow={(1, 0): 1},
         far_side=(frozenset(), frozenset()),
         net=net,
     )
@@ -56,9 +57,7 @@ def _unbalanced_shared_good():
 
 
 def test_balanced_flow_splits_contested_good_evenly():
-    net = MarketNetwork(
-        (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
-    )
+    net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
     flow, theta = balanced_flow(net)
     assert (flow.scale, theta, flow.pair_flow) == (2, (1, 1), {(0, 0): 1, (1, 0): 1})
     got = balanced_values(flow, theta)
@@ -69,9 +68,7 @@ def test_balanced_flow_splits_contested_good_evenly():
 def test_balanced_flow_without_a_hint_proves_one_level_per_component_at_once():
     # The contested good's buyers form one component at one level, and the
     # disconnected pair two components at level 0: each guess is a hit.
-    contested = MarketNetwork(
-        (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
-    )
+    contested = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
     for net in (contested, build_network(symmetric_pair(), [Fraction(1), Fraction(1)])):
         with counting() as tally:
             balanced_flow(net)
@@ -83,7 +80,7 @@ def test_balanced_flow_that_cannot_sell_runs_the_split_rounds():
     # negative level, so the guess misses before any max-flow.  The whole
     # max-flow charges the class the 1 it cannot sell, which puts its level
     # at 0, and the gate proves that level on the whole max-flow itself.
-    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+    net = integer_network((Fraction(2),), (Fraction(1),), {(0, 0)})
     with counting() as tally:
         flow, theta = balanced_flow(net)
     assert (tally["maxflows"], tally["hits"], tally["repairs"], tally["misses"]) == (1, 0, 0, 1)
@@ -96,10 +93,10 @@ def test_balanced_flow_without_a_hint_can_miss_on_a_sellable_network():
     # buyers 1 and 2 want: the one component's level lies above buyer 0's
     # money, and the repair runs out of its n + 1 = 5 rounds.  The split
     # rounds then answer with at most 2n + 3 max-flows in all.
-    net = MarketNetwork(
+    net = integer_network(
         (Fraction(1, 2), Fraction(1, 3)),
         (Fraction(0), Fraction(9, 2), Fraction(3), Fraction(6)),
-        frozenset({(0, 1), (1, 1), (2, 1), (2, 0), (3, 0)}),
+        {(0, 1), (1, 1), (2, 1), (2, 0), (3, 0)},
     )
     with counting() as tally:
         flow, theta = balanced_flow(net)
@@ -107,7 +104,7 @@ def test_balanced_flow_without_a_hint_can_miss_on_a_sellable_network():
     assert tally["maxflows"] <= 2 * net.n + 3
     got = balanced_values(flow, theta)
     assert got.theta == (Fraction(0), Fraction(25, 6), Fraction(3), Fraction(11, 2))
-    assert got.value == sum(net.p)
+    assert got.value == sum(network_values(net)[0])
     assert got == reference_balanced_flow(net)
 
 
@@ -177,7 +174,7 @@ def test_gate_rejects_a_split_round_level_below_zero(monkeypatch):
     # whole max-flow reports the good sold out though it sells 1.  The
     # class's charge is then 0 and its level -1, below 0, while the caps
     # (2) and the value (2) still agree.  Only the levels' range sees that.
-    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+    net = integer_network((Fraction(2),), (Fraction(1),), {(0, 0)})
 
     def sold_out(net, real):
         return replace(real, value=net.p[0], pair_flow={(0, 0): net.p[0]})
@@ -196,16 +193,14 @@ def test_balanced_flow_disconnected_market_has_no_surplus():
 
 
 def test_balanced_flow_cannot_spend_past_the_prices():
-    net = MarketNetwork(
-        (Fraction(1),), (Fraction(2), Fraction(1)), frozenset({(0, 0), (1, 0)})
-    )
+    net = integer_network((Fraction(1),), (Fraction(2), Fraction(1)), {(0, 0), (1, 0)})
     flow, theta = balanced_flow(net)
     assert balanced_values(flow, theta).theta == (Fraction(1), Fraction(1))
 
 
 @pytest.mark.parametrize("goods", [0, 1])
 def test_balanced_flow_without_buyers_returns_the_root_flow(goods):
-    net = MarketNetwork((Fraction(1),) * goods, (), frozenset())
+    net = integer_network((Fraction(1),) * goods, (), ())
     with counting() as tally:
         flow, theta = balanced_flow(net)
     assert theta == ()
@@ -231,9 +226,7 @@ def test_balanced_flow_is_a_max_flow():
 
 
 def test_verify_property1_accepts_balanced_flows():
-    net = MarketNetwork(
-        (Fraction(1),), (Fraction(1), Fraction(1)), frozenset({(0, 0), (1, 0)})
-    )
+    net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
     flow, _ = balanced_flow(net)
     assert verify_property1(in_units(net, flow.scale), flow) is True
 
@@ -255,20 +248,25 @@ def test_verify_property1_matches_residual_search():
     for _ in range(2400):
         net = random_network(rng, max_buyers=5, max_goods=4)
         if rng.random() < 0.3:
-            net = replace(net, p=tuple(x if rng.random() < 0.7 else Fraction(0) for x in net.p))
+            net = replace(net, p=tuple(x if rng.random() < 0.7 else 0 for x in net.p))
         if rng.random() < 0.3:
             kept_b = {i for i in range(net.n) if rng.random() < 0.7}
             kept_g = {j for j in range(net.g) if rng.random() < 0.7}
-            net = net.sub(kept_b, kept_g)
+            net = restrict(net, kept_b, kept_g)
         if rng.random() < 0.3:
             delta = Fraction(rng.randint(0, 8), rng.randint(1, 4))
-            clamped = replace(net, m=tuple(max(x - delta, Fraction(0)) for x in net.m))
-            flow = max_flow(clamped)
+            p, m = network_values(net)
+            flow = max_flow(integer_network(p, [max(x - delta, 0) for x in m], net.edges))
         elif rng.random() < 0.2:
             flow, _ = balanced_flow(net)
         else:
             flow = max_flow(net)
-        flow = FlowResult(*balanced_values(flow)[:3], net, flow.residual)  # the network's unit
+        # The flow and the network in one unit.
+        scale = lcm(net.scale, flow.scale)
+        k = scale // flow.scale
+        net = in_units(net, scale)
+        flow = FlowResult(flow.value * k, {e: f * k for e, f in flow.pair_flow.items()},
+                          flow.far_side, net, flow.residual, scale)
         # The characterization read literally: a residual search from every
         # buyer, which the reverse search must mirror.
         theta = surpluses(net, flow)
@@ -312,6 +310,7 @@ def test_surplus_vector_is_order_independent():
             net.p,
             tuple(net.m[perm[i]] for i in range(net.n)),
             frozenset((perm.index(i), j) for (i, j) in net.edges),
+            net.scale,
         )
         theta = balanced_values(*balanced_flow(net)).theta
         theta_p = balanced_values(*balanced_flow(permuted)).theta
@@ -327,9 +326,9 @@ def _restricted(rng, net):
     if rng.random() < 0.3:
         kept_b = {i for i in range(net.n) if rng.random() < 0.7}
         kept_g = {j for j in range(net.g) if rng.random() < 0.7}
-        net = net.sub(kept_b, kept_g)
+        net = restrict(net, kept_b, kept_g)
     if rng.random() < 0.3:
-        net = replace(net, m=tuple(Fraction(0) if rng.random() < 0.3 else x for x in net.m))
+        net = replace(net, m=tuple(0 if rng.random() < 0.3 else x for x in net.m))
     return net
 
 
@@ -376,12 +375,13 @@ def test_balanced_flow_runs_at_most_2n_plus_3_max_flows():
     calls = []
     for _ in range(3000):
         drawn = _restricted(rng, random_network(rng, 6, 6))
-        for net in (drawn, replace(drawn, p=tuple(x / 8 for x in drawn.p))):
+        p, m = network_values(drawn)
+        for net in (drawn, integer_network([x / 8 for x in p], m, drawn.edges)):
             with counting() as tally:
                 flow, theta = balanced_flow(net)
             ref = reference_balanced_flow(net)
             assert balanced_values(flow, theta) == ref
-            sellable = ref.value == sum(net.p, Fraction(0))
+            sellable = ref.value == sum(network_values(net)[0])
             calls.append((net.n, tally["maxflows"], tally["misses"], sellable))
     assert len(calls) == 6000
     assert all(flows <= 2 * n + 3 for n, flows, *_ in calls)
@@ -459,12 +459,13 @@ def _hinted_cases(rng, count):
         yield "permuted", net, (flow, tuple(shuffled))
         yield "one level", net, (flow, (0,) * net.n)
         factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        p = tuple(x * factor if rng.random() < 0.5 else x for x in net.p)
+        p, m = network_values(net)
+        p = [x * factor if rng.random() < 0.5 else x for x in p]
         pair = (rng.randrange(net.n), rng.randrange(net.g))
-        yield "moved", MarketNetwork(p, net.m, net.edges ^ {pair}), own
+        yield "moved", integer_network(p, m, net.edges ^ {pair}), own
         kept_b = {i for i in range(net.n) if rng.random() < 0.7}
         kept_g = {j for j in range(net.g) if rng.random() < 0.7}
-        yield "sub", net.sub(kept_b, kept_g), own
+        yield "sub", restrict(net, kept_b, kept_g), own
 
 
 def _pinned_hinted_cases():
@@ -479,13 +480,13 @@ def _pinned_hinted_cases():
     ``unsellable``: a good dearer than its one buyer's money is a class of
     negative level, which no flow can prove; the split rounds answer.
     """
-    net = MarketNetwork(
+    net = integer_network(
         (Fraction(1), Fraction(2)), (Fraction(4), Fraction(2), Fraction(1)),
-        frozenset({(0, 0), (1, 1), (2, 1)}),
+        {(0, 0), (1, 1), (2, 1)},
     )
     paid = max_flow(replace(net, edges=frozenset({(1, 1)})))
     yield "stale", net, (paid, (1, 1, 0)), "repairs"
-    net = MarketNetwork((Fraction(2),), (Fraction(1),), frozenset({(0, 0)}))
+    net = integer_network((Fraction(2),), (Fraction(1),), {(0, 0)})
     yield "unsellable", net, (None, (0,)), "misses"
 
 
@@ -506,7 +507,7 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
         if kind == "own":
             # Its own classes give every surplus; the gate then needs only
             # the whole price mass to sell.
-            assert (outcome == "hits") == (ref.value == sum(net.p, Fraction(0)))
+            assert (outcome == "hits") == (ref.value == sum(network_values(net)[0]))
         outcomes.setdefault(kind, []).append(outcome)
     for kind, seen in outcomes.items():
         assert len(seen) == 1 or 0 < seen.count("hits") < len(seen), kind
@@ -525,8 +526,9 @@ def test_a_hint_is_read_as_values_whatever_its_representation():
         net = random_network(rng, 6, 6)
         factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         pair = (rng.randrange(net.n), rng.randrange(net.g))
-        before = MarketNetwork(tuple(x * factor if rng.random() < 0.5 else x for x in net.p),
-                               net.m, net.edges ^ {pair})
+        p, m = network_values(net)
+        before = integer_network([x * factor if rng.random() < 0.5 else x for x in p],
+                                 m, net.edges ^ {pair})
         flow, theta = balanced_flow(before)
         answers = []
         for hint in (theta, tuple(7 * t for t in theta),
@@ -564,12 +566,13 @@ def test_balanced_flow_hands_the_flow_core_integers_and_returns_the_reference_fl
         assert balanced_values(flow, theta) == ref
         assert all(type(x) is int for x in (flow.value, *flow.pair_flow.values(), *theta,
                                             *flow.net.p, *flow.net.m))
-        caps = tuple([m - t for m, t in zip(net.m, ref.theta)])
-        assert flow.net == in_units(replace(net, m=caps), flow.scale)
-        assert flow.scale == lcm(*[x.denominator for x in (*net.p, *net.m, *ref.theta)])
+        p, m = network_values(net)
+        caps = [x - t for x, t in zip(m, ref.theta)]
+        assert flow.net == in_units(integer_network(p, caps, net.edges), flow.scale)
+        assert flow.scale == lcm(net.scale, *[t.denominator for t in ref.theta])
         assert handed
         # A level whose denominator does not divide the scale widens the integers.
-        wider += flow.scale != lcm(*[x.denominator for x in (*net.p, *net.m)])
+        wider += flow.scale != net.scale
     assert wider > 100
 
 
@@ -673,7 +676,7 @@ def test_scale_flow_down_grows_the_surplus():
     net = build_network(scalar_feasible(), [Fraction(1)])
     flow, theta = balanced_flow(net)
     scaled = scaled_network(net, Fraction(1, 2), {0}, {0})
-    assert (scaled.p, scaled.m) == ((Fraction(1, 2),), (Fraction(5, 4),))
+    assert network_values(scaled) == ((Fraction(1, 2),), (Fraction(5, 4),))
     x = Fraction(1, 2)
     sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
     # Over the least common denominator 4: surplus 3/4, pair flow 1/2, cap
@@ -696,9 +699,9 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
     # and gives the balanced flow of the scaled network, cut and residual
     # reach included, without a max-flow, over the same least common
     # denominator as a rebalance.
-    net = MarketNetwork((Fraction(1), Fraction(1), Fraction(2)),
-                        (Fraction(3, 2), Fraction(2), Fraction(3, 2)),
-                        frozenset({(0, 0), (1, 1), (1, 2), (2, 2)}))
+    net = integer_network((Fraction(1), Fraction(1), Fraction(2)),
+                          (Fraction(3, 2), Fraction(2), Fraction(3, 2)),
+                          {(0, 0), (1, 1), (1, 2), (2, 2)})
     flow, theta = balanced_flow(net)
     x = Fraction(4, 3)
     scaled = scaled_network(net, x, {1, 2}, {1, 2})
@@ -738,8 +741,8 @@ def test_scale_flow_keeps_the_old_flow_when_the_move_dropped_an_edge():
     # The old network had an edge across the block, which the move dropped:
     # Edmonds-Karp may route the new network differently, so only the
     # surpluses move and the old flow comes back for the caller to rebalance.
-    net = MarketNetwork((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
-                        frozenset({(0, 0), (1, 0), (1, 1)}))
+    net = integer_network((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
+                          {(0, 0), (1, 0), (1, 1)})
     moved = scaled_network(replace(net, edges=frozenset({(0, 0), (1, 1)})),
                            Fraction(5, 4), {1}, {1})
     _keeps_the_old_flow(net, moved, True)
@@ -749,17 +752,17 @@ def test_scale_flow_not_kept_moves_the_surpluses_alone(monkeypatch):
     # A caller that rebalances after the stop anyway (its tied pairs join the
     # edges) asks for no scaled flow: the surpluses move, and no flow is
     # formed or gated.
-    net = MarketNetwork((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
-                        frozenset({(0, 0), (1, 1)}))
+    net = integer_network((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2)),
+                          {(0, 0), (1, 1)})
     _keeps_the_old_flow(net, scaled_network(net, Fraction(5, 4), {1}, {1}), False, monkeypatch)
 
 
 def test_scale_flow_rejects_edges_crossing_the_block():
     # Scaling only part of a connected block would break flow consistency.
-    net = MarketNetwork(
+    net = integer_network(
         (Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(1)),
-        frozenset({(0, 0), (0, 1), (1, 1)}),
+        {(0, 0), (0, 1), (1, 1)},
     )
     flow, theta = balanced_flow(net)
     with pytest.raises(balanced.BalanceError, match=r"edge \(0,1\) crosses the scaled block"):
@@ -783,9 +786,9 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
     # good unsold passes property 1 (one buyer) and fails on its value.
     # Over scale 2 the good costs 2, the budget is 4, the flow pays 1 and
     # the surplus is 3.
-    before = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
+    before = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
     flow = FlowResult(1, {(0, 0): 1}, (frozenset(), frozenset()),
-                      MarketNetwork((2,), (1,), before.edges), scale=2)
+                      MarketNetwork((2,), (1,), before.edges, 2), scale=2)
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (3,), Fraction(2), {0}, {0}, after, True)
@@ -794,10 +797,9 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
 def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
     # A good sold whole to one of its two buyers sells the price mass and
     # spends every cap, but the other buyer keeps the larger surplus.
-    before = MarketNetwork((Fraction(1),), (Fraction(2), Fraction(2)),
-                           frozenset({(0, 0), (1, 0)}))
+    before = integer_network((Fraction(1),), (Fraction(2), Fraction(2)), {(0, 0), (1, 0)})
     flow = FlowResult(1, {(1, 0): 1}, (frozenset(), frozenset()),
-                      MarketNetwork((1,), (0, 1), before.edges))
+                      MarketNetwork((1,), (0, 1), before.edges, 1))
     after = scaled_network(before, Fraction(2), {0, 1}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (2, 1), Fraction(2), {0, 1}, {0}, after, True)

@@ -6,12 +6,16 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nashflow.balanced
+import nashflow.certify
+import nashflow.fisher
+import nashflow.oracle
+import nashflow.solver
 from nashflow import (
     FlowError,
     FlowResult,
@@ -21,20 +25,27 @@ from nashflow import (
     build_network,
     counting,
     gen_random,
+    limit_algorithm,
     make_instance,
     max_flow,
     solution_to_json,
     solve,
 )
+from nashflow.cli import _check_claim
+from nashflow.fisher import _FixedBudgets
 from conftest import (
     balanced_values,
+    closed_edges,
     flow_value,
     in_units,
+    integer_network,
+    network_values,
     random_network,
     random_ratio_case,
     reference_bang_per_buck,
     reference_max_flow,
     reference_residual_reach,
+    restrict,
     scalar_feasible,
     symmetric_pair,
     unit_game,
@@ -109,12 +120,86 @@ def test_build_network_symmetric_pair():
     assert set(net.edges) == {(0, 0), (1, 1)}
 
 
+def test_networks_hold_ints_and_checker_and_tight_ones_are_the_converters(monkeypatch):
+    # Over the golden instances, their answers' external checks and the
+    # fixed-budget runs of the limit iteration, every network handed to
+    # ``max_flow`` or ``balanced_flow`` holds ints over an int scale.  Each
+    # checker's network is the converter's network of the claimed prices and
+    # the budgets ``1 + c_i/gamma_i``, and each trial network of the tight
+    # search is the converter's network of the block's prices times one
+    # factor, the fixed budgets and the closed edges: scale included.
+    seen, tight = Counter(), []
+
+    def ints(net):
+        assert all(type(x) is int for x in (*net.p, *net.m, net.scale)), net
+        seen["networks"] += 1
+
+    def watched(module, name):
+        real = getattr(module, name)
+
+        def call(net, *args):
+            ints(net)
+            if name == "max_flow" and module is nashflow.fisher:
+                market, block, goods = tight[-1]
+                p = market.p
+                j = next(j for j in goods if p[j])
+                x = Fraction(net.p[j], net.scale) / p[j]
+                prices = [q * x if k in goods else q for k, q in enumerate(p)]
+                assert net == integer_network(prices, market.money,
+                                              closed_edges(market.edges, block, goods))
+                seen["tight"] += 1
+            return real(net, *args)
+
+        monkeypatch.setattr(module, name, call)
+
+    def checked_build_network(module):
+        real = module.build_network
+
+        def call(inst, p):
+            net = real(inst, p)
+            p = [Fraction(q) for q in p]
+            gamma, edges = reference_bang_per_buck(inst.u, p)
+            money = [1 + c / r for c, r in zip(inst.c, gamma)]
+            assert net == integer_network(p, money, edges)
+            seen["checker"] += 1
+            return net
+
+        monkeypatch.setattr(module, "build_network", call)
+
+    stop_at_tight = _FixedBudgets.stop_at_tight
+
+    def searched(market, x_edge, block, goods, iteration):
+        tight.append((market, block, goods))
+        try:
+            return stop_at_tight(market, x_edge, block, goods, iteration)
+        finally:
+            tight.pop()
+
+    for module in (nashflow.balanced, nashflow.fisher, nashflow.certify):
+        watched(module, "max_flow")
+    for module in (nashflow.fisher, nashflow.solver, nashflow.certify):
+        watched(module, "balanced_flow")
+    for module in (nashflow.certify, nashflow.oracle):
+        checked_build_network(module)
+    monkeypatch.setattr(_FixedBudgets, "stop_at_tight", searched)
+    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
+    shapes.append((40, 40, 10, 10, 0))
+    for shape in shapes:
+        inst = gen_random(*shape)
+        doc = json.loads(json.dumps(solution_to_json(solve(inst))))
+        assert _check_claim(inst, doc) == (True, "ok")
+    for seed in range(4):
+        limit_algorithm(gen_random(4, 4, 10, 10, seed), max_iter=3)
+    assert seen["networks"] > 4000 and seen["checker"] > 1000 and seen["tight"] > 50, seen
+
+
 # ---------------------------------------------------------------------------
 # Exact max flow and its maximal min cut
 
 
 def test_max_flow_saturates_single_edge():
-    flow = max_flow(MarketNetwork((Fraction(1),), (Fraction(1),), frozenset({(0, 0)})))
+    flow = max_flow(integer_network((Fraction(1),), (Fraction(1),), {(0, 0)}))
     assert flow.value == Fraction(1)
     assert flow.pair_flow == {(0, 0): Fraction(1)}
     # The maximal cut absorbs both nodes.
@@ -122,7 +207,7 @@ def test_max_flow_saturates_single_edge():
 
 
 def test_max_flow_money_short_cuts_agree():
-    flow = max_flow(MarketNetwork((Fraction(1),), (Fraction(1, 2),), frozenset({(0, 0)})))
+    flow = max_flow(integer_network((Fraction(1),), (Fraction(1, 2),), {(0, 0)}))
     assert flow_value(flow) == Fraction(1, 2)
     assert flow.far_side == (frozenset({0}), frozenset({0}))
 
@@ -134,8 +219,8 @@ def test_max_flow_symmetric_pair_moves_all_money():
 
 def test_max_flow_respects_custom_money_caps():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
-    flow = max_flow(replace(net, m=(Fraction(1, 4), Fraction(1))))
-    # Ints over the lcm of the denominators, the network included.
+    flow = max_flow(integer_network((1, 1), (Fraction(1, 4), Fraction(1)), net.edges))
+    # Ints over the network's scale, the lcm of its denominators, the network included.
     assert (flow.scale, flow.value, flow.pair_flow) == (4, 5, {(0, 0): 1, (1, 1): 4})
     assert (flow.net.p, flow.net.m) == ((4, 4), (1, 4))
     values = balanced_values(flow)
@@ -146,10 +231,10 @@ def test_max_flow_respects_custom_money_caps():
 def test_max_flow_interior_edges_never_bind():
     # One buyer funnels more than any single good's price through one edge:
     # the good->buyer arc must not cap the flow.
-    net = MarketNetwork(
+    net = integer_network(
         (Fraction(3, 2), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(5, 2)),
-        frozenset({(2, 0)}),
+        {(2, 0)},
     )
     flow = max_flow(net)
     assert flow_value(flow) == Fraction(3, 2)
@@ -164,20 +249,21 @@ def test_max_flow_conservation_and_caps_random():
     for _ in range(150):
         net = random_network(rng)
         flow = max_flow(net)
-        assert flow.net == in_units(net, flow.scale)
+        assert flow.net is net and flow.scale == net.scale
         flow = FlowResult(*balanced_values(flow)[:3], net)
+        p, m = network_values(net)
         assert all(q > 0 for q in flow.pair_flow.values())
         for j in range(net.g):
-            assert sum(q for (i, jj), q in flow.pair_flow.items() if jj == j) <= net.p[j]
+            assert sum(q for (i, jj), q in flow.pair_flow.items() if jj == j) <= p[j]
         for i in range(net.n):
-            assert sum(q for (ii, j), q in flow.pair_flow.items() if ii == i) <= net.m[i]
+            assert sum(q for (ii, j), q in flow.pair_flow.items() if ii == i) <= m[i]
         assert all((i, j) in net.edges for (i, j) in flow.pair_flow)
         assert flow.value == sum(flow.pair_flow.values(), Fraction(0))
         # The cut's capacity certifies maximality.
         buyers, goods = flow.far_side
         cap = sum(
-            (net.p[j] for j in range(net.g) if j not in goods), Fraction(0)
-        ) + sum((net.m[i] for i in buyers), Fraction(0))
+            (p[j] for j in range(net.g) if j not in goods), Fraction(0)
+        ) + sum((m[i] for i in buyers), Fraction(0))
         assert cap == flow.value
 
 
@@ -195,7 +281,7 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
         p = tuple(big() for _ in range(g))
         m = tuple(big() for _ in range(n))
         edges = frozenset((i, j) for i in range(n) for j in range(g) if rng.random() < 0.6)
-        net = MarketNetwork(p, m, edges)
+        net = integer_network(p, m, edges)
         least = min(
             sum((p[j] for j in range(g) if j not in side), Fraction(0))
             + sum((m[i] for i in range(n) if any((i, j) in edges for j in side)), Fraction(0))
@@ -250,7 +336,7 @@ def _varied_network(rng):
         m = [max(x - delta, Fraction(0)) for x in m]
     density = rng.random()
     edges = frozenset((i, j) for i in range(n) for j in range(g) if rng.random() < density)
-    return MarketNetwork(p, tuple(m), edges)
+    return integer_network(p, m, edges)
 
 
 def test_max_flow_finds_the_reference_paths_on_seeded_networks():
@@ -259,8 +345,8 @@ def test_max_flow_finds_the_reference_paths_on_seeded_networks():
     for _ in range(4000):
         net = _varied_network(rng)
         if rng.random() < 1 / 3:
-            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
-                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            net = restrict(net, rng.sample(range(net.n), rng.randint(0, net.n)),
+                           rng.sample(range(net.g), rng.randint(0, net.g)))
             seen["restricted"] += 1
         with counting() as tally:
             flow = max_flow(net)
@@ -273,7 +359,7 @@ def test_max_flow_finds_the_reference_paths_on_seeded_networks():
         seen["zero price"] += 0 in net.p
         seen["edgeless buyer"] += len({i for i, _ in net.edges}) < net.n
         seen["edgeless good"] += len({j for _, j in net.edges}) < net.g
-        seen["180 bits"] += max(x.denominator for x in net.p + net.m).bit_length() >= 180
+        seen["180 bits"] += net.scale.bit_length() >= 180
         seen["flow on 4+ pairs"] += len(flow.pair_flow) >= 4
     assert len(seen) == 7 and min(seen.values()) > 400, seen
 
@@ -352,9 +438,10 @@ def near_forests(draw):
     d = draw(st.sampled_from([None, 1, 2, 3, 6]))
     if d is not None:
         p, m = [Fraction(x, d) for x in p], [Fraction(x, d) for x in m]
-    net = MarketNetwork(tuple(p), tuple(m), frozenset(edges))
+    net = integer_network(p, m, edges)
     if draw(st.integers(0, 4)) == 0:
-        net = net.sub(draw(st.sets(st.integers(0, n - 1))), draw(st.sets(st.integers(0, g - 1))))
+        net = restrict(net, draw(st.sets(st.integers(0, n - 1))),
+                       draw(st.sets(st.integers(0, g - 1))))
     return net
 
 
@@ -373,8 +460,8 @@ def _saturating_forest(net):
             if a == b:
                 return False
             parent[a] = b
-    value = reference_max_flow(net).value
-    return value == sum(net.p, Fraction(0)) == sum(net.m, Fraction(0))
+    p, m = network_values(net)
+    return reference_max_flow(net).value == sum(p, Fraction(0)) == sum(m, Fraction(0))
 
 
 @given(near_forests())
@@ -411,9 +498,10 @@ def crowded_networks(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     amounts = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=n + g, max_size=n + g)
     caps = [Fraction(k, d) if rational else k for k, rational in draw(amounts)]
-    net = MarketNetwork(tuple(caps[:g]), tuple(caps[g:]), frozenset(edges))
+    net = integer_network(caps[:g], caps[g:], edges)
     if draw(st.integers(0, 3)) == 0:
-        net = net.sub(draw(st.sets(st.integers(0, n - 1))), draw(st.sets(st.integers(0, g - 1))))
+        net = restrict(net, draw(st.sets(st.integers(0, n - 1))),
+                       draw(st.sets(st.integers(0, g - 1))))
     return net
 
 
@@ -444,7 +532,7 @@ def test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods():
     # buyers 2 and 3 sells out both goods, but it leaves the cycle's pairs
     # unsettled: a cycle can carry flow either way round, so Edmonds-Karp runs.
     net = MarketNetwork((2, 3), (0, 0, 2, 3, 0),
-                        frozenset({(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 1)}))
+                        frozenset({(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 1)}), 1)
     with counting() as tally:
         flow = max_flow(net)
     assert tally == {"maxflows": 1, "augments": 2}
@@ -453,24 +541,23 @@ def test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods():
 
 
 def test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow():
-    # The flow core answers in one form: ints over the lcm of the network's
-    # denominators, its network included.  Every capacity times one positive
-    # integer: the pair arcs never bind, so the paths are the same, and the
-    # flow of an integer network is over that network's scale, in its ints.
+    # The flow core answers in ints over its network's scale, its network
+    # included.  Every capacity and the scale times one positive integer:
+    # the pair arcs never bind, so the paths are the same, and the flow is
+    # over the larger scale, in its ints.
     rng = random.Random(29)
     seen = Counter()
     for _ in range(2000):
         net = _varied_network(rng)
         if rng.random() < 1 / 3:
-            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
-                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            net = restrict(net, rng.sample(range(net.n), rng.randint(0, net.n)),
+                           rng.sample(range(net.g), rng.randint(0, net.g)))
             seen["restricted"] += 1
         with counting() as tally:
             want = max_flow(net)
-        scale = lcm(*[x.denominator for x in net.p + net.m])
-        assert want.scale == scale and want.net == in_units(net, scale)
-        assert all(type(x) is int for x in (want.value, *want.pair_flow.values(),
-                                            *want.net.p, *want.net.m))
+        scale = net.scale
+        assert want.scale == scale and want.net is net
+        assert all(type(x) is int for x in (want.value, *want.pair_flow.values()))
         for k in (1, 2, 6):
             ints = in_units(net, scale * k)
             with counting() as scaled_tally:
@@ -495,8 +582,8 @@ def test_max_flow_counts_its_augmenting_paths_once_per_call(monkeypatch):
     # second path runs good 1 -> buyer 0 -> (reverse arc) good 0 -> buyer 1.
     # The money mass (3) exceeds the price mass (2), so Edmonds-Karp runs
     # rather than the peel.
-    net = MarketNetwork(
-        (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)), frozenset({(0, 0), (1, 0), (0, 1)})
+    net = integer_network(
+        (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)), {(0, 0), (1, 0), (0, 1)}
     )
     with counting() as tally:
         flow = max_flow(net)
@@ -524,7 +611,7 @@ def test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound(monkeypatch)
         return 0
 
     monkeypatch.setattr("nashflow.flownet.min", no_room, raising=False)
-    net = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
+    net = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
     with pytest.raises(FlowError, match="within 24 augmenting paths"):
         max_flow(net)
     assert paths == [2] + [3] * 24
@@ -562,7 +649,7 @@ def test_solve_reports_peeled_forests_in_its_detail_only():
 def test_counting_tallies_each_block_and_adds_nested_blocks_outward():
     # Each max-flow of this network counts itself and its one augmenting path
     # (the buyer's money exceeds the price, so the network is not peeled).
-    net = MarketNetwork((Fraction(1),), (Fraction(2),), frozenset({(0, 0)}))
+    net = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
     max_flow(net)  # outside every block: counted nowhere
     with counting() as outer:
         max_flow(net)
@@ -602,7 +689,7 @@ def test_residual_reachable_balanced_buyers_are_separated():
 
 def test_residual_reachable_zero_flow_follows_interest_edges_only():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
-    zero = max_flow(replace(net, m=(Fraction(0), Fraction(0))))
+    zero = max_flow(replace(net, m=(0, 0)))
     assert zero.pair_flow == {}
     # A buyer receiving no flow has no residual arc back into any good.
     assert zero.residual_reach({0}) == {0}
@@ -618,15 +705,16 @@ def test_residual_reach_matches_the_dict_adjacency_search():
     for _ in range(5000):
         net = random_network(rng, max_buyers=6, max_goods=5)
         if rng.random() < 0.3:
-            net = replace(net, p=tuple(x if rng.random() < 0.7 else Fraction(0) for x in net.p))
+            net = replace(net, p=tuple(x if rng.random() < 0.7 else 0 for x in net.p))
         if rng.random() < 0.3:
-            net = net.sub(rng.sample(range(net.n), rng.randint(0, net.n)),
-                          rng.sample(range(net.g), rng.randint(0, net.g)))
+            net = restrict(net, rng.sample(range(net.n), rng.randint(0, net.n)),
+                           rng.sample(range(net.g), rng.randint(0, net.g)))
             seen["restricted"] += 1
         kind = rng.choice(("clamped", "balanced", "max-flow"))
         if kind == "clamped":
             delta = Fraction(rng.randint(0, 8), rng.randint(1, 4))
-            flow = max_flow(replace(net, m=tuple(max(x - delta, Fraction(0)) for x in net.m)))
+            p, m = network_values(net)
+            flow = max_flow(integer_network(p, [max(x - delta, 0) for x in m], net.edges))
         elif kind == "balanced":
             flow, _ = balanced_flow(net)
         else:

@@ -8,7 +8,6 @@ import pytest
 
 from nashflow import (
     InstanceError,
-    MarketNetwork,
     balanced_flow,
     bang_per_buck,
     format_rational,
@@ -22,7 +21,7 @@ from nashflow import (
     preprocess,
     wireless_adapter,
 )
-from conftest import unit_game
+from conftest import integer_network, unit_game
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def test_ladder_family_start_is_a_saturating_price_vector():
     for n in (2, 3, 5):
         u, money, prices = gen_l1_adversarial(n)
         gamma, edges = bang_per_buck(u, list(prices))
-        net = MarketNetwork(tuple(prices), tuple(money), frozenset(edges))
+        net = integer_network(prices, money, edges)
         flow = max_flow(net)
         assert Fraction(flow.value, flow.scale) == sum(prices, Fraction(0))
 
@@ -268,7 +267,7 @@ def test_ladder_family_start_is_a_saturating_price_vector():
 def test_ladder_family_start_surpluses_concentrate_on_buyer_zero():
     u, money, prices = gen_l1_adversarial(2, Fraction(1), Fraction(2))
     gamma, edges = bang_per_buck(u, list(prices))
-    net = MarketNetwork(tuple(prices), tuple(money), frozenset(edges))
+    net = integer_network(prices, money, edges)
     flow, theta = balanced_flow(net)
     theta = [Fraction(t, flow.scale) for t in theta]
     assert theta[0] == Fraction(1)          # exactly delta

@@ -95,7 +95,7 @@ def test_every_output_passes_its_checker(inst):
 @settings(max_examples=60)
 @given(instances(max_n=5, max_g=5, u_max=1000, c_max=1500))
 def test_the_integer_market_is_its_fraction_reference(inst):
-    # Every network the solver's market hands out is ``integer_caps`` of its
+    # Every network the solver's market hands out is the converter's network of its
     # ``Fraction`` reference, every flow it holds carries its scale, and the
     # tight denominators are read off the prices (``conftest``).
     with checked_market(Counter()):

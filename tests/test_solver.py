@@ -33,7 +33,6 @@ from nashflow import (
 from nashflow import solver
 from nashflow.balanced import scale_flow
 from nashflow.fisher import _block_goods, _next_tie
-from nashflow.flownet import integer_caps
 from conftest import (
     balanced_values,
     check_tight_denominators,
@@ -604,7 +603,7 @@ def test_stage2_surplus_update_matches_the_scaled_balanced_flow(monkeypatch):
         updated = scale_flow(flow, theta, x, buyers, goods, net, keep)
         state = states[-1]
         ref = reference_market_network(state)
-        assert integer_caps(ref) == (net.scale, net)
+        assert ref == net
         before = balanced_flow(scaled_network(ref, 1 / x, buyers, goods))
         assert balanced_values(*before).theta == tuple(Fraction(t, flow.scale) for t in theta)
         expected = balanced_values(*balanced_flow(ref)).theta
@@ -670,9 +669,9 @@ def _watch_market_flows(monkeypatch, on_flow):
 
 
 def _least_common_denominator(net, flow, theta):
-    """The lcm of the denominators of a network and a flow's values, by ``Fraction``s."""
+    """The lcm of a network's least common denominator and a flow's values', by ``Fraction``s."""
     values = [Fraction(t, flow.scale) for t in (*theta, *flow.pair_flow.values())]
-    return lcm(*[x.denominator for x in (*net.p, *net.m, *values)])
+    return lcm(net.scale, *[x.denominator for x in values])
 
 
 def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypatch):
@@ -705,8 +704,8 @@ def test_the_market_holds_integers_whose_values_are_the_reference_flow(monkeypat
 
 def test_the_integer_market_is_its_fraction_reference_on_the_golden_set():
     # The market keeps prices, ratios and budgets as integers.  On every
-    # golden instance each network it hands out is ``integer_caps`` of the
-    # one its ``Fraction`` views describe, each flow it holds carries its
+    # golden instance each network it hands out is the one its ``Fraction``
+    # views describe, as ``conftest`` converts it, each flow it holds carries its
     # scale on its network, and each Stage II tight denominator is the
     # largest denominator of the tight goods' prices.
     seen = Counter()
