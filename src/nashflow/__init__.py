@@ -25,7 +25,6 @@ from .flownet import (
     FlowError,
     FlowResult,
     MarketNetwork,
-    bang_per_buck,
     build_network,
     counting,
     max_flow,
@@ -78,7 +77,6 @@ __all__ = [
     "SolverError",
     "SolverState",
     "balanced_flow",
-    "bang_per_buck",
     "build_network",
     "check_equilibrium",
     "check_feasibility_witness",

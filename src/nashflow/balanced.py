@@ -65,13 +65,19 @@ Over ``scale * mult``, with ``mult`` the lcm of each class's size divided by
 its gcd with the class's cash, every level, cap and price is an integer.
 The round's max-flow gets that integer network, over ``scale * mult``,
 and answers in integers, and the gate reads it so: the value against the
-target times ``mult`` and property 1 over the money times ``mult``.  A
-network scaled by a positive integer keeps its Edmonds-Karp paths and cut,
-so the proved flow is returned as it stands, over ``scale * mult`` like
-its network, and so are its surpluses.
+target times ``mult`` and property 1 over the money times ``mult``.  When
+``mult`` is 1 the round hands on the network's own prices, and property 1
+reads the network itself.  A network scaled by a positive integer keeps its
+Edmonds-Karp paths and cut, so the proved flow is returned as it stands,
+over ``scale * mult`` like its network, and so are its surpluses.
 That scale is the least common denominator of the prices, the money and
 the surpluses, so no ``Fraction`` is built: a market keeps the flow and
 surpluses as integers until a value leaves the solve.
+
+A round reads its classes once as root labels and sums each class's cash
+and size over them.  One pass over the sorted edges proves the merge rule;
+only a round with a merge due runs the union-find loop.  Each surplus is
+its class's ``cash * mult // size``, and ``fits`` reads it so.
 """
 
 from __future__ import annotations
@@ -161,15 +167,23 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
             parent[find(n + j)] = find(i)
     last, whole, charge = None, None, {}  # whole: the unrestricted max-flow, once the split rounds run
     for attempt in range(2 * n + 3):  # n + 1 guesses, the whole max-flow, n split rounds, the proof
+        root = [find(x) for x in range(n + g)]
         cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) + charge and |B|, scaled
-        for i, x in enumerate(money):
-            cash[find(i)] += x
-            size[find(i)] += 1
-        for j, x in enumerate(price):
-            cash[find(n + j)] -= x
+        for r, x in zip(root, money):
+            cash[r] += x
+            size[r] += 1
+        for r, x in zip(root[n:], price):
+            cash[r] -= x
         for r, x in charge.items():
             cash[r] += x
-        merged = whole is None
+        due = False
+        if whole is None:  # split rounds never merge
+            for (i, j) in edges:
+                a, b = root[i], root[n + j]
+                if a != b and (not size[b] or cash[a] * size[b] > cash[b] * size[a]):
+                    due = True  # the union-find loop merges, from the first edge on
+                    break
+        merged = due
         while merged:
             merged = False
             for (i, j) in edges:
@@ -179,7 +193,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
                     cash[b] += cash[a]
                     size[b] += size[a]
                     merged = True
-        root = [find(x) for x in range(n + g)]
+        if due:
+            root = [find(x) for x in range(n + g)]
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
         if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
@@ -194,21 +209,20 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
                 charge[find(n + j)] -= f
             continue
         # Over scale * mult every level, cap and price is an integer.
-        sized = [r for r in first if size[r]]
-        mult = lcm(*[size[r] // gcd(cash[r], size[r]) for r in sized])
-        level = {r: cash[r] * mult // size[r] for r in sized}
-        theta = [level[r] for r in root[:n]]
+        mult = lcm(*[size[r] // gcd(cash[r], size[r]) for r in first if size[r]])
+        theta = [cash[r] * mult // size[r] for r in root[:n]]
         caps = tuple([max(x * mult - t, 0) for x, t in zip(money, theta)])
-        prices = tuple([x * mult for x in price])
+        prices = price if mult == 1 else tuple([x * mult for x in price])
         final = classes == last  # a split round that split nothing: prove its levels
         inner = net.edges if whole is None or final else frozenset(
             e for e in edges if root[e[0]] == root[n + e[1]])  # every class on its own edges
         full = len(inner) == len(net.edges)
         reuse = whole is not None and full and mult == 1 and caps == money
         flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))
-        fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
+        fits = all(0 <= t <= x * mult for t, x in zip(theta, money))
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
-                MarketNetwork(prices, tuple([x * mult for x in money]), net.edges, scale * mult),
+                net if mult == 1 else MarketNetwork(
+                    prices, tuple([x * mult for x in money]), net.edges, scale * mult),
                 flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
             return flow, tuple(theta)

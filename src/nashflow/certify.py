@@ -6,7 +6,11 @@ never from solver state.  ``check_kkt`` takes a feasible answer's ``p``,
 ``verify_*`` functions an infeasible answer's certificates.  The solver and
 ``nashflow check`` (on solution files produced elsewhere) both call them.
 The witness check reads each buyer's surplus from one balanced flow; every
-other verdict costs at most one max-flow.
+other verdict costs at most one max-flow.  The checks run in integers where
+they can: ``build_network`` (for ``check_equilibrium``,
+``verify_convex_dual`` and the witness check) finds the best ratios and
+budgets over integer prices, and ``check_kkt`` and ``verify_lp_dual``
+compare cross-multiplied numerators and denominators.
 """
 
 from __future__ import annotations
@@ -160,9 +164,12 @@ def verify_lp_dual(inst: BargainingInstance, y, z) -> bool:
         return False
     if sum(y, Fraction(0)) != 1:
         return False
-    for i in range(inst.n):
-        for j in range(inst.g):
-            if inst.u[i][j] * y[i] > z[j]:
+    # With y_i = a/b and z_j = c/d, u_ij y_i <= z_j is u_ij a d <= c b.
+    cover = [(v.numerator, v.denominator) for v in z]
+    for row, w in zip(inst.u, y):
+        a, b = w.numerator, w.denominator
+        for u, (c, d) in zip(row, cover):
+            if u * a * d > c * b:
                 return False
     gap = sum((inst.c[i] * y[i] for i in range(inst.n)), Fraction(0)) - sum(
         z, Fraction(0)

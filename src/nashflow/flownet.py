@@ -36,8 +36,9 @@ this is the one saturating flow.  Every maximum flow saturates then, so it
 is Edmonds-Karp's flow as well, with the same residual graph (each pair arc
 holds unbounded minus the pair's flow, its reverse the flow), the price
 mass as value and, since no buyer keeps money room, every node on the far
-side.  Edmonds-Karp runs on what the peel leaves: unequal masses, cycles
-(the priced pairs of a cycle never become leaves) and forests with no
+side: a peeled flow gets its cut without the residual search.
+Edmonds-Karp runs on what the peel leaves: unequal masses, cycles (the
+priced pairs of a cycle never become leaves) and forests with no
 saturating flow.  With generic utilities the best-ratio networks are
 forests, and most balanced-flow rounds prove a guess that saturates.
 
@@ -70,7 +71,11 @@ the buyers that a phase's block reaches through goods
 
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
-``best_ratio`` that every best-ratio question calls.  Work is counted per
+``best_ratio`` that every best-ratio question calls.  ``build_network``,
+the checkers' network, takes each ratio from it over the prices as ints
+over their least common denominator, and each budget ``1 + c_i/gamma_i``
+as the integer pair of ``flexible_budgets``, which the solver's market
+uses too; no ``Fraction`` is built per buyer.  Work is counted per
 ``counting()`` block, not per process.
 """
 
@@ -136,27 +141,6 @@ def best_ratio(row, priced):
     return num, den, goods
 
 
-def bang_per_buck(u, p):
-    """Best utility-per-price ratio and its attaining edges.
-
-    Returns ``(gamma, edges)`` where ``gamma[i] = max_j u[i][j]/p[j]`` over
-    goods with positive price and ``edges`` lists every ``(i, j)`` attaining
-    the maximum, row by row in ascending ``j``.  Rows with no positive
-    utility toward positively-priced goods are rejected (callers preprocess
-    those away).  One ``Fraction`` is built per row.
-    """
-    priced = [(j, x.numerator, x.denominator) for j, x in enumerate(p) if x > 0]
-    gamma = []
-    edges = []
-    for i, row in enumerate(u):
-        num, den, ties = best_ratio(row, priced)
-        if not ties:
-            raise ValueError(f"buyer {i} values no positively priced good")
-        gamma.append(Fraction(num, den))
-        edges.extend((i, j) for j in ties)
-    return gamma, edges
-
-
 @dataclass(frozen=True)
 class MarketNetwork:
     """Immutable network description: prices, money, and interest edges.
@@ -197,18 +181,46 @@ def int_network(price, scale, budgets, edges) -> MarketNetwork:
     return MarketNetwork(tuple(amounts[:g]), tuple(amounts[g:]), frozenset(edges), common)
 
 
+def flexible_budgets(c, ratios):
+    """Each budget ``1 + c_i/gamma_i`` as the integer pair ``(num, den)``.
+
+    ``c`` holds ``Fraction``s and ``ratios`` each ``gamma_i`` as an integer
+    pair ``(num_i, den_i)``.  With ``c_i = cn/cd`` the budget is
+    ``(num_i*cd + cn*den_i, num_i*cd)``, and ``(1, 1)`` when ``c_i = 0``.
+    """
+    out = []
+    for x, r in zip(c, ratios):
+        cn = x.numerator
+        if cn:
+            num, den = r
+            cd = x.denominator * num
+            out.append((cd + cn * den, cd))
+        else:
+            out.append((1, 1))
+    return out
+
+
 def build_network(inst, p) -> MarketNetwork:
-    """Best-ratio network at the given prices under flexible budgets.
+    """Best-ratio network at the ``Fraction`` prices ``p`` under flexible budgets.
 
     Buyer ``i`` carries ``1 + c_i / gamma_i`` where ``gamma_i`` is their best
-    utility-per-price ratio, and the edges are the best-ratio pairs.
+    utility-per-price ratio, and the edges are the best-ratio pairs: each
+    ``best_ratio`` over the prices as ints over their least common
+    denominator, each budget ``flexible_budgets``' integer pair.  A buyer
+    who values no positively priced good is rejected (callers preprocess
+    those away).
     """
-    p = [Fraction(x) for x in p]
-    gamma, edges = bang_per_buck(inst.u, p)
     scale = lcm(*[x.denominator for x in p])
     price = [x.numerator * (scale // x.denominator) for x in p]
-    money = [(1 + c / r).as_integer_ratio() for c, r in zip(inst.c, gamma)]
-    return int_network(price, scale, money, edges)
+    priced = [(j, q, scale) for j, q in enumerate(price) if q > 0]
+    ratios, edges = [], []
+    for i, row in enumerate(inst.u):
+        num, den, ties = best_ratio(row, priced)
+        if not ties:
+            raise ValueError(f"buyer {i} values no positively priced good")
+        ratios.append((num, den))
+        edges.extend([(i, j) for j in ties])
+    return int_network(price, scale, flexible_budgets(inst.c, ratios), edges)
 
 
 def _reach(residual, start, backward):
@@ -297,18 +309,20 @@ def max_flow(net: MarketNetwork) -> FlowResult:
     price = list(net.p)
     money = [0] * g + list(net.m)  # by node: goods 0..g-1, buyers g..g+n-1
 
-    # Arc 2k runs good -> buyer, arc 2k+1 back, sorted by good, then buyer.
+    # Arc 2k runs good -> buyer, arc 2k+1 back, for the k-th priced pair in
+    # (good, buyer) order; the arc lists are laid out at their full length.
     # Pair capacities stand in for "unbounded" and must strictly exceed any
     # achievable flow, or a fully loaded pair would masquerade as a cut edge.
     mass = sum(price)
     unbounded = mass + 1
-    to, cap, head = [], [], [[] for _ in range(g + n)]
-    pairs = sorted((j, i) for (i, j) in net.edges if price[j] > 0)
+    pairs = sorted([(j, i) for (i, j) in net.edges if price[j] > 0])
+    to, cap = [0] * (2 * len(pairs)), [unbounded, 0] * len(pairs)
+    head, arc = [[] for _ in range(g + n)], 0
     for j, i in pairs:
-        head[j].append(len(to))
-        head[g + i].append(len(to) + 1)
-        to += (g + i, j)
-        cap += (unbounded, 0)
+        head[j].append(arc)
+        head[g + i].append(arc + 1)
+        to[arc], to[arc + 1] = g + i, j
+        arc += 2
 
     # Peel a forest with equal masses (module docstring): a leaf puts its
     # whole room on its one unsettled pair; the peel gives up at an overdraw.
@@ -337,7 +351,7 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         peeled = peeled and -1 not in settled and not any(room[:g])
     if peeled:
         cap = [c for f in settled for c in (unbounded - f, f)]
-        value, money = mass, room  # no room left: the cut puts every node on the far side
+        value = mass
         _count("peels")
     else:
         bound = (g + n + 2) * 2 * (sum(x > 0 for x in price) + len(pairs) + sum(x > 0 for x in money))
@@ -401,13 +415,15 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         _count("augments", augments)
 
     pair_flow = {}
-    for k, (j, i) in enumerate(pairs):
-        f = cap[2 * k + 1]  # reverse residual equals flow shipped
+    for (j, i), f in zip(pairs, cap[1::2]):  # reverse residual equals flow shipped
         if f:
             pair_flow[(i, j)] = f
 
     residual = (head, to, cap)
-    to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
-    far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
-                frozenset(j for j in range(g) if j not in to_sink))
+    if peeled:  # no buyer keeps money room: every node is on the far side
+        far_side = (frozenset(range(n)), frozenset(range(g)))
+    else:
+        to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
+        far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
+                    frozenset(j for j in range(g) if j not in to_sink))
     return FlowResult(value, pair_flow, far_side, net, residual, net.scale)

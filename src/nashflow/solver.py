@@ -89,7 +89,7 @@ from .certify import (
     verify_lp_dual,
 )
 from .fisher import Market, _price_phase, _rebuild, _scale, initial_prices, move_prices
-from .flownet import best_ratio, counting
+from .flownet import best_ratio, counting, flexible_budgets
 from .instance import BargainingInstance, preprocess, to_json
 
 
@@ -139,21 +139,8 @@ class SolverState(Market):
                       "end_reasons": [], "tight_denominators": [], "scale_bits": 0}
 
     def budgets(self):
-        """Each budget ``1 + c_i/gamma_i`` as the integer pair ``(num, den)``.
-
-        With ``c_i = cn/cd`` and ``gamma_i = num_i/den_i`` that is
-        ``(num_i*cd + cn*den_i, num_i*cd)``, and ``(1, 1)`` when ``c_i = 0``.
-        """
-        out = []
-        for c, r in zip(self.c, self.ratio):
-            cn = c.numerator
-            if cn:
-                num, den = r
-                cd = c.denominator * num
-                out.append((cd + cn * den, cd))
-            else:
-                out.append((1, 1))
-        return out
+        """Each budget ``1 + c_i/gamma_i`` as an integer pair: ``flexible_budgets``."""
+        return flexible_budgets(self.c, self.ratio)
 
     @property
     def money(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +34,7 @@ from nashflow import (
     verify_property1,
 )
 from nashflow.fisher import _FixedBudgets, _price_phase, _rebuild
+from nashflow.flownet import _count
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches what it reads from the source tree in its
@@ -43,6 +44,10 @@ settings.register_profile(
 )
 settings.load_profile("nashflow")
 configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nashflow-hypothesis")
+
+# The golden set's ``gen_random`` arguments (``tests/test_golden.py``).
+GOLDEN_SHAPES = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
+GOLDEN_SHAPES += [(12, 12, 1000, 1500, seed) for seed in range(3)] + [(40, 40, 10, 10, 0)]
 
 # ---------------------------------------------------------------------------
 # Small fixed games pinned across the suite.
@@ -258,6 +263,112 @@ def _reference_solve(buyers, goods, net, theta):
     if lo + hi != value:
         raise BalanceError("split lost flow value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# The balanced-flow loop as it stood before its guess round read the classes
+# as root labels: cash and size summed through ``find``, a merge loop that
+# always makes one more pass over the edges, levels in a dict, ``fits`` on
+# cash and size, and the round's prices and full-budget network rebuilt even
+# when ``mult`` is 1.  Kept verbatim, apart from the name, the docstring and
+# the ``merges`` record, to compare each call's flow, surpluses and guess
+# tally with ``balanced.balanced_flow``.
+
+
+def reference_guessing_balanced_flow(net: MarketNetwork, hint=(None, ()), merges=None):
+    """``balanced.balanced_flow`` with its former guess round.
+
+    Appends ``(round, position, edges)`` to ``merges`` for each merge the
+    loop makes: the round, the merged edge's position in sorted order and
+    the number of edges.
+    """
+    prev_flow, prev_theta = hint
+    n, g = net.n, net.g
+    scale, price, money = net.scale, net.p, net.m
+    target = sum(price)  # the proved flow's value over scale: the price mass while guessing
+    parent = list(range(n + g))  # buyers 0..n-1, then goods
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    edges = sorted(net.edges)
+    if prev_flow is None or len(prev_theta) != n:  # one class per connected component
+        pairs = edges
+    else:
+        order = sorted({i for (i, _) in edges}, key=prev_theta.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if prev_theta[a] == prev_theta[b]:
+                parent[b] = find(a)
+        pairs = prev_flow.pair_flow
+    for (i, j) in pairs:
+        if (i, j) in net.edges:
+            parent[find(n + j)] = find(i)
+    last, whole, charge = None, None, {}  # whole: the unrestricted max-flow, once the split rounds run
+    for attempt in range(2 * n + 3):  # n + 1 guesses, the whole max-flow, n split rounds, the proof
+        cash, size = [0] * (n + g), [0] * (n + g)  # per root: m(B) - p(G) + charge and |B|, scaled
+        for i, x in enumerate(money):
+            cash[find(i)] += x
+            size[find(i)] += 1
+        for j, x in enumerate(price):
+            cash[find(n + j)] -= x
+        for r, x in charge.items():
+            cash[r] += x
+        merged = whole is None
+        while merged:
+            merged = False
+            for k, (i, j) in enumerate(edges):
+                a, b = find(i), find(n + j)
+                if a != b and (not size[b] or cash[a] * size[b] > cash[b] * size[a]):
+                    parent[a] = b
+                    cash[b] += cash[a]
+                    size[b] += size[a]
+                    merged = True
+                    if merges is not None:
+                        merges.append((attempt, k, len(edges)))
+        root = [find(x) for x in range(n + g)]
+        first = {}
+        classes = [first.setdefault(r, x) for x, r in enumerate(root)]
+        if whole is None and (attempt > n or classes == last or any(cash[r] < 0 for r in first)):
+            whole = max_flow(net)
+            target, parent, last = whole.value, list(range(n + g)), None
+            for (i, j) in edges:
+                parent[find(n + j)] = find(i)
+            charge = Counter()
+            for j, x in enumerate(price):
+                charge[find(n + j)] += x
+            for (_, j), f in whole.pair_flow.items():
+                charge[find(n + j)] -= f
+            continue
+        # Over scale * mult every level, cap and price is an integer.
+        sized = [r for r in first if size[r]]
+        mult = lcm(*[size[r] // gcd(cash[r], size[r]) for r in sized])
+        level = {r: cash[r] * mult // size[r] for r in sized}
+        theta = [level[r] for r in root[:n]]
+        caps = tuple([max(x * mult - t, 0) for x, t in zip(money, theta)])
+        prices = tuple([x * mult for x in price])
+        final = classes == last  # a split round that split nothing: prove its levels
+        inner = net.edges if whole is None or final else frozenset(
+            e for e in edges if root[e[0]] == root[n + e[1]])  # every class on its own edges
+        full = len(inner) == len(net.edges)
+        reuse = whole is not None and full and mult == 1 and caps == money
+        flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))
+        fits = all(0 <= cash[r] <= money[i] * size[r] for i, r in enumerate(root[:n]))
+        if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
+                MarketNetwork(prices, tuple([x * mult for x in money]), net.edges, scale * mult),
+                flow):
+            _count("misses" if whole else "repairs" if attempt else "hits")
+            return flow, tuple(theta)
+        if final:
+            raise BalanceError("balanced-flow levels fail the gate on the whole network")
+        far_buyers, far_goods = flow.far_side
+        side = {}  # (class, inside the cut) -> its part's first member
+        parent = [side.setdefault((r, x in far_buyers if x < n else x - n in far_goods), x)
+                  for x, r in enumerate(root)]
+        charge = {side[r, True]: x for r, x in charge.items() if (r, True) in side}
+        last = classes
+    raise BalanceError("balanced-flow split rounds did not end")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +665,13 @@ def reference_solve_linear(rows, ncols, free_default):
 
 
 def reference_bang_per_buck(u, p):
-    """``flownet.bang_per_buck`` computed with one ``Fraction`` per pair."""
+    """Best ratios and best-ratio edges at prices ``p``, one ``Fraction`` per pair.
+
+    Returns ``(gamma, edges)``: ``gamma[i] = max_j u[i][j]/p[j]`` over goods
+    with positive price, and every ``(i, j)`` attaining it, row by row in
+    ascending ``j``.  A buyer who values no positively priced good is
+    rejected.
+    """
     n, g = len(u), len(p)
     gamma = []
     edges = []
@@ -566,6 +683,40 @@ def reference_bang_per_buck(u, p):
         gamma.append(best)
         edges.extend((i, j) for j, ratio in ratios.items() if ratio == best)
     return gamma, edges
+
+
+def reference_build_network(inst, p):
+    """``flownet.build_network`` from ``reference_bang_per_buck`` and the converter.
+
+    The network of prices ``p``, budgets ``1 + c_i/gamma_i`` and the
+    best-ratio edges, as ints over the least common denominator.
+    """
+    gamma, edges = reference_bang_per_buck(inst.u, p)
+    return integer_network(p, [1 + c / r for c, r in zip(inst.c, gamma)], edges)
+
+
+def reference_verify_lp_dual(inst, y, z) -> bool:
+    """``certify.verify_lp_dual`` testing ``u_ij y_i <= z_j`` in ``Fraction``s.
+
+    Kept verbatim from before the check cross-multiplied integers, apart
+    from the name and the docstring.
+    """
+    y = [Fraction(v) for v in y]
+    z = [Fraction(v) for v in z]
+    if len(y) != inst.n or len(z) != inst.g:
+        return False
+    if any(v < 0 for v in y) or any(v < 0 for v in z):
+        return False
+    if sum(y, Fraction(0)) != 1:
+        return False
+    for i in range(inst.n):
+        for j in range(inst.g):
+            if inst.u[i][j] * y[i] > z[j]:
+                return False
+    gap = sum((inst.c[i] * y[i] for i in range(inst.n)), Fraction(0)) - sum(
+        z, Fraction(0)
+    )
+    return gap >= 0
 
 
 def reference_next_tie(market, block, goods, ascending):

@@ -115,6 +115,13 @@ MUTANTS = [
         killer="tests/test_flownet.py::test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods",
     ),
     dict(
+        name="peeled-far-side-drops-a-buyer",
+        file="flownet.py",
+        old="far_side = (frozenset(range(n)), frozenset(range(g)))",
+        new="far_side = (frozenset(range(1, n)), frozenset(range(g)))",
+        killer="tests/test_flownet.py::test_max_flow_peels_exactly_the_saturating_forests",
+    ),
+    dict(
         name="peel-leaves-the-residual-graph",
         file="flownet.py",
         old="cap = [c for f in settled for c in (unbounded - f, f)]",
@@ -173,11 +180,19 @@ MUTANTS = [
     ),
     dict(
         name="budget-numerator-from-the-wrong-half",
-        file="solver.py",
+        file="flownet.py",
         old="out.append((cd + cn * den, cd))",
         new="out.append((cd + cn * num, cd))",
         killer="tests/test_solver.py::"
                "test_the_integer_market_is_its_fraction_reference_on_the_golden_set",
+    ),
+    dict(
+        name="budget-without-the-ratio-denominator",
+        file="flownet.py",
+        old="out.append((cd + cn * den, cd))",
+        new="out.append((cd + cn, cd))",
+        killer="tests/test_flownet.py::"
+               "test_build_network_is_the_fraction_reference_on_the_golden_shapes",
     ),
     dict(
         name="move-keeps-crossing-edges",
@@ -246,15 +261,22 @@ MUTANTS = [
     dict(
         name="split-rounds-merge",
         file="balanced.py",
-        old="merged = whole is None",
-        new="merged = True",
+        old="if whole is None:  # split rounds never merge",
+        new="if True:  # split rounds never merge",
         killer="tests/test_balanced.py::test_hinted_balanced_flow_matches_the_plain_recursion",
+    ),
+    dict(
+        name="guess-proof-misses-a-due-merge",
+        file="balanced.py",
+        old="due = True  # the union-find loop merges, from the first edge on",
+        new="due = False",
+        killer="tests/test_balanced.py::test_guess_round_matches_its_former_loop_call_by_call",
     ),
     dict(
         name="split-rounds-without-charge",
         file="balanced.py",
-        old="            cash[r] += x\n        merged",
-        new="            pass\n        merged",
+        old="            cash[r] += x\n        due = False",
+        new="            pass\n        due = False",
         killer="tests/test_balanced.py::test_balanced_flow_that_cannot_sell_runs_the_split_rounds",
     ),
     dict(
@@ -277,6 +299,13 @@ MUTANTS = [
         old="reuse = whole is not None and full and mult == 1 and caps == money",
         new="reuse = False",
         killer="tests/test_balanced.py::test_balanced_flow_that_cannot_sell_runs_the_split_rounds",
+    ),
+    dict(
+        name="gate-property1-on-the-unscaled-network",
+        file="balanced.py",
+        old="net if mult == 1 else MarketNetwork(",
+        new="net if True else MarketNetwork(",
+        killer="tests/test_balanced.py::test_guess_round_matches_its_former_loop_call_by_call",
     ),
     dict(
         name="gate-without-level-range",
@@ -515,10 +544,18 @@ MUTANTS = [
     dict(
         name="lp-dual-without-price-cover",
         file="certify.py",
-        old="if inst.u[i][j] * y[i] > z[j]:",
+        old="if u * a * d > c * b:",
         new="if False:",
         killer="tests/test_certify.py::"
                "test_verify_lp_dual_rejects_a_good_priced_below_a_weighted_utility",
+    ),
+    dict(
+        name="lp-dual-cover-rejects-equality",
+        file="certify.py",
+        old="if u * a * d > c * b:",
+        new="if u * a * d >= c * b:",
+        killer="tests/test_certify.py::"
+               "test_verify_lp_dual_matches_the_fraction_check_on_the_golden_certificates",
     ),
     dict(
         name="lp-dual-gap-loosened",

@@ -32,6 +32,7 @@ from conftest import (
     network_values,
     random_network,
     reference_balanced_flow,
+    reference_guessing_balanced_flow,
     reference_surpluses,
     restrict,
     scalar_feasible,
@@ -512,6 +513,37 @@ def test_hinted_balanced_flow_matches_the_plain_recursion():
     for kind, seen in outcomes.items():
         assert len(seen) == 1 or 0 < seen.count("hits") < len(seen), kind
     assert set(sum(outcomes.values(), [])) == set(OUTCOMES)
+
+
+def test_guess_round_matches_its_former_loop_call_by_call():
+    # The guess round reads its classes as root labels and proves the merge
+    # rule in one pass before any merge.  On hinted networks, and on the same
+    # networks without a hint, each call returns the former loop's flow,
+    # residual graph and surpluses, and counts the same guess outcome,
+    # max-flows, augmenting paths and peels.  The calls include rounds whose
+    # first merge is at the last edge in sorted order, and rounds that merge
+    # more than once.
+    rng = random.Random(35)
+    seen = Counter()
+    cases = list(_hinted_cases(rng, 400))
+    cases += [("none", net, (None, ())) for kind, net, _ in cases if kind == "own"]
+    for kind, net, hint in cases:
+        merges = []
+        with counting() as want_tally:
+            want_flow, want_theta = reference_guessing_balanced_flow(net, hint, merges)
+        with counting() as tally:
+            flow, theta = balanced_flow(net, hint)
+        assert (tally, flow, theta) == (want_tally, want_flow, want_theta), kind
+        assert flow.residual == want_flow.residual
+        first = {}
+        for round_, position, edges in merges:
+            first.setdefault(round_, (position, edges))
+        per_round = Counter(round_ for round_, _, _ in merges)
+        seen[kind != "none"] += 1
+        seen["merged twice"] += any(k > 1 for k in per_round.values())
+        seen["last edge first"] += any(k == e - 1 for k, e in first.values())
+    assert seen[True] >= 2000, seen
+    assert seen["merged twice"] > 400 and seen["last edge first"] > 150, seen
 
 
 def test_a_hint_is_read_as_values_whatever_its_representation():

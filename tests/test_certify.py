@@ -26,6 +26,7 @@ from nashflow import (
 )
 from conftest import (
     reference_check_kkt,
+    reference_verify_lp_dual,
     scalar_feasible,
     scalar_infeasible,
     split_infeasible,
@@ -257,6 +258,31 @@ def test_verify_lp_dual_rejects_a_negative_gap():
     # whose gap c y - z is then -1.
     assert verify_lp_dual(scalar_feasible(), [1], [2]) is False
     assert verify_lp_dual(make_instance([[1]], [Fraction(1, 2)]), [1], [1]) is False
+
+
+def test_verify_lp_dual_matches_the_fraction_check_on_the_golden_certificates():
+    # Every lp-dual certificate the golden set emits, and every change of one
+    # of its entries in y or z: the integer cover check gives the verdict of
+    # the check in ``Fraction``s.  The certificates are tight, so a cover
+    # check that rejected equality would reject them all.
+    verdicts, certs = Counter(), 0
+    for _, inst in _instances():
+        sol = solve(inst)
+        if sol.verdict != "infeasible":
+            continue
+        y, z = list(sol.certificate["lp_dual"]["y"]), list(sol.certificate["lp_dual"]["z"])
+        claims = [(y, z)]
+        for i in range(inst.n):
+            claims += [(y[:i] + [q] + y[i + 1:], z) for q in _changes(y[i])]
+        for j in range(inst.g):
+            claims += [(y, z[:j] + [q] + z[j + 1:]) for q in _changes(z[j])]
+        for yc, zc in claims:
+            got = verify_lp_dual(inst, yc, zc)
+            assert got == reference_verify_lp_dual(inst, yc, zc), (inst, yc, zc)
+            verdicts[got] += 1
+        certs += 1
+    assert certs > 100 and verdicts[True] > certs and verdicts[False] > 10 * certs, verdicts
+
 
 def test_verify_convex_dual_accepts_valid_splits():
     inst = split_infeasible()

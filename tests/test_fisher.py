@@ -10,7 +10,6 @@ import pytest
 
 from nashflow import (
     FisherError,
-    bang_per_buck,
     check_kkt,
     fisher_equilibrium,
     gen_random,
@@ -26,6 +25,7 @@ from conftest import (
     closed_edges,
     measure_l1_vs_l2,
     random_ratio_case,
+    reference_bang_per_buck,
     reference_first_tight,
     reference_next_tie,
     symmetric_pair,
@@ -300,16 +300,17 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
 def test_phase_ends_rederive_only_the_buyers_left_without_an_edge(monkeypatch):
     # The kernel keeps every ratio and edge exact, but for a buyer that a
     # rising move left with no edge.  So re-deriving those buyers alone at a
-    # fixed-budget phase end must give a full ``bang_per_buck``'s ratios and
-    # edges.  Checked at every phase end of the golden digest's fixed-budget
-    # runs (the first limit-iteration rounds of four 4x4 games) and of the
-    # limit iterations that visit them.
+    # fixed-budget phase end must give the ratios and edges that
+    # ``reference_bang_per_buck`` finds for every buyer.  Checked at every
+    # phase end of the golden digest's fixed-budget runs (the first
+    # limit-iteration rounds of four 4x4 games) and of the limit iterations
+    # that visit them.
     rebuild, seen = fisher._rebuild, Counter()
 
     def checked(market, buyers=None):
         rebuild(market, buyers)
         if buyers is not None:
-            gamma, edges = bang_per_buck(market.u, market.p)
+            gamma, edges = reference_bang_per_buck(market.u, market.p)
             assert market.gamma == gamma and market.edges == set(edges)
             seen["phase ends"] += 1
             seen["stripped"] += bool(buyers)

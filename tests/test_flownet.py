@@ -21,7 +21,6 @@ from nashflow import (
     FlowResult,
     MarketNetwork,
     balanced_flow,
-    bang_per_buck,
     build_network,
     counting,
     gen_random,
@@ -34,6 +33,7 @@ from nashflow import (
 from nashflow.cli import _check_claim
 from nashflow.fisher import _FixedBudgets
 from conftest import (
+    GOLDEN_SHAPES,
     balanced_values,
     closed_edges,
     flow_value,
@@ -43,6 +43,7 @@ from conftest import (
     random_network,
     random_ratio_case,
     reference_bang_per_buck,
+    reference_build_network,
     reference_max_flow,
     reference_residual_reach,
     restrict,
@@ -53,70 +54,121 @@ from conftest import (
 
 
 # ---------------------------------------------------------------------------
-# Best-ratio edges
+# Best-ratio (bang-per-buck) edges, as ``build_network`` finds them with
+# ``best_ratio``.  A budget ``1 + c_i/gamma_i`` shows each best ratio.
 
 
 def test_bang_per_buck_symmetric_pair_picks_own_good():
-    gamma, edges = bang_per_buck(symmetric_pair().u, [Fraction(1), Fraction(1)])
-    assert tuple(gamma) == (Fraction(2), Fraction(2))
-    assert set(edges) == {(0, 0), (1, 1)}
+    inst = make_instance(symmetric_pair().u, [2, 2])
+    net = build_network(inst, [Fraction(1), Fraction(1)])
+    assert reference_bang_per_buck(inst.u, [Fraction(1), Fraction(1)])[0] == [2, 2]
+    assert net.m == (2, 2) and net.scale == 1  # gamma = 2, so 1 + 2/2
+    assert set(net.edges) == {(0, 0), (1, 1)}
 
 
 def test_bang_per_buck_reports_ties():
-    gamma, edges = bang_per_buck(((1, 1),), [Fraction(1), Fraction(1)])
-    assert tuple(gamma) == (Fraction(1),)
-    assert set(edges) == {(0, 0), (0, 1)}
+    net = build_network(make_instance([[1, 1]], [1]), [Fraction(1), Fraction(1)])
+    assert net.m == (2,)  # gamma = 1 at both goods
+    assert set(net.edges) == {(0, 0), (0, 1)}
 
 
 def test_bang_per_buck_rejects_buyer_with_no_priced_interest():
-    with pytest.raises(ValueError):
-        bang_per_buck(((0, 1),), [Fraction(1), Fraction(0)])
+    with pytest.raises(ValueError, match="^buyer 0 values no positively priced good$"):
+        build_network(make_instance([[0, 1]], [0]), [Fraction(1), Fraction(0)])
 
 
 # ---------------------------------------------------------------------------
 # Network construction (flexible budgets: m_i = 1 + c_i/gamma_i)
 
 
+def _same_network_or_rejection(inst, p):
+    """``build_network(inst, p)`` is ``reference_build_network``'s, or both reject alike.
+
+    Returns ``"rejected"``, ``"tied"`` (some buyer has several best-ratio
+    edges) or ``"plain"``.
+    """
+    try:
+        want = reference_build_network(inst, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_network(inst, p)
+        assert str(got.value) == str(exc)
+        return "rejected"
+    assert build_network(inst, p) == want, (inst, p)
+    return "tied" if len(want.edges) > inst.n else "plain"
+
+
 def test_bang_per_buck_matches_the_fraction_reference():
-    # The integer search returns the reference's gammas and the same edges in
-    # the same order, or the same rejection.
+    # The integer search gives the reference's network: the same edges and
+    # the budgets of the same best ratios, over the same scale, or the same
+    # rejection.
     rng = random.Random(11)
-    tied = rejected = deep = 0
+    seen, deep = Counter(), 0
     for _ in range(5000):
         u, p, _ = random_ratio_case(rng)
-        try:
-            want = reference_bang_per_buck(u, p)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                bang_per_buck(u, p)
-            assert str(got.value) == str(exc)
-            rejected += 1
-            continue
-        assert bang_per_buck(u, p) == want
-        tied += len(want[1]) > len(want[0])
-        deep += max(gamma.denominator for gamma in want[0]).bit_length() > 150
-    assert tied > 400 and rejected > 400 and deep > 500
+        c = [rng.choice((0, 0, Fraction(rng.randint(1, 9), rng.randint(1, 9)))) for _ in u]
+        seen[_same_network_or_rejection(make_instance(u, c), p)] += 1
+        deep += max(x.denominator for x in p).bit_length() > 150
+    assert seen["tied"] > 400 and seen["rejected"] > 400 and deep > 500, (seen, deep)
+
+
+def test_build_network_is_the_fraction_reference_on_the_golden_shapes():
+    # Each golden instance at prices all 1 (ties wherever a row repeats its
+    # best utility), at small random rationals and at 180-bit ones, some of
+    # them 0.
+    rng = random.Random(35)
+    seen = Counter()
+    for shape in GOLDEN_SHAPES:
+        inst = gen_random(*shape)
+        for bits in (0, 4, 180):
+            p = [Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1) if bits else
+                 Fraction(1) for _ in range(inst.g)]
+            if bits and rng.random() < 0.2:
+                p[rng.randrange(inst.g)] = Fraction(0)
+            seen[_same_network_or_rejection(inst, p)] += 1
+    assert seen["tied"] > 100 and seen["plain"] > 100 and seen["rejected"] > 10, seen
+
+
+@st.composite
+def priced_instances(draw):
+    """An instance and prices: zero payoffs, tied rows, 180-bit prices, unpriced goods."""
+    n, g = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    u = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 2, 3, 6]), min_size=g, max_size=g),
+                      min_size=n, max_size=n))
+    c = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2),
+                                       Fraction(2**90 + 1, 3**50)]), min_size=n, max_size=n))
+    bits = draw(st.sampled_from([1, 8, 180]))
+    unit = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
+    p = [k * unit for k in draw(st.lists(st.sampled_from([0, 1, 2, 3, 6]), min_size=g,
+                                         max_size=g))]
+    return make_instance(u, c), p
+
+
+@given(priced_instances())
+@settings(max_examples=300)
+def test_build_network_is_the_fraction_reference_on_drawn_instances(case):
+    _same_network_or_rejection(*case)
 
 
 def test_build_network_unit():
     net = build_network(unit_game(), [Fraction(1)])
     assert net.p == (Fraction(1),)
     assert net.m == (Fraction(1),)
-    assert bang_per_buck(unit_game().u, net.p)[0] == [Fraction(1)]
+    assert reference_bang_per_buck(unit_game().u, [Fraction(1)])[0] == [Fraction(1)]
     assert set(net.edges) == {(0, 0)}
 
 
 def test_build_network_adds_disagreement_money():
     net = build_network(scalar_feasible(), [Fraction(2)])
     # gamma = 2/2 = 1, so the buyer carries 1 + c/gamma = 2.
-    assert bang_per_buck(scalar_feasible().u, net.p)[0] == [Fraction(1)]
+    assert reference_bang_per_buck(scalar_feasible().u, [Fraction(2)])[0] == [Fraction(1)]
     assert net.m == (Fraction(2),)
 
 
 def test_build_network_symmetric_pair():
     net = build_network(symmetric_pair(), [Fraction(1), Fraction(1)])
     assert net.m == (Fraction(1), Fraction(1))
-    assert bang_per_buck(symmetric_pair().u, net.p)[0] == [Fraction(2), Fraction(2)]
+    assert reference_bang_per_buck(symmetric_pair().u, [1, 1])[0] == [Fraction(2), Fraction(2)]
     assert set(net.edges) == {(0, 0), (1, 1)}
 
 
@@ -157,10 +209,7 @@ def test_networks_hold_ints_and_checker_and_tight_ones_are_the_converters(monkey
 
         def call(inst, p):
             net = real(inst, p)
-            p = [Fraction(q) for q in p]
-            gamma, edges = reference_bang_per_buck(inst.u, p)
-            money = [1 + c / r for c, r in zip(inst.c, gamma)]
-            assert net == integer_network(p, money, edges)
+            assert net == reference_build_network(inst, p)
             seen["checker"] += 1
             return net
 
@@ -182,10 +231,7 @@ def test_networks_hold_ints_and_checker_and_tight_ones_are_the_converters(monkey
     for module in (nashflow.certify, nashflow.oracle):
         checked_build_network(module)
     monkeypatch.setattr(_FixedBudgets, "stop_at_tight", searched)
-    shapes = [(seed % 3 + 1, seed // 3 % 3 + 1, 3, 2, seed) for seed in range(525)]
-    shapes += [(12, 12, 1000, 1500, seed) for seed in range(3)]
-    shapes.append((40, 40, 10, 10, 0))
-    for shape in shapes:
+    for shape in GOLDEN_SHAPES:
         inst = gen_random(*shape)
         doc = json.loads(json.dumps(solution_to_json(solve(inst))))
         assert _check_claim(inst, doc) == (True, "ok")

@@ -9,7 +9,6 @@ import pytest
 from nashflow import (
     InstanceError,
     balanced_flow,
-    bang_per_buck,
     format_rational,
     gen_l1_adversarial,
     gen_random,
@@ -21,7 +20,7 @@ from nashflow import (
     preprocess,
     wireless_adapter,
 )
-from conftest import integer_network, unit_game
+from conftest import integer_network, reference_bang_per_buck, unit_game
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_ladder_family_start_is_a_saturating_price_vector():
     # whole price mass for every family size.
     for n in (2, 3, 5):
         u, money, prices = gen_l1_adversarial(n)
-        gamma, edges = bang_per_buck(u, list(prices))
+        gamma, edges = reference_bang_per_buck(u, list(prices))
         net = integer_network(prices, money, edges)
         flow = max_flow(net)
         assert Fraction(flow.value, flow.scale) == sum(prices, Fraction(0))
@@ -266,7 +265,7 @@ def test_ladder_family_start_is_a_saturating_price_vector():
 
 def test_ladder_family_start_surpluses_concentrate_on_buyer_zero():
     u, money, prices = gen_l1_adversarial(2, Fraction(1), Fraction(2))
-    gamma, edges = bang_per_buck(u, list(prices))
+    gamma, edges = reference_bang_per_buck(u, list(prices))
     net = integer_network(prices, money, edges)
     flow, theta = balanced_flow(net)
     theta = [Fraction(t, flow.scale) for t in theta]

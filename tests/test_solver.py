@@ -10,7 +10,6 @@ import pytest
 
 from nashflow import (
     balanced_flow,
-    bang_per_buck,
     check_equilibrium,
     check_feasibility_witness,
     check_kkt,
@@ -38,6 +37,7 @@ from conftest import (
     check_tight_denominators,
     checked_market,
     reference_balanced_flow,
+    reference_bang_per_buck,
     reference_market_network,
     scalar_feasible,
     scalar_infeasible,
@@ -438,8 +438,8 @@ def test_rebalance_keeps_edges_tight_and_ratios_current(monkeypatch):
 def test_phase_ends_leave_the_market_on_its_best_ratio_edges(monkeypatch):
     # The price-phase kernel keeps the market's edges exact, so no phase end
     # re-derives them: after every stage-0, Stage I and Stage II phase,
-    # ``bang_per_buck`` over the active buyers returns exactly the market's
-    # ratios and edges.  That needs the pairs that tie at a rising stop, the
+    # ``reference_bang_per_buck`` over the active buyers returns exactly the
+    # market's ratios and edges.  That needs the pairs that tie at a rising stop, the
     # edges a Stage I phase keeps when its stop moves no price, and no edge
     # of a frozen buyer.
     ends = []
@@ -448,7 +448,7 @@ def test_phase_ends_leave_the_market_on_its_best_ratio_edges(monkeypatch):
         def wrapped(state, *args):
             phase(state, *args)
             buyers = sorted(state.active_buyers)
-            gamma, pairs = bang_per_buck([state.u[i] for i in buyers], state.p)
+            gamma, pairs = reference_bang_per_buck([state.u[i] for i in buyers], state.p)
             where = (state.inst.u, state.inst.c, state.stage)
             assert gamma == [state.gamma[i] for i in buyers], where
             assert {(buyers[k], j) for (k, j) in pairs} == state.edges, where
