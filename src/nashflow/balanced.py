@@ -297,7 +297,7 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
     value, price = sum(paid), tuple(price)
     scaled = MarketNetwork(price, tuple(caps), net.edges, common)
     flow = FlowResult(value, dict(zip(flow.pair_flow, paid)), flow.far_side, scaled,
-                      flow.residual, common)
+                      flow.residual)
     if not (value == sum(price) == sum(caps) and verify_property1(
             MarketNetwork(price, tuple(money), net.edges, common), flow)):
         raise BalanceError("a scaled balanced flow fails the gate")

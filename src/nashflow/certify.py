@@ -10,12 +10,15 @@ other verdict costs at most one max-flow.  The checks run in integers where
 they can: ``build_network`` (for ``check_equilibrium``,
 ``verify_convex_dual`` and the witness check) finds the best ratios and
 budgets over integer prices, and ``check_kkt`` and ``verify_lp_dual``
-compare cross-multiplied numerators and denominators.
+compare cross-multiplied numerators and denominators.  Their sums (a
+good's sales, a buyer's utility, the dual weights and the dual gap) are
+ints over the lcm of their terms' denominators (``_int_sum``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .balanced import balanced_flow
 from .flownet import build_network, max_flow
@@ -47,6 +50,15 @@ def check_equilibrium(inst: BargainingInstance, p) -> tuple[bool, str]:
     return True, "ok"
 
 
+def _int_sum(terms):
+    """``sum(num/den)`` over ``(num, den)`` pairs as ``(total, d)``: an int over ``d``.
+
+    ``d`` is the lcm of the denominators, 1 for no terms.
+    """
+    d = lcm(*[den for _, den in terms])
+    return sum([num * (d // den) for num, den in terms]), d
+
+
 def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
     """Exact optimality check for a claimed feasible answer ``(p, x, v)``.
 
@@ -56,18 +68,22 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
     Sufficient for global optimality (the objective is concave), so a pass
     proves both feasibility of the game and optimality of ``x``.  Last, ``v``
     must be the utilities of ``x``.  Non-``Fraction`` inputs convert exactly;
-    a false allocation entry counts as 0.  Stationarity is checked row by
-    row: one integer loop for the inequality at every good, then equality on
-    the row's support (its nonzero shares) only.  A failing row is scanned
+    a false allocation entry counts as 0.  The sums are integers: each
+    good's sales and each buyer's utility an int over the lcm of their
+    shares' denominators, so the gain is an integer pair and ``v`` is
+    compared by cross-multiplying.  Stationarity is checked row by row: one
+    integer loop for the inequality at every good, then equality on the
+    row's support (its nonzero shares) only.  A failing row is scanned
     again pair by pair, which names its first failing pair; a row only the
     row pass fails would be a defect, and the check fails closed.
     """
     p = [q if isinstance(q, Fraction) else Fraction(q) for q in p]
     if len(p) != inst.g or len(x) != inst.n or any(len(row) != inst.g for row in x):
         return False, "shape mismatch"
-    sold, util, support = [Fraction(0)] * inst.g, [Fraction(0)] * inst.n, []
-    for i, row in enumerate(x):
-        goods = []
+    by_good = [[] for _ in range(inst.g)]  # each good's nonzero shares as (num, den)
+    support = []  # each row's nonzero shares as (j, num, den)
+    for row in x:
+        shares = []
         for j, share in enumerate(row):
             if share:
                 if not isinstance(share, Fraction):
@@ -76,22 +92,25 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
                 if num < 0:
                     return False, "negative allocation"
                 if num:
-                    sold[j] += share
-                    util[i] += inst.u[i][j] * share
-                    goods.append(j)
-        support.append(goods)
-    if any(q < 0 for q in p):
+                    den = share.denominator
+                    shares.append((j, num, den))
+                    by_good[j].append((num, den))
+        support.append(shares)
+    prices = [(q.numerator, q.denominator) for q in p]
+    if any(a < 0 for a, _ in prices):
         return False, "negative price"
-    for j in range(inst.g):
-        if sold[j] > 1:
+    for j, ((a, _), terms) in enumerate(zip(prices, by_good)):
+        sold, d = _int_sum(terms)
+        if sold > d:
             return False, f"good {j} oversold"
-        if p[j] > 0 and sold[j] != 1:
+        if a > 0 and sold != d:
             return False, f"good {j} priced but not sold out"
     # With p_j = a/b and gain = gn/gd, p_j * gain vs u_ij is a*gn vs u_ij*b*gd.
-    prices = [(q.numerator, q.denominator) for q in p]
-    for i, (row, c, goods) in enumerate(zip(inst.u, inst.c, support)):
-        gain = util[i] - c
-        gn, gd = gain.numerator, gain.denominator
+    util = []
+    for i, (row, c, shares) in enumerate(zip(inst.u, inst.c, support)):
+        un, ud = _int_sum([(row[j] * num, den) for j, num, den in shares])
+        util.append((un, ud))
+        gn, gd = un * c.denominator - c.numerator * ud, ud * c.denominator
         if gn <= 0:
             return False, f"buyer {i} does not improve on the disagreement payoff"
         # Every inequality, then equality on the support.
@@ -99,13 +118,14 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
             if a * gn < w * b * gd:
                 break
         else:
-            for j in goods:
+            for j, _, _ in shares:
                 a, b = prices[j]
                 if a * gn != row[j] * b * gd:
                     break
             else:
                 continue
         # The row failed: the pair-by-pair scan names its first failing pair.
+        goods = {j for j, _, _ in shares}
         for j, (a, b) in enumerate(prices):
             lhs, rhs = a * gn, row[j] * b * gd
             if lhs < rhs:
@@ -113,7 +133,9 @@ def check_kkt(inst: BargainingInstance, p, x, v) -> tuple[bool, str]:
             if j in goods and lhs != rhs:
                 return False, f"allocation ({i},{j}) is not on a tight pair"
         return False, f"buyer {i}: the row pass and the pair-by-pair scan disagree"
-    if [a if isinstance(a, Fraction) else Fraction(a) for a in v] != util:
+    v = [a if isinstance(a, Fraction) else Fraction(a) for a in v]
+    if len(v) != inst.n or any(a.numerator * ud != un * a.denominator
+                               for a, (un, ud) in zip(v, util)):
         return False, "claimed utilities do not match the allocation"
     return True, "ok"
 
@@ -154,7 +176,8 @@ def verify_lp_dual(inst: BargainingInstance, y, z) -> bool:
     positive gain, i.e. the optimum ``t*`` of "maximize t with gains at
     least t" is positive.  Any ``y, z >= 0`` with ``sum(y) = 1``,
     ``u_ij y_i <= z_j``, and ``sum(c_i y_i) >= sum(z_j)`` bounds ``t*`` by
-    ``sum(z) - sum(c y) <= 0`` (weak duality), proving infeasibility.
+    ``sum(z) - sum(c y) <= 0`` (weak duality), proving infeasibility.  The
+    sums are ints over the lcm of their terms' denominators.
     """
     y = [Fraction(v) for v in y]
     z = [Fraction(v) for v in z]
@@ -162,18 +185,19 @@ def verify_lp_dual(inst: BargainingInstance, y, z) -> bool:
         return False
     if any(v < 0 for v in y) or any(v < 0 for v in z):
         return False
-    if sum(y, Fraction(0)) != 1:
+    weights = [(v.numerator, v.denominator) for v in y]
+    total, d = _int_sum(weights)
+    if total != d:
         return False
     # With y_i = a/b and z_j = c/d, u_ij y_i <= z_j is u_ij a d <= c b.
     cover = [(v.numerator, v.denominator) for v in z]
-    for row, w in zip(inst.u, y):
-        a, b = w.numerator, w.denominator
+    for row, (a, b) in zip(inst.u, weights):
         for u, (c, d) in zip(row, cover):
             if u * a * d > c * b:
                 return False
-    gap = sum((inst.c[i] * y[i] for i in range(inst.n)), Fraction(0)) - sum(
-        z, Fraction(0)
-    )
+    # The gap sum(c_i y_i) - sum(z_j) as one sum over the lcm.
+    terms = [(x.numerator * a, x.denominator * b) for x, (a, b) in zip(inst.c, weights)]
+    gap, _ = _int_sum(terms + [(-c, d) for c, d in cover])
     return gap >= 0
 
 

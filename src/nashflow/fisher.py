@@ -166,11 +166,11 @@ def _next_tie(market, block, goods, ascending):
     else:
         buyers, targets = market.active_buyers - block, goods
     u, price, scale, ratio = market.u, market.price, market.price_scale, market.ratio
-    targets = [(j, price[j], scale) for j in sorted(targets)]
+    targets = [(j, price[j]) for j in sorted(targets)]
     num = den = None
     pairs = []
     for i in sorted(buyers):
-        bn, bd, ties = best_ratio(u[i], targets)
+        bn, bd, ties = best_ratio(u[i], targets, scale)
         if not ties:
             continue
         rn, rd = ratio[i][0] * bd, ratio[i][1] * bn
@@ -237,9 +237,9 @@ def _rebuild(market, buyers=None):
     if buyers is None:
         buyers, market.edges = market.active_buyers, set()
     scale = market.price_scale
-    priced = [(j, q, scale) for j, q in enumerate(market.price) if q > 0]
+    priced = [(j, q) for j, q in enumerate(market.price) if q > 0]
     for i in sorted(buyers):
-        num, den, ties = best_ratio(market.u[i], priced)
+        num, den, ties = best_ratio(market.u[i], priced, scale)
         if not ties:
             raise FisherError("an active buyer values no active good")
         d = gcd(num, den)

@@ -60,7 +60,13 @@ good leaves it when its room reaches 0) and stops at the first buyer it
 discovers with money room.  A search over the s-t graph would take that very
 path: a buyer scans its sink arc last and the queue pops nodes in discovery
 order.  The paths, bottlenecks and residual updates are therefore the full
-search's, and so are the pair flows and the cut that callers read.
+search's, and so are the pair flows and the cut that callers read.  The
+search has one branch per node kind.  A good's arcs are forward pair arcs,
+whose room (unbounded minus the pair's flow) never runs out, so its
+branch tests no room and checks each buyer it discovers for money room.  A
+buyer's arcs are reverse arcs to the goods that pay it, and goods hold no
+money, so its branch tests only the arc's room and never ends a path.
+Both visit the arcs in order, so discovery order is the full search's.
 
 Each flow keeps the integer residual graph its max-flow ended with, and one
 search, ``_reach``, reads everything from it: the maximal min cut (the
@@ -71,12 +77,15 @@ the buyers that a phase's block reaches through goods
 
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
-``best_ratio`` that every best-ratio question calls.  ``build_network``,
-the checkers' network, takes each ratio from it over the prices as ints
-over their least common denominator, and each budget ``1 + c_i/gamma_i``
-as the integer pair of ``flexible_budgets``, which the solver's market
-uses too; no ``Fraction`` is built per buyer.  Work is counted per
-``counting()`` block, not per process.
+``best_ratio`` that every best-ratio question calls.  Its callers hand it
+prices over one shared scale, so it compares ``u_ij / a_j`` with one
+cross-multiplication per pair and applies the scale once, to the best
+ratio's numerator.  ``build_network``, the checkers' network, takes each
+ratio from it over the prices as ints over their least common
+denominator, and each budget ``1 + c_i/gamma_i`` as the integer pair of
+``flexible_budgets``, which the solver's market uses too; no ``Fraction``
+is built per buyer.  Work is counted per ``counting()`` block, not per
+process.
 """
 
 from __future__ import annotations
@@ -122,23 +131,26 @@ def _count(key, amount=1):
         tally[key] += amount
 
 
-def best_ratio(row, priced):
+def best_ratio(row, priced, scale):
     """Best utility-per-price ratio of one buyer over ``priced`` goods.
 
-    ``priced`` lists ``(j, a, b)`` for ``p_j = a/b``.  Returns ``(num, den,
-    goods)``: the best ``row[j] b / a`` as the integer pair ``num/den``, and
-    every good attaining it in ``priced`` order (none if the row values
-    none).  Comparing by cross-multiplying ranks a zero price above all.
+    ``priced`` lists ``(j, a)`` for ``p_j = a/scale``, one ``scale`` for
+    all.  Returns ``(num, den, goods)``: the best ``row[j] scale / a`` as
+    the integer pair ``num/den``, and every good attaining it in ``priced``
+    order (none if the row values none).  Candidates are compared as
+    ``row[j] / a`` by cross-multiplying, the scale cancelling, and it is
+    applied once to the returned numerator.  A zero price ranks above all.
     """
     num, den, goods = 0, 1, []
-    for j, a, b in priced:
-        if row[j] > 0:
-            cand = row[j] * b
-            if cand * den > num * a:
-                num, den, goods = cand, a, [j]
-            elif cand * den == num * a:
+    for j, a in priced:
+        w = row[j]
+        if w > 0:
+            lhs, rhs = w * den, num * a
+            if lhs > rhs:
+                num, den, goods = w, a, [j]
+            elif lhs == rhs:
                 goods.append(j)
-    return num, den, goods
+    return num * scale, den, goods
 
 
 @dataclass(frozen=True)
@@ -212,10 +224,10 @@ def build_network(inst, p) -> MarketNetwork:
     """
     scale = lcm(*[x.denominator for x in p])
     price = [x.numerator * (scale // x.denominator) for x in p]
-    priced = [(j, q, scale) for j, q in enumerate(price) if q > 0]
+    priced = [(j, q) for j, q in enumerate(price) if q > 0]
     ratios, edges = [], []
     for i, row in enumerate(inst.u):
-        num, den, ties = best_ratio(row, priced)
+        num, den, ties = best_ratio(row, priced, scale)
         if not ties:
             raise ValueError(f"buyer {i} values no positively priced good")
         ratios.append((num, den))
@@ -246,16 +258,16 @@ def _reach(residual, start, backward):
 class FlowResult:
     """An exact max-flow of ``net`` plus its maximal minimum cut.
 
-    Every amount is an int over ``scale``: the ``value``, the pair flows and
-    the prices and caps of ``net``, the integer network the flow belongs to,
-    so ``Fraction(value, scale)`` is the value.  ``pair_flow`` maps each
-    interest edge ``(i, j)`` that carries money to the amount good ``j``
-    sells to buyer ``i``; other edges are absent, so ``e in pair_flow``
-    tests for money.  ``far_side`` is the complement of the nodes that reach
-    the sink in the residual graph, given as a pair ``(buyers, goods)`` of
-    frozensets.  ``residual`` holds the integer pair arcs ``(head, to,
-    cap)`` the max-flow ended with, over nodes goods ``0..g-1`` and buyers
-    ``g..g+n-1``; the cut and ``residual_reach`` are both read from it.
+    Every amount is an int over ``scale``, read off ``net``, the integer
+    network the flow belongs to: the ``value``, the pair flows and the
+    prices and caps of ``net``, so ``Fraction(value, scale)`` is the
+    value.  ``pair_flow`` maps each interest edge ``(i, j)`` that carries
+    money to the amount good ``j`` sells to buyer ``i``; other edges are
+    absent, so ``e in pair_flow`` tests for money.  ``far_side`` is the
+    complement of the nodes that reach the sink in the residual graph,
+    given as a pair ``(buyers, goods)`` of frozensets.  ``residual`` holds
+    the integer pair arcs ``(head, to, cap)`` the max-flow ended with, over
+    nodes goods ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are both read from it.
     Three functions make one: ``max_flow`` runs it, ``balanced_flow``
     returns its round's integer flow over ``scale * mult`` with the cut and
     residual graph kept, and ``scale_flow`` multiplies a closed block's pair
@@ -270,7 +282,11 @@ class FlowResult:
     far_side: tuple
     net: MarketNetwork
     residual: tuple = field(default=None, compare=False, repr=False)
-    scale: int = 1
+
+    @property
+    def scale(self) -> int:
+        """The scale every amount is an int over: ``net.scale``."""
+        return self.net.scale
 
     def allocation(self):
         """Share ``x[i][j]`` of good ``j`` sold to buyer ``i`` as a ``Fraction``, 0 without flow.
@@ -383,16 +399,24 @@ def max_flow(net: MarketNetwork) -> FlowResult:
             queue = starts[:]
             last = -1  # the path's buyer, once found
             for node in queue:
-                for arc in head[node]:
-                    nxt = to[arc]
-                    if parent_arc[nxt] == -1 and cap[arc] > 0:
-                        parent_arc[nxt] = arc
-                        if money[nxt]:
-                            last = nxt
-                            break
-                        queue.append(nxt)
-                if last >= 0:
-                    break
+                if node < g:  # forward pair arcs: never saturated, to buyers
+                    for arc in head[node]:
+                        nxt = to[arc]
+                        if parent_arc[nxt] == -1:
+                            parent_arc[nxt] = arc
+                            if money[nxt]:
+                                last = nxt
+                                break
+                            queue.append(nxt)
+                    if last >= 0:
+                        break
+                else:  # reverse arcs to the goods that pay it, which hold no money
+                    for arc in head[node]:
+                        if cap[arc]:
+                            nxt = to[arc]
+                            if parent_arc[nxt] == -1:
+                                parent_arc[nxt] = arc
+                                queue.append(nxt)
             if last < 0:
                 break
             path, node = [], last
@@ -426,4 +450,4 @@ def max_flow(net: MarketNetwork) -> FlowResult:
         to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
         far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
                     frozenset(j for j in range(g) if j not in to_sink))
-    return FlowResult(value, pair_flow, far_side, net, residual, net.scale)
+    return FlowResult(value, pair_flow, far_side, net, residual)

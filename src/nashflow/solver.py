@@ -6,7 +6,8 @@ goods" is solved through an equivalent market: buyer ``i`` carries budget
 ratio at the current prices), and a price vector is an equilibrium when the
 best-ratio money flow can simultaneously sell every good and exhaust every
 budget.  At equilibrium the optimal allocation is read off the flow and
-``v_i - c_i = gamma_i``.
+``v_i - c_i = gamma_i``: Stage II returns the utilities so, from the
+ratios.
 
 Stage 0 finds the start: the fixed-budget equilibrium at unit money.  It
 is the flexible-budget market with every ``c_i`` held at 0, so the rising
@@ -60,7 +61,8 @@ denominator is the price scale over its gcd with the price, and the
 restore scales frozen groups' integer prices.  ``Fraction``s are built
 only for each event's factor, for the hints of the ``c`` switch and the
 restore, and where a value leaves the solve: the prices of the trace and
-the answer, the allocation, the phase potentials and the certificates.
+the answer, the allocation, the utilities (``gamma_i + c_i``, one per
+buyer), the phase potentials and the certificates.
 
 ``solve`` counts its work in a ``counting()`` tally opened around
 ``initialize``, ``stage1`` and ``stage2``: ``stats["maxflows"]`` is the
@@ -141,11 +143,6 @@ class SolverState(Market):
     def budgets(self):
         """Each budget ``1 + c_i/gamma_i`` as an integer pair: ``flexible_budgets``."""
         return flexible_budgets(self.c, self.ratio)
-
-    @property
-    def money(self):
-        """The budgets, as ``Fraction``s."""
-        return tuple([Fraction(num, den) for num, den in self.budgets()])
 
     def rebalance(self):
         super().rebalance()
@@ -312,10 +309,10 @@ def _scale_frozen(state):
     """
     price, scale = state.price, state.price_scale
     for buyers, goods, *_ in reversed(state.frozen):
-        others = [(j, q, scale) for j, q in enumerate(price) if j not in goods]
+        others = [(j, q) for j, q in enumerate(price) if j not in goods]
         sigma = Fraction(1)
         for i in buyers:
-            num, den, ties = best_ratio(state.inst.u[i], others)
+            num, den, ties = best_ratio(state.inst.u[i], others, scale)
             g_num, g_den = state.ratio[i]
             if ties and g_num * den <= num * g_den:  # an outside good ties or beats its own
                 sigma = min(sigma, Fraction(g_num * den, g_den * num * 2))
@@ -333,17 +330,17 @@ def stage2(state: SolverState):
 
     Expects the state ``stage1`` leaves on its feasible branch, balanced over
     the whole market.  Returns ``(p, x, v)`` over the preprocessed
-    instance's indices.
+    instance's indices.  The utilities come from the ratios: at the
+    equilibrium buyer ``i`` spends all of ``m_i = 1 + c_i/gamma_i`` on goods
+    at ratio ``gamma_i``, so ``v_i = gamma_i m_i = gamma_i + c_i``
+    (``check_kkt`` still checks ``v`` against the allocation).
     """
-    inst = state.inst
     state.stage = 2
     _rise(state)
     x = state.flow.allocation()
-    v = [Fraction(0)] * inst.n
-    for (i, j) in state.flow.pair_flow:
-        v[i] += inst.u[i][j] * x[i][j]
+    v = tuple([gamma + c for gamma, c in zip(state.gamma, state.c)])
     state.log("equilibrium")
-    return tuple(state.p), x, tuple(v)
+    return tuple(state.p), x, v
 
 
 def _rise(state):

@@ -24,7 +24,6 @@ from hypothesis import configuration, settings
 from nashflow import (
     BalanceError,
     FisherError,
-    FlowResult,
     MarketNetwork,
     SolverState,
     gen_l1_adversarial,
@@ -99,6 +98,11 @@ def network_values(net):
     """``(p, m)``: a network's prices and money as ``Fraction``s."""
     scale = net.scale
     return (tuple(Fraction(x, scale) for x in net.p), tuple(Fraction(x, scale) for x in net.m))
+
+
+def budget_values(market):
+    """A market's budgets, its ``budgets()`` integer pairs, as ``Fraction``s."""
+    return tuple(Fraction(num, den) for num, den in market.budgets())
 
 
 def restrict(net, buyers, goods):
@@ -437,11 +441,12 @@ def reference_first_tight(p, money, edges, target):
 # ``flownet.max_flow``.
 
 
-def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
+def reference_max_flow(net: MarketNetwork, paths=None) -> Balanced:
     """``flownet.max_flow`` with a search that runs on to the sink.
 
     Appends each augmenting path's bottleneck to ``paths`` if it is given.
-    Answers in values: an int network's amounts are over its ``scale``.
+    Answers in values, as a ``Balanced`` without surpluses: an int
+    network's amounts are over its ``scale``.
     """
     n, g = net.n, net.g
     denoms = [x.denominator for x in net.p] + [x.denominator for x in net.m]
@@ -535,8 +540,7 @@ def reference_max_flow(net: MarketNetwork, paths=None) -> FlowResult:
         frozenset(i for i in range(n) if bnode(i) not in to_sink),
         frozenset(j for j in range(g) if gnode(j) not in to_sink),
     )
-    return FlowResult(value=Fraction(value, scale * net.scale), pair_flow=pair_flow,
-                      far_side=far_side, net=net)
+    return Balanced(Fraction(value, scale * net.scale), pair_flow, far_side, ())
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,32 @@ MUTANTS = [
         killer="tests/test_flownet.py::"
                "test_max_flow_whose_paths_ship_nothing_raises_at_the_path_bound",
     ),
+    # The two-branch search (flownet.max_flow): a good's forward arcs never
+    # saturate, a buyer's reverse arcs carry room only where it is paid.
+    dict(
+        name="search-buyer-branch-without-room",
+        file="flownet.py",
+        old="if cap[arc]:",
+        new="if True:",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
+    ),
+    dict(
+        name="search-split-takes-a-buyer-for-a-good",
+        file="flownet.py",
+        old="if node < g:  # forward pair arcs",
+        new="if node <= g:  # forward pair arcs",
+        killer="tests/test_flownet.py::"
+               "test_max_flow_sweeps_the_direct_pairs_as_the_reference_searches_them",
+    ),
+    # The one-scale ratio search (flownet.best_ratio).
+    dict(
+        name="best-ratio-without-ties",
+        file="flownet.py",
+        old="            elif lhs == rhs:\n                goods.append(j)",
+        new="            elif False:\n                goods.append(j)",
+        killer="tests/test_flownet.py::test_best_ratio_is_the_fraction_reference_over_one_scale",
+    ),
     # The direct-pair sweep (flownet.max_flow).
     dict(
         name="sweep-goods-reversed",
@@ -231,6 +257,15 @@ MUTANTS = [
         new="if x_edge is not None and x_edge <= stretch:",
         killer="tests/test_fisher.py::"
                "test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events",
+    ),
+    # Stage II's utilities from the ratios (solver.stage2).
+    dict(
+        name="stage2-utilities-without-c",
+        file="solver.py",
+        old="v = tuple([gamma + c for gamma, c in zip(state.gamma, state.c)])",
+        new="v = tuple(state.gamma)",
+        killer="tests/test_solver.py::"
+               "test_stage2_utilities_are_those_of_the_allocation_on_the_golden_set",
     ),
     # The integer reads of the surpluses over the market's scale
     # (solver.stage1 and the rising stop).
@@ -426,8 +461,8 @@ MUTANTS = [
     dict(
         name="max-flow-forgets-its-scale",
         file="flownet.py",
-        old="return FlowResult(value, pair_flow, far_side, net, residual, net.scale)",
-        new="return FlowResult(value, pair_flow, far_side, net, residual)",
+        old="return self.net.scale",
+        new="return 1",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
     ),
@@ -499,9 +534,25 @@ MUTANTS = [
     dict(
         name="kkt-oversold-bound-doubled",
         file="certify.py",
-        old="if sold[j] > 1:",
-        new="if sold[j] > 2:",
+        old="if sold > d:",
+        new="if sold > 2 * d:",
         killer="tests/test_certify.py::test_check_kkt_rejects_a_valueless_good_sold_half_again_over",
+    ),
+    dict(
+        name="kkt-oversold-against-one-not-the-lcm",
+        file="certify.py",
+        old="if sold > d:",
+        new="if sold > 1:",
+        killer="tests/test_certify.py::"
+               "test_check_kkt_agrees_with_the_pair_by_pair_check_on_named_claims",
+    ),
+    dict(
+        name="kkt-sold-out-against-one-not-the-lcm",
+        file="certify.py",
+        old="if a > 0 and sold != d:",
+        new="if a > 0 and sold != 1:",
+        killer="tests/test_certify.py::"
+               "test_check_kkt_agrees_with_the_pair_by_pair_check_on_named_claims",
     ),
     dict(
         name="kkt-accepts-a-zero-gain",
@@ -537,9 +588,17 @@ MUTANTS = [
     dict(
         name="lp-dual-without-unit-sum",
         file="certify.py",
-        old="if sum(y, Fraction(0)) != 1:",
+        old="if total != d:",
         new="if False:",
         killer="tests/test_certify.py::test_verify_lp_dual_rejects_weights_that_do_not_sum_to_one",
+    ),
+    dict(
+        name="lp-dual-unit-sum-against-one-not-the-lcm",
+        file="certify.py",
+        old="if total != d:",
+        new="if total != 1:",
+        killer="tests/test_certify.py::"
+               "test_verify_lp_dual_matches_the_fraction_check_on_the_golden_certificates",
     ),
     dict(
         name="lp-dual-without-price-cover",
@@ -556,6 +615,13 @@ MUTANTS = [
         new="if u * a * d >= c * b:",
         killer="tests/test_certify.py::"
                "test_verify_lp_dual_matches_the_fraction_check_on_the_golden_certificates",
+    ),
+    dict(
+        name="lp-dual-gap-without-the-cover",
+        file="certify.py",
+        old="gap, _ = _int_sum(terms + [(-c, d) for c, d in cover])",
+        new="gap, _ = _int_sum(terms)",
+        killer="tests/test_certify.py::test_verify_lp_dual_rejects_a_negative_gap",
     ),
     dict(
         name="lp-dual-gap-loosened",

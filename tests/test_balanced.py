@@ -267,7 +267,7 @@ def test_verify_property1_matches_residual_search():
         k = scale // flow.scale
         net = in_units(net, scale)
         flow = FlowResult(flow.value * k, {e: f * k for e, f in flow.pair_flow.items()},
-                          flow.far_side, net, flow.residual, scale)
+                          flow.far_side, net, flow.residual)
         # The characterization read literally: a residual search from every
         # buyer, which the reverse search must mirror.
         theta = surpluses(net, flow)
@@ -820,7 +820,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
     # the surplus is 3.
     before = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
     flow = FlowResult(1, {(0, 0): 1}, (frozenset(), frozenset()),
-                      MarketNetwork((2,), (1,), before.edges, 2), scale=2)
+                      MarketNetwork((2,), (1,), before.edges, 2))
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (3,), Fraction(2), {0}, {0}, after, True)

@@ -209,6 +209,57 @@ def test_check_kkt_matches_the_pair_by_pair_check_on_a_perturbed_20x20_answer():
     assert len(kinds) == 6 and min(kinds.values()) > 10, kinds
 
 
+def test_check_kkt_agrees_with_the_pair_by_pair_check_on_named_claims():
+    # The integer sums against the reference's ``Fraction`` sums, one named
+    # change at a time to an answer whose goods 2 and 3 are split over
+    # denominators 72 and 48: utilities of the wrong length, entries handed
+    # in as ints and strings, an all-zero allocation row whose shares went
+    # to another buyer, a priced good nobody buys and an oversold good.
+    inst = gen_random(4, 4, 10, 10, 0)
+    sol = solve(inst)
+    p, x, v = list(sol.p), [list(row) for row in sol.x], list(sol.v)
+    assert sorted({s.denominator for row in x for s in row}) == [1, 8, 36, 48, 72]
+
+    def moved(rows, i, k):
+        rows = [list(row) for row in rows]
+        rows[k] = [a + b for a, b in zip(rows[k], rows[i])]
+        rows[i] = [Fraction(0)] * inst.g
+        return rows
+
+    def changed(rows, i, j, share):
+        rows = [list(row) for row in rows]
+        rows[i][j] = share
+        return rows
+
+    def loose(values):
+        return [int(q) if q.denominator == 1 else str(q) for q in values]
+
+    claims = {
+        "answer": ((p, x, v), "ok"),
+        "v short": ((p, x, v[:-1]), "claimed utilities do not match the allocation"),
+        "v long": ((p, x, v + [v[0]]), "claimed utilities do not match the allocation"),
+        "v empty": ((p, x, []), "claimed utilities do not match the allocation"),
+        "v off": ((p, x, v[:3] + [v[3] + Fraction(1, 72)]),
+                  "claimed utilities do not match the allocation"),
+        "ints and strings": ((loose(p), [loose(row) for row in x], loose(v)), "ok"),
+        "strings off": ((loose(p), [loose(row) for row in x], loose(v[:-1]) + ["1/2"]),
+                        "claimed utilities do not match the allocation"),
+        "zero row": ((p, moved(x, 0, 1), v),
+                     "buyer 0 does not improve on the disagreement payoff"),
+        "zero row left unsold": ((p, changed(x, 0, 3, Fraction(0)), v),
+                                 "good 3 priced but not sold out"),
+        "unbought good": ((p, [changed(x, i, 2, 0)[i] for i in range(inst.n)], v),
+                          "good 2 priced but not sold out"),
+        "oversold": ((p, changed(x, 2, 2, Fraction(5, 8) + Fraction(1, 72)), v),
+                     "good 2 oversold"),
+        "oversold by a string": ((p, changed(x, 0, 3, "26/48"), v), "good 3 oversold"),
+    }
+    for name, ((pc, xc, vc), reason) in claims.items():
+        got = check_kkt(inst, pc, xc, vc)
+        assert got == reference_check_kkt(inst, pc, xc, vc), name
+        assert got == (reason == "ok", reason), (name, got)
+
+
 # ---------------------------------------------------------------------------
 # Feasibility witness (every surplus strictly under one unit)
 

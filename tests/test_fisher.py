@@ -22,6 +22,7 @@ from nashflow import (
 from nashflow import fisher, solver
 from nashflow.fisher import _FixedBudgets, _next_tie, _rebuild
 from conftest import (
+    budget_values,
     closed_edges,
     measure_l1_vs_l2,
     random_ratio_case,
@@ -268,9 +269,9 @@ def test_stage0_reaches_the_fixed_budget_equilibrium_by_its_tight_events(monkeyp
     scale, seen = solver._scale, Counter()
 
     def checked(state, block, goods, x):
-        assert set(state.money) == {1}
+        assert set(budget_values(state)) == {1}
         x_ref, buyers_ref, goods_ref = reference_first_tight(
-            state.p, state.money, closed_edges(state.edges, block, goods), goods
+            state.p, budget_values(state), closed_edges(state.edges, block, goods), goods
         )
         assert x == x_ref
         tight = {i for i in block if x * (Fraction(state.theta[i], state.flow.scale) - 1) == -1}

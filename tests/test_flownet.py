@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ import nashflow.oracle
 import nashflow.solver
 from nashflow import (
     FlowError,
-    FlowResult,
     MarketNetwork,
     balanced_flow,
     build_network,
@@ -32,6 +32,7 @@ from nashflow import (
 )
 from nashflow.cli import _check_claim
 from nashflow.fisher import _FixedBudgets
+from nashflow.flownet import best_ratio
 from conftest import (
     GOLDEN_SHAPES,
     balanced_values,
@@ -110,6 +111,36 @@ def test_bang_per_buck_matches_the_fraction_reference():
         seen[_same_network_or_rejection(make_instance(u, c), p)] += 1
         deep += max(x.denominator for x in p).bit_length() > 150
     assert seen["tied"] > 400 and seen["rejected"] > 400 and deep > 500, (seen, deep)
+
+
+def test_best_ratio_is_the_fraction_reference_over_one_scale():
+    # Rows with zero utilities and ties, over positive prices as ints over
+    # their least common denominator, all goods or some in order: the
+    # integer pair is the reference's best ratio, unreduced as the first
+    # best good's u*scale over its price, and the goods are its edges.  A
+    # row that values no priced good gets (0, 1, []).
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(3000):
+        u, p, _ = random_ratio_case(rng)
+        scale = lcm(*[q.denominator for q in p])
+        price = [q.numerator * (scale // q.denominator) for q in p]
+        priced = [(j, q) for j, q in enumerate(price) if q > 0 and rng.random() < 0.8]
+        kept = [p[j] if any(k == j for k, _ in priced) else 0 for j in range(len(p))]
+        for row in u:
+            num, den, goods = best_ratio(row, priced, scale)
+            try:
+                gamma, edges = reference_bang_per_buck([row], kept)
+            except ValueError:
+                assert (num, den, goods) == (0, 1, [])
+                seen["values none"] += 1
+                continue
+            assert Fraction(num, den) == gamma[0]
+            assert goods == [j for _, j in edges]
+            assert (num, den) == (row[goods[0]] * scale, price[goods[0]])
+            seen["tied" if len(goods) > 1 else "single"] += 1
+            seen["zero utility"] += 0 in row
+    assert len(seen) == 4 and min(seen.values()) > 300, seen
 
 
 def test_build_network_is_the_fraction_reference_on_the_golden_shapes():
@@ -296,7 +327,7 @@ def test_max_flow_conservation_and_caps_random():
         net = random_network(rng)
         flow = max_flow(net)
         assert flow.net is net and flow.scale == net.scale
-        flow = FlowResult(*balanced_values(flow)[:3], net)
+        flow = balanced_values(flow)
         p, m = network_values(net)
         assert all(q > 0 for q in flow.pair_flow.values())
         for j in range(net.g):
@@ -334,7 +365,7 @@ def test_max_flow_equals_the_min_cut_at_180_bit_denominators():
             for k in range(g + 1)
             for side in combinations(range(g), k)
         )
-        flow = FlowResult(*balanced_values(max_flow(net))[:3], net)
+        flow = balanced_values(max_flow(net))
         assert flow.value == least
         assert flow.value == sum(flow.pair_flow.values(), Fraction(0))
         for j in range(g):

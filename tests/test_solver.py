@@ -34,6 +34,7 @@ from nashflow.balanced import scale_flow
 from nashflow.fisher import _block_goods, _next_tie
 from conftest import (
     balanced_values,
+    budget_values,
     check_tight_denominators,
     checked_market,
     reference_balanced_flow,
@@ -45,6 +46,7 @@ from conftest import (
     split_infeasible,
     unit_game,
 )
+from test_golden import _instances
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +57,14 @@ def test_initialize_zero_disagreement_is_already_settled():
     state = initialize(unit_game())
     assert state.p == [Fraction(1)]
     assert state.gamma == [Fraction(1)]
-    assert state.money == (Fraction(1),)
+    assert budget_values(state) == (Fraction(1),)
     assert state.theta == (0,)
 
 
 def test_initialize_saturated_buyer_shows_full_surplus():
     state = initialize(scalar_infeasible())
     assert state.p == [Fraction(1)]
-    assert state.money == (Fraction(2),)
+    assert budget_values(state) == (Fraction(2),)
     assert (state.theta, state.flow.scale) == ((1,), 1)
 
 
@@ -70,7 +72,7 @@ def test_initialize_partial_surplus():
     state = initialize(scalar_feasible())
     assert state.p == [Fraction(1)]
     assert state.gamma == [Fraction(2)]
-    assert state.money == (Fraction(3, 2),)
+    assert budget_values(state) == (Fraction(3, 2),)
     # Surpluses are ints over the flow's scale: 1/2 is 1 over 2.
     assert (state.theta, state.flow.scale) == ((1,), 2)
 
@@ -170,6 +172,22 @@ def test_stage2_emits_the_tight_event_in_the_trace():
     assert tight[0]["tight_goods"] == [0]
     assert tight[0]["tight_buyers"] == [0]
     assert tight[0]["iteration"] == 1
+
+
+def test_stage2_utilities_are_those_of_the_allocation_on_the_golden_set():
+    # Stage II reads v_i = gamma_i + c_i off the ratios; on every feasible
+    # golden answer that is sum_j u_ij x_ij, summed here in ``Fraction``s,
+    # and every utility is a ``Fraction``, as the JSON writes it.
+    feasible = 0
+    for _, inst in _instances():
+        sol = solve(inst)
+        if sol.verdict != "feasible":
+            continue
+        feasible += 1
+        assert all(type(a) is Fraction for a in sol.v)
+        assert sol.v == tuple(sum((w * s for w, s in zip(row, shares)), Fraction(0))
+                              for row, shares in zip(inst.u, sol.x)), inst
+    assert feasible > 300, feasible
 
 
 # ---------------------------------------------------------------------------
