@@ -257,8 +257,9 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
     there too and is a union of its components.  Edmonds-Karp runs component
     by component, and a positive factor on one component's capacities keeps
     its paths, so the balanced flow of ``net`` is ``flow`` with the block's
-    pair flows times ``x``.  It keeps ``flow``'s cut and residual graph: the
-    edges are the same, and a factor ``x > 0`` changes no arc's sign.  Over
+    pair flows times ``x``.  It keeps ``flow``'s residual graph, which gives
+    its cut: the edges are the same, and a factor ``x > 0`` changes the sign
+    of no arc and no money room.  Over
     ``flow.scale * b`` the block's amounts are multiplied by ``a`` and the
     others by ``b``, and one gcd takes everything to its least common
     denominator.  The scaled flow skips the max-flow but not the proof: its
@@ -296,8 +297,7 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
         raise BalanceError("a scaled flow does not price the network it scales to")
     value, price = sum(paid), tuple(price)
     scaled = MarketNetwork(price, tuple(caps), net.edges, common)
-    flow = FlowResult(value, dict(zip(flow.pair_flow, paid)), flow.far_side, scaled,
-                      flow.residual)
+    flow = FlowResult(value, dict(zip(flow.pair_flow, paid)), scaled, flow.residual)
     if not (value == sum(price) == sum(caps) and verify_property1(
             MarketNetwork(price, tuple(money), net.edges, common), flow)):
         raise BalanceError("a scaled balanced flow fails the gate")

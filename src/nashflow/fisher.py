@@ -332,7 +332,6 @@ class _FixedBudgets(Market):
 
     def __init__(self, u, money, p):
         super().__init__(u, p)
-        self.money = money
         self._budgets = [(m.numerator, m.denominator) for m in money]
         self.phase = 0
         self.trace = []
@@ -360,28 +359,32 @@ class _FixedBudgets(Market):
         money is saturated and every good paying it is on the far side, so
         these are the cut goods' buyers.  If all sells at ``x_edge`` with no
         block good on the far side, the edge event comes first after one
-        max-flow; otherwise the far side holds the maximal tight sets.
+        max-flow; otherwise the far side holds the maximal tight sets.  Sums
+        are ints over a network's scale: a step's over the trial network,
+        whose block goods cost ``x`` times their price, so the next factor
+        is ``x (m(far buyers) - p(far goods outside)) / p(far block goods)``.
         """
-        p, money = self.p, self.money
-        mass = sum((p[j] for j in goods), Fraction(0))
+        start = int_network(self.price, self.price_scale, self._budgets, ())
+        mass = sum([start.p[j] for j in goods])
         if mass <= 0:
             raise FisherError("tight search needs a priced, wanted target set")
-        x = sum((money[i] for i in block), Fraction(0)) / mass
+        x = Fraction(sum([start.m[i] for i in block]), mass)
         if x_edge is not None and x_edge < x:
             x = x_edge
         edges = [e for e in self.edges if (e[0] in block) == (e[1] in goods)]
-        for _ in range(len(p) + 3):
+        for _ in range(len(self.price) + 3):
             price, scale = move_prices(
                 self.price, self.price_scale, goods, x.numerator, x.denominator)
             res = max_flow(int_network(price, scale, self._budgets, edges))
             far_buyers, far_goods = res.far_side
-            if res.value == sum(res.net.p):
+            p, m = res.net.p, res.net.m
+            if res.value == sum(p):
                 break
-            inside = sum((p[j] for j in far_goods & goods), Fraction(0))
+            inside = sum([p[j] for j in far_goods & goods])
             if inside <= 0:
                 raise FisherError("a set of goods outside the target cannot sell")
-            spent = sum((p[j] for j in far_goods - goods), Fraction(0))
-            x_new = (sum((money[i] for i in far_buyers), Fraction(0)) - spent) / inside
+            free = sum([m[i] for i in far_buyers]) - sum([p[j] for j in far_goods - goods])
+            x_new = Fraction(x.numerator * free, x.denominator * inside)
             if not (1 <= x_new < x):
                 raise FisherError("tight-factor descent failed to make progress")
             x = x_new

@@ -34,9 +34,9 @@ the first overdraw (an end left with less than nothing).  If every pair
 settles and every good sells out, the equal masses spend all money too, so
 this is the one saturating flow.  Every maximum flow saturates then, so it
 is Edmonds-Karp's flow as well, with the same residual graph (each pair arc
-holds unbounded minus the pair's flow, its reverse the flow), the price
-mass as value and, since no buyer keeps money room, every node on the far
-side: a peeled flow gets its cut without the residual search.
+holds unbounded minus the pair's flow, its reverse the flow) and the price
+mass as value.  No buyer keeps money room, so its cut has every node on
+the far side.
 Edmonds-Karp runs on what the peel leaves: unequal masses, cycles (the
 priced pairs of a cycle never become leaves) and forests with no
 saturating flow.  With generic utilities the best-ratio networks are
@@ -69,11 +69,11 @@ money, so its branch tests only the arc's room and never ends a path.
 Both visit the arcs in order, so discovery order is the full search's.
 
 Each flow keeps the integer residual graph its max-flow ended with, and one
-search, ``_reach``, reads everything from it: the maximal min cut (the
-nodes that reach a buyer with money room, searched backward from those
-buyers; at a maximum flow no node reaches the sink through the source) and
-the buyers that a phase's block reaches through goods
-(``FlowResult.residual_reach``).
+search, ``_reach``, reads from it on demand: the maximal min cut, which
+every maximum flow shares (Picard-Queyranne), as the nodes that reach no
+buyer with money room (searched backward from those buyers; at a maximum
+flow no node reaches the sink through the source), and the buyers that a
+phase's block reaches through goods (``FlowResult.residual_reach``).
 
 Utility-per-price ratios are compared in integers as well, by
 cross-multiplying numerators and denominators, in the one search
@@ -256,30 +256,24 @@ def _reach(residual, start, backward):
 
 @dataclass
 class FlowResult:
-    """An exact max-flow of ``net`` plus its maximal minimum cut.
+    """An exact max-flow of ``net``, with its residual graph.
 
     Every amount is an int over ``scale``, read off ``net``, the integer
     network the flow belongs to: the ``value``, the pair flows and the
     prices and caps of ``net``, so ``Fraction(value, scale)`` is the
     value.  ``pair_flow`` maps each interest edge ``(i, j)`` that carries
     money to the amount good ``j`` sells to buyer ``i``; other edges are
-    absent, so ``e in pair_flow`` tests for money.  ``far_side`` is the
-    complement of the nodes that reach the sink in the residual graph,
-    given as a pair ``(buyers, goods)`` of frozensets.  ``residual`` holds
-    the integer pair arcs ``(head, to, cap)`` the max-flow ended with, over
-    nodes goods ``0..g-1`` and buyers ``g..g+n-1``; the cut and ``residual_reach`` are both read from it.
-    Three functions make one: ``max_flow`` runs it, ``balanced_flow``
-    returns its round's integer flow over ``scale * mult`` with the cut and
-    residual graph kept, and ``scale_flow`` multiplies a closed block's pair
-    flows by a factor ``x > 0``.  The scaled flow keeps its parent's cut and
-    residual graph, whose integers are over the parent's scale: the edges
-    are the same and no arc changes sign, and only the signs of the residual
-    rooms are read.  So the cut always belongs to the flow.
+    absent, so ``e in pair_flow`` tests for money.  ``residual`` holds the
+    integer pair arcs ``(head, to, cap)`` the max-flow ended with, over
+    nodes goods ``0..g-1`` and buyers ``g..g+n-1``, and ``far_side`` and
+    ``residual_reach`` read it.  ``max_flow`` and ``balanced_flow`` make
+    one; ``scale_flow`` multiplies a closed block's pair flows by ``x > 0``
+    and keeps its parent's residual graph: the edges are the same, no arc
+    or money room changes sign, and only signs are read.
     """
 
     value: int
     pair_flow: dict
-    far_side: tuple
     net: MarketNetwork
     residual: tuple = field(default=None, compare=False, repr=False)
 
@@ -287,6 +281,16 @@ class FlowResult:
     def scale(self) -> int:
         """The scale every amount is an int over: ``net.scale``."""
         return self.net.scale
+
+    @property
+    def far_side(self):
+        """The maximal min cut's far side ``(buyers, goods)``: what reaches no money room."""
+        g, room = self.net.g, list(self.net.m)
+        for (i, _), f in self.pair_flow.items():
+            room[i] -= f
+        near = _reach(self.residual, [g + i for i, r in enumerate(room) if r], True)
+        return (frozenset(i for i in range(self.net.n) if g + i not in near),
+                frozenset(j for j in range(g) if j not in near))
 
     def allocation(self):
         """Share ``x[i][j]`` of good ``j`` sold to buyer ``i`` as a ``Fraction``, 0 without flow.
@@ -438,16 +442,6 @@ def max_flow(net: MarketNetwork) -> FlowResult:
             raise FlowError(f"max-flow did not end within {bound} augmenting paths")
         _count("augments", augments)
 
-    pair_flow = {}
-    for (j, i), f in zip(pairs, cap[1::2]):  # reverse residual equals flow shipped
-        if f:
-            pair_flow[(i, j)] = f
-
-    residual = (head, to, cap)
-    if peeled:  # no buyer keeps money room: every node is on the far side
-        far_side = (frozenset(range(n)), frozenset(range(g)))
-    else:
-        to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)
-        far_side = (frozenset(i for i in range(n) if g + i not in to_sink),
-                    frozenset(j for j in range(g) if j not in to_sink))
-    return FlowResult(value, pair_flow, far_side, net, residual)
+    # A reverse arc's room is the flow its pair ships.
+    pair_flow = {(i, j): f for (j, i), f in zip(pairs, cap[1::2]) if f}
+    return FlowResult(value, pair_flow, net, (head, to, cap))

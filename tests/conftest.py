@@ -13,7 +13,7 @@ import random
 import tempfile
 from collections import Counter, deque, namedtuple
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -24,6 +24,7 @@ from hypothesis import configuration, settings
 from nashflow import (
     BalanceError,
     FisherError,
+    FlowResult,
     MarketNetwork,
     SolverState,
     gen_l1_adversarial,
@@ -103,6 +104,21 @@ def network_values(net):
 def budget_values(market):
     """A market's budgets, its ``budgets()`` integer pairs, as ``Fraction``s."""
     return tuple(Fraction(num, den) for num, den in market.budgets())
+
+
+@dataclass
+class CutFlow(FlowResult):
+    """A flow that reports ``cut`` as its far side, not the cut its residual graph gives.
+
+    A ``FlowResult`` reads its cut from its residual graph on demand; a stub
+    of a broken flow core returns one of these to hand out a wrong cut.
+    """
+
+    cut: tuple = None
+
+    @property
+    def far_side(self):
+        return self.cut
 
 
 def restrict(net, buyers, goods):

@@ -47,8 +47,8 @@ MUTANTS = [
     dict(
         name="cut-from-every-buyer",
         file="flownet.py",
-        old="to_sink = _reach(residual, [g + i for i in range(n) if money[g + i]], True)",
-        new="to_sink = _reach(residual, [g + i for i in range(n)], True)",
+        old="near = _reach(self.residual, [g + i for i, r in enumerate(room) if r], True)",
+        new="near = _reach(self.residual, [g + i for i, r in enumerate(room)], True)",
         killer="tests/test_flownet.py::test_max_flow_money_short_cuts_agree",
     ),
     dict(
@@ -139,13 +139,6 @@ MUTANTS = [
         old="peeled = peeled and -1 not in settled and not any(room[:g])",
         new="peeled = peeled and not any(room[:g])",
         killer="tests/test_flownet.py::test_max_flow_augments_a_cycle_whose_leaves_sell_its_goods",
-    ),
-    dict(
-        name="peeled-far-side-drops-a-buyer",
-        file="flownet.py",
-        old="far_side = (frozenset(range(n)), frozenset(range(g)))",
-        new="far_side = (frozenset(range(1, n)), frozenset(range(g)))",
-        killer="tests/test_flownet.py::test_max_flow_peels_exactly_the_saturating_forests",
     ),
     dict(
         name="peel-leaves-the-residual-graph",
@@ -249,6 +242,22 @@ MUTANTS = [
         old="if not (1 <= x_new < x):",
         new="if False:",
         killer="tests/test_fisher.py::test_tight_descent_rejects_a_stale_cut",
+    ),
+    # The descent's integer step: the trial network prices the block's goods
+    # at x times their price, so its sums give the next factor over x.
+    dict(
+        name="descent-step-without-the-factor",
+        file="fisher.py",
+        old="x_new = Fraction(x.numerator * free, x.denominator * inside)",
+        new="x_new = Fraction(free, inside)",
+        killer="tests/test_fisher.py::test_tight_search_matches_the_reference_descent",
+    ),
+    dict(
+        name="descent-spend-counts-the-block-goods",
+        file="fisher.py",
+        old="free = sum([m[i] for i in far_buyers]) - sum([p[j] for j in far_goods - goods])",
+        new="free = sum([m[i] for i in far_buyers]) - sum([p[j] for j in far_goods])",
+        killer="tests/test_fisher.py::test_tight_search_matches_the_reference_descent",
     ),
     dict(
         name="rising-stop-lets-a-tied-edge-through",
@@ -453,8 +462,9 @@ MUTANTS = [
     dict(
         name="int-network-returns-fractions",
         file="flownet.py",
-        old="pair_flow[(i, j)] = f\n",
-        new="pair_flow[(i, j)] = Fraction(f, net.scale)\n",
+        old="pair_flow = {(i, j): f for (j, i), f in zip(pairs, cap[1::2]) if f}",
+        new="pair_flow = {(i, j): Fraction(f, net.scale) "
+            "for (j, i), f in zip(pairs, cap[1::2]) if f}",
         killer="tests/test_flownet.py::"
                "test_max_flow_of_a_network_scaled_to_integers_is_the_scaled_flow",
     ),
@@ -531,6 +541,28 @@ MUTANTS = [
         killer="tests/test_cli.py::test_malformed_input_exits_one_without_traceback",
     ),
     # The checkers' rejections (certify).
+    dict(
+        name="equilibrium-accepts-a-zero-price",
+        file="certify.py",
+        old="if any(v <= 0 for v in p):",
+        new="if any(v < 0 for v in p):",
+        killer="tests/test_certify.py::"
+               "test_check_equilibrium_rejects_a_zero_price_that_the_flow_would_pass",
+    ),
+    dict(
+        name="witness-accepts-a-zero-price",
+        file="certify.py",
+        old="elif p[j] <= 0:",
+        new="elif p[j] < 0:",
+        killer="tests/test_certify.py::test_witness_rejects_a_zero_price_on_a_valued_good",
+    ),
+    dict(
+        name="zero-row-past-the-last-buyer",
+        file="certify.py",
+        old="if not 0 <= zero_row < inst.n:",
+        new="if not 0 <= zero_row <= inst.n:",
+        killer="tests/test_cli.py::test_check_rejects_a_zero_row_certificate_past_the_last_buyer",
+    ),
     dict(
         name="kkt-oversold-bound-doubled",
         file="certify.py",

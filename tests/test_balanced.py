@@ -25,6 +25,7 @@ from nashflow import (
     verify_property1,
 )
 from conftest import (
+    CutFlow,
     balanced_values,
     flow_value,
     in_units,
@@ -44,12 +45,7 @@ from conftest import (
 def _unbalanced_shared_good():
     """One good two buyers could split, sold entirely to buyer 1."""
     net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
-    flow = FlowResult(
-        value=1,
-        pair_flow={(1, 0): 1},
-        far_side=(frozenset(), frozenset()),
-        net=net,
-    )
+    flow = FlowResult(value=1, pair_flow={(1, 0): 1}, net=net)
     return net, flow
 
 
@@ -131,7 +127,8 @@ def test_balanced_flow_over_a_broken_flow_core_raises_within_2n_plus_3_max_flows
         ran.append(net)
         assert len(ran) <= 2 * net.n + 3
         flow = real_max_flow(net)
-        return replace(flow, value=flow.value - 1, far_side=FAR_SIDES[far](net, len(ran)))
+        return CutFlow(flow.value - 1, flow.pair_flow, net, flow.residual,
+                       FAR_SIDES[far](net, len(ran)))
 
     rng = random.Random(13)
     cases = [(net, hint) for _, net, hint in _hinted_cases(rng, 40)]
@@ -267,7 +264,7 @@ def test_verify_property1_matches_residual_search():
         k = scale // flow.scale
         net = in_units(net, scale)
         flow = FlowResult(flow.value * k, {e: f * k for e, f in flow.pair_flow.items()},
-                          flow.far_side, net, flow.residual)
+                          net, flow.residual)
         # The characterization read literally: a residual search from every
         # buyer, which the reverse search must mirror.
         theta = surpluses(net, flow)
@@ -701,7 +698,8 @@ def test_scale_flow_up_reaches_the_equilibrium():
     assert (scaled.p, scaled.m) == ((Fraction(2),), (Fraction(2),))
     sflow, stheta = scale_flow(flow, theta, Fraction(2), {0}, {0}, scaled, True)
     assert stheta == (0,)
-    assert (sflow, stheta) == balanced_flow(scaled)
+    want, want_theta = balanced_flow(scaled)
+    assert (sflow, stheta, sflow.far_side) == (want, want_theta, want.far_side)
 
 
 def test_scale_flow_down_grows_the_surplus():
@@ -723,7 +721,8 @@ def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
     for x in (Fraction(3, 2), Fraction(2), Fraction(1, 3)):
         scaled = scaled_network(net, x, {0}, {0})
         sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
-        assert (sflow, stheta) == balanced_flow(scaled)
+        want, want_theta = balanced_flow(scaled)
+        assert (sflow, stheta, sflow.far_side) == (want, want_theta, want.far_side)
 
 
 def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_graph():
@@ -742,6 +741,7 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
     assert tally["maxflows"] == 0
     want, want_theta = balanced_flow(scaled)
     assert (sflow, stheta, sflow.scale) == (want, want_theta, want.scale)
+    assert sflow.far_side == want.far_side
     assert (balanced_values(sflow).pair_flow[0, 0]
             == balanced_values(flow).pair_flow[0, 0])
     for i in range(3):
@@ -819,8 +819,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
     # Over scale 2 the good costs 2, the budget is 4, the flow pays 1 and
     # the surplus is 3.
     before = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
-    flow = FlowResult(1, {(0, 0): 1}, (frozenset(), frozenset()),
-                      MarketNetwork((2,), (1,), before.edges, 2))
+    flow = FlowResult(1, {(0, 0): 1}, MarketNetwork((2,), (1,), before.edges, 2))
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (3,), Fraction(2), {0}, {0}, after, True)
@@ -830,8 +829,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
     # A good sold whole to one of its two buyers sells the price mass and
     # spends every cap, but the other buyer keeps the larger surplus.
     before = integer_network((Fraction(1),), (Fraction(2), Fraction(2)), {(0, 0), (1, 0)})
-    flow = FlowResult(1, {(1, 0): 1}, (frozenset(), frozenset()),
-                      MarketNetwork((1,), (0, 1), before.edges, 1))
+    flow = FlowResult(1, {(1, 0): 1}, MarketNetwork((1,), (0, 1), before.edges, 1))
     after = scaled_network(before, Fraction(2), {0, 1}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (2, 1), Fraction(2), {0, 1}, {0}, after, True)

@@ -51,6 +51,15 @@ def test_check_equilibrium_rejects_low_prices_with_a_reason():
     assert reason == "some budget cannot be spent at these prices"
 
 
+def test_check_equilibrium_rejects_a_zero_price_that_the_flow_would_pass():
+    # Good 1 is valued by nobody.  Priced 0 it never enters the network,
+    # and the buyer spends its unit budget on good 0 at price 1, so one
+    # max-flow alone would pass the prices: only the sign check refuses them.
+    inst = make_instance([[1, 0]], [0])
+    assert check_equilibrium(inst, [1, 0]) == (False, "prices must be positive")
+    assert check_equilibrium(inst, [1, 1]) == (False, "some good cannot sell at these prices")
+
+
 def test_check_equilibrium_rejects_high_prices():
     ok, reason = check_equilibrium(unit_game(), [Fraction(2)])
     assert ok is False
@@ -278,6 +287,15 @@ def test_witness_rejects_a_priced_valueless_good():
     assert check_feasibility_witness(inst, [1, 0]) == (True, "ok")
     assert check_feasibility_witness(inst, [1, 1]) == (False, "valueless good 1 must be priced 0")
 
+
+def test_witness_rejects_a_zero_price_on_a_valued_good():
+    # Priced 0, good 1 leaves the network and buyer 0 alone pays for good
+    # 0, at a surplus below one unit: the balanced flow alone would accept
+    # the prices, so only the sign check refuses them.
+    inst = make_instance([[2, 1], [1, 2]], [0, 0])
+    assert check_feasibility_witness(inst, [1, 1]) == (True, "ok")
+    assert check_feasibility_witness(inst, [1, 0]) == (False, "good 1 must be priced positively")
+
 # ---------------------------------------------------------------------------
 # Infeasibility certificates
 
@@ -369,6 +387,13 @@ def test_verify_convex_dual_zero_row_form():
     inst = make_instance([[0], [1]], [0, 0])
     assert verify_convex_dual(inst, zero_row=0) is True
     assert verify_convex_dual(inst, zero_row=1) is False
+
+
+def test_verify_convex_dual_rejects_a_zero_row_past_the_last_buyer():
+    # Rows n and -1 name no buyer; the check refuses them before it reads a row.
+    inst = make_instance([[0], [1]], [0, 0])
+    assert verify_convex_dual(inst, zero_row=2) is False
+    assert verify_convex_dual(inst, zero_row=-1) is False
 
 
 def test_lp_dual_for_zero_row_is_verifiable():

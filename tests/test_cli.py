@@ -242,6 +242,16 @@ def test_check_rejects_wrong_or_missing_utilities(run, feasible_file, tmp_path, 
     assert (code, json.loads(out)) == (1, {"valid": False, "reason": reason})
 
 
+def test_check_rejects_a_zero_row_certificate_past_the_last_buyer(run, infeasible_file, tmp_path):
+    # The instance has one buyer, row 0; a certificate naming row 1 is
+    # refused with a verdict, not a traceback.
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(json.dumps(
+        {"verdict": "infeasible", "certificate": {"convex_dual": {"zero_row": 1}}}))
+    code, out, _ = run(["check", infeasible_file, str(sol_path)])
+    assert (code, json.loads(out)) == (1, {"valid": False, "reason": "zero-row certificate rejected"})
+
+
 def test_check_rejects_certificate_swapped_to_wrong_instance(run, infeasible_file, tmp_path):
     sol_path = tmp_path / "solution.json"
     run(["solve", infeasible_file, "--output", str(sol_path)])

@@ -219,14 +219,15 @@ def test_tight_search_matches_the_reference_descent(monkeypatch):
     seen = Counter()
 
     def checked(market, x_edge, block, goods, iteration):
+        money = budget_values(market)
         x_ref, buyers_ref, goods_ref = reference_first_tight(
-            market.p, market.money, closed_edges(market.edges, block, goods), goods
+            market.p, money, closed_edges(market.edges, block, goods), goods
         )
         spent = Counter()
         for (i, j), f in market.flow.pair_flow.items():
             spent[i] += f
         certified = x_edge is not None and all(
-            x_edge * Fraction(spent[i], market.flow.scale) < market.money[i] for i in block
+            x_edge * Fraction(spent[i], market.flow.scale) < money[i] for i in block
         )
         ended = stop(market, x_edge, block, goods, iteration)
         if not ended:
@@ -323,6 +324,38 @@ def test_phase_ends_rederive_only_the_buyers_left_without_an_edge(monkeypatch):
         for _, money in limit_algorithm(inst, max_iter=3).history[1:]:
             fisher_equilibrium(reduced.u, money)
     assert seen["phase ends"] > 60 and seen["stripped"] > 10, seen
+
+
+def test_tight_search_builds_a_fraction_for_each_factor_alone(monkeypatch):
+    # The descent sums ints: the market's prices and budgets for the first
+    # factor, each trial network's for every step after it.  So the only
+    # ``Fraction``s it builds are its factors, one per trial network.
+    stop, real_max_flow = _FixedBudgets.stop_at_tight, fisher.max_flow
+    seen, inside = Counter(), []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        seen["fractions"] += bool(inside)
+        return new(cls, *args, **kwargs)
+
+    def trial(net):
+        seen["networks"] += bool(inside)
+        return real_max_flow(net)
+
+    def watched(market, *args):
+        inside.append(True)
+        try:
+            return stop(market, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_FixedBudgets, "stop_at_tight", watched)
+    monkeypatch.setattr(fisher, "max_flow", trial)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for seed in range(4):
+        limit_algorithm(gen_random(4, 4, 10, 10, seed), max_iter=3)
+    monkeypatch.undo()
+    assert seen["networks"] > 80 and seen["fractions"] == seen["networks"], seen
 
 
 def test_tight_descent_rejects_a_stale_cut(monkeypatch):

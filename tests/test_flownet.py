@@ -3,7 +3,7 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 from fractions import Fraction
 from math import lcm
@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 import nashflow.balanced
 import nashflow.certify
 import nashflow.fisher
+import nashflow.flownet
 import nashflow.oracle
 import nashflow.solver
 from nashflow import (
     FlowError,
+    FlowResult,
     MarketNetwork,
     balanced_flow,
     build_network,
@@ -36,6 +38,7 @@ from nashflow.flownet import best_ratio
 from conftest import (
     GOLDEN_SHAPES,
     balanced_values,
+    budget_values,
     closed_edges,
     flow_value,
     in_units,
@@ -228,7 +231,7 @@ def test_networks_hold_ints_and_checker_and_tight_ones_are_the_converters(monkey
                 j = next(j for j in goods if p[j])
                 x = Fraction(net.p[j], net.scale) / p[j]
                 prices = [q * x if k in goods else q for k, q in enumerate(p)]
-                assert net == integer_network(prices, market.money,
+                assert net == integer_network(prices, budget_values(market),
                                               closed_edges(market.edges, block, goods))
                 seen["tight"] += 1
             return real(net, *args)
@@ -319,6 +322,67 @@ def test_max_flow_interior_edges_never_bind():
     # sink-reaching side of the maximal cut.
     assert 0 not in flow.far_side[1]
     assert 2 not in flow.far_side[0]
+
+
+def _forest_network(rng, short):
+    """A random forest network that sells and spends what a flow on its pairs ships.
+
+    Each node joins a random earlier node of the other kind, or none, and
+    each pair ships 1 to 5: the prices and money are the flow's sales and
+    spending, so the flow saturates and ``max_flow`` peels it.  With
+    ``short`` each budget is halved and rounded down, so money runs out.
+    """
+    n, g = rng.randint(1, 6), rng.randint(1, 6)
+    nodes = [("g", j) for j in range(g)] + [("b", i) for i in range(n)]
+    rng.shuffle(nodes)
+    p, m, edges = [0] * g, [0] * n, set()
+    for k, (kind, x) in enumerate(nodes):
+        others = [y for other, y in nodes[:k] if other != kind]
+        if others and rng.random() < 0.8:
+            y, f = rng.choice(others), rng.randint(1, 5)
+            i, j = (y, x) if kind == "g" else (x, y)
+            edges.add((i, j))
+            p[j] += f
+            m[i] += f
+    if short:
+        m = [x // 2 for x in m]
+    return MarketNetwork(tuple(p), tuple(m), frozenset(edges), rng.choice((1, 2, 6)))
+
+
+def test_max_flow_builds_no_cut_and_the_flow_reads_the_reference_cut_on_demand(monkeypatch):
+    # No flow stores its cut: ``max_flow`` runs no residual search, and
+    # ``far_side`` reads the cut from the residual graph and the money rooms
+    # each time it is asked.  It is the reference's maximal min cut on peeled
+    # forests (no money room: every node on the far side), on money-short
+    # forests and on the networks Edmonds-Karp runs on.
+    assert "far_side" not in {f.name for f in fields(FlowResult)}
+    searches, reach = [], nashflow.flownet._reach
+
+    def counted(*args):
+        searches.append(args)
+        return reach(*args)
+
+    monkeypatch.setattr(nashflow.flownet, "_reach", counted)
+    rng = random.Random(37)
+    seen = Counter()
+    for k in range(1500):
+        net = _forest_network(rng, k % 3 == 1) if k % 3 < 2 else _varied_network(rng)
+        with counting() as tally:
+            flow = max_flow(net)
+        assert not searches
+        want = reference_max_flow(net).far_side
+        assert flow.far_side == want and len(searches) == 1
+        assert flow.far_side == want and len(searches) == 2
+        searches.clear()
+        if tally["peels"]:
+            assert want == (frozenset(range(net.n)), frozenset(range(net.g)))
+            seen["peeled"] += 1
+        elif sum(net.m) < sum(net.p):
+            seen["money short"] += 1
+        else:
+            seen["unpeeled"] += 1
+        seen["split cut"] += 0 < len(want[0]) + len(want[1]) < net.n + net.g
+    assert min(seen.values()) > 150 and len(seen) == 4, seen
 
 
 def test_max_flow_conservation_and_caps_random():
