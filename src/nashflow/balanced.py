@@ -65,18 +65,17 @@ Over ``scale * mult``, with ``mult`` the lcm of each class's size divided by
 its gcd with the class's cash, every level, cap and price is an integer.
 The round's max-flow gets that integer network, over ``scale * mult``,
 and answers in integers, and the gate reads it so: the value against the
-target times ``mult`` and property 1 over the money times ``mult``.  When
-``mult`` is 1 the round hands on the network's own prices, and property 1
-reads the network itself.  A network scaled by a positive integer keeps its
-Edmonds-Karp paths and cut, so the proved flow is returned as it stands,
-over ``scale * mult`` like its network, and so are its surpluses.
+target times ``mult``, and property 1 on the network itself, whose
+budgets it takes to the flow's scale.  A network scaled by a positive
+integer keeps its Edmonds-Karp paths and cut, so the proved flow is
+returned as it stands, over ``scale * mult`` like its network, and so are
+its surpluses.
 That scale is the least common denominator of the prices, the money and
 the surpluses, so no ``Fraction`` is built: a market keeps the flow and
 surpluses as integers until a value leaves the solve.
 
-A round reads its classes once as root labels and sums each class's cash
-and size over them.  One pass over the sorted edges proves the merge rule;
-only a round with a merge due runs the union-find loop.  Each surplus is
+A round reads its classes as root labels and sums each class's cash and
+size over them; it reads them again only after a merge.  Each surplus is
 its class's ``cash * mult // size``, and ``fits`` reads it so.
 """
 
@@ -85,32 +84,25 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 
-from .flownet import FlowResult, MarketNetwork, _count, max_flow
+from .flownet import FlowResult, MarketNetwork, _count, max_flow, surpluses
 
 
 class BalanceError(AssertionError):
     """Internal defect: a computed flow failed the balancedness gate."""
 
 
-def surpluses(net: MarketNetwork, flow: FlowResult):
-    """Each buyer's money minus its spending; ``net`` and ``flow`` in one unit."""
-    theta = list(net.m)
-    for (i, _), f in flow.pair_flow.items():
-        theta[i] -= f
-    return tuple(theta)
-
-
 def verify_property1(net: MarketNetwork, flow: FlowResult) -> bool:
     """Residual-reachability check that characterizes balanced max-flows.
 
-    ``net`` holds the full budgets in the flow's unit.  True iff for every
-    buyer ``i``, every buyer reachable from ``i`` in the residual graph
-    (source and sink excluded) has surplus <= ``theta_i``.  One residual hop
-    leads from a buyer through a good that pays them to any buyer
-    interested in that good.  Reachability is the transitive closure
-    of these hops and ``<=`` is transitive, so it suffices that every buyer
-    a good pays has at least the largest surplus ``top[j]`` among the good's
-    interested buyers.
+    ``net`` holds the full budgets in its own unit, over any scale that
+    divides ``flow.scale`` (``surpluses`` takes them to the flow's).  True
+    iff for every buyer ``i``, every buyer reachable from ``i`` in the
+    residual graph (source and sink excluded) has surplus <= ``theta_i``.
+    One residual hop leads from a buyer through a good that pays them to
+    any buyer interested in that good.  Reachability is the transitive
+    closure of these hops and ``<=`` is transitive, so it suffices that
+    every buyer a good pays has at least the largest surplus ``top[j]``
+    among the good's interested buyers.
     """
     theta = surpluses(net, flow)
     top = {}
@@ -176,14 +168,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
             cash[r] -= x
         for r, x in charge.items():
             cash[r] += x
-        due = False
-        if whole is None:  # split rounds never merge
-            for (i, j) in edges:
-                a, b = root[i], root[n + j]
-                if a != b and (not size[b] or cash[a] * size[b] > cash[b] * size[a]):
-                    due = True  # the union-find loop merges, from the first edge on
-                    break
-        merged = due
+        merged = whole is None  # split rounds never merge
+        changed = False
         while merged:
             merged = False
             for (i, j) in edges:
@@ -192,8 +178,8 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
                     parent[a] = b
                     cash[b] += cash[a]
                     size[b] += size[a]
-                    merged = True
-        if due:
+                    merged = changed = True
+        if changed:
             root = [find(x) for x in range(n + g)]
         first = {}
         classes = [first.setdefault(r, x) for x, r in enumerate(root)]
@@ -221,9 +207,7 @@ def balanced_flow(net: MarketNetwork, hint=(None, ())):
         flow = whole if reuse else max_flow(MarketNetwork(prices, caps, inner, scale * mult))
         fits = all(0 <= t <= x * mult for t, x in zip(theta, money))
         if full and fits and flow.value == target * mult == sum(caps) and verify_property1(
-                net if mult == 1 else MarketNetwork(
-                    prices, tuple([x * mult for x in money]), net.edges, scale * mult),
-                flow):
+                net, flow):
             _count("misses" if whole else "repairs" if attempt else "hits")
             return flow, tuple(theta)
         if final:
@@ -265,7 +249,7 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
     denominator.  The scaled flow skips the max-flow but not the proof: its
     prices and budgets must be those of ``net`` (cross-multiplied), its
     value the price mass and the caps' sum, and it must pass property 1
-    over the full budgets.  When the edges differ (the move dropped edges of
+    on ``net``.  When the edges differ (the move dropped edges of
     ``flow``'s network, which can reroute Edmonds-Karp outside the block),
     or ``keep`` is false (the caller rebalances anyway), ``flow`` is
     returned as it is, for the caller to rebalance.
@@ -298,7 +282,6 @@ def scale_flow(flow, theta, x, buyers, goods, net, keep):
     value, price = sum(paid), tuple(price)
     scaled = MarketNetwork(price, tuple(caps), net.edges, common)
     flow = FlowResult(value, dict(zip(flow.pair_flow, paid)), scaled, flow.residual)
-    if not (value == sum(price) == sum(caps) and verify_property1(
-            MarketNetwork(price, tuple(money), net.edges, common), flow)):
+    if not (value == sum(price) == sum(caps) and verify_property1(net, flow)):
         raise BalanceError("a scaled balanced flow fails the gate")
     return flow, tuple(theta)

@@ -5,8 +5,9 @@ capacity ``p[j]`` (the good's price), good -> buyer along "interest" edges
 with unbounded capacity, buyer i -> sink with capacity ``m[i]`` (the buyer's
 money).  A max-flow routes money from goods to buyers; its maximal minimum
 cut tells us which goods and buyers bind.  A flow is its pair flows: a good's
-sales and a buyer's spending are sums over them, and callers that need one
-sum it themselves.
+sales and a buyer's spending are sums over them.  ``surpluses`` takes each
+buyer's money less its spending, for the cut and the balanced-flow gate;
+other callers sum what they need themselves.
 
 A network's amounts are ints over its ``scale``.  ``int_network``
 assembles one from prices over a scale and budgets as integer pairs, over
@@ -254,6 +255,22 @@ def _reach(residual, start, backward):
     return seen
 
 
+def surpluses(net: MarketNetwork, flow: FlowResult):
+    """Each buyer's money in ``net`` less its spending in ``flow``, ints over ``flow.scale``.
+
+    ``net`` may be over any scale that divides ``flow.scale``: its budgets
+    are multiplied by the quotient.  Raises ``ValueError`` when the scale
+    does not divide.
+    """
+    k, rest = divmod(flow.scale, net.scale)
+    if rest:
+        raise ValueError(f"network scale {net.scale} does not divide flow scale {flow.scale}")
+    theta = [x * k for x in net.m]
+    for (i, _), f in flow.pair_flow.items():
+        theta[i] -= f
+    return tuple(theta)
+
+
 @dataclass
 class FlowResult:
     """An exact max-flow of ``net``, with its residual graph.
@@ -275,7 +292,7 @@ class FlowResult:
     value: int
     pair_flow: dict
     net: MarketNetwork
-    residual: tuple = field(default=None, compare=False, repr=False)
+    residual: tuple = field(compare=False, repr=False)
 
     @property
     def scale(self) -> int:
@@ -285,9 +302,7 @@ class FlowResult:
     @property
     def far_side(self):
         """The maximal min cut's far side ``(buyers, goods)``: what reaches no money room."""
-        g, room = self.net.g, list(self.net.m)
-        for (i, _), f in self.pair_flow.items():
-            room[i] -= f
+        g, room = self.net.g, surpluses(self.net, self)
         near = _reach(self.residual, [g + i for i, r in enumerate(room) if r], True)
         return (frozenset(i for i in range(self.net.n) if g + i not in near),
                 frozenset(j for j in range(g) if j not in near))

@@ -121,6 +121,32 @@ class CutFlow(FlowResult):
         return self.cut
 
 
+def hand_flow(net, pair_flow):
+    """A ``FlowResult`` of ``net`` with the given pair flows, which need not be a max-flow.
+
+    Its value is the pair flows' sum, and its residual graph is laid out as
+    ``max_flow`` lays one out: for the ``k``-th priced pair in (good, buyer)
+    order, arc ``2k`` runs good -> buyer with the unbounded room less the
+    pair's flow and arc ``2k + 1`` back with the flow.
+    """
+    g, unbounded = net.g, sum(net.p) + 1
+    pairs = sorted((j, i) for (i, j) in net.edges if net.p[j] > 0)
+    head, to, cap = [[] for _ in range(g + net.n)], [], []
+    for k, (j, i) in enumerate(pairs):
+        f = pair_flow.get((i, j), 0)
+        head[j].append(2 * k)
+        head[g + i].append(2 * k + 1)
+        to += [g + i, j]
+        cap += [unbounded - f, f]
+    return FlowResult(sum(pair_flow.values()), dict(pair_flow), net, (head, to, cap))
+
+
+def residual_signs(flow):
+    """A flow's residual graph up to its rooms: the arcs and which of them have room."""
+    head, to, cap = flow.residual
+    return head, to, [c > 0 for c in cap]
+
+
 def restrict(net, buyers, goods):
     """``net`` on some buyers and goods: the others' amounts zeroed, their edges dropped."""
     p = tuple(x if j in goods else 0 for j, x in enumerate(net.p))
@@ -251,7 +277,7 @@ def reference_balanced_flow(net: MarketNetwork):
     flow = max_flow(replace(whole, m=caps))
     if flow.value != sum(caps) or flow_value(flow) != root_value:
         raise BalanceError("reassembled flow does not saturate the computed surplus levels")
-    if not verify_property1(whole, flow):
+    if not verify_property1(net, flow):
         raise BalanceError("reassembled flow violates the balance characterization")
     return balanced_values(flow)._replace(theta=tuple(theta))
 

@@ -51,6 +51,24 @@ MUTANTS = [
         new="near = _reach(self.residual, [g + i for i, r in enumerate(room)], True)",
         killer="tests/test_flownet.py::test_max_flow_money_short_cuts_agree",
     ),
+    # The one spending sum (flownet.surpluses): a network over any scale
+    # that divides the flow's.
+    dict(
+        name="surpluses-budgets-left-unscaled",
+        file="flownet.py",
+        old="theta = [x * k for x in net.m]",
+        new="theta = list(net.m)",
+        killer="tests/test_balanced.py::"
+               "test_surpluses_and_property1_read_the_network_in_its_own_unit",
+    ),
+    dict(
+        name="surpluses-on-a-scale-that-does-not-divide",
+        file="flownet.py",
+        old="if rest:",
+        new="if False:",
+        killer="tests/test_balanced.py::"
+               "test_surpluses_and_property1_read_the_network_in_its_own_unit",
+    ),
     dict(
         name="sold-out-good-stays-a-start",
         file="flownet.py",
@@ -305,22 +323,15 @@ MUTANTS = [
     dict(
         name="split-rounds-merge",
         file="balanced.py",
-        old="if whole is None:  # split rounds never merge",
-        new="if True:  # split rounds never merge",
+        old="merged = whole is None  # split rounds never merge",
+        new="merged = True  # split rounds never merge",
         killer="tests/test_balanced.py::test_hinted_balanced_flow_matches_the_plain_recursion",
-    ),
-    dict(
-        name="guess-proof-misses-a-due-merge",
-        file="balanced.py",
-        old="due = True  # the union-find loop merges, from the first edge on",
-        new="due = False",
-        killer="tests/test_balanced.py::test_guess_round_matches_its_former_loop_call_by_call",
     ),
     dict(
         name="split-rounds-without-charge",
         file="balanced.py",
-        old="            cash[r] += x\n        due = False",
-        new="            pass\n        due = False",
+        old="            cash[r] += x\n        merged = whole is None",
+        new="            pass\n        merged = whole is None",
         killer="tests/test_balanced.py::test_balanced_flow_that_cannot_sell_runs_the_split_rounds",
     ),
     dict(
@@ -345,11 +356,11 @@ MUTANTS = [
         killer="tests/test_balanced.py::test_balanced_flow_that_cannot_sell_runs_the_split_rounds",
     ),
     dict(
-        name="gate-property1-on-the-unscaled-network",
+        name="gate-property1-on-the-caps-network",
         file="balanced.py",
-        old="net if mult == 1 else MarketNetwork(",
-        new="net if True else MarketNetwork(",
-        killer="tests/test_balanced.py::test_guess_round_matches_its_former_loop_call_by_call",
+        old="verify_property1(\n                net, flow):",
+        new="verify_property1(\n                flow.net, flow):",
+        killer="tests/test_balanced.py::test_gate_rejects_split_round_levels_that_fail_property1",
     ),
     dict(
         name="gate-without-level-range",
@@ -432,8 +443,8 @@ MUTANTS = [
     dict(
         name="scaled-flow-gate-without-property1",
         file="balanced.py",
-        old="== sum(caps) and verify_property1(\n            MarketNetwork(price,",
-        new="== sum(caps) and (lambda *_: True)(\n            MarketNetwork(price,",
+        old="== sum(caps) and verify_property1(net, flow)):",
+        new="== sum(caps) and (lambda *_: True)(net, flow)):",
         killer="tests/test_balanced.py::test_scale_flow_rejects_a_scaled_flow_that_fails_property1",
     ),
     # The integer hand-off: levels, caps and prices over scale * mult.
@@ -562,6 +573,44 @@ MUTANTS = [
         old="if not 0 <= zero_row < inst.n:",
         new="if not 0 <= zero_row <= inst.n:",
         killer="tests/test_cli.py::test_check_rejects_a_zero_row_certificate_past_the_last_buyer",
+    ),
+    dict(
+        name="witness-accepts-a-short-sale",
+        file="certify.py",
+        old="balanced_flow(build_network(reduced, pk))\n    if flow.value != sum(flow.net.p):",
+        new="balanced_flow(build_network(reduced, pk))\n    if False:",
+        killer="tests/test_certify.py::test_witness_rejects_prices_at_which_a_good_cannot_sell",
+    ),
+    dict(
+        name="witness-of-any-length",
+        file="certify.py",
+        old='if len(p) != inst.g:\n        return False, "price vector has the wrong length"\n    reduced',
+        new='if False:\n        return False, "price vector has the wrong length"\n    reduced',
+        killer="tests/test_cli.py::test_check_rejects_a_witness_of_the_wrong_length",
+    ),
+    dict(
+        name="partition-past-the-last-index",
+        file="certify.py",
+        old="if not (split_b <= set(range(inst.n)) and split_g <= set(range(inst.g))):",
+        new="if False:",
+        killer="tests/test_cli.py::test_check_rejects_a_partition_certificate_past_the_last_good",
+    ),
+    dict(
+        name="partition-splits-a-proper-subset-of-buyers",
+        file="certify.py",
+        old="split_b <= set(range(inst.n))",
+        new="split_b < set(range(inst.n))",
+        equivalent="if every buyer is split, rest_b is empty and the certificate is "
+                   "rejected anyway",
+    ),
+    dict(
+        name="partition-splits-a-proper-subset-of-goods",
+        file="certify.py",
+        old="split_g <= set(range(inst.g))",
+        new="split_g < set(range(inst.g))",
+        equivalent="if every good is split, each outside buyer either values a split good "
+                   "(rejected by rule 1) or values nothing (build_network raises ValueError); "
+                   "both return False",
     ),
     dict(
         name="kkt-oversold-bound-doubled",

@@ -31,7 +31,6 @@ from conftest import (
     balanced_values,
     exhaustive_small_instances,
     flow_value,
-    in_units,
     measure_l1_vs_l2,
     random_network,
     reference_bang_per_buck,
@@ -162,7 +161,7 @@ def test_criterion_06_balanced_flow_on_a_thousand_networks():
         net = random_network(rng, max_buyers=6, max_goods=6)
         flow, theta = balanced_flow(net)
         assert flow_value(flow) == flow_value(max_flow(net))
-        assert verify_property1(in_units(net, flow.scale), flow)
+        assert verify_property1(net, flow)
         theta = balanced_values(flow, theta).theta
         perm = list(range(net.n))
         rng.shuffle(perm)

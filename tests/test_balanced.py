@@ -28,6 +28,7 @@ from conftest import (
     CutFlow,
     balanced_values,
     flow_value,
+    hand_flow,
     in_units,
     integer_network,
     network_values,
@@ -35,6 +36,7 @@ from conftest import (
     reference_balanced_flow,
     reference_guessing_balanced_flow,
     reference_surpluses,
+    residual_signs,
     restrict,
     scalar_feasible,
     scaled_network,
@@ -45,7 +47,7 @@ from conftest import (
 def _unbalanced_shared_good():
     """One good two buyers could split, sold entirely to buyer 1."""
     net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
-    flow = FlowResult(value=1, pair_flow={(1, 0): 1}, net=net)
+    flow = hand_flow(net, {(1, 0): 1})
     return net, flow
 
 
@@ -167,6 +169,29 @@ def test_gate_rejects_a_round_flow_that_fails_property1(monkeypatch):
     assert ran
 
 
+def test_gate_rejects_split_round_levels_that_fail_property1(monkeypatch):
+    # Buyers 0 and 1 share good 0 (price 1, money 1 each); buyer 2 cannot
+    # afford good 1 (price 2, money 1), so the guess misses and the split
+    # rounds run.  The stub's first split round sells one unit short and
+    # cuts buyer 0 off its good, so the rounds level buyer 0 at 1 and buyer
+    # 1 at 0, and the flow that proves those levels saturates every cap.
+    # Only property 1 on the budgets sees buyer 1 paid by a good that buyer
+    # 0, at the higher level, wants; on the caps every surplus is 0.
+    net = integer_network((Fraction(1), Fraction(2)), (Fraction(1),) * 3,
+                          {(0, 0), (1, 0), (2, 1)})
+
+    def short_first_split(net, real):
+        if len(ran) != 2:
+            return real
+        return CutFlow(real.value - 1, real.pair_flow, net, real.residual,
+                       (frozenset({1, 2}), frozenset({0, 1})))
+
+    ran = _stubbed_flow_core(monkeypatch, short_first_split)
+    with pytest.raises(balanced.BalanceError, match="fail the gate on the whole network"):
+        balanced_flow(net)
+    assert len(ran) == 4
+
+
 def test_gate_rejects_a_split_round_level_below_zero(monkeypatch):
     # One buyer with 1 and one good priced 2: the guess misses, and the
     # whole max-flow reports the good sold out though it sells 1.  The
@@ -216,7 +241,7 @@ def test_balanced_flow_is_a_max_flow():
         net = random_network(rng)
         flow, theta = balanced_flow(net)
         assert flow_value(flow) == flow_value(max_flow(net))
-        assert surpluses(in_units(net, flow.scale), flow) == theta
+        assert surpluses(net, flow) == theta
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +251,7 @@ def test_balanced_flow_is_a_max_flow():
 def test_verify_property1_accepts_balanced_flows():
     net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
     flow, _ = balanced_flow(net)
-    assert verify_property1(in_units(net, flow.scale), flow) is True
+    assert verify_property1(net, flow) is True
 
 
 def test_verify_property1_rejects_lopsided_split():
@@ -283,6 +308,22 @@ def test_surpluses_are_money_minus_spending():
     assert surpluses(net, flow) == (Fraction(1), Fraction(0))
 
 
+def test_surpluses_and_property1_read_the_network_in_its_own_unit():
+    # The balanced flow is over twice the network's scale: the network's
+    # budgets go to the flow's scale, over any scale that divides it, and a
+    # scale that does not divide it is refused.
+    net = integer_network((Fraction(1),), (Fraction(1), Fraction(1)), {(0, 0), (1, 0)})
+    flow, theta = balanced_flow(net)
+    assert (net.scale, flow.scale, theta) == (1, 2, (1, 1))
+    assert surpluses(net, flow) == surpluses(in_units(net, 2), flow) == theta
+    assert verify_property1(net, flow) is True
+    for scale in (3, 4):
+        with pytest.raises(ValueError, match="does not divide"):
+            surpluses(in_units(net, scale), flow)
+        with pytest.raises(ValueError, match="does not divide"):
+            verify_property1(in_units(net, scale), flow)
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the subset-enumeration reference
 
@@ -293,7 +334,7 @@ def test_balanced_flow_matches_reference_on_random_networks():
         net = random_network(rng)
         flow, theta = balanced_flow(net)
         assert balanced_values(flow, theta).theta == reference_surpluses(net)
-        assert verify_property1(in_units(net, flow.scale), flow) is True
+        assert verify_property1(net, flow) is True
 
 
 def test_surplus_vector_is_order_independent():
@@ -699,7 +740,8 @@ def test_scale_flow_up_reaches_the_equilibrium():
     sflow, stheta = scale_flow(flow, theta, Fraction(2), {0}, {0}, scaled, True)
     assert stheta == (0,)
     want, want_theta = balanced_flow(scaled)
-    assert (sflow, stheta, sflow.far_side) == (want, want_theta, want.far_side)
+    assert (sflow, stheta) == (want, want_theta)
+    assert residual_signs(sflow) == residual_signs(want)
 
 
 def test_scale_flow_down_grows_the_surplus():
@@ -722,12 +764,13 @@ def test_scale_flow_scaled_result_is_balanced_for_the_new_network():
         scaled = scaled_network(net, x, {0}, {0})
         sflow, stheta = scale_flow(flow, theta, x, {0}, {0}, scaled, True)
         want, want_theta = balanced_flow(scaled)
-        assert (sflow, stheta, sflow.far_side) == (want, want_theta, want.far_side)
+        assert (sflow, stheta) == (want, want_theta)
+        assert residual_signs(sflow) == residual_signs(want)
 
 
 def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_graph():
     # Two components; scaling the second leaves the first's pair flows alone
-    # and gives the balanced flow of the scaled network, cut and residual
+    # and gives the balanced flow of the scaled network, residual arcs and
     # reach included, without a max-flow, over the same least common
     # denominator as a rebalance.
     net = integer_network((Fraction(1), Fraction(1), Fraction(2)),
@@ -741,7 +784,7 @@ def test_scale_flow_of_one_component_keeps_the_others_flow_and_the_residual_grap
     assert tally["maxflows"] == 0
     want, want_theta = balanced_flow(scaled)
     assert (sflow, stheta, sflow.scale) == (want, want_theta, want.scale)
-    assert sflow.far_side == want.far_side
+    assert residual_signs(sflow) == residual_signs(want)
     assert (balanced_values(sflow).pair_flow[0, 0]
             == balanced_values(flow).pair_flow[0, 0])
     for i in range(3):
@@ -819,7 +862,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_sells_short():
     # Over scale 2 the good costs 2, the budget is 4, the flow pays 1 and
     # the surplus is 3.
     before = integer_network((Fraction(1),), (Fraction(2),), {(0, 0)})
-    flow = FlowResult(1, {(0, 0): 1}, MarketNetwork((2,), (1,), before.edges, 2))
+    flow = hand_flow(MarketNetwork((2,), (1,), before.edges, 2), {(0, 0): 1})
     after = scaled_network(before, Fraction(2), {0}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (3,), Fraction(2), {0}, {0}, after, True)
@@ -829,7 +872,7 @@ def test_scale_flow_rejects_a_scaled_flow_that_fails_property1():
     # A good sold whole to one of its two buyers sells the price mass and
     # spends every cap, but the other buyer keeps the larger surplus.
     before = integer_network((Fraction(1),), (Fraction(2), Fraction(2)), {(0, 0), (1, 0)})
-    flow = FlowResult(1, {(1, 0): 1}, MarketNetwork((1,), (0, 1), before.edges, 1))
+    flow = hand_flow(MarketNetwork((1,), (0, 1), before.edges, 1), {(1, 0): 1})
     after = scaled_network(before, Fraction(2), {0, 1}, {0})
     with pytest.raises(balanced.BalanceError, match="scaled balanced flow fails the gate"):
         scale_flow(flow, (2, 1), Fraction(2), {0, 1}, {0}, after, True)

@@ -296,6 +296,17 @@ def test_witness_rejects_a_zero_price_on_a_valued_good():
     assert check_feasibility_witness(inst, [1, 1]) == (True, "ok")
     assert check_feasibility_witness(inst, [1, 0]) == (False, "good 1 must be priced positively")
 
+
+def test_witness_rejects_prices_at_which_a_good_cannot_sell():
+    # Good 0 is valueless and priced 0.  At price 2 the buyer's budget of 1
+    # buys half of good 1, and spends it all: the balanced surplus is 0,
+    # below one unit, so only the sell-out check refuses the prices.
+    inst = make_instance([[0, 1]], [0])
+    assert check_feasibility_witness(inst, [0, 1]) == (True, "ok")
+    assert check_feasibility_witness(inst, [0, 2]) == (
+        False, "some good cannot sell at these prices")
+
+
 # ---------------------------------------------------------------------------
 # Infeasibility certificates
 

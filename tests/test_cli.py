@@ -252,6 +252,31 @@ def test_check_rejects_a_zero_row_certificate_past_the_last_buyer(run, infeasibl
     assert (code, json.loads(out)) == (1, {"valid": False, "reason": "zero-row certificate rejected"})
 
 
+def test_check_rejects_a_witness_of_the_wrong_length(run, tmp_path):
+    # The solved claim verifies; with one witness price for two goods it is
+    # refused with a verdict, not a traceback.
+    inst_path, sol_path = tmp_path / "instance.json", tmp_path / "solution.json"
+    inst_path.write_text('{"u":[[1,2],[2,1]],"c":["0","0"]}')
+    assert run(["solve", str(inst_path), "--output", str(sol_path)])[0] == 0
+    doc = json.loads(sol_path.read_text())
+    doc["feasible_prices"] = ["1"]
+    sol_path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", str(inst_path), str(sol_path)])
+    reason = "witness prices rejected: price vector has the wrong length"
+    assert (code, json.loads(out)) == (1, {"valid": False, "reason": reason})
+
+
+def test_check_rejects_a_partition_certificate_past_the_last_good(run, tmp_path):
+    # The instance has goods 0 and 1; a partition naming good 5 is refused
+    # with a verdict, not a traceback.
+    inst_path, sol_path = tmp_path / "instance.json", tmp_path / "solution.json"
+    inst_path.write_text('{"u":[[1,2],[2,1]],"c":["0","0"]}')
+    sol_path.write_text(json.dumps({"verdict": "infeasible", "certificate": {
+        "convex_dual": {"buyers": [0], "goods": [5], "p": ["1", "1"]}}}))
+    code, out, _ = run(["check", str(inst_path), str(sol_path)])
+    assert (code, json.loads(out)) == (1, {"valid": False, "reason": "partition certificate rejected"})
+
+
 def test_check_rejects_certificate_swapped_to_wrong_instance(run, infeasible_file, tmp_path):
     sol_path = tmp_path / "solution.json"
     run(["solve", infeasible_file, "--output", str(sol_path)])

@@ -40,6 +40,7 @@ from conftest import (
     reference_balanced_flow,
     reference_bang_per_buck,
     reference_market_network,
+    residual_signs,
     scalar_feasible,
     scalar_infeasible,
     scaled_network,
@@ -645,7 +646,9 @@ def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
     # A rising phase end keeps the stop's scaled flow only when the market's
     # edges are those of the last balanced network.  Each kept flow must be
     # the flow a rebalance would have computed there, from the same network
-    # and hint: pair flows, value, network, surpluses, cut and residual reach.
+    # and hint: pair flows, value, network, surpluses, the residual graph's
+    # arcs and which of them have room, and residual reach.  (Every balanced
+    # flow saturates its caps, so its cut is every node whatever its graph.)
     kept = Counter()
 
     def compare(state):
@@ -654,7 +657,8 @@ def test_every_kept_scaled_flow_is_the_rebalance_it_replaces(monkeypatch):
         assert state.flow.scale == flow.scale, where
         assert state.flow.pair_flow == flow.pair_flow, where
         assert state.flow.value == flow.value and state.flow.net == flow.net, where
-        assert state.theta == theta and state.flow.far_side == flow.far_side, where
+        assert state.theta == theta, where
+        assert residual_signs(state.flow) == residual_signs(flow), where
         for i in range(state.inst.n):
             for reverse in (False, True):
                 assert (state.flow.residual_reach({i}, reverse)
